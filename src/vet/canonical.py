@@ -30,7 +30,8 @@ def canonical_bytes(obj: Any) -> bytes:
     Raises ValidationError if the object contains ints, floats, or any
     non-JSON type.
     """
-    _check_scalars(obj, "")
+    if not _plain(obj):
+        _check_scalars(obj, "")
     text = json.dumps(
         obj,
         sort_keys=True,
@@ -39,6 +40,29 @@ def canonical_bytes(obj: Any) -> bytes:
         allow_nan=False,
     )
     return text.encode("utf-8")
+
+
+_PLAIN_SCALARS = (str, bool, type(None))
+
+
+def _plain(obj: Any) -> bool:
+    """Fast check that ``obj`` holds only exact dicts with str keys, lists,
+    tuples, str, bool and None; False sends it to ``_check_scalars``,
+    which accepts subclasses too and names the first rejected value."""
+    kind = type(obj)
+    if kind in _PLAIN_SCALARS:
+        return True
+    if kind is dict:
+        for key, value in obj.items():
+            if type(key) is not str or (type(value) is not str and not _plain(value)):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        for value in obj:
+            if type(value) is not str and not _plain(value):
+                return False
+        return True
+    return False
 
 
 def _check_scalars(obj: Any, path: str) -> None:

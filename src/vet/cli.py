@@ -232,17 +232,18 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
             claim = pathlib.Path(claim[1:]).read_text()
         except OSError as exc:
             _fail(str(exc))
-    document = AgentIdentityDocument.from_obj(_load_json(aid_file))
-    bundle = VerifiableExecutionTrace.from_obj(_load_json(bundle_file))
+    aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
     registry = _load_registry(templates_dir)
     try:
+        document = AgentIdentityDocument.from_obj(aid_obj)
+        bundle = VerifiableExecutionTrace.from_obj(bundle_obj)
         verify_trace(claim, bundle, document, registry)
         report = {"result": "accept", "claim": claim}
         code = 0
     except Rejected as exc:
         report = {"result": "reject", "reason": exc.reason, "detail": exc.detail}
         code = 1
-    except (VetError, ValueError, KeyError) as exc:
+    except (VetError, ValueError, KeyError, TypeError, AttributeError) as exc:
         report = {"result": "reject", "reason": "malformed", "detail": str(exc)}
         code = 1
     if as_json:
@@ -261,12 +262,13 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def inspect(aid_file, bundle_file, templates_dir, as_json):
     """Print a per-step verification report for a bundle."""
-    document = AgentIdentityDocument.from_obj(_load_json(aid_file))
-    bundle = VerifiableExecutionTrace.from_obj(_load_json(bundle_file))
+    aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
     registry = _load_registry(templates_dir)
     try:
+        document = AgentIdentityDocument.from_obj(aid_obj)
+        bundle = VerifiableExecutionTrace.from_obj(bundle_obj)
         text, ok = demo_mod.inspect_bundle(bundle, document, registry)
-    except (VetError, ValueError, KeyError) as exc:
+    except (VetError, ValueError, KeyError, TypeError, AttributeError) as exc:
         _fail(f"malformed bundle: {exc}")
     if as_json:
         click.echo(json.dumps({"ok": ok, "report": text}))

@@ -6,13 +6,25 @@ neighbours. Leaf and interior hashes carry distinct domain-separation
 prefixes, and the chunk index is bound into the leaf hash so a revealed
 chunk cannot be relocated. Levels with an odd node count are closed with
 a domain-separated padding node.
+
+``verify_disclosure`` hashes each tree node at most once, yet accepts
+exactly the disclosures that the per-path check accepts (every revealed
+chunk, hashed up its own sibling path, reaches the root). Once a chunk
+has been carried to the root, a later chunk's walk stops at a node the
+earlier walk passed through if both the value it computed there and its
+remaining sibling hashes equal the earlier chunk's. Every hash above that
+node then takes the same inputs as in the earlier walk, so the per-path
+walk of the later chunk would reach the root too. If either differs, the
+walk simply goes on to the root as the per-path check does. Neither
+direction relies on any property of the hash, and a rejected disclosure
+gets the same reason and detail as under the per-path check.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import Rejected, ValidationError
 
@@ -26,12 +38,7 @@ EMPTY_ROOT = hashlib.sha256(b"VET/empty-leaf").digest()
 
 
 def leaf_hash(index: int, salt: bytes, chunk: bytes) -> bytes:
-    h = hashlib.sha256()
-    h.update(_LEAF)
-    h.update(index.to_bytes(8, "big"))
-    h.update(salt)
-    h.update(chunk)
-    return h.digest()
+    return hashlib.sha256(_LEAF + index.to_bytes(8, "big") + salt + chunk).digest()
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
@@ -80,11 +87,16 @@ class TranscriptCommitment:
 
 @dataclass(frozen=True)
 class Opening:
-    """Prover-held witness: the plaintext plus all per-chunk salts."""
+    """Prover-held witness: the plaintext, all per-chunk salts and the tree.
+
+    ``levels`` is the hash tree ``commit`` built over them, leaves first,
+    so disclosing reads authentication paths instead of rehashing.
+    """
 
     plaintext: bytes
     salts: tuple[bytes, ...]
     chunk_size: int
+    levels: tuple[tuple[bytes, ...], ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -109,7 +121,7 @@ class RevealedChunk:
             index=int(obj["index"]),
             salt=bytes.fromhex(obj["salt"]),
             data=bytes.fromhex(obj["data"]),
-            path=tuple(bytes.fromhex(p) for p in obj["path"]),
+            path=tuple(map(bytes.fromhex, obj["path"])),
         )
 
 
@@ -176,11 +188,15 @@ def commit(
     if randomness is None:
         randomness = random.SystemRandom()
     salts = tuple(randomness.randbytes(SALT_LEN) for _ in range(n))
-    root = _root_of(_leaf_hashes(transcript, salts, chunk_size))
+    levels = tuple(map(tuple, _tree_levels(_leaf_hashes(transcript, salts, chunk_size))))
     commitment = TranscriptCommitment(
-        root=root, chunk_size=chunk_size, total_length=len(transcript)
+        root=levels[-1][0] if n else EMPTY_ROOT,
+        chunk_size=chunk_size,
+        total_length=len(transcript),
     )
-    return commitment, Opening(plaintext=transcript, salts=salts, chunk_size=chunk_size)
+    return commitment, Opening(
+        plaintext=transcript, salts=salts, chunk_size=chunk_size, levels=levels
+    )
 
 
 def recommit(opening: Opening) -> bytes:
@@ -212,26 +228,29 @@ def disclose(opening: Opening, ranges: list[tuple[int, int]]) -> Disclosure:
     total = len(opening.plaintext)
     norm = normalize_ranges(ranges, total)
     cover = chunk_cover(norm, opening.chunk_size, total)
-    leaves = _leaf_hashes(opening.plaintext, opening.salts, opening.chunk_size)
-    levels = _tree_levels(leaves) if leaves else []
-    revealed = []
-    for index in cover:
-        path = []
-        pos = index
-        for level in levels[:-1]:
-            sibling = pos ^ 1
-            path.append(level[sibling] if sibling < len(level) else _PAD)
-            pos //= 2
-        cs = opening.chunk_size
-        revealed.append(
-            RevealedChunk(
-                index=index,
-                salt=opening.salts[index],
-                data=opening.plaintext[index * cs:(index + 1) * cs],
-                path=tuple(path),
-            )
+    # Paths are built from the root down: a node's path is its sibling
+    # followed by its parent's path, so each node of the cover's
+    # ancestry is visited once. Every level below the root has even
+    # length (``_tree_levels`` pads it), so a sibling always exists.
+    depth = len(opening.levels) - 1
+    positions = [cover]
+    for _ in range(depth - 1):
+        positions.append({pos >> 1 for pos in positions[-1]})
+    paths: dict[int, tuple[bytes, ...]] = {0: ()}
+    for level in reversed(range(depth)):
+        nodes = opening.levels[level]
+        paths = {pos: (nodes[pos ^ 1],) + paths[pos >> 1] for pos in positions[level]}
+    cs = opening.chunk_size
+    revealed = tuple(
+        RevealedChunk(
+            index=index,
+            salt=opening.salts[index],
+            data=opening.plaintext[index * cs:(index + 1) * cs],
+            path=paths[index],
         )
-    return Disclosure(ranges=tuple(norm), chunks=tuple(revealed))
+        for index in cover
+    )
+    return Disclosure(ranges=tuple(norm), chunks=revealed)
 
 
 def verify_disclosure(
@@ -248,6 +267,9 @@ def verify_disclosure(
         raise Rejected("bad-path", "empty transcript with non-empty root")
     depth = 0 if n <= 1 else (n - 1).bit_length()
     by_index: dict[int, RevealedChunk] = {}
+    # Node id (heap numbering: root 1, children 2k and 2k+1) -> the value
+    # an earlier chunk computed there and that chunk's path.
+    carried: dict[int, tuple[bytes, tuple[bytes, ...]]] = {}
     for chunk in disclosure.chunks:
         if not 0 <= chunk.index < n:
             raise Rejected("chunk-range-inconsistency", f"chunk index {chunk.index} out of range")
@@ -261,13 +283,20 @@ def verify_disclosure(
             raise Rejected("length-mismatch", f"chunk {chunk.index} has wrong length")
         if len(chunk.path) != depth:
             raise Rejected("bad-path", f"chunk {chunk.index} path depth {len(chunk.path)} != {depth}")
+        path = chunk.path
         node = leaf_hash(chunk.index, chunk.salt, chunk.data)
-        pos = chunk.index
-        for sibling in chunk.path:
-            node = _node_hash(node, sibling) if pos % 2 == 0 else _node_hash(sibling, node)
-            pos //= 2
-        if node != commitment.root:
-            raise Rejected("bad-path", f"chunk {chunk.index} does not authenticate to root")
+        node_id = (1 << depth) | chunk.index
+        for level, sibling in enumerate(path):
+            seen = carried.get(node_id)
+            if seen is None:
+                carried[node_id] = (node, path)
+            elif seen[0] == node and seen[1][level:] == path[level:]:
+                break  # the rest of the walk is the earlier chunk's walk
+            node = _node_hash(node, sibling) if node_id % 2 == 0 else _node_hash(sibling, node)
+            node_id >>= 1
+        else:
+            if node != commitment.root:
+                raise Rejected("bad-path", f"chunk {chunk.index} does not authenticate to root")
         by_index[chunk.index] = chunk
 
     if n == 0 and disclosure.chunks:
@@ -281,19 +310,16 @@ def verify_disclosure(
     if missing:
         raise Rejected("chunk-range-inconsistency", f"ranges not covered, missing chunks {missing}")
 
+    cs = commitment.chunk_size
     out: dict[tuple[int, int], bytes] = {}
     for offset, length in disclosure.ranges:
-        parts = []
-        pos = offset
-        end = offset + length
-        while pos < end:
-            index = pos // commitment.chunk_size
-            chunk = by_index[index]
-            start_in_chunk = pos - index * commitment.chunk_size
-            take = min(end - pos, len(chunk.data) - start_in_chunk)
-            parts.append(chunk.data[start_in_chunk:start_in_chunk + take])
-            pos += take
-        out[(offset, length)] = b"".join(parts)
+        if not length:
+            out[(offset, length)] = b""
+            continue
+        first, last = offset // cs, (offset + length - 1) // cs
+        run = b"".join(by_index[i].data for i in range(first, last + 1))
+        start = offset - first * cs
+        out[(offset, length)] = run[start:start + length]
     return out
 
 

@@ -22,7 +22,13 @@ from .aid import (
     compute_id,
 )
 from .errors import Rejected, ValidationError
-from .templates import TemplateRegistry, extract_input, render
+from .templates import (
+    TemplateRegistry,
+    expected_request,
+    extract_input,
+    first_difference,
+    render,
+)
 from .tee_proxy import ProxyAttestation, TeeProxy, verify_attestation
 from .webproof import (
     ROLE_CORE,
@@ -262,15 +268,12 @@ def _match_tee_request(
         x = extract_input(template, request_bytes)
     except ValidationError as exc:
         raise Rejected("parse-failure", str(exc))
-    expected, spans = render(template, x, {})
+    expected, secret = expected_request(template, x)
     if len(expected) != len(request_bytes):
         raise Rejected("template-mismatch", "attested request length differs from template")
-    secret = set()
-    for offset, length in spans.values():
-        secret.update(range(offset, offset + length))
-    for i, (a, b) in enumerate(zip(request_bytes, expected)):
-        if i not in secret and a != b:
-            raise Rejected("template-mismatch", f"attested request byte {i} differs")
+    differs = first_difference(expected, secret, 0, request_bytes)
+    if differs is not None:
+        raise Rejected("template-mismatch", f"attested request byte {differs} differs")
     return x
 
 

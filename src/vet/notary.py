@@ -31,6 +31,8 @@ STATE_FINALIZED = "finalized"
 STATE_ABORTED = "aborted"
 
 _STATE_ORDER = [STATE_OPEN, STATE_RELAYING, STATE_FINALIZED, STATE_ABORTED]
+# States that hold one of the service's ``max_sessions`` places.
+_LIVE_STATES = (STATE_OPEN, STATE_RELAYING)
 
 # Frame types whose payloads the notary must treat as opaque ciphertext.
 _OPAQUE_TYPES = {
@@ -55,6 +57,7 @@ class LedgerEntry:
     records: list[tuple[str, str, int]] = field(default_factory=list)
     statement_frame: Frame | None = None
     abort_reason: str = ""
+    closed: bool = False
 
     def advance(self, state: str) -> None:
         if _STATE_ORDER.index(state) < _STATE_ORDER.index(self.state):
@@ -63,6 +66,16 @@ class LedgerEntry:
             )
         self.state = state
 
+    def close(self) -> None:
+        """End the session: drop its records and statement, keep its state.
+
+        The ledger keeps the entry, so its session id stays taken: the
+        server derives its seed and ephemeral key from that id.
+        """
+        self.closed = True
+        self.records = []
+        self.statement_frame = None
+
 
 class SessionLedger:
     """Thread-safe map of session_id to its ledger entry."""
@@ -70,12 +83,18 @@ class SessionLedger:
     def __init__(self):
         self._lock = threading.Lock()
         self._entries: dict[str, LedgerEntry] = {}
+        self._live: list[str] = []
 
-    def open(self, session_id: str, entry: LedgerEntry) -> None:
+    def open(self, session_id: str, entry: LedgerEntry, max_live: int) -> None:
+        """Add a session unless ``max_live`` sessions are open or relaying."""
         with self._lock:
+            self._live = [s for s in self._live if self._entries[s].state in _LIVE_STATES]
+            if len(self._live) >= max_live:
+                raise ProtocolError("session limit reached")
             if session_id in self._entries:
-                raise ProtocolError(f"session {session_id!r} already open")
+                raise ProtocolError(f"session {session_id!r} already used")
             self._entries[session_id] = entry
+            self._live.append(session_id)
 
     def get(self, session_id: str) -> LedgerEntry:
         with self._lock:
@@ -103,6 +122,8 @@ class NotarySession:
         self.service.observe(frame)
         if self.entry.state == STATE_ABORTED:
             return [self._abort_frame()]
+        if self.entry.closed:
+            return [Frame(frames.ABORT, b"session closed")]
         try:
             return self._dispatch(frame)
         except CapacityExceeded as exc:
@@ -132,6 +153,7 @@ class NotarySession:
             if self.entry.state != STATE_FINALIZED:
                 self.entry.advance(STATE_ABORTED)
                 self.entry.abort_reason = "closed before statement"
+            self.entry.close()
             return []
         raise ProtocolError(f"notary: unexpected frame type {frame.type:#x}")
 
@@ -191,6 +213,7 @@ class NotarySession:
     def _abort(self, reason: str) -> list[Frame]:
         self.entry.advance(STATE_ABORTED)
         self.entry.abort_reason = reason
+        self.entry.close()
         return [self._abort_frame()]
 
     def _abort_frame(self) -> Frame:
@@ -245,11 +268,16 @@ class NotaryService:
         self.observe(frame)
         if frame.type != frames.OPEN:
             raise ProtocolError("first frame must be OPEN")
-        request = canonical_loads(frame.payload)
-        session_id = request["session_id"]
-        domain = request["domain"]
-        cap_up = int(request.get("cap_up", str(self.max_cap_up)))
-        cap_down = int(request.get("cap_down", str(self.max_cap_down)))
+        try:
+            request = canonical_loads(frame.payload)
+            session_id = request["session_id"]
+            domain = request["domain"]
+            cap_up = int(request.get("cap_up", str(self.max_cap_up)))
+            cap_down = int(request.get("cap_down", str(self.max_cap_down)))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ProtocolError(f"malformed OPEN payload: {exc!r}")
+        if not isinstance(session_id, str) or not isinstance(domain, str):
+            raise ProtocolError("malformed OPEN payload: session_id and domain must be strings")
         if cap_up <= 0 or cap_down <= 0:
             raise ProtocolError("capacities must be positive")
         if cap_up > self.max_cap_up or cap_down > self.max_cap_down:
@@ -257,13 +285,12 @@ class NotaryService:
                 f"requested capacity {cap_up}/{cap_down} exceeds session maximum "
                 f"{self.max_cap_up}/{self.max_cap_down}"
             )
-        if len(self.ledger.session_ids()) >= self.max_sessions:
-            raise ProtocolError("session limit reached")
         entry = LedgerEntry(
             domain=domain, cap_up=cap_up, cap_down=cap_down, opened_at=self.now_ms()
         )
-        self.ledger.open(session_id, entry)
+        # Resolve the server first: an unknown domain must not take a place.
         session = NotarySession(self, session_id, entry)
+        self.ledger.open(session_id, entry, self.max_sessions)
         ok = Frame(
             frames.OPEN_OK,
             canonical_bytes(
@@ -288,6 +315,7 @@ class _NotaryTCPHandler(socketserver.BaseRequestHandler):
     def handle(self):
         service: NotaryService = self.server.service  # type: ignore[attr-defined]
         sock: socket.socket = self.request
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             first = frames.read_frame(sock)
         except ProtocolError:
@@ -308,8 +336,10 @@ class _NotaryTCPHandler(socketserver.BaseRequestHandler):
                 except ProtocolError:
                     break
                 replies = session.handle(frame)
-                for reply in replies:
-                    frames.write_frame(sock, reply)
+                # One send for all replies to a frame: the client reads
+                # them back to back, and a reply split over several sends
+                # can wait on the client's delayed ACK.
+                sock.sendall(b"".join(reply.encode() for reply in replies))
                 if frame.type == frames.CLOSE:
                     return
                 if any(r.type == frames.ABORT for r in replies):
@@ -318,6 +348,7 @@ class _NotaryTCPHandler(socketserver.BaseRequestHandler):
             if session.entry.state not in (STATE_FINALIZED, STATE_ABORTED):
                 session.entry.advance(STATE_ABORTED)
                 session.entry.abort_reason = "connection dropped"
+            session.entry.close()
 
 
 class NotaryTCPServer(socketserver.ThreadingTCPServer):

@@ -289,33 +289,70 @@ def match_request(
     equal the deterministic rendering, and every secret span is fully
     redacted. Raises Rejected("template-mismatch") otherwise.
     """
-    expected, spans = render(template, x, {})
+    expected, secret = expected_request(template, x)
     if len(expected) != total_length:
         raise Rejected(
             "template-mismatch",
             f"rendered length {len(expected)} != committed length {total_length}",
         )
-    secret_bytes = set()
-    for offset, length in spans.values():
-        secret_bytes.update(range(offset, offset + length))
-
-    covered = bytearray(total_length)
+    # Secret bytes count as covered: disclosing one is rejected below.
+    covered = bytearray(secret)
     for offset, data in disclosed.items():
-        for i, byte in enumerate(data):
-            pos = offset + i
-            if pos >= total_length:
+        end = offset + len(data)
+        leak = secret.find(1, offset, end)
+        bad = first_difference(expected, secret, offset, data)
+        if leak >= 0 and (bad is None or leak < bad):
+            raise Rejected("template-mismatch", f"secret byte at {leak} was disclosed")
+        if bad is not None:
+            if bad >= total_length:
                 raise Rejected("template-mismatch", "disclosure extends past request end")
-            if pos in secret_bytes:
-                raise Rejected("template-mismatch", f"secret byte at {pos} was disclosed")
-            if byte != expected[pos]:
-                raise Rejected("template-mismatch", f"request byte {pos} differs from template")
-            covered[pos] = 1
-    missing = [i for i in range(total_length) if not covered[i] and i not in secret_bytes]
-    if missing:
+            raise Rejected("template-mismatch", f"request byte {bad} differs from template")
+        covered[offset:end] = b"\x01" * len(data)
+    missing = covered.find(0)
+    if missing >= 0:
         raise Rejected(
             "template-mismatch",
-            f"non-secret bytes not disclosed (first at {missing[0]})",
+            f"non-secret bytes not disclosed (first at {missing})",
         )
+
+
+# Maps a secret mask (1 inside a secret span) to a byte mask of the
+# public bytes (0xff outside every secret span).
+_PUBLIC = bytes.maketrans(b"\x00\x01", b"\xff\x00")
+
+
+def expected_request(template: InjectTemplate, x: str) -> tuple[bytes, bytearray]:
+    """The request rendered for ``x`` without secrets, and its secret mask:
+    1 at every byte of a secret span, 0 elsewhere."""
+    expected, spans = render(template, x, {})
+    secret = bytearray(len(expected))
+    for offset, length in spans.values():
+        secret[offset:offset + length] = b"\x01" * length
+    return expected, secret
+
+
+def first_difference(
+    expected: bytes, secret: bytearray, offset: int, data: bytes
+) -> int | None:
+    """First position at which ``data``, laid at ``offset``, runs past
+    ``expected`` or differs from it outside a secret span; None if none.
+
+    The run is compared with ``expected`` as a whole, under the secret
+    mask. Only a run that differs is scanned byte by byte, to name the
+    first offending position.
+    """
+    end = offset + len(data)
+    if end <= len(expected):
+        rendered = expected[offset:end]
+        if data == rendered:
+            return None
+        public = int.from_bytes(secret[offset:end].translate(_PUBLIC), "big")
+        if not (int.from_bytes(data, "big") ^ int.from_bytes(rendered, "big")) & public:
+            return None
+    for pos, byte in enumerate(data, offset):
+        if pos >= len(expected) or (not secret[pos] and byte != expected[pos]):
+            return pos
+    return None
 
 
 class TemplateRegistry:

@@ -41,14 +41,23 @@ def derive_record_key(direction: str, secret: bytes, index: int) -> bytes:
 
 
 def keystream(key: bytes, length: int) -> bytes:
+    prefix = hashlib.sha256(b"VET/ks:" + key)
     blocks = []
     for counter in range(-(-length // 32)):
-        blocks.append(hashlib.sha256(b"VET/ks:" + key + counter.to_bytes(4, "big")).digest())
+        block = prefix.copy()
+        block.update(counter.to_bytes(4, "big"))
+        blocks.append(block.digest())
     return b"".join(blocks)[:length]
 
 
+def _xor_keystream(key: bytes, data: bytes) -> bytes:
+    stream = keystream(key, len(data))
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
+
+
 def seal_record(key: bytes, plaintext: bytes) -> bytes:
-    ct = bytes(a ^ b for a, b in zip(plaintext, keystream(key, len(plaintext))))
+    ct = _xor_keystream(key, plaintext)
     tag = hashlib.sha256(b"VET/mac:" + key + ct).digest()
     return ct + tag
 
@@ -59,7 +68,7 @@ def open_record(key: bytes, wire: bytes) -> bytes:
     ct, tag = wire[:-TAG_LEN], wire[-TAG_LEN:]
     if hashlib.sha256(b"VET/mac:" + key + ct).digest() != tag:
         raise ProtocolError("record MAC check failed")
-    return bytes(a ^ b for a, b in zip(ct, keystream(key, len(ct))))
+    return _xor_keystream(key, ct)
 
 
 def record_hash(wire: bytes) -> str:

@@ -197,6 +197,7 @@ class TCPChannel:
         self.cap_down = cap_down
         self.session_id = session_id
         self._sock = socket.create_connection((host, port))
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         frames.write_frame(
             self._sock,
             Frame(
@@ -441,27 +442,23 @@ def _check_records(
             f"{direction} chain carries {total} bytes but commitment "
             f"covers {commitment.total_length}",
         )
-    stream = {}
-    for offset, data in disclosed.items():
-        for k, b in enumerate(data):
-            stream[offset + k] = b
+    stream, seen = _overlay(disclosed, total)
     for index, offset, length in spans:
         key = proof.record_keys.get((direction, index))
-        covered = [stream.get(offset + k) for k in range(length)]
+        end = offset + length
         if key is None:
-            if any(b is not None for b in covered):
+            if seen.find(1, offset, end) >= 0:
                 raise Rejected(
                     "cipher-mismatch",
                     f"{direction} record {index} disclosed without a key",
                 )
             continue
-        if any(b is None for b in covered):
+        if seen.find(0, offset, end) >= 0:
             raise Rejected(
                 "cipher-mismatch",
                 f"{direction} record {index} has a key but partial disclosure",
             )
-        plaintext = bytes(covered)
-        wire = toytls.seal_record(key, plaintext)
+        wire = toytls.seal_record(key, bytes(stream[offset:end]))
         if toytls.record_hash(wire) != chain[index].hash:
             raise Rejected(
                 "cipher-mismatch",
@@ -530,14 +527,20 @@ def authenticate(
     return AuthenticatedExchange(x=x, value=value, tool_calls=())
 
 
-def _assemble(byte_map: dict[int, bytes], total: int) -> bytes | None:
+def _overlay(byte_map: dict[int, bytes], total: int) -> tuple[bytearray, bytearray]:
+    """The runs of ``byte_map`` laid out in ``total`` bytes, and a mask
+    that is 1 at every byte some run covers and 0 elsewhere."""
     buf = bytearray(total)
     seen = bytearray(total)
     for offset, data in byte_map.items():
         buf[offset:offset + len(data)] = data
-        for k in range(len(data)):
-            seen[offset + k] = 1
-    if total and not all(seen):
+        seen[offset:offset + len(data)] = b"\x01" * len(data)
+    return buf, seen
+
+
+def _assemble(byte_map: dict[int, bytes], total: int) -> bytes | None:
+    buf, seen = _overlay(byte_map, total)
+    if seen.find(0) >= 0:
         return None
     return bytes(buf)
 

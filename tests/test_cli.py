@@ -140,3 +140,30 @@ def test_demo_veritrade_json():
     assert report["decision"]["action"] == "hold"
     assert report["verified"] is True
     assert report["latency"]["direct_s"] < report["latency"]["notarized_core_s"]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda bundle: bundle.update(proofs="x"),
+        lambda bundle: bundle["trace"].pop("steps"),
+        lambda bundle: bundle["trace"].update(steps=[["not", "a", "step"]]),
+    ],
+)
+def test_malformed_bundle_is_rejected_not_a_traceback(proved, tmp_path, mangle):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    mangle(bundle)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
+    args = [
+        "--aid", str(proved / "aid.json"),
+        "--bundle", str(bad),
+        "--templates", str(proved / "templates"),
+    ]
+    runner = CliRunner()
+    verify = runner.invoke(main, ["verify", *args, "--claim", _claim(proved), "--json"])
+    assert verify.exit_code == 1, verify.output
+    assert json.loads(verify.output)["reason"] == "malformed"
+    inspect = runner.invoke(main, ["inspect", *args])
+    assert inspect.exit_code == 2
+    assert isinstance(inspect.exception, SystemExit)

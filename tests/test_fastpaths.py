@@ -1,0 +1,636 @@
+"""Differential tests: the slice- and node-at-a-time verifier paths against
+the per-byte and per-path loops they replaced, kept here as oracles.
+
+Each test draws honest inputs, optionally applies one mutation, and
+requires the same outcome from both sides: the same result on
+acceptance, or the same exception type, reject reason and detail.
+"""
+
+import hashlib
+import json
+import random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vet import toytls
+from vet.canonical import canonical_bytes
+from vet.commitment import (
+    _PAD,
+    EMPTY_ROOT,
+    Disclosure,
+    RevealedChunk,
+    TranscriptCommitment,
+    _leaf_hashes,
+    _node_hash,
+    _tree_levels,
+    chunk_count,
+    chunk_cover,
+    commit,
+    disclose,
+    leaf_hash,
+    normalize_ranges,
+    verify_disclosure,
+)
+from vet.composer import _match_tee_request
+from vet.errors import ProtocolError, Rejected, ValidationError
+from vet.templates import InjectTemplate, extract_input, match_request, render
+from vet.webproof import SignedStatement, WebProof, _assemble, _check_records
+
+SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def outcome(fn, *args):
+    """What a call did: its result, or its exception type and message."""
+    try:
+        return ("ok", fn(*args))
+    except Rejected as exc:
+        return ("rejected", exc.reason, exc.detail)
+    except (ProtocolError, ValidationError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the implementations the fast paths replaced.
+
+
+def old_keystream(key, length):
+    blocks = []
+    for counter in range(-(-length // 32)):
+        blocks.append(hashlib.sha256(b"VET/ks:" + key + counter.to_bytes(4, "big")).digest())
+    return b"".join(blocks)[:length]
+
+
+def old_seal_record(key, plaintext):
+    ct = bytes(a ^ b for a, b in zip(plaintext, old_keystream(key, len(plaintext))))
+    return ct + hashlib.sha256(b"VET/mac:" + key + ct).digest()
+
+
+def old_open_record(key, wire):
+    if len(wire) < toytls.TAG_LEN:
+        raise ProtocolError("record shorter than MAC tag")
+    ct, tag = wire[:-toytls.TAG_LEN], wire[-toytls.TAG_LEN:]
+    if hashlib.sha256(b"VET/mac:" + key + ct).digest() != tag:
+        raise ProtocolError("record MAC check failed")
+    return bytes(a ^ b for a, b in zip(ct, old_keystream(key, len(ct))))
+
+
+def old_disclose(opening, ranges):
+    total = len(opening.plaintext)
+    norm = normalize_ranges(ranges, total)
+    cover = chunk_cover(norm, opening.chunk_size, total)
+    leaves = _leaf_hashes(opening.plaintext, opening.salts, opening.chunk_size)
+    levels = _tree_levels(leaves) if leaves else []
+    revealed = []
+    cs = opening.chunk_size
+    for index in cover:
+        path = []
+        pos = index
+        for level in levels[:-1]:
+            sibling = pos ^ 1
+            path.append(level[sibling] if sibling < len(level) else _PAD)
+            pos //= 2
+        revealed.append(
+            RevealedChunk(
+                index, opening.salts[index], opening.plaintext[index * cs:(index + 1) * cs], tuple(path)
+            )
+        )
+    return Disclosure(ranges=tuple(norm), chunks=tuple(revealed))
+
+
+def old_verify_disclosure(commitment, disclosure):
+    n = chunk_count(commitment.total_length, commitment.chunk_size)
+    if n == 0 and commitment.root != EMPTY_ROOT:
+        raise Rejected("bad-path", "empty transcript with non-empty root")
+    depth = 0 if n <= 1 else (n - 1).bit_length()
+    by_index = {}
+    for chunk in disclosure.chunks:
+        if not 0 <= chunk.index < n:
+            raise Rejected("chunk-range-inconsistency", f"chunk index {chunk.index} out of range")
+        if chunk.index in by_index:
+            raise Rejected("chunk-range-inconsistency", f"duplicate chunk {chunk.index}")
+        expected_len = min(
+            commitment.chunk_size, commitment.total_length - chunk.index * commitment.chunk_size
+        )
+        if len(chunk.data) != expected_len:
+            raise Rejected("length-mismatch", f"chunk {chunk.index} has wrong length")
+        if len(chunk.path) != depth:
+            raise Rejected("bad-path", f"chunk {chunk.index} path depth {len(chunk.path)} != {depth}")
+        node = leaf_hash(chunk.index, chunk.salt, chunk.data)
+        pos = chunk.index
+        for sibling in chunk.path:
+            node = _node_hash(node, sibling) if pos % 2 == 0 else _node_hash(sibling, node)
+            pos //= 2
+        if node != commitment.root:
+            raise Rejected("bad-path", f"chunk {chunk.index} does not authenticate to root")
+        by_index[chunk.index] = chunk
+    if n == 0 and disclosure.chunks:
+        raise Rejected("chunk-range-inconsistency", "chunks revealed for empty transcript")
+    try:
+        needed = chunk_cover(list(disclosure.ranges), commitment.chunk_size, commitment.total_length)
+    except ValidationError as exc:
+        raise Rejected("chunk-range-inconsistency", str(exc))
+    missing = [i for i in needed if i not in by_index]
+    if missing:
+        raise Rejected("chunk-range-inconsistency", f"ranges not covered, missing chunks {missing}")
+    out = {}
+    for offset, length in disclosure.ranges:
+        parts = []
+        pos = offset
+        end = offset + length
+        while pos < end:
+            index = pos // commitment.chunk_size
+            chunk = by_index[index]
+            start_in_chunk = pos - index * commitment.chunk_size
+            take = min(end - pos, len(chunk.data) - start_in_chunk)
+            parts.append(chunk.data[start_in_chunk:start_in_chunk + take])
+            pos += take
+        out[(offset, length)] = b"".join(parts)
+    return out
+
+
+def old_check_records(proof, direction, commitment, disclosed):
+    records = proof.statement.records()
+    spans = []
+    offset = index = 0
+    for record in records:
+        if record.direction == direction:
+            spans.append((index, offset, record.length))
+            offset += record.length
+            index += 1
+    chain = [r for r in records if r.direction == direction]
+    total = sum(length for _, _, length in spans)
+    if total != commitment.total_length:
+        raise Rejected(
+            "cipher-mismatch",
+            f"{direction} chain carries {total} bytes but commitment "
+            f"covers {commitment.total_length}",
+        )
+    stream = {}
+    for offset, data in disclosed.items():
+        for k, b in enumerate(data):
+            stream[offset + k] = b
+    for index, offset, length in spans:
+        key = proof.record_keys.get((direction, index))
+        covered = [stream.get(offset + k) for k in range(length)]
+        if key is None:
+            if any(b is not None for b in covered):
+                raise Rejected("cipher-mismatch", f"{direction} record {index} disclosed without a key")
+            continue
+        if any(b is None for b in covered):
+            raise Rejected(
+                "cipher-mismatch", f"{direction} record {index} has a key but partial disclosure"
+            )
+        wire = old_seal_record(key, bytes(covered))
+        if toytls.record_hash(wire) != chain[index].hash:
+            raise Rejected(
+                "cipher-mismatch", f"{direction} record {index} does not re-encrypt to the signed hash"
+            )
+    for (d, index) in proof.record_keys:
+        if d == direction and index >= len(chain):
+            raise Rejected("cipher-mismatch", f"key for nonexistent {direction} record {index}")
+
+
+def old_assemble(byte_map, total):
+    buf = bytearray(total)
+    seen = bytearray(total)
+    for offset, data in byte_map.items():
+        buf[offset:offset + len(data)] = data
+        for k in range(len(data)):
+            seen[offset + k] = 1
+    if total and not all(seen):
+        return None
+    return bytes(buf)
+
+
+def old_match_request(template, x, total_length, disclosed):
+    expected, spans = render(template, x, {})
+    if len(expected) != total_length:
+        raise Rejected(
+            "template-mismatch",
+            f"rendered length {len(expected)} != committed length {total_length}",
+        )
+    secret_bytes = set()
+    for offset, length in spans.values():
+        secret_bytes.update(range(offset, offset + length))
+    covered = bytearray(total_length)
+    for offset, data in disclosed.items():
+        for i, byte in enumerate(data):
+            pos = offset + i
+            if pos >= total_length:
+                raise Rejected("template-mismatch", "disclosure extends past request end")
+            if pos in secret_bytes:
+                raise Rejected("template-mismatch", f"secret byte at {pos} was disclosed")
+            if byte != expected[pos]:
+                raise Rejected("template-mismatch", f"request byte {pos} differs from template")
+            covered[pos] = 1
+    missing = [i for i in range(total_length) if not covered[i] and i not in secret_bytes]
+    if missing:
+        raise Rejected("template-mismatch", f"non-secret bytes not disclosed (first at {missing[0]})")
+
+
+def old_match_tee_request(template, request_bytes):
+    try:
+        x = extract_input(template, request_bytes)
+    except ValidationError as exc:
+        raise Rejected("parse-failure", str(exc))
+    expected, spans = render(template, x, {})
+    if len(expected) != len(request_bytes):
+        raise Rejected("template-mismatch", "attested request length differs from template")
+    secret = set()
+    for offset, length in spans.values():
+        secret.update(range(offset, offset + length))
+    for i, (a, b) in enumerate(zip(request_bytes, expected)):
+        if i not in secret and a != b:
+            raise Rejected("template-mismatch", f"attested request byte {i} differs")
+    return x
+
+
+def old_check_scalars(obj, path):
+    if obj is None or isinstance(obj, (str, bool)):
+        return
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise ValidationError(f"non-string key at {path or '/'}")
+            old_check_scalars(value, f"{path}/{key}")
+        return
+    if isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            old_check_scalars(item, f"{path}/{i}")
+        return
+    if isinstance(obj, (int, float)):
+        raise ValidationError(f"number at {path or '/'}: encode scalars as strings")
+    raise ValidationError(f"unserializable type {type(obj).__name__} at {path or '/'}")
+
+
+# ---------------------------------------------------------------------------
+# Record crypto.
+
+
+@SETTINGS
+@given(st.binary(min_size=32, max_size=32), st.binary(max_size=2000), st.integers(0, 2063))
+def test_seal_open_match_oracle(key, plaintext, flip):
+    wire = toytls.seal_record(key, plaintext)
+    assert wire == old_seal_record(key, plaintext)
+    assert outcome(toytls.open_record, key, wire) == outcome(old_open_record, key, wire)
+    tampered = bytearray(wire)
+    tampered[flip % len(wire)] ^= 1
+    tampered = bytes(tampered)
+    assert outcome(toytls.open_record, key, tampered) == outcome(old_open_record, key, tampered)
+    short = wire[: flip % toytls.TAG_LEN]
+    assert outcome(toytls.open_record, key, short) == outcome(old_open_record, key, short)
+
+
+# ---------------------------------------------------------------------------
+# Commitments.
+
+MUTATIONS = (
+    "none", "data", "salt", "index", "path-node", "path-short", "swap",
+    "swap-paths", "duplicate", "drop", "extra-range", "empty-range",
+)
+
+
+@st.composite
+def disclosures(draw):
+    size = draw(st.integers(0, 300))
+    chunk_size = draw(st.integers(1, 20))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    data = rng.randbytes(size)
+    commitment, opening = commit(data, chunk_size, rng)
+    ranges = []
+    for _ in range(draw(st.integers(0, 4))):
+        offset = draw(st.integers(0, size))
+        ranges.append((offset, draw(st.integers(0, size - offset))))
+    if draw(st.booleans()):
+        ranges.append((0, size))
+    return commitment, opening, ranges, draw(st.sampled_from(MUTATIONS)), rng
+
+
+def mutate(disclosure, commitment, mutation, rng):
+    chunks = list(disclosure.chunks)
+    ranges = list(disclosure.ranges)
+    if chunks:
+        i = rng.randrange(len(chunks))
+        c = chunks[i]
+        if mutation == "data" and c.data:
+            flipped = bytes([c.data[0] ^ 1]) + c.data[1:]
+            chunks[i] = RevealedChunk(c.index, c.salt, flipped, c.path)
+        elif mutation == "salt":
+            chunks[i] = RevealedChunk(c.index, bytes(b ^ 1 for b in c.salt), c.data, c.path)
+        elif mutation == "index":
+            other = rng.randrange(-1, chunk_count(commitment.total_length, commitment.chunk_size) + 1)
+            chunks[i] = RevealedChunk(other, c.salt, c.data, c.path)
+        elif mutation == "path-node" and c.path:
+            j = rng.randrange(len(c.path))
+            path = tuple(bytes(b ^ 1 for b in p) if k == j else p for k, p in enumerate(c.path))
+            chunks[i] = RevealedChunk(c.index, c.salt, c.data, path)
+        elif mutation == "path-short" and c.path:
+            chunks[i] = RevealedChunk(c.index, c.salt, c.data, c.path[:-1])
+        elif mutation == "swap" and len(chunks) > 1:
+            j = rng.randrange(len(chunks))
+            chunks[i], chunks[j] = chunks[j], chunks[i]
+        elif mutation == "swap-paths" and len(chunks) > 1:
+            j = rng.randrange(len(chunks))
+            a, b = chunks[i], chunks[j]
+            chunks[i] = RevealedChunk(a.index, a.salt, a.data, b.path)
+            chunks[j] = RevealedChunk(b.index, b.salt, b.data, a.path)
+        elif mutation == "duplicate":
+            chunks.insert(rng.randrange(len(chunks) + 1), c)
+        elif mutation == "drop":
+            del chunks[i]
+    if mutation == "extra-range":
+        total = commitment.total_length
+        offset = rng.randrange(total + 2)
+        ranges.append((offset, rng.randrange(total + 2)))
+    elif mutation == "empty-range":
+        ranges.append((rng.randrange(commitment.total_length + 1), 0))
+    return Disclosure(ranges=tuple(ranges), chunks=tuple(chunks))
+
+
+@SETTINGS
+@given(disclosures())
+def test_disclose_and_verify_disclosure_match_oracle(case):
+    commitment, opening, ranges, mutation, rng = case
+    disclosure = disclose(opening, ranges)
+    assert disclosure == old_disclose(opening, ranges)
+    mutated = mutate(disclosure, commitment, mutation, rng)
+    new = outcome(verify_disclosure, commitment, mutated)
+    assert new == outcome(old_verify_disclosure, commitment, mutated)
+    if mutation == "none":
+        assert new[0] == "ok"
+
+
+def test_shared_node_with_other_siblings_is_walked_to_root():
+    # Two chunks whose walks meet at a node with the same value but whose
+    # remaining siblings differ: the later one must be walked to the root.
+    rng = random.Random(5)
+    data = rng.randbytes(16 * 8)
+    commitment, opening = commit(data, 16, rng)
+    disclosure = disclose(opening, [(0, len(data))])
+    chunks = list(disclosure.chunks)
+    last = chunks[1]
+    bad_path = last.path[:-1] + (bytes(32),)
+    chunks[1] = RevealedChunk(last.index, last.salt, last.data, bad_path)
+    mutated = Disclosure(disclosure.ranges, tuple(chunks))
+    assert outcome(verify_disclosure, commitment, mutated) == (
+        "rejected", "bad-path", "chunk 1 does not authenticate to root"
+    )
+    assert outcome(old_verify_disclosure, commitment, mutated) == outcome(
+        verify_disclosure, commitment, mutated
+    )
+
+
+def test_empty_range_off_the_disclosed_chunks():
+    rng = random.Random(6)
+    data = rng.randbytes(100)
+    commitment, opening = commit(data, 16, rng)
+    disclosure = disclose(opening, [(0, 10)])
+    padded = Disclosure(disclosure.ranges + ((50, 0),), disclosure.chunks)
+    assert outcome(verify_disclosure, commitment, padded) == ("ok", {(0, 10): data[:10], (50, 0): b""})
+    assert outcome(old_verify_disclosure, commitment, padded) == outcome(verify_disclosure, commitment, padded)
+
+
+# ---------------------------------------------------------------------------
+# Record re-encryption and response assembly.
+
+
+@st.composite
+def record_cases(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    size = draw(st.integers(0, 400))
+    chunk_size = draw(st.integers(1, 24))
+    plaintext = rng.randbytes(size)
+    # Records are cut on the chunk grid, as secret spans are in a session.
+    grid = range(0, size + 1, chunk_size)
+    cuts = sorted({0, size, *(rng.choice(grid) for _ in range(draw(st.integers(0, 4))))})
+    spans = list(zip(cuts, cuts[1:])) or [(0, 0)]
+    keys, records = {}, []
+    for i, (start, end) in enumerate(spans):
+        key = rng.randbytes(32)
+        wire = old_seal_record(key, plaintext[start:end])
+        records.append({"direction": "down", "hash": toytls.record_hash(wire), "length": str(end - start)})
+        if draw(st.booleans()):
+            keys[("down", i)] = key
+    commitment, opening = commit(plaintext, chunk_size, rng)
+    # Disclose exactly the keyed records, as an honest prover does.
+    keyed = [spans[i] for (_, i) in keys]
+    disclosed = {
+        c.index * chunk_size: c.data
+        for c in disclose(opening, [(s, e - s) for s, e in keyed]).chunks
+    }
+    mutation = draw(
+        st.sampled_from(
+            ["none", "flip", "drop-run", "drop-first", "extra-run", "drop-key", "extra-key", "wrong-key", "length"]
+        )
+    )
+    return plaintext, records, keys, commitment, disclosed, mutation, rng
+
+
+@SETTINGS
+@given(record_cases())
+def test_check_records_and_assemble_match_oracle(case):
+    plaintext, records, keys, commitment, disclosed, mutation, rng = case
+    disclosed = dict(disclosed)
+    offsets = sorted(disclosed)
+    if mutation == "flip" and offsets:
+        o = rng.choice(offsets)
+        disclosed[o] = bytes([disclosed[o][0] ^ 1]) + disclosed[o][1:]
+    elif mutation == "drop-run" and offsets:
+        del disclosed[rng.choice(offsets)]
+    elif mutation == "drop-first" and offsets:
+        del disclosed[offsets[0]]
+    elif mutation == "extra-run" and plaintext:
+        o = rng.randrange(len(plaintext))
+        disclosed[o] = plaintext[o:o + rng.randrange(1, 20)]
+    elif mutation == "drop-key" and keys:
+        del keys[rng.choice(sorted(keys))]
+    elif mutation == "extra-key":
+        keys[("down", rng.randrange(len(records) + 2))] = rng.randbytes(32)
+    elif mutation == "wrong-key" and keys:
+        keys[rng.choice(sorted(keys))] = rng.randbytes(32)
+    elif mutation == "length":
+        commitment = TranscriptCommitment(commitment.root, commitment.chunk_size, commitment.total_length + 1)
+    proof = WebProof(
+        statement=SignedStatement({"records": records}, ""),
+        record_keys=keys,
+        request_commitment=commitment,
+        request_disclosure=Disclosure((), ()),
+        response_commitment=commitment,
+        response_disclosure=Disclosure((), ()),
+    )
+    args = (proof, "down", commitment, disclosed)
+    result = outcome(_check_records, *args)
+    assert result == outcome(old_check_records, *args)
+    if mutation == "none":
+        assert result[0] == "ok"
+    total = commitment.total_length
+    if all(o + len(d) <= total for o, d in disclosed.items()):
+        assert _assemble(disclosed, total) == old_assemble(disclosed, total)
+
+
+# ---------------------------------------------------------------------------
+# Template matching.
+
+TEMPLATES = [
+    InjectTemplate.from_obj(
+        {
+            "type": "inject",
+            "kind": "tool",
+            "method": "POST",
+            "path": "/v1/q",
+            "headers": [
+                {"name": "Host", "value": "h.test"},
+                {"name": "Authorization", "secret": "token", "length": "32"},
+                {"name": "X-Second", "secret": "other", "length": "16"},
+            ],
+            "body": {"query": ""},
+            "input_pointer": "/query",
+        }
+    ),
+    InjectTemplate.from_obj(
+        {
+            "type": "inject",
+            "kind": "tool",
+            "method": "GET",
+            "path": "/price?ids={input}&cur=usd",
+            "headers": [{"name": "Host", "value": "h.test"}],
+            "chunk_size": "8",
+        }
+    ),
+]
+
+inputs = st.text(alphabet="abcdefgh0123456789-_", max_size=60)
+
+
+@st.composite
+def request_cases(draw):
+    template = draw(st.sampled_from(TEMPLATES))
+    x = draw(inputs)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    data, spans = render(template, x, {})
+    secret = set()
+    for offset, length in spans.values():
+        secret.update(range(offset, offset + length))
+    public = [i for i in range(len(data)) if i not in secret]
+    # Runs of public bytes, split at random points as chunks would split them.
+    runs, start = {}, 0
+    for k, i in enumerate(public):
+        if k + 1 == len(public) or public[k + 1] != i + 1 or rng.random() < 0.1:
+            runs[public[start]] = data[public[start]:i + 1]
+            start = k + 1
+    mutation = draw(
+        st.sampled_from(["none", "flip", "leak", "drop", "past-end", "reorder", "claim", "length"])
+    )
+    return template, x, data, spans, runs, mutation, rng
+
+
+@SETTINGS
+@given(request_cases())
+def test_match_request_matches_oracle(case):
+    template, x, data, spans, runs, mutation, rng = case
+    total = len(data)
+    offsets = list(runs)
+    if mutation == "flip" and offsets:
+        o = rng.choice(offsets)
+        k = rng.randrange(len(runs[o]))
+        run = bytearray(runs[o])
+        run[k] ^= 1
+        runs[o] = bytes(run)
+    elif mutation == "leak" and spans:
+        # A run reaching into a secret span, perhaps also differing
+        # before or inside it: the first offending byte names the reason.
+        offset, length = rng.choice(sorted(spans.values()))
+        at = offset + rng.randrange(length) - rng.randrange(4)
+        run = bytearray(data[at:at + rng.randrange(1, 48)])
+        if rng.random() < 0.5:
+            run[rng.randrange(len(run))] ^= 1
+        runs[at] = bytes(run)
+    elif mutation == "drop" and offsets:
+        del runs[rng.choice(offsets)]
+    elif mutation == "past-end":
+        runs[total - rng.randrange(3)] = b"xyz"
+    elif mutation == "reorder":
+        runs = dict(rng.sample(list(runs.items()), len(runs)))
+        if offsets:
+            o = rng.choice(offsets)
+            runs[o] = b"!" + runs[o][1:]
+    elif mutation == "claim":
+        x = x + "z"
+    elif mutation == "length":
+        total += rng.choice([-1, 1])
+    result = outcome(match_request, template, x, total, runs)
+    assert result == outcome(old_match_request, template, x, total, runs)
+    if mutation == "none":
+        assert result[0] == "ok"
+
+
+def test_first_offending_byte_names_the_reason():
+    template = TEMPLATES[0]
+    data, spans = render(template, "q", {})
+    offset, length = spans["token"]
+    for flip, reason in ((offset + length + 2, "secret byte at"), (offset - 2, "request byte")):
+        run = bytearray(data[offset - 4:offset + length + 4])
+        run[flip - (offset - 4)] ^= 1
+        runs = {offset - 4: bytes(run)}
+        result = outcome(match_request, template, "q", len(data), runs)
+        assert result == outcome(old_match_request, template, "q", len(data), runs)
+        assert result[2].startswith(reason)
+
+
+@SETTINGS
+@given(request_cases(), st.text(alphabet="ABCDEF~", max_size=16), st.integers(0, 10**6))
+def test_match_tee_request_matches_oracle(case, secret_value, flip):
+    template, x, _, _, _, mutation, rng = case
+    request, _ = render(template, x, {"token": secret_value, "other": secret_value})
+    if mutation in ("flip", "leak"):
+        tampered = bytearray(request)
+        tampered[flip % len(request)] ^= 0x20
+        request = bytes(tampered)
+    elif mutation == "past-end":
+        request += b" "
+    result = outcome(_match_tee_request, template, request)
+    assert result == outcome(old_match_tee_request, template, request)
+    if mutation == "none":
+        assert result == ("ok", x)
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON rejections.
+
+scalars = st.one_of(
+    st.text(max_size=5), st.booleans(), st.none(), st.integers(), st.floats(allow_nan=False),
+    st.binary(max_size=3),
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(0, 3)), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def old_canonical_bytes(obj):
+    old_check_scalars(obj, "")
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    return text.encode("utf-8")
+
+
+@SETTINGS
+@given(documents)
+def test_canonical_bytes_rejections_match_oracle(doc):
+    assert outcome(canonical_bytes, doc) == outcome(old_canonical_bytes, doc)
+
+
+def test_canonical_bytes_accepts_str_subclasses_as_before():
+    class Name(str):
+        pass
+
+    doc = {"a": [Name("x"), {"b": Name("y")}]}
+    assert outcome(canonical_bytes, doc) == outcome(old_canonical_bytes, doc)
+    assert canonical_bytes(doc) == b'{"a":["x",{"b":"y"}]}'

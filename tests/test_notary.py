@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import pytest
@@ -221,3 +222,46 @@ def test_notary_blindness_instrumentation(rig):
     assert b"T" * 16 not in observed
     # The proof still verifies, so blindness is not vacuous.
     verify_webproof("blind-check", proof, rig.entry, "tool", rig.registry)
+
+
+def test_session_cap_counts_only_live_sessions(rig):
+    # The default cap, as `vet notary serve` builds the service.
+    service = NotaryService(rig.notary_key, {"echo.test": rig.server}.__getitem__)
+    request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"c"}'
+    for i in range(service.max_sessions + 6):
+        channel = provision_channel(service, "echo.test", session_id=f"done-{i}")
+        run_session(channel, request)
+    entry = service.ledger.get("done-0")
+    assert entry.state == STATE_FINALIZED
+    assert entry.records == [] and entry.statement_frame is None
+    for i in range(service.max_sessions):
+        service.open_session(_open_frame(f"live-{i}"))
+    with pytest.raises(ProtocolError, match="session limit reached"):
+        service.open_session(_open_frame("one-too-many"))
+
+
+def test_reused_session_id_refused_after_close(rig):
+    session, _ = rig.service.open_session(_open_frame("once"))
+    session.handle(Frame(frames.FIN, b""))
+    session.handle(Frame(frames.CLOSE, b""))
+    with pytest.raises(ProtocolError, match="already used"):
+        rig.service.open_session(_open_frame("once"))
+    # A closed session answers with an abort and signs nothing more.
+    (reply,) = session.handle(Frame(frames.FIN, b""))
+    assert reply.type == frames.ABORT
+
+
+@pytest.mark.parametrize("payload", [b"not json", b"[]", b'{"session_id": ["x"], "domain": "echo.test"}'])
+def test_tcp_malformed_open_gets_abort(rig, payload):
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            frames.write_frame(sock, Frame(frames.OPEN, payload))
+            reply = frames.read_frame(sock)
+        assert reply.type == frames.ABORT
+        assert reply.payload.startswith(b"malformed OPEN payload")
+        assert check_health(host, port)
+    finally:
+        server.shutdown()
+        server.server_close()
