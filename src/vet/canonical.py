@@ -30,8 +30,11 @@ def canonical_bytes(obj: Any) -> bytes:
     Raises ValidationError if the object contains ints, floats, or any
     non-JSON type.
     """
-    if not _plain(obj):
-        _check_scalars(obj, "")
+    try:
+        _check_scalars(obj)
+    except _Rejection as exc:
+        path = "".join(f"/{segment}" for segment in reversed(exc.segments))
+        raise ValidationError(f"{exc.prefix} at {path or '/'}{exc.suffix}") from None
     text = json.dumps(
         obj,
         sort_keys=True,
@@ -42,47 +45,45 @@ def canonical_bytes(obj: Any) -> bytes:
     return text.encode("utf-8")
 
 
-_PLAIN_SCALARS = (str, bool, type(None))
+class _Rejection(Exception):
+    """A rejected value; each enclosing container adds its key or index
+    to ``segments`` on the way out, so the JSON path is only built for a
+    document that is rejected."""
+
+    def __init__(self, prefix: str, suffix: str = ""):
+        self.prefix = prefix
+        self.suffix = suffix
+        self.segments: list = []
 
 
-def _plain(obj: Any) -> bool:
-    """Fast check that ``obj`` holds only exact dicts with str keys, lists,
-    tuples, str, bool and None; False sends it to ``_check_scalars``,
-    which accepts subclasses too and names the first rejected value."""
-    kind = type(obj)
-    if kind in _PLAIN_SCALARS:
-        return True
-    if kind is dict:
-        for key, value in obj.items():
-            if type(key) is not str or (type(value) is not str and not _plain(value)):
-                return False
-        return True
-    if kind is list or kind is tuple:
-        for value in obj:
-            if type(value) is not str and not _plain(value):
-                return False
-        return True
-    return False
-
-
-def _check_scalars(obj: Any, path: str) -> None:
-    if obj is None or isinstance(obj, (str, bool)):
-        return
+def _check_scalars(obj: Any) -> None:
+    # Containers first: callers skip exact str values, so most calls here
+    # are dicts and lists. No type is both a container and a str.
     if isinstance(obj, dict):
         for key, value in obj.items():
             if not isinstance(key, str):
-                raise ValidationError(f"non-string key at {path or '/'}")
-            _check_scalars(value, f"{path}/{key}")
+                raise _Rejection("non-string key")
+            if type(value) is not str:
+                try:
+                    _check_scalars(value)
+                except _Rejection as exc:
+                    exc.segments.append(key)
+                    raise
         return
     if isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            _check_scalars(item, f"{path}/{i}")
+            if type(item) is not str:
+                try:
+                    _check_scalars(item)
+                except _Rejection as exc:
+                    exc.segments.append(i)
+                    raise
+        return
+    if obj is None or isinstance(obj, (str, bool)):
         return
     if isinstance(obj, (int, float)):
-        raise ValidationError(
-            f"number at {path or '/'}: encode scalars as strings"
-        )
-    raise ValidationError(f"unserializable type {type(obj).__name__} at {path or '/'}")
+        raise _Rejection("number", ": encode scalars as strings")
+    raise _Rejection(f"unserializable type {type(obj).__name__}")
 
 
 def canonical_loads(data: bytes | str) -> Any:

@@ -37,6 +37,18 @@ def _load_json(path: str):
         _fail(f"cannot read {path}: {exc}")
 
 
+def _decode_bundle(aid_obj, bundle_obj):
+    """Decode an AID and a bundle; a document of the wrong shape (say a
+    string where a list belongs) is a ValidationError, not a traceback."""
+    try:
+        return (
+            AgentIdentityDocument.from_obj(aid_obj),
+            VerifiableExecutionTrace.from_obj(bundle_obj),
+        )
+    except (TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed document: {exc}") from exc
+
+
 def _key_path(path: str) -> pathlib.Path:
     p = pathlib.Path(path)
     key_dir = os.environ.get("VET_KEY_DIR")
@@ -235,15 +247,14 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
     aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
     registry = _load_registry(templates_dir)
     try:
-        document = AgentIdentityDocument.from_obj(aid_obj)
-        bundle = VerifiableExecutionTrace.from_obj(bundle_obj)
+        document, bundle = _decode_bundle(aid_obj, bundle_obj)
         verify_trace(claim, bundle, document, registry)
         report = {"result": "accept", "claim": claim}
         code = 0
     except Rejected as exc:
         report = {"result": "reject", "reason": exc.reason, "detail": exc.detail}
         code = 1
-    except (VetError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (VetError, ValueError, KeyError) as exc:
         report = {"result": "reject", "reason": "malformed", "detail": str(exc)}
         code = 1
     if as_json:
@@ -265,10 +276,9 @@ def inspect(aid_file, bundle_file, templates_dir, as_json):
     aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
     registry = _load_registry(templates_dir)
     try:
-        document = AgentIdentityDocument.from_obj(aid_obj)
-        bundle = VerifiableExecutionTrace.from_obj(bundle_obj)
+        document, bundle = _decode_bundle(aid_obj, bundle_obj)
         text, ok = demo_mod.inspect_bundle(bundle, document, registry)
-    except (VetError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (VetError, ValueError, KeyError) as exc:
         _fail(f"malformed bundle: {exc}")
     if as_json:
         click.echo(json.dumps({"ok": ok, "report": text}))

@@ -51,8 +51,10 @@ def read_frame(sock: socket.socket) -> Frame:
     return Frame(ftype, _read_exact(sock, length))
 
 
-def write_frame(sock: socket.socket, frame: Frame) -> None:
-    sock.sendall(frame.encode())
+def write_frame(sock: socket.socket, *batch: Frame) -> None:
+    """Send one or more frames in a single ``sendall``: a reply split over
+    several sends can wait on the peer's delayed ACK."""
+    sock.sendall(b"".join(frame.encode() for frame in batch))
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:

@@ -336,10 +336,7 @@ class _NotaryTCPHandler(socketserver.BaseRequestHandler):
                 except ProtocolError:
                     break
                 replies = session.handle(frame)
-                # One send for all replies to a frame: the client reads
-                # them back to back, and a reply split over several sends
-                # can wait on the client's delayed ACK.
-                sock.sendall(b"".join(reply.encode() for reply in replies))
+                frames.write_frame(sock, *replies)
                 if frame.type == frames.CLOSE:
                     return
                 if any(r.type == frames.ABORT for r in replies):
