@@ -3,7 +3,7 @@
 The transcript is the byte string iteratively fed to the core. To avoid
 escaping ambiguity it is built from length-prefixed frames rather than
 textual separators: each frame is a 1-byte role tag, a 4-byte big-endian
-payload length, and the payload. Frame roles:
+payload length, and the payload (``frames.encode``). Frame roles:
 
     0x01  initial input
     0x02  core output        (one per step)
@@ -16,12 +16,11 @@ This framing makes transcript reconstruction injective on traces.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
-from urllib.parse import urlparse
 
 from .errors import ValidationError, VetError
+from .frames import encode as frame
 
 ROLE_INPUT = 0x01
 ROLE_CORE = 0x02
@@ -38,31 +37,6 @@ class UnknownToolError(VetError):
     def __init__(self, tool_id: str):
         self.tool_id = tool_id
         super().__init__(f"core emitted unknown tool id {tool_id!r}")
-
-
-def _require_url(value: str, what: str) -> None:
-    parsed = urlparse(value)
-    if not parsed.scheme or not parsed.netloc:
-        raise ValidationError(f"{what} is not a URL with scheme and host: {value!r}")
-
-
-@dataclass(frozen=True)
-class ToolDescriptor:
-    id: str
-    endpoint: str
-    description: str = ""
-
-    def __post_init__(self):
-        _require_url(self.endpoint, f"tool {self.id!r} endpoint")
-
-
-@dataclass(frozen=True)
-class CoreDescriptor:
-    model: str
-    endpoint: str
-
-    def __post_init__(self):
-        _require_url(self.endpoint, "core endpoint")
 
 
 @dataclass(frozen=True)
@@ -134,10 +108,6 @@ class ExecutionTrace:
             steps=steps,
             truncated=bool(obj.get("truncated", False)),
         )
-
-
-def frame(role: int, payload: bytes) -> bytes:
-    return struct.pack(">BI", role, len(payload)) + payload
 
 
 def _step_frames(step: StepRecord) -> Iterable[bytes]:

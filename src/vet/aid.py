@@ -25,9 +25,10 @@ SCHEME_PROXY_TEE = "ProxyTEE"
 SCHEME_CONSENSUS = "Consensus"
 
 KNOWN_SCHEMES = {SCHEME_TLS_NOTARY, SCHEME_PROXY_TEE, SCHEME_CONSENSUS}
-_KEY_FIELDS = {
-    SCHEME_TLS_NOTARY: "notary_public_key",
-    SCHEME_PROXY_TEE: "enclave_public_key",
+# (key field, other required parameter) of each scheme that has a verifier.
+_SCHEME_PARAMS = {
+    SCHEME_TLS_NOTARY: ("notary_public_key", "protocol_version"),
+    SCHEME_PROXY_TEE: ("enclave_public_key", "tee_type"),
 }
 
 
@@ -37,7 +38,7 @@ class VerificationMetadata:
     params: dict
 
     def key_string(self) -> str:
-        return self.params[_KEY_FIELDS[self.scheme]]
+        return self.params[_SCHEME_PARAMS[self.scheme][0]]
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,11 @@ def _validate_entry(entry: ComponentEntry, path: str, registry: TemplateRegistry
     scheme = entry.verification.scheme
     if scheme not in KNOWN_SCHEMES:
         out.append(Violation(f"{path}/verification", f"unknown scheme {scheme!r}"))
-    elif scheme == SCHEME_TLS_NOTARY:
-        if "protocol_version" not in entry.verification.params:
-            out.append(Violation(f"{path}/verification", "TLSNotary requires protocol_version"))
-        out.extend(_check_key(entry, path, "notary_public_key"))
-    elif scheme == SCHEME_PROXY_TEE:
-        if "tee_type" not in entry.verification.params:
-            out.append(Violation(f"{path}/verification", "ProxyTEE requires tee_type"))
-        out.extend(_check_key(entry, path, "enclave_public_key"))
+    elif scheme in _SCHEME_PARAMS:
+        key_field, required = _SCHEME_PARAMS[scheme]
+        if required not in entry.verification.params:
+            out.append(Violation(f"{path}/verification", f"{scheme} requires {required}"))
+        out.extend(_check_key(entry, path, key_field))
     return out
 
 

@@ -59,6 +59,9 @@ class CostModel:
                 raise ValidationError(f"{name} must be non-negative")
 
     def setup_delay(self, cap_up: int, cap_down: int) -> float:
+        """Modeled cost of provisioning a channel of this capacity: linear
+        in the total committed capacity, matching the garbled-circuit-per-byte
+        character of the protocol the notary stands in for."""
         return self.setup_base + self.setup_per_byte * (cap_up + cap_down)
 
     def transfer_delay(self, n_bytes: int) -> float:

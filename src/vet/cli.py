@@ -15,10 +15,10 @@ import threading
 
 import click
 
-from . import channel_sim, demo as demo_mod, mockserver, notary as notary_mod, tee_proxy
-from .aid import AgentIdentityDocument, TrustStore, compute_id, validate
+from . import channel_sim, demo as demo_mod, frames, mockserver, notary as notary_mod, tee_proxy
+from .aid import AgentIdentityDocument, TrustStore, compute_id, instantiate_verifier, validate
 from .canonical import canonical_bytes
-from .composer import VerifiableExecutionTrace, verify_trace
+from .composer import VerifiableExecutionTrace, VerificationReport
 from .errors import Rejected, ValidationError, VetError
 from .keys import SigningKey
 from .templates import TemplateRegistry
@@ -47,6 +47,16 @@ def _decode_bundle(aid_obj, bundle_obj):
         )
     except (TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed document: {exc}") from exc
+
+
+def _write_out(result: demo_mod.DemoResult, out_dir: str) -> pathlib.Path:
+    """Write a demo run's AID, bundle and templates into ``out_dir``."""
+    directory = pathlib.Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "aid.json").write_bytes(canonical_bytes(result.aid.to_obj()))
+    (directory / "bundle.json").write_bytes(canonical_bytes(result.bundle.to_obj()))
+    result.registry.save_dir(directory / "templates")
+    return directory
 
 
 def _key_path(path: str) -> pathlib.Path:
@@ -207,7 +217,7 @@ def mock_serve(kind, listen, seed):
     """Serve one mock component over the framed TCP protocol (blocks)."""
     host, port = _parse_listen(listen)
     handler = _MOCK_KINDS[kind](seed)
-    server = mockserver.serve_handler(handler, host, port)
+    server = frames.serve_relay(handler, host, port)
     click.echo(f"mock {kind} listening on {server.server_address[0]}:{server.server_address[1]}")
     _block()
 
@@ -222,11 +232,7 @@ def prove(seed, out_dir):
         result = demo_mod.run_demo(seed)
     except VetError as exc:
         _fail(str(exc), code=1)
-    directory = pathlib.Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "aid.json").write_bytes(canonical_bytes(result.aid.to_obj()))
-    (directory / "bundle.json").write_bytes(canonical_bytes(result.bundle.to_obj()))
-    result.registry.save_dir(directory / "templates")
+    directory = _write_out(result, out_dir)
     click.echo(f"decision: {result.decision.serialized()}")
     click.echo(f"wrote {directory}/aid.json, bundle.json, templates/")
 
@@ -246,9 +252,11 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
             _fail(str(exc))
     aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
     registry = _load_registry(templates_dir)
+    checked = VerificationReport()
     try:
         document, bundle = _decode_bundle(aid_obj, bundle_obj)
-        verify_trace(claim, bundle, document, registry)
+        verifier = instantiate_verifier(document, TrustStore(registry=registry))
+        verifier.verify(claim, bundle, checked)
         report = {"result": "accept", "claim": claim}
         code = 0
     except Rejected as exc:
@@ -257,6 +265,7 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
     except (VetError, ValueError, KeyError) as exc:
         report = {"result": "reject", "reason": "malformed", "detail": str(exc)}
         code = 1
+    report["components"] = [check.to_obj() for check in checked.components]
     if as_json:
         click.echo(json.dumps(report))
     elif code == 0:
@@ -344,11 +353,7 @@ def demo_veritrade(seed, out_dir, as_json):
     except VetError as exc:
         _fail(str(exc), code=1)
     if out_dir:
-        directory = pathlib.Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "aid.json").write_bytes(canonical_bytes(result.aid.to_obj()))
-        (directory / "bundle.json").write_bytes(canonical_bytes(result.bundle.to_obj()))
-        result.registry.save_dir(directory / "templates")
+        _write_out(result, out_dir)
     latency = result.latency
     if as_json:
         click.echo(

@@ -7,13 +7,23 @@ parsed output equals the recorded (y, tool calls), and each tool proof
 authenticates exactly the (x, r) pair the trace records. A claimed
 message is accepted when it appears among the authenticated outputs
 (a core output of some step, or a tool input the core emitted).
+
+``SCHEMES`` is the one place that knows the proof systems: it maps each
+AID verification scheme to the ``kind`` its component proofs carry on
+the wire and to its verifier, a function ``(payload, entry, registry,
+role) -> AuthenticatedExchange`` that raises ``Rejected`` with the
+scheme's own reason. Adding a scheme means adding one entry. Proving
+and verifying walk a trace's invocations in one order (``invocations``),
+and ``verify_trace`` records what it checked in a ``VerificationReport``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Iterator
 
-from .agent_model import ExecutionTrace, rebuild_transcript
+from . import tee_proxy, webproof
+from .agent_model import ExecutionTrace, StepRecord, ToolCall, rebuild_transcript
 from .aid import (
     SCHEME_PROXY_TEE,
     SCHEME_TLS_NOTARY,
@@ -23,28 +33,29 @@ from .aid import (
 )
 from .errors import Rejected, ValidationError
 from .templates import (
-    TemplateRegistry,
-    expected_request,
-    extract_input,
-    first_difference,
-    render,
-)
-from .tee_proxy import ProxyAttestation, TeeProxy, verify_attestation
-from .webproof import (
     ROLE_CORE,
     ROLE_TOOL,
     AuthenticatedExchange,
-    WebProof,
-    WebProofProver,
-    authenticate,
+    TemplateRegistry,
+    parse_exchange,
+    render,
 )
+from .tee_proxy import TeeProxy
+from .webproof import WebProofProver
 
 KIND_WEBPROOF = "webproof"
 KIND_TEE = "tee_attestation"
 
-_KIND_FOR_SCHEME = {
-    SCHEME_TLS_NOTARY: KIND_WEBPROOF,
-    SCHEME_PROXY_TEE: KIND_TEE,
+
+@dataclass(frozen=True)
+class Scheme:
+    kind: str
+    verify: Callable[[dict, ComponentEntry, TemplateRegistry, str], AuthenticatedExchange]
+
+
+SCHEMES = {
+    SCHEME_TLS_NOTARY: Scheme(KIND_WEBPROOF, webproof.verify_component),
+    SCHEME_PROXY_TEE: Scheme(KIND_TEE, tee_proxy.verify_component),
 }
 
 POSITION_CORE = "core"
@@ -52,6 +63,10 @@ POSITION_CORE = "core"
 
 def tool_position(index: int) -> str:
     return f"tool:{index}"
+
+
+def _locator(step_index: int, position: str) -> str:
+    return f"step:{step_index}/{position}"
 
 
 @dataclass(frozen=True)
@@ -63,7 +78,7 @@ class ComponentProof:
 
     @property
     def locator(self) -> str:
-        return f"step:{self.step_index}/{self.position}"
+        return _locator(self.step_index, self.position)
 
     def to_obj(self) -> dict:
         return {
@@ -113,6 +128,49 @@ def core_input(trace: ExecutionTrace, step_index: int) -> str:
     return rebuild_transcript(trace, step_index).hex()
 
 
+@dataclass(frozen=True)
+class Invocation:
+    """One component call in a trace: a step's core, or one of its tool calls."""
+
+    trace: ExecutionTrace
+    step: StepRecord
+    position: str
+    call: ToolCall | None = None  # None for the core
+
+    @property
+    def role(self) -> str:
+        return ROLE_CORE if self.call is None else ROLE_TOOL
+
+    @property
+    def locator(self) -> str:
+        return _locator(self.step.step_index, self.position)
+
+    def entry(self, aid: AgentIdentityDocument) -> ComponentEntry:
+        """The AID entry of the called component; KeyError for an unknown tool."""
+        return aid.core if self.call is None else aid.tool(self.call.tool_id)
+
+    def recorded(self) -> AuthenticatedExchange:
+        """The exchange the trace records for this call."""
+        if self.call is None:
+            emitted = tuple((c.tool_id, c.input) for c in self.step.tool_calls)
+            return AuthenticatedExchange(
+                core_input(self.trace, self.step.step_index), self.step.core_output, emitted
+            )
+        return AuthenticatedExchange(self.call.input, self.call.result, ())
+
+    def claim(self, exchange: AuthenticatedExchange) -> str:
+        """A core's output, or the input the core gave a tool."""
+        return exchange.value if self.call is None else exchange.x
+
+
+def invocations(trace: ExecutionTrace) -> Iterator[Invocation]:
+    """Every component call of the trace: per step, the core, then each tool call."""
+    for step in trace.steps:
+        yield Invocation(trace, step, POSITION_CORE)
+        for k, call in enumerate(step.tool_calls):
+            yield Invocation(trace, step, tool_position(k), call)
+
+
 class TeeComponentProver:
     """Per-scheme prover adapter for ProxyTEE entries.
 
@@ -134,21 +192,10 @@ class TeeComponentProver:
         template = self.registry.get_inject(entry.injection_algorithm_uid)
         secrets = {name: self.secrets[name] for name in template.secret_names()}
         request_bytes, _ = render(template, x, secrets)
-        proxy = self.proxies[entry.name]
-        response_bytes, attestation = proxy.fetch(request_bytes)
-        payload = {
-            "request": request_bytes.hex(),
-            "response": response_bytes.hex(),
-            "attestation": attestation.to_obj(),
-        }
+        response_bytes, attestation = self.proxies[entry.name].fetch(request_bytes)
+        payload = tee_proxy.component_payload(request_bytes, response_bytes, attestation)
         parse = self.registry.get_parse(entry.parsing_algorithm_uid)
-        from .templates import parse_core, parse_tool
-
-        if role == ROLE_CORE:
-            y, calls = parse_core(parse, response_bytes)
-            return AuthenticatedExchange(x=x, value=y, tool_calls=tuple(calls)), payload
-        value = parse_tool(parse, response_bytes)
-        return AuthenticatedExchange(x=x, value=value, tool_calls=()), payload
+        return AuthenticatedExchange(x, *parse_exchange(parse, response_bytes, role)), payload
 
 
 class WebProofComponentProver:
@@ -175,56 +222,32 @@ def prove_trace(
     """
     proofs = []
     claims = []
-    for step in trace.steps:
-        j = step.step_index
-        entry = aid.core
-        prover = _prover_for(provers, entry)
-        exchange, payload = prover.call(entry, core_input(trace, j), ROLE_CORE)
-        recorded_calls = tuple((tc.tool_id, tc.input) for tc in step.tool_calls)
-        if exchange.value != step.core_output or exchange.tool_calls != recorded_calls:
+    for invocation in invocations(trace):
+        entry = invocation.entry(aid)
+        scheme = entry.verification.scheme
+        if scheme not in provers:
+            raise ValidationError(f"no prover available for scheme {scheme!r}")
+        recorded = invocation.recorded()
+        exchange, payload = provers[scheme].call(entry, recorded.x, invocation.role)
+        if exchange != recorded:
             raise ValidationError(
-                f"core at step {j} no longer reproduces the recorded output"
+                f"{invocation.locator} no longer reproduces the recorded exchange"
             )
         proofs.append(
             ComponentProof(
-                kind=_KIND_FOR_SCHEME[entry.verification.scheme],
-                step_index=j,
-                position=POSITION_CORE,
+                kind=SCHEMES[scheme].kind,
+                step_index=invocation.step.step_index,
+                position=invocation.position,
                 payload=payload,
             )
         )
-        claims.append((step.core_output, f"step:{j}/{POSITION_CORE}"))
-        for k, tool_call in enumerate(step.tool_calls):
-            entry = aid.tool(tool_call.tool_id)
-            prover = _prover_for(provers, entry)
-            exchange, payload = prover.call(entry, tool_call.input, ROLE_TOOL)
-            if exchange.value != tool_call.result:
-                raise ValidationError(
-                    f"tool {tool_call.tool_id!r} at step {j} call {k} no longer "
-                    f"reproduces the recorded result"
-                )
-            proofs.append(
-                ComponentProof(
-                    kind=_KIND_FOR_SCHEME[entry.verification.scheme],
-                    step_index=j,
-                    position=tool_position(k),
-                    payload=payload,
-                )
-            )
-            claims.append((tool_call.input, f"step:{j}/{tool_position(k)}"))
+        claims.append((invocation.claim(recorded), invocation.locator))
     return VerifiableExecutionTrace(
         aid_id=compute_id(aid),
         trace=trace,
         proofs=tuple(proofs),
         claims=tuple(claims),
     )
-
-
-def _prover_for(provers: dict[str, object], entry: ComponentEntry):
-    scheme = entry.verification.scheme
-    if scheme not in provers:
-        raise ValidationError(f"no prover available for scheme {scheme!r}")
-    return provers[scheme]
 
 
 @dataclass(frozen=True)
@@ -239,42 +262,52 @@ def valid_trace(trace: ExecutionTrace, step_data: list[StepData]) -> bool:
     """The ValidTrace predicate over proof-extracted step data."""
     if len(step_data) != len(trace.steps):
         return False
+    exchanges = []
     for step, data in zip(trace.steps, step_data):
-        if data.core.x != core_input(trace, step.step_index):
-            return False
-        if data.core.value != step.core_output:
-            return False
-        emitted = tuple((tc.tool_id, tc.input) for tc in step.tool_calls)
-        if data.core.tool_calls != emitted:
-            return False
         if len(data.tools) != len(step.tool_calls):
             return False
-        for tool_call, tool_data in zip(step.tool_calls, data.tools):
-            if tool_data.x != tool_call.input or tool_data.value != tool_call.result:
-                return False
-    return True
+        # A tool exchange is compared by its input and result alone.
+        exchanges += (data.core, *(replace(t, tool_calls=()) for t in data.tools))
+    return all(
+        exchange == invocation.recorded()
+        for invocation, exchange in zip(invocations(trace), exchanges)
+    )
 
 
-def _match_tee_request(
-    template, request_bytes: bytes
-) -> str:
-    """Recover x from an attested plaintext request and pin it to the template.
+@dataclass
+class ComponentCheck:
+    """One component proof as ``verify_trace`` checked it.
 
-    Bytes inside secret spans are ignored (the proxy saw the real secret;
-    the verifier must not require knowing it), everything else must equal
-    the deterministic rendering for the extracted x.
+    ``verdict`` is "ok" or the reason the proof was rejected: the
+    scheme's own reason, or "subproof-invalid" for a proof of the wrong
+    kind or one that does not decode. ``request_disclosed`` is
+    (disclosed, redacted) request bytes, for schemes that can redact.
     """
-    try:
-        x = extract_input(template, request_bytes)
-    except ValidationError as exc:
-        raise Rejected("parse-failure", str(exc))
-    expected, secret = expected_request(template, x)
-    if len(expected) != len(request_bytes):
-        raise Rejected("template-mismatch", "attested request length differs from template")
-    differs = first_difference(expected, secret, 0, request_bytes)
-    if differs is not None:
-        raise Rejected("template-mismatch", f"attested request byte {differs} differs")
-    return x
+
+    step_index: int
+    position: str
+    kind: str
+    verdict: str = ""
+    detail: str = ""
+    request_disclosed: tuple[int, int] | None = None
+
+    def to_obj(self) -> dict:
+        return {"locator": _locator(self.step_index, self.position), **asdict(self)}
+
+
+@dataclass
+class VerificationReport:
+    """What ``verify_trace`` checked, in order, up to its verdict.
+
+    ``reason`` and ``detail`` are those of the ``Rejected`` it raised,
+    and ``reason`` stays None on acceptance. Components after the first
+    rejected one are not checked and not listed.
+    """
+
+    aid_match: bool = False
+    components: list[ComponentCheck] = field(default_factory=list)
+    reason: str | None = None
+    detail: str = ""
 
 
 class ComposedVerifier:
@@ -284,8 +317,13 @@ class ComposedVerifier:
         self.aid = aid
         self.registry = registry
 
-    def verify(self, m: str, bundle: VerifiableExecutionTrace) -> str:
-        return verify_trace(m, bundle, self.aid, self.registry)
+    def verify(
+        self,
+        m: str,
+        bundle: VerifiableExecutionTrace,
+        report: VerificationReport | None = None,
+    ) -> str:
+        return verify_trace(m, bundle, self.aid, self.registry, report)
 
 
 def verify_trace(
@@ -293,19 +331,37 @@ def verify_trace(
     bundle: VerifiableExecutionTrace,
     aid: AgentIdentityDocument,
     registry: TemplateRegistry,
+    report: VerificationReport | None = None,
 ) -> str:
     """Accept m iff it is an authentic output of the traced execution.
 
     Returns m on acceptance; raises Rejected with one of the reasons
     aid-mismatch, subproof-invalid, transcript-inconsistent,
-    output-not-found.
+    output-not-found. When ``report`` is given, it is filled with what
+    was checked and the verdict.
     """
-    if bundle.aid_id != compute_id(aid):
+    if report is None:
+        report = VerificationReport()
+    try:
+        return _verify_trace(m, bundle, aid, registry, report)
+    except Rejected as exc:
+        report.reason, report.detail = exc.reason, exc.detail
+        raise
+
+
+def _verify_trace(
+    m: str,
+    bundle: VerifiableExecutionTrace,
+    aid: AgentIdentityDocument,
+    registry: TemplateRegistry,
+    report: VerificationReport,
+) -> str:
+    aid_id = compute_id(aid)
+    report.aid_match = bundle.aid_id == aid_id
+    if not report.aid_match:
         raise Rejected(
-            "aid-mismatch",
-            f"bundle built for {bundle.aid_id}, document is {compute_id(aid)}",
+            "aid-mismatch", f"bundle built for {bundle.aid_id}, document is {aid_id}"
         )
-    trace = bundle.trace
 
     by_locator: dict[tuple[int, str], ComponentProof] = {}
     for proof in bundle.proofs:
@@ -314,116 +370,65 @@ def verify_trace(
             raise Rejected("subproof-invalid", f"duplicate proof at {proof.locator}")
         by_locator[key] = proof
 
-    step_data: list[StepData] = []
-    for step in trace.steps:
-        j = step.step_index
-        core_proof = by_locator.pop((j, POSITION_CORE), None)
-        if core_proof is None:
-            raise Rejected("subproof-invalid", f"missing proof at step:{j}/core")
-        core_exchange = _verify_subproof(core_proof, aid.core, registry, ROLE_CORE)
-        tool_exchanges = []
-        for k, tool_call in enumerate(step.tool_calls):
-            tool_proof = by_locator.pop((j, tool_position(k)), None)
-            if tool_proof is None:
-                raise Rejected(
-                    "subproof-invalid", f"missing proof at step:{j}/{tool_position(k)}"
-                )
-            try:
-                entry = aid.tool(tool_call.tool_id)
-            except KeyError:
-                raise Rejected(
-                    "transcript-inconsistent",
-                    f"step {j}: tool {tool_call.tool_id!r} not in the AID",
-                )
-            tool_exchanges.append(_verify_subproof(tool_proof, entry, registry, ROLE_TOOL))
-        step_data.append(StepData(core=core_exchange, tools=tuple(tool_exchanges)))
+    checked: list[tuple[Invocation, AuthenticatedExchange]] = []
+    for invocation in invocations(bundle.trace):
+        j = invocation.step.step_index
+        proof = by_locator.pop((j, invocation.position), None)
+        if proof is None:
+            raise Rejected("subproof-invalid", f"missing proof at {invocation.locator}")
+        try:
+            entry = invocation.entry(aid)
+        except KeyError:
+            raise Rejected(
+                "transcript-inconsistent",
+                f"step {j}: tool {invocation.call.tool_id!r} not in the AID",
+            )
+        check = ComponentCheck(j, invocation.position, proof.kind)
+        report.components.append(check)
+        exchange = _verify_component(proof, entry, registry, invocation.role, check)
+        checked.append((invocation, exchange))
     if by_locator:
         extra = next(iter(by_locator.values()))
         raise Rejected("subproof-invalid", f"proof at {extra.locator} matches no invocation")
 
-    if not valid_trace(trace, step_data):
-        failing = _first_inconsistent_step(trace, step_data)
-        raise Rejected("transcript-inconsistent", f"step {failing}")
+    # ValidTrace, in one pass: the first call whose authenticated exchange
+    # differs from the recorded one names the inconsistent step.
+    for invocation, exchange in checked:
+        if exchange != invocation.recorded():
+            raise Rejected("transcript-inconsistent", f"step {invocation.step.step_index}")
 
-    outputs = {data.core.value for data in step_data}
-    for data in step_data:
-        outputs.update(x for _, x in data.core.tool_calls)
-    if m not in outputs:
+    if m not in {invocation.claim(exchange) for invocation, exchange in checked}:
         raise Rejected("output-not-found", f"{m!r} is not an authenticated output")
     return m
 
 
-def _verify_subproof(
+def _verify_component(
     proof: ComponentProof,
     entry: ComponentEntry,
     registry: TemplateRegistry,
     role: str,
+    check: ComponentCheck,
 ) -> AuthenticatedExchange:
+    """Run the entry's scheme verifier on one proof and record its verdict.
+
+    Any failure is a subproof-invalid reject naming the locator and the
+    scheme's own reason.
+    """
+    scheme = SCHEMES.get(entry.verification.scheme)
     try:
-        return _authenticate_component(proof, entry, registry, role)
+        if scheme is None or proof.kind != scheme.kind:
+            raise Rejected(
+                "subproof-invalid",
+                f"proof kind {proof.kind!r} does not match "
+                f"scheme {entry.verification.scheme!r}",
+            )
+        exchange = scheme.verify(proof.payload, entry, registry, role)
     except Rejected as exc:
-        if exc.reason in ("subproof-invalid",):
-            raise
-        raise Rejected(
-            "subproof-invalid", f"{proof.locator}: {exc.reason}: {exc.detail}"
-        )
+        check.verdict, check.detail = exc.reason, exc.detail
     except (ValidationError, ValueError, KeyError) as exc:
-        raise Rejected("subproof-invalid", f"{proof.locator}: {exc}")
-
-
-def _authenticate_component(
-    proof: ComponentProof,
-    entry: ComponentEntry,
-    registry: TemplateRegistry,
-    role: str,
-) -> AuthenticatedExchange:
-    expected_kind = _KIND_FOR_SCHEME.get(entry.verification.scheme)
-    if proof.kind != expected_kind:
-        raise Rejected(
-            "subproof-invalid",
-            f"{proof.locator}: proof kind {proof.kind!r} does not match "
-            f"scheme {entry.verification.scheme!r}",
-        )
-    if proof.kind == KIND_WEBPROOF:
-        wp = WebProof.from_obj(proof.payload)
-        return authenticate(
-            wp,
-            notary_public_key=entry.verification.key_string(),
-            server_domain=entry.host,
-            inject_template=registry.get_inject(entry.injection_algorithm_uid),
-            parse_template=registry.get_parse(entry.parsing_algorithm_uid),
-            role=role,
-        )
-    request_bytes = bytes.fromhex(proof.payload["request"])
-    response_bytes = bytes.fromhex(proof.payload["response"])
-    attestation = ProxyAttestation.from_obj(proof.payload["attestation"])
-    template = registry.get_inject(entry.injection_algorithm_uid)
-    x = _match_tee_request(template, request_bytes)
-    from .templates import parse_core, parse_tool
-
-    parse = registry.get_parse(entry.parsing_algorithm_uid)
-    if role == ROLE_CORE:
-        y, calls = parse_core(parse, response_bytes)
-        verify_attestation(
-            y, response_bytes, attestation, entry, registry,
-            request_bytes=request_bytes, role=ROLE_CORE,
-        )
-        return AuthenticatedExchange(x=x, value=y, tool_calls=tuple(calls))
-    value = parse_tool(parse, response_bytes)
-    verify_attestation(
-        value, response_bytes, attestation, entry, registry,
-        request_bytes=request_bytes, role=ROLE_TOOL,
-    )
-    return AuthenticatedExchange(x=x, value=value, tool_calls=())
-
-
-def _first_inconsistent_step(trace: ExecutionTrace, step_data: list[StepData]) -> int:
-    for i, step in enumerate(trace.steps):
-        prefix = ExecutionTrace(
-            initial_input=trace.initial_input,
-            steps=trace.steps[: i + 1],
-            truncated=False,
-        )
-        if not valid_trace(prefix, step_data[: i + 1]):
-            return step.step_index
-    return len(trace.steps)
+        check.verdict, check.detail = "subproof-invalid", str(exc)
+    else:
+        check.verdict, check.request_disclosed = "ok", exchange.request_disclosed
+        return exchange
+    inner = "" if check.verdict == "subproof-invalid" else f"{check.verdict}: "
+    raise Rejected("subproof-invalid", f"{proof.locator}: {inner}{check.detail}")

@@ -22,12 +22,12 @@ from .aid import (
     AgentIdentityDocument,
     ComponentEntry,
     VerificationMetadata,
-    compute_id,
 )
 from .canonical import canonical_bytes
 from .composer import (
     TeeComponentProver,
     VerifiableExecutionTrace,
+    VerificationReport,
     WebProofComponentProver,
     prove_trace,
     verify_trace,
@@ -317,53 +317,33 @@ def inspect_bundle(
     aid: AgentIdentityDocument,
     registry: TemplateRegistry,
 ) -> tuple[str, bool]:
-    """Human-readable verification report; returns (text, all_ok)."""
-    from .composer import ROLE_CORE, ROLE_TOOL, POSITION_CORE, _verify_subproof, tool_position
-    from .webproof import WebProof
+    """Human-readable verification report; returns (text, all_ok).
 
-    lines = []
-    ok = True
-    aid_match = bundle.aid_id == compute_id(aid)
-    ok &= aid_match
-    lines.append(f"agent id: {bundle.aid_id}  [{'match' if aid_match else 'MISMATCH'}]")
-    lines.append(f"steps: {len(bundle.trace.steps)}  proofs: {len(bundle.proofs)}")
-    by_locator = {(p.step_index, p.position): p for p in bundle.proofs}
-    for step in bundle.trace.steps:
-        j = step.step_index
-        lines.append(f"step {j}:")
-        positions = [(POSITION_CORE, aid.core, ROLE_CORE)]
-        for k, call in enumerate(step.tool_calls):
-            try:
-                entry = aid.tool(call.tool_id)
-            except KeyError:
-                lines.append(f"  {tool_position(k)}: tool {call.tool_id!r} not in AID  [FAIL]")
-                ok = False
-                continue
-            positions.append((tool_position(k), entry, ROLE_TOOL))
-        for position, entry, role in positions:
-            proof = by_locator.get((j, position))
-            if proof is None:
-                lines.append(f"  {position}: missing proof  [FAIL]")
-                ok = False
-                continue
-            try:
-                exchange = _verify_subproof(proof, entry, registry, role)
-                status = "ok"
-            except Rejected as exc:
-                status = f"FAIL: {exc.reason}"
-                exchange = None
-                ok = False
-            detail = ""
-            if proof.kind == "webproof" and exchange is not None:
-                wp = WebProof.from_obj(proof.payload)
-                total = wp.request_commitment.total_length
-                disclosed = sum(n for _, n in wp.request_disclosure.ranges)
-                detail = f"  request {disclosed}/{total} bytes disclosed, rest redacted"
-            lines.append(f"  {position}: {proof.kind}  [{status}]{detail}")
+    Verifies the final core output, so it stops at the same first
+    rejection that ``verify_trace`` names.
+    """
+    report = VerificationReport()
     try:
-        verify_trace(bundle.trace.steps[-1].core_output, bundle, aid, registry)
+        verify_trace(bundle.trace.steps[-1].core_output, bundle, aid, registry, report)
+    except Rejected:
+        pass
+    lines = [
+        f"agent id: {bundle.aid_id}  [{'match' if report.aid_match else 'MISMATCH'}]",
+        f"steps: {len(bundle.trace.steps)}  proofs: {len(bundle.proofs)}",
+    ]
+    step = None
+    for check in report.components:
+        if check.step_index != step:
+            step = check.step_index
+            lines.append(f"step {step}:")
+        status = "ok" if check.verdict == "ok" else f"FAIL: {check.verdict}"
+        detail = ""
+        if check.request_disclosed is not None:
+            disclosed, redacted = check.request_disclosed
+            detail = f"  request {disclosed}/{disclosed + redacted} bytes disclosed, rest redacted"
+        lines.append(f"  {check.position}: {check.kind}  [{status}]{detail}")
+    if report.reason is None:
         lines.append("trace consistency: ok")
-    except Rejected as exc:
-        lines.append(f"trace consistency: FAIL ({exc.reason}: {exc.detail})")
-        ok = False
-    return "\n".join(lines), ok
+    else:
+        lines.append(f"trace consistency: FAIL ({report.reason}: {report.detail})")
+    return "\n".join(lines), report.reason is None

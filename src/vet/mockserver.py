@@ -14,10 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import socket
-import socketserver
-import struct
-import threading
 from typing import Callable, Sequence
 from urllib.parse import parse_qs, urlparse
 
@@ -27,8 +23,6 @@ from .agent_model import (
     ROLE_TOOL_RESULT,
     CoreFunction,
 )
-from .errors import ProtocolError
-from .frames import Frame
 from .httpmsg import HttpResponse, parse_request, render_response
 
 JSON_HEADERS = (("Content-Type", "application/json"),)
@@ -49,18 +43,6 @@ def _digest_int(*parts: str) -> int:
     for part in parts:
         h.update(part.encode("utf-8") + b"\x00")
     return int.from_bytes(h.digest()[:8], "big")
-
-
-def parse_transcript(transcript: bytes) -> list[tuple[int, bytes]]:
-    """Split a framed transcript back into (role, payload) pairs."""
-    out = []
-    pos = 0
-    while pos < len(transcript):
-        role, length = struct.unpack(">BI", transcript[pos:pos + 5])
-        pos += 5
-        out.append((role, transcript[pos:pos + length]))
-        pos += length
-    return out
 
 
 def make_price_handler(seed: str) -> Callable[[bytes], bytes]:
@@ -151,14 +133,11 @@ def core_via_handler(handler: Callable[[bytes], bytes], template, parse_template
     Used by the agent loop so the trace records exactly what the core
     endpoint would say when invoked through a proof system later.
     """
-    from .httpmsg import parse_response
-    from .templates import render
+    from .templates import ROLE_CORE as CORE, parse_exchange, render
 
-    def core(transcript: bytes) -> tuple[str, list[tuple[str, str]]]:
+    def core(transcript: bytes) -> tuple[str, tuple[tuple[str, str], ...]]:
         request_bytes, _ = render(template, transcript.hex(), {})
-        response = parse_response(handler(request_bytes))
-        doc = json.loads(response.body)
-        return doc["output"], [(c["tool"], c["input"]) for c in doc["calls"]]
+        return parse_exchange(parse_template, handler(request_bytes), CORE)
 
     return core
 
@@ -187,7 +166,7 @@ def trader_core(seed: str, coin: str = "bitcoin") -> CoreFunction:
     """
 
     def core(transcript: bytes) -> tuple[str, list[tuple[str, str]]]:
-        results = [p for role, p in parse_transcript(transcript) if role == ROLE_TOOL_RESULT]
+        results = [p for role, p in frames.decode_all(transcript) if role == ROLE_TOOL_RESULT]
         if len(results) < 2:
             return "requesting market data", [("price_feed", coin), ("sentiment", coin)]
         price = float(results[-2].decode("utf-8"))
@@ -210,59 +189,6 @@ def trader_core(seed: str, coin: str = "bitcoin") -> CoreFunction:
     return core
 
 
-class _HandlerTCPHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        handler = self.server.handler  # type: ignore[attr-defined]
-        sock: socket.socket = self.request
-        while True:
-            try:
-                frame = frames.read_frame(sock)
-            except ProtocolError:
-                return
-            if frame.type == frames.HEALTH:
-                frames.write_frame(sock, Frame(frames.HEALTH_OK, b""))
-                continue
-            if frame.type == frames.CLOSE:
-                return
-            if frame.type != frames.RELAY_UP:
-                frames.write_frame(sock, Frame(frames.ABORT, b"expected RELAY_UP"))
-                return
-            frames.write_frame(sock, Frame(frames.RELAY_DOWN, handler(frame.payload)))
-
-
-class HandlerTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], handler: Callable[[bytes], bytes]):
-        super().__init__(address, _HandlerTCPHandler)
-        self.handler = handler
-
-
-def serve_handler(
-    handler: Callable[[bytes], bytes], host: str = "127.0.0.1", port: int = 0
-) -> HandlerTCPServer:
-    """Expose a bytes->bytes handler over the framed TCP protocol.
-
-    Each RELAY_UP frame carries one full HTTP request; the reply is one
-    RELAY_DOWN frame with the full HTTP response. Runs in a daemon
-    thread; returns the bound server.
-    """
-    server = HandlerTCPServer((host, port), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
-
-
-def fetch_tcp(host: str, port: int, request_bytes: bytes) -> bytes:
-    with socket.create_connection((host, port)) as sock:
-        frames.write_frame(sock, Frame(frames.RELAY_UP, request_bytes))
-        reply = frames.read_frame(sock)
-        if reply.type != frames.RELAY_DOWN:
-            raise ProtocolError(f"mock server error: {reply.payload.decode('utf-8', 'replace')}")
-        return reply.payload
-
-
 def scripted_core(
     seed: str, n_steps: int, tool_ids: Sequence[str]
 ) -> CoreFunction:
@@ -275,7 +201,7 @@ def scripted_core(
     """
 
     def core(transcript: bytes) -> tuple[str, list[tuple[str, str]]]:
-        done = sum(1 for role, _ in parse_transcript(transcript) if role == ROLE_CORE)
+        done = sum(1 for role, _ in frames.decode_all(transcript) if role == ROLE_CORE)
         value = _digest_int(seed, "step", transcript.hex())
         if done >= n_steps - 1:
             return f"final answer {value % 10**6}", []

@@ -300,17 +300,6 @@ class NotaryService:
         return session, ok
 
 
-def simulate_setup_delay(cap_up: int, cap_down: int, model) -> float:
-    """Modeled wall-clock cost of provisioning a channel of this capacity.
-
-    The model only needs ``setup_base`` and ``setup_per_byte`` attributes;
-    setup cost grows linearly in the total committed capacity, matching
-    the garbled-circuit-per-byte character of the protocol this stands
-    in for.
-    """
-    return model.setup_base + model.setup_per_byte * (cap_up + cap_down)
-
-
 class _NotaryTCPHandler(socketserver.BaseRequestHandler):
     def handle(self):
         service: NotaryService = self.server.service  # type: ignore[attr-defined]
@@ -348,10 +337,7 @@ class _NotaryTCPHandler(socketserver.BaseRequestHandler):
             session.entry.close()
 
 
-class NotaryTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
+class NotaryTCPServer(frames.FrameServer):
     def __init__(self, address: tuple[str, int], service: NotaryService):
         super().__init__(address, _NotaryTCPHandler)
         self.service = service
@@ -359,10 +345,7 @@ class NotaryTCPServer(socketserver.ThreadingTCPServer):
 
 def serve(service: NotaryService, host: str = "127.0.0.1", port: int = 0) -> NotaryTCPServer:
     """Start a TCP notary in a daemon thread; returns the bound server."""
-    server = NotaryTCPServer((host, port), service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+    return NotaryTCPServer((host, port), service).start()
 
 
 def check_health(host: str, port: int, timeout: float = 5.0) -> bool:

@@ -8,24 +8,33 @@ byte, which is the documented trade-off of this verification mode. Real
 enclave quote generation is stubbed behind the same interface; the
 `measurement` field stands in for the enclave code identity and here
 hashes the proxy's declared template set.
+
+A component proof of this scheme is the attested request and response
+bytes plus the attestation (`component_payload`); `verify_component`
+checks it against the AID entry.
 """
 
 from __future__ import annotations
 
 import hashlib
-import socket
-import socketserver
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 from . import frames
 from .canonical import canonical_bytes, canonical_loads
-from .errors import ProtocolError, Rejected
-from .frames import Frame
+from .errors import Rejected, ValidationError
 from .keys import SigningKey, verify_signature
-from .templates import TemplateRegistry, parse_tool, parse_core
+from .templates import (
+    ROLE_CORE,
+    AuthenticatedExchange,
+    TemplateRegistry,
+    expected_request,
+    extract_input,
+    first_difference,
+    parse_exchange,
+)
 
 
 def measurement_of(registry: TemplateRegistry) -> str:
@@ -34,6 +43,10 @@ def measurement_of(registry: TemplateRegistry) -> str:
     for uid in registry.uids():
         h.update(uid.encode("utf-8") + b"\n")
     return "sha256:" + h.hexdigest()
+
+
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -47,39 +60,18 @@ class ProxyAttestation:
     signature: str
 
     def signed_payload(self) -> bytes:
-        return canonical_bytes(
-            {
-                "enclave_public_key": self.enclave_public_key,
-                "tee_type": self.tee_type,
-                "measurement": self.measurement,
-                "request_hash": self.request_hash,
-                "response_hash": self.response_hash,
-                "timestamp": str(self.timestamp),
-            }
-        )
+        """Canonical bytes of every field but the signature."""
+        obj = self.to_obj()
+        del obj["signature"]
+        return canonical_bytes(obj)
 
     def to_obj(self) -> dict:
-        return {
-            "enclave_public_key": self.enclave_public_key,
-            "tee_type": self.tee_type,
-            "measurement": self.measurement,
-            "request_hash": self.request_hash,
-            "response_hash": self.response_hash,
-            "timestamp": str(self.timestamp),
-            "signature": self.signature,
-        }
+        return {**asdict(self), "timestamp": str(self.timestamp)}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ProxyAttestation":
-        return cls(
-            enclave_public_key=obj["enclave_public_key"],
-            tee_type=obj["tee_type"],
-            measurement=obj["measurement"],
-            request_hash=obj["request_hash"],
-            response_hash=obj["response_hash"],
-            timestamp=int(obj["timestamp"]),
-            signature=obj["signature"],
-        )
+        values = {f.name: obj[f.name] for f in fields(cls)}
+        return cls(**{**values, "timestamp": int(values["timestamp"])})
 
 
 class TeeProxy:
@@ -111,32 +103,105 @@ class TeeProxy:
         self.observed_plaintext.append(request_bytes)
         response_bytes = self.upstream(request_bytes)
         self.observed_plaintext.append(response_bytes)
-        fields = {
-            "enclave_public_key": self.public_key,
-            "tee_type": self.tee_type,
-            "measurement": self.measurement,
-            "request_hash": "sha256:" + hashlib.sha256(request_bytes).hexdigest(),
-            "response_hash": "sha256:" + hashlib.sha256(response_bytes).hexdigest(),
-            "timestamp": str(self.clock()),
-        }
-        with self._sign_lock:
-            signature = self.signing_key.sign(canonical_bytes(fields))
-        attestation = ProxyAttestation(
-            enclave_public_key=fields["enclave_public_key"],
-            tee_type=fields["tee_type"],
-            measurement=fields["measurement"],
-            request_hash=fields["request_hash"],
-            response_hash=fields["response_hash"],
-            timestamp=int(fields["timestamp"]),
-            signature=signature,
+        unsigned = ProxyAttestation(
+            enclave_public_key=self.public_key,
+            tee_type=self.tee_type,
+            measurement=self.measurement,
+            request_hash=_digest(request_bytes),
+            response_hash=_digest(response_bytes),
+            timestamp=self.clock(),
+            signature="",
         )
-        return response_bytes, attestation
+        with self._sign_lock:
+            signature = self.signing_key.sign(unsigned.signed_payload())
+        return response_bytes, replace(unsigned, signature=signature)
 
 
-def proxy_fetch(
-    proxy: TeeProxy, request_bytes: bytes
-) -> tuple[bytes, ProxyAttestation]:
-    return proxy.fetch(request_bytes)
+def component_payload(
+    request_bytes: bytes, response_bytes: bytes, attestation: ProxyAttestation
+) -> dict:
+    """The serialized component proof that ``verify_component`` reads."""
+    return {
+        "request": request_bytes.hex(),
+        "response": response_bytes.hex(),
+        "attestation": attestation.to_obj(),
+    }
+
+
+def _match_tee_request(template, request_bytes: bytes) -> str:
+    """Recover x from an attested plaintext request and pin it to the template.
+
+    Bytes inside secret spans are ignored (the proxy saw the real secret;
+    the verifier must not require knowing it), everything else must equal
+    the deterministic rendering for the extracted x.
+    """
+    try:
+        x = extract_input(template, request_bytes)
+    except ValidationError as exc:
+        raise Rejected("parse-failure", str(exc))
+    expected, secret = expected_request(template, x)
+    if len(expected) != len(request_bytes):
+        raise Rejected("template-mismatch", "attested request length differs from template")
+    differs = first_difference(expected, secret, 0, request_bytes)
+    if differs is not None:
+        raise Rejected("template-mismatch", f"attested request byte {differs} differs")
+    return x
+
+
+def _authenticate(
+    response_bytes: bytes,
+    attestation: ProxyAttestation,
+    entry,
+    registry: TemplateRegistry,
+    role: str,
+    request_bytes: bytes | None,
+) -> AuthenticatedExchange:
+    """Check the attestation against the AID entry, then read the exchange.
+
+    The signature, the declared TEE type and the hashes come first; then
+    the request is matched to the inject template, which yields x (left
+    empty when no request is given), and the response is parsed once.
+    """
+    key = entry.verification.key_string()
+    if attestation.enclave_public_key != key or not verify_signature(
+        key,
+        attestation.signed_payload(),
+        attestation.signature,
+    ):
+        raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
+    tee_type = entry.verification.params.get("tee_type")
+    if attestation.tee_type != tee_type:
+        raise Rejected(
+            "bad-signature",
+            f"attestation is from a {attestation.tee_type!r} enclave, "
+            f"the document declares {tee_type!r}",
+        )
+    if _digest(response_bytes) != attestation.response_hash:
+        raise Rejected("hash-mismatch", "response bytes do not match the attested hash")
+    x = ""
+    if request_bytes is not None:
+        if _digest(request_bytes) != attestation.request_hash:
+            raise Rejected("hash-mismatch", "request bytes do not match the attested hash")
+        x = _match_tee_request(
+            registry.get_inject(entry.injection_algorithm_uid), request_bytes
+        )
+    template = registry.get_parse(entry.parsing_algorithm_uid)
+    return AuthenticatedExchange(x, *parse_exchange(template, response_bytes, role))
+
+
+def verify_component(
+    payload: dict, entry, registry: TemplateRegistry, role: str
+) -> AuthenticatedExchange:
+    """The ProxyTEE scheme verifier: decode a ``component_payload`` and
+    authenticate it against the AID entry."""
+    return _authenticate(
+        bytes.fromhex(payload["response"]),
+        ProxyAttestation.from_obj(payload["attestation"]),
+        entry,
+        registry,
+        role,
+        request_bytes=bytes.fromhex(payload["request"]),
+    )
 
 
 def verify_attestation(
@@ -152,79 +217,31 @@ def verify_attestation(
 
     Returns the authenticated value (for core role, the (y, calls)
     pair). ``request_bytes`` is optional; when given, its hash is
-    checked against the attestation too.
+    checked against the attestation and it must match the inject
+    template too.
     """
-    key = entry.verification.key_string()
-    if attestation.enclave_public_key != key or not verify_signature(
-        key,
-        attestation.signed_payload(),
-        attestation.signature,
-    ):
-        raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
-    digest = "sha256:" + hashlib.sha256(response_bytes).hexdigest()
-    if digest != attestation.response_hash:
-        raise Rejected("hash-mismatch", "response bytes do not match the attested hash")
-    if request_bytes is not None:
-        req_digest = "sha256:" + hashlib.sha256(request_bytes).hexdigest()
-        if req_digest != attestation.request_hash:
-            raise Rejected("hash-mismatch", "request bytes do not match the attested hash")
-    template = registry.get_parse(entry.parsing_algorithm_uid)
-    if role == "core":
-        y, calls = parse_core(template, response_bytes)
-        if m != y:
-            raise Rejected("value-mismatch", f"claimed {m!r}, attested value is {y!r}")
-        return y, calls
-    value = parse_tool(template, response_bytes)
-    if m != value:
-        raise Rejected("value-mismatch", f"claimed {m!r}, attested value is {value!r}")
-    return value
+    exchange = _authenticate(response_bytes, attestation, entry, registry, role, request_bytes)
+    if m != exchange.value:
+        raise Rejected(
+            "value-mismatch", f"claimed {m!r}, attested value is {exchange.value!r}"
+        )
+    if role == ROLE_CORE:
+        return exchange.value, list(exchange.tool_calls)
+    return exchange.value
 
 
-class _ProxyTCPHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        proxy: TeeProxy = self.server.proxy  # type: ignore[attr-defined]
-        sock: socket.socket = self.request
-        while True:
-            try:
-                frame = frames.read_frame(sock)
-            except ProtocolError:
-                return
-            if frame.type == frames.HEALTH:
-                frames.write_frame(sock, Frame(frames.HEALTH_OK, proxy.public_key.encode()))
-                continue
-            if frame.type == frames.CLOSE:
-                return
-            if frame.type != frames.RELAY_UP:
-                frames.write_frame(sock, Frame(frames.ABORT, b"expected RELAY_UP"))
-                return
-            response_bytes, attestation = proxy.fetch(frame.payload)
-            body = canonical_bytes(
-                {"response": response_bytes.hex(), "attestation": attestation.to_obj()}
-            )
-            frames.write_frame(sock, Frame(frames.RELAY_DOWN, body))
+def serve(proxy: TeeProxy, host: str = "127.0.0.1", port: int = 0) -> frames.FrameServer:
+    """Serve ``proxy.fetch`` over TCP; a reply carries the response and its attestation."""
 
+    def respond(request_bytes: bytes) -> bytes:
+        response_bytes, attestation = proxy.fetch(request_bytes)
+        return canonical_bytes(
+            {"response": response_bytes.hex(), "attestation": attestation.to_obj()}
+        )
 
-class ProxyTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], proxy: TeeProxy):
-        super().__init__(address, _ProxyTCPHandler)
-        self.proxy = proxy
-
-
-def serve(proxy: TeeProxy, host: str = "127.0.0.1", port: int = 0) -> ProxyTCPServer:
-    server = ProxyTCPServer((host, port), proxy)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+    return frames.serve_relay(respond, host, port, health=proxy.public_key.encode())
 
 
 def fetch_tcp(host: str, port: int, request_bytes: bytes) -> tuple[bytes, ProxyAttestation]:
-    with socket.create_connection((host, port)) as sock:
-        frames.write_frame(sock, Frame(frames.RELAY_UP, request_bytes))
-        reply = frames.read_frame(sock)
-        if reply.type != frames.RELAY_DOWN:
-            raise ProtocolError(f"proxy error: {reply.payload.decode('utf-8', 'replace')}")
-        obj = canonical_loads(reply.payload)
-        return bytes.fromhex(obj["response"]), ProxyAttestation.from_obj(obj["attestation"])
+    obj = canonical_loads(frames.relay(host, port, request_bytes))
+    return bytes.fromhex(obj["response"]), ProxyAttestation.from_obj(obj["attestation"])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .canonical import canonical_bytes, content_hash, json_pointer
@@ -29,6 +29,11 @@ from .httpmsg import parse_request, parse_response
 
 PAD_CHAR = "~"
 INPUT_SLOT = "{input}"
+
+# The role a component plays in the agent loop, which decides how its
+# response is parsed.
+ROLE_TOOL = "tool"
+ROLE_CORE = "core"
 
 
 @dataclass(frozen=True)
@@ -274,6 +279,32 @@ def parse_core(
             )
         )
     return output, calls
+
+
+@dataclass(frozen=True)
+class AuthenticatedExchange:
+    """What a verified component proof establishes about one call.
+
+    ``request_disclosed`` is (disclosed, redacted) request bytes for a
+    proof that can keep request bytes hidden; it takes no part in
+    comparing exchanges.
+    """
+
+    x: str
+    value: str
+    tool_calls: tuple[tuple[str, str], ...]
+    request_disclosed: tuple[int, int] | None = field(default=None, compare=False)
+
+
+def parse_exchange(
+    template: ParseTemplate, response_bytes: bytes, role: str
+) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """Read a component response as (value, tool calls): a core's output
+    and the calls it emitted, or a tool's result and no calls."""
+    if role == ROLE_CORE:
+        output, calls = parse_core(template, response_bytes)
+        return output, tuple(calls)
+    return parse_tool(template, response_bytes), ()
 
 
 def match_request(

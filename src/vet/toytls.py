@@ -108,7 +108,7 @@ def split_records(total_length: int, secret_spans: list[tuple[int, int]]) -> lis
     return spans
 
 
-def _pub_hex(private: X25519PrivateKey) -> str:
+def pub_hex(private: X25519PrivateKey) -> str:
     return private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw).hex()
 
 
@@ -161,19 +161,27 @@ class ServerConnection:
         raise ProtocolError(f"server: unexpected frame type {frame.type:#x}")
 
     def _on_hello(self, payload: bytes) -> list[Frame]:
-        hello = canonical_loads(payload)
-        client_eph_hex = hello["client_eph"]
-        self._nonce_hex = hello["nonce"]
         eph = X25519PrivateKey.from_private_bytes(
             hashlib.sha256(
                 b"VET/server-eph:" + self.server.session_secret + self.session_id.encode()
             ).digest()
         )
-        shared = eph.exchange(X25519PublicKey.from_public_bytes(bytes.fromhex(client_eph_hex)))
+        # The hello comes from the prover unchecked by the relay: any
+        # decode failure, or a key with no shared secret, is a protocol
+        # error, which aborts the session.
+        try:
+            hello = canonical_loads(payload)
+            client_eph_hex = hello["client_eph"]
+            nonce_hex = hello["nonce"]
+            nonce = bytes.fromhex(nonce_hex)
+            shared = eph.exchange(X25519PublicKey.from_public_bytes(bytes.fromhex(client_eph_hex)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ProtocolError(f"malformed hello: {exc!r}")
+        self._nonce_hex = nonce_hex
         self._shared = shared
-        self._hk = handshake_key(shared, bytes.fromhex(self._nonce_hex))
+        self._hk = handshake_key(shared, nonce)
         self._up_secret = up_secret(shared)
-        server_eph_hex = _pub_hex(eph)
+        server_eph_hex = pub_hex(eph)
         signature = self.server.signing_key.sign(
             handshake_signature_message(
                 client_eph_hex, server_eph_hex, self._nonce_hex, self.session_id

@@ -35,18 +35,17 @@ from .errors import CapacityExceeded, ProtocolError, Rejected
 from .frames import Frame
 from .keys import key_fingerprint, verify_signature
 from .notary import NotaryService
-from .templates import (
+from .templates import (  # the roles are re-exported for callers of this module
+    ROLE_CORE,
+    ROLE_TOOL,
+    AuthenticatedExchange,
     InjectTemplate,
     ParseTemplate,
     TemplateRegistry,
     match_request,
-    parse_core,
-    parse_tool,
+    parse_exchange,
     render,
 )
-
-ROLE_TOOL = "tool"
-ROLE_CORE = "core"
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,20 @@ class WebProof:
         )
 
 
+def _open_frame(session_id: str, domain: str, cap_up: int, cap_down: int) -> Frame:
+    return Frame(
+        frames.OPEN,
+        canonical_bytes(
+            {
+                "session_id": session_id,
+                "domain": domain,
+                "cap_up": str(cap_up),
+                "cap_down": str(cap_down),
+            }
+        ),
+    )
+
+
 class ProvisionedChannel:
     """One notarized session against an in-process notary service.
 
@@ -153,22 +166,10 @@ class ProvisionedChannel:
         cap_down: int,
         session_id: str,
     ):
-        self.domain = domain
-        self.cap_up = cap_up
-        self.cap_down = cap_down
         self.session_id = session_id
-        open_frame = Frame(
-            frames.OPEN,
-            canonical_bytes(
-                {
-                    "session_id": session_id,
-                    "domain": domain,
-                    "cap_up": str(cap_up),
-                    "cap_down": str(cap_down),
-                }
-            ),
+        self._session, ok = service.open_session(
+            _open_frame(session_id, domain, cap_up, cap_down)
         )
-        self._session, ok = service.open_session(open_frame)
         self.notary_public_key = canonical_loads(ok.payload)["notary_public_key"]
 
     def exchange(self, frame: Frame) -> list[Frame]:
@@ -192,26 +193,10 @@ class TCPChannel:
     ):
         import socket
 
-        self.domain = domain
-        self.cap_up = cap_up
-        self.cap_down = cap_down
         self.session_id = session_id
         self._sock = socket.create_connection((host, port))
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        frames.write_frame(
-            self._sock,
-            Frame(
-                frames.OPEN,
-                canonical_bytes(
-                    {
-                        "session_id": session_id,
-                        "domain": domain,
-                        "cap_up": str(cap_up),
-                        "cap_down": str(cap_down),
-                    }
-                ),
-            ),
-        )
+        frames.write_frame(self._sock, _open_frame(session_id, domain, cap_up, cap_down))
         reply = frames.read_frame(self._sock)
         if reply.type == frames.ABORT:
             raise ProtocolError(f"notary rejected session: {reply.payload.decode()}")
@@ -249,13 +234,17 @@ def provision_channel(
     return ProvisionedChannel(service, domain, cap_up, cap_down, session_id)
 
 
-def _expect(replies: list[Frame], wanted: int) -> Frame:
+def _raise_on_abort(replies: list[Frame]) -> None:
     for reply in replies:
         if reply.type == frames.ABORT:
             reason = reply.payload.decode("utf-8", "replace")
             if "capacity" in reason:
                 raise CapacityExceeded(reason)
             raise ProtocolError(f"session aborted: {reason}")
+
+
+def _expect(replies: list[Frame], wanted: int) -> Frame:
+    _raise_on_abort(replies)
     if len(replies) != 1 or replies[0].type != wanted:
         raise ProtocolError(f"expected frame {wanted:#x}, got {[r.type for r in replies]}")
     return replies[0]
@@ -281,11 +270,7 @@ def run_session(
 
     # Handshake: ephemeral X25519, server signs the transcript binding.
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
-    client_eph = (
-        eph.public_key()
-        .public_bytes_raw()
-        .hex()
-    )
+    client_eph = toytls.pub_hex(eph)
     nonce = rng.randbytes(16).hex()
     hello = canonical_bytes({"client_eph": client_eph, "nonce": nonce})
     reply = _expect(channel.exchange(Frame(frames.HS_UP, hello)), frames.HS_DOWN)
@@ -324,12 +309,7 @@ def run_session(
         _expect(channel.exchange(Frame(frames.RELAY_UP, wire)), frames.ACK)
 
     replies = channel.exchange(Frame(frames.END_UP, b""))
-    for reply in replies:
-        if reply.type == frames.ABORT:
-            reason = reply.payload.decode("utf-8", "replace")
-            if "capacity" in reason:
-                raise CapacityExceeded(reason)
-            raise ProtocolError(f"session aborted: {reason}")
+    _raise_on_abort(replies)
     down_wires = [r.payload for r in replies if r.type == frames.RELAY_DOWN]
     if not replies or replies[-1].type != frames.END_DOWN:
         raise ProtocolError("response did not terminate with END_DOWN")
@@ -471,15 +451,6 @@ def _check_records(
             )
 
 
-@dataclass(frozen=True)
-class AuthenticatedExchange:
-    """What a verified WebProof establishes about the session."""
-
-    x: str
-    value: str
-    tool_calls: tuple[tuple[str, str], ...]
-
-
 def authenticate(
     proof: WebProof,
     notary_public_key: str,
@@ -520,11 +491,13 @@ def authenticate(
     response_bytes = _assemble(res_map, proof.response_commitment.total_length)
     if response_bytes is None:
         raise Rejected("parse-failure", "response not fully disclosed")
-    if role == ROLE_CORE:
-        y, calls = parse_core(parse_template, response_bytes)
-        return AuthenticatedExchange(x=x, value=y, tool_calls=tuple(calls))
-    value = parse_tool(parse_template, response_bytes)
-    return AuthenticatedExchange(x=x, value=value, tool_calls=())
+    total = proof.request_commitment.total_length
+    disclosed = sum(n for _, n in proof.request_disclosure.ranges)
+    return AuthenticatedExchange(
+        x,
+        *parse_exchange(parse_template, response_bytes, role),
+        request_disclosed=(disclosed, total - disclosed),
+    )
 
 
 def _overlay(byte_map: dict[int, bytes], total: int) -> tuple[bytearray, bytearray]:
@@ -545,6 +518,29 @@ def _assemble(byte_map: dict[int, bytes], total: int) -> bytes | None:
     return bytes(buf)
 
 
+def _authenticate_entry(
+    proof: WebProof, entry, registry: TemplateRegistry, role: str
+) -> AuthenticatedExchange:
+    """``authenticate`` against the notary key, endpoint host and
+    templates that an AID entry declares."""
+    return authenticate(
+        proof,
+        notary_public_key=entry.verification.key_string(),
+        server_domain=entry.host,
+        inject_template=registry.get_inject(entry.injection_algorithm_uid),
+        parse_template=registry.get_parse(entry.parsing_algorithm_uid),
+        role=role,
+    )
+
+
+def verify_component(
+    payload: dict, entry, registry: TemplateRegistry, role: str
+) -> AuthenticatedExchange:
+    """The TLSNotary scheme verifier: decode a serialized web proof and
+    authenticate it against the AID entry (steps 1 and 2)."""
+    return _authenticate_entry(WebProof.from_obj(payload), entry, registry, role)
+
+
 def verify_webproof(
     m: str,
     proof: WebProof,
@@ -558,14 +554,7 @@ def verify_webproof(
     an enumerated reason otherwise. ``entry`` is the AID ComponentEntry
     whose scheme must be TLSNotary.
     """
-    exchange = authenticate(
-        proof,
-        notary_public_key=entry.verification.key_string(),
-        server_domain=entry.host,
-        inject_template=registry.get_inject(entry.injection_algorithm_uid),
-        parse_template=registry.get_parse(entry.parsing_algorithm_uid),
-        role=role,
-    )
+    exchange = _authenticate_entry(proof, entry, registry, role)
     # Step 3: the claimed message is the authenticated value.
     if m != exchange.value:
         raise Rejected(
@@ -611,8 +600,5 @@ class WebProofProver:
             rng=self.rng,
             claims={"input": x},
         )
-        if role == ROLE_CORE:
-            y, calls = parse_core(parse_template, response_bytes)
-            return AuthenticatedExchange(x=x, value=y, tool_calls=tuple(calls)), proof
-        value = parse_tool(parse_template, response_bytes)
-        return AuthenticatedExchange(x=x, value=value, tool_calls=()), proof
+        exchange = AuthenticatedExchange(x, *parse_exchange(parse_template, response_bytes, role))
+        return exchange, proof

@@ -167,3 +167,63 @@ def test_malformed_bundle_is_rejected_not_a_traceback(proved, tmp_path, mangle):
     inspect = runner.invoke(main, ["inspect", *args])
     assert inspect.exit_code == 2
     assert isinstance(inspect.exception, SystemExit)
+
+
+def _verify_args(proved, aid_file=None):
+    return [
+        "verify",
+        "--aid", str(aid_file or proved / "aid.json"),
+        "--bundle", str(proved / "bundle.json"),
+        "--templates", str(proved / "templates"),
+    ]
+
+
+def test_verify_json_lists_components(proved):
+    runner = CliRunner()
+    accept = runner.invoke(main, _verify_args(proved) + ["--claim", _claim(proved), "--json"])
+    assert accept.exit_code == 0, accept.output
+    report = json.loads(accept.output)
+    bundle = json.loads((proved / "bundle.json").read_text())
+    assert [c["locator"] for c in report["components"]] == [
+        f"step:{p['step_index']}/{p['position']}" for p in bundle["proofs"]
+    ]
+    assert {c["verdict"] for c in report["components"]} == {"ok"}
+    core = report["components"][0]
+    assert core["kind"] == "webproof" and core["request_disclosed"][1] > 0
+
+
+def test_verify_refuses_scheme_outside_trust_store(proved, tmp_path):
+    doc = json.loads((proved / "aid.json").read_text())
+    doc["tools"][0]["verification"] = {"Consensus": {"quorum": "2"}}
+    aid_file = tmp_path / "aid.json"
+    aid_file.write_text(json.dumps(doc))
+    result = CliRunner().invoke(
+        main, _verify_args(proved, aid_file) + ["--claim", _claim(proved), "--json"]
+    )
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert report["reason"] == "malformed"
+    assert "Consensus" in report["detail"]
+
+
+def test_inspect_stops_at_first_rejection(proved, tmp_path):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    tee = next(i for i, p in enumerate(bundle["proofs"]) if p["kind"] == "tee_attestation")
+    bundle["proofs"][tee]["payload"]["attestation"]["timestamp"] = "1"
+    bad = tmp_path / "bundle.json"
+    bad.write_text(json.dumps(bundle))
+    result = CliRunner().invoke(
+        main,
+        [
+            "inspect",
+            "--aid", str(proved / "aid.json"),
+            "--bundle", str(bad),
+            "--templates", str(proved / "templates"),
+        ],
+    )
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert lines[0].endswith("[match]")
+    assert lines[-2].endswith("tee_attestation  [FAIL: bad-signature]")
+    assert lines[-1].startswith("trace consistency: FAIL (subproof-invalid: ")
+    assert sum("[ok]" in line or "[FAIL" in line for line in lines) == tee + 1

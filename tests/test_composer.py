@@ -18,6 +18,7 @@ from vet.composer import (
     StepData,
     TeeComponentProver,
     VerifiableExecutionTrace,
+    VerificationReport,
     WebProofComponentProver,
     core_input,
     prove_trace,
@@ -349,3 +350,51 @@ def test_prove_trace_requires_prover(scripted):
     world, trace, _ = scripted
     with pytest.raises(ValidationError):
         prove_trace(trace, world.aid, {})
+
+
+def test_attestation_from_other_tee_type_rejected():
+    # The enclave key is the one the AID names, but the proxy declares
+    # no TEE at all and an arbitrary measurement.
+    world = ScriptedWorld("tee-type", n_steps=2)
+    rogue = TeeProxy(
+        world.proxy.signing_key,
+        world.proxy.upstream,
+        tee_type="NONE",
+        measurement="sha256:" + "ab" * 32,
+    )
+    world.provers[SCHEME_PROXY_TEE] = TeeComponentProver({"echo": rogue}, world.registry)
+    trace, bundle = world.run()
+    with pytest.raises(Rejected) as err:
+        verify_trace(trace.steps[-1].core_output, bundle, world.aid, world.registry)
+    assert err.value.reason == "subproof-invalid"
+    assert "bad-signature" in err.value.detail and "'NONE'" in err.value.detail
+
+
+def test_report_lists_checked_components(scripted):
+    world, trace, bundle = scripted
+    report = VerificationReport()
+    m = trace.steps[-1].core_output
+    assert verify_trace(m, bundle, world.aid, world.registry, report) == m
+    assert report.aid_match and report.reason is None
+    checked = [(c.step_index, c.position) for c in report.components]
+    assert checked == [(p.step_index, p.position) for p in bundle.proofs]
+    assert {c.verdict for c in report.components} == {"ok"}
+    for check in report.components:
+        if check.kind == "webproof":
+            disclosed, redacted = check.request_disclosed
+            assert disclosed > 0 and redacted == 0
+        else:
+            assert check.request_disclosed is None
+
+    # A rejected component is the last one listed, with the scheme's reason.
+    proofs = list(bundle.proofs)
+    k = next(i for i, p in enumerate(proofs) if p.kind == "tee_attestation")
+    payload = dict(proofs[k].payload, response=proofs[k].payload["response"][:-2] + "00")
+    proofs[k] = ComponentProof(proofs[k].kind, proofs[k].step_index, proofs[k].position, payload)
+    report = VerificationReport()
+    with pytest.raises(Rejected) as err:
+        verify_trace(m, _rebuild(bundle, proofs=proofs), world.aid, world.registry, report)
+    assert (report.reason, report.detail) == (err.value.reason, err.value.detail)
+    checked = [(c.step_index, c.position) for c in report.components]
+    assert checked == [(p.step_index, p.position) for p in proofs[: k + 1]]
+    assert report.components[-1].verdict == "hash-mismatch"

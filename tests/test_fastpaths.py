@@ -32,7 +32,7 @@ from vet.commitment import (
     normalize_ranges,
     verify_disclosure,
 )
-from vet.composer import _match_tee_request
+from vet.tee_proxy import _match_tee_request
 from vet.errors import ProtocolError, Rejected, ValidationError
 from vet.templates import InjectTemplate, extract_input, match_request, render
 from vet.webproof import SignedStatement, WebProof, _assemble, _check_records

@@ -5,6 +5,7 @@ import pytest
 
 from vet import frames, notary as notary_mod, toytls
 from vet.canonical import canonical_bytes, canonical_loads
+from vet.channel_sim import CostModel
 from vet.errors import CapacityExceeded, ProtocolError
 from vet.frames import Frame
 from vet.keys import SigningKey, key_fingerprint
@@ -14,7 +15,6 @@ from vet.notary import (
     STATE_FINALIZED,
     NotaryService,
     check_health,
-    simulate_setup_delay,
 )
 from vet.toytls import TargetServer
 from vet.webproof import (
@@ -173,11 +173,8 @@ def test_concurrent_sessions(rig):
 
 
 def test_simulate_setup_delay_linear():
-    class Model:
-        setup_base = 0.5
-        setup_per_byte = 0.001
-
-    assert simulate_setup_delay(1000, 2000, Model) == pytest.approx(0.5 + 3.0)
+    model = CostModel(setup_base=0.5, setup_per_byte=0.001)
+    assert model.setup_delay(1000, 2000) == pytest.approx(0.5 + 3.0)
 
 
 def test_tcp_end_to_end(rig):
@@ -261,6 +258,35 @@ def test_tcp_malformed_open_gets_abort(rig, payload):
             reply = frames.read_frame(sock)
         assert reply.type == frames.ABORT
         assert reply.payload.startswith(b"malformed OPEN payload")
+        assert check_health(host, port)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize(
+    "hello",
+    [
+        b"not json",
+        b'{"nonce": "00"}',
+        canonical_bytes({"client_eph": "00" * 32, "nonce": "00"}),  # low-order key
+    ],
+)
+def test_tcp_malformed_hello_gets_abort(rig, hello):
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        session_id = f"bad-hello-{hello.hex()[:16]}"
+        with socket.create_connection((host, port), timeout=5) as sock:
+            frames.write_frame(sock, _open_frame(session_id))
+            assert frames.read_frame(sock).type == frames.OPEN_OK
+            frames.write_frame(sock, Frame(frames.HS_UP, hello))
+            reply = frames.read_frame(sock)
+        assert reply.type == frames.ABORT
+        assert reply.payload.startswith(b"protocol error: malformed hello")
+        entry = rig.service.ledger.get(session_id)
+        assert entry.state == STATE_ABORTED
+        assert entry.abort_reason.startswith("protocol error: malformed hello")
         assert check_health(host, port)
     finally:
         server.shutdown()
