@@ -5,9 +5,11 @@ payload. The notary relays most frame payloads without parsing them,
 which is what keeps it content-oblivious. Agent transcripts use the same
 layout, with a role tag in place of the frame type.
 
-The TEE proxy and the mock servers speak the smallest protocol over
-these frames: one RELAY_UP request, one RELAY_DOWN reply (`serve_relay`,
-`relay`).
+Every TCP service (the notary, the TEE proxy and the mock servers) runs
+the one connection loop of `FrameServer`, and none keeps a log of what
+it relays. The TEE proxy and the mock servers speak the smallest
+protocol over these frames: one RELAY_UP request, one RELAY_DOWN reply
+(`serve_relay`, `relay`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ HEALTH = 0x10
 HEALTH_OK = 0x11
 
 MAX_FRAME = 1 << 24
+# Seconds a socket of the frame server or of its clients waits on a read
+# or a write before the connection counts as dropped.
+IDLE_TIMEOUT = 30.0
 
 _HEADER = struct.Struct(">BI")
 
@@ -95,10 +100,24 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
 
 
 class FrameServer(socketserver.ThreadingTCPServer):
-    """A threaded TCP server for a frame protocol."""
+    """A threaded TCP server running one loop per connection.
+
+    HEALTH gets HEALTH_OK carrying ``health`` at any point. The first
+    other frame opens a session, ``open_session(frame) -> (session,
+    replies)``, where a refusal is no session and an ABORT reply; each
+    later frame gets ``session.handle(frame) -> replies``. A frame's
+    replies leave in one write. The loop ends after CLOSE, an ABORT reply,
+    a read error or ``IDLE_TIMEOUT`` seconds of silence, then calls
+    ``session.drop()``.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], open_session: Callable, health: bytes = b""):
+        super().__init__(address, _FrameHandler)
+        self.open_session = open_session
+        self.health = health
 
     def start(self) -> "FrameServer":
         """Serve from a daemon thread; returns the bound server."""
@@ -106,24 +125,48 @@ class FrameServer(socketserver.ThreadingTCPServer):
         return self
 
 
-class _RelayHandler(socketserver.BaseRequestHandler):
+class _FrameHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        respond, health = self.server.respond, self.server.health  # type: ignore[attr-defined]
+        server: FrameServer = self.server  # type: ignore[assignment]
         sock: socket.socket = self.request
-        while True:
-            try:
-                frame = read_frame(sock)
-            except ProtocolError:
-                return
-            if frame.type == HEALTH:
-                write_frame(sock, Frame(HEALTH_OK, health))
-                continue
-            if frame.type == CLOSE:
-                return
-            if frame.type != RELAY_UP:
-                write_frame(sock, Frame(ABORT, b"expected RELAY_UP"))
-                return
-            write_frame(sock, Frame(RELAY_DOWN, respond(frame.payload)))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(IDLE_TIMEOUT)
+        session = None
+        try:
+            while True:
+                try:
+                    frame = read_frame(sock)
+                except (ProtocolError, OSError):
+                    return
+                if frame.type == HEALTH:
+                    replies = [Frame(HEALTH_OK, server.health)]
+                elif session is None:
+                    session, replies = server.open_session(frame)
+                else:
+                    replies = session.handle(frame)
+                write_frame(sock, *replies)
+                if frame.type == CLOSE or any(r.type == ABORT for r in replies):
+                    return
+        finally:
+            if session is not None:
+                session.drop()
+
+
+class _RelaySession:
+    """Stateless: each RELAY_UP is answered on its own."""
+
+    def __init__(self, respond: Callable[[bytes], bytes]):
+        self.respond = respond
+
+    def handle(self, frame: Frame) -> list[Frame]:
+        if frame.type == RELAY_UP:
+            return [Frame(RELAY_DOWN, self.respond(frame.payload))]
+        if frame.type == CLOSE:
+            return []
+        return [Frame(ABORT, b"expected RELAY_UP")]
+
+    def drop(self) -> None:
+        pass
 
 
 def serve_relay(
@@ -134,15 +177,14 @@ def serve_relay(
 ) -> FrameServer:
     """Answer each RELAY_UP payload with a RELAY_DOWN of ``respond(payload)``,
     and HEALTH with a HEALTH_OK carrying ``health``."""
-    server = FrameServer((host, port), _RelayHandler)
-    server.respond = respond
-    server.health = health
+    session = _RelaySession(respond)
+    server = FrameServer((host, port), lambda frame: (session, session.handle(frame)), health)
     return server.start()
 
 
 def relay(host: str, port: int, payload: bytes) -> bytes:
     """One RELAY_UP/RELAY_DOWN round trip; any other reply is a ProtocolError."""
-    with socket.create_connection((host, port)) as sock:
+    with socket.create_connection((host, port), timeout=IDLE_TIMEOUT) as sock:
         write_frame(sock, Frame(RELAY_UP, payload))
         reply = read_frame(sock)
     if reply.type != RELAY_DOWN:

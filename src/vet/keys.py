@@ -82,7 +82,7 @@ def verify_signature(key_string: str, message: bytes, signature_hex: str) -> boo
         key = parse_public_key(key_string)
         key.verify(bytes.fromhex(signature_hex), message)
         return True
-    except (InvalidSignature, ValidationError, ValueError):
+    except (InvalidSignature, ValidationError, ValueError, TypeError):
         return False
 
 

@@ -12,7 +12,6 @@ crossed the wire, not to what they said.
 from __future__ import annotations
 
 import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
@@ -33,16 +32,6 @@ STATE_ABORTED = "aborted"
 _STATE_ORDER = [STATE_OPEN, STATE_RELAYING, STATE_FINALIZED, STATE_ABORTED]
 # States that hold one of the service's ``max_sessions`` places.
 _LIVE_STATES = (STATE_OPEN, STATE_RELAYING)
-
-# Frame types whose payloads the notary must treat as opaque ciphertext.
-_OPAQUE_TYPES = {
-    frames.HS_UP,
-    frames.HS_DOWN,
-    frames.RELAY_UP,
-    frames.RELAY_DOWN,
-    frames.POST_UP,
-    frames.POST_DOWN,
-}
 
 
 @dataclass
@@ -119,7 +108,6 @@ class NotarySession:
         self._server = server.open_connection(session_id)
 
     def handle(self, frame: Frame) -> list[Frame]:
-        self.service.observe(frame)
         if self.entry.state == STATE_ABORTED:
             return [self._abort_frame()]
         if self.entry.closed:
@@ -133,13 +121,13 @@ class NotarySession:
 
     def _dispatch(self, frame: Frame) -> list[Frame]:
         if frame.type == frames.HS_UP:
-            return self._forward(frame)
+            return self._server.handle(frame)
         if frame.type == frames.RELAY_UP:
             self._log("up", frame.payload)
-            self._forward(frame)
+            self._server.handle(frame)
             return [Frame(frames.ACK, b"")]
         if frame.type == frames.END_UP:
-            down = self._forward(frame)
+            down = self._server.handle(frame)
             for f in down:
                 if f.type == frames.RELAY_DOWN:
                     self._log("down", f.payload)
@@ -147,21 +135,15 @@ class NotarySession:
         if frame.type == frames.FIN:
             return [self._statement()]
         if frame.type == frames.POST_UP:
-            return self._forward(frame)
+            return self._server.handle(frame)
         if frame.type == frames.CLOSE:
-            self._forward(frame)
+            self._server.handle(frame)
             if self.entry.state != STATE_FINALIZED:
                 self.entry.advance(STATE_ABORTED)
                 self.entry.abort_reason = "closed before statement"
             self.entry.close()
             return []
         raise ProtocolError(f"notary: unexpected frame type {frame.type:#x}")
-
-    def _forward(self, frame: Frame) -> list[Frame]:
-        replies = self._server.handle(frame)
-        for reply in replies:
-            self.service.observe(reply)
-        return replies
 
     def _log(self, direction: str, wire: bytes) -> None:
         if self.entry.statement_frame is not None:
@@ -219,14 +201,21 @@ class NotarySession:
     def _abort_frame(self) -> Frame:
         return Frame(frames.ABORT, self.entry.abort_reason.encode("utf-8"))
 
+    def drop(self) -> None:
+        """End the session when its connection ends; a session still open
+        or relaying is aborted as "connection dropped"."""
+        if self.entry.state in _LIVE_STATES:
+            self.entry.advance(STATE_ABORTED)
+            self.entry.abort_reason = "connection dropped"
+        self.entry.close()
+
 
 class NotaryService:
     """The notary's long-lived state: key, ledger, server resolver.
 
     ``resolver`` maps a domain name to a TargetServer; the notary opens
     one server connection per session and relays between the two sides.
-    ``observed`` accumulates every frame payload the notary sees, which
-    lets tests assert that no session plaintext ever appears in its view.
+    It keeps no log of the payloads it relays.
     """
 
     def __init__(
@@ -236,36 +225,22 @@ class NotaryService:
         max_cap_up: int = 1 << 16,
         max_cap_down: int = 1 << 16,
         max_sessions: int = 64,
-        clock: Callable[[], int] | None = None,
     ):
         self.signing_key = signing_key
         self.resolver = resolver
         self.max_cap_up = max_cap_up
         self.max_cap_down = max_cap_down
         self.max_sessions = max_sessions
-        self.clock = clock or (lambda: int(time.time() * 1000))
         self.ledger = SessionLedger()
-        self.observed: list[tuple[int, bytes]] = []
-        self._observe_lock = threading.Lock()
 
     @property
     def public_key(self) -> str:
         return self.signing_key.public_string
 
     def now_ms(self) -> int:
-        return self.clock()
-
-    def observe(self, frame: Frame) -> None:
-        with self._observe_lock:
-            self.observed.append((frame.type, frame.payload))
-
-    def observed_opaque_payloads(self) -> list[bytes]:
-        """Payloads of frames the notary relayed without parsing."""
-        with self._observe_lock:
-            return [p for t, p in self.observed if t in _OPAQUE_TYPES]
+        return int(time.time() * 1000)
 
     def open_session(self, frame: Frame) -> tuple[NotarySession, Frame]:
-        self.observe(frame)
         if frame.type != frames.OPEN:
             raise ProtocolError("first frame must be OPEN")
         try:
@@ -300,47 +275,18 @@ class NotaryService:
         return session, ok
 
 
-class _NotaryTCPHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        service: NotaryService = self.server.service  # type: ignore[attr-defined]
-        sock: socket.socket = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            first = frames.read_frame(sock)
-        except ProtocolError:
-            return
-        if first.type == frames.HEALTH:
-            frames.write_frame(sock, Frame(frames.HEALTH_OK, b""))
-            return
-        try:
-            session, ok = service.open_session(first)
-        except (ProtocolError, KeyError) as exc:
-            frames.write_frame(sock, Frame(frames.ABORT, str(exc).encode("utf-8")))
-            return
-        frames.write_frame(sock, ok)
-        try:
-            while True:
-                try:
-                    frame = frames.read_frame(sock)
-                except ProtocolError:
-                    break
-                replies = session.handle(frame)
-                frames.write_frame(sock, *replies)
-                if frame.type == frames.CLOSE:
-                    return
-                if any(r.type == frames.ABORT for r in replies):
-                    return
-        finally:
-            if session.entry.state not in (STATE_FINALIZED, STATE_ABORTED):
-                session.entry.advance(STATE_ABORTED)
-                session.entry.abort_reason = "connection dropped"
-            session.entry.close()
-
-
 class NotaryTCPServer(frames.FrameServer):
     def __init__(self, address: tuple[str, int], service: NotaryService):
-        super().__init__(address, _NotaryTCPHandler)
+        super().__init__(address, self._open)
         self.service = service
+
+    def _open(self, frame: Frame) -> tuple[NotarySession | None, list[Frame]]:
+        """A refused OPEN gets one ABORT frame and no session."""
+        try:
+            session, ok = self.service.open_session(frame)
+        except (ProtocolError, KeyError) as exc:
+            return None, [Frame(frames.ABORT, str(exc).encode("utf-8"))]
+        return session, [ok]
 
 
 def serve(service: NotaryService, host: str = "127.0.0.1", port: int = 0) -> NotaryTCPServer:

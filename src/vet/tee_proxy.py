@@ -4,7 +4,8 @@ The proxy forwards a component request to its upstream in plaintext and
 returns the verbatim response together with a signed attestation over
 the hashes of exactly the bytes exchanged. It gives integrity without
 privacy: unlike the notarized channel, the proxy process sees every
-byte, which is the documented trade-off of this verification mode. Real
+byte (though it keeps none), which is the documented trade-off of this
+verification mode. Real
 enclave quote generation is stubbed behind the same interface; the
 `measurement` field stands in for the enclave code identity and here
 hashes the proxy's declared template set.
@@ -83,33 +84,26 @@ class TeeProxy:
         upstream: Callable[[bytes], bytes],
         tee_type: str = "TDX",
         measurement: str = "sha256:" + "0" * 64,
-        clock: Callable[[], int] | None = None,
     ):
         self.signing_key = signing_key
         self.upstream = upstream
         self.tee_type = tee_type
         self.measurement = measurement
-        self.clock = clock or (lambda: int(time.time() * 1000))
         self._sign_lock = threading.Lock()
-        self.observed_plaintext: list[bytes] = []
 
     @property
     def public_key(self) -> str:
         return self.signing_key.public_string
 
     def fetch(self, request_bytes: bytes) -> tuple[bytes, ProxyAttestation]:
-        # The proxy handles plaintext on both legs; record that fact so
-        # tests can contrast it with the notary's blindness.
-        self.observed_plaintext.append(request_bytes)
         response_bytes = self.upstream(request_bytes)
-        self.observed_plaintext.append(response_bytes)
         unsigned = ProxyAttestation(
             enclave_public_key=self.public_key,
             tee_type=self.tee_type,
             measurement=self.measurement,
             request_hash=_digest(request_bytes),
             response_hash=_digest(response_bytes),
-            timestamp=self.clock(),
+            timestamp=int(time.time() * 1000),
             signature="",
         )
         with self._sign_lock:
@@ -194,14 +188,13 @@ def verify_component(
 ) -> AuthenticatedExchange:
     """The ProxyTEE scheme verifier: decode a ``component_payload`` and
     authenticate it against the AID entry."""
-    return _authenticate(
-        bytes.fromhex(payload["response"]),
-        ProxyAttestation.from_obj(payload["attestation"]),
-        entry,
-        registry,
-        role,
-        request_bytes=bytes.fromhex(payload["request"]),
-    )
+    try:
+        response_bytes = bytes.fromhex(payload["response"])
+        attestation = ProxyAttestation.from_obj(payload["attestation"])
+        request_bytes = bytes.fromhex(payload["request"])
+    except (TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed ProxyTEE proof: {exc}")
+    return _authenticate(response_bytes, attestation, entry, registry, role, request_bytes)
 
 
 def verify_attestation(

@@ -24,7 +24,7 @@ from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import frames
 from .canonical import canonical_bytes, canonical_loads
-from .errors import ProtocolError
+from .errors import ProtocolError, ValidationError
 from .frames import Frame
 from .keys import SigningKey, verify_signature
 
@@ -208,7 +208,12 @@ class ServerConnection:
             key = derive_record_key("up", self._up_secret, i)
             parts.append(open_record(key, wire))
         request_bytes = b"".join(parts)
-        response_bytes = self.server.handler(request_bytes)
+        # A request the handler cannot read ends the session, as an HTTP
+        # server closes the connection on a malformed request.
+        try:
+            response_bytes = self.server.handler(request_bytes)
+        except (ValidationError, ValueError) as exc:
+            raise ProtocolError(f"server: malformed request: {exc}")
         out = []
         chunks = [
             response_bytes[pos:pos + RECORD_MAX]
@@ -226,19 +231,24 @@ class ServerConnection:
         if self._hk is None:
             raise ProtocolError("server: key request before handshake")
         statement_bytes = open_record(post_key(self._hk, "up"), payload)
-        signed = canonical_loads(statement_bytes)
-        statement = signed["statement"]
-        message = canonical_bytes(statement)
-        if not any(
-            verify_signature(pub, message, signed["notary_signature"])
-            for pub in self.server.notary_keys
-        ):
-            raise ProtocolError("server: statement not signed by a known relay")
-        if statement.get("session_id") != self.session_id:
-            raise ProtocolError("server: statement is for a different session")
-        chain = [
-            (r["direction"], r["hash"], int(r["length"])) for r in statement["records"]
-        ]
+        # The prover holds the handshake key, so the sealed statement is
+        # outside input: any failure to decode it is a protocol error.
+        try:
+            signed = canonical_loads(statement_bytes)
+            statement = signed["statement"]
+            message = canonical_bytes(statement)
+            if not any(
+                verify_signature(pub, message, signed["notary_signature"])
+                for pub in self.server.notary_keys
+            ):
+                raise ProtocolError("server: statement not signed by a known relay")
+            if statement.get("session_id") != self.session_id:
+                raise ProtocolError("server: statement is for a different session")
+            chain = [
+                (r["direction"], r["hash"], int(r["length"])) for r in statement["records"]
+            ]
+        except (ValidationError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ProtocolError(f"malformed key request: {exc!r}")
         if chain != self._sent_hashes:
             raise ProtocolError("server: signed chain does not match session records")
         released = seal_record(post_key(self._hk, "down"), self._seed)
@@ -258,13 +268,12 @@ class TargetServer:
         handler: Callable[[bytes], bytes],
         signing_key: SigningKey,
         notary_keys: list[str],
-        session_secret: bytes | None = None,
     ):
         self.domain = domain
         self.handler = handler
         self.signing_key = signing_key
         self.notary_keys = list(notary_keys)
-        self.session_secret = session_secret or hashlib.sha256(
+        self.session_secret = hashlib.sha256(
             b"VET/server-secret:" + signing_key.public_string.encode()
         ).digest()
 

@@ -31,7 +31,7 @@ from .commitment import (
     disclosed_bytes,
     normalize_ranges,
 )
-from .errors import CapacityExceeded, ProtocolError, Rejected
+from .errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from .frames import Frame
 from .keys import key_fingerprint, verify_signature
 from .notary import NotaryService
@@ -194,7 +194,7 @@ class TCPChannel:
         import socket
 
         self.session_id = session_id
-        self._sock = socket.create_connection((host, port))
+        self._sock = socket.create_connection((host, port), timeout=frames.IDLE_TIMEOUT)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         frames.write_frame(self._sock, _open_frame(session_id, domain, cap_up, cap_down))
         reply = frames.read_frame(self._sock)
@@ -321,13 +321,13 @@ def run_session(
         raise ProtocolError("notary statement signature invalid")
     if signed.session_id != channel.session_id:
         raise ProtocolError("notary statement is for a different session")
-    observed = [
+    on_wire = [
         ("up", toytls.record_hash(w), len(w) - toytls.TAG_LEN) for w in up_wires
     ] + [
         ("down", toytls.record_hash(w), len(w) - toytls.TAG_LEN) for w in down_wires
     ]
     chained = [(r.direction, r.hash, r.length) for r in signed.records()]
-    if chained != observed:
+    if chained != on_wire:
         raise ProtocolError("notary statement chain does not match session records")
 
     release_request = toytls.seal_record(
@@ -538,7 +538,11 @@ def verify_component(
 ) -> AuthenticatedExchange:
     """The TLSNotary scheme verifier: decode a serialized web proof and
     authenticate it against the AID entry (steps 1 and 2)."""
-    return _authenticate_entry(WebProof.from_obj(payload), entry, registry, role)
+    try:
+        proof = WebProof.from_obj(payload)
+    except (TypeError, AttributeError) as exc:
+        raise ValidationError(f"malformed web proof: {exc}")
+    return _authenticate_entry(proof, entry, registry, role)
 
 
 def verify_webproof(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vet import demo as demo_mod
+from vet import demo as demo_mod, frames
 from vet.aid import (
     SCHEME_PROXY_TEE,
     SCHEME_TLS_NOTARY,
@@ -13,7 +13,7 @@ from vet.aid import (
     VerificationMetadata,
 )
 from vet.keys import SigningKey
-from vet.notary import NotaryService
+from vet.notary import NotaryService, NotarySession
 from vet.templates import TemplateRegistry
 from vet.toytls import TargetServer
 from vet import mockserver
@@ -91,6 +91,33 @@ class WebProofRig:
 @pytest.fixture
 def rig():
     return WebProofRig()
+
+
+# Frame types whose payloads the notary relays without parsing.
+OPAQUE_TYPES = {
+    frames.HS_UP,
+    frames.HS_DOWN,
+    frames.RELAY_UP,
+    frames.RELAY_DOWN,
+    frames.POST_UP,
+    frames.POST_DOWN,
+}
+
+
+@pytest.fixture
+def relayed_payloads(monkeypatch):
+    """A spy on the notary's view: the opaque payload of every frame that
+    ``NotarySession.handle`` takes or returns, in order."""
+    seen: list[bytes] = []
+    handle = NotarySession.handle
+
+    def spy(self, frame):
+        replies = handle(self, frame)
+        seen.extend(f.payload for f in [frame, *replies] if f.type in OPAQUE_TYPES)
+        return replies
+
+    monkeypatch.setattr(NotarySession, "handle", spy)
+    return seen
 
 
 @pytest.fixture

@@ -169,6 +169,34 @@ def test_malformed_bundle_is_rejected_not_a_traceback(proved, tmp_path, mangle):
     assert isinstance(inspect.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda bundle: bundle["proofs"][1].update(payload="x"),
+        lambda bundle: bundle["proofs"][0]["payload"].update(record_keys="x"),
+        lambda bundle: bundle["proofs"][0]["payload"]["signed_statement"].update(
+            notary_signature=5
+        ),
+    ],
+)
+def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, mangle):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    mangle(bundle)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
+    args = [
+        "--aid", str(proved / "aid.json"),
+        "--bundle", str(bad),
+        "--templates", str(proved / "templates"),
+    ]
+    runner = CliRunner()
+    verify = runner.invoke(main, ["verify", *args, "--claim", _claim(proved), "--json"])
+    assert verify.exit_code == 1, verify.output
+    assert json.loads(verify.output)["reason"] == "subproof-invalid"
+    inspect = runner.invoke(main, ["inspect", *args])
+    assert inspect.exit_code == 1, inspect.output
+
+
 def _verify_args(proved, aid_file=None):
     return [
         "verify",

@@ -1,7 +1,13 @@
+import random
 import socket
 import threading
+import time
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from hypothesis import given, settings, strategies as st
+
+from conftest import WebProofRig
 
 from vet import frames, notary as notary_mod, toytls
 from vet.canonical import canonical_bytes, canonical_loads
@@ -210,11 +216,11 @@ def test_tcp_disconnect_aborts_session(rig):
         server.shutdown()
 
 
-def test_notary_blindness_instrumentation(rig):
+def test_notary_blindness_instrumentation(rig, relayed_payloads):
     prover = WebProofProver(rig.service, rig.registry, secrets={"token": "T" * 16})
     exchange, proof = prover.call(rig.entry, "blind-check", "tool")
     assert exchange.value == "blind-check"
-    observed = b"\x00".join(rig.service.observed_opaque_payloads())
+    observed = b"\x00".join(relayed_payloads)
     assert b"blind-check" not in observed
     assert b"T" * 16 not in observed
     # The proof still verifies, so blindness is not vacuous.
@@ -291,3 +297,147 @@ def test_tcp_malformed_hello_gets_abort(rig, hello):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _real_handshake(channel):
+    """A real handshake over ``channel``; returns (up secret, handshake key)."""
+    rng = random.Random(0)
+    eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+    nonce = rng.randbytes(16)
+    hello = canonical_bytes({"client_eph": toytls.pub_hex(eph), "nonce": nonce.hex()})
+    (reply,) = channel.exchange(Frame(frames.HS_UP, hello))
+    assert reply.type == frames.HS_DOWN
+    server_eph = bytes.fromhex(canonical_loads(reply.payload)["server_eph"])
+    shared = eph.exchange(X25519PublicKey.from_public_bytes(server_eph))
+    return toytls.up_secret(shared), toytls.handshake_key(shared, nonce)
+
+
+def _key_request(hk, statement_bytes):
+    return Frame(frames.POST_UP, toytls.seal_record(toytls.post_key(hk, "up"), statement_bytes))
+
+
+def _notary_signed(key, statement):
+    return canonical_bytes(
+        {"statement": statement, "notary_signature": key.sign(canonical_bytes(statement))}
+    )
+
+
+@pytest.mark.parametrize(
+    "make_request",
+    [
+        pytest.param(lambda key, sid: b"garbage", id="not-json"),
+        pytest.param(lambda key, sid: b"[]", id="not-an-object"),
+        pytest.param(lambda key, sid: canonical_bytes({"notary_signature": "00"}), id="no-statement"),
+        pytest.param(lambda key, sid: canonical_bytes({"statement": {}}), id="no-signature"),
+        pytest.param(lambda key, sid: _notary_signed(key, "x"), id="statement-not-an-object"),
+        pytest.param(lambda key, sid: _notary_signed(key, {"session_id": sid}), id="no-records"),
+        pytest.param(
+            lambda key, sid: _notary_signed(
+                key,
+                {"session_id": sid, "records": [{"direction": "up", "hash": "00", "length": "x"}]},
+            ),
+            id="length-not-an-integer",
+        ),
+    ],
+)
+def test_malformed_key_request_aborts(rig, make_request):
+    session_id = "bad-post"
+    channel = provision_channel(rig.service, "echo.test", session_id=session_id)
+    _, hk = _real_handshake(channel)
+    (reply,) = channel.exchange(_key_request(hk, make_request(rig.notary_key, session_id)))
+    assert reply.type == frames.ABORT
+    assert reply.payload.startswith(b"protocol error: malformed key request")
+    assert rig.service.ledger.get(session_id).state == STATE_ABORTED
+
+
+def test_unreadable_request_aborts(rig):
+    channel = provision_channel(rig.service, "echo.test", session_id="bad-request")
+    up, _ = _real_handshake(channel)
+    record = toytls.seal_record(toytls.derive_record_key("up", up, 0), b"not http")
+    assert channel.exchange(Frame(frames.RELAY_UP, record)) == [Frame(frames.ACK, b"")]
+    (reply,) = channel.exchange(Frame(frames.END_UP, b""))
+    assert reply.type == frames.ABORT
+    assert reply.payload.startswith(b"protocol error: server: malformed request")
+    assert rig.service.ledger.get("bad-request").state == STATE_ABORTED
+
+
+def test_tcp_malformed_key_request_aborts(rig):
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-bad-post")
+        _, hk = _real_handshake(channel)
+        (reply,) = channel.exchange(_key_request(hk, b"garbage"))
+        channel.close()
+        assert reply.type == frames.ABORT
+        assert reply.payload.startswith(b"protocol error: malformed key request")
+        entry = rig.service.ledger.get("tcp-bad-post")
+        assert entry.state == STATE_ABORTED
+        assert entry.abort_reason.startswith("protocol error: malformed key request")
+        assert check_health(host, port)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_health_answered_mid_session(rig):
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-health")
+        assert channel.exchange(Frame(frames.HEALTH, b"")) == [Frame(frames.HEALTH_OK, b"")]
+        request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"h"}'
+        response, _ = run_session(channel, request)
+        assert b'"echo":"h"' in response
+        assert rig.service.ledger.get("tcp-health").state == STATE_FINALIZED
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_idle_connection_times_out(rig, monkeypatch):
+    monkeypatch.setattr(frames, "IDLE_TIMEOUT", 0.2)
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            frames.write_frame(sock, _open_frame("stalled"))
+            assert frames.read_frame(sock).type == frames.OPEN_OK
+            started = time.monotonic()
+            assert sock.recv(1) == b""  # the notary hangs up on the stalled prover
+            assert time.monotonic() - started < 4
+        entry = rig.service.ledger.get("stalled")
+        assert entry.state == STATE_ABORTED
+        assert entry.abort_reason == "connection dropped"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# One frame for the fuzzer: a raw frame of any type byte, or a RELAY_UP
+# or POST_UP sealed under the session's keys over random bytes.
+_FUZZ_FRAMES = st.one_of(
+    st.tuples(st.just("raw"), st.integers(0, 255), st.binary(max_size=64)),
+    st.tuples(st.sampled_from(["relay", "post"]), st.just(0), st.binary(max_size=64)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FUZZ_FRAMES, max_size=8))
+def test_fuzz_session_only_returns_frames(ops):
+    rig = WebProofRig()
+    channel = provision_channel(rig.service, "echo.test", session_id="fuzz")
+    up, hk = _real_handshake(channel)
+    sealed = 0
+    for kind, ftype, payload in ops:
+        if kind == "relay":
+            key = toytls.derive_record_key("up", up, sealed)
+            frame = Frame(frames.RELAY_UP, toytls.seal_record(key, payload))
+            sealed += 1
+        elif kind == "post":
+            frame = _key_request(hk, payload)
+        else:
+            frame = Frame(ftype, payload)
+        replies = channel.exchange(frame)
+        assert isinstance(replies, list)
+        assert all(isinstance(reply, Frame) for reply in replies)

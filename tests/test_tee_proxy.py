@@ -127,13 +127,16 @@ def test_parse_failure_reason(setup):
     assert err.value.reason == "parse-failure"
 
 
-def test_proxy_sees_plaintext(setup):
+def test_proxy_sees_plaintext(setup, monkeypatch):
     registry, proxy, entry, template = setup
     from vet.templates import inject
 
+    seen = []
+    upstream = proxy.upstream
+    monkeypatch.setattr(proxy, "upstream", lambda request: seen.append(request) or upstream(request))
     request = inject(template, "bitcoin")
     proxy.fetch(request)
-    assert request in proxy.observed_plaintext
+    assert request in seen
 
 
 def test_attestation_obj_round_trip(setup):
