@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .canonical import str_field
 from .errors import ValidationError, VetError
 from .frames import encode as frame
 
@@ -95,16 +96,16 @@ class ExecutionTrace:
         steps = tuple(
             StepRecord(
                 step_index=int(s["step_index"]),
-                core_output=s["core_output"],
+                core_output=str_field(s, "core_output"),
                 tool_calls=tuple(
-                    ToolCall(c["tool"], c["input"], c["result"])
+                    ToolCall(str_field(c, "tool"), str_field(c, "input"), str_field(c, "result"))
                     for c in s["tool_calls"]
                 ),
             )
             for s in obj["steps"]
         )
         return cls(
-            initial_input=obj["initial_input"],
+            initial_input=str_field(obj, "initial_input"),
             steps=steps,
             truncated=bool(obj.get("truncated", False)),
         )

@@ -23,6 +23,10 @@ from .errors import ValidationError
 
 SHA256_PREFIX = "sha256:"
 
+# The wire format of web proofs and bundles. Format 1, the initial one,
+# had no "format" field and disclosed each chunk with its own path.
+FORMAT = "2"
+
 
 def canonical_bytes(obj: Any) -> bytes:
     """Serialize ``obj`` to canonical JSON bytes.
@@ -91,6 +95,28 @@ def canonical_loads(data: bytes | str) -> Any:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     return json.loads(data)
+
+
+def check_format(obj: Any, what: str) -> None:
+    """Raise ValidationError unless ``obj`` declares the current ``FORMAT``."""
+    found = obj.get("format", "1 (no format field)") if isinstance(obj, dict) else None
+    if found != FORMAT:
+        raise ValidationError(
+            f"{what} format {found} is not supported; this verifier reads format {FORMAT} only"
+        )
+
+
+# What decoding a document of the wrong shape raises: a list where a dict
+# belongs, a missing key, bad hex, a float where an integer string belongs.
+SHAPE_ERRORS = (TypeError, AttributeError, ValueError, KeyError, OverflowError)
+
+
+def str_field(obj: dict, key: str) -> str:
+    """``obj[key]``, which must be a string; ValidationError otherwise."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ValidationError(f"{key} must be a string, not {type(value).__name__}")
+    return value
 
 
 def sha256_hex(data: bytes) -> str:

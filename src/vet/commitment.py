@@ -7,23 +7,39 @@ prefixes, and the chunk index is bound into the leaf hash so a revealed
 chunk cannot be relocated. Levels with an odd node count are closed with
 a domain-separated padding node.
 
-``verify_disclosure`` hashes each tree node at most once, yet accepts
-exactly the disclosures that the per-path check accepts (every revealed
-chunk, hashed up its own sibling path, reaches the root). Once a chunk
-has been carried to the root, a later chunk's walk stops at a node the
-earlier walk passed through if both the value it computed there and its
-remaining sibling hashes equal the earlier chunk's. Every hash above that
-node then takes the same inputs as in the earlier walk, so the per-path
-walk of the later chunk would reach the root too. If either differs, the
-walk simply goes on to the root as the per-path check does. Neither
-direction relies on any property of the hash, and a rejected disclosure
-gets the same reason and detail as under the per-path check.
+A disclosure is a Merkle multiproof, the compact-range idea of RFC 9162
+(Certificate Transparency v2). It has one entry per run of consecutive
+revealed chunks: the run's salts and bytes, and the roots of the largest
+aligned subtrees whose real leaves lie in the hidden gap before the run
+(the last run also carries the gap after it). The revealed leaves and
+those subtrees partition the chunks, so ``verify_disclosure`` folds them
+left to right into the root and computes each interior node once. Which
+subtree each hash stands for follows from the run layout and the
+transcript length alone, and a disclosure with any other number of
+hashes is rejected, so every disclosure has one encoding.
+
+Soundness. Suppose a disclosure folds to the committed root, yet some
+revealed chunk ``i`` differs from the committed one in its salt or its
+bytes. The fold hashes the same tree shape as ``commit``: every value it
+holds stands for one node of the committed tree. Follow the path from
+the root to leaf ``i``. The root values agree. At each node on the way
+either both children agree with the committed ones, and the walk moves
+down, or the two hash inputs differ while the outputs agree. The walk
+cannot reach leaf ``i`` with all inputs equal, because the leaf inputs
+differ; so somewhere it meets two inputs with one SHA-256 output, a
+collision. The index in each leaf input binds a chunk to its position by
+itself: a run moved to other chunks changes all its leaf hashes. The
+"VET/leaf:", "VET/node:" and padding domains keep one kind of node from
+being opened as another, so a supplied subtree hash cannot pass for a
+leaf, nor a leaf for an interior node or the padding, without a
+collision.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .errors import Rejected, ValidationError
@@ -49,6 +65,11 @@ def chunk_count(total_length: int, chunk_size: int) -> int:
     return -(-total_length // chunk_size)
 
 
+def _depth(n: int) -> int:
+    """Levels above the leaves in a tree over ``n`` leaves."""
+    return (n - 1).bit_length() if n > 1 else 0
+
+
 def chunk_cover(ranges: list[tuple[int, int]], chunk_size: int, total_length: int) -> list[int]:
     """Minimal sorted set of chunk indices covering the given byte ranges."""
     indices: set[int] = set()
@@ -61,6 +82,26 @@ def chunk_cover(ranges: list[tuple[int, int]], chunk_size: int, total_length: in
         last = (offset + length - 1) // chunk_size
         indices.update(range(first, last + 1))
     return sorted(indices)
+
+
+def _hidden_subtrees(start: int, end: int, n: int) -> list[tuple[int, int]]:
+    """(level, position) of the largest aligned subtrees whose real leaves
+    lie in chunks ``start`` .. ``end - 1`` of an ``n``-leaf tree, left to
+    right. A subtree past the last leaf is closed by padding, so only its
+    real leaves must lie in the range."""
+    depth = _depth(n)
+    out = []
+    while start < end:
+        level = 0
+        while (
+            level < depth
+            and start % (2 << level) == 0
+            and min(start + (2 << level), n) <= end
+        ):
+            level += 1
+        out.append((level, start >> level))
+        start += 1 << level
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,11 +119,16 @@ class TranscriptCommitment:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TranscriptCommitment":
-        return cls(
+        commitment = cls(
             root=bytes.fromhex(obj["root"]),
             chunk_size=int(obj["chunk_size"]),
             total_length=int(obj["total_length"]),
         )
+        cs, total = commitment.chunk_size, commitment.total_length
+        # Leaf hashes encode a chunk index in 8 bytes.
+        if cs < 1 or total < 0 or chunk_count(total, cs) > 1 << 64:
+            raise ValidationError(f"commitment of {total} bytes in chunks of {cs} is malformed")
+        return commitment
 
 
 @dataclass(frozen=True)
@@ -90,7 +136,7 @@ class Opening:
     """Prover-held witness: the plaintext, all per-chunk salts and the tree.
 
     ``levels`` is the hash tree ``commit`` built over them, leaves first,
-    so disclosing reads authentication paths instead of rehashing.
+    so disclosing reads hidden-subtree roots instead of rehashing.
     """
 
     plaintext: bytes
@@ -100,12 +146,19 @@ class Opening:
 
 
 @dataclass(frozen=True)
-class RevealedChunk:
+class RevealedRun:
+    """Revealed chunks ``index`` .. ``end - 1``, with their salts and
+    bytes concatenated, and in ``path`` the roots of the hidden subtrees
+    in the gap before the run (for the last run, also after it)."""
+
     index: int
     salt: bytes
     data: bytes
-    # Sibling hashes from the leaf up to (excluding) the root.
     path: tuple[bytes, ...]
+
+    @property
+    def end(self) -> int:
+        return self.index + len(self.salt) // SALT_LEN
 
     def to_obj(self) -> dict:
         return {
@@ -116,7 +169,9 @@ class RevealedChunk:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "RevealedChunk":
+    def from_obj(cls, obj: dict) -> "RevealedRun":
+        if not isinstance(obj["path"], list):
+            raise ValidationError("run path must be a list of hex strings")
         return cls(
             index=int(obj["index"]),
             salt=bytes.fromhex(obj["salt"]),
@@ -128,7 +183,7 @@ class RevealedChunk:
 @dataclass(frozen=True)
 class Disclosure:
     ranges: tuple[tuple[int, int], ...]
-    chunks: tuple[RevealedChunk, ...]
+    chunks: tuple[RevealedRun, ...]  # one entry per run, in chunk order
 
     def to_obj(self) -> dict:
         return {
@@ -140,7 +195,7 @@ class Disclosure:
     def from_obj(cls, obj: dict) -> "Disclosure":
         return cls(
             ranges=tuple((int(o), int(n)) for o, n in obj["ranges"]),
-            chunks=tuple(RevealedChunk.from_obj(c) for c in obj["chunks"]),
+            chunks=tuple(RevealedRun.from_obj(c) for c in obj["chunks"]),
         )
 
 
@@ -224,33 +279,61 @@ def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[t
 
 
 def disclose(opening: Opening, ranges: list[tuple[int, int]]) -> Disclosure:
-    """Reveal the minimal chunk cover of ``ranges`` with authentication paths."""
+    """Reveal the minimal chunk cover of ``ranges`` as runs, each with the
+    hidden-subtree roots of the gap before it."""
     total = len(opening.plaintext)
     norm = normalize_ranges(ranges, total)
-    cover = chunk_cover(norm, opening.chunk_size, total)
-    # Paths are built from the root down: a node's path is its sibling
-    # followed by its parent's path, so each node of the cover's
-    # ancestry is visited once. Every level below the root has even
-    # length (``_tree_levels`` pads it), so a sibling always exists.
-    depth = len(opening.levels) - 1
-    positions = [cover]
-    for _ in range(depth - 1):
-        positions.append({pos >> 1 for pos in positions[-1]})
-    paths: dict[int, tuple[bytes, ...]] = {0: ()}
-    for level in reversed(range(depth)):
-        nodes = opening.levels[level]
-        paths = {pos: (nodes[pos ^ 1],) + paths[pos >> 1] for pos in positions[level]}
+    spans: list[list[int]] = []  # [first, end) of each run of the cover
+    for index in chunk_cover(norm, opening.chunk_size, total):
+        if spans and spans[-1][1] == index:
+            spans[-1][1] += 1
+        else:
+            spans.append([index, index + 1])
+    n = len(opening.salts)
     cs = opening.chunk_size
-    revealed = tuple(
-        RevealedChunk(
-            index=index,
-            salt=opening.salts[index],
-            data=opening.plaintext[index * cs:(index + 1) * cs],
-            path=paths[index],
+    runs = []
+    gap = 0
+    for k, (first, end) in enumerate(spans):
+        hidden = _hidden_subtrees(gap, first, n)
+        if k == len(spans) - 1:
+            hidden += _hidden_subtrees(end, n, n)
+        runs.append(
+            RevealedRun(
+                index=first,
+                salt=b"".join(opening.salts[first:end]),
+                data=opening.plaintext[first * cs:end * cs],
+                path=tuple(opening.levels[level][pos] for level, pos in hidden),
+            )
         )
-        for index in cover
-    )
-    return Disclosure(ranges=tuple(norm), chunks=revealed)
+        gap = end
+    return Disclosure(ranges=tuple(norm), chunks=tuple(runs))
+
+
+def _fold(nodes: list[list[tuple[int, list[bytes]]]], n: int) -> bytes:
+    """The root over ``nodes[level]``: (position, hashes) spans of known
+    consecutive nodes at each level.
+
+    The spans partition the leaves into aligned subtrees, so a known
+    node's sibling is known at its level or is the padding node, and
+    each level's spans pair up into the next level's.
+    """
+    carried: list[tuple[int, list[bytes]]] = []
+    for level, supplied in enumerate(nodes[:-1]):
+        merged: list[tuple[int, list[bytes]]] = []
+        for start, hashes in sorted(carried + supplied):
+            if merged and merged[-1][0] + len(merged[-1][1]) == start:
+                merged[-1][1].extend(hashes)
+            else:
+                merged.append((start, list(hashes)))
+        width = -(-n >> level)  # real nodes at this level
+        start, hashes = merged[-1]
+        if width % 2 and start + len(hashes) == width:
+            hashes.append(_PAD)
+        carried = [
+            (start >> 1, [_node_hash(h[i], h[i + 1]) for i in range(0, len(h), 2)])
+            for start, h in merged
+        ]
+    return (carried + nodes[-1])[0][1][0]
 
 
 def verify_disclosure(
@@ -258,76 +341,87 @@ def verify_disclosure(
 ) -> dict[tuple[int, int], bytes]:
     """Check a disclosure against a commitment root.
 
-    Accepts iff every revealed chunk authenticates to the root through
-    its sibling path and the revealed chunks cover the claimed ranges.
-    Returns the bytes of each claimed range; raises Rejected otherwise.
+    Accepts iff the runs are in order, apart, inside the transcript and
+    of consistent lengths, each carries exactly the hidden-subtree hashes
+    its layout dictates, the runs fold to the root, and each claimed
+    range lies in one run. Returns the bytes of each claimed range;
+    raises Rejected otherwise.
     """
-    n = chunk_count(commitment.total_length, commitment.chunk_size)
+    cs, total = commitment.chunk_size, commitment.total_length
+    n = chunk_count(total, cs)
     if n == 0 and commitment.root != EMPTY_ROOT:
         raise Rejected("bad-path", "empty transcript with non-empty root")
-    depth = 0 if n <= 1 else (n - 1).bit_length()
-    by_index: dict[int, RevealedChunk] = {}
-    # Node id (heap numbering: root 1, children 2k and 2k+1) -> the value
-    # an earlier chunk computed there and that chunk's path.
-    carried: dict[int, tuple[bytes, tuple[bytes, ...]]] = {}
-    for chunk in disclosure.chunks:
-        if not 0 <= chunk.index < n:
-            raise Rejected("chunk-range-inconsistency", f"chunk index {chunk.index} out of range")
-        if chunk.index in by_index:
-            raise Rejected("chunk-range-inconsistency", f"duplicate chunk {chunk.index}")
-        expected_len = min(
-            commitment.chunk_size,
-            commitment.total_length - chunk.index * commitment.chunk_size,
-        )
-        if len(chunk.data) != expected_len:
-            raise Rejected("length-mismatch", f"chunk {chunk.index} has wrong length")
-        if len(chunk.path) != depth:
-            raise Rejected("bad-path", f"chunk {chunk.index} path depth {len(chunk.path)} != {depth}")
-        path = chunk.path
-        node = leaf_hash(chunk.index, chunk.salt, chunk.data)
-        node_id = (1 << depth) | chunk.index
-        for level, sibling in enumerate(path):
-            seen = carried.get(node_id)
-            if seen is None:
-                carried[node_id] = (node, path)
-            elif seen[0] == node and seen[1][level:] == path[level:]:
-                break  # the rest of the walk is the earlier chunk's walk
-            node = _node_hash(node, sibling) if node_id % 2 == 0 else _node_hash(sibling, node)
-            node_id >>= 1
-        else:
-            if node != commitment.root:
-                raise Rejected("bad-path", f"chunk {chunk.index} does not authenticate to root")
-        by_index[chunk.index] = chunk
+    runs = disclosure.chunks
+    nodes: list[list[tuple[int, list[bytes]]]] = [[] for _ in range(_depth(n) + 1)]
+    gap = 0
+    for k, run in enumerate(runs):
+        if run.index < 0:
+            raise Rejected("chunk-range-inconsistency", f"run index {run.index} out of range")
+        if k and run.index <= gap:
+            raise Rejected(
+                "chunk-range-inconsistency",
+                f"run at chunk {run.index} overlaps or abuts the run before it",
+            )
+        count, odd = divmod(len(run.salt), SALT_LEN)
+        if odd or not count:
+            raise Rejected(
+                "length-mismatch", f"run at chunk {run.index} has {len(run.salt)} salt bytes"
+            )
+        if run.end > n:
+            raise Rejected(
+                "chunk-range-inconsistency",
+                f"run at chunk {run.index} of {count} chunks passes the last chunk {n - 1}",
+            )
+        if len(run.data) != min(run.end * cs, total) - run.index * cs:
+            raise Rejected(
+                "length-mismatch", f"run at chunk {run.index} has wrong data length"
+            )
+        hidden = _hidden_subtrees(gap, run.index, n)
+        if k == len(runs) - 1:
+            hidden += _hidden_subtrees(run.end, n, n)
+        if len(run.path) != len(hidden):
+            raise Rejected(
+                "bad-path",
+                f"run at chunk {run.index} carries {len(run.path)} subtree hashes, "
+                f"its layout needs {len(hidden)}",
+            )
+        for (level, pos), node in zip(hidden, run.path):
+            nodes[level].append((pos, [node]))
+        leaves = [
+            leaf_hash(
+                run.index + j,
+                run.salt[j * SALT_LEN:(j + 1) * SALT_LEN],
+                run.data[j * cs:(j + 1) * cs],
+            )
+            for j in range(count)
+        ]
+        nodes[0].append((run.index, leaves))
+        gap = run.end
+    if runs and _fold(nodes, n) != commitment.root:
+        raise Rejected("bad-path", "revealed runs do not authenticate to the root")
 
-    if n == 0 and disclosure.chunks:
-        raise Rejected("chunk-range-inconsistency", "chunks revealed for empty transcript")
-
-    try:
-        needed = chunk_cover(list(disclosure.ranges), commitment.chunk_size, commitment.total_length)
-    except ValidationError as exc:
-        raise Rejected("chunk-range-inconsistency", str(exc))
-    missing = [i for i in needed if i not in by_index]
-    if missing:
-        raise Rejected("chunk-range-inconsistency", f"ranges not covered, missing chunks {missing}")
-
-    cs = commitment.chunk_size
+    starts = [run.index for run in runs]
     out: dict[tuple[int, int], bytes] = {}
     for offset, length in disclosure.ranges:
+        if offset < 0 or length < 0 or offset + length > total:
+            raise Rejected("chunk-range-inconsistency", f"range ({offset},{length}) out of bounds")
         if not length:
             out[(offset, length)] = b""
             continue
-        first, last = offset // cs, (offset + length - 1) // cs
-        run = b"".join(by_index[i].data for i in range(first, last + 1))
-        start = offset - first * cs
-        out[(offset, length)] = run[start:start + length]
+        k = bisect_right(starts, offset // cs) - 1
+        if k < 0 or (offset + length - 1) // cs >= runs[k].end:
+            raise Rejected(
+                "chunk-range-inconsistency",
+                f"range ({offset},{length}) is not inside one revealed run",
+            )
+        start = offset - runs[k].index * cs
+        out[(offset, length)] = runs[k].data[start:start + length]
     return out
 
 
 def disclosed_bytes(
     commitment: TranscriptCommitment, disclosure: Disclosure
 ) -> dict[int, bytes]:
-    """Verify and return all revealed chunk bytes keyed by absolute offset."""
+    """Verify and return the bytes of each revealed run keyed by offset."""
     verify_disclosure(commitment, disclosure)
-    return {
-        c.index * commitment.chunk_size: c.data for c in disclosure.chunks
-    }
+    return {run.index * commitment.chunk_size: run.data for run in disclosure.chunks}

@@ -31,6 +31,7 @@ from .aid import (
     ComponentEntry,
     compute_id,
 )
+from .canonical import FORMAT, SHAPE_ERRORS, check_format, str_field
 from .errors import Rejected, ValidationError
 from .templates import (
     ROLE_CORE,
@@ -91,9 +92,9 @@ class ComponentProof:
     @classmethod
     def from_obj(cls, obj: dict) -> "ComponentProof":
         return cls(
-            kind=obj["kind"],
+            kind=str_field(obj, "kind"),
             step_index=int(obj["step_index"]),
-            position=obj["position"],
+            position=str_field(obj, "position"),
             payload=obj["payload"],
         )
 
@@ -107,6 +108,7 @@ class VerifiableExecutionTrace:
 
     def to_obj(self) -> dict:
         return {
+            "format": FORMAT,
             "aid_id": self.aid_id,
             "trace": self.trace.to_obj(),
             "proofs": [p.to_obj() for p in self.proofs],
@@ -115,12 +117,20 @@ class VerifiableExecutionTrace:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "VerifiableExecutionTrace":
-        return cls(
-            aid_id=obj["aid_id"],
-            trace=ExecutionTrace.from_obj(obj["trace"]),
-            proofs=tuple(ComponentProof.from_obj(p) for p in obj["proofs"]),
-            claims=tuple((c["value"], c["locator"]) for c in obj.get("claims", [])),
-        )
+        """Decode a bundle of the current format; a bundle of another
+        format or of the wrong shape is a ValidationError."""
+        check_format(obj, "bundle")
+        try:
+            return cls(
+                aid_id=str_field(obj, "aid_id"),
+                trace=ExecutionTrace.from_obj(obj["trace"]),
+                proofs=tuple(ComponentProof.from_obj(p) for p in obj["proofs"]),
+                claims=tuple(
+                    (str_field(c, "value"), str_field(c, "locator")) for c in obj.get("claims", [])
+                ),
+            )
+        except SHAPE_ERRORS as exc:
+            raise ValidationError(f"malformed bundle: {exc}") from exc
 
 
 def core_input(trace: ExecutionTrace, step_index: int) -> str:

@@ -38,6 +38,16 @@ def _error_response(status: int, reason: str, message: str) -> bytes:
     return render_response(HttpResponse(status, reason, JSON_HEADERS, body))
 
 
+def _string_field(body: bytes, name: str) -> str | None:
+    """Field ``name`` of a JSON object body if it is a string, else None."""
+    try:
+        obj = json.loads(body)
+    except ValueError:
+        return None
+    value = obj.get(name) if isinstance(obj, dict) else None
+    return value if isinstance(value, str) else None
+
+
 def _digest_int(*parts: str) -> int:
     h = hashlib.sha256()
     for part in parts:
@@ -78,10 +88,9 @@ def make_sentiment_handler(seed: str) -> Callable[[bytes], bytes]:
         request = parse_request(request_bytes)
         if urlparse(request.path).path != "/v1/sentiment":
             return _error_response(404, "Not Found", "unknown endpoint")
-        try:
-            query = json.loads(request.body)["query"]
-        except (ValueError, KeyError):
-            return _error_response(400, "Bad Request", "body must be {\"query\": ...}")
+        query = _string_field(request.body, "query")
+        if query is None:
+            return _error_response(400, "Bad Request", "body must be {\"query\": <string>}")
         value = _digest_int(seed, "sentiment", query)
         score = (value % 201 - 100) / 100
         return _json_response({"score": f"{score:.2f}"})
@@ -94,10 +103,9 @@ def make_echo_handler() -> Callable[[bytes], bytes]:
 
     def handler(request_bytes: bytes) -> bytes:
         request = parse_request(request_bytes)
-        try:
-            message = json.loads(request.body)["message"]
-        except (ValueError, KeyError):
-            return _error_response(400, "Bad Request", "body must be {\"message\": ...}")
+        message = _string_field(request.body, "message")
+        if message is None:
+            return _error_response(400, "Bad Request", "body must be {\"message\": <string>}")
         return _json_response({"echo": message})
 
     return handler
@@ -113,8 +121,8 @@ def make_core_handler(core: CoreFunction) -> Callable[[bytes], bytes]:
     def handler(request_bytes: bytes) -> bytes:
         request = parse_request(request_bytes)
         try:
-            history = bytes.fromhex(json.loads(request.body)["history"])
-        except (ValueError, KeyError):
+            history = bytes.fromhex(_string_field(request.body, "history"))
+        except (TypeError, ValueError):  # no string field, or not hex
             return _error_response(400, "Bad Request", "body must be {\"history\": <hex>}")
         output, calls = core(history)
         return _json_response(

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 from . import frames
-from .canonical import canonical_bytes, canonical_loads
+from .canonical import SHAPE_ERRORS, canonical_bytes, canonical_loads
 from .errors import Rejected, ValidationError
 from .keys import SigningKey, verify_signature
 from .templates import (
@@ -192,7 +192,7 @@ def verify_component(
         response_bytes = bytes.fromhex(payload["response"])
         attestation = ProxyAttestation.from_obj(payload["attestation"])
         request_bytes = bytes.fromhex(payload["request"])
-    except (TypeError, AttributeError) as exc:
+    except SHAPE_ERRORS as exc:
         raise ValidationError(f"malformed ProxyTEE proof: {exc}")
     return _authenticate(response_bytes, attestation, entry, registry, role, request_bytes)
 

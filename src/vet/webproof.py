@@ -9,6 +9,10 @@ each disclosed record under its released key and checks the result
 against the ciphertext hash chain the notary signed, then re-renders
 the request template and re-parses the response. Acceptance means the
 claimed value really crossed the notarized channel.
+
+A disclosure is a multiproof with one entry per run of revealed chunks;
+``vet.commitment`` describes it and argues its soundness. A serialized
+proof carries ``"format": "2"``, and ``WebProof.from_obj`` reads no other.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 
 from . import frames, toytls
-from .canonical import canonical_bytes, canonical_loads
+from .canonical import FORMAT, SHAPE_ERRORS, canonical_bytes, canonical_loads, check_format
 from .commitment import (
     Disclosure,
     TranscriptCommitment,
@@ -108,6 +112,7 @@ class WebProof:
 
     def to_obj(self) -> dict:
         return {
+            "format": FORMAT,
             "signed_statement": self.statement.to_obj(),
             "record_keys": [
                 {"direction": d, "index": str(i), "key": k.hex()}
@@ -122,18 +127,24 @@ class WebProof:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "WebProof":
-        return cls(
-            statement=SignedStatement.from_obj(obj["signed_statement"]),
-            record_keys={
-                (e["direction"], int(e["index"])): bytes.fromhex(e["key"])
-                for e in obj["record_keys"]
-            },
-            request_commitment=TranscriptCommitment.from_obj(obj["request_commitment"]),
-            request_disclosure=Disclosure.from_obj(obj["request_disclosure"]),
-            response_commitment=TranscriptCommitment.from_obj(obj["response_commitment"]),
-            response_disclosure=Disclosure.from_obj(obj["response_disclosure"]),
-            claims=dict(obj.get("claims", {})),
-        )
+        """Decode a web proof of the current format; a proof of another
+        format or of the wrong shape is a ValidationError."""
+        check_format(obj, "web proof")
+        try:
+            return cls(
+                statement=SignedStatement.from_obj(obj["signed_statement"]),
+                record_keys={
+                    (e["direction"], int(e["index"])): bytes.fromhex(e["key"])
+                    for e in obj["record_keys"]
+                },
+                request_commitment=TranscriptCommitment.from_obj(obj["request_commitment"]),
+                request_disclosure=Disclosure.from_obj(obj["request_disclosure"]),
+                response_commitment=TranscriptCommitment.from_obj(obj["response_commitment"]),
+                response_disclosure=Disclosure.from_obj(obj["response_disclosure"]),
+                claims=dict(obj.get("claims", {})),
+            )
+        except SHAPE_ERRORS as exc:
+            raise ValidationError(f"malformed web proof: {exc}") from exc
 
 
 def _open_frame(session_id: str, domain: str, cap_up: int, cap_down: int) -> Frame:
@@ -538,11 +549,7 @@ def verify_component(
 ) -> AuthenticatedExchange:
     """The TLSNotary scheme verifier: decode a serialized web proof and
     authenticate it against the AID entry (steps 1 and 2)."""
-    try:
-        proof = WebProof.from_obj(payload)
-    except (TypeError, AttributeError) as exc:
-        raise ValidationError(f"malformed web proof: {exc}")
-    return _authenticate_entry(proof, entry, registry, role)
+    return _authenticate_entry(WebProof.from_obj(payload), entry, registry, role)
 
 
 def verify_webproof(

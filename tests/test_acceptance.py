@@ -28,7 +28,7 @@ from vet.channel_sim import (
 )
 from vet.commitment import (
     Disclosure,
-    RevealedChunk,
+    RevealedRun,
     chunk_cover,
     commit,
     disclose,
@@ -404,33 +404,32 @@ def test_criterion_7_commitment_binding_hiding_minimality():
     rng = random.Random(7)
     data = rng.randbytes(256)
     commitment, opening = commit(data, 16, rng)
-    disclosure = disclose(opening, [(0, len(data))])
+    # Runs at chunks 0-2, 5, 9-12 and 15; all but the first carry
+    # hidden-subtree hashes.
+    disclosure = disclose(opening, [(0, 48), (80, 16), (144, 64), (240, 16)])
     verify_disclosure(commitment, disclosure)
 
     rejected = 0
     trials = 10_000
     for _ in range(trials):
-        chunks = list(disclosure.chunks)
-        i = rng.randrange(len(chunks))
-        c = chunks[i]
+        runs = list(disclosure.chunks)
         mode = rng.randrange(4)
+        i = rng.randrange(len(runs)) if mode < 3 else 1 + rng.randrange(len(runs) - 1)
+        c = runs[i]
         if mode == 0:
             pos = rng.randrange(len(c.data))
             data2 = bytes(
                 b ^ (1 << rng.randrange(8)) if k == pos else b
                 for k, b in enumerate(c.data)
             )
-            chunks[i] = RevealedChunk(c.index, c.salt, data2, c.path)
+            runs[i] = RevealedRun(c.index, c.salt, data2, c.path)
         elif mode == 1:
-            chunks[i] = RevealedChunk(
-                c.index, bytes(b ^ 1 for b in c.salt), c.data, c.path
-            )
+            pos = rng.randrange(len(c.salt))
+            salt2 = bytes(b ^ 1 if k == pos else b for k, b in enumerate(c.salt))
+            runs[i] = RevealedRun(c.index, salt2, c.data, c.path)
         elif mode == 2:
-            chunks[i] = RevealedChunk(
-                (c.index + 1 + rng.randrange(len(chunks) - 1)) % len(chunks),
-                c.salt,
-                c.data,
-                c.path,
+            runs[i] = RevealedRun(
+                (c.index + 1 + rng.randrange(15)) % 16, c.salt, c.data, c.path
             )
         else:
             j = rng.randrange(len(c.path))
@@ -438,8 +437,8 @@ def test_criterion_7_commitment_binding_hiding_minimality():
                 bytes(b ^ (1 << rng.randrange(8)) for b in p) if k == j else p
                 for k, p in enumerate(c.path)
             )
-            chunks[i] = RevealedChunk(c.index, c.salt, c.data, path2)
-        mutated = Disclosure(ranges=disclosure.ranges, chunks=tuple(chunks))
+            runs[i] = RevealedRun(c.index, c.salt, c.data, path2)
+        mutated = Disclosure(ranges=disclosure.ranges, chunks=tuple(runs))
         try:
             out = verify_disclosure(commitment, mutated)
         except Exception:

@@ -197,6 +197,33 @@ def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, 
     assert inspect.exit_code == 1, inspect.output
 
 
+@pytest.mark.parametrize(
+    "mangle, named",
+    [
+        (lambda bundle: bundle.pop("format"), "bundle format 1"),
+        (lambda bundle: bundle.update(format="3"), "bundle format 3"),
+        (lambda bundle: bundle["proofs"][0]["payload"].pop("format"), "web proof format 1"),
+    ],
+)
+def test_other_format_is_rejected_naming_its_version(proved, tmp_path, mangle, named):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    mangle(bundle)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
+    args = [
+        "--aid", str(proved / "aid.json"),
+        "--bundle", str(bad),
+        "--templates", str(proved / "templates"),
+    ]
+    verify = CliRunner().invoke(main, ["verify", *args, "--claim", _claim(proved), "--json"])
+    assert verify.exit_code == 1, verify.output
+    report = json.loads(verify.output)
+    # The bundle's own version is a decode error; a component's is that
+    # component's reject.
+    assert report["reason"] == ("malformed" if named.startswith("bundle") else "subproof-invalid")
+    assert named in report["detail"] and "reads format 2 only" in report["detail"]
+
+
 def _verify_args(proved, aid_file=None):
     return [
         "verify",

@@ -6,7 +6,7 @@ import pytest
 from vet.commitment import (
     EMPTY_ROOT,
     Disclosure,
-    RevealedChunk,
+    RevealedRun,
     chunk_cover,
     commit,
     disclose,
@@ -76,37 +76,37 @@ def test_binding_mutations_rejected():
     rng = random.Random(42)
     data = rng.randbytes(128)
     commitment, opening = commit(data, 16, rng)
-    disclosure = disclose(opening, [(0, len(data))])
+    # Runs at chunks 0-2, 4 and 7: the later two carry subtree hashes.
+    disclosure = disclose(opening, [(0, 40), (64, 16), (112, 16)])
     verify_disclosure(commitment, disclosure)
     rejected = 0
     trials = 500
     for _ in range(trials):
-        chunks = list(disclosure.chunks)
-        i = rng.randrange(len(chunks))
-        c = chunks[i]
+        runs = list(disclosure.chunks)
         mode = rng.randrange(4)
+        i = rng.randrange(len(runs)) if mode < 3 else rng.choice([1, 2])
+        c = runs[i]
         if mode == 0:  # flip a data byte
             pos = rng.randrange(len(c.data))
             data2 = bytes(
                 b ^ (1 << rng.randrange(8)) if k == pos else b
                 for k, b in enumerate(c.data)
             )
-            chunks[i] = RevealedChunk(c.index, c.salt, data2, c.path)
+            runs[i] = RevealedRun(c.index, c.salt, data2, c.path)
         elif mode == 1:  # flip a salt byte
-            salt2 = bytes(b ^ 1 for b in c.salt)
-            chunks[i] = RevealedChunk(c.index, salt2, c.data, c.path)
-        elif mode == 2:  # relocate the chunk
-            other = (c.index + 1) % len(chunks)
-            chunks[i] = RevealedChunk(other, c.salt, c.data, c.path)
-        else:  # corrupt a path node
-            if not c.path:
-                continue
+            pos = rng.randrange(len(c.salt))
+            salt2 = bytes(b ^ 1 if k == pos else b for k, b in enumerate(c.salt))
+            runs[i] = RevealedRun(c.index, salt2, c.data, c.path)
+        elif mode == 2:  # relocate the run
+            other = (c.index + 1) % 8
+            runs[i] = RevealedRun(other, c.salt, c.data, c.path)
+        else:  # corrupt a subtree hash
             j = rng.randrange(len(c.path))
             path2 = tuple(
                 bytes(b ^ 1 for b in p) if k == j else p for k, p in enumerate(c.path)
             )
-            chunks[i] = RevealedChunk(c.index, c.salt, c.data, path2)
-        mutated = Disclosure(ranges=disclosure.ranges, chunks=tuple(chunks))
+            runs[i] = RevealedRun(c.index, c.salt, c.data, path2)
+        mutated = Disclosure(ranges=disclosure.ranges, chunks=tuple(runs))
         try:
             out = verify_disclosure(commitment, mutated)
             # Acceptance is only sound if every range still equals the
@@ -136,10 +136,11 @@ def test_disclosure_serialization_round_trip():
     rng = random.Random(5)
     data = rng.randbytes(50)
     commitment, opening = commit(data, 16, rng)
-    disclosure = disclose(opening, [(0, 50)])
-    clone = Disclosure.from_obj(disclosure.to_obj())
-    assert clone == disclosure
-    verify_disclosure(commitment, clone)
+    for ranges in ([(0, 50)], [(0, 5), (40, 10)]):
+        disclosure = disclose(opening, ranges)
+        clone = Disclosure.from_obj(disclosure.to_obj())
+        assert clone == disclosure
+        verify_disclosure(commitment, clone)
 
 
 def test_normalize_ranges():
@@ -170,8 +171,100 @@ def test_wrong_length_chunk_rejected():
     c = disclosure.chunks[0]
     padded = Disclosure(
         ranges=disclosure.ranges,
-        chunks=(RevealedChunk(c.index, c.salt, c.data + b"\x00" * 8, c.path),),
+        chunks=(RevealedRun(c.index, c.salt, c.data + b"\x00" * 8, c.path),),
     )
     with pytest.raises(Rejected) as err:
         verify_disclosure(commitment, padded)
     assert err.value.reason == "length-mismatch"
+
+
+def _runs_case():
+    """Eight chunks of 16 bytes with chunks 2-3 and 5 revealed: the first
+    run carries the subtree over chunks 0-1, the second chunk 4 before it
+    and chunks 6-7 after it."""
+    rng = random.Random(8)
+    data = rng.randbytes(128)
+    commitment, opening = commit(data, 16, rng)
+    disclosure = disclose(opening, [(32, 32), (80, 16)])
+    assert [(r.index, r.end, len(r.path)) for r in disclosure.chunks] == [(2, 4, 1), (5, 6, 2)]
+    return commitment, disclosure
+
+
+def _with_run(disclosure, k, **changes):
+    runs = list(disclosure.chunks)
+    run = runs[k]
+    fields = dict(index=run.index, salt=run.salt, data=run.data, path=run.path)
+    fields.update(changes)
+    runs[k] = RevealedRun(**fields)
+    return Disclosure(disclosure.ranges, tuple(runs))
+
+
+def _flip(blob: bytes) -> bytes:
+    return bytes([blob[0] ^ 1]) + blob[1:]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: _with_run(d, 1, path=(_flip(d.chunks[1].path[0]),) + d.chunks[1].path[1:]),
+        lambda d: _with_run(d, 1, path=d.chunks[1].path[:-1]),
+        lambda d: _with_run(d, 0, path=d.chunks[0].path + (bytes(32),)),
+        lambda d: _with_run(d, 1, index=6),
+        lambda d: _with_run(d, 0, index=1),
+    ],
+    ids=["flipped-subtree-hash", "dropped-subtree-hash", "extra-subtree-hash",
+         "run-moved-right", "run-moved-left"],
+)
+def test_run_format_bad_path(mutate):
+    commitment, disclosure = _runs_case()
+    with pytest.raises(Rejected) as err:
+        verify_disclosure(commitment, mutate(disclosure))
+    assert err.value.reason == "bad-path"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: _with_run(d, 1, index=3),
+        lambda d: Disclosure(d.ranges, (d.chunks[0], d.chunks[0], d.chunks[1])),
+        lambda d: Disclosure(d.ranges, tuple(reversed(d.chunks))),
+        lambda d: Disclosure(d.ranges + ((64, 16),), d.chunks),
+        lambda d: Disclosure(((32, 64),), d.chunks),
+        lambda d: _with_run(d, 1, salt=d.chunks[1].salt * 4, data=d.chunks[1].data * 4),
+        lambda d: _with_run(d, 0, index=-1),
+    ],
+    ids=["overlapping-runs", "duplicated-run", "runs-out-of-order", "range-not-covered",
+         "range-spanning-a-gap", "run-past-the-end", "negative-index"],
+)
+def test_run_format_chunk_range_inconsistency(mutate):
+    commitment, disclosure = _runs_case()
+    with pytest.raises(Rejected) as err:
+        verify_disclosure(commitment, mutate(disclosure))
+    assert err.value.reason == "chunk-range-inconsistency"
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: _with_run(d, 0, data=d.chunks[0].data[:-1]),
+        lambda d: _with_run(d, 0, data=d.chunks[0].data + b"\x00"),
+        lambda d: _with_run(d, 0, salt=d.chunks[0].salt[:-1]),
+        lambda d: _with_run(d, 0, salt=d.chunks[0].salt[:16]),
+        lambda d: _with_run(d, 0, salt=b""),
+    ],
+    ids=["short-data", "long-data", "salt-not-whole", "salt-of-fewer-chunks", "no-salt"],
+)
+def test_run_format_length_mismatch(mutate):
+    commitment, disclosure = _runs_case()
+    with pytest.raises(Rejected) as err:
+        verify_disclosure(commitment, mutate(disclosure))
+    assert err.value.reason == "length-mismatch"
+
+
+def test_full_disclosure_ships_no_subtree_hashes():
+    rng = random.Random(9)
+    data = rng.randbytes(1000)
+    commitment, opening = commit(data, 16, rng)
+    disclosure = disclose(opening, [(0, 1000)])
+    assert [(r.index, r.end, r.path) for r in disclosure.chunks] == [(0, 63, ())]
+    assert verify_disclosure(commitment, disclosure) == {(0, 1000): data}

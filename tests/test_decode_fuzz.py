@@ -1,0 +1,154 @@
+"""Structure-aware fuzzing of the format-2 decoders.
+
+Each example starts from a valid web proof or bundle, then replaces or
+drops one field at any depth with any JSON value. Verification must end
+in a ``Rejected`` reason or a ``ValidationError``, and ``vet verify
+--json`` in an exit code with a JSON report, never in a traceback.
+"""
+
+import copy
+import functools
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import WebProofRig
+from vet import demo as demo_mod, webproof
+from vet.cli import main
+from vet.composer import VerifiableExecutionTrace, verify_trace
+from vet.errors import Rejected, ValidationError
+from vet.templates import ROLE_TOOL
+
+SETTINGS = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+# Strings that reach past the first decode step: numbers, hex of several
+# lengths (odd, one salt, one hash), and an index past any transcript.
+TOKENS = ["", "0", "1", "-1", "16", "99999999999999999999", "abc", "00" * 16, "ab" * 32, "2"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(TOKENS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """Every field and list item below ``node``, as key/index paths."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def one_field_mutation(draw, seed_doc):
+    """``seed_doc()`` with one field replaced by any JSON value, or dropped."""
+    doc = seed_doc()
+    mutated = copy.deepcopy(doc)
+    path = draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return mutated
+
+
+@functools.lru_cache(maxsize=None)
+def _webproof_case():
+    rig = WebProofRig("fuzz")
+    prover = webproof.WebProofProver(rig.service, rig.registry, secrets={"token": "S" * 16})
+    _, proof = prover.call(rig.entry, "fuzz me", ROLE_TOOL)
+    return rig, proof.to_obj()
+
+
+@functools.lru_cache(maxsize=None)
+def _bundle_case():
+    result = demo_mod.run_demo("0")
+    claim = result.bundle.trace.steps[-1].core_output
+    return result, claim, result.bundle.to_obj()
+
+
+def webproof_doc():
+    return _webproof_case()[1]
+
+
+def bundle_doc():
+    return _bundle_case()[2]
+
+
+def test_seeds_are_valid_format_2_documents():
+    rig, doc = _webproof_case()
+    assert doc["format"] == "2"
+    webproof.verify_component(doc, rig.entry, rig.registry, ROLE_TOOL)
+    result, claim, doc = _bundle_case()
+    assert doc["format"] == "2"
+    bundle = VerifiableExecutionTrace.from_obj(doc)
+    assert verify_trace(claim, bundle, result.aid, result.registry) == claim
+
+
+@SETTINGS
+@given(one_field_mutation(webproof_doc))
+def test_webproof_decoder_only_rejects(mutated):
+    rig, _ = _webproof_case()
+    try:
+        webproof.verify_component(mutated, rig.entry, rig.registry, ROLE_TOOL)
+    except (Rejected, ValidationError):
+        pass
+
+
+@SETTINGS
+@given(one_field_mutation(bundle_doc))
+def test_bundle_decoder_only_rejects(mutated):
+    result, claim, _ = _bundle_case()
+    try:
+        bundle = VerifiableExecutionTrace.from_obj(mutated)
+        verify_trace(claim, bundle, result.aid, result.registry)
+    except (Rejected, ValidationError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "demo-out"
+    result = CliRunner().invoke(main, ["prove", "--seed", "0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+@settings(SETTINGS, max_examples=60)
+@given(mutated=one_field_mutation(bundle_doc))
+def test_cli_verify_json_exits_with_a_report(cli_dir, mutated):
+    (cli_dir / "bundle.json").write_text(json.dumps(mutated))
+    _, claim, _ = _bundle_case()
+    result = CliRunner().invoke(
+        main,
+        [
+            "verify", "--json", "--claim", claim,
+            "--aid", str(cli_dir / "aid.json"),
+            "--bundle", str(cli_dir / "bundle.json"),
+            "--templates", str(cli_dir / "templates"),
+        ],
+    )
+    # Click reports exit 0 as no exception; any other exit is a SystemExit.
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code != 2:
+        report = json.loads(result.output)
+        assert report["result"] == ("accept" if result.exit_code == 0 else "reject")

@@ -4,11 +4,16 @@ the per-byte and per-path loops they replaced, kept here as oracles.
 Each test draws honest inputs, optionally applies one mutation, and
 requires the same outcome from both sides: the same result on
 acceptance, or the same exception type, reject reason and detail.
+Disclosures are the exception, because their format changed from one
+entry per chunk to one per run: the oracle verifies the per-chunk
+disclosure of the same ranges, and a mutated run disclosure must be
+rejected or yield exactly the committed bytes.
 """
 
 import hashlib
 import json
 import random
+from dataclasses import dataclass
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,8 +23,9 @@ from vet.canonical import canonical_bytes
 from vet.commitment import (
     _PAD,
     EMPTY_ROOT,
+    SALT_LEN,
     Disclosure,
-    RevealedChunk,
+    RevealedRun,
     TranscriptCommitment,
     _leaf_hashes,
     _node_hash,
@@ -75,6 +81,16 @@ def old_open_record(key, wire):
     if hashlib.sha256(b"VET/mac:" + key + ct).digest() != tag:
         raise ProtocolError("record MAC check failed")
     return bytes(a ^ b for a, b in zip(ct, old_keystream(key, len(ct))))
+
+
+@dataclass(frozen=True)
+class RevealedChunk:
+    """A disclosed chunk of the per-chunk format: its own sibling path."""
+
+    index: int
+    salt: bytes
+    data: bytes
+    path: tuple[bytes, ...]
 
 
 def old_disclose(opening, ranges):
@@ -288,8 +304,8 @@ def test_seal_open_match_oracle(key, plaintext, flip):
 # Commitments.
 
 MUTATIONS = (
-    "none", "data", "salt", "index", "path-node", "path-short", "swap",
-    "swap-paths", "duplicate", "drop", "extra-range", "empty-range",
+    "none", "data", "salt", "index", "path-node", "path-short", "path-extra",
+    "swap", "swap-paths", "duplicate", "drop", "split", "extra-range", "empty-range",
 )
 
 
@@ -309,45 +325,76 @@ def disclosures(draw):
     return commitment, opening, ranges, draw(st.sampled_from(MUTATIONS)), rng
 
 
+def per_chunk(disclosure, chunk_size):
+    """(index, salt, data) of every chunk a run or per-chunk disclosure reveals."""
+    return [
+        (
+            entry.index + k,
+            entry.salt[k * SALT_LEN:(k + 1) * SALT_LEN],
+            entry.data[k * chunk_size:(k + 1) * chunk_size],
+        )
+        for entry in disclosure.chunks
+        for k in range(len(entry.salt) // SALT_LEN)
+    ]
+
+
 def mutate(disclosure, commitment, mutation, rng):
-    chunks = list(disclosure.chunks)
+    """One mutation of a run disclosure."""
+    runs = list(disclosure.chunks)
     ranges = list(disclosure.ranges)
-    if chunks:
-        i = rng.randrange(len(chunks))
-        c = chunks[i]
+    n = chunk_count(commitment.total_length, commitment.chunk_size)
+    if runs:
+        i = rng.randrange(len(runs))
+        c = runs[i]
         if mutation == "data" and c.data:
-            flipped = bytes([c.data[0] ^ 1]) + c.data[1:]
-            chunks[i] = RevealedChunk(c.index, c.salt, flipped, c.path)
+            k = rng.randrange(len(c.data))
+            flipped = c.data[:k] + bytes([c.data[k] ^ 1]) + c.data[k + 1:]
+            runs[i] = RevealedRun(c.index, c.salt, flipped, c.path)
         elif mutation == "salt":
-            chunks[i] = RevealedChunk(c.index, bytes(b ^ 1 for b in c.salt), c.data, c.path)
+            k = rng.randrange(len(c.salt))
+            flipped = c.salt[:k] + bytes([c.salt[k] ^ 1]) + c.salt[k + 1:]
+            runs[i] = RevealedRun(c.index, flipped, c.data, c.path)
         elif mutation == "index":
-            other = rng.randrange(-1, chunk_count(commitment.total_length, commitment.chunk_size) + 1)
-            chunks[i] = RevealedChunk(other, c.salt, c.data, c.path)
+            other = rng.choice([c.index - 1, c.index + 1, rng.randrange(-1, n + 1)])
+            runs[i] = RevealedRun(other, c.salt, c.data, c.path)
         elif mutation == "path-node" and c.path:
             j = rng.randrange(len(c.path))
             path = tuple(bytes(b ^ 1 for b in p) if k == j else p for k, p in enumerate(c.path))
-            chunks[i] = RevealedChunk(c.index, c.salt, c.data, path)
+            runs[i] = RevealedRun(c.index, c.salt, c.data, path)
         elif mutation == "path-short" and c.path:
-            chunks[i] = RevealedChunk(c.index, c.salt, c.data, c.path[:-1])
-        elif mutation == "swap" and len(chunks) > 1:
-            j = rng.randrange(len(chunks))
-            chunks[i], chunks[j] = chunks[j], chunks[i]
-        elif mutation == "swap-paths" and len(chunks) > 1:
-            j = rng.randrange(len(chunks))
-            a, b = chunks[i], chunks[j]
-            chunks[i] = RevealedChunk(a.index, a.salt, a.data, b.path)
-            chunks[j] = RevealedChunk(b.index, b.salt, b.data, a.path)
+            j = rng.randrange(len(c.path))
+            runs[i] = RevealedRun(c.index, c.salt, c.data, c.path[:j] + c.path[j + 1:])
+        elif mutation == "path-extra":
+            j = rng.randrange(len(c.path) + 1)
+            extra = rng.choice([_PAD, bytes(32), *c.path])
+            runs[i] = RevealedRun(c.index, c.salt, c.data, c.path[:j] + (extra,) + c.path[j:])
+        elif mutation == "swap" and len(runs) > 1:
+            j = rng.randrange(len(runs))
+            runs[i], runs[j] = runs[j], runs[i]
+        elif mutation == "swap-paths" and len(runs) > 1:
+            j = rng.randrange(len(runs))
+            a, b = runs[i], runs[j]
+            runs[i] = RevealedRun(a.index, a.salt, a.data, b.path)
+            runs[j] = RevealedRun(b.index, b.salt, b.data, a.path)
         elif mutation == "duplicate":
-            chunks.insert(rng.randrange(len(chunks) + 1), c)
+            runs.insert(rng.randrange(len(runs) + 1), c)
         elif mutation == "drop":
-            del chunks[i]
+            del runs[i]
+        elif mutation == "split" and len(c.salt) > SALT_LEN:
+            # Two abutting runs where the prover made one.
+            cut = SALT_LEN * rng.randrange(1, len(c.salt) // SALT_LEN)
+            at = cut // SALT_LEN * commitment.chunk_size
+            runs[i:i + 1] = [
+                RevealedRun(c.index, c.salt[:cut], c.data[:at], c.path),
+                RevealedRun(c.index + cut // SALT_LEN, c.salt[cut:], c.data[at:], ()),
+            ]
     if mutation == "extra-range":
         total = commitment.total_length
         offset = rng.randrange(total + 2)
         ranges.append((offset, rng.randrange(total + 2)))
     elif mutation == "empty-range":
         ranges.append((rng.randrange(commitment.total_length + 1), 0))
-    return Disclosure(ranges=tuple(ranges), chunks=tuple(chunks))
+    return Disclosure(ranges=tuple(ranges), chunks=tuple(runs))
 
 
 @SETTINGS
@@ -355,32 +402,44 @@ def mutate(disclosure, commitment, mutation, rng):
 def test_disclose_and_verify_disclosure_match_oracle(case):
     commitment, opening, ranges, mutation, rng = case
     disclosure = disclose(opening, ranges)
-    assert disclosure == old_disclose(opening, ranges)
+    oracle = old_disclose(opening, ranges)
+    # The runs reveal exactly the chunks the per-chunk disclosure reveals,
+    # and read back to the same range bytes.
+    assert per_chunk(disclosure, opening.chunk_size) == per_chunk(oracle, opening.chunk_size)
+    assert outcome(verify_disclosure, commitment, disclosure) == outcome(
+        old_verify_disclosure, commitment, oracle
+    )
+    assert outcome(verify_disclosure, commitment, disclosure)[0] == "ok"
     mutated = mutate(disclosure, commitment, mutation, rng)
-    new = outcome(verify_disclosure, commitment, mutated)
-    assert new == outcome(old_verify_disclosure, commitment, mutated)
-    if mutation == "none":
-        assert new[0] == "ok"
+    result = outcome(verify_disclosure, commitment, mutated)
+    if result[0] == "ok":
+        data = opening.plaintext
+        assert result[1] == {(o, k): data[o:o + k] for o, k in mutated.ranges}
+    else:
+        assert result[0] == "rejected"
 
 
-def test_shared_node_with_other_siblings_is_walked_to_root():
-    # Two chunks whose walks meet at a node with the same value but whose
-    # remaining siblings differ: the later one must be walked to the root.
+def test_bad_subtree_hash_above_a_shared_node_is_rejected():
+    # Runs at chunks 0 and 2 meet at the node over chunks 0-3; a wrong
+    # hash for the subtree over chunks 4-7 above it must still fail.
     rng = random.Random(5)
     data = rng.randbytes(16 * 8)
     commitment, opening = commit(data, 16, rng)
-    disclosure = disclose(opening, [(0, len(data))])
-    chunks = list(disclosure.chunks)
-    last = chunks[1]
-    bad_path = last.path[:-1] + (bytes(32),)
-    chunks[1] = RevealedChunk(last.index, last.salt, last.data, bad_path)
-    mutated = Disclosure(disclosure.ranges, tuple(chunks))
+    disclosure = disclose(opening, [(0, 16), (32, 16)])
+    runs = list(disclosure.chunks)
+    last = runs[1]
+    assert len(last.path) == 3  # chunk 1 before it; chunk 3 and chunks 4-7 after it
+    runs[1] = RevealedRun(last.index, last.salt, last.data, last.path[:-1] + (bytes(32),))
+    mutated = Disclosure(disclosure.ranges, tuple(runs))
     assert outcome(verify_disclosure, commitment, mutated) == (
-        "rejected", "bad-path", "chunk 1 does not authenticate to root"
+        "rejected", "bad-path", "revealed runs do not authenticate to the root"
     )
-    assert outcome(old_verify_disclosure, commitment, mutated) == outcome(
-        verify_disclosure, commitment, mutated
-    )
+    # The same wrong node as chunk 2's last sibling fails the per-chunk check.
+    oracle = old_disclose(opening, [(0, 16), (32, 16)])
+    chunk = oracle.chunks[1]
+    bad = RevealedChunk(chunk.index, chunk.salt, chunk.data, chunk.path[:-1] + (bytes(32),))
+    mutated = Disclosure(oracle.ranges, (oracle.chunks[0], bad))
+    assert outcome(old_verify_disclosure, commitment, mutated)[:2] == ("rejected", "bad-path")
 
 
 def test_empty_range_off_the_disclosed_chunks():
@@ -390,7 +449,11 @@ def test_empty_range_off_the_disclosed_chunks():
     disclosure = disclose(opening, [(0, 10)])
     padded = Disclosure(disclosure.ranges + ((50, 0),), disclosure.chunks)
     assert outcome(verify_disclosure, commitment, padded) == ("ok", {(0, 10): data[:10], (50, 0): b""})
-    assert outcome(old_verify_disclosure, commitment, padded) == outcome(verify_disclosure, commitment, padded)
+    oracle = old_disclose(opening, [(0, 10)])
+    oracle = Disclosure(oracle.ranges + ((50, 0),), oracle.chunks)
+    assert outcome(old_verify_disclosure, commitment, oracle) == outcome(
+        verify_disclosure, commitment, padded
+    )
 
 
 # ---------------------------------------------------------------------------

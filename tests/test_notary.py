@@ -15,6 +15,8 @@ from vet.channel_sim import CostModel
 from vet.errors import CapacityExceeded, ProtocolError
 from vet.frames import Frame
 from vet.keys import SigningKey, key_fingerprint
+from vet import mockserver
+from vet.httpmsg import parse_response
 from vet.mockserver import make_echo_handler
 from vet.notary import (
     STATE_ABORTED,
@@ -359,6 +361,36 @@ def test_unreadable_request_aborts(rig):
     assert reply.type == frames.ABORT
     assert reply.payload.startswith(b"protocol error: server: malformed request")
     assert rig.service.ledger.get("bad-request").state == STATE_ABORTED
+
+
+def _post(path, body):
+    head = f"POST {path} HTTP/1.1\r\nHost: h.test\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode() + body
+
+
+@pytest.mark.parametrize(
+    "handler, path, field",
+    [
+        (make_echo_handler(), "/v1/echo", "message"),
+        (mockserver.make_sentiment_handler("0"), "/v1/sentiment", "query"),
+        (mockserver.make_core_handler(mockserver.trader_core("0")), "/v1/agent", "history"),
+    ],
+)
+@pytest.mark.parametrize(
+    "body", ["[]", '"x"', "null", "5", '{"%s": 5}', '{"%s": ["a"]}', '{"%s": null}', "{"]
+)
+def test_mock_handler_answers_400_to_a_body_of_the_wrong_shape(handler, path, field, body):
+    response = parse_response(handler(_post(path, body.replace("%s", field).encode())))
+    assert response.status == 400
+
+
+def test_array_body_gets_response_frames(rig):
+    channel = provision_channel(rig.service, "echo.test", session_id="array-body")
+    up, _ = _real_handshake(channel)
+    record = toytls.seal_record(toytls.derive_record_key("up", up, 0), _post("/v1/echo", b"[]"))
+    assert channel.exchange(Frame(frames.RELAY_UP, record)) == [Frame(frames.ACK, b"")]
+    replies = channel.exchange(Frame(frames.END_UP, b""))
+    assert [r.type for r in replies] == [frames.RELAY_DOWN] * (len(replies) - 1) + [frames.END_DOWN]
 
 
 def test_tcp_malformed_key_request_aborts(rig):

@@ -182,7 +182,7 @@ def test_minimal_disclosure_excludes_secret_chunks(rig):
     request, spans = render(template, "mindisc", {"token": SECRET})
     (offset, length) = spans["token"]
     secret_chunks = set(range(offset // 16, (offset + length - 1) // 16 + 1))
-    revealed = {c.index for c in proof.request_disclosure.chunks}
+    revealed = {i for run in proof.request_disclosure.chunks for i in range(run.index, run.end)}
     assert revealed.isdisjoint(secret_chunks)
     total_chunks = -(-len(request) // 16)
     assert revealed == set(range(total_chunks)) - secret_chunks
