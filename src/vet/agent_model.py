@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .canonical import str_field
+from .canonical import json_field
 from .errors import ValidationError, VetError
 from .frames import encode as frame
 
@@ -95,19 +95,19 @@ class ExecutionTrace:
     def from_obj(cls, obj: dict) -> "ExecutionTrace":
         steps = tuple(
             StepRecord(
-                step_index=int(s["step_index"]),
-                core_output=str_field(s, "core_output"),
+                step_index=json_field(s, "step_index", int),
+                core_output=json_field(s, "core_output"),
                 tool_calls=tuple(
-                    ToolCall(str_field(c, "tool"), str_field(c, "input"), str_field(c, "result"))
-                    for c in s["tool_calls"]
+                    ToolCall(*(json_field(c, key) for key in ("tool", "input", "result")))
+                    for c in json_field(s, "tool_calls", list)
                 ),
             )
-            for s in obj["steps"]
+            for s in json_field(obj, "steps", list)
         )
         return cls(
-            initial_input=str_field(obj, "initial_input"),
+            initial_input=json_field(obj, "initial_input"),
             steps=steps,
-            truncated=bool(obj.get("truncated", False)),
+            truncated=json_field(obj, "truncated", bool, False),
         )
 
 

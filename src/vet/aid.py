@@ -14,9 +14,9 @@ import hashlib
 from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
-from .canonical import canonical_bytes, is_hash_string
+from .canonical import canonical_bytes, is_hash_string, json_field
 from .errors import ValidationError
-from .keys import ED25519_PREFIX, parse_public_key
+from .keys import parse_public_key
 from .templates import TemplateRegistry
 
 SCHEME_TLS_NOTARY = "TLSNotary"
@@ -68,17 +68,17 @@ class ComponentEntry:
 
     @classmethod
     def from_obj(cls, obj: dict, default_name: str = "") -> "ComponentEntry":
-        verification = obj.get("verification", {})
+        verification = json_field(obj, "verification", dict, {})
         if len(verification) != 1:
             raise ValidationError("verification must name exactly one scheme")
-        scheme, params = next(iter(verification.items()))
+        (scheme,) = verification
         return cls(
-            name=obj.get("name", default_name),
-            endpoint=obj.get("endpoint", ""),
-            injection_algorithm_uid=obj.get("injection_algorithm_uid", ""),
-            parsing_algorithm_uid=obj.get("parsing_algorithm_uid", ""),
-            verification=VerificationMetadata(scheme=scheme, params=dict(params)),
-            model=obj.get("model"),
+            name=json_field(obj, "name", str, default_name),
+            endpoint=json_field(obj, "endpoint", str, ""),
+            injection_algorithm_uid=json_field(obj, "injection_algorithm_uid", str, ""),
+            parsing_algorithm_uid=json_field(obj, "parsing_algorithm_uid", str, ""),
+            verification=VerificationMetadata(scheme, dict(json_field(verification, scheme, dict))),
+            model=json_field(obj, "model", str, None),
         )
 
 
@@ -101,13 +101,12 @@ class AgentIdentityDocument:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "AgentIdentityDocument":
+        canonical_bytes(obj)  # a document with no canonical form has no ID
         return cls(
-            agent_name=obj.get("agent_name", ""),
-            core=ComponentEntry.from_obj(obj.get("core", {}), default_name="core"),
-            tools=tuple(
-                ComponentEntry.from_obj(t) for t in obj.get("tools", [])
-            ),
-            agent_hash=obj.get("agent_hash"),
+            agent_name=json_field(obj, "agent_name", str, ""),
+            core=ComponentEntry.from_obj(json_field(obj, "core", dict, {}), default_name="core"),
+            tools=tuple(ComponentEntry.from_obj(t) for t in json_field(obj, "tools", list, [])),
+            agent_hash=json_field(obj, "agent_hash", str, None),
         )
 
     def tool(self, name: str) -> ComponentEntry:
@@ -136,7 +135,10 @@ class Violation:
 
 def _validate_entry(entry: ComponentEntry, path: str, registry: TemplateRegistry | None) -> list[Violation]:
     out = []
-    parsed = urlparse(entry.endpoint)
+    try:
+        parsed = urlparse(entry.endpoint)
+    except ValueError:  # a malformed IPv6 host, such as "https://["
+        parsed = urlparse("")
     if not parsed.scheme or not parsed.netloc:
         out.append(Violation(f"{path}/endpoint", f"not a URL with scheme and host: {entry.endpoint!r}"))
     for uid_field in ("injection_algorithm_uid", "parsing_algorithm_uid"):
@@ -160,8 +162,6 @@ def _check_key(entry: ComponentEntry, path: str, field_name: str) -> list[Violat
     key = entry.verification.params.get(field_name)
     if key is None:
         return [Violation(f"{path}/verification", f"missing {field_name}")]
-    if not isinstance(key, str) or not key.startswith(ED25519_PREFIX):
-        return [Violation(f"{path}/verification/{field_name}", f"unsupported key prefix in {key!r}")]
     try:
         parse_public_key(key)
     except ValidationError as exc:

@@ -11,17 +11,26 @@ the same canonical form:
 Numbers are rejected outright: every count, length and timestamp is
 encoded as a decimal string. This removes float-formatting divergence
 between implementations and keeps the canonical form trivially auditable.
+
+Decoders of outside documents read each field with ``json_field``, each
+integer with ``parse_int`` (the one spelling ``str(int(s))``) and bytes
+with ``parse_hex`` (lowercase hex), so that a field of the wrong shape or
+spelling is a ``ValidationError`` naming it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any
 
 from .errors import ValidationError
 
 SHA256_PREFIX = "sha256:"
+_HASH_STRING = re.compile(SHA256_PREFIX + "[0-9a-f]{64}")
+# An escaped surrogate, which must be half of a pair.
+_ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 # The wire format of web proofs and bundles. Format 1, the initial one,
 # had no "format" field and disclosed each chunk with its own path.
@@ -91,10 +100,17 @@ def _check_scalars(obj: Any) -> None:
 
 
 def canonical_loads(data: bytes | str) -> Any:
-    """Parse JSON previously produced by canonical_bytes."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return json.loads(data)
+    """Parse JSON previously produced by canonical_bytes; ValidationError for
+    bytes that are not UTF-8 JSON, or JSON with half a surrogate pair."""
+    try:
+        if isinstance(data, str):
+            data = data.encode("utf-8")  # a raw half pair has no encoding
+        obj = json.loads(data.decode("utf-8"))
+        if b"\\" in data and _ESCAPED_SURROGATE.search(data):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValidationError(f"not UTF-8 JSON: {exc}") from None
+    return obj
 
 
 def check_format(obj: Any, what: str) -> None:
@@ -106,17 +122,50 @@ def check_format(obj: Any, what: str) -> None:
         )
 
 
-# What decoding a document of the wrong shape raises: a list where a dict
-# belongs, a missing key, bad hex, a float where an integer string belongs.
-SHAPE_ERRORS = (TypeError, AttributeError, ValueError, KeyError, OverflowError)
+_REQUIRED = object()
+_JSON_TYPES = {str: "a string", dict: "an object", list: "an array", bool: "a boolean"}
 
 
-def str_field(obj: dict, key: str) -> str:
-    """``obj[key]``, which must be a string; ValidationError otherwise."""
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ValidationError(f"{key} must be a string, not {type(value).__name__}")
+def json_field(obj: Any, key: str, kind: type = str, default: Any = _REQUIRED) -> Any:
+    """``obj[key]`` as ``kind``: a JSON ``str``, ``dict``, ``list`` or ``bool``
+    (``object`` for any value), or a string read as ``int`` by ``parse_int``
+    or as ``bytes`` by ``parse_hex``; ``default`` when the key is absent."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected an object holding {key}, not {type(obj).__name__}")
+    value = obj.get(key, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise ValidationError(f"missing field {key}")
+        return default
+    if kind is int:
+        return parse_int(value, key)
+    if kind is bytes:
+        return parse_hex(value, key)
+    if not isinstance(value, kind):
+        raise ValidationError(f"{key} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
     return value
+
+
+def parse_int(text: Any, name: str) -> int:
+    """The integer ``text`` spells in decimal, refusing "01", "+1", " 1", "1_0" and "-0"."""
+    try:
+        value = int(text)
+        if str(value) == text:
+            return value
+    except (TypeError, ValueError):  # not a string, or not digits
+        pass
+    raise ValidationError(f"{name} must be a decimal integer string, not {text!r:.40}")
+
+
+def parse_hex(text: Any, name: str) -> bytes:
+    """The bytes ``text`` spells in lowercase hex, refusing uppercase and spaces."""
+    try:
+        value = bytes.fromhex(text)
+        if value.hex() == text:
+            return value
+    except (TypeError, ValueError):  # not a string, or not hex
+        pass
+    raise ValidationError(f"{name} must be a lowercase hex string, not {text!r:.40}")
 
 
 def sha256_hex(data: bytes) -> str:
@@ -129,12 +178,7 @@ def content_hash(obj: Any) -> str:
 
 
 def is_hash_string(value: str) -> bool:
-    if not isinstance(value, str) or not value.startswith(SHA256_PREFIX):
-        return False
-    hexpart = value[len(SHA256_PREFIX):]
-    if len(hexpart) != 64:
-        return False
-    return all(c in "0123456789abcdef" for c in hexpart)
+    return isinstance(value, str) and _HASH_STRING.fullmatch(value) is not None
 
 
 def json_pointer(doc: Any, pointer: str) -> Any:

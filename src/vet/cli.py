@@ -17,7 +17,7 @@ import click
 
 from . import channel_sim, demo as demo_mod, frames, mockserver, notary as notary_mod, tee_proxy
 from .aid import AgentIdentityDocument, TrustStore, compute_id, instantiate_verifier, validate
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, canonical_loads
 from .composer import VerifiableExecutionTrace, VerificationReport
 from .errors import Rejected, ValidationError, VetError
 from .keys import SigningKey
@@ -30,23 +30,13 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
-def _load_json(path: str):
+def _load_json(path: str, decode=lambda obj: obj):
+    """The JSON document in ``path``, decoded by ``decode``; a file that
+    cannot be read or decoded is a usage error (exit 2)."""
     try:
-        return json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as exc:
+        return decode(canonical_loads(pathlib.Path(path).read_bytes()))
+    except (OSError, ValidationError) as exc:
         _fail(f"cannot read {path}: {exc}")
-
-
-def _decode_bundle(aid_obj, bundle_obj):
-    """Decode an AID and a bundle; a document of the wrong shape (say a
-    string where a list belongs) is a ValidationError, not a traceback."""
-    try:
-        return (
-            AgentIdentityDocument.from_obj(aid_obj),
-            VerifiableExecutionTrace.from_obj(bundle_obj),
-        )
-    except (TypeError, AttributeError) as exc:
-        raise ValidationError(f"malformed document: {exc}") from exc
 
 
 def _write_out(result: demo_mod.DemoResult, out_dir: str) -> pathlib.Path:
@@ -79,7 +69,7 @@ def _load_registry(path: str | None) -> TemplateRegistry:
         return TemplateRegistry()
     try:
         return TemplateRegistry.load_dir(path)
-    except (OSError, ValueError, ValidationError) as exc:
+    except (OSError, VetError) as exc:
         _fail(f"cannot load templates from {path}: {exc}")
 
 
@@ -121,7 +111,7 @@ def aid():
 @click.argument("aid_file")
 def aid_hash(aid_file):
     """Print the content-addressed ID of an identity document."""
-    document = AgentIdentityDocument.from_obj(_load_json(aid_file))
+    document = _load_json(aid_file, AgentIdentityDocument.from_obj)
     try:
         click.echo(compute_id(document))
     except ValidationError as exc:
@@ -133,7 +123,7 @@ def aid_hash(aid_file):
 @click.option("--templates", "templates_dir", default=None, help="Template registry directory.")
 def aid_validate(aid_file, templates_dir):
     """Validate a document; exit 0 iff it has no violations."""
-    document = AgentIdentityDocument.from_obj(_load_json(aid_file))
+    document = _load_json(aid_file, AgentIdentityDocument.from_obj)
     registry = _load_registry(templates_dir) if templates_dir else None
     violations = validate(document, registry)
     for violation in violations:
@@ -254,15 +244,15 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
     registry = _load_registry(templates_dir)
     checked = VerificationReport()
     try:
-        document, bundle = _decode_bundle(aid_obj, bundle_obj)
+        document = AgentIdentityDocument.from_obj(aid_obj)
         verifier = instantiate_verifier(document, TrustStore(registry=registry))
-        verifier.verify(claim, bundle, checked)
+        verifier.verify(claim, VerifiableExecutionTrace.from_obj(bundle_obj), checked)
         report = {"result": "accept", "claim": claim}
         code = 0
     except Rejected as exc:
         report = {"result": "reject", "reason": exc.reason, "detail": exc.detail}
         code = 1
-    except (VetError, ValueError, KeyError) as exc:
+    except VetError as exc:
         report = {"result": "reject", "reason": "malformed", "detail": str(exc)}
         code = 1
     report["components"] = [check.to_obj() for check in checked.components]
@@ -285,9 +275,10 @@ def inspect(aid_file, bundle_file, templates_dir, as_json):
     aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
     registry = _load_registry(templates_dir)
     try:
-        document, bundle = _decode_bundle(aid_obj, bundle_obj)
+        document = AgentIdentityDocument.from_obj(aid_obj)
+        bundle = VerifiableExecutionTrace.from_obj(bundle_obj)
         text, ok = demo_mod.inspect_bundle(bundle, document, registry)
-    except (VetError, ValueError, KeyError) as exc:
+    except VetError as exc:
         _fail(f"malformed bundle: {exc}")
     if as_json:
         click.echo(json.dumps({"ok": ok, "report": text}))

@@ -42,6 +42,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from .canonical import json_field, parse_hex, parse_int
 from .errors import Rejected, ValidationError
 
 DEFAULT_CHUNK_SIZE = 16
@@ -120,9 +121,9 @@ class TranscriptCommitment:
     @classmethod
     def from_obj(cls, obj: dict) -> "TranscriptCommitment":
         commitment = cls(
-            root=bytes.fromhex(obj["root"]),
-            chunk_size=int(obj["chunk_size"]),
-            total_length=int(obj["total_length"]),
+            root=json_field(obj, "root", bytes),
+            chunk_size=json_field(obj, "chunk_size", int),
+            total_length=json_field(obj, "total_length", int),
         )
         cs, total = commitment.chunk_size, commitment.total_length
         # Leaf hashes encode a chunk index in 8 bytes.
@@ -170,13 +171,11 @@ class RevealedRun:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RevealedRun":
-        if not isinstance(obj["path"], list):
-            raise ValidationError("run path must be a list of hex strings")
         return cls(
-            index=int(obj["index"]),
-            salt=bytes.fromhex(obj["salt"]),
-            data=bytes.fromhex(obj["data"]),
-            path=tuple(map(bytes.fromhex, obj["path"])),
+            index=json_field(obj, "index", int),
+            salt=json_field(obj, "salt", bytes),
+            data=json_field(obj, "data", bytes),
+            path=tuple(parse_hex(node, "path") for node in json_field(obj, "path", list)),
         )
 
 
@@ -193,9 +192,12 @@ class Disclosure:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Disclosure":
+        ranges = json_field(obj, "ranges", list)
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in ranges):
+            raise ValidationError("ranges must be [offset, length] pairs")
         return cls(
-            ranges=tuple((int(o), int(n)) for o, n in obj["ranges"]),
-            chunks=tuple(RevealedRun.from_obj(c) for c in obj["chunks"]),
+            ranges=tuple((parse_int(o, "ranges"), parse_int(n, "ranges")) for o, n in ranges),
+            chunks=tuple(RevealedRun.from_obj(c) for c in json_field(obj, "chunks", list)),
         )
 
 

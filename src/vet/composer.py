@@ -31,7 +31,7 @@ from .aid import (
     ComponentEntry,
     compute_id,
 )
-from .canonical import FORMAT, SHAPE_ERRORS, check_format, str_field
+from .canonical import FORMAT, check_format, json_field
 from .errors import Rejected, ValidationError
 from .templates import (
     ROLE_CORE,
@@ -92,10 +92,10 @@ class ComponentProof:
     @classmethod
     def from_obj(cls, obj: dict) -> "ComponentProof":
         return cls(
-            kind=str_field(obj, "kind"),
-            step_index=int(obj["step_index"]),
-            position=str_field(obj, "position"),
-            payload=obj["payload"],
+            kind=json_field(obj, "kind"),
+            step_index=json_field(obj, "step_index", int),
+            position=json_field(obj, "position"),
+            payload=json_field(obj, "payload", object),  # the scheme verifier decodes it
         )
 
 
@@ -120,17 +120,15 @@ class VerifiableExecutionTrace:
         """Decode a bundle of the current format; a bundle of another
         format or of the wrong shape is a ValidationError."""
         check_format(obj, "bundle")
-        try:
-            return cls(
-                aid_id=str_field(obj, "aid_id"),
-                trace=ExecutionTrace.from_obj(obj["trace"]),
-                proofs=tuple(ComponentProof.from_obj(p) for p in obj["proofs"]),
-                claims=tuple(
-                    (str_field(c, "value"), str_field(c, "locator")) for c in obj.get("claims", [])
-                ),
-            )
-        except SHAPE_ERRORS as exc:
-            raise ValidationError(f"malformed bundle: {exc}") from exc
+        return cls(
+            aid_id=json_field(obj, "aid_id"),
+            trace=ExecutionTrace.from_obj(json_field(obj, "trace", dict)),
+            proofs=tuple(ComponentProof.from_obj(p) for p in json_field(obj, "proofs", list)),
+            claims=tuple(
+                (json_field(c, "value"), json_field(c, "locator"))
+                for c in json_field(obj, "claims", list, [])
+            ),
+        )
 
 
 def core_input(trace: ExecutionTrace, step_index: int) -> str:
@@ -386,13 +384,12 @@ def _verify_trace(
         proof = by_locator.pop((j, invocation.position), None)
         if proof is None:
             raise Rejected("subproof-invalid", f"missing proof at {invocation.locator}")
-        try:
-            entry = invocation.entry(aid)
-        except KeyError:
+        if invocation.call and invocation.call.tool_id not in {t.name for t in aid.tools}:
             raise Rejected(
                 "transcript-inconsistent",
                 f"step {j}: tool {invocation.call.tool_id!r} not in the AID",
             )
+        entry = invocation.entry(aid)
         check = ComponentCheck(j, invocation.position, proof.kind)
         report.components.append(check)
         exchange = _verify_component(proof, entry, registry, invocation.role, check)
@@ -435,7 +432,7 @@ def _verify_component(
         exchange = scheme.verify(proof.payload, entry, registry, role)
     except Rejected as exc:
         check.verdict, check.detail = exc.reason, exc.detail
-    except (ValidationError, ValueError, KeyError) as exc:
+    except ValidationError as exc:
         check.verdict, check.detail = "subproof-invalid", str(exc)
     else:
         check.verdict, check.request_disclosed = "ok", exchange.request_disclosed

@@ -10,7 +10,6 @@ emitted in its final step.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .aid import (
     ComponentEntry,
     VerificationMetadata,
 )
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, canonical_loads, json_field
 from .composer import (
     TeeComponentProver,
     VerifiableExecutionTrace,
@@ -68,16 +67,8 @@ class TradeDecision:
 
     @classmethod
     def from_serialized(cls, text: str) -> "TradeDecision":
-        try:
-            obj = json.loads(text)
-            return cls(
-                action=obj["action"],
-                asset=obj["asset"],
-                size=obj["size"],
-                rationale=obj["rationale"],
-            )
-        except (ValueError, KeyError, TypeError):
-            raise ValidationError("core output is not a serialized trade decision")
+        obj = canonical_loads(text)
+        return cls(*(json_field(obj, name) for name in ("action", "asset", "size", "rationale")))
 
 
 def demo_templates() -> tuple[TemplateRegistry, dict[str, str]]:

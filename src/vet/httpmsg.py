@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .canonical import parse_int
 from .errors import ValidationError
 
 CRLF = b"\r\n"
@@ -67,27 +68,29 @@ def render_response(response: HttpResponse) -> bytes:
     return CRLF.join(lines) + CRLF + CRLF + response.body
 
 
-def _split_head(data: bytes) -> tuple[list[bytes], bytes]:
-    try:
-        head, body = data.split(CRLF + CRLF, 1)
-    except ValueError:
+def _split_head(data: bytes) -> tuple[list[str], bytes]:
+    head, terminator, body = data.partition(CRLF + CRLF)
+    if not terminator:
         raise ValidationError("malformed HTTP message: missing header terminator")
-    return head.split(CRLF), body
+    try:
+        return head.decode("utf-8").split("\r\n"), body
+    except UnicodeDecodeError:
+        raise ValidationError("malformed HTTP message: head is not UTF-8") from None
 
 
-def _parse_headers(lines: list[bytes]) -> tuple[tuple[str, str], ...]:
+def _parse_headers(lines: list[str]) -> tuple[tuple[str, str], ...]:
     headers = []
     for line in lines:
-        if b":" not in line:
+        if ":" not in line:
             raise ValidationError(f"malformed header line {line!r}")
-        name, value = line.split(b":", 1)
-        headers.append((name.decode("utf-8"), value.decode("utf-8").strip()))
+        name, value = line.split(":", 1)
+        headers.append((name, value.strip()))
     return tuple(headers)
 
 
 def parse_request(data: bytes) -> HttpRequest:
     lines, body = _split_head(data)
-    parts = lines[0].decode("utf-8").split(" ")
+    parts = lines[0].split(" ")
     if len(parts) != 3 or parts[2] != "HTTP/1.1":
         raise ValidationError(f"malformed request line {lines[0]!r}")
     headers = _parse_headers(lines[1:])
@@ -96,13 +99,10 @@ def parse_request(data: bytes) -> HttpRequest:
 
 def parse_response(data: bytes) -> HttpResponse:
     lines, body = _split_head(data)
-    parts = lines[0].decode("utf-8").split(" ", 2)
+    parts = lines[0].split(" ", 2)
     if len(parts) < 2 or parts[0] != "HTTP/1.1":
         raise ValidationError(f"malformed status line {lines[0]!r}")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise ValidationError(f"malformed status code in {lines[0]!r}")
+    status = parse_int(parts[1], "status code")
     reason = parts[2] if len(parts) == 3 else ""
     headers = _parse_headers(lines[1:])
     return HttpResponse(status=status, reason=reason, headers=headers, body=body)

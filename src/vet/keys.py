@@ -17,6 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
+from .canonical import parse_hex
 from .errors import ValidationError
 
 ED25519_PREFIX = "ed25519:"
@@ -66,11 +67,7 @@ def parse_public_key(key_string: str) -> Ed25519PublicKey:
     """Parse an "ed25519:<hex>" string into a public key object."""
     if not isinstance(key_string, str) or not key_string.startswith(ED25519_PREFIX):
         raise ValidationError(f"unsupported key string {key_string!r}")
-    hexpart = key_string[len(ED25519_PREFIX):]
-    try:
-        raw = bytes.fromhex(hexpart)
-    except ValueError:
-        raise ValidationError(f"key string {key_string!r} is not hex")
+    raw = parse_hex(key_string[len(ED25519_PREFIX):], "key string")
     if len(raw) != 32:
         raise ValidationError(f"key string {key_string!r} has wrong length")
     return Ed25519PublicKey.from_public_bytes(raw)
@@ -79,10 +76,9 @@ def parse_public_key(key_string: str) -> Ed25519PublicKey:
 def verify_signature(key_string: str, message: bytes, signature_hex: str) -> bool:
     """True iff the hex signature verifies under the prefixed key string."""
     try:
-        key = parse_public_key(key_string)
-        key.verify(bytes.fromhex(signature_hex), message)
+        parse_public_key(key_string).verify(parse_hex(signature_hex, "signature"), message)
         return True
-    except (InvalidSignature, ValidationError, ValueError, TypeError):
+    except (InvalidSignature, ValidationError):
         return False
 
 

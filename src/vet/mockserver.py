@@ -18,11 +18,9 @@ from typing import Callable, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from . import frames
-from .agent_model import (
-    ROLE_CORE,
-    ROLE_TOOL_RESULT,
-    CoreFunction,
-)
+from .agent_model import ROLE_CORE, ROLE_TOOL_RESULT, CoreFunction
+from .canonical import canonical_loads, json_field, parse_hex
+from .errors import ValidationError
 from .httpmsg import HttpResponse, parse_request, render_response
 
 JSON_HEADERS = (("Content-Type", "application/json"),)
@@ -41,11 +39,9 @@ def _error_response(status: int, reason: str, message: str) -> bytes:
 def _string_field(body: bytes, name: str) -> str | None:
     """Field ``name`` of a JSON object body if it is a string, else None."""
     try:
-        obj = json.loads(body)
-    except ValueError:
+        return json_field(canonical_loads(body), name)
+    except ValidationError:
         return None
-    value = obj.get(name) if isinstance(obj, dict) else None
-    return value if isinstance(value, str) else None
 
 
 def _digest_int(*parts: str) -> int:
@@ -121,8 +117,8 @@ def make_core_handler(core: CoreFunction) -> Callable[[bytes], bytes]:
     def handler(request_bytes: bytes) -> bytes:
         request = parse_request(request_bytes)
         try:
-            history = bytes.fromhex(_string_field(request.body, "history"))
-        except (TypeError, ValueError):  # no string field, or not hex
+            history = parse_hex(_string_field(request.body, "history"), "history")
+        except ValidationError:  # no string field, or not lowercase hex
             return _error_response(400, "Bad Request", "body must be {\"history\": <hex>}")
         output, calls = core(history)
         return _json_response(

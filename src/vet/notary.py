@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import frames, toytls
-from .canonical import canonical_bytes, canonical_loads
-from .errors import CapacityExceeded, ProtocolError
+from .canonical import canonical_bytes, canonical_loads, json_field
+from .errors import CapacityExceeded, ProtocolError, ValidationError
 from .frames import Frame
 from .keys import SigningKey, key_fingerprint
 from .toytls import TargetServer
@@ -245,14 +245,12 @@ class NotaryService:
             raise ProtocolError("first frame must be OPEN")
         try:
             request = canonical_loads(frame.payload)
-            session_id = request["session_id"]
-            domain = request["domain"]
-            cap_up = int(request.get("cap_up", str(self.max_cap_up)))
-            cap_down = int(request.get("cap_down", str(self.max_cap_down)))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ProtocolError(f"malformed OPEN payload: {exc!r}")
-        if not isinstance(session_id, str) or not isinstance(domain, str):
-            raise ProtocolError("malformed OPEN payload: session_id and domain must be strings")
+            session_id = json_field(request, "session_id")
+            domain = json_field(request, "domain")
+            cap_up = json_field(request, "cap_up", int, self.max_cap_up)
+            cap_down = json_field(request, "cap_down", int, self.max_cap_down)
+        except ValidationError as exc:
+            raise ProtocolError(f"malformed OPEN payload: {exc}")
         if cap_up <= 0 or cap_down <= 0:
             raise ProtocolError("capacities must be positive")
         if cap_up > self.max_cap_up or cap_down > self.max_cap_down:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable
 
 from . import frames
-from .canonical import SHAPE_ERRORS, canonical_bytes, canonical_loads
+from .canonical import canonical_bytes, canonical_loads, json_field
 from .errors import Rejected, ValidationError
 from .keys import SigningKey, verify_signature
 from .templates import (
@@ -71,8 +71,8 @@ class ProxyAttestation:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ProxyAttestation":
-        values = {f.name: obj[f.name] for f in fields(cls)}
-        return cls(**{**values, "timestamp": int(values["timestamp"])})
+        text = {f.name: json_field(obj, f.name) for f in fields(cls) if f.name != "timestamp"}
+        return cls(**text, timestamp=json_field(obj, "timestamp", int))
 
 
 class TeeProxy:
@@ -188,13 +188,9 @@ def verify_component(
 ) -> AuthenticatedExchange:
     """The ProxyTEE scheme verifier: decode a ``component_payload`` and
     authenticate it against the AID entry."""
-    try:
-        response_bytes = bytes.fromhex(payload["response"])
-        attestation = ProxyAttestation.from_obj(payload["attestation"])
-        request_bytes = bytes.fromhex(payload["request"])
-    except SHAPE_ERRORS as exc:
-        raise ValidationError(f"malformed ProxyTEE proof: {exc}")
-    return _authenticate(response_bytes, attestation, entry, registry, role, request_bytes)
+    attestation = ProxyAttestation.from_obj(json_field(payload, "attestation", dict))
+    response, request = (json_field(payload, key, bytes) for key in ("response", "request"))
+    return _authenticate(response, attestation, entry, registry, role, request)
 
 
 def verify_attestation(
@@ -237,4 +233,5 @@ def serve(proxy: TeeProxy, host: str = "127.0.0.1", port: int = 0) -> frames.Fra
 
 def fetch_tcp(host: str, port: int, request_bytes: bytes) -> tuple[bytes, ProxyAttestation]:
     obj = canonical_loads(frames.relay(host, port, request_bytes))
-    return bytes.fromhex(obj["response"]), ProxyAttestation.from_obj(obj["attestation"])
+    attestation = ProxyAttestation.from_obj(json_field(obj, "attestation", dict))
+    return json_field(obj, "response", bytes), attestation

@@ -23,7 +23,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .canonical import canonical_bytes, content_hash, json_pointer
+from .canonical import canonical_bytes, canonical_loads, content_hash, json_field, json_pointer
 from .errors import Rejected, ValidationError
 from .httpmsg import parse_request, parse_response
 
@@ -42,21 +42,23 @@ class InjectTemplate:
     kind: str  # "tool" or "core"
     method: str
     path: str
-    headers: tuple[dict, ...]
+    headers: tuple[dict, ...]  # each a name and a value, or a secret and its length
     body: dict | None
     input_pointer: str | None
     chunk_size: int
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InjectTemplate":
-        if obj.get("type") != "inject":
+        if json_field(obj, "type", str, None) != "inject":
             raise ValidationError("not an inject template")
-        kind = obj.get("kind")
+        kind = json_field(obj, "kind", str, None)
         if kind not in ("tool", "core"):
             raise ValidationError(f"template kind must be tool or core, got {kind!r}")
-        chunk_size = int(obj.get("chunk_size", "16"))
-        path = obj["path"]
-        input_pointer = obj.get("input_pointer")
+        chunk_size = json_field(obj, "chunk_size", int, 16)
+        if chunk_size < 1:
+            raise ValidationError("chunk_size must be >= 1")
+        path = json_field(obj, "path")
+        input_pointer = json_field(obj, "input_pointer", str, None)
         in_path = INPUT_SLOT in path
         if in_path and input_pointer:
             raise ValidationError("input slot declared in both path and body")
@@ -64,25 +66,25 @@ class InjectTemplate:
             raise ValidationError("template has no input slot")
         if path.count(INPUT_SLOT) > 1:
             raise ValidationError("multiple input slots in path")
-        headers = []
-        for header in obj.get("headers", []):
-            if "secret" in header:
-                length = int(header["length"])
-                if length <= 0 or length % chunk_size:
-                    raise ValidationError(
-                        f"secret {header['secret']!r} length must be a positive "
-                        f"multiple of chunk_size {chunk_size}"
-                    )
-            elif "value" not in header:
-                raise ValidationError(f"header {header.get('name')!r} has no value or secret")
-            headers.append(dict(header))
+        headers = json_field(obj, "headers", list, [])
+        for header in headers:
+            json_field(header, "name")
+            if "secret" not in header:
+                json_field(header, "value")
+                continue
+            secret, length = json_field(header, "secret"), json_field(header, "length", int)
+            if length <= 0 or length % chunk_size:
+                raise ValidationError(
+                    f"secret {secret!r} length must be a positive "
+                    f"multiple of chunk_size {chunk_size}"
+                )
         return cls(
             uid=content_hash(obj),
             kind=kind,
-            method=obj["method"],
+            method=json_field(obj, "method"),
             path=path,
-            headers=tuple(headers),
-            body=obj.get("body"),
+            headers=tuple(map(dict, headers)),
+            body=json_field(obj, "body", dict, None),
             input_pointer=input_pointer,
             chunk_size=chunk_size,
         )
@@ -102,35 +104,30 @@ class ParseTemplate:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ParseTemplate":
-        if obj.get("type") != "parse":
+        if json_field(obj, "type", str, None) != "parse":
             raise ValidationError("not a parse template")
-        kind = obj.get("kind")
+        kind = json_field(obj, "kind", str, None)
         if kind not in ("tool", "core"):
             raise ValidationError(f"template kind must be tool or core, got {kind!r}")
-        if kind == "core" and not obj.get("calls_pointer"):
+        calls_pointer = json_field(obj, "calls_pointer", str, None)
+        if kind == "core" and not calls_pointer:
             raise ValidationError("core parse template requires calls_pointer")
         return cls(
             uid=content_hash(obj),
             kind=kind,
-            output_pointer=obj["output_pointer"],
-            calls_pointer=obj.get("calls_pointer"),
-            call_tool_pointer=obj.get("call_tool_pointer", "/tool"),
-            call_input_pointer=obj.get("call_input_pointer", "/input"),
+            output_pointer=json_field(obj, "output_pointer"),
+            calls_pointer=calls_pointer,
+            call_tool_pointer=json_field(obj, "call_tool_pointer", str, "/tool"),
+            call_input_pointer=json_field(obj, "call_input_pointer", str, "/input"),
         )
 
 
 def _set_pointer(doc, pointer: str, value) -> None:
-    if not pointer.startswith("/"):
-        raise ValidationError(f"invalid input pointer {pointer!r}")
-    tokens = [t.replace("~1", "/").replace("~0", "~") for t in pointer.split("/")[1:]]
-    node = doc
-    for token in tokens[:-1]:
-        node = node[token] if isinstance(node, dict) else node[int(token)]
-    last = tokens[-1]
-    if isinstance(node, dict):
-        node[last] = value
-    else:
-        node[int(last)] = value
+    """Replace the value at ``pointer``, which resolves in ``doc``."""
+    parent, _, last = pointer.rpartition("/")
+    node = json_pointer(doc, parent)
+    token = last.replace("~1", "/").replace("~0", "~")
+    node[int(token) if isinstance(node, list) else token] = value
 
 
 def render(
@@ -170,7 +167,7 @@ def render(
         name = header["name"]
         if "secret" in header:
             secret_name = header["secret"]
-            declared = int(header["length"])
+            declared = json_field(header, "length", int)
             value = secrets.get(secret_name, "")
             if len(value) > declared:
                 raise ValidationError(
@@ -225,8 +222,8 @@ def extract_input(template: InjectTemplate, request_bytes: bytes) -> str:
 
 def _json_body(body: bytes, what: str):
     try:
-        return json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+        return canonical_loads(body)
+    except ValidationError:
         raise Rejected("parse-failure", f"{what} body is not valid JSON")
 
 
@@ -395,14 +392,15 @@ class TemplateRegistry:
         self._objs: dict[str, dict] = {}
 
     def register(self, obj: dict) -> str:
-        if obj.get("type") == "inject":
+        kind = json_field(obj, "type", str, None)
+        if kind == "inject":
             template = InjectTemplate.from_obj(obj)
             self._inject[template.uid] = template
-        elif obj.get("type") == "parse":
+        elif kind == "parse":
             template = ParseTemplate.from_obj(obj)
             self._parse[template.uid] = template
         else:
-            raise ValidationError(f"template type must be inject or parse, got {obj.get('type')!r}")
+            raise ValidationError(f"template type must be inject or parse, got {kind!r}")
         self._objs[template.uid] = obj
         return template.uid
 
@@ -432,5 +430,5 @@ class TemplateRegistry:
     def load_dir(cls, path) -> "TemplateRegistry":
         registry = cls()
         for file in sorted(pathlib.Path(path).glob("*.json")):
-            registry.register(json.loads(file.read_text()))
+            registry.register(canonical_loads(file.read_bytes()))
         return registry

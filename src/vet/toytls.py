@@ -14,7 +14,8 @@ chosen value requires a SHA-256 preimage.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -23,7 +24,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import frames
-from .canonical import canonical_bytes, canonical_loads
+from .canonical import canonical_bytes, canonical_loads, json_field
 from .errors import ProtocolError, ValidationError
 from .frames import Frame
 from .keys import SigningKey, verify_signature
@@ -108,6 +109,14 @@ def split_records(total_length: int, secret_spans: list[tuple[int, int]]) -> lis
     return spans
 
 
+def shared_secret(private: X25519PrivateKey, public: bytes) -> bytes:
+    """X25519 with a peer key read off the wire; ValidationError if it has no shared secret."""
+    try:
+        return private.exchange(X25519PublicKey.from_public_bytes(public))
+    except ValueError as exc:  # a key of the wrong length, or of low order
+        raise ValidationError(f"X25519 key: {exc}") from None
+
+
 def pub_hex(private: X25519PrivateKey) -> str:
     return private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw).hex()
 
@@ -125,6 +134,58 @@ def handshake_signature_message(
     )
 
 
+class RecordInfo(NamedTuple):  # equal to the plain (direction, hash, length) tuple
+    direction: str
+    hash: str
+    length: int
+
+
+@dataclass(frozen=True)
+class SignedStatement:
+    """A notary-signed session statement, decoded once; ``statement`` is the signed object."""
+
+    statement: dict
+    signature: str
+    session_id: str
+    server_domain: str
+    capacity: tuple[int, int]  # (up, down)
+    records: tuple[RecordInfo, ...]
+
+    def verify(self, notary_key: str) -> bool:
+        return verify_signature(notary_key, canonical_bytes(self.statement), self.signature)
+
+    def check_session(self, notary_keys: list[str], session_id: str, chain: list) -> None:
+        """ProtocolError unless one of ``notary_keys`` signed this statement for
+        ``session_id`` over ``chain``, a (direction, hash, length) per record."""
+        if not any(self.verify(key) for key in notary_keys):
+            raise ProtocolError("statement not signed by a known notary")
+        if self.session_id != session_id:
+            raise ProtocolError("statement is for a different session")
+        if list(self.records) != chain:
+            raise ProtocolError("signed chain does not match the session records")
+
+    def to_obj(self) -> dict:
+        return {"statement": self.statement, "notary_signature": self.signature}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "SignedStatement":
+        statement = json_field(obj, "statement", dict)
+        capacity = json_field(statement, "channel_capacity", dict)
+        return cls(
+            statement=statement,
+            signature=json_field(obj, "notary_signature"),
+            session_id=json_field(statement, "session_id"),
+            server_domain=json_field(statement, "server_domain"),
+            capacity=(json_field(capacity, "up", int), json_field(capacity, "down", int)),
+            records=tuple(
+                RecordInfo(
+                    json_field(r, "direction"), json_field(r, "hash"), json_field(r, "length", int)
+                )
+                for r in json_field(statement, "records", list)
+            ),
+        )
+
+
 class ServerConnection:
     """Per-session server-side state machine, driven frame by frame.
 
@@ -136,7 +197,6 @@ class ServerConnection:
     def __init__(self, server: "TargetServer", session_id: str):
         self.server = server
         self.session_id = session_id
-        self._shared: bytes | None = None
         self._hk: bytes | None = None
         self._up_secret: bytes | None = None
         self._seed = hashlib.sha256(
@@ -144,7 +204,6 @@ class ServerConnection:
         ).digest()
         self._up_wires: list[bytes] = []
         self._sent_hashes: list[tuple[str, str, int]] = []  # (direction, hash, pt length)
-        self._nonce_hex = ""
 
     def handle(self, frame: Frame) -> list[Frame]:
         if frame.type == frames.HS_UP:
@@ -166,25 +225,21 @@ class ServerConnection:
                 b"VET/server-eph:" + self.server.session_secret + self.session_id.encode()
             ).digest()
         )
-        # The hello comes from the prover unchecked by the relay: any
-        # decode failure, or a key with no shared secret, is a protocol
-        # error, which aborts the session.
+        # The hello comes from the prover unchecked by the relay: one that
+        # does not decode, or has no shared secret, aborts the session.
         try:
             hello = canonical_loads(payload)
-            client_eph_hex = hello["client_eph"]
-            nonce_hex = hello["nonce"]
-            nonce = bytes.fromhex(nonce_hex)
-            shared = eph.exchange(X25519PublicKey.from_public_bytes(bytes.fromhex(client_eph_hex)))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed hello: {exc!r}")
-        self._nonce_hex = nonce_hex
-        self._shared = shared
+            client_eph = json_field(hello, "client_eph", bytes)
+            nonce = json_field(hello, "nonce", bytes)
+            shared = shared_secret(eph, client_eph)
+        except ValidationError as exc:
+            raise ProtocolError(f"malformed hello: {exc}")
         self._hk = handshake_key(shared, nonce)
         self._up_secret = up_secret(shared)
         server_eph_hex = pub_hex(eph)
         signature = self.server.signing_key.sign(
             handshake_signature_message(
-                client_eph_hex, server_eph_hex, self._nonce_hex, self.session_id
+                client_eph.hex(), server_eph_hex, nonce.hex(), self.session_id
             )
         )
         reply = canonical_bytes(
@@ -232,25 +287,12 @@ class ServerConnection:
             raise ProtocolError("server: key request before handshake")
         statement_bytes = open_record(post_key(self._hk, "up"), payload)
         # The prover holds the handshake key, so the sealed statement is
-        # outside input: any failure to decode it is a protocol error.
+        # outside input: one that does not decode is a protocol error.
         try:
-            signed = canonical_loads(statement_bytes)
-            statement = signed["statement"]
-            message = canonical_bytes(statement)
-            if not any(
-                verify_signature(pub, message, signed["notary_signature"])
-                for pub in self.server.notary_keys
-            ):
-                raise ProtocolError("server: statement not signed by a known relay")
-            if statement.get("session_id") != self.session_id:
-                raise ProtocolError("server: statement is for a different session")
-            chain = [
-                (r["direction"], r["hash"], int(r["length"])) for r in statement["records"]
-            ]
-        except (ValidationError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ProtocolError(f"malformed key request: {exc!r}")
-        if chain != self._sent_hashes:
-            raise ProtocolError("server: signed chain does not match session records")
+            signed = SignedStatement.from_obj(canonical_loads(statement_bytes))
+        except ValidationError as exc:
+            raise ProtocolError(f"malformed key request: {exc}")
+        signed.check_session(self.server.notary_keys, self.session_id, self._sent_hashes)
         released = seal_record(post_key(self._hk, "down"), self._seed)
         return [Frame(frames.POST_DOWN, released)]
 

@@ -20,13 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from cryptography.hazmat.primitives.asymmetric.x25519 import (
-    X25519PrivateKey,
-    X25519PublicKey,
-)
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from . import frames, toytls
-from .canonical import FORMAT, SHAPE_ERRORS, canonical_bytes, canonical_loads, check_format
+from .canonical import FORMAT, canonical_bytes, canonical_loads, check_format, json_field
 from .commitment import (
     Disclosure,
     TranscriptCommitment,
@@ -35,7 +32,7 @@ from .commitment import (
     disclosed_bytes,
     normalize_ranges,
 )
-from .errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
+from .errors import CapacityExceeded, ProtocolError, Rejected
 from .frames import Frame
 from .keys import key_fingerprint, verify_signature
 from .notary import NotaryService
@@ -50,54 +47,7 @@ from .templates import (  # the roles are re-exported for callers of this module
     parse_exchange,
     render,
 )
-
-
-@dataclass(frozen=True)
-class RecordInfo:
-    direction: str
-    hash: str
-    length: int
-
-
-@dataclass(frozen=True)
-class SignedStatement:
-    statement: dict
-    signature: str
-
-    @property
-    def session_id(self) -> str:
-        return self.statement["session_id"]
-
-    @property
-    def server_domain(self) -> str:
-        return self.statement["server_domain"]
-
-    @property
-    def server_key_fingerprint(self) -> str:
-        return self.statement["server_key_fingerprint"]
-
-    @property
-    def capacity(self) -> tuple[int, int]:
-        cap = self.statement["channel_capacity"]
-        return int(cap["up"]), int(cap["down"])
-
-    def records(self) -> list[RecordInfo]:
-        return [
-            RecordInfo(r["direction"], r["hash"], int(r["length"]))
-            for r in self.statement["records"]
-        ]
-
-    def verify(self, notary_key: str) -> bool:
-        return verify_signature(
-            notary_key, canonical_bytes(self.statement), self.signature
-        )
-
-    def to_obj(self) -> dict:
-        return {"statement": self.statement, "notary_signature": self.signature}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SignedStatement":
-        return cls(statement=obj["statement"], signature=obj["notary_signature"])
+from .toytls import RecordInfo, SignedStatement  # re-exported for callers of this module
 
 
 @dataclass(frozen=True)
@@ -130,21 +80,23 @@ class WebProof:
         """Decode a web proof of the current format; a proof of another
         format or of the wrong shape is a ValidationError."""
         check_format(obj, "web proof")
-        try:
-            return cls(
-                statement=SignedStatement.from_obj(obj["signed_statement"]),
-                record_keys={
-                    (e["direction"], int(e["index"])): bytes.fromhex(e["key"])
-                    for e in obj["record_keys"]
-                },
-                request_commitment=TranscriptCommitment.from_obj(obj["request_commitment"]),
-                request_disclosure=Disclosure.from_obj(obj["request_disclosure"]),
-                response_commitment=TranscriptCommitment.from_obj(obj["response_commitment"]),
-                response_disclosure=Disclosure.from_obj(obj["response_disclosure"]),
-                claims=dict(obj.get("claims", {})),
-            )
-        except SHAPE_ERRORS as exc:
-            raise ValidationError(f"malformed web proof: {exc}") from exc
+
+        def part(key, decode):
+            return decode(json_field(obj, key, dict))
+
+        return cls(
+            statement=part("signed_statement", SignedStatement.from_obj),
+            record_keys={
+                (json_field(e, "direction"), json_field(e, "index", int)):
+                    json_field(e, "key", bytes)
+                for e in json_field(obj, "record_keys", list)
+            },
+            request_commitment=part("request_commitment", TranscriptCommitment.from_obj),
+            request_disclosure=part("request_disclosure", Disclosure.from_obj),
+            response_commitment=part("response_commitment", TranscriptCommitment.from_obj),
+            response_disclosure=part("response_disclosure", Disclosure.from_obj),
+            claims=dict(json_field(obj, "claims", dict, {})),
+        )
 
 
 def _open_frame(session_id: str, domain: str, cap_up: int, cap_down: int) -> Frame:
@@ -181,7 +133,7 @@ class ProvisionedChannel:
         self._session, ok = service.open_session(
             _open_frame(session_id, domain, cap_up, cap_down)
         )
-        self.notary_public_key = canonical_loads(ok.payload)["notary_public_key"]
+        self.notary_public_key = json_field(canonical_loads(ok.payload), "notary_public_key")
 
     def exchange(self, frame: Frame) -> list[Frame]:
         return self._session.handle(frame)
@@ -211,7 +163,7 @@ class TCPChannel:
         reply = frames.read_frame(self._sock)
         if reply.type == frames.ABORT:
             raise ProtocolError(f"notary rejected session: {reply.payload.decode()}")
-        self.notary_public_key = canonical_loads(reply.payload)["notary_public_key"]
+        self.notary_public_key = json_field(canonical_loads(reply.payload), "notary_public_key")
 
     def exchange(self, frame: Frame) -> list[Frame]:
         frames.write_frame(self._sock, frame)
@@ -286,13 +238,14 @@ def run_session(
     hello = canonical_bytes({"client_eph": client_eph, "nonce": nonce})
     reply = _expect(channel.exchange(Frame(frames.HS_UP, hello)), frames.HS_DOWN)
     server_hello = canonical_loads(reply.payload)
-    server_pub = server_hello["server_pub"]
+    server_pub = json_field(server_hello, "server_pub")
+    server_eph = json_field(server_hello, "server_eph", bytes)
     if not verify_signature(
         server_pub,
         toytls.handshake_signature_message(
-            client_eph, server_hello["server_eph"], nonce, channel.session_id
+            client_eph, server_eph.hex(), nonce, channel.session_id
         ),
-        server_hello["signature"],
+        json_field(server_hello, "signature"),
     ):
         channel.close()
         raise ProtocolError("server handshake signature invalid")
@@ -302,9 +255,7 @@ def run_session(
     ):
         channel.close()
         raise ProtocolError("server key mismatch")
-    shared = eph.exchange(
-        X25519PublicKey.from_public_bytes(bytes.fromhex(server_hello["server_eph"]))
-    )
+    shared = toytls.shared_secret(eph, server_eph)
     up_secret = toytls.up_secret(shared)
     hk = toytls.handshake_key(shared, bytes.fromhex(nonce))
 
@@ -328,18 +279,12 @@ def run_session(
     # Notary signs the chain; only then does the server release the seed.
     statement_frame = _expect(channel.exchange(Frame(frames.FIN, b"")), frames.STATEMENT)
     signed = SignedStatement.from_obj(canonical_loads(statement_frame.payload))
-    if not signed.verify(channel.notary_public_key):
-        raise ProtocolError("notary statement signature invalid")
-    if signed.session_id != channel.session_id:
-        raise ProtocolError("notary statement is for a different session")
     on_wire = [
         ("up", toytls.record_hash(w), len(w) - toytls.TAG_LEN) for w in up_wires
     ] + [
         ("down", toytls.record_hash(w), len(w) - toytls.TAG_LEN) for w in down_wires
     ]
-    chained = [(r.direction, r.hash, r.length) for r in signed.records()]
-    if chained != on_wire:
-        raise ProtocolError("notary statement chain does not match session records")
+    signed.check_session([channel.notary_public_key], channel.session_id, on_wire)
 
     release_request = toytls.seal_record(
         toytls.post_key(hk, "up"), statement_frame.payload
@@ -423,7 +368,7 @@ def _check_records(
     hash the notary signed. Bytes in unkeyed records stay unauthenticated
     and must not be disclosed at all.
     """
-    records = proof.statement.records()
+    records = proof.statement.records
     spans = _direction_spans(records, direction)
     chain = [r for r in records if r.direction == direction]
     total = sum(length for _, _, length in spans)
@@ -481,7 +426,7 @@ def authenticate(
             f"component endpoint is {server_domain!r}",
         )
     cap_up, cap_down = proof.statement.capacity
-    records = proof.statement.records()
+    records = proof.statement.records
     if sum(r.length for r in records if r.direction == "up") > cap_up:
         raise Rejected("bad-signature", "statement chain exceeds its own up capacity")
     if sum(r.length for r in records if r.direction == "down") > cap_down:

@@ -200,3 +200,27 @@ def test_tool_lookup(demo_world):
     assert demo_world.aid.tool("price_feed").name == "price_feed"
     with pytest.raises(KeyError):
         demo_world.aid.tool("nope")
+
+
+def test_endpoint_that_urlparse_refuses_is_a_violation():
+    bad = _doc_obj()
+    bad["core"]["endpoint"] = "https://["
+    violations = validate(AgentIdentityDocument.from_obj(bad))
+    assert [v.path for v in violations] == ["/core/endpoint"]
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda doc: doc["core"]["verification"]["TLSNotary"].update(protocol_version=1),
+        lambda doc: doc.update(tools="x"),
+        lambda doc: doc["tools"].append(["not", "an", "entry"]),
+        lambda doc: doc["core"].update(verification={"TLSNotary": "key"}),
+        lambda doc: doc["core"].update(model=None),
+    ],
+)
+def test_document_of_the_wrong_shape_does_not_decode(mangle):
+    bad = _doc_obj()
+    mangle(bad)
+    with pytest.raises(ValidationError):
+        AgentIdentityDocument.from_obj(bad)

@@ -8,7 +8,10 @@ from vet.canonical import (
     canonical_loads,
     content_hash,
     is_hash_string,
+    json_field,
     json_pointer,
+    parse_hex,
+    parse_int,
 )
 from vet.errors import ValidationError
 
@@ -81,3 +84,82 @@ def test_json_pointer_errors(pointer):
     doc = {"a": {"b": ["x", "y"]}}
     with pytest.raises(KeyError):
         json_pointer(doc, pointer)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("0", 0), ("7", 7), ("-1", -1), ("12345678901234567890", 12345678901234567890)]
+)
+def test_parse_int_reads_the_decimal_spelling(text, value):
+    assert parse_int(text, "n") == value
+
+
+@pytest.mark.parametrize(
+    "text", ["01", "+1", " 1", "1 ", "1_0", "-0", "", "1.0", "0x1", "٣", "9" * 5000, 1, None, True]
+)
+def test_parse_int_refuses_other_spellings(text):
+    with pytest.raises(ValidationError, match="n must be a decimal integer string"):
+        parse_int(text, "n")
+
+
+def test_parse_hex_reads_lowercase_hex():
+    assert parse_hex("", "h") == b""
+    assert parse_hex("00ff", "h") == b"\x00\xff"
+
+
+@pytest.mark.parametrize("text", ["00FF", "00fF", " 00", "00 ff", "0", "zz", 5, None, ["00"]])
+def test_parse_hex_refuses_other_spellings(text):
+    with pytest.raises(ValidationError, match="h must be a lowercase hex string"):
+        parse_hex(text, "h")
+
+
+def test_json_field():
+    obj = {"s": "x", "d": {}, "l": [], "b": False, "n": None, "i": "12", "h": "ab"}
+    assert json_field(obj, "s") == "x"
+    assert json_field(obj, "d", dict) == {}
+    assert json_field(obj, "l", list) == []
+    assert json_field(obj, "b", bool) is False
+    assert json_field(obj, "n", object) is None
+    assert json_field(obj, "i", int) == 12
+    assert json_field(obj, "h", bytes) == b"\xab"
+    assert json_field(obj, "absent", str, "default") == "default"
+    assert json_field(obj, "absent", int, None) is None
+
+
+@pytest.mark.parametrize(
+    "obj, key, kind, message",
+    [
+        ({}, "k", str, "missing field k"),
+        ({"k": 5}, "k", str, "k must be a string, not int"),
+        ({"k": "x"}, "k", dict, "k must be an object, not str"),
+        ({"k": {}}, "k", list, "k must be an array, not dict"),
+        ({"k": "true"}, "k", bool, "k must be a boolean, not str"),
+        ({"k": "01"}, "k", int, "k must be a decimal integer string"),
+        ({"k": 1}, "k", int, "k must be a decimal integer string"),  # a JSON number
+        ({"k": "AB"}, "k", bytes, "k must be a lowercase hex string"),
+        (["k"], "k", str, "expected an object holding k, not list"),
+    ],
+)
+def test_json_field_names_the_field(obj, key, kind, message):
+    with pytest.raises(ValidationError, match=message):
+        json_field(obj, key, kind)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"not json",
+        b"\xff",
+        b'{"a":"\\ud800"}',  # an escaped half of a surrogate pair
+        b'{"a":"\\udc00x"}',
+        '{"a":"\ud800"}',  # a raw one
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+)
+def test_loads_refuses_what_has_no_canonical_form(data):
+    with pytest.raises(ValidationError):
+        canonical_loads(data)
+
+
+def test_loads_reads_an_escaped_surrogate_pair():
+    loaded = canonical_loads(b'{"a":"\\ud83d\\ude00","b":"\\u0001"}')
+    assert loaded == {"a": "\U0001f600", "b": "\x01"}

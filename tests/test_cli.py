@@ -4,6 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from vet.cli import main
+from vet.composer import VerifiableExecutionTrace
+from vet.webproof import WebProof
 
 
 @pytest.fixture(scope="module")
@@ -282,3 +284,138 @@ def test_inspect_stops_at_first_rejection(proved, tmp_path):
     assert lines[-2].endswith("tee_attestation  [FAIL: bad-signature]")
     assert lines[-1].startswith("trace consistency: FAIL (subproof-invalid: ")
     assert sum("[ok]" in line or "[FAIL" in line for line in lines) == tee + 1
+
+
+@pytest.mark.parametrize(
+    "doc", [[], {"core": 5}, {"tools": "x"}], ids=["array", "core-5", "tools-x"]
+)
+@pytest.mark.parametrize(
+    "command", [["aid", "hash"], ["aid", "validate"]], ids=["hash", "validate"]
+)
+def test_aid_file_that_does_not_decode_is_a_usage_error(tmp_path, doc, command):
+    bad = tmp_path / "aid.json"
+    bad.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, [*command, str(bad)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+
+
+def _mangled_templates(proved, tmp_path, field, value):
+    """A copy of the demo templates with ``field`` of one inject template set to ``value``."""
+    directory = tmp_path / "templates"
+    directory.mkdir()
+    mangled = False
+    for file in sorted((proved / "templates").glob("*.json")):
+        template = json.loads(file.read_text())
+        if not mangled and template["type"] == "inject":
+            template[field] = value
+            mangled = True
+        (directory / file.name).write_text(json.dumps(template))
+    return directory
+
+
+@pytest.mark.parametrize(
+    "field, value", [("headers", ["x"]), ("chunk_size", ["1"]), ("path", 5)]
+)
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_malformed_template_file_is_a_usage_error(proved, tmp_path, field, value, command):
+    templates = _mangled_templates(proved, tmp_path, field, value)
+    args = [
+        command,
+        "--aid", str(proved / "aid.json"),
+        "--bundle", str(proved / "bundle.json"),
+        "--templates", str(templates),
+    ]
+    if command == "verify":
+        args += ["--claim", _claim(proved)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"error: cannot load templates from {templates}")
+
+
+def _core_proof(bundle):
+    return next(p for p in bundle["proofs"] if p["kind"] == "webproof")["payload"]
+
+
+# Where a field sits in the demo bundle, and the reason a bad spelling of
+# it gets: the bundle's own fields are malformed, a proof's are that
+# proof's reject.
+NUMBER_FIELDS = {
+    "step_index": (lambda b: b["trace"]["steps"][1], "step_index", "malformed"),
+    "record-key-index": (lambda b: _core_proof(b)["record_keys"][-1], "index", "subproof-invalid"),
+    "run-index": (
+        lambda b: _core_proof(b)["response_disclosure"]["chunks"][0], "index", "subproof-invalid"
+    ),
+}
+
+# Other spellings of the decimal integer ``v`` that int() reads as the same value.
+SPELLINGS = {
+    "space-plus-underscore": lambda v: " +0_" + v,
+    "underscore": lambda v: "0_" + v,
+    "leading-zero": lambda v: "0" + v,
+    "plus": lambda v: "+" + v,
+}
+
+
+def _verify_mangled(proved, tmp_path, bundle):
+    bad = tmp_path / "bundle.json"
+    bad.write_text(json.dumps(bundle))
+    result = CliRunner().invoke(
+        main,
+        [
+            "verify", "--json", "--claim", _claim(proved),
+            "--aid", str(proved / "aid.json"),
+            "--bundle", str(bad),
+            "--templates", str(proved / "templates"),
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    return json.loads(result.output)
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+@pytest.mark.parametrize("where", sorted(NUMBER_FIELDS))
+def test_only_the_plain_decimal_spelling_is_read(proved, tmp_path, where, spelling):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    locate, key, reason = NUMBER_FIELDS[where]
+    node = locate(bundle)
+    node[key] = SPELLINGS[spelling](node[key])
+    report = _verify_mangled(proved, tmp_path, bundle)
+    assert report["reason"] == reason
+    assert f"{key} must be a decimal integer string" in report["detail"]
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [
+        pytest.param(lambda d: d[:2] + " " + d[2:], id="space"),
+        pytest.param(str.upper, id="uppercase"),
+        pytest.param(lambda d: d[:2] + " " + d[2:].upper(), id="space-and-uppercase"),
+    ],
+)
+def test_only_the_lowercase_hex_spelling_is_read(proved, tmp_path, spell):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    run = _core_proof(bundle)["response_disclosure"]["chunks"][0]
+    run["data"] = spell(run["data"])
+    report = _verify_mangled(proved, tmp_path, bundle)
+    assert report["reason"] == "subproof-invalid"
+    assert "data must be a lowercase hex string" in report["detail"]
+
+
+def test_negative_run_index_still_decodes(proved, tmp_path):
+    # "-1" is the plain spelling of -1, so the disclosure check sees it.
+    bundle = json.loads((proved / "bundle.json").read_text())
+    _core_proof(bundle)["response_disclosure"]["chunks"][0]["index"] = "-1"
+    report = _verify_mangled(proved, tmp_path, bundle)
+    assert report["reason"] == "subproof-invalid"
+    assert "chunk-range-inconsistency" in report["detail"]
+
+
+def test_honest_bundle_decodes_to_the_same_document(proved):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    assert VerifiableExecutionTrace.from_obj(bundle).to_obj() == bundle
+    for proof in bundle["proofs"]:
+        if proof["kind"] == "webproof":
+            assert WebProof.from_obj(proof["payload"]).to_obj() == proof["payload"]

@@ -1,9 +1,11 @@
-"""Structure-aware fuzzing of the format-2 decoders.
+"""Structure-aware fuzzing of the decoders of outside documents.
 
-Each example starts from a valid web proof or bundle, then replaces or
-drops one field at any depth with any JSON value. Verification must end
-in a ``Rejected`` reason or a ``ValidationError``, and ``vet verify
---json`` in an exit code with a JSON report, never in a traceback.
+Each example starts from a valid web proof, bundle, AID or template,
+then replaces or drops one field at any depth with any JSON value.
+Verification must end in a ``Rejected`` reason or a ``ValidationError``;
+decoding an AID or registering a template in a ``ValidationError``; and
+``vet verify --json`` and ``vet aid validate`` in an exit code, never in
+a traceback.
 """
 
 import copy
@@ -17,10 +19,11 @@ from hypothesis import strategies as st
 
 from conftest import WebProofRig
 from vet import demo as demo_mod, webproof
+from vet.aid import AgentIdentityDocument, compute_id, validate
 from vet.cli import main
 from vet.composer import VerifiableExecutionTrace, verify_trace
 from vet.errors import Rejected, ValidationError
-from vet.templates import ROLE_TOOL
+from vet.templates import ROLE_TOOL, TemplateRegistry, expected_request
 
 SETTINGS = settings(
     max_examples=300,
@@ -29,8 +32,12 @@ SETTINGS = settings(
 )
 
 # Strings that reach past the first decode step: numbers, hex of several
-# lengths (odd, one salt, one hash), and an index past any transcript.
-TOKENS = ["", "0", "1", "-1", "16", "99999999999999999999", "abc", "00" * 16, "ab" * 32, "2"]
+# lengths (odd, one salt, one hash), an index past any transcript, and
+# the AID's and templates' own vocabulary.
+TOKENS = [
+    "", "0", "1", "-1", "16", "99999999999999999999", "abc", "00" * 16, "ab" * 32, "2",
+    "/", "/x", "{input}", "inject", "parse", "core", "tool", "https://[", "TLSNotary",
+]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -89,6 +96,22 @@ def webproof_doc():
     return _webproof_case()[1]
 
 
+def aid_doc():
+    return _bundle_case()[0].aid.to_obj()
+
+
+@functools.lru_cache(maxsize=None)
+def _template_objs():
+    registry, _ = demo_mod.demo_templates()
+    return tuple(registry._objs[uid] for uid in registry.uids())
+
+
+# One of the demo's four templates, with one field replaced or dropped.
+template_mutations = st.sampled_from(range(4)).flatmap(
+    lambda i: one_field_mutation(lambda: _template_objs()[i])
+)
+
+
 def bundle_doc():
     return _bundle_case()[2]
 
@@ -124,6 +147,29 @@ def test_bundle_decoder_only_rejects(mutated):
         pass
 
 
+@SETTINGS
+@given(one_field_mutation(aid_doc))
+def test_aid_decoder_only_rejects(mutated):
+    try:
+        document = AgentIdentityDocument.from_obj(mutated)
+        validate(document)
+        compute_id(document)
+    except ValidationError:
+        pass
+
+
+@SETTINGS
+@given(template_mutations)
+def test_template_decoder_only_rejects(mutated):
+    registry = TemplateRegistry()
+    try:
+        uid = registry.register(mutated)
+        if mutated["type"] == "inject":
+            expected_request(registry.get_inject(uid), "fuzz")
+    except ValidationError:
+        pass
+
+
 @pytest.fixture(scope="module")
 def cli_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz") / "demo-out"
@@ -152,3 +198,13 @@ def test_cli_verify_json_exits_with_a_report(cli_dir, mutated):
     if result.exit_code != 2:
         report = json.loads(result.output)
         assert report["result"] == ("accept" if result.exit_code == 0 else "reject")
+
+
+@settings(SETTINGS, max_examples=60)
+@given(mutated=one_field_mutation(aid_doc))
+def test_cli_aid_validate_exits_with_a_code(tmp_path_factory, mutated):
+    aid_file = tmp_path_factory.mktemp("aid") / "aid.json"
+    aid_file.write_text(json.dumps(mutated))
+    result = CliRunner().invoke(main, ["aid", "validate", str(aid_file)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2)

@@ -41,7 +41,7 @@ from vet.commitment import (
 from vet.tee_proxy import _match_tee_request
 from vet.errors import ProtocolError, Rejected, ValidationError
 from vet.templates import InjectTemplate, extract_input, match_request, render
-from vet.webproof import SignedStatement, WebProof, _assemble, _check_records
+from vet.webproof import RecordInfo, SignedStatement, WebProof, _assemble, _check_records
 
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -168,7 +168,7 @@ def old_verify_disclosure(commitment, disclosure):
 
 
 def old_check_records(proof, direction, commitment, disclosed):
-    records = proof.statement.records()
+    records = proof.statement.records
     spans = []
     offset = index = 0
     for record in records:
@@ -474,7 +474,7 @@ def record_cases(draw):
     for i, (start, end) in enumerate(spans):
         key = rng.randbytes(32)
         wire = old_seal_record(key, plaintext[start:end])
-        records.append({"direction": "down", "hash": toytls.record_hash(wire), "length": str(end - start)})
+        records.append(RecordInfo("down", toytls.record_hash(wire), end - start))
         if draw(st.booleans()):
             keys[("down", i)] = key
     commitment, opening = commit(plaintext, chunk_size, rng)
@@ -517,7 +517,7 @@ def test_check_records_and_assemble_match_oracle(case):
     elif mutation == "length":
         commitment = TranscriptCommitment(commitment.root, commitment.chunk_size, commitment.total_length + 1)
     proof = WebProof(
-        statement=SignedStatement({"records": records}, ""),
+        statement=SignedStatement({}, "", "", "", (0, 0), tuple(records)),
         record_keys=keys,
         request_commitment=commitment,
         request_disclosure=Disclosure((), ()),

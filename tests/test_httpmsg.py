@@ -46,6 +46,8 @@ def test_response_round_trip():
         b"GET /\r\n\r\n",  # missing version
         b"GET / HTTP/1.0\r\n\r\n",
         b"GET / HTTP/1.1\r\nbroken header\r\n\r\n",
+        b"GET /\xff HTTP/1.1\r\n\r\n",  # a head that is not UTF-8
+        b"GET / HTTP/1.1\r\nX-A: \xff\r\n\r\n",
     ],
 )
 def test_parse_request_errors(data):
@@ -55,7 +57,13 @@ def test_parse_request_errors(data):
 
 @pytest.mark.parametrize(
     "data",
-    [b"HTTP/1.1 abc OK\r\n\r\n", b"HTTP/2 200 OK\r\n\r\n", b"junk"],
+    [
+        b"HTTP/1.1 abc OK\r\n\r\n",
+        b"HTTP/1.1 +200 OK\r\n\r\n",
+        b"HTTP/2 200 OK\r\n\r\n",
+        b"junk",
+        b"HTTP/1.1 200 \xff\r\n\r\n",
+    ],
 )
 def test_parse_response_errors(data):
     with pytest.raises(ValidationError):

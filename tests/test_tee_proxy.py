@@ -168,3 +168,15 @@ def test_tcp_serve_and_fetch(setup):
         assert attestation.enclave_public_key == proxy.public_key
     finally:
         server.shutdown()
+
+
+def test_attested_request_that_is_not_utf8_is_a_parse_failure(setup):
+    # The prover chooses the request, so an honest proxy attests any bytes.
+    registry, _, entry, _ = setup
+    response = b'HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\n{"bitcoin":{"usd":"1.00"}}'
+    proxy = TeeProxy(SigningKey.from_seed("tee-test"), lambda request: response)
+    request = b"GET /api/v3/simple/price?ids=\xff&vs_currencies=usd HTTP/1.1\r\n\r\n"
+    payload = tee_proxy.component_payload(request, response, proxy.fetch(request)[1])
+    with pytest.raises(Rejected) as err:
+        tee_proxy.verify_component(payload, entry, registry, "tool")
+    assert err.value.reason == "parse-failure"

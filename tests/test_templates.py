@@ -171,6 +171,8 @@ def test_parse_tool_and_core():
         parse_tool(tool, b'HTTP/1.1 200 OK\r\nContent-Length: 7\r\n\r\nnotjson')
     with pytest.raises(Rejected):
         parse_tool(tool, b'HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{"w":"x"}')
+    with pytest.raises(Rejected):  # half a surrogate pair has no UTF-8 encoding
+        parse_tool(tool, b'HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n{"v":"\\ud800"}')
 
     core = ParseTemplate.from_obj(
         {"type": "parse", "kind": "core", "output_pointer": "/y", "calls_pointer": "/c"}

@@ -100,6 +100,18 @@ def _drive_handshake(connection, rng, session_id):
     return shared, nonce
 
 
+def _statement(session_id, chain):
+    """A statement of the notary's shape over ``chain``: (direction, hash,
+    plaintext length) per record."""
+    return {
+        "session_id": session_id,
+        "server_domain": "echo.test",
+        "server_key_fingerprint": "sha256:" + "0" * 64,
+        "channel_capacity": {"up": "65536", "down": "65536"},
+        "records": [{"direction": d, "hash": h, "length": str(n)} for d, h, n in chain],
+    }
+
+
 def _make_server():
     key = SigningKey.from_seed("tls-server")
     notary = SigningKey.from_seed("tls-notary")
@@ -126,12 +138,7 @@ def test_server_round_trip_and_key_release():
     chain = [("up", record_hash(wire), len(request))] + [
         ("down", record_hash(w), len(w) - toytls.TAG_LEN) for w in down_wires
     ]
-    statement = {
-        "session_id": "sess-1",
-        "records": [
-            {"direction": d, "hash": h, "length": str(n)} for d, h, n in chain
-        ],
-    }
+    statement = _statement("sess-1", chain)
     signed = canonical_bytes(
         {
             "statement": statement,
@@ -171,12 +178,7 @@ def test_server_withholds_seed_without_valid_statement():
     ]
 
     def statement_for(records, session_id="sess-2"):
-        return {
-            "session_id": session_id,
-            "records": [
-                {"direction": d, "hash": h, "length": str(n)} for d, h, n in records
-            ],
-        }
+        return _statement(session_id, records)
 
     good = statement_for(chain)
     rogue = SigningKey.from_seed("rogue")

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from vet import toytls
+from vet.canonical import canonical_bytes
 from vet.commitment import Disclosure, commit, disclose
-from vet.errors import CapacityExceeded, ProtocolError, Rejected
+from vet.errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from vet.keys import SigningKey
 from vet.templates import render
 from vet.webproof import (
@@ -73,6 +74,19 @@ def test_statement_tampering_rejected(rig):
     with pytest.raises(Rejected) as err:
         verify_webproof("x", WebProof.from_obj(obj), rig.entry, "tool", rig.registry)
     assert err.value.reason == "bad-signature"
+
+
+def test_statement_of_the_wrong_shape_does_not_decode(rig):
+    # Signed by the rig's own notary, so only decoding can refuse it.
+    _, proof = _prove(rig, "x")
+    obj = proof.to_obj()
+    statement = obj["signed_statement"]["statement"]
+    statement["records"][0]["length"] = "x"
+    obj["signed_statement"]["notary_signature"] = rig.notary_key.sign(canonical_bytes(statement))
+    with pytest.raises(ValidationError, match="length must be a decimal integer string"):
+        WebProof.from_obj(obj)
+    with pytest.raises(ValidationError):
+        verify_webproof("x", WebProof.from_obj(obj), rig.entry, "tool", rig.registry)
 
 
 def test_wrong_domain_rejected(rig):
