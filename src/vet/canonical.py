@@ -15,7 +15,8 @@ between implementations and keeps the canonical form trivially auditable.
 Decoders of outside documents read each field with ``json_field``, each
 integer with ``parse_int`` (the one spelling ``str(int(s))``) and bytes
 with ``parse_hex`` (lowercase hex), so that a field of the wrong shape or
-spelling is a ``ValidationError`` naming it.
+spelling is a ``ValidationError`` naming it. ``canonical_loads`` refuses
+an object that names one member twice, so a document has one reading.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 # The wire format of web proofs and bundles. Format 1, the initial one,
 # had no "format" field and disclosed each chunk with its own path.
-FORMAT = "2"
+# Format 2 committed in fixed chunks of "chunk_size" bytes; format 3 lists
+# each chunk's length in "chunk_lengths".
+FORMAT = "3"
 
 
 def canonical_bytes(obj: Any) -> bytes:
@@ -99,13 +102,25 @@ def _check_scalars(obj: Any) -> None:
     raise _Rejection(f"unserializable type {type(obj).__name__}")
 
 
+def _unique_members(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"duplicate member name {key!r:.40}")
+            seen.add(key)
+    return obj
+
+
 def canonical_loads(data: bytes | str) -> Any:
     """Parse JSON previously produced by canonical_bytes; ValidationError for
-    bytes that are not UTF-8 JSON, or JSON with half a surrogate pair."""
+    bytes that are not UTF-8 JSON, JSON with half a surrogate pair, or an
+    object with a member name twice (RFC 8785 and I-JSON forbid it)."""
     try:
         if isinstance(data, str):
             data = data.encode("utf-8")  # a raw half pair has no encoding
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_members)
         if b"\\" in data and _ESCAPED_SURROGATE.search(data):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -152,7 +167,7 @@ def parse_int(text: Any, name: str) -> int:
         value = int(text)
         if str(value) == text:
             return value
-    except (TypeError, ValueError):  # not a string, or not digits
+    except (TypeError, ValueError, OverflowError):  # not a string, not digits, or infinite
         pass
     raise ValidationError(f"{name} must be a decimal integer string, not {text!r:.40}")
 

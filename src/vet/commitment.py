@@ -1,11 +1,15 @@
 """Salted chunk-tree commitments with selective disclosure of byte ranges.
 
-The transcript is split into fixed-size chunks; each chunk gets an
-independent 16-byte salt, so revealing one chunk leaks nothing about its
-neighbours. Leaf and interior hashes carry distinct domain-separation
-prefixes, and the chunk index is bound into the leaf hash so a revealed
-chunk cannot be relocated. Levels with an odd node count are closed with
-a domain-separated padding node.
+The committer cuts the transcript into chunks of lengths it chooses, each
+at least one byte long; a web-proof prover cuts at its TLS record
+boundaries, so one record is one chunk. The commitment lists the chunk
+lengths next to the root and the total length. Each chunk gets an
+independent 16-byte salt, so revealing one chunk leaks nothing about the
+bytes of the others, only their lengths. Leaf and interior hashes carry
+distinct domain-separation prefixes, and each leaf binds its chunk's
+index and start offset, both as 8-byte big-endian integers:
+``H("VET/leaf:" || index || offset || salt || chunk)``. Levels with an odd
+node count are closed with a domain-separated padding node.
 
 A disclosure is a Merkle multiproof, the compact-range idea of RFC 9162
 (Certificate Transparency v2). It has one entry per run of consecutive
@@ -14,25 +18,35 @@ aligned subtrees whose real leaves lie in the hidden gap before the run
 (the last run also carries the gap after it). The revealed leaves and
 those subtrees partition the chunks, so ``verify_disclosure`` folds them
 left to right into the root and computes each interior node once. Which
-subtree each hash stands for follows from the run layout and the
-transcript length alone, and a disclosure with any other number of
-hashes is rejected, so every disclosure has one encoding.
+subtree each hash stands for follows from the run layout and the chunk
+count alone, and a disclosure with any other number of hashes is
+rejected, so every disclosure has one encoding.
 
 Soundness. Suppose a disclosure folds to the committed root, yet some
-revealed chunk ``i`` differs from the committed one in its salt or its
-bytes. The fold hashes the same tree shape as ``commit``: every value it
-holds stands for one node of the committed tree. Follow the path from
-the root to leaf ``i``. The root values agree. At each node on the way
-either both children agree with the committed ones, and the walk moves
-down, or the two hash inputs differ while the outputs agree. The walk
-cannot reach leaf ``i`` with all inputs equal, because the leaf inputs
-differ; so somewhere it meets two inputs with one SHA-256 output, a
-collision. The index in each leaf input binds a chunk to its position by
-itself: a run moved to other chunks changes all its leaf hashes. The
-"VET/leaf:", "VET/node:" and padding domains keep one kind of node from
-being opened as another, so a supplied subtree hash cannot pass for a
-leaf, nor a leaf for an interior node or the padding, without a
-collision.
+revealed byte differs from the committed byte at its position. The
+verifier places revealed chunk ``i`` at the offset ``o`` that the
+commitment's chunk lengths give it. Walk from the root to leaf ``i``
+through the tree the fold hashed and, in step, through the committed
+tree. The root values agree. At each node on the way either both hash
+inputs agree, and the walk moves down to the child on the same side in
+both trees, or two different inputs have one SHA-256 output, a
+collision. The "VET/leaf:", "VET/node:" and padding domains make an
+input of one kind differ from any input of another, so a supplied
+subtree hash cannot pass for a leaf, nor a leaf for an interior node or
+the padding, without a collision. Without one, the walk ends at a
+committed leaf whose input equals the revealed one: the same index, salt
+and bytes, and the same offset ``o``. So every revealed byte is the
+committed byte at the position the verifier reads it from.
+
+The offset is what makes variable chunks sound. On a fixed grid the
+index implied the offset; with lengths read off the wire it does not.
+Without the offset a disclosure could claim the hidden lengths (6, 8)
+where the committer cut (8, 6): the chunk count and the sum stay the
+same, every hash stays the same, and the revealed chunk after them would
+be read two bytes early. With it, that chunk's leaf input changes and
+the fold misses the root. The claimed lengths are otherwise not checked
+against the tree, and need not be: they only decide where revealed bytes
+are placed, and each revealed leaf binds its own offset and length.
 """
 
 from __future__ import annotations
@@ -41,11 +55,11 @@ import hashlib
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .canonical import json_field, parse_hex, parse_int
 from .errors import Rejected, ValidationError
 
-DEFAULT_CHUNK_SIZE = 16
 SALT_LEN = 16
 
 _LEAF = b"VET/leaf:"
@@ -54,16 +68,19 @@ _PAD = hashlib.sha256(b"VET/pad-leaf").digest()
 EMPTY_ROOT = hashlib.sha256(b"VET/empty-leaf").digest()
 
 
-def leaf_hash(index: int, salt: bytes, chunk: bytes) -> bytes:
-    return hashlib.sha256(_LEAF + index.to_bytes(8, "big") + salt + chunk).digest()
+def leaf_hash(index: int, offset: int, salt: bytes, chunk: bytes) -> bytes:
+    return hashlib.sha256(
+        _LEAF + index.to_bytes(8, "big") + offset.to_bytes(8, "big") + salt + chunk
+    ).digest()
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE + left + right).digest()
 
 
-def chunk_count(total_length: int, chunk_size: int) -> int:
-    return -(-total_length // chunk_size)
+def _offsets(chunk_lengths) -> list[int]:
+    """The start offset of each chunk, then the total length."""
+    return list(accumulate(chunk_lengths, initial=0))
 
 
 def _depth(n: int) -> int:
@@ -71,16 +88,17 @@ def _depth(n: int) -> int:
     return (n - 1).bit_length() if n > 1 else 0
 
 
-def chunk_cover(ranges: list[tuple[int, int]], chunk_size: int, total_length: int) -> list[int]:
+def chunk_cover(ranges: list[tuple[int, int]], chunk_lengths) -> list[int]:
     """Minimal sorted set of chunk indices covering the given byte ranges."""
+    offsets = _offsets(chunk_lengths)
     indices: set[int] = set()
     for offset, length in ranges:
-        if length < 0 or offset < 0 or offset + length > total_length:
+        if length < 0 or offset < 0 or offset + length > offsets[-1]:
             raise ValidationError(f"range ({offset},{length}) out of bounds")
         if length == 0:
             continue
-        first = offset // chunk_size
-        last = (offset + length - 1) // chunk_size
+        first = bisect_right(offsets, offset) - 1
+        last = bisect_right(offsets, offset + length - 1) - 1
         indices.update(range(first, last + 1))
     return sorted(indices)
 
@@ -108,13 +126,13 @@ def _hidden_subtrees(start: int, end: int, n: int) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class TranscriptCommitment:
     root: bytes
-    chunk_size: int
+    chunk_lengths: tuple[int, ...]
     total_length: int
 
     def to_obj(self) -> dict:
         return {
             "root": self.root.hex(),
-            "chunk_size": str(self.chunk_size),
+            "chunk_lengths": [str(n) for n in self.chunk_lengths],
             "total_length": str(self.total_length),
         }
 
@@ -122,19 +140,25 @@ class TranscriptCommitment:
     def from_obj(cls, obj: dict) -> "TranscriptCommitment":
         commitment = cls(
             root=json_field(obj, "root", bytes),
-            chunk_size=json_field(obj, "chunk_size", int),
+            chunk_lengths=tuple(
+                parse_int(n, "chunk_lengths") for n in json_field(obj, "chunk_lengths", list)
+            ),
             total_length=json_field(obj, "total_length", int),
         )
-        cs, total = commitment.chunk_size, commitment.total_length
-        # Leaf hashes encode a chunk index in 8 bytes.
-        if cs < 1 or total < 0 or chunk_count(total, cs) > 1 << 64:
-            raise ValidationError(f"commitment of {total} bytes in chunks of {cs} is malformed")
+        lengths, total = commitment.chunk_lengths, commitment.total_length
+        # Leaf hashes encode a chunk offset in 8 bytes.
+        if any(n < 1 for n in lengths) or sum(lengths) != total or total >= 1 << 64:
+            raise ValidationError(
+                f"commitment of {total} bytes in {len(lengths)} chunks: chunk lengths must "
+                "be at least 1 and sum to the total length"
+            )
         return commitment
 
 
 @dataclass(frozen=True)
 class Opening:
-    """Prover-held witness: the plaintext, all per-chunk salts and the tree.
+    """Prover-held witness: the plaintext, its chunk lengths, all
+    per-chunk salts and the tree.
 
     ``levels`` is the hash tree ``commit`` built over them, leaves first,
     so disclosing reads hidden-subtree roots instead of rehashing.
@@ -142,7 +166,7 @@ class Opening:
 
     plaintext: bytes
     salts: tuple[bytes, ...]
-    chunk_size: int
+    chunk_lengths: tuple[int, ...]
     levels: tuple[tuple[bytes, ...], ...] = field(repr=False)
 
 
@@ -201,10 +225,18 @@ class Disclosure:
         )
 
 
-def _leaf_hashes(plaintext: bytes, salts: tuple[bytes, ...], chunk_size: int) -> list[bytes]:
+def _run_leaves(first: int, salt: bytes, data: bytes, offsets: list[int]) -> list[bytes]:
+    """Leaf hashes of the chunks from ``first`` on, one per SALT_LEN bytes
+    of ``salt``; ``data`` holds their bytes from offset ``offsets[first]``."""
+    base = offsets[first]
     return [
-        leaf_hash(i, salts[i], plaintext[i * chunk_size:(i + 1) * chunk_size])
-        for i in range(len(salts))
+        leaf_hash(
+            i,
+            offsets[i],
+            salt[(i - first) * SALT_LEN:(i - first + 1) * SALT_LEN],
+            data[offsets[i] - base:offsets[i + 1] - base],
+        )
+        for i in range(first, first + len(salt) // SALT_LEN)
     ]
 
 
@@ -222,43 +254,45 @@ def _tree_levels(leaves: list[bytes]) -> list[list[bytes]]:
     return levels
 
 
-def _root_of(leaves: list[bytes]) -> bytes:
-    if not leaves:
-        return EMPTY_ROOT
-    return _tree_levels(leaves)[-1][0]
-
-
 def commit(
     transcript: bytes,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_lengths,
     randomness: random.Random | None = None,
 ) -> tuple[TranscriptCommitment, Opening]:
-    """Commit to a byte transcript; returns the commitment and the witness.
+    """Commit to a byte transcript cut into chunks of ``chunk_lengths``
+    bytes; returns the commitment and the witness.
 
     ``randomness`` supplies the per-chunk salts; pass a seeded
     random.Random for reproducible commitments, or None for fresh
     system entropy.
     """
-    if chunk_size < 1:
-        raise ValidationError("chunk_size must be >= 1")
-    n = chunk_count(len(transcript), chunk_size)
+    lengths = tuple(chunk_lengths)
+    if any(n < 1 for n in lengths) or sum(lengths) != len(transcript):
+        raise ValidationError(
+            f"chunk lengths must be at least 1 and sum to the {len(transcript)} transcript bytes"
+        )
     if randomness is None:
         randomness = random.SystemRandom()
-    salts = tuple(randomness.randbytes(SALT_LEN) for _ in range(n))
-    levels = tuple(map(tuple, _tree_levels(_leaf_hashes(transcript, salts, chunk_size))))
+    salts = tuple(randomness.randbytes(SALT_LEN) for _ in lengths)
+    leaves = _run_leaves(0, b"".join(salts), transcript, _offsets(lengths))
+    levels = tuple(map(tuple, _tree_levels(leaves)))
     commitment = TranscriptCommitment(
-        root=levels[-1][0] if n else EMPTY_ROOT,
-        chunk_size=chunk_size,
+        root=levels[-1][0] if lengths else EMPTY_ROOT,
+        chunk_lengths=lengths,
         total_length=len(transcript),
     )
     return commitment, Opening(
-        plaintext=transcript, salts=salts, chunk_size=chunk_size, levels=levels
+        plaintext=transcript, salts=salts, chunk_lengths=lengths, levels=levels
     )
 
 
 def recommit(opening: Opening) -> bytes:
     """Root recomputed from an opening (consistency checks in tests)."""
-    return _root_of(_leaf_hashes(opening.plaintext, opening.salts, opening.chunk_size))
+    if not opening.salts:
+        return EMPTY_ROOT
+    offsets = _offsets(opening.chunk_lengths)
+    leaves = _run_leaves(0, b"".join(opening.salts), opening.plaintext, offsets)
+    return _tree_levels(leaves)[-1][0]
 
 
 def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[tuple[int, int]]:
@@ -283,16 +317,15 @@ def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[t
 def disclose(opening: Opening, ranges: list[tuple[int, int]]) -> Disclosure:
     """Reveal the minimal chunk cover of ``ranges`` as runs, each with the
     hidden-subtree roots of the gap before it."""
-    total = len(opening.plaintext)
-    norm = normalize_ranges(ranges, total)
+    norm = normalize_ranges(ranges, len(opening.plaintext))
     spans: list[list[int]] = []  # [first, end) of each run of the cover
-    for index in chunk_cover(norm, opening.chunk_size, total):
+    for index in chunk_cover(norm, opening.chunk_lengths):
         if spans and spans[-1][1] == index:
             spans[-1][1] += 1
         else:
             spans.append([index, index + 1])
     n = len(opening.salts)
-    cs = opening.chunk_size
+    offsets = _offsets(opening.chunk_lengths)
     runs = []
     gap = 0
     for k, (first, end) in enumerate(spans):
@@ -303,7 +336,7 @@ def disclose(opening: Opening, ranges: list[tuple[int, int]]) -> Disclosure:
             RevealedRun(
                 index=first,
                 salt=b"".join(opening.salts[first:end]),
-                data=opening.plaintext[first * cs:end * cs],
+                data=opening.plaintext[offsets[first]:offsets[end]],
                 path=tuple(opening.levels[level][pos] for level, pos in hidden),
             )
         )
@@ -349,8 +382,8 @@ def verify_disclosure(
     range lies in one run. Returns the bytes of each claimed range;
     raises Rejected otherwise.
     """
-    cs, total = commitment.chunk_size, commitment.total_length
-    n = chunk_count(total, cs)
+    offsets = _offsets(commitment.chunk_lengths)
+    n = len(commitment.chunk_lengths)
     if n == 0 and commitment.root != EMPTY_ROOT:
         raise Rejected("bad-path", "empty transcript with non-empty root")
     runs = disclosure.chunks
@@ -374,7 +407,7 @@ def verify_disclosure(
                 "chunk-range-inconsistency",
                 f"run at chunk {run.index} of {count} chunks passes the last chunk {n - 1}",
             )
-        if len(run.data) != min(run.end * cs, total) - run.index * cs:
+        if len(run.data) != offsets[run.end] - offsets[run.index]:
             raise Rejected(
                 "length-mismatch", f"run at chunk {run.index} has wrong data length"
             )
@@ -389,34 +422,26 @@ def verify_disclosure(
             )
         for (level, pos), node in zip(hidden, run.path):
             nodes[level].append((pos, [node]))
-        leaves = [
-            leaf_hash(
-                run.index + j,
-                run.salt[j * SALT_LEN:(j + 1) * SALT_LEN],
-                run.data[j * cs:(j + 1) * cs],
-            )
-            for j in range(count)
-        ]
-        nodes[0].append((run.index, leaves))
+        nodes[0].append((run.index, _run_leaves(run.index, run.salt, run.data, offsets)))
         gap = run.end
     if runs and _fold(nodes, n) != commitment.root:
         raise Rejected("bad-path", "revealed runs do not authenticate to the root")
 
-    starts = [run.index for run in runs]
+    starts = [offsets[run.index] for run in runs]
     out: dict[tuple[int, int], bytes] = {}
     for offset, length in disclosure.ranges:
-        if offset < 0 or length < 0 or offset + length > total:
+        if offset < 0 or length < 0 or offset + length > offsets[-1]:
             raise Rejected("chunk-range-inconsistency", f"range ({offset},{length}) out of bounds")
         if not length:
             out[(offset, length)] = b""
             continue
-        k = bisect_right(starts, offset // cs) - 1
-        if k < 0 or (offset + length - 1) // cs >= runs[k].end:
+        k = bisect_right(starts, offset) - 1
+        if k < 0 or offset + length > offsets[runs[k].end]:
             raise Rejected(
                 "chunk-range-inconsistency",
                 f"range ({offset},{length}) is not inside one revealed run",
             )
-        start = offset - runs[k].index * cs
+        start = offset - starts[k]
         out[(offset, length)] = runs[k].data[start:start + length]
     return out
 
@@ -426,4 +451,5 @@ def disclosed_bytes(
 ) -> dict[int, bytes]:
     """Verify and return the bytes of each revealed run keyed by offset."""
     verify_disclosure(commitment, disclosure)
-    return {run.index * commitment.chunk_size: run.data for run in disclosure.chunks}
+    offsets = _offsets(commitment.chunk_lengths)
+    return {offsets[run.index]: run.data for run in disclosure.chunks}

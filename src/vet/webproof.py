@@ -10,9 +10,21 @@ against the ciphertext hash chain the notary signed, then re-renders
 the request template and re-parses the response. Acceptance means the
 claimed value really crossed the notarized channel.
 
-A disclosure is a multiproof with one entry per run of revealed chunks;
-``vet.commitment`` describes it and argues its soundness. A serialized
-proof carries ``"format": "2"``, and ``WebProof.from_obj`` reads no other.
+The prover commits to the request and to the response in chunks of
+variable length, one chunk per toy-TLS record: the request records are
+cut at every secret-span edge and at ``toytls.RECORD_MAX``, and the
+response chunks are the opened down records. A 48 KiB exchange thus has
+about ten leaves and salts. An honest prover's chunk lengths are the
+record lengths the notary signed, so listing them reveals nothing the
+statement does not, and the secret spans are whole chunks that no run
+reveals. A disclosure is a multiproof with one entry per run of revealed
+chunks; ``vet.commitment`` describes it and argues its soundness,
+including why each leaf binds its offset. The verifier reads disclosed
+bytes only through that check, then binds them to the signed chain by
+re-encryption, which does not depend on where the chunks were cut.
+
+A serialized proof carries ``"format": "3"``, and ``WebProof.from_obj``
+reads no other.
 """
 
 from __future__ import annotations
@@ -217,7 +229,6 @@ def run_session(
     channel,
     request_bytes: bytes,
     secret_spans: list[tuple[int, int]] | None = None,
-    chunk_size: int = 16,
     rng: random.Random | None = None,
     expected_server_fingerprint: str | None = None,
     claims: dict | None = None,
@@ -295,14 +306,20 @@ def run_session(
     seed = toytls.open_record(toytls.post_key(hk, "down"), post.payload)
     channel.close()
 
-    response_bytes = b"".join(
+    records = [
         toytls.open_record(toytls.derive_record_key("down", seed, i), wire)
         for i, wire in enumerate(down_wires)
-    )
+    ]
+    response_bytes = b"".join(records)
 
-    # Commit, then disclose everything except the secret spans.
-    req_commitment, req_opening = commit(request_bytes, chunk_size, rng)
-    res_commitment, res_opening = commit(response_bytes, chunk_size, rng)
+    # Commit one chunk per record (an empty response is one empty record,
+    # and a chunk is never empty), then disclose all but the secret spans.
+    req_commitment, req_opening = commit(
+        request_bytes, [length for _, length in record_spans], rng
+    )
+    res_commitment, res_opening = commit(
+        response_bytes, [len(record) for record in records if record], rng
+    )
     disclosed_ranges = _complement(secret_spans, len(request_bytes))
     req_disclosure = disclose(req_opening, disclosed_ranges)
     res_disclosure = disclose(res_opening, [(0, len(response_bytes))])
@@ -552,7 +569,6 @@ class WebProofProver:
             channel,
             request_bytes,
             secret_spans=sorted(spans.values()),
-            chunk_size=template.chunk_size,
             rng=self.rng,
             claims={"input": x},
         )

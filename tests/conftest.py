@@ -19,6 +19,11 @@ from vet.toytls import TargetServer
 from vet import mockserver
 
 
+def grid(total: int, size: int) -> list[int]:
+    """The lengths of ``total`` bytes cut every ``size`` bytes: a fixed chunk grid."""
+    return [min(size, total - start) for start in range(0, total, size)]
+
+
 @pytest.fixture(scope="session")
 def demo_world():
     return demo_mod.build_world("0")

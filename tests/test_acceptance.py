@@ -13,7 +13,7 @@ import pytest
 
 from test_aid import _doc_obj, _oracle_id, mutate_one_field
 from test_composer import ScriptedWorld
-from conftest import WebProofRig
+from conftest import WebProofRig, grid
 
 from vet.aid import AgentIdentityDocument
 from vet.canonical import canonical_bytes
@@ -186,7 +186,7 @@ def test_criterion_2_soundness_no_forgery_accepted():
             b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
             + b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
         )
-        fake_commitment, fake_opening = commit(fake_response, 16, rng)
+        fake_commitment, fake_opening = commit(fake_response, grid(len(fake_response), 16), rng)
         forged = WebProof(
             statement=proof.statement,
             record_keys=proof.record_keys,
@@ -403,7 +403,7 @@ def test_criterion_7_commitment_binding_hiding_minimality():
     leaves), and chunk-cover minimality against a brute-force oracle."""
     rng = random.Random(7)
     data = rng.randbytes(256)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(256, 16), rng)
     # Runs at chunks 0-2, 5, 9-12 and 15; all but the first carry
     # hidden-subtree hashes.
     disclosure = disclose(opening, [(0, 48), (80, 16), (144, 64), (240, 16)])
@@ -451,11 +451,11 @@ def test_criterion_7_commitment_binding_hiding_minimality():
 
     # Hiding: independent salts make undisclosed chunks unconfirmable.
     same = b"A" * 64
-    c1, o1 = commit(same, 16, random.Random(1))
-    c2, o2 = commit(same, 16, random.Random(2))
+    c1, o1 = commit(same, grid(64, 16), random.Random(1))
+    c2, o2 = commit(same, grid(64, 16), random.Random(2))
     assert c1.root != c2.root
-    assert leaf_hash(0, o1.salts[0], same[:16]) != leaf_hash(0, o2.salts[0], same[:16])
-    assert leaf_hash(0, o1.salts[0], same[:16]) != leaf_hash(1, o1.salts[1], same[16:32])
+    assert leaf_hash(0, 0, o1.salts[0], same[:16]) != leaf_hash(0, 0, o2.salts[0], same[:16])
+    assert leaf_hash(0, 0, o1.salts[0], same[:16]) != leaf_hash(1, 16, o1.salts[1], same[16:32])
 
     # Cover minimality against the brute-force oracle.
     for _ in range(500):
@@ -472,7 +472,7 @@ def test_criterion_7_commitment_binding_hiding_minimality():
                 for pos in range(offset, offset + length)
             }
         )
-        assert chunk_cover(ranges, chunk_size, total) == needed
+        assert chunk_cover(ranges, grid(total, chunk_size)) == needed
 
 
 def test_criterion_8_wall_clock_substituted_by_model():

@@ -94,7 +94,9 @@ def test_parse_int_reads_the_decimal_spelling(text, value):
 
 
 @pytest.mark.parametrize(
-    "text", ["01", "+1", " 1", "1 ", "1_0", "-0", "", "1.0", "0x1", "٣", "9" * 5000, 1, None, True]
+    "text",
+    ["01", "+1", " 1", "1 ", "1_0", "-0", "", "1.0", "0x1", "٣", "9" * 5000, 1, None, True,
+     float("inf"), float("nan")],
 )
 def test_parse_int_refuses_other_spellings(text):
     with pytest.raises(ValidationError, match="n must be a decimal integer string"):
@@ -163,3 +165,24 @@ def test_loads_refuses_what_has_no_canonical_form(data):
 def test_loads_reads_an_escaped_surrogate_pair():
     loaded = canonical_loads(b'{"a":"\\ud83d\\ude00","b":"\\u0001"}')
     assert loaded == {"a": "\U0001f600", "b": "\x01"}
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        (b'{"a":"1","a":"2"}', "a"),
+        (b'{"a":"1","b":"2","a":"1"}', "a"),
+        (b'{"x":[{"k":"1"},{"k":"1","k":"1"}]}', "k"),
+        (b'{"x":{"y":"1","y":{"z":"1"}}}', "y"),
+    ],
+)
+def test_loads_refuses_a_duplicate_member_name(data, key):
+    with pytest.raises(ValidationError, match=f"duplicate member name '{key}'"):
+        canonical_loads(data)
+
+
+def test_loads_reads_the_same_name_in_different_objects():
+    assert canonical_loads(b'{"a":{"a":"1"},"b":[{"a":"2"},{"a":"3"}]}') == {
+        "a": {"a": "1"},
+        "b": [{"a": "2"}, {"a": "3"}],
+    }

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from vet.canonical import FORMAT
 from vet.cli import main
 from vet.composer import VerifiableExecutionTrace
 from vet.webproof import WebProof
@@ -203,7 +204,7 @@ def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, 
     "mangle, named",
     [
         (lambda bundle: bundle.pop("format"), "bundle format 1"),
-        (lambda bundle: bundle.update(format="3"), "bundle format 3"),
+        (lambda bundle: bundle.update(format="2"), "bundle format 2"),
         (lambda bundle: bundle["proofs"][0]["payload"].pop("format"), "web proof format 1"),
     ],
 )
@@ -223,7 +224,22 @@ def test_other_format_is_rejected_naming_its_version(proved, tmp_path, mangle, n
     # The bundle's own version is a decode error; a component's is that
     # component's reject.
     assert report["reason"] == ("malformed" if named.startswith("bundle") else "subproof-invalid")
-    assert named in report["detail"] and "reads format 2 only" in report["detail"]
+    assert named in report["detail"] and f"reads format {FORMAT} only" in report["detail"]
+
+
+def test_bundle_with_a_duplicate_member_name_is_a_usage_error(proved, tmp_path):
+    text = (proved / "bundle.json").read_text()
+    assert text.count('"aid_id":') == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"aid_id":', '"aid_id":"bogus","aid_id":', 1))
+    args = [
+        "--aid", str(proved / "aid.json"),
+        "--bundle", str(bad),
+        "--templates", str(proved / "templates"),
+    ]
+    verify = CliRunner().invoke(main, ["verify", *args, "--claim", _claim(proved), "--json"])
+    assert verify.exit_code == 2, verify.output
+    assert "duplicate member name 'aid_id'" in verify.output
 
 
 def _verify_args(proved, aid_file=None):
@@ -350,12 +366,14 @@ NUMBER_FIELDS = {
     ),
 }
 
-# Other spellings of the decimal integer ``v`` that int() reads as the same value.
+# Other spellings of the decimal integer ``v`` that int() reads as the same
+# value, and the bare Infinity that Python's JSON reader accepts.
 SPELLINGS = {
     "space-plus-underscore": lambda v: " +0_" + v,
     "underscore": lambda v: "0_" + v,
     "leading-zero": lambda v: "0" + v,
     "plus": lambda v: "+" + v,
+    "infinity": lambda v: float("inf"),
 }
 
 

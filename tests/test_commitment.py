@@ -2,11 +2,15 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from conftest import grid
 from vet.commitment import (
     EMPTY_ROOT,
     Disclosure,
     RevealedRun,
+    TranscriptCommitment,
     chunk_cover,
     commit,
     disclose,
@@ -24,7 +28,7 @@ from vet.errors import Rejected, ValidationError
 def test_commit_disclose_round_trip(size, chunk_size):
     rng = random.Random(size * 1000 + chunk_size)
     data = rng.randbytes(size)
-    commitment, opening = commit(data, chunk_size, rng)
+    commitment, opening = commit(data, grid(size, chunk_size), rng)
     assert commitment.total_length == size
     assert recommit(opening) == commitment.root
     disclosure = disclose(opening, [(0, size)])
@@ -36,7 +40,7 @@ def test_commit_disclose_round_trip(size, chunk_size):
 
 
 def test_empty_transcript_root():
-    commitment, opening = commit(b"", 16, random.Random(0))
+    commitment, opening = commit(b"", [], random.Random(0))
     assert commitment.root == EMPTY_ROOT
     assert verify_disclosure(commitment, disclose(opening, [])) == {}
 
@@ -44,7 +48,7 @@ def test_empty_transcript_root():
 def test_partial_disclosure_reveals_only_cover():
     rng = random.Random(7)
     data = rng.randbytes(100)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(20, 10)])
     # bytes 20..29 live entirely in chunk 1
     assert [c.index for c in disclosure.chunks] == [1]
@@ -60,7 +64,7 @@ def test_cover_minimality_against_brute_force():
         for _ in range(rng.randrange(0, 4)):
             offset = rng.randrange(0, total)
             ranges.append((offset, rng.randrange(0, total - offset + 1)))
-        cover = chunk_cover(ranges, chunk_size, total)
+        cover = chunk_cover(ranges, grid(total, chunk_size))
         # Brute-force oracle: a chunk is needed iff it contains a requested byte.
         needed = sorted(
             {
@@ -75,7 +79,7 @@ def test_cover_minimality_against_brute_force():
 def test_binding_mutations_rejected():
     rng = random.Random(42)
     data = rng.randbytes(128)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     # Runs at chunks 0-2, 4 and 7: the later two carry subtree hashes.
     disclosure = disclose(opening, [(0, 40), (64, 16), (112, 16)])
     verify_disclosure(commitment, disclosure)
@@ -124,18 +128,18 @@ def test_hiding_chunks_are_salted_independently():
     # give unrelated roots and leaf hashes, so an undisclosed chunk's
     # bytes cannot be confirmed by recomputation.
     data = b"A" * 64
-    c1, o1 = commit(data, 16, random.Random(1))
-    c2, o2 = commit(data, 16, random.Random(2))
+    c1, o1 = commit(data, grid(len(data), 16), random.Random(1))
+    c2, o2 = commit(data, grid(len(data), 16), random.Random(2))
     assert c1.root != c2.root
-    assert leaf_hash(0, o1.salts[0], data[:16]) != leaf_hash(0, o2.salts[0], data[:16])
+    assert leaf_hash(0, 0, o1.salts[0], data[:16]) != leaf_hash(0, 0, o2.salts[0], data[:16])
     # Equal chunks inside one commitment also have distinct leaves.
-    assert leaf_hash(0, o1.salts[0], data[:16]) != leaf_hash(1, o1.salts[1], data[16:32])
+    assert leaf_hash(0, 0, o1.salts[0], data[:16]) != leaf_hash(1, 16, o1.salts[1], data[16:32])
 
 
 def test_disclosure_serialization_round_trip():
     rng = random.Random(5)
     data = rng.randbytes(50)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     for ranges in ([(0, 50)], [(0, 5), (40, 10)]):
         disclosure = disclose(opening, ranges)
         clone = Disclosure.from_obj(disclosure.to_obj())
@@ -155,7 +159,7 @@ def test_normalize_ranges():
 def test_range_outside_cover_rejected():
     rng = random.Random(3)
     data = rng.randbytes(64)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(0, 16)])
     widened = Disclosure(ranges=((0, 32),), chunks=disclosure.chunks)
     with pytest.raises(Rejected) as err:
@@ -166,7 +170,7 @@ def test_range_outside_cover_rejected():
 def test_wrong_length_chunk_rejected():
     rng = random.Random(4)
     data = rng.randbytes(40)  # last chunk is 8 bytes
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(32, 8)])
     c = disclosure.chunks[0]
     padded = Disclosure(
@@ -184,7 +188,7 @@ def _runs_case():
     and chunks 6-7 after it."""
     rng = random.Random(8)
     data = rng.randbytes(128)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(32, 32), (80, 16)])
     assert [(r.index, r.end, len(r.path)) for r in disclosure.chunks] == [(2, 4, 1), (5, 6, 2)]
     return commitment, disclosure
@@ -264,7 +268,131 @@ def test_run_format_length_mismatch(mutate):
 def test_full_disclosure_ships_no_subtree_hashes():
     rng = random.Random(9)
     data = rng.randbytes(1000)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(0, 1000)])
     assert [(r.index, r.end, r.path) for r in disclosure.chunks] == [(0, 63, ())]
     assert verify_disclosure(commitment, disclosure) == {(0, 1000): data}
+
+
+# ---------------------------------------------------------------------------
+# Chunks of variable length.
+
+SETTINGS = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+chunk_lengths = st.lists(st.integers(1, 40) | st.just(1), min_size=1, max_size=24)
+
+
+@st.composite
+def variable_disclosures(draw):
+    """A transcript cut into chunks of random lengths, length-1 chunks and
+    a single chunk included, with random byte ranges disclosed."""
+    lengths = draw(chunk_lengths)
+    total = sum(lengths)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    data = rng.randbytes(total)
+    commitment, opening = commit(data, lengths, rng)
+    ranges = []
+    for _ in range(draw(st.integers(0, 4))):
+        offset = draw(st.integers(0, total))
+        ranges.append((offset, draw(st.integers(0, total - offset))))
+    return data, commitment, disclose(opening, ranges)
+
+
+@SETTINGS
+@given(variable_disclosures())
+def test_variable_chunks_verify_to_the_committed_bytes(case):
+    data, commitment, disclosure = case
+    assert TranscriptCommitment.from_obj(commitment.to_obj()) == commitment
+    assert Disclosure.from_obj(disclosure.to_obj()) == disclosure
+    out = verify_disclosure(commitment, disclosure)
+    assert out == {(o, n): data[o:o + n] for o, n in disclosure.ranges}
+    for offset, run in disclosed_bytes(commitment, disclosure).items():
+        assert run == data[offset:offset + len(run)]
+
+
+@st.composite
+def hidden_length_shifts(draw):
+    """Chunks ``h1 < r < h2`` with ``r`` revealed and ``h1``, ``h2`` hidden,
+    and the same lengths with ``d`` bytes moved between ``h1`` and ``h2``:
+    the sum stays, and the revealed chunk starts ``d`` bytes off."""
+    lengths = draw(st.lists(st.integers(1, 40) | st.just(1), min_size=3, max_size=24))
+    h1 = draw(st.integers(0, len(lengths) - 3))
+    h2 = draw(st.integers(h1 + 2, len(lengths) - 1))
+    lengths[h1] += 1  # so at least one byte can move either way
+    reveal = {i for i in range(len(lengths)) if i not in (h1, h2) and draw(st.booleans())}
+    reveal.add(draw(st.integers(h1 + 1, h2 - 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    data = rng.randbytes(sum(lengths))
+    commitment, opening = commit(data, lengths, rng)
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    disclosure = disclose(opening, [(starts[i], lengths[i]) for i in reveal])
+    source, target = (h1, h2) if lengths[h2] < 2 or draw(st.booleans()) else (h2, h1)
+    d = draw(st.integers(1, lengths[source] - 1))
+    shifted = list(lengths)
+    shifted[source] -= d
+    shifted[target] += d
+    forged = TranscriptCommitment(commitment.root, tuple(shifted), commitment.total_length)
+    return forged, disclosure
+
+
+def _swapped_around_a_revealed_chunk():
+    """Hidden chunks of 8 and 6 bytes around a revealed one, claimed as 6
+    and 8: the revealed chunk would read back from byte 10, not 12."""
+    rng = random.Random(12)
+    commitment, opening = commit(rng.randbytes(22), [4, 8, 4, 6], rng)
+    forged = TranscriptCommitment(commitment.root, (4, 6, 4, 8), commitment.total_length)
+    return forged, disclose(opening, [(0, 4), (12, 4)])
+
+
+@SETTINGS
+@example(_swapped_around_a_revealed_chunk())
+@given(hidden_length_shifts())
+def test_hidden_lengths_changed_with_the_sum_kept_are_a_bad_path(case):
+    forged, disclosure = case
+    assert TranscriptCommitment.from_obj(forged.to_obj()) == forged  # it decodes
+    with pytest.raises(Rejected) as err:
+        verify_disclosure(forged, disclosure)
+    assert err.value.reason == "bad-path"
+
+
+@SETTINGS
+@given(variable_disclosures(), st.data())
+def test_variable_chunks_reject_a_flipped_bit_and_a_moved_run(case, choose):
+    _, commitment, disclosure = case
+    if not disclosure.chunks:
+        return
+    k = choose.draw(st.integers(0, len(disclosure.chunks) - 1))
+    run = disclosure.chunks[k]
+    bit = choose.draw(st.integers(0, 8 * len(run.data) - 1))
+    flipped = bytearray(run.data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    with pytest.raises(Rejected) as err:
+        verify_disclosure(commitment, _with_run(disclosure, k, data=bytes(flipped)))
+    assert err.value.reason == "bad-path"
+    n = len(commitment.chunk_lengths)
+    moved = choose.draw(st.integers(-1, n).filter(lambda i: i != run.index))
+    with pytest.raises(Rejected):
+        verify_disclosure(commitment, _with_run(disclosure, k, index=moved))
+
+
+@SETTINGS
+@given(chunk_lengths, st.integers(-3, 3).filter(bool))
+def test_chunk_lengths_must_sum_to_the_total(lengths, off):
+    rng = random.Random(len(lengths))
+    commitment, _ = commit(rng.randbytes(sum(lengths)), lengths, rng)
+    obj = commitment.to_obj()
+    obj["total_length"] = str(max(0, commitment.total_length + off))
+    with pytest.raises(ValidationError):
+        TranscriptCommitment.from_obj(obj)
+    with pytest.raises(ValidationError):
+        commit(rng.randbytes(max(0, sum(lengths) + off)), lengths, rng)
+
+
+@pytest.mark.parametrize("lengths", [["0", "4"], ["4", "0"], ["-1", "5"]])
+def test_chunk_lengths_below_one_do_not_decode(lengths):
+    obj = {"root": "00" * 32, "chunk_lengths": lengths, "total_length": "4"}
+    with pytest.raises(ValidationError):
+        TranscriptCommitment.from_obj(obj)
+    with pytest.raises(ValidationError):
+        commit(b"abcd", [int(n) for n in lengths])

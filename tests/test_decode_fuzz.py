@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import WebProofRig
 from vet import demo as demo_mod, webproof
 from vet.aid import AgentIdentityDocument, compute_id, validate
+from vet.canonical import FORMAT
 from vet.cli import main
 from vet.composer import VerifiableExecutionTrace, verify_trace
 from vet.errors import Rejected, ValidationError
@@ -116,12 +117,12 @@ def bundle_doc():
     return _bundle_case()[2]
 
 
-def test_seeds_are_valid_format_2_documents():
+def test_seeds_are_valid_documents_of_the_current_format():
     rig, doc = _webproof_case()
-    assert doc["format"] == "2"
+    assert doc["format"] == FORMAT
     webproof.verify_component(doc, rig.entry, rig.registry, ROLE_TOOL)
     result, claim, doc = _bundle_case()
-    assert doc["format"] == "2"
+    assert doc["format"] == FORMAT
     bundle = VerifiableExecutionTrace.from_obj(doc)
     assert verify_trace(claim, bundle, result.aid, result.registry) == claim
 

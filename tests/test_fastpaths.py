@@ -7,17 +7,22 @@ acceptance, or the same exception type, reject reason and detail.
 Disclosures are the exception, because their format changed from one
 entry per chunk to one per run: the oracle verifies the per-chunk
 disclosure of the same ranges, and a mutated run disclosure must be
-rejected or yield exactly the committed bytes.
+rejected or yield exactly the committed bytes. The commitments here are
+cut on a fixed grid (``conftest.grid``), the chunking of the per-chunk
+format; the oracle reads each chunk's offset and length from the list.
 """
 
 import hashlib
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import grid
 from vet import toytls
 from vet.canonical import canonical_bytes
 from vet.commitment import (
@@ -27,10 +32,8 @@ from vet.commitment import (
     Disclosure,
     RevealedRun,
     TranscriptCommitment,
-    _leaf_hashes,
     _node_hash,
     _tree_levels,
-    chunk_count,
     chunk_cover,
     commit,
     disclose,
@@ -93,14 +96,20 @@ class RevealedChunk:
     path: tuple[bytes, ...]
 
 
+def offsets_of(chunk_lengths):
+    return list(accumulate(chunk_lengths, initial=0))
+
+
 def old_disclose(opening, ranges):
-    total = len(opening.plaintext)
-    norm = normalize_ranges(ranges, total)
-    cover = chunk_cover(norm, opening.chunk_size, total)
-    leaves = _leaf_hashes(opening.plaintext, opening.salts, opening.chunk_size)
+    norm = normalize_ranges(ranges, len(opening.plaintext))
+    cover = chunk_cover(norm, opening.chunk_lengths)
+    offsets = offsets_of(opening.chunk_lengths)
+    chunks = [
+        opening.plaintext[offsets[i]:offsets[i + 1]] for i in range(len(opening.chunk_lengths))
+    ]
+    leaves = [leaf_hash(i, offsets[i], opening.salts[i], c) for i, c in enumerate(chunks)]
     levels = _tree_levels(leaves) if leaves else []
     revealed = []
-    cs = opening.chunk_size
     for index in cover:
         path = []
         pos = index
@@ -108,16 +117,13 @@ def old_disclose(opening, ranges):
             sibling = pos ^ 1
             path.append(level[sibling] if sibling < len(level) else _PAD)
             pos //= 2
-        revealed.append(
-            RevealedChunk(
-                index, opening.salts[index], opening.plaintext[index * cs:(index + 1) * cs], tuple(path)
-            )
-        )
+        revealed.append(RevealedChunk(index, opening.salts[index], chunks[index], tuple(path)))
     return Disclosure(ranges=tuple(norm), chunks=tuple(revealed))
 
 
 def old_verify_disclosure(commitment, disclosure):
-    n = chunk_count(commitment.total_length, commitment.chunk_size)
+    n = len(commitment.chunk_lengths)
+    offsets = offsets_of(commitment.chunk_lengths)
     if n == 0 and commitment.root != EMPTY_ROOT:
         raise Rejected("bad-path", "empty transcript with non-empty root")
     depth = 0 if n <= 1 else (n - 1).bit_length()
@@ -127,14 +133,11 @@ def old_verify_disclosure(commitment, disclosure):
             raise Rejected("chunk-range-inconsistency", f"chunk index {chunk.index} out of range")
         if chunk.index in by_index:
             raise Rejected("chunk-range-inconsistency", f"duplicate chunk {chunk.index}")
-        expected_len = min(
-            commitment.chunk_size, commitment.total_length - chunk.index * commitment.chunk_size
-        )
-        if len(chunk.data) != expected_len:
+        if len(chunk.data) != commitment.chunk_lengths[chunk.index]:
             raise Rejected("length-mismatch", f"chunk {chunk.index} has wrong length")
         if len(chunk.path) != depth:
             raise Rejected("bad-path", f"chunk {chunk.index} path depth {len(chunk.path)} != {depth}")
-        node = leaf_hash(chunk.index, chunk.salt, chunk.data)
+        node = leaf_hash(chunk.index, offsets[chunk.index], chunk.salt, chunk.data)
         pos = chunk.index
         for sibling in chunk.path:
             node = _node_hash(node, sibling) if pos % 2 == 0 else _node_hash(sibling, node)
@@ -145,7 +148,7 @@ def old_verify_disclosure(commitment, disclosure):
     if n == 0 and disclosure.chunks:
         raise Rejected("chunk-range-inconsistency", "chunks revealed for empty transcript")
     try:
-        needed = chunk_cover(list(disclosure.ranges), commitment.chunk_size, commitment.total_length)
+        needed = chunk_cover(list(disclosure.ranges), commitment.chunk_lengths)
     except ValidationError as exc:
         raise Rejected("chunk-range-inconsistency", str(exc))
     missing = [i for i in needed if i not in by_index]
@@ -157,9 +160,9 @@ def old_verify_disclosure(commitment, disclosure):
         pos = offset
         end = offset + length
         while pos < end:
-            index = pos // commitment.chunk_size
+            index = bisect_right(offsets, pos) - 1
             chunk = by_index[index]
-            start_in_chunk = pos - index * commitment.chunk_size
+            start_in_chunk = pos - offsets[index]
             take = min(end - pos, len(chunk.data) - start_in_chunk)
             parts.append(chunk.data[start_in_chunk:start_in_chunk + take])
             pos += take
@@ -315,7 +318,7 @@ def disclosures(draw):
     chunk_size = draw(st.integers(1, 20))
     rng = random.Random(draw(st.integers(0, 2**32)))
     data = rng.randbytes(size)
-    commitment, opening = commit(data, chunk_size, rng)
+    commitment, opening = commit(data, grid(size, chunk_size), rng)
     ranges = []
     for _ in range(draw(st.integers(0, 4))):
         offset = draw(st.integers(0, size))
@@ -325,13 +328,17 @@ def disclosures(draw):
     return commitment, opening, ranges, draw(st.sampled_from(MUTATIONS)), rng
 
 
-def per_chunk(disclosure, chunk_size):
+def per_chunk(disclosure, chunk_lengths):
     """(index, salt, data) of every chunk a run or per-chunk disclosure reveals."""
+    offsets = offsets_of(chunk_lengths)
     return [
         (
             entry.index + k,
             entry.salt[k * SALT_LEN:(k + 1) * SALT_LEN],
-            entry.data[k * chunk_size:(k + 1) * chunk_size],
+            entry.data[
+                offsets[entry.index + k] - offsets[entry.index]:
+                offsets[entry.index + k + 1] - offsets[entry.index]
+            ],
         )
         for entry in disclosure.chunks
         for k in range(len(entry.salt) // SALT_LEN)
@@ -342,7 +349,7 @@ def mutate(disclosure, commitment, mutation, rng):
     """One mutation of a run disclosure."""
     runs = list(disclosure.chunks)
     ranges = list(disclosure.ranges)
-    n = chunk_count(commitment.total_length, commitment.chunk_size)
+    n = len(commitment.chunk_lengths)
     if runs:
         i = rng.randrange(len(runs))
         c = runs[i]
@@ -383,7 +390,8 @@ def mutate(disclosure, commitment, mutation, rng):
         elif mutation == "split" and len(c.salt) > SALT_LEN:
             # Two abutting runs where the prover made one.
             cut = SALT_LEN * rng.randrange(1, len(c.salt) // SALT_LEN)
-            at = cut // SALT_LEN * commitment.chunk_size
+            offsets = offsets_of(commitment.chunk_lengths)
+            at = offsets[c.index + cut // SALT_LEN] - offsets[c.index]
             runs[i:i + 1] = [
                 RevealedRun(c.index, c.salt[:cut], c.data[:at], c.path),
                 RevealedRun(c.index + cut // SALT_LEN, c.salt[cut:], c.data[at:], ()),
@@ -405,7 +413,7 @@ def test_disclose_and_verify_disclosure_match_oracle(case):
     oracle = old_disclose(opening, ranges)
     # The runs reveal exactly the chunks the per-chunk disclosure reveals,
     # and read back to the same range bytes.
-    assert per_chunk(disclosure, opening.chunk_size) == per_chunk(oracle, opening.chunk_size)
+    assert per_chunk(disclosure, opening.chunk_lengths) == per_chunk(oracle, opening.chunk_lengths)
     assert outcome(verify_disclosure, commitment, disclosure) == outcome(
         old_verify_disclosure, commitment, oracle
     )
@@ -424,7 +432,7 @@ def test_bad_subtree_hash_above_a_shared_node_is_rejected():
     # hash for the subtree over chunks 4-7 above it must still fail.
     rng = random.Random(5)
     data = rng.randbytes(16 * 8)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(0, 16), (32, 16)])
     runs = list(disclosure.chunks)
     last = runs[1]
@@ -445,7 +453,7 @@ def test_bad_subtree_hash_above_a_shared_node_is_rejected():
 def test_empty_range_off_the_disclosed_chunks():
     rng = random.Random(6)
     data = rng.randbytes(100)
-    commitment, opening = commit(data, 16, rng)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(0, 10)])
     padded = Disclosure(disclosure.ranges + ((50, 0),), disclosure.chunks)
     assert outcome(verify_disclosure, commitment, padded) == ("ok", {(0, 10): data[:10], (50, 0): b""})
@@ -467,8 +475,8 @@ def record_cases(draw):
     chunk_size = draw(st.integers(1, 24))
     plaintext = rng.randbytes(size)
     # Records are cut on the chunk grid, as secret spans are in a session.
-    grid = range(0, size + 1, chunk_size)
-    cuts = sorted({0, size, *(rng.choice(grid) for _ in range(draw(st.integers(0, 4))))})
+    on_grid = range(0, size + 1, chunk_size)
+    cuts = sorted({0, size, *(rng.choice(on_grid) for _ in range(draw(st.integers(0, 4))))})
     spans = list(zip(cuts, cuts[1:])) or [(0, 0)]
     keys, records = {}, []
     for i, (start, end) in enumerate(spans):
@@ -477,7 +485,7 @@ def record_cases(draw):
         records.append(RecordInfo("down", toytls.record_hash(wire), end - start))
         if draw(st.booleans()):
             keys[("down", i)] = key
-    commitment, opening = commit(plaintext, chunk_size, rng)
+    commitment, opening = commit(plaintext, grid(size, chunk_size), rng)
     # Disclose exactly the keyed records, as an honest prover does.
     keyed = [spans[i] for (_, i) in keys]
     disclosed = {
@@ -515,7 +523,9 @@ def test_check_records_and_assemble_match_oracle(case):
     elif mutation == "wrong-key" and keys:
         keys[rng.choice(sorted(keys))] = rng.randbytes(32)
     elif mutation == "length":
-        commitment = TranscriptCommitment(commitment.root, commitment.chunk_size, commitment.total_length + 1)
+        commitment = TranscriptCommitment(
+            commitment.root, commitment.chunk_lengths, commitment.total_length + 1
+        )
     proof = WebProof(
         statement=SignedStatement({}, "", "", "", (0, 0), tuple(records)),
         record_keys=keys,

@@ -173,6 +173,9 @@ def test_parse_tool_and_core():
         parse_tool(tool, b'HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\n{"w":"x"}')
     with pytest.raises(Rejected):  # half a surrogate pair has no UTF-8 encoding
         parse_tool(tool, b'HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n{"v":"\\ud800"}')
+    with pytest.raises(Rejected) as err:  # one name twice has no canonical form
+        parse_tool(tool, b'HTTP/1.1 200 OK\r\nContent-Length: 17\r\n\r\n{"v":"a","v":"b"}')
+    assert err.value.reason == "parse-failure"
 
     core = ParseTemplate.from_obj(
         {"type": "parse", "kind": "core", "output_pointer": "/y", "calls_pointer": "/c"}

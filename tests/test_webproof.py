@@ -1,10 +1,13 @@
 import random
+import string
+from itertools import accumulate
 
 import pytest
 
+from conftest import grid
 from vet import toytls
 from vet.canonical import canonical_bytes
-from vet.commitment import Disclosure, commit, disclose
+from vet.commitment import SALT_LEN, Disclosure, commit, disclose
 from vet.errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from vet.keys import SigningKey
 from vet.templates import render
@@ -111,7 +114,7 @@ def test_recommitment_to_other_plaintext_rejected(rig):
         b'Content-Length: 16\r\n\r\n{"echo":"forged"}'
     )
     rng = random.Random(9)
-    fake_commitment, fake_opening = commit(fake_response, 16, rng)
+    fake_commitment, fake_opening = commit(fake_response, grid(len(fake_response), 16), rng)
     forged = WebProof(
         statement=proof.statement,
         record_keys=proof.record_keys,
@@ -124,6 +127,25 @@ def test_recommitment_to_other_plaintext_rejected(rig):
     with pytest.raises(Rejected) as err:
         verify_webproof("forged", forged, rig.entry, "tool", rig.registry)
     assert err.value.reason == "cipher-mismatch"
+
+
+def test_large_proof_is_at_most_three_times_its_exchange(rig):
+    message = "".join(random.Random(48).choices(string.ascii_letters, k=48 * 1024))
+    _, proof = _prove(rig, message)
+    assert verify_webproof(message, proof, rig.entry, "tool", rig.registry) == message
+    exchange = proof.request_commitment.total_length + proof.response_commitment.total_length
+    assert exchange > 2 * 48 * 1024
+    assert len(canonical_bytes(proof.to_obj())) <= 3 * exchange
+    # One chunk, and so one salt, per record; only the secret's stays hidden.
+    records = proof.statement.records
+    for direction, commitment in (
+        ("up", proof.request_commitment), ("down", proof.response_commitment)
+    ):
+        lengths = [r.length for r in records if r.direction == direction]
+        assert list(commitment.chunk_lengths) == lengths
+    disclosures = (proof.request_disclosure, proof.response_disclosure)
+    salts = sum(len(run.salt) for d in disclosures for run in d.chunks) // SALT_LEN
+    assert salts == len(records) - 1
 
 
 def test_cross_session_splicing_rejected(rig):
@@ -195,11 +217,13 @@ def test_minimal_disclosure_excludes_secret_chunks(rig):
     _, proof = _prove(rig, "mindisc")
     request, spans = render(template, "mindisc", {"token": SECRET})
     (offset, length) = spans["token"]
-    secret_chunks = set(range(offset // 16, (offset + length - 1) // 16 + 1))
+    # The secret is a record of its own, so it is one chunk of its own.
+    offsets = list(accumulate(proof.request_commitment.chunk_lengths, initial=0))
+    secret_chunk = offsets.index(offset)
+    assert offsets[secret_chunk + 1] == offset + length
     revealed = {i for run in proof.request_disclosure.chunks for i in range(run.index, run.end)}
-    assert revealed.isdisjoint(secret_chunks)
-    total_chunks = -(-len(request) // 16)
-    assert revealed == set(range(total_chunks)) - secret_chunks
+    assert offsets[-1] == len(request)
+    assert revealed == set(range(len(offsets) - 1)) - {secret_chunk}
 
 
 def test_unkeyed_record_disclosure_rejected(rig):
