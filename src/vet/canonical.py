@@ -35,9 +35,10 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 
 # The wire format of web proofs and bundles. Format 1, the initial one,
 # had no "format" field and disclosed each chunk with its own path.
-# Format 2 committed in fixed chunks of "chunk_size" bytes; format 3 lists
-# each chunk's length in "chunk_lengths".
-FORMAT = "3"
+# Format 2 committed in fixed chunks of "chunk_size" bytes; format 3 listed
+# each chunk's length in "chunk_lengths" under a Merkle root, and format 4
+# hashes those lengths and a flat list of salted leaves into the root.
+FORMAT = "4"
 
 
 def canonical_bytes(obj: Any) -> bytes:

@@ -1,52 +1,37 @@
-"""Salted chunk-tree commitments with selective disclosure of byte ranges.
+"""Salted chunk commitments with selective disclosure of byte ranges.
 
 The committer cuts the transcript into chunks of lengths it chooses, each
 at least one byte long; a web-proof prover cuts at its TLS record
-boundaries, so one record is one chunk. The commitment lists the chunk
-lengths next to the root and the total length. Each chunk gets an
-independent 16-byte salt, so revealing one chunk leaks nothing about the
-bytes of the others, only their lengths. Leaf and interior hashes carry
-distinct domain-separation prefixes, and each leaf binds its chunk's
-index and start offset, both as 8-byte big-endian integers:
-``H("VET/leaf:" || index || offset || salt || chunk)``. Levels with an odd
-node count are closed with a domain-separated padding node.
+boundaries, so one record is one chunk. Each chunk gets an independent
+16-byte salt, so revealing one chunk leaks nothing about the bytes of the
+others, only their lengths. Chunk ``i`` has the leaf
+``H("VET/leaf:" || salt_i || chunk_i)``, and the root hashes the chunk
+count, every chunk length and every leaf, counts and lengths as 8-byte
+big-endian integers:
+``H("VET/root:" || n || len_0 .. len_{n-1} || leaf_0 .. leaf_{n-1})``.
+The commitment lists the chunk lengths next to the root and the total
+length.
 
-A disclosure is a Merkle multiproof, the compact-range idea of RFC 9162
-(Certificate Transparency v2). It has one entry per run of consecutive
-revealed chunks: the run's salts and bytes, and the roots of the largest
-aligned subtrees whose real leaves lie in the hidden gap before the run
-(the last run also carries the gap after it). The revealed leaves and
-those subtrees partition the chunks, so ``verify_disclosure`` folds them
-left to right into the root and computes each interior node once. Which
-subtree each hash stands for follows from the run layout and the chunk
+A disclosure has one entry per run of consecutive revealed chunks: the
+run's salts and bytes, and the leaf hashes of the hidden chunks in the
+gap before the run (the last run also carries the gap after it). Which
+chunks those hashes stand for follows from the run layout and the chunk
 count alone, and a disclosure with any other number of hashes is
-rejected, so every disclosure has one encoding.
+rejected, so every disclosure has one encoding. ``verify_disclosure``
+lays the supplied and the recomputed leaves out in chunk order and
+hashes the root once.
 
-Soundness. Suppose a disclosure folds to the committed root, yet some
-revealed byte differs from the committed byte at its position. The
-verifier places revealed chunk ``i`` at the offset ``o`` that the
-commitment's chunk lengths give it. Walk from the root to leaf ``i``
-through the tree the fold hashed and, in step, through the committed
-tree. The root values agree. At each node on the way either both hash
-inputs agree, and the walk moves down to the child on the same side in
-both trees, or two different inputs have one SHA-256 output, a
-collision. The "VET/leaf:", "VET/node:" and padding domains make an
-input of one kind differ from any input of another, so a supplied
-subtree hash cannot pass for a leaf, nor a leaf for an interior node or
-the padding, without a collision. Without one, the walk ends at a
-committed leaf whose input equals the revealed one: the same index, salt
-and bytes, and the same offset ``o``. So every revealed byte is the
-committed byte at the position the verifier reads it from.
-
-The offset is what makes variable chunks sound. On a fixed grid the
-index implied the offset; with lengths read off the wire it does not.
-Without the offset a disclosure could claim the hidden lengths (6, 8)
-where the committer cut (8, 6): the chunk count and the sum stay the
-same, every hash stays the same, and the revealed chunk after them would
-be read two bytes early. With it, that chunk's leaf input changes and
-the fold misses the root. The claimed lengths are otherwise not checked
-against the tree, and need not be: they only decide where revealed bytes
-are placed, and each revealed leaf binds its own offset and length.
+Soundness. Suppose a disclosure hashes to the committed root. The root
+input has a fixed layout once ``n`` is read, so, short of a SHA-256
+collision, the verifier hashed the committer's exact input: the same
+chunk lengths, and at each revealed position the committed leaf. Equal
+leaves in turn mean the same salt and chunk bytes, again short of a
+collision. The verifier places revealed chunk ``i`` at the sum of the
+lengths before it, which is therefore the committed offset, so every
+revealed byte is the committed byte at the position it is read from.
+Binding the lengths is what makes chunks of variable length sound: a
+commitment that lists other lengths, even with the same sum and the same
+revealed chunks, hashes to another root.
 """
 
 from __future__ import annotations
@@ -54,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .canonical import json_field, parse_hex, parse_int
@@ -63,29 +48,27 @@ from .errors import Rejected, ValidationError
 SALT_LEN = 16
 
 _LEAF = b"VET/leaf:"
-_NODE = b"VET/node:"
-_PAD = hashlib.sha256(b"VET/pad-leaf").digest()
-EMPTY_ROOT = hashlib.sha256(b"VET/empty-leaf").digest()
+_ROOT = b"VET/root:"
 
 
-def leaf_hash(index: int, offset: int, salt: bytes, chunk: bytes) -> bytes:
+def leaf_hash(salt: bytes, chunk: bytes) -> bytes:
+    return hashlib.sha256(_LEAF + salt + chunk).digest()
+
+
+def _root_hash(chunk_lengths, leaves) -> bytes:
+    """The root over the chunk lengths and the leaves, in chunk order."""
     return hashlib.sha256(
-        _LEAF + index.to_bytes(8, "big") + offset.to_bytes(8, "big") + salt + chunk
+        b"".join(
+            [_ROOT, len(chunk_lengths).to_bytes(8, "big")]
+            + [n.to_bytes(8, "big") for n in chunk_lengths]
+            + list(leaves)
+        )
     ).digest()
-
-
-def _node_hash(left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(_NODE + left + right).digest()
 
 
 def _offsets(chunk_lengths) -> list[int]:
     """The start offset of each chunk, then the total length."""
     return list(accumulate(chunk_lengths, initial=0))
-
-
-def _depth(n: int) -> int:
-    """Levels above the leaves in a tree over ``n`` leaves."""
-    return (n - 1).bit_length() if n > 1 else 0
 
 
 def chunk_cover(ranges: list[tuple[int, int]], chunk_lengths) -> list[int]:
@@ -101,26 +84,6 @@ def chunk_cover(ranges: list[tuple[int, int]], chunk_lengths) -> list[int]:
         last = bisect_right(offsets, offset + length - 1) - 1
         indices.update(range(first, last + 1))
     return sorted(indices)
-
-
-def _hidden_subtrees(start: int, end: int, n: int) -> list[tuple[int, int]]:
-    """(level, position) of the largest aligned subtrees whose real leaves
-    lie in chunks ``start`` .. ``end - 1`` of an ``n``-leaf tree, left to
-    right. A subtree past the last leaf is closed by padding, so only its
-    real leaves must lie in the range."""
-    depth = _depth(n)
-    out = []
-    while start < end:
-        level = 0
-        while (
-            level < depth
-            and start % (2 << level) == 0
-            and min(start + (2 << level), n) <= end
-        ):
-            level += 1
-        out.append((level, start >> level))
-        start += 1 << level
-    return out
 
 
 @dataclass(frozen=True)
@@ -146,7 +109,7 @@ class TranscriptCommitment:
             total_length=json_field(obj, "total_length", int),
         )
         lengths, total = commitment.chunk_lengths, commitment.total_length
-        # Leaf hashes encode a chunk offset in 8 bytes.
+        # The root encodes each chunk length in 8 bytes.
         if any(n < 1 for n in lengths) or sum(lengths) != total or total >= 1 << 64:
             raise ValidationError(
                 f"commitment of {total} bytes in {len(lengths)} chunks: chunk lengths must "
@@ -158,22 +121,19 @@ class TranscriptCommitment:
 @dataclass(frozen=True)
 class Opening:
     """Prover-held witness: the plaintext, its chunk lengths, all
-    per-chunk salts and the tree.
-
-    ``levels`` is the hash tree ``commit`` built over them, leaves first,
-    so disclosing reads hidden-subtree roots instead of rehashing.
-    """
+    per-chunk salts and the leaves ``commit`` hashed from them, so
+    disclosing reads the hidden leaves instead of rehashing."""
 
     plaintext: bytes
     salts: tuple[bytes, ...]
     chunk_lengths: tuple[int, ...]
-    levels: tuple[tuple[bytes, ...], ...] = field(repr=False)
+    leaves: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
 class RevealedRun:
     """Revealed chunks ``index`` .. ``end - 1``, with their salts and
-    bytes concatenated, and in ``path`` the roots of the hidden subtrees
+    bytes concatenated, and in ``path`` the leaves of the hidden chunks
     in the gap before the run (for the last run, also after it)."""
 
     index: int
@@ -231,27 +191,11 @@ def _run_leaves(first: int, salt: bytes, data: bytes, offsets: list[int]) -> lis
     base = offsets[first]
     return [
         leaf_hash(
-            i,
-            offsets[i],
             salt[(i - first) * SALT_LEN:(i - first + 1) * SALT_LEN],
             data[offsets[i] - base:offsets[i + 1] - base],
         )
         for i in range(first, first + len(salt) // SALT_LEN)
     ]
-
-
-def _tree_levels(leaves: list[bytes]) -> list[list[bytes]]:
-    """All levels bottom-up; odd levels are closed with the padding node."""
-    levels = [list(leaves)]
-    while len(levels[-1]) > 1:
-        current = levels[-1]
-        if len(current) % 2:
-            current = current + [_PAD]
-            levels[-1] = current
-        levels.append(
-            [_node_hash(current[i], current[i + 1]) for i in range(0, len(current), 2)]
-        )
-    return levels
 
 
 def commit(
@@ -274,25 +218,20 @@ def commit(
     if randomness is None:
         randomness = random.SystemRandom()
     salts = tuple(randomness.randbytes(SALT_LEN) for _ in lengths)
-    leaves = _run_leaves(0, b"".join(salts), transcript, _offsets(lengths))
-    levels = tuple(map(tuple, _tree_levels(leaves)))
+    leaves = tuple(_run_leaves(0, b"".join(salts), transcript, _offsets(lengths)))
     commitment = TranscriptCommitment(
-        root=levels[-1][0] if lengths else EMPTY_ROOT,
-        chunk_lengths=lengths,
-        total_length=len(transcript),
+        root=_root_hash(lengths, leaves), chunk_lengths=lengths, total_length=len(transcript)
     )
     return commitment, Opening(
-        plaintext=transcript, salts=salts, chunk_lengths=lengths, levels=levels
+        plaintext=transcript, salts=salts, chunk_lengths=lengths, leaves=leaves
     )
 
 
 def recommit(opening: Opening) -> bytes:
     """Root recomputed from an opening (consistency checks in tests)."""
-    if not opening.salts:
-        return EMPTY_ROOT
     offsets = _offsets(opening.chunk_lengths)
     leaves = _run_leaves(0, b"".join(opening.salts), opening.plaintext, offsets)
-    return _tree_levels(leaves)[-1][0]
+    return _root_hash(opening.chunk_lengths, leaves)
 
 
 def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[tuple[int, int]]:
@@ -316,7 +255,7 @@ def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[t
 
 def disclose(opening: Opening, ranges: list[tuple[int, int]]) -> Disclosure:
     """Reveal the minimal chunk cover of ``ranges`` as runs, each with the
-    hidden-subtree roots of the gap before it."""
+    hidden leaves of the gap before it."""
     norm = normalize_ranges(ranges, len(opening.plaintext))
     spans: list[list[int]] = []  # [first, end) of each run of the cover
     for index in chunk_cover(norm, opening.chunk_lengths):
@@ -324,51 +263,23 @@ def disclose(opening: Opening, ranges: list[tuple[int, int]]) -> Disclosure:
             spans[-1][1] += 1
         else:
             spans.append([index, index + 1])
-    n = len(opening.salts)
     offsets = _offsets(opening.chunk_lengths)
     runs = []
     gap = 0
     for k, (first, end) in enumerate(spans):
-        hidden = _hidden_subtrees(gap, first, n)
+        hidden = opening.leaves[gap:first]
         if k == len(spans) - 1:
-            hidden += _hidden_subtrees(end, n, n)
+            hidden += opening.leaves[end:]
         runs.append(
             RevealedRun(
                 index=first,
                 salt=b"".join(opening.salts[first:end]),
                 data=opening.plaintext[offsets[first]:offsets[end]],
-                path=tuple(opening.levels[level][pos] for level, pos in hidden),
+                path=hidden,
             )
         )
         gap = end
     return Disclosure(ranges=tuple(norm), chunks=tuple(runs))
-
-
-def _fold(nodes: list[list[tuple[int, list[bytes]]]], n: int) -> bytes:
-    """The root over ``nodes[level]``: (position, hashes) spans of known
-    consecutive nodes at each level.
-
-    The spans partition the leaves into aligned subtrees, so a known
-    node's sibling is known at its level or is the padding node, and
-    each level's spans pair up into the next level's.
-    """
-    carried: list[tuple[int, list[bytes]]] = []
-    for level, supplied in enumerate(nodes[:-1]):
-        merged: list[tuple[int, list[bytes]]] = []
-        for start, hashes in sorted(carried + supplied):
-            if merged and merged[-1][0] + len(merged[-1][1]) == start:
-                merged[-1][1].extend(hashes)
-            else:
-                merged.append((start, list(hashes)))
-        width = -(-n >> level)  # real nodes at this level
-        start, hashes = merged[-1]
-        if width % 2 and start + len(hashes) == width:
-            hashes.append(_PAD)
-        carried = [
-            (start >> 1, [_node_hash(h[i], h[i + 1]) for i in range(0, len(h), 2)])
-            for start, h in merged
-        ]
-    return (carried + nodes[-1])[0][1][0]
 
 
 def verify_disclosure(
@@ -377,17 +288,14 @@ def verify_disclosure(
     """Check a disclosure against a commitment root.
 
     Accepts iff the runs are in order, apart, inside the transcript and
-    of consistent lengths, each carries exactly the hidden-subtree hashes
-    its layout dictates, the runs fold to the root, and each claimed
-    range lies in one run. Returns the bytes of each claimed range;
-    raises Rejected otherwise.
+    of consistent lengths, each carries exactly the hidden leaves its
+    layout dictates, the leaves and lengths hash to the root, and each
+    claimed range lies in one run. Returns the bytes of each claimed
+    range; raises Rejected otherwise.
     """
     offsets = _offsets(commitment.chunk_lengths)
     n = len(commitment.chunk_lengths)
-    if n == 0 and commitment.root != EMPTY_ROOT:
-        raise Rejected("bad-path", "empty transcript with non-empty root")
     runs = disclosure.chunks
-    nodes: list[list[tuple[int, list[bytes]]]] = [[] for _ in range(_depth(n) + 1)]
     gap = 0
     for k, run in enumerate(runs):
         if run.index < 0:
@@ -411,20 +319,21 @@ def verify_disclosure(
             raise Rejected(
                 "length-mismatch", f"run at chunk {run.index} has wrong data length"
             )
-        hidden = _hidden_subtrees(gap, run.index, n)
-        if k == len(runs) - 1:
-            hidden += _hidden_subtrees(run.end, n, n)
-        if len(run.path) != len(hidden):
+        gap = run.end
+    leaves: list[bytes] = []
+    for k, run in enumerate(runs):
+        before = run.index - len(leaves)
+        after = n - run.end if k == len(runs) - 1 else 0
+        if len(run.path) != before + after:
             raise Rejected(
                 "bad-path",
-                f"run at chunk {run.index} carries {len(run.path)} subtree hashes, "
-                f"its layout needs {len(hidden)}",
+                f"run at chunk {run.index} carries {len(run.path)} hidden leaves, "
+                f"its layout needs {before + after}",
             )
-        for (level, pos), node in zip(hidden, run.path):
-            nodes[level].append((pos, [node]))
-        nodes[0].append((run.index, _run_leaves(run.index, run.salt, run.data, offsets)))
-        gap = run.end
-    if runs and _fold(nodes, n) != commitment.root:
+        leaves += run.path[:before]
+        leaves += _run_leaves(run.index, run.salt, run.data, offsets)
+        leaves += run.path[before:]
+    if (runs or not n) and _root_hash(commitment.chunk_lengths, leaves) != commitment.root:
         raise Rejected("bad-path", "revealed runs do not authenticate to the root")
 
     starts = [offsets[run.index] for run in runs]

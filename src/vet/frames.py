@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ProtocolError
+from .errors import ProtocolError, ValidationError
 
 OPEN = 0x01
 OPEN_OK = 0x02
@@ -54,12 +54,20 @@ def encode(ftype: int, payload: bytes) -> bytes:
 
 
 def decode_all(data: bytes) -> list[tuple[int, bytes]]:
-    """Split concatenated frames back into (type, payload) pairs."""
+    """Split concatenated frames back into (type, payload) pairs; a
+    truncated header or payload is a ValidationError."""
     out = []
     pos = 0
     while pos < len(data):
+        if len(data) - pos < _HEADER.size:
+            raise ValidationError(f"truncated frame header at byte {pos}")
         ftype, length = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
+        if len(data) - pos < length:
+            raise ValidationError(
+                f"frame at byte {pos - _HEADER.size} declares {length} payload bytes, "
+                f"{len(data) - pos} remain"
+            )
         out.append((ftype, data[pos:pos + length]))
         pos += length
     return out

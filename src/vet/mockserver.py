@@ -116,11 +116,11 @@ def make_core_handler(core: CoreFunction) -> Callable[[bytes], bytes]:
 
     def handler(request_bytes: bytes) -> bytes:
         request = parse_request(request_bytes)
+        # No string field, not lowercase hex, or frames cut short.
         try:
-            history = parse_hex(_string_field(request.body, "history"), "history")
-        except ValidationError:  # no string field, or not lowercase hex
+            output, calls = core(parse_hex(_string_field(request.body, "history"), "history"))
+        except ValidationError:
             return _error_response(400, "Bad Request", "body must be {\"history\": <hex>}")
-        output, calls = core(history)
         return _json_response(
             {
                 "output": output,

@@ -17,13 +17,14 @@ response chunks are the opened down records. A 48 KiB exchange thus has
 about ten leaves and salts. An honest prover's chunk lengths are the
 record lengths the notary signed, so listing them reveals nothing the
 statement does not, and the secret spans are whole chunks that no run
-reveals. A disclosure is a multiproof with one entry per run of revealed
-chunks; ``vet.commitment`` describes it and argues its soundness,
-including why each leaf binds its offset. The verifier reads disclosed
-bytes only through that check, then binds them to the signed chain by
-re-encryption, which does not depend on where the chunks were cut.
+reveals. A disclosure has one entry per run of revealed chunks, carrying
+the leaf hashes of the hidden chunks; ``vet.commitment`` describes it and
+argues its soundness, including why the root binds the chunk lengths.
+The verifier reads disclosed bytes only through that check, then binds
+them to the signed chain by re-encryption, which does not depend on where
+the chunks were cut.
 
-A serialized proof carries ``"format": "3"``, and ``WebProof.from_obj``
+A serialized proof carries ``"format": "4"``, and ``WebProof.from_obj``
 reads no other.
 """
 
@@ -44,9 +45,9 @@ from .commitment import (
     disclosed_bytes,
     normalize_ranges,
 )
-from .errors import CapacityExceeded, ProtocolError, Rejected
+from .errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from .frames import Frame
-from .keys import key_fingerprint, verify_signature
+from .keys import verify_signature
 from .notary import NotaryService
 from .templates import (  # the roles are re-exported for callers of this module
     ROLE_CORE,
@@ -98,17 +99,26 @@ class WebProof:
 
         return cls(
             statement=part("signed_statement", SignedStatement.from_obj),
-            record_keys={
-                (json_field(e, "direction"), json_field(e, "index", int)):
-                    json_field(e, "key", bytes)
-                for e in json_field(obj, "record_keys", list)
-            },
+            record_keys=_read_record_keys(json_field(obj, "record_keys", list)),
             request_commitment=part("request_commitment", TranscriptCommitment.from_obj),
             request_disclosure=part("request_disclosure", Disclosure.from_obj),
             response_commitment=part("response_commitment", TranscriptCommitment.from_obj),
             response_disclosure=part("response_disclosure", Disclosure.from_obj),
             claims=dict(json_field(obj, "claims", dict, {})),
         )
+
+
+def _read_record_keys(entries: list) -> dict[tuple[str, int], bytes]:
+    """Keys by (direction, index), each naming a distinct up or down record."""
+    keys = {}
+    for e in entries:
+        direction, index = json_field(e, "direction"), json_field(e, "index", int)
+        if direction not in ("up", "down") or index < 0 or (direction, index) in keys:
+            raise ValidationError(
+                f"record key ({direction!r:.20}, {index}) is not a distinct up or down record"
+            )
+        keys[direction, index] = json_field(e, "key", bytes)
+    return keys
 
 
 def _open_frame(session_id: str, domain: str, cap_up: int, cap_down: int) -> Frame:
@@ -230,7 +240,6 @@ def run_session(
     request_bytes: bytes,
     secret_spans: list[tuple[int, int]] | None = None,
     rng: random.Random | None = None,
-    expected_server_fingerprint: str | None = None,
     claims: dict | None = None,
 ) -> tuple[bytes, WebProof]:
     """Drive one notarized session and assemble the proof.
@@ -260,12 +269,6 @@ def run_session(
     ):
         channel.close()
         raise ProtocolError("server handshake signature invalid")
-    if (
-        expected_server_fingerprint is not None
-        and key_fingerprint(server_pub) != expected_server_fingerprint
-    ):
-        channel.close()
-        raise ProtocolError("server key mismatch")
     shared = toytls.shared_secret(eph, server_eph)
     up_secret = toytls.up_secret(shared)
     hk = toytls.handshake_key(shared, bytes.fromhex(nonce))

@@ -405,7 +405,7 @@ def test_criterion_7_commitment_binding_hiding_minimality():
     data = rng.randbytes(256)
     commitment, opening = commit(data, grid(256, 16), rng)
     # Runs at chunks 0-2, 5, 9-12 and 15; all but the first carry
-    # hidden-subtree hashes.
+    # hidden leaves.
     disclosure = disclose(opening, [(0, 48), (80, 16), (144, 64), (240, 16)])
     verify_disclosure(commitment, disclosure)
 
@@ -454,8 +454,8 @@ def test_criterion_7_commitment_binding_hiding_minimality():
     c1, o1 = commit(same, grid(64, 16), random.Random(1))
     c2, o2 = commit(same, grid(64, 16), random.Random(2))
     assert c1.root != c2.root
-    assert leaf_hash(0, 0, o1.salts[0], same[:16]) != leaf_hash(0, 0, o2.salts[0], same[:16])
-    assert leaf_hash(0, 0, o1.salts[0], same[:16]) != leaf_hash(1, 16, o1.salts[1], same[16:32])
+    assert leaf_hash(o1.salts[0], same[:16]) != leaf_hash(o2.salts[0], same[:16])
+    assert leaf_hash(o1.salts[0], same[:16]) != leaf_hash(o1.salts[1], same[16:32])
 
     # Cover minimality against the brute-force oracle.
     for _ in range(500):

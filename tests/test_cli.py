@@ -205,6 +205,7 @@ def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, 
     [
         (lambda bundle: bundle.pop("format"), "bundle format 1"),
         (lambda bundle: bundle.update(format="2"), "bundle format 2"),
+        (lambda bundle: bundle.update(format="3"), "bundle format 3"),
         (lambda bundle: bundle["proofs"][0]["payload"].pop("format"), "web proof format 1"),
     ],
 )
@@ -429,6 +430,20 @@ def test_negative_run_index_still_decodes(proved, tmp_path):
     report = _verify_mangled(proved, tmp_path, bundle)
     assert report["reason"] == "subproof-invalid"
     assert "chunk-range-inconsistency" in report["detail"]
+
+
+@pytest.mark.parametrize(
+    "direction, index",
+    [("up", "-1"), ("sideways", "0"), ("down", "0")],
+    ids=["negative-index", "unknown-direction", "repeated"],
+)
+def test_record_key_out_of_place_is_subproof_invalid(proved, tmp_path, direction, index):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    keys = _core_proof(bundle)["record_keys"]
+    keys.append({"direction": direction, "index": index, "key": keys[-1]["key"]})
+    report = _verify_mangled(proved, tmp_path, bundle)
+    assert report["reason"] == "subproof-invalid"
+    assert "is not a distinct up or down record" in report["detail"]
 
 
 def test_honest_bundle_decodes_to_the_same_document(proved):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import grid
 from vet.commitment import (
-    EMPTY_ROOT,
     Disclosure,
     RevealedRun,
     TranscriptCommitment,
@@ -41,7 +40,7 @@ def test_commit_disclose_round_trip(size, chunk_size):
 
 def test_empty_transcript_root():
     commitment, opening = commit(b"", [], random.Random(0))
-    assert commitment.root == EMPTY_ROOT
+    assert commitment.root == hashlib.sha256(b"VET/root:" + bytes(8)).digest()
     assert verify_disclosure(commitment, disclose(opening, [])) == {}
 
 
@@ -80,7 +79,7 @@ def test_binding_mutations_rejected():
     rng = random.Random(42)
     data = rng.randbytes(128)
     commitment, opening = commit(data, grid(len(data), 16), rng)
-    # Runs at chunks 0-2, 4 and 7: the later two carry subtree hashes.
+    # Runs at chunks 0-2, 4 and 7: the later two carry hidden leaves.
     disclosure = disclose(opening, [(0, 40), (64, 16), (112, 16)])
     verify_disclosure(commitment, disclosure)
     rejected = 0
@@ -104,7 +103,7 @@ def test_binding_mutations_rejected():
         elif mode == 2:  # relocate the run
             other = (c.index + 1) % 8
             runs[i] = RevealedRun(other, c.salt, c.data, c.path)
-        else:  # corrupt a subtree hash
+        else:  # corrupt a hidden leaf
             j = rng.randrange(len(c.path))
             path2 = tuple(
                 bytes(b ^ 1 for b in p) if k == j else p for k, p in enumerate(c.path)
@@ -131,9 +130,9 @@ def test_hiding_chunks_are_salted_independently():
     c1, o1 = commit(data, grid(len(data), 16), random.Random(1))
     c2, o2 = commit(data, grid(len(data), 16), random.Random(2))
     assert c1.root != c2.root
-    assert leaf_hash(0, 0, o1.salts[0], data[:16]) != leaf_hash(0, 0, o2.salts[0], data[:16])
+    assert leaf_hash(o1.salts[0], data[:16]) != leaf_hash(o2.salts[0], data[:16])
     # Equal chunks inside one commitment also have distinct leaves.
-    assert leaf_hash(0, 0, o1.salts[0], data[:16]) != leaf_hash(1, 16, o1.salts[1], data[16:32])
+    assert leaf_hash(o1.salts[0], data[:16]) != leaf_hash(o1.salts[1], data[16:32])
 
 
 def test_disclosure_serialization_round_trip():
@@ -184,13 +183,13 @@ def test_wrong_length_chunk_rejected():
 
 def _runs_case():
     """Eight chunks of 16 bytes with chunks 2-3 and 5 revealed: the first
-    run carries the subtree over chunks 0-1, the second chunk 4 before it
-    and chunks 6-7 after it."""
+    run carries the leaves of chunks 0 and 1, the second chunk 4's before
+    it and those of chunks 6 and 7 after it."""
     rng = random.Random(8)
     data = rng.randbytes(128)
     commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(32, 32), (80, 16)])
-    assert [(r.index, r.end, len(r.path)) for r in disclosure.chunks] == [(2, 4, 1), (5, 6, 2)]
+    assert [(r.index, r.end, len(r.path)) for r in disclosure.chunks] == [(2, 4, 2), (5, 6, 3)]
     return commitment, disclosure
 
 
@@ -354,6 +353,35 @@ def test_hidden_lengths_changed_with_the_sum_kept_are_a_bad_path(case):
     with pytest.raises(Rejected) as err:
         verify_disclosure(forged, disclosure)
     assert err.value.reason == "bad-path"
+
+
+def test_hidden_lengths_swapped_inside_one_gap_are_a_bad_path():
+    # Hidden chunks 1 and 2 lie in one gap, so no revealed byte moves when
+    # their lengths are swapped; the root binds the lengths all the same.
+    rng = random.Random(13)
+    commitment, opening = commit(rng.randbytes(22), [4, 8, 6, 4], rng)
+    disclosure = disclose(opening, [(0, 4), (18, 4)])
+    verify_disclosure(commitment, disclosure)
+    forged = TranscriptCommitment(commitment.root, (4, 6, 8, 4), commitment.total_length)
+    with pytest.raises(Rejected) as err:
+        verify_disclosure(forged, disclosure)
+    assert err.value.reason == "bad-path"
+
+
+def test_root_hashes_the_count_the_lengths_and_the_leaves():
+    rng = random.Random(14)
+    data = rng.randbytes(9)
+    commitment, opening = commit(data, [2, 7], rng)
+    leaves = [
+        hashlib.sha256(b"VET/leaf:" + opening.salts[0] + data[:2]).digest(),
+        hashlib.sha256(b"VET/leaf:" + opening.salts[1] + data[2:]).digest(),
+    ]
+    assert list(opening.leaves) == leaves
+    expected = hashlib.sha256(
+        b"VET/root:" + (2).to_bytes(8, "big") + (2).to_bytes(8, "big")
+        + (7).to_bytes(8, "big") + b"".join(leaves)
+    ).digest()
+    assert commitment.root == expected
 
 
 @SETTINGS

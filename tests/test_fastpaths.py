@@ -1,12 +1,13 @@
-"""Differential tests: the slice- and node-at-a-time verifier paths against
-the per-byte and per-path loops they replaced, kept here as oracles.
+"""Differential tests: the slice- and run-at-a-time verifier paths against
+the per-byte and per-chunk loops they replaced, kept here as oracles.
 
 Each test draws honest inputs, optionally applies one mutation, and
 requires the same outcome from both sides: the same result on
 acceptance, or the same exception type, reject reason and detail.
 Disclosures are the exception, because their format changed from one
 entry per chunk to one per run: the oracle verifies the per-chunk
-disclosure of the same ranges, and a mutated run disclosure must be
+disclosure of the same ranges (each revealed chunk on its own, and the
+leaf of every hidden chunk by index), and a mutated run disclosure must be
 rejected or yield exactly the committed bytes. The commitments here are
 cut on a fixed grid (``conftest.grid``), the chunking of the per-chunk
 format; the oracle reads each chunk's offset and length from the list.
@@ -16,7 +17,7 @@ import hashlib
 import json
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from hypothesis import HealthCheck, given, settings
@@ -26,18 +27,13 @@ from conftest import grid
 from vet import toytls
 from vet.canonical import canonical_bytes
 from vet.commitment import (
-    _PAD,
-    EMPTY_ROOT,
     SALT_LEN,
     Disclosure,
     RevealedRun,
     TranscriptCommitment,
-    _node_hash,
-    _tree_levels,
     chunk_cover,
     commit,
     disclose,
-    leaf_hash,
     normalize_ranges,
     verify_disclosure,
 )
@@ -88,16 +84,29 @@ def old_open_record(key, wire):
 
 @dataclass(frozen=True)
 class RevealedChunk:
-    """A disclosed chunk of the per-chunk format: its own sibling path."""
+    """A disclosed chunk of the per-chunk format."""
 
     index: int
     salt: bytes
     data: bytes
-    path: tuple[bytes, ...]
+
+
+@dataclass(frozen=True)
+class ChunkDisclosure:
+    """The per-chunk format: each revealed chunk on its own, and the leaf
+    hash of every hidden chunk keyed by its index."""
+
+    ranges: tuple[tuple[int, int], ...]
+    chunks: tuple[RevealedChunk, ...]
+    hidden: dict
 
 
 def offsets_of(chunk_lengths):
     return list(accumulate(chunk_lengths, initial=0))
+
+
+def old_leaf(salt, chunk):
+    return hashlib.sha256(b"VET/leaf:" + salt + chunk).digest()
 
 
 def old_disclose(opening, ranges):
@@ -107,46 +116,35 @@ def old_disclose(opening, ranges):
     chunks = [
         opening.plaintext[offsets[i]:offsets[i + 1]] for i in range(len(opening.chunk_lengths))
     ]
-    leaves = [leaf_hash(i, offsets[i], opening.salts[i], c) for i, c in enumerate(chunks)]
-    levels = _tree_levels(leaves) if leaves else []
-    revealed = []
-    for index in cover:
-        path = []
-        pos = index
-        for level in levels[:-1]:
-            sibling = pos ^ 1
-            path.append(level[sibling] if sibling < len(level) else _PAD)
-            pos //= 2
-        revealed.append(RevealedChunk(index, opening.salts[index], chunks[index], tuple(path)))
-    return Disclosure(ranges=tuple(norm), chunks=tuple(revealed))
+    revealed = tuple(RevealedChunk(i, opening.salts[i], chunks[i]) for i in cover)
+    hidden = {
+        i: old_leaf(opening.salts[i], c) for i, c in enumerate(chunks) if i not in cover
+    }
+    return ChunkDisclosure(tuple(norm), revealed, hidden)
 
 
 def old_verify_disclosure(commitment, disclosure):
     n = len(commitment.chunk_lengths)
     offsets = offsets_of(commitment.chunk_lengths)
-    if n == 0 and commitment.root != EMPTY_ROOT:
-        raise Rejected("bad-path", "empty transcript with non-empty root")
-    depth = 0 if n <= 1 else (n - 1).bit_length()
     by_index = {}
     for chunk in disclosure.chunks:
         if not 0 <= chunk.index < n:
             raise Rejected("chunk-range-inconsistency", f"chunk index {chunk.index} out of range")
-        if chunk.index in by_index:
+        if chunk.index in by_index or chunk.index in disclosure.hidden:
             raise Rejected("chunk-range-inconsistency", f"duplicate chunk {chunk.index}")
-        if len(chunk.data) != commitment.chunk_lengths[chunk.index]:
+        if len(chunk.salt) != SALT_LEN or len(chunk.data) != commitment.chunk_lengths[chunk.index]:
             raise Rejected("length-mismatch", f"chunk {chunk.index} has wrong length")
-        if len(chunk.path) != depth:
-            raise Rejected("bad-path", f"chunk {chunk.index} path depth {len(chunk.path)} != {depth}")
-        node = leaf_hash(chunk.index, offsets[chunk.index], chunk.salt, chunk.data)
-        pos = chunk.index
-        for sibling in chunk.path:
-            node = _node_hash(node, sibling) if pos % 2 == 0 else _node_hash(sibling, node)
-            pos //= 2
-        if node != commitment.root:
-            raise Rejected("bad-path", f"chunk {chunk.index} does not authenticate to root")
         by_index[chunk.index] = chunk
-    if n == 0 and disclosure.chunks:
-        raise Rejected("chunk-range-inconsistency", "chunks revealed for empty transcript")
+    if sorted([*by_index, *disclosure.hidden]) != list(range(n)):
+        raise Rejected("bad-path", "revealed and hidden chunks do not cover the transcript")
+    root = hashlib.sha256(b"VET/root:" + n.to_bytes(8, "big"))
+    for length in commitment.chunk_lengths:
+        root.update(length.to_bytes(8, "big"))
+    for i in range(n):
+        chunk = by_index.get(i)
+        root.update(old_leaf(chunk.salt, chunk.data) if chunk else disclosure.hidden[i])
+    if root.digest() != commitment.root:
+        raise Rejected("bad-path", "chunks do not authenticate to the root")
     try:
         needed = chunk_cover(list(disclosure.ranges), commitment.chunk_lengths)
     except ValidationError as exc:
@@ -373,7 +371,7 @@ def mutate(disclosure, commitment, mutation, rng):
             runs[i] = RevealedRun(c.index, c.salt, c.data, c.path[:j] + c.path[j + 1:])
         elif mutation == "path-extra":
             j = rng.randrange(len(c.path) + 1)
-            extra = rng.choice([_PAD, bytes(32), *c.path])
+            extra = rng.choice([bytes(32), *c.path])
             runs[i] = RevealedRun(c.index, c.salt, c.data, c.path[:j] + (extra,) + c.path[j:])
         elif mutation == "swap" and len(runs) > 1:
             j = rng.randrange(len(runs))
@@ -427,27 +425,23 @@ def test_disclose_and_verify_disclosure_match_oracle(case):
         assert result[0] == "rejected"
 
 
-def test_bad_subtree_hash_above_a_shared_node_is_rejected():
-    # Runs at chunks 0 and 2 meet at the node over chunks 0-3; a wrong
-    # hash for the subtree over chunks 4-7 above it must still fail.
+def test_bad_hidden_leaf_after_the_last_run_is_rejected():
     rng = random.Random(5)
     data = rng.randbytes(16 * 8)
     commitment, opening = commit(data, grid(len(data), 16), rng)
     disclosure = disclose(opening, [(0, 16), (32, 16)])
     runs = list(disclosure.chunks)
     last = runs[1]
-    assert len(last.path) == 3  # chunk 1 before it; chunk 3 and chunks 4-7 after it
+    assert len(last.path) == 6  # chunk 1 before it; chunks 3-7 after it
     runs[1] = RevealedRun(last.index, last.salt, last.data, last.path[:-1] + (bytes(32),))
     mutated = Disclosure(disclosure.ranges, tuple(runs))
     assert outcome(verify_disclosure, commitment, mutated) == (
         "rejected", "bad-path", "revealed runs do not authenticate to the root"
     )
-    # The same wrong node as chunk 2's last sibling fails the per-chunk check.
+    # The same wrong leaf for chunk 7 fails the per-chunk check.
     oracle = old_disclose(opening, [(0, 16), (32, 16)])
-    chunk = oracle.chunks[1]
-    bad = RevealedChunk(chunk.index, chunk.salt, chunk.data, chunk.path[:-1] + (bytes(32),))
-    mutated = Disclosure(oracle.ranges, (oracle.chunks[0], bad))
-    assert outcome(old_verify_disclosure, commitment, mutated)[:2] == ("rejected", "bad-path")
+    bad = replace(oracle, hidden={**oracle.hidden, 7: bytes(32)})
+    assert outcome(old_verify_disclosure, commitment, bad)[:2] == ("rejected", "bad-path")
 
 
 def test_empty_range_off_the_disclosed_chunks():
@@ -458,7 +452,7 @@ def test_empty_range_off_the_disclosed_chunks():
     padded = Disclosure(disclosure.ranges + ((50, 0),), disclosure.chunks)
     assert outcome(verify_disclosure, commitment, padded) == ("ok", {(0, 10): data[:10], (50, 0): b""})
     oracle = old_disclose(opening, [(0, 10)])
-    oracle = Disclosure(oracle.ranges + ((50, 0),), oracle.chunks)
+    oracle = replace(oracle, ranges=oracle.ranges + ((50, 0),))
     assert outcome(old_verify_disclosure, commitment, oracle) == outcome(
         verify_disclosure, commitment, padded
     )

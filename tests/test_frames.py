@@ -1,6 +1,9 @@
 import socket
 
+import pytest
+
 from vet import frames
+from vet.errors import ValidationError
 from vet.frames import Frame
 from vet.mockserver import make_echo_handler
 
@@ -27,3 +30,13 @@ def test_serve_relay_round_trip_health_and_abort():
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\x00", b"\x01\x00\x00\x00", frames.encode(1, b"abc")[:-1], frames.encode(1, b"") + b"\x02"],
+    ids=["one-byte", "short-header", "short-payload", "short-second-header"],
+)
+def test_decode_all_refuses_a_truncated_frame(data):
+    with pytest.raises(ValidationError, match="truncated frame header|payload bytes"):
+        frames.decode_all(data)

@@ -384,6 +384,37 @@ def test_mock_handler_answers_400_to_a_body_of_the_wrong_shape(handler, path, fi
     assert response.status == 400
 
 
+@pytest.mark.parametrize(
+    "core", [mockserver.trader_core("0"), mockserver.scripted_core("0", 3, ["echo"])],
+    ids=["trader", "scripted"],
+)
+@pytest.mark.parametrize("history", ["00", "0100000005ab"], ids=["short-header", "short-payload"])
+def test_core_handler_answers_400_to_a_truncated_history(core, history):
+    body = canonical_bytes({"history": history})
+    response = parse_response(mockserver.make_core_handler(core)(_post("/v1/agent", body)))
+    assert response.status == 400
+
+
+def test_tcp_truncated_history_gets_response_frames():
+    rig = WebProofRig(handler=mockserver.make_core_handler(mockserver.trader_core("0")))
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-short-history")
+        up, _ = _real_handshake(channel)
+        request = _post("/v1/agent", canonical_bytes({"history": "00"}))
+        record = toytls.seal_record(toytls.derive_record_key("up", up, 0), request)
+        assert channel.exchange(Frame(frames.RELAY_UP, record)) == [Frame(frames.ACK, b"")]
+        replies = channel.exchange(Frame(frames.END_UP, b""))
+        channel.close()
+        types = [r.type for r in replies]
+        assert types == [frames.RELAY_DOWN] * (len(replies) - 1) + [frames.END_DOWN]
+        assert check_health(host, port)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_array_body_gets_response_frames(rig):
     channel = provision_channel(rig.service, "echo.test", session_id="array-body")
     up, _ = _real_handshake(channel)
