@@ -21,10 +21,14 @@ rejected, so every disclosure has one encoding. ``verify_disclosure``
 lays the supplied and the recomputed leaves out in chunk order and
 hashes the root once.
 
-Soundness. Suppose a disclosure hashes to the committed root. The root
-input has a fixed layout once ``n`` is read, so, short of a SHA-256
-collision, the verifier hashed the committer's exact input: the same
-chunk lengths, and at each revealed position the committed leaf. Equal
+Soundness. Suppose a disclosure hashes to the committed root. The
+verifier refuses a hidden leaf that is not 32 bytes long, so every leaf
+it lays out is 32 bytes and the root input has a fixed layout once ``n``
+is read. Short of a SHA-256 collision, then, the verifier hashed the
+committer's exact input: the same chunk lengths, and at each revealed
+position the committed leaf. A leaf binds no index or offset, so the
+size check is what stops one supplied hash from standing in for part of
+its neighbour's, moving a revealed chunk to another position. Equal
 leaves in turn mean the same salt and chunk bytes, again short of a
 collision. The verifier places revealed chunk ``i`` at the sum of the
 lengths before it, which is therefore the committed offset, so every
@@ -289,9 +293,9 @@ def verify_disclosure(
 
     Accepts iff the runs are in order, apart, inside the transcript and
     of consistent lengths, each carries exactly the hidden leaves its
-    layout dictates, the leaves and lengths hash to the root, and each
-    claimed range lies in one run. Returns the bytes of each claimed
-    range; raises Rejected otherwise.
+    layout dictates, each a 32-byte hash, the leaves and lengths hash to
+    the root, and each claimed range lies in one run. Returns the bytes
+    of each claimed range; raises Rejected otherwise.
     """
     offsets = _offsets(commitment.chunk_lengths)
     n = len(commitment.chunk_lengths)
@@ -330,6 +334,8 @@ def verify_disclosure(
                 f"run at chunk {run.index} carries {len(run.path)} hidden leaves, "
                 f"its layout needs {before + after}",
             )
+        if any(len(leaf) != 32 for leaf in run.path):
+            raise Rejected("bad-path", f"run at chunk {run.index} carries a leaf not of 32 bytes")
         leaves += run.path[:before]
         leaves += _run_leaves(run.index, run.salt, run.data, offsets)
         leaves += run.path[before:]

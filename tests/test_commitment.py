@@ -368,6 +368,23 @@ def test_hidden_lengths_swapped_inside_one_gap_are_a_bad_path():
     assert err.value.reason == "bad-path"
 
 
+def test_hidden_leaves_of_other_than_32_bytes_are_a_bad_path():
+    # A leaf binds no position. Shipping leaves 0 and 1 as one 64-byte
+    # hash and an empty one after the run joins to the committed root
+    # input, which would let chunk 2's salt and bytes pass as chunk 1.
+    rng = random.Random(15)
+    data = rng.randbytes(48)
+    commitment, opening = commit(data, [16, 16, 16], rng)
+    l0, l1, _ = opening.leaves
+    forged = Disclosure(
+        ((16, 16),), (RevealedRun(1, opening.salts[2], data[32:], (l0 + l1, b"")),)
+    )
+    with pytest.raises(Rejected) as err:
+        verify_disclosure(commitment, forged)
+    assert err.value.reason == "bad-path"
+    assert "not of 32 bytes" in err.value.detail
+
+
 def test_root_hashes_the_count_the_lengths_and_the_leaves():
     rng = random.Random(14)
     data = rng.randbytes(9)

@@ -8,7 +8,7 @@ Disclosures are the exception, because their format changed from one
 entry per chunk to one per run: the oracle verifies the per-chunk
 disclosure of the same ranges (each revealed chunk on its own, and the
 leaf of every hidden chunk by index), and a mutated run disclosure must be
-rejected or yield exactly the committed bytes. The commitments here are
+rejected or yield exactly the committed bytes from 32-byte hidden leaves. The commitments here are
 cut on a fixed grid (``conftest.grid``), the chunking of the per-chunk
 format; the oracle reads each chunk's offset and length from the list.
 """
@@ -137,6 +137,8 @@ def old_verify_disclosure(commitment, disclosure):
         by_index[chunk.index] = chunk
     if sorted([*by_index, *disclosure.hidden]) != list(range(n)):
         raise Rejected("bad-path", "revealed and hidden chunks do not cover the transcript")
+    if any(len(leaf) != 32 for leaf in disclosure.hidden.values()):
+        raise Rejected("bad-path", "a hidden leaf is not 32 bytes")
     root = hashlib.sha256(b"VET/root:" + n.to_bytes(8, "big"))
     for length in commitment.chunk_lengths:
         root.update(length.to_bytes(8, "big"))
@@ -307,6 +309,7 @@ def test_seal_open_match_oracle(key, plaintext, flip):
 MUTATIONS = (
     "none", "data", "salt", "index", "path-node", "path-short", "path-extra",
     "swap", "swap-paths", "duplicate", "drop", "split", "extra-range", "empty-range",
+    "path-regroup",
 )
 
 
@@ -373,6 +376,14 @@ def mutate(disclosure, commitment, mutation, rng):
             j = rng.randrange(len(c.path) + 1)
             extra = rng.choice([bytes(32), *c.path])
             runs[i] = RevealedRun(c.index, c.salt, c.data, c.path[:j] + (extra,) + c.path[j:])
+        elif mutation == "path-regroup" and c.path:
+            # The same hidden-leaf bytes cut at other points, so the run
+            # still carries as many entries and they join to the same input.
+            joined = b"".join(c.path)
+            cuts = sorted(rng.randrange(len(joined) + 1) for _ in range(len(c.path) - 1))
+            bounds = [0, *cuts, len(joined)]
+            path = tuple(joined[a:b] for a, b in zip(bounds, bounds[1:]))
+            runs[i] = RevealedRun(c.index, c.salt, c.data, path)
         elif mutation == "swap" and len(runs) > 1:
             j = rng.randrange(len(runs))
             runs[i], runs[j] = runs[j], runs[i]
@@ -421,6 +432,7 @@ def test_disclose_and_verify_disclosure_match_oracle(case):
     if result[0] == "ok":
         data = opening.plaintext
         assert result[1] == {(o, k): data[o:o + k] for o, k in mutated.ranges}
+        assert all(len(leaf) == 32 for run in mutated.chunks for leaf in run.path)
     else:
         assert result[0] == "rejected"
 
@@ -442,6 +454,22 @@ def test_bad_hidden_leaf_after_the_last_run_is_rejected():
     oracle = old_disclose(opening, [(0, 16), (32, 16)])
     bad = replace(oracle, hidden={**oracle.hidden, 7: bytes(32)})
     assert outcome(old_verify_disclosure, commitment, bad)[:2] == ("rejected", "bad-path")
+
+
+def test_hidden_leaves_joined_across_a_run_are_rejected():
+    rng = random.Random(7)
+    data = rng.randbytes(48)
+    commitment, opening = commit(data, grid(len(data), 16), rng)
+    l0, l1, _ = opening.leaves
+    # Chunk 2's salt and bytes as chunk 1, with leaves 0 and 1 in one entry.
+    forged = Disclosure(
+        ((16, 16),), (RevealedRun(1, opening.salts[2], data[32:], (l0 + l1, b"")),)
+    )
+    assert outcome(verify_disclosure, commitment, forged)[:2] == ("rejected", "bad-path")
+    oracle = ChunkDisclosure(
+        ((16, 16),), (RevealedChunk(1, opening.salts[2], data[32:]),), {0: l0 + l1, 2: b""}
+    )
+    assert outcome(old_verify_disclosure, commitment, oracle)[:2] == ("rejected", "bad-path")
 
 
 def test_empty_range_off_the_disclosed_chunks():
