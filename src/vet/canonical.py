@@ -38,7 +38,9 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # Format 2 committed in fixed chunks of "chunk_size" bytes; format 3 listed
 # each chunk's length in "chunk_lengths" under a Merkle root, and format 4
 # hashes those lengths and a flat list of salted leaves into the root.
-FORMAT = "4"
+# 5: SHAKE-256 record keystream, under which format-4 records no longer
+# re-encrypt to their signed hashes.
+FORMAT = "5"
 
 
 def canonical_bytes(obj: Any) -> bytes:

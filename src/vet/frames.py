@@ -168,7 +168,12 @@ class _RelaySession:
 
     def handle(self, frame: Frame) -> list[Frame]:
         if frame.type == RELAY_UP:
-            return [Frame(RELAY_DOWN, self.respond(frame.payload))]
+            # A request the handler cannot read ends the connection with an
+            # ABORT, as toy-TLS ends a session on one.
+            try:
+                return [Frame(RELAY_DOWN, self.respond(frame.payload))]
+            except (ValidationError, ValueError) as exc:
+                return [Frame(ABORT, f"relay: malformed request: {exc}".encode())]
         if frame.type == CLOSE:
             return []
         return [Frame(ABORT, b"expected RELAY_UP")]

@@ -1,12 +1,15 @@
 """Desk-scale stand-in for MPC-TLS: commit-then-key-release record crypto.
 
-Records are encrypted with a SHA-256 keystream and MAC'd; the key for
-record ``i`` is derived from a direction-specific secret. Up-direction
-keys come from the X25519 handshake secret (known to prover and server,
-never to the relay). Down-direction keys come from a server-held session
-seed that is released to the prover only after the relay has signed the
-ciphertext chain, so the prover's pre-signature view never suffices to
-forge a response. Given a disclosed record key, the plaintext is a
+Records are encrypted with a SHAKE-256 keystream, one call per record,
+and MAC'd with SHA-256; the key for record ``i`` is derived from a
+direction-specific secret. Up-direction keys come from the X25519
+handshake secret (known to prover and server, never to the relay).
+Down-direction keys come from a server-held session seed that is
+released to the prover only after the relay has signed the ciphertext
+chain, so the prover's pre-signature view never suffices to forge a
+response. The keystream only has to be a PRF of the fresh record key;
+what binds a disclosed key to the signed hash is the tag
+``H("VET/mac:" || key || ct)`` that the hash covers, so the plaintext is a
 deterministic function of the signed ciphertext, and steering it to a
 chosen value requires a SHA-256 preimage.
 """
@@ -42,13 +45,7 @@ def derive_record_key(direction: str, secret: bytes, index: int) -> bytes:
 
 
 def keystream(key: bytes, length: int) -> bytes:
-    prefix = hashlib.sha256(b"VET/ks:" + key)
-    blocks = []
-    for counter in range(-(-length // 32)):
-        block = prefix.copy()
-        block.update(counter.to_bytes(4, "big"))
-        blocks.append(block.digest())
-    return b"".join(blocks)[:length]
+    return hashlib.shake_256(b"VET/ks:" + key).digest(length)
 
 
 def _xor_keystream(key: bytes, data: bytes) -> bytes:

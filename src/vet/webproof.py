@@ -24,7 +24,7 @@ The verifier reads disclosed bytes only through that check, then binds
 them to the signed chain by re-encryption, which does not depend on where
 the chunks were cut.
 
-A serialized proof carries ``"format": "4"``, and ``WebProof.from_obj``
+A serialized proof carries ``"format": "5"``, and ``WebProof.from_obj``
 reads no other.
 """
 

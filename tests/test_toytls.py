@@ -50,9 +50,19 @@ def test_open_rejects_tampering():
 
 def test_keystream_oracle():
     key = b"x" * 32
-    block0 = hashlib.sha256(b"VET/ks:" + key + (0).to_bytes(4, "big")).digest()
-    assert keystream(key, 16) == block0[:16]
-    assert keystream(key, 40)[:32] == block0
+    stream = hashlib.shake_256(b"VET/ks:" + key).digest(40)
+    assert keystream(key, 16) == stream[:16]
+    assert keystream(key, 40)[:32] == stream[:32]
+
+
+def test_keystream_known_answer():
+    # SHAKE-256("VET/ks:" || "x" * 32), 40 bytes, as OpenSSL computes it
+    # through `cryptography.hazmat.primitives.hashes.SHAKE256(40)`. Any
+    # change to the keystream construction changes this vector.
+    assert keystream(b"x" * 32, 40).hex() == (
+        "902d55a0e5a9b72c88d2e8c037708750169b9ed0f80886e3"
+        "bbf5bf948afbc0cf9b62250a8c3c270b"
+    )
 
 
 def test_record_keys_distinct():
