@@ -17,7 +17,7 @@ This framing makes transcript reconstruction injective on traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .canonical import json_field
 from .errors import ValidationError, VetError
@@ -138,6 +138,16 @@ def rebuild_transcript(trace: ExecutionTrace, upto_step: int) -> bytes:
     return _transcript_bytes(trace.initial_input, trace.steps[:upto_step])
 
 
+def transcript_prefixes(initial_input: str, steps: Iterable[StepRecord]) -> Iterator[bytes]:
+    """The core's input at each step, as ``rebuild_transcript`` gives it,
+    from one running prefix that each step extends: linear in the frames
+    of the trace, where a rebuild per step is quadratic."""
+    prefix = bytearray(frame(ROLE_INPUT, initial_input.encode("utf-8")))
+    for step in steps:
+        yield bytes(prefix)
+        prefix += b"".join(_step_frames(step))
+
+
 def full_transcript(trace: ExecutionTrace) -> bytes:
     """Transcript including every step of the trace."""
     return _transcript_bytes(trace.initial_input, trace.steps)
@@ -161,8 +171,10 @@ def run_agent(
         raise ValidationError("max_steps must be >= 1")
     steps: list[StepRecord] = []
     truncated = False
+    transcript = frame(ROLE_INPUT, input.encode("utf-8"))
     for j in range(max_steps):
-        transcript = _transcript_bytes(input, steps)
+        if steps:
+            transcript += b"".join(_step_frames(steps[-1]))
         output, calls = core(transcript)
         executed = []
         for tool_id, x in calls:

@@ -40,7 +40,9 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # hashes those lengths and a flat list of salted leaves into the root.
 # 5: SHAKE-256 record keystream, under which format-4 records no longer
 # re-encrypt to their signed hashes.
-FORMAT = "5"
+# 6: a bundle's sessions table holds each notary statement or proxy log
+# head once, and each proof names its session by index.
+FORMAT = "6"
 
 
 def canonical_bytes(obj: Any) -> bytes:

@@ -256,6 +256,7 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
         report = {"result": "reject", "reason": "malformed", "detail": str(exc)}
         code = 1
     report["components"] = [check.to_obj() for check in checked.components]
+    report["sessions"] = [check.to_obj() for check in checked.sessions]
     if as_json:
         click.echo(json.dumps(report))
     elif code == 0:

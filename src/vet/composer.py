@@ -8,22 +8,37 @@ authenticates exactly the (x, r) pair the trace records. A claimed
 message is accepted when it appears among the authenticated outputs
 (a core output of some step, or a tool input the core emitted).
 
+Calls go through signed sessions: a notarized toy-TLS session or a TEE
+proxy log carries many exchanges under one signature. A bundle holds
+each session's signed statement or log head once, in its ``sessions``
+table, and each component proof names its session by index. The
+exchange a proof covers is its place among the session's proofs in
+invocation order, which the verifier recomputes, so no position ships.
+
 ``SCHEMES`` is the one place that knows the proof systems: it maps each
-AID verification scheme to the ``kind`` its component proofs carry on
-the wire and to its verifier, a function ``(payload, entry, registry,
-role) -> AuthenticatedExchange`` that raises ``Rejected`` with the
-scheme's own reason. Adding a scheme means adding one entry. Proving
-and verifying walk a trace's invocations in one order (``invocations``),
-and ``verify_trace`` records what it checked in a ``VerificationReport``.
+AID verification scheme to the ``kind`` its proofs carry on the wire,
+the payload field naming their session, and three functions. ``open``
+checks a session's signature once, ``verify`` authenticates the
+session's next exchange, and ``close`` requires that every exchange of
+the session was consumed; each raises ``Rejected`` with the scheme's own
+reason. Adding a scheme means adding one entry. Proving and verifying
+walk a trace's invocations in one order (``invocations``), and
+``verify_trace`` records what it checked in a ``VerificationReport``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import tee_proxy, webproof
-from .agent_model import ExecutionTrace, StepRecord, ToolCall, rebuild_transcript
+from .agent_model import (
+    ExecutionTrace,
+    StepRecord,
+    ToolCall,
+    rebuild_transcript,
+    transcript_prefixes,
+)
 from .aid import (
     SCHEME_PROXY_TEE,
     SCHEME_TLS_NOTARY,
@@ -48,15 +63,29 @@ KIND_WEBPROOF = "webproof"
 KIND_TEE = "tee_attestation"
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     kind: str
-    verify: Callable[[dict, ComponentEntry, TemplateRegistry, str], AuthenticatedExchange]
+    session_field: str
+    open: Callable[[dict, ComponentEntry], object]
+    verify: Callable[[dict, ComponentEntry, TemplateRegistry, str, object], AuthenticatedExchange]
+    close: Callable[[object], None]
 
 
 SCHEMES = {
-    SCHEME_TLS_NOTARY: Scheme(KIND_WEBPROOF, webproof.verify_component),
-    SCHEME_PROXY_TEE: Scheme(KIND_TEE, tee_proxy.verify_component),
+    SCHEME_TLS_NOTARY: Scheme(
+        KIND_WEBPROOF,
+        "signed_statement",
+        webproof.open_session,
+        webproof.verify_exchange,
+        webproof.OpenStatement.close,
+    ),
+    SCHEME_PROXY_TEE: Scheme(
+        KIND_TEE,
+        "attestation",
+        tee_proxy.open_log,
+        tee_proxy.verify_exchange,
+        tee_proxy.OpenLog.close,
+    ),
 }
 
 POSITION_CORE = "core"
@@ -99,18 +128,35 @@ class ComponentProof:
         )
 
 
+class Session(NamedTuple):
+    """A signed session of a bundle: a notary statement or a proxy log
+    head, which the scheme of ``kind`` decodes."""
+
+    kind: str
+    signed: dict
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, "signed": self.signed}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "Session":
+        return cls(kind=json_field(obj, "kind"), signed=json_field(obj, "signed", dict))
+
+
 @dataclass(frozen=True)
 class VerifiableExecutionTrace:
     aid_id: str
     trace: ExecutionTrace
     proofs: tuple[ComponentProof, ...]
     claims: tuple[tuple[str, str], ...] = ()  # (value, locator)
+    sessions: tuple[Session, ...] = ()
 
     def to_obj(self) -> dict:
         return {
             "format": FORMAT,
             "aid_id": self.aid_id,
             "trace": self.trace.to_obj(),
+            "sessions": [s.to_obj() for s in self.sessions],
             "proofs": [p.to_obj() for p in self.proofs],
             "claims": [{"value": v, "locator": l} for v, l in self.claims],
         }
@@ -128,6 +174,7 @@ class VerifiableExecutionTrace:
                 (json_field(c, "value"), json_field(c, "locator"))
                 for c in json_field(obj, "claims", list, [])
             ),
+            sessions=tuple(Session.from_obj(s) for s in json_field(obj, "sessions", list)),
         )
 
 
@@ -140,9 +187,9 @@ def core_input(trace: ExecutionTrace, step_index: int) -> str:
 class Invocation:
     """One component call in a trace: a step's core, or one of its tool calls."""
 
-    trace: ExecutionTrace
     step: StepRecord
     position: str
+    x: str  # the input the call was given
     call: ToolCall | None = None  # None for the core
 
     @property
@@ -161,10 +208,8 @@ class Invocation:
         """The exchange the trace records for this call."""
         if self.call is None:
             emitted = tuple((c.tool_id, c.input) for c in self.step.tool_calls)
-            return AuthenticatedExchange(
-                core_input(self.trace, self.step.step_index), self.step.core_output, emitted
-            )
-        return AuthenticatedExchange(self.call.input, self.call.result, ())
+            return AuthenticatedExchange(self.x, self.step.core_output, emitted)
+        return AuthenticatedExchange(self.x, self.call.result, ())
 
     def claim(self, exchange: AuthenticatedExchange) -> str:
         """A core's output, or the input the core gave a tool."""
@@ -172,18 +217,21 @@ class Invocation:
 
 
 def invocations(trace: ExecutionTrace) -> Iterator[Invocation]:
-    """Every component call of the trace: per step, the core, then each tool call."""
-    for step in trace.steps:
-        yield Invocation(trace, step, POSITION_CORE)
+    """Every component call of the trace: per step, the core, then each tool call.
+
+    The core's input at each step extends one running transcript prefix."""
+    prefixes = transcript_prefixes(trace.initial_input, trace.steps)
+    for step, prefix in zip(trace.steps, prefixes):
+        yield Invocation(step, POSITION_CORE, prefix.hex())
         for k, call in enumerate(step.tool_calls):
-            yield Invocation(trace, step, tool_position(k), call)
+            yield Invocation(step, tool_position(k), call.input, call)
 
 
 class TeeComponentProver:
     """Per-scheme prover adapter for ProxyTEE entries.
 
     ``proxies`` maps component names to the TeeProxy fronting that
-    component's upstream.
+    component's upstream. The calls to one proxy share one log.
     """
 
     def __init__(
@@ -196,25 +244,58 @@ class TeeComponentProver:
         self.registry = registry
         self.secrets = dict(secrets or {})
 
-    def call(self, entry: ComponentEntry, x: str, role: str) -> tuple[AuthenticatedExchange, dict]:
-        template = self.registry.get_inject(entry.injection_algorithm_uid)
-        secrets = {name: self.secrets[name] for name in template.secret_names()}
+    def session_key(self, entry: ComponentEntry) -> TeeProxy:
+        return self.proxies[entry.name]
+
+    def open(self, entry: ComponentEntry) -> "_TeeLogRun":
+        return _TeeLogRun(self, self.proxies[entry.name].open_log())
+
+
+class _TeeLogRun:
+    def __init__(self, prover: TeeComponentProver, log: tee_proxy.ProxyLog):
+        self.prover = prover
+        self.log = log
+        self.proven: list[tuple[AuthenticatedExchange, dict]] = []
+
+    def add(self, entry: ComponentEntry, x: str, role: str) -> None:
+        registry = self.prover.registry
+        template = registry.get_inject(entry.injection_algorithm_uid)
+        secrets = {name: self.prover.secrets[name] for name in template.secret_names()}
         request_bytes, _ = render(template, x, secrets)
-        response_bytes, attestation = self.proxies[entry.name].fetch(request_bytes)
-        payload = tee_proxy.component_payload(request_bytes, response_bytes, attestation)
-        parse = self.registry.get_parse(entry.parsing_algorithm_uid)
-        return AuthenticatedExchange(x, *parse_exchange(parse, response_bytes, role)), payload
+        response_bytes = self.log.fetch(request_bytes)
+        parse = registry.get_parse(entry.parsing_algorithm_uid)
+        exchange = AuthenticatedExchange(x, *parse_exchange(parse, response_bytes, role))
+        payload = {"request": request_bytes.hex(), "response": response_bytes.hex()}
+        self.proven.append((exchange, payload))
+
+    def finish(self) -> list[tuple[dict, list[tuple[AuthenticatedExchange, dict]]]]:
+        return [(self.log.close().to_obj(), self.proven)]
 
 
 class WebProofComponentProver:
-    """Per-scheme prover adapter for TLSNotary entries."""
+    """Per-scheme prover adapter for TLSNotary entries: the calls to one
+    host under one notary key share notarized sessions."""
 
     def __init__(self, prover: WebProofProver):
         self.prover = prover
 
-    def call(self, entry: ComponentEntry, x: str, role: str) -> tuple[AuthenticatedExchange, dict]:
-        exchange, proof = self.prover.call(entry, x, role)
-        return exchange, proof.to_obj()
+    def session_key(self, entry: ComponentEntry) -> tuple[str, str]:
+        return entry.verification.key_string(), entry.host
+
+    def open(self, entry: ComponentEntry) -> "_NotarizedRun":
+        return _NotarizedRun(self.prover.sessions(entry.host))
+
+
+class _NotarizedRun:
+    def __init__(self, run: webproof.NotarizedRun):
+        self.run = run
+        self.add = run.add
+
+    def finish(self) -> list[tuple[dict, list[tuple[AuthenticatedExchange, dict]]]]:
+        return [
+            (proven[0][1].statement.to_obj(), [(e, proof.exchange_obj()) for e, proof in proven])
+            for proven in self.run.finish()
+        ]
 
 
 def prove_trace(
@@ -224,37 +305,56 @@ def prove_trace(
 ) -> VerifiableExecutionTrace:
     """Generate one component proof per invocation by re-running each call.
 
-    Requires the components to be deterministic for the recorded inputs
-    (the mock servers are); a live value differing from the trace is a
+    The calls that a prover's ``session_key`` groups go through one
+    session (``prover.open(entry)``): its ``add`` runs a call, and its
+    ``finish`` gives, per signed session it used, the signed object and
+    each call's parsed exchange and payload, in order. Requires the
+    components to be deterministic for the recorded inputs (the mock
+    servers are); a live value differing from the trace is a
     proof-generation failure naming the invocation.
     """
-    proofs = []
+    runs: dict[tuple, tuple[object, list]] = {}
     claims = []
     for invocation in invocations(trace):
         entry = invocation.entry(aid)
         scheme = entry.verification.scheme
         if scheme not in provers:
             raise ValidationError(f"no prover available for scheme {scheme!r}")
+        prover = provers[scheme]
+        key = (scheme, prover.session_key(entry))
+        if key not in runs:
+            runs[key] = (prover.open(entry), [])
+        run, calls = runs[key]
         recorded = invocation.recorded()
-        exchange, payload = provers[scheme].call(entry, recorded.x, invocation.role)
-        if exchange != recorded:
-            raise ValidationError(
-                f"{invocation.locator} no longer reproduces the recorded exchange"
-            )
-        proofs.append(
-            ComponentProof(
-                kind=SCHEMES[scheme].kind,
-                step_index=invocation.step.step_index,
-                position=invocation.position,
-                payload=payload,
-            )
-        )
+        run.add(entry, recorded.x, invocation.role)
+        calls.append((invocation, recorded))
         claims.append((invocation.claim(recorded), invocation.locator))
+
+    sessions = []
+    proofs = {}
+    for (scheme, _), (run, calls) in runs.items():
+        spec = SCHEMES[scheme]
+        pending = iter(calls)
+        for signed, proven in run.finish():
+            index = str(len(sessions))
+            sessions.append(Session(spec.kind, signed))
+            for (exchange, payload), (invocation, recorded) in zip(proven, pending):
+                if exchange != recorded:
+                    raise ValidationError(
+                        f"{invocation.locator} no longer reproduces the recorded exchange"
+                    )
+                proofs[invocation.locator] = ComponentProof(
+                    kind=spec.kind,
+                    step_index=invocation.step.step_index,
+                    position=invocation.position,
+                    payload={**payload, spec.session_field: index},
+                )
     return VerifiableExecutionTrace(
         aid_id=compute_id(aid),
         trace=trace,
-        proofs=tuple(proofs),
+        proofs=tuple(proofs[locator] for _, locator in claims),
         claims=tuple(claims),
+        sessions=tuple(sessions),
     )
 
 
@@ -288,7 +388,8 @@ class ComponentCheck:
 
     ``verdict`` is "ok" or the reason the proof was rejected: the
     scheme's own reason, or "subproof-invalid" for a proof of the wrong
-    kind or one that does not decode. ``request_disclosed`` is
+    kind or one that does not decode. ``session`` is the index of the
+    session the proof names, once read. ``request_disclosed`` is
     (disclosed, redacted) request bytes, for schemes that can redact.
     """
 
@@ -297,10 +398,34 @@ class ComponentCheck:
     kind: str
     verdict: str = ""
     detail: str = ""
+    session: int | None = None
     request_disclosed: tuple[int, int] | None = None
 
     def to_obj(self) -> dict:
         return {"locator": _locator(self.step_index, self.position), **asdict(self)}
+
+
+@dataclass
+class SessionCheck:
+    """One session of a bundle as ``verify_trace`` checked it.
+
+    ``signature`` is the verdict of opening it: "ok" once its signature
+    and what it binds (key, domain or TEE type, shape) check out, or the
+    reason they did not. ``verdict`` is that of closing it: "ok" once
+    every exchange it holds was consumed, or the reason. ``exchanges``
+    counts the exchanges its proofs consumed, and ``components`` names
+    those proofs.
+    """
+
+    index: int
+    kind: str
+    signature: str = ""
+    verdict: str = ""
+    exchanges: int = 0
+    components: list[str] = field(default_factory=list)
+
+    def to_obj(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -309,11 +434,13 @@ class VerificationReport:
 
     ``reason`` and ``detail`` are those of the ``Rejected`` it raised,
     and ``reason`` stays None on acceptance. Components after the first
-    rejected one are not checked and not listed.
+    rejected one are not checked and not listed; sessions are listed as
+    their first component opens them.
     """
 
     aid_match: bool = False
     components: list[ComponentCheck] = field(default_factory=list)
+    sessions: list[SessionCheck] = field(default_factory=list)
     reason: str | None = None
     detail: str = ""
 
@@ -378,6 +505,7 @@ def _verify_trace(
             raise Rejected("subproof-invalid", f"duplicate proof at {proof.locator}")
         by_locator[key] = proof
 
+    opened = _OpenSessions(bundle.sessions, report)
     checked: list[tuple[Invocation, AuthenticatedExchange]] = []
     for invocation in invocations(bundle.trace):
         j = invocation.step.step_index
@@ -392,11 +520,12 @@ def _verify_trace(
         entry = invocation.entry(aid)
         check = ComponentCheck(j, invocation.position, proof.kind)
         report.components.append(check)
-        exchange = _verify_component(proof, entry, registry, invocation.role, check)
+        exchange = _verify_component(proof, entry, registry, invocation.role, check, opened)
         checked.append((invocation, exchange))
     if by_locator:
         extra = next(iter(by_locator.values()))
         raise Rejected("subproof-invalid", f"proof at {extra.locator} matches no invocation")
+    opened.close_all()
 
     # ValidTrace, in one pass: the first call whose authenticated exchange
     # differs from the recorded one names the inconsistent step.
@@ -409,14 +538,67 @@ def _verify_trace(
     return m
 
 
+class _OpenSessions:
+    """A bundle's sessions, each opened by the first proof that names it."""
+
+    def __init__(self, sessions: tuple[Session, ...], report: VerificationReport):
+        self.sessions = sessions
+        self.report = report
+        self.opened: dict[int, tuple[Scheme, object, SessionCheck]] = {}
+
+    def state(self, index: int, scheme: Scheme, entry: ComponentEntry, locator: str) -> object:
+        """The state of session ``index`` for the next proof of ``scheme``,
+        opening the session first if no proof has named it yet."""
+        if not 0 <= index < len(self.sessions):
+            raise Rejected("subproof-invalid", f"session {index} is not in the bundle")
+        session = self.sessions[index]
+        if session.kind != scheme.kind:
+            raise Rejected(
+                "subproof-invalid",
+                f"session {index} holds a {session.kind!r:.40}, not a {scheme.kind}",
+            )
+        if index not in self.opened:
+            check = SessionCheck(index, session.kind)
+            self.report.sessions.append(check)
+            try:
+                state = scheme.open(session.signed, entry)
+            except Rejected as exc:
+                check.signature = exc.reason
+                raise
+            except ValidationError:
+                check.signature = "subproof-invalid"
+                raise
+            check.signature = "ok"
+            self.opened[index] = (scheme, state, check)
+        _, state, check = self.opened[index]
+        check.exchanges += 1
+        check.components.append(locator)
+        return state
+
+    def close_all(self) -> None:
+        """Every session must be named by some proof and every exchange consumed."""
+        for index in range(len(self.sessions)):
+            if index not in self.opened:
+                raise Rejected("subproof-invalid", f"session {index} is named by no proof")
+        for index, (scheme, state, check) in sorted(self.opened.items()):
+            try:
+                scheme.close(state)
+            except Rejected as exc:
+                check.verdict = exc.reason
+                raise Rejected("subproof-invalid", f"session {index}: {exc.reason}: {exc.detail}")
+            check.verdict = "ok"
+
+
 def _verify_component(
     proof: ComponentProof,
     entry: ComponentEntry,
     registry: TemplateRegistry,
     role: str,
     check: ComponentCheck,
+    opened: _OpenSessions,
 ) -> AuthenticatedExchange:
-    """Run the entry's scheme verifier on one proof and record its verdict.
+    """Run the entry's scheme verifier on one proof, as the next exchange
+    of the session it names, and record its verdict.
 
     Any failure is a subproof-invalid reject naming the locator and the
     scheme's own reason.
@@ -429,7 +611,9 @@ def _verify_component(
                 f"proof kind {proof.kind!r} does not match "
                 f"scheme {entry.verification.scheme!r}",
             )
-        exchange = scheme.verify(proof.payload, entry, registry, role)
+        check.session = json_field(proof.payload, scheme.session_field, int)
+        state = opened.state(check.session, scheme, entry, proof.locator)
+        exchange = scheme.verify(proof.payload, entry, registry, role, state)
     except Rejected as exc:
         check.verdict, check.detail = exc.reason, exc.detail
     except ValidationError as exc:

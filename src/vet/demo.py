@@ -303,6 +303,10 @@ def run_demo(seed: str = "0") -> DemoResult:
     )
 
 
+def _status(verdict: str) -> str:
+    return "ok" if verdict == "ok" else f"FAIL: {verdict}"
+
+
 def inspect_bundle(
     bundle: VerifiableExecutionTrace,
     aid: AgentIdentityDocument,
@@ -320,19 +324,30 @@ def inspect_bundle(
         pass
     lines = [
         f"agent id: {bundle.aid_id}  [{'match' if report.aid_match else 'MISMATCH'}]",
-        f"steps: {len(bundle.trace.steps)}  proofs: {len(bundle.proofs)}",
+        f"steps: {len(bundle.trace.steps)}  proofs: {len(bundle.proofs)}"
+        f"  sessions: {len(bundle.sessions)}",
     ]
+    for session in report.sessions:
+        line = (
+            f"session {session.index}: {session.kind}, {session.exchanges} exchanges"
+            f"  signature {_status(session.signature)}"
+        )
+        if session.verdict:
+            line += f", every exchange consumed {_status(session.verdict)}"
+        lines.append(line)
     step = None
     for check in report.components:
         if check.step_index != step:
             step = check.step_index
             lines.append(f"step {step}:")
-        status = "ok" if check.verdict == "ok" else f"FAIL: {check.verdict}"
+        where = check.position
+        if check.session is not None:
+            where += f" (session {check.session})"
         detail = ""
         if check.request_disclosed is not None:
             disclosed, redacted = check.request_disclosed
             detail = f"  request {disclosed}/{disclosed + redacted} bytes disclosed, rest redacted"
-        lines.append(f"  {check.position}: {check.kind}  [{status}]{detail}")
+        lines.append(f"  {where}: {check.kind}  [{_status(check.verdict)}]{detail}")
     if report.reason is None:
         lines.append("trace consistency: ok")
     else:

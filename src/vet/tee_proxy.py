@@ -1,18 +1,29 @@
 """Simulated attested HTTPS proxy in the Town Crier style.
 
 The proxy forwards a component request to its upstream in plaintext and
-returns the verbatim response together with a signed attestation over
-the hashes of exactly the bytes exchanged. It gives integrity without
-privacy: unlike the notarized channel, the proxy process sees every
-byte (though it keeps none), which is the documented trade-off of this
-verification mode. Real
-enclave quote generation is stubbed behind the same interface; the
-`measurement` field stands in for the enclave code identity and here
-hashes the proxy's declared template set.
+returns the verbatim response. It gives integrity without privacy:
+unlike the notarized channel, the proxy process sees every byte (though
+it keeps none), which is the documented trade-off of this verification
+mode. Real enclave quote generation is stubbed behind the same
+interface; the `measurement` field stands in for the enclave code
+identity and here hashes the proxy's declared template set.
 
-A component proof of this scheme is the attested request and response
-bytes plus the attestation (`component_payload`); `verify_component`
-checks it against the AID entry.
+The proxy attests a log of exchanges, not each one. A log (`ProxyLog`)
+keeps a hash chain over (H(request), H(response)) per exchange and
+signs its head once, when it closes: a signed tree head in the sense of
+RFC 9162, over the hash chain of Crosby and Wallach's tamper-evident
+logs. The chain fixes every exchange and their order, and the signed
+count fixes how many there are. A bundle's verifier checks the
+signature once (`OpenLog`), chains each proof's request and response
+onto it in the order the trace invokes the log's components, and at
+the end requires that every exchange was consumed and that the chain
+reaches the signed head: a proof moved, swapped, dropped or added
+changes the chain. `TeeProxy.fetch` is a log of one exchange, and its
+`ProxyAttestation` carries the two hashes that log chains.
+
+A standalone component proof is the attested request and response bytes
+plus the attestation (`component_payload`); `verify_component` checks it
+against the AID entry.
 """
 
 from __future__ import annotations
@@ -20,8 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import frames
 from .canonical import canonical_bytes, canonical_loads, json_field
@@ -50,13 +60,28 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-@dataclass(frozen=True)
-class ProxyAttestation:
+# The head of a log that holds no exchange yet.
+LOG_START = "sha256:" + "0" * 64
+
+
+def log_link(head: str, request_hash: str, response_hash: str) -> str:
+    """The log head after one more exchange."""
+    return _digest(b"VET/log:" + canonical_bytes([head, request_hash, response_hash]))
+
+
+def _text_fields(cls, obj: dict, numbers: tuple[str, ...]) -> dict:
+    """The fields of ``cls`` read from ``obj``: ``numbers`` as ints, the rest as text."""
+    return {name: json_field(obj, name, int if name in numbers else str) for name in cls._fields}
+
+
+class LogHead(NamedTuple):
+    """A proxy log's head, signed once when the log closes."""
+
     enclave_public_key: str
     tee_type: str
     measurement: str
-    request_hash: str
-    response_hash: str
+    exchanges: int
+    head: str
     timestamp: int
     signature: str
 
@@ -67,16 +92,48 @@ class ProxyAttestation:
         return canonical_bytes(obj)
 
     def to_obj(self) -> dict:
-        return {**asdict(self), "timestamp": str(self.timestamp)}
+        return {**self._asdict(), "exchanges": str(self.exchanges), "timestamp": str(self.timestamp)}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "LogHead":
+        return cls(**_text_fields(cls, obj, ("exchanges", "timestamp")))
+
+
+class ProxyAttestation(NamedTuple):
+    """The signed head of a log of one exchange, with that exchange's hashes."""
+
+    enclave_public_key: str
+    tee_type: str
+    measurement: str
+    request_hash: str
+    response_hash: str
+    timestamp: int
+    signature: str
+
+    def log_head(self) -> LogHead:
+        return LogHead(
+            enclave_public_key=self.enclave_public_key,
+            tee_type=self.tee_type,
+            measurement=self.measurement,
+            exchanges=1,
+            head=log_link(LOG_START, self.request_hash, self.response_hash),
+            timestamp=self.timestamp,
+            signature=self.signature,
+        )
+
+    def signed_payload(self) -> bytes:
+        return self.log_head().signed_payload()
+
+    def to_obj(self) -> dict:
+        return {**self._asdict(), "timestamp": str(self.timestamp)}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ProxyAttestation":
-        text = {f.name: json_field(obj, f.name) for f in fields(cls) if f.name != "timestamp"}
-        return cls(**text, timestamp=json_field(obj, "timestamp", int))
+        return cls(**_text_fields(cls, obj, ("timestamp",)))
 
 
 class TeeProxy:
-    """Stateless attesting forwarder; signing is serialized by a lock."""
+    """Attesting forwarder with no state between logs; signing is serialized by a lock."""
 
     def __init__(
         self,
@@ -95,26 +152,60 @@ class TeeProxy:
     def public_key(self) -> str:
         return self.signing_key.public_string
 
+    def open_log(self) -> "ProxyLog":
+        return ProxyLog(self)
+
     def fetch(self, request_bytes: bytes) -> tuple[bytes, ProxyAttestation]:
-        response_bytes = self.upstream(request_bytes)
-        unsigned = ProxyAttestation(
-            enclave_public_key=self.public_key,
-            tee_type=self.tee_type,
-            measurement=self.measurement,
+        """Forward one request in a log of its own."""
+        log = self.open_log()
+        response_bytes = log.fetch(request_bytes)
+        head = log.close()
+        return response_bytes, ProxyAttestation(
+            enclave_public_key=head.enclave_public_key,
+            tee_type=head.tee_type,
+            measurement=head.measurement,
             request_hash=_digest(request_bytes),
             response_hash=_digest(response_bytes),
+            timestamp=head.timestamp,
+            signature=head.signature,
+        )
+
+
+class ProxyLog:
+    """One log of a proxy: ``fetch`` forwards a request and extends the
+    chain, ``close`` signs the head."""
+
+    def __init__(self, proxy: TeeProxy):
+        self.proxy = proxy
+        self.head = LOG_START
+        self.exchanges = 0
+
+    def fetch(self, request_bytes: bytes) -> bytes:
+        response_bytes = self.proxy.upstream(request_bytes)
+        self.head = log_link(self.head, _digest(request_bytes), _digest(response_bytes))
+        self.exchanges += 1
+        return response_bytes
+
+    def close(self) -> LogHead:
+        proxy = self.proxy
+        unsigned = LogHead(
+            enclave_public_key=proxy.public_key,
+            tee_type=proxy.tee_type,
+            measurement=proxy.measurement,
+            exchanges=self.exchanges,
+            head=self.head,
             timestamp=int(time.time() * 1000),
             signature="",
         )
-        with self._sign_lock:
-            signature = self.signing_key.sign(unsigned.signed_payload())
-        return response_bytes, replace(unsigned, signature=signature)
+        with proxy._sign_lock:
+            signature = proxy.signing_key.sign(unsigned.signed_payload())
+        return unsigned._replace(signature=signature)
 
 
 def component_payload(
     request_bytes: bytes, response_bytes: bytes, attestation: ProxyAttestation
 ) -> dict:
-    """The serialized component proof that ``verify_component`` reads."""
+    """The serialized standalone proof that ``verify_component`` reads."""
     return {
         "request": request_bytes.hex(),
         "response": response_bytes.hex(),
@@ -142,6 +233,74 @@ def _match_tee_request(template, request_bytes: bytes) -> str:
     return x
 
 
+class OpenLog:
+    """A signed log head checked once, and the chain its exchanges rebuild.
+
+    ``take`` chains one exchange's hashes on; ``close`` requires that the
+    signed number of exchanges was taken and that they chain to the
+    signed head.
+    """
+
+    def __init__(self, signed: LogHead, entry):
+        key = entry.verification.key_string()
+        if signed.enclave_public_key != key or not verify_signature(
+            key, signed.signed_payload(), signed.signature
+        ):
+            raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
+        self.signed = signed
+        self.bind(entry)
+        self.head = LOG_START
+        self.taken = 0
+
+    def bind(self, entry) -> None:
+        """Rejected unless a component of this enclave key and TEE type may use the log."""
+        if self.signed.enclave_public_key != entry.verification.key_string():
+            raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
+        tee_type = entry.verification.params.get("tee_type")
+        if self.signed.tee_type != tee_type:
+            raise Rejected(
+                "bad-signature",
+                f"attestation is from a {self.signed.tee_type!r} enclave, "
+                f"the document declares {tee_type!r}",
+            )
+
+    def take(self, request_hash: str, response_hash: str) -> None:
+        if self.taken == self.signed.exchanges:
+            raise Rejected(
+                "hash-mismatch",
+                f"the log holds {self.signed.exchanges} exchanges, and more proofs name it",
+            )
+        self.head = log_link(self.head, request_hash, response_hash)
+        self.taken += 1
+
+    def close(self) -> None:
+        if self.taken != self.signed.exchanges:
+            raise Rejected(
+                "hash-mismatch",
+                f"the log holds {self.signed.exchanges} exchanges, {self.taken} were proven",
+            )
+        if self.head != self.signed.head:
+            raise Rejected("hash-mismatch", "the exchanges do not chain to the signed log head")
+
+
+def _read_exchange(
+    request_bytes: bytes | None,
+    response_bytes: bytes,
+    entry,
+    registry: TemplateRegistry,
+    role: str,
+) -> AuthenticatedExchange:
+    """Match the request to the inject template, which yields x (left
+    empty when no request is given), and parse the response once."""
+    x = ""
+    if request_bytes is not None:
+        x = _match_tee_request(
+            registry.get_inject(entry.injection_algorithm_uid), request_bytes
+        )
+    template = registry.get_parse(entry.parsing_algorithm_uid)
+    return AuthenticatedExchange(x, *parse_exchange(template, response_bytes, role))
+
+
 def _authenticate(
     response_bytes: bytes,
     attestation: ProxyAttestation,
@@ -150,47 +309,46 @@ def _authenticate(
     role: str,
     request_bytes: bytes | None,
 ) -> AuthenticatedExchange:
-    """Check the attestation against the AID entry, then read the exchange.
+    """Check a one-exchange attestation against the AID entry, then read the exchange.
 
-    The signature, the declared TEE type and the hashes come first; then
-    the request is matched to the inject template, which yields x (left
-    empty when no request is given), and the response is parsed once.
+    The signature and the declared TEE type come first, then the hashes
+    of the bytes given; the attested request hash stands in for a
+    request that is not given.
     """
-    key = entry.verification.key_string()
-    if attestation.enclave_public_key != key or not verify_signature(
-        key,
-        attestation.signed_payload(),
-        attestation.signature,
-    ):
-        raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
-    tee_type = entry.verification.params.get("tee_type")
-    if attestation.tee_type != tee_type:
-        raise Rejected(
-            "bad-signature",
-            f"attestation is from a {attestation.tee_type!r} enclave, "
-            f"the document declares {tee_type!r}",
-        )
+    log = OpenLog(attestation.log_head(), entry)
     if _digest(response_bytes) != attestation.response_hash:
         raise Rejected("hash-mismatch", "response bytes do not match the attested hash")
-    x = ""
-    if request_bytes is not None:
-        if _digest(request_bytes) != attestation.request_hash:
-            raise Rejected("hash-mismatch", "request bytes do not match the attested hash")
-        x = _match_tee_request(
-            registry.get_inject(entry.injection_algorithm_uid), request_bytes
-        )
-    template = registry.get_parse(entry.parsing_algorithm_uid)
-    return AuthenticatedExchange(x, *parse_exchange(template, response_bytes, role))
+    if request_bytes is not None and _digest(request_bytes) != attestation.request_hash:
+        raise Rejected("hash-mismatch", "request bytes do not match the attested hash")
+    log.take(attestation.request_hash, attestation.response_hash)
+    log.close()
+    return _read_exchange(request_bytes, response_bytes, entry, registry, role)
 
 
 def verify_component(
     payload: dict, entry, registry: TemplateRegistry, role: str
 ) -> AuthenticatedExchange:
-    """The ProxyTEE scheme verifier: decode a ``component_payload`` and
-    authenticate it against the AID entry."""
+    """The ProxyTEE verifier of a standalone proof: decode a
+    ``component_payload`` and authenticate it against the AID entry."""
     attestation = ProxyAttestation.from_obj(json_field(payload, "attestation", dict))
     response, request = (json_field(payload, key, bytes) for key in ("response", "request"))
     return _authenticate(response, attestation, entry, registry, role, request)
+
+
+def open_log(signed: dict, entry) -> OpenLog:
+    """Open a bundle's signed log head for the components of ``entry``'s
+    enclave: the signature is checked here, once."""
+    return OpenLog(LogHead.from_obj(signed), entry)
+
+
+def verify_exchange(
+    payload: dict, entry, registry: TemplateRegistry, role: str, log: OpenLog
+) -> AuthenticatedExchange:
+    """The ProxyTEE verifier of a bundle's proof: the next exchange of ``log``."""
+    log.bind(entry)
+    request, response = (json_field(payload, key, bytes) for key in ("request", "response"))
+    log.take(_digest(request), _digest(response))
+    return _read_exchange(request, response, entry, registry, role)
 
 
 def verify_attestation(

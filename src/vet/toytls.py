@@ -188,7 +188,10 @@ class ServerConnection:
 
     ``handle(frame)`` returns the frames to relay back toward the
     prover. The relay never sees anything here in plaintext except the
-    handshake metadata (ephemeral public keys and a signature).
+    handshake metadata (ephemeral public keys and a signature). A
+    session carries any number of exchanges, as a kept-alive connection
+    does: each END_UP answers the up records sent since the one before.
+    The down seed is released once, after the statement over them all.
     """
 
     def __init__(self, server: "TargetServer", session_id: str):
@@ -199,7 +202,8 @@ class ServerConnection:
         self._seed = hashlib.sha256(
             b"VET/session-seed:" + server.session_secret + session_id.encode()
         ).digest()
-        self._up_wires: list[bytes] = []
+        self._up_wires: list[bytes] = []  # the request in progress
+        self._counts = {"up": 0, "down": 0}  # records keyed so far, per direction
         self._sent_hashes: list[tuple[str, str, int]] = []  # (direction, hash, pt length)
 
     def handle(self, frame: Frame) -> list[Frame]:
@@ -254,12 +258,18 @@ class ServerConnection:
         self._up_wires.append(wire)
         self._sent_hashes.append(("up", record_hash(wire), len(wire) - TAG_LEN))
 
+    def _key(self, direction: str) -> bytes:
+        """The key of the next record in ``direction``; indices run on
+        across the exchanges of the session."""
+        secret = self._up_secret if direction == "up" else self._seed
+        index = self._counts[direction]
+        self._counts[direction] += 1
+        return derive_record_key(direction, secret, index)
+
     def _respond(self) -> list[Frame]:
-        parts = []
-        for i, wire in enumerate(self._up_wires):
-            key = derive_record_key("up", self._up_secret, i)
-            parts.append(open_record(key, wire))
-        request_bytes = b"".join(parts)
+        """Answer the request sent since the last END_UP."""
+        request_bytes = b"".join(open_record(self._key("up"), wire) for wire in self._up_wires)
+        self._up_wires = []
         # A request the handler cannot read ends the session, as an HTTP
         # server closes the connection on a malformed request.
         try:
@@ -271,9 +281,8 @@ class ServerConnection:
             response_bytes[pos:pos + RECORD_MAX]
             for pos in range(0, len(response_bytes), RECORD_MAX)
         ] or [b""]
-        for index, chunk in enumerate(chunks):
-            key = derive_record_key("down", self._seed, index)
-            wire = seal_record(key, chunk)
+        for chunk in chunks:
+            wire = seal_record(self._key("down"), chunk)
             self._sent_hashes.append(("down", record_hash(wire), len(chunk)))
             out.append(Frame(frames.RELAY_DOWN, wire))
         out.append(Frame(frames.END_DOWN, b""))

@@ -6,6 +6,7 @@ than a unit test of one module; tolerances are pinned inline.
 
 import copy
 import random
+import re
 import string
 import time
 
@@ -36,6 +37,7 @@ from vet.commitment import (
     verify_disclosure,
 )
 from vet.composer import ComponentProof, VerifiableExecutionTrace, verify_trace
+from vet.errors import Rejected
 from vet.keys import SigningKey
 from vet.webproof import WebProof, WebProofProver, verify_webproof
 
@@ -102,7 +104,7 @@ def test_criterion_1_completeness_100_seeded_runs():
 
 
 def test_criterion_2_soundness_no_forgery_accepted():
-    """>= 10^4 randomized forgery attempts across seven attack families, 0 accepted."""
+    """>= 10^4 randomized forgery attempts across ten attack families, 0 accepted."""
     rng = random.Random(20260826)
     rig = WebProofRig(seed="forge-rig")
     secret = "S" * 16
@@ -254,6 +256,7 @@ def test_criterion_2_soundness_no_forgery_accepted():
             trace=bundle.trace,
             proofs=tuple(proofs),
             claims=bundle.claims,
+            sessions=bundle.sessions,
         )
         attempt_trace(f"subproof-substitution-{i}", claim, forged)
 
@@ -290,6 +293,110 @@ def test_criterion_2_soundness_no_forgery_accepted():
         x, proof = pool[rng.randrange(len(pool))]
         attempt_webproof(f"notary-substitution-{i}", x, proof, entry=entry)
 
+    # (h)-(j) act within signed sessions, which carry many exchanges
+    # each: a world of six steps gives a notarized session of six core
+    # calls and a proxy log of every tool call.
+    deep = ScriptedWorld("forge-sessions", n_steps=6)
+    deep_trace, deep_bundle = deep.run(max_steps=6)
+    assert len(deep_trace.steps) == 6
+    deep_claim = deep_trace.steps[0].core_output
+    members = {}  # session index -> positions of the proofs naming it
+    for k, proof in enumerate(deep_bundle.proofs):
+        field = "signed_statement" if proof.kind == "webproof" else "attestation"
+        members.setdefault(int(proof.payload[field]), []).append(k)
+    shared = [ks for ks in members.values() if len(ks) >= 2]
+    assert len(shared) == 2, members
+    family_trials = {"h": 0, "i": 0, "j": 0}
+    reasons = set()  # (trace reason, the scheme's reason inside its detail)
+
+    def attempt_session(label, family, forged):
+        nonlocal trials
+        trials += 1
+        family_trials[family] += 1
+        try:
+            verify_trace(deep_claim, forged, deep.aid, deep.registry)
+        except Rejected as exc:
+            inner = re.match(r"(?:step:\S+|session \d+): ([a-z-]+): ", exc.detail)
+            reasons.add((exc.reason, inner and inner.group(1)))
+            return
+        accepted.append(label)
+
+    def with_proofs(proofs, **changes):
+        parts = dict(
+            aid_id=deep_bundle.aid_id,
+            trace=deep_bundle.trace,
+            proofs=tuple(proofs),
+            claims=deep_bundle.claims,
+            sessions=deep_bundle.sessions,
+        )
+        return VerifiableExecutionTrace(**{**parts, **changes})
+
+    def moved(proof, payload):
+        return ComponentProof(proof.kind, proof.step_index, proof.position, payload)
+
+    # (h) splice: one exchange's payload also stands at another step of
+    # the same session, in place of that step's own.
+    for i in range(500):
+        a, b = rng.sample(rng.choice(shared), 2)
+        proofs = list(deep_bundle.proofs)
+        proofs[b] = moved(proofs[b], proofs[a].payload)
+        attempt_session(f"session-splice-{i}", "h", with_proofs(proofs))
+
+    # (i) swap: two exchanges of one session trade payloads.
+    for i in range(500):
+        a, b = rng.sample(rng.choice(shared), 2)
+        proofs = list(deep_bundle.proofs)
+        proofs[a], proofs[b] = (
+            moved(proofs[a], proofs[b].payload),
+            moved(proofs[b], proofs[a].payload),
+        )
+        attempt_session(f"session-swap-{i}", "i", with_proofs(proofs))
+
+    # (j) drop the proof of a session's last exchange, drop the last step
+    # with every proof of it, or add an unused exchange: a proof at no
+    # invocation, a spare copy of a session, or a signed session grown by
+    # one exchange (a higher count, or more records) that its signature
+    # does not cover.
+    last_step = deep_trace.steps[-1].step_index
+    truncated_trace = type(deep_trace)(
+        deep_trace.initial_input, deep_trace.steps[:-1], deep_trace.truncated
+    )
+    for i in range(500):
+        ks = rng.choice(list(members.values()))
+        proofs = list(deep_bundle.proofs)
+        op = i % 5
+        if op == 0:
+            del proofs[ks[-1]]
+            forged = with_proofs(proofs)
+        elif op == 1:
+            proofs = [p for p in proofs if p.step_index != last_step]
+            forged = with_proofs(proofs, trace=truncated_trace)
+        elif op == 2:
+            extra = proofs[rng.choice(ks)]
+            step = last_step + 1 + rng.randrange(3)
+            proofs.append(ComponentProof(extra.kind, step, "core", extra.payload))
+            forged = with_proofs(proofs)
+        elif op == 3:
+            spare = deep_bundle.sessions[rng.randrange(len(deep_bundle.sessions))]
+            forged = with_proofs(proofs, sessions=deep_bundle.sessions + (spare,))
+        else:
+            sessions = list(deep_bundle.sessions)
+            index = rng.randrange(len(sessions))
+            signed = copy.deepcopy(sessions[index].signed)
+            if "exchanges" in signed:
+                signed["exchanges"] = str(int(signed["exchanges"]) + 1)
+            else:
+                signed["statement"]["records"] += signed["statement"]["records"][-2:]
+            sessions[index] = type(sessions[index])(sessions[index].kind, signed)
+            forged = with_proofs(proofs, sessions=tuple(sessions))
+        attempt_session(f"session-drop-or-extra-{i}", "j", forged)
+
+    assert min(family_trials.values()) >= 500, family_trials
+    assert {reason for reason, _ in reasons} <= {"subproof-invalid", "transcript-inconsistent"}
+    assert {inner for _, inner in reasons} <= {
+        None, "bad-signature", "cipher-mismatch", "hash-mismatch", "template-mismatch",
+        "parse-failure",
+    }, reasons
     assert trials >= 10_000, trials
     assert accepted == [], f"{len(accepted)} forgeries accepted: {accepted[:5]}"
 

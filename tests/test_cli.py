@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from vet.canonical import FORMAT
 from vet.cli import main
 from vet.composer import VerifiableExecutionTrace
-from vet.webproof import WebProof
+from vet.webproof import SignedStatement, WebProof
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +177,7 @@ def test_malformed_bundle_is_rejected_not_a_traceback(proved, tmp_path, mangle):
     [
         lambda bundle: bundle["proofs"][1].update(payload="x"),
         lambda bundle: bundle["proofs"][0]["payload"].update(record_keys="x"),
-        lambda bundle: bundle["proofs"][0]["payload"]["signed_statement"].update(
-            notary_signature=5
-        ),
+        lambda bundle: bundle["sessions"][0]["signed"].update(notary_signature=5),
     ],
 )
 def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, mangle):
@@ -207,6 +205,7 @@ def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, 
         (lambda bundle: bundle.update(format="2"), "bundle format 2"),
         (lambda bundle: bundle.update(format="3"), "bundle format 3"),
         (lambda bundle: bundle.update(format="4"), "bundle format 4"),
+        (lambda bundle: bundle.update(format="5"), "bundle format 5"),
         (lambda bundle: bundle["proofs"][0]["payload"].pop("format"), "web proof format 1"),
     ],
 )
@@ -267,6 +266,30 @@ def test_verify_json_lists_components(proved):
     assert core["kind"] == "webproof" and core["request_disclosed"][1] > 0
 
 
+def test_verify_json_and_inspect_list_sessions(proved):
+    runner = CliRunner()
+    accept = runner.invoke(main, _verify_args(proved) + ["--claim", _claim(proved), "--json"])
+    report = json.loads(accept.output)
+    bundle = json.loads((proved / "bundle.json").read_text())
+    sessions = report["sessions"]
+    assert sorted(s["index"] for s in sessions) == list(range(len(bundle["sessions"])))
+    for session in sessions:
+        assert session["kind"] == bundle["sessions"][session["index"]]["kind"]
+        assert (session["signature"], session["verdict"]) == ("ok", "ok")
+        assert session["exchanges"] == len(session["components"]) >= 2
+    named = {c["locator"]: c["session"] for c in report["components"]}
+    assert named == {
+        locator: s["index"] for s in sessions for locator in s["components"]
+    }
+    inspect = runner.invoke(main, ["inspect", *_verify_args(proved)[1:]])
+    for session in sessions:
+        assert (
+            f"session {session['index']}: {session['kind']}, {session['exchanges']} exchanges"
+            "  signature ok, every exchange consumed ok"
+        ) in inspect.output
+    assert "  core (session 0): webproof  [ok]" in inspect.output
+
+
 def test_verify_refuses_scheme_outside_trust_store(proved, tmp_path):
     doc = json.loads((proved / "aid.json").read_text())
     doc["tools"][0]["verification"] = {"Consensus": {"quorum": "2"}}
@@ -284,7 +307,8 @@ def test_verify_refuses_scheme_outside_trust_store(proved, tmp_path):
 def test_inspect_stops_at_first_rejection(proved, tmp_path):
     bundle = json.loads((proved / "bundle.json").read_text())
     tee = next(i for i, p in enumerate(bundle["proofs"]) if p["kind"] == "tee_attestation")
-    bundle["proofs"][tee]["payload"]["attestation"]["timestamp"] = "1"
+    session = int(bundle["proofs"][tee]["payload"]["attestation"])
+    bundle["sessions"][session]["signed"]["timestamp"] = "1"
     bad = tmp_path / "bundle.json"
     bad.write_text(json.dumps(bundle))
     result = CliRunner().invoke(
@@ -452,4 +476,10 @@ def test_honest_bundle_decodes_to_the_same_document(proved):
     assert VerifiableExecutionTrace.from_obj(bundle).to_obj() == bundle
     for proof in bundle["proofs"]:
         if proof["kind"] == "webproof":
-            assert WebProof.from_obj(proof["payload"]).to_obj() == proof["payload"]
+            payload = proof["payload"]
+            signed = bundle["sessions"][int(payload["signed_statement"])]["signed"]
+            decoded = WebProof.from_obj(payload, SignedStatement.from_obj(signed))
+            assert decoded.statement.to_obj() == signed
+            assert decoded.exchange_obj() == {
+                k: v for k, v in payload.items() if k != "signed_statement"
+            }

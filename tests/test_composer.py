@@ -37,7 +37,7 @@ from vet.webproof import AuthenticatedExchange, WebProofProver
 class ScriptedWorld:
     """Notarized scripted core plus one TEE-attested echo tool."""
 
-    def __init__(self, seed, n_steps=2):
+    def __init__(self, seed, n_steps=2, cap_up=1 << 16, cap_down=1 << 16):
         self.registry = TemplateRegistry()
         core_inject = self.registry.register(
             {
@@ -126,7 +126,13 @@ class ScriptedWorld:
         self.tools = {"echo": lambda x: f"echo:{x}"[:0] + _echo_value(echo_handler, x)}
         self.provers = {
             SCHEME_TLS_NOTARY: WebProofComponentProver(
-                WebProofProver(self.notary, self.registry, rng=random.Random(seed))
+                WebProofProver(
+                    self.notary,
+                    self.registry,
+                    cap_up=cap_up,
+                    cap_down=cap_down,
+                    rng=random.Random(seed),
+                )
             ),
             SCHEME_PROXY_TEE: TeeComponentProver({"echo": self.proxy}, self.registry),
         }
@@ -216,6 +222,7 @@ def _rebuild(bundle, trace=None, proofs=None):
         trace=trace or bundle.trace,
         proofs=tuple(proofs if proofs is not None else bundle.proofs),
         claims=bundle.claims,
+        sessions=bundle.sessions,
     )
 
 
@@ -244,11 +251,8 @@ def test_missing_and_extra_proofs(scripted):
     assert err.value.reason == "subproof-invalid"
 
 
-def test_subproof_substitution(scripted):
-    world, trace, bundle = scripted
-    m = trace.steps[-1].core_output
-    # Swap the two core proofs between steps: each is valid in isolation
-    # but authenticates the wrong transcript prefix.
+def _swap_cores(bundle):
+    """The bundle's proofs with the first two core proofs swapped between steps."""
     proofs = list(bundle.proofs)
     cores = [i for i, p in enumerate(proofs) if p.position == "core"]
     assert len(cores) >= 2
@@ -257,8 +261,34 @@ def test_subproof_substitution(scripted):
         ComponentProof(proofs[j].kind, proofs[i].step_index, "core", proofs[j].payload),
         ComponentProof(proofs[i].kind, proofs[j].step_index, "core", proofs[i].payload),
     )
+    return _rebuild(bundle, proofs=proofs)
+
+
+def _core_request_lengths(bundle):
+    return [
+        int(p.payload["request_commitment"]["total_length"])
+        for p in bundle.proofs
+        if p.position == "core"
+    ]
+
+
+def test_subproof_substitution(scripted):
+    world, trace, bundle = scripted
+    m = trace.steps[-1].core_output
+    # Both core calls went through one notarized session, so each swapped
+    # proof is checked against the other's exchange and its records.
     with pytest.raises(Rejected) as err:
-        verify_trace(m, _rebuild(bundle, proofs=proofs), world.aid, world.registry)
+        verify_trace(m, _swap_cores(bundle), world.aid, world.registry)
+    assert err.value.reason == "subproof-invalid"
+    assert err.value.detail.startswith("step:0/core: cipher-mismatch: ")
+
+    # With sessions of one core call each, each swapped proof is valid in
+    # isolation but authenticates the wrong transcript prefix.
+    alone = ScriptedWorld("composer", n_steps=2, cap_up=max(_core_request_lengths(bundle)))
+    trace, bundle = alone.run()
+    assert [s.kind for s in bundle.sessions].count("webproof") == 2
+    with pytest.raises(Rejected) as err:
+        verify_trace(m, _swap_cores(bundle), alone.aid, alone.registry)
     assert err.value.reason == "transcript-inconsistent"
 
 
@@ -388,8 +418,10 @@ def test_report_lists_checked_components(scripted):
 
     # A rejected component is the last one listed, with the scheme's reason.
     proofs = list(bundle.proofs)
-    k = next(i for i, p in enumerate(proofs) if p.kind == "tee_attestation")
-    payload = dict(proofs[k].payload, response=proofs[k].payload["response"][:-2] + "00")
+    k = [i for i, p in enumerate(proofs) if p.kind == "webproof"][1]
+    keys = [dict(entry) for entry in proofs[k].payload["record_keys"]]
+    keys[-1]["key"] = ("0" if keys[-1]["key"][0] != "0" else "1") + keys[-1]["key"][1:]
+    payload = dict(proofs[k].payload, record_keys=keys)
     proofs[k] = ComponentProof(proofs[k].kind, proofs[k].step_index, proofs[k].position, payload)
     report = VerificationReport()
     with pytest.raises(Rejected) as err:
@@ -397,4 +429,164 @@ def test_report_lists_checked_components(scripted):
     assert (report.reason, report.detail) == (err.value.reason, err.value.detail)
     checked = [(c.step_index, c.position) for c in report.components]
     assert checked == [(p.step_index, p.position) for p in proofs[: k + 1]]
-    assert report.components[-1].verdict == "hash-mismatch"
+    assert report.components[-1].verdict == "cipher-mismatch"
+
+    # A TEE response that still parses is caught when its log closes: the
+    # exchanges no longer chain to the signed head. Every component is
+    # listed, and the session carries the scheme's reason.
+    proofs = list(bundle.proofs)
+    k = next(i for i, p in enumerate(proofs) if p.kind == "tee_attestation")
+    response = bytes.fromhex(proofs[k].payload["response"])
+    at = response.index(b'"echo":"') + len(b'"echo":"')
+    forged = response[:at] + b"Y" + response[at + 1:]
+    assert forged != response
+    payload = dict(proofs[k].payload, response=forged.hex())
+    proofs[k] = ComponentProof(proofs[k].kind, proofs[k].step_index, proofs[k].position, payload)
+    report = VerificationReport()
+    with pytest.raises(Rejected) as err:
+        verify_trace(m, _rebuild(bundle, proofs=proofs), world.aid, world.registry, report)
+    assert (report.reason, report.detail) == (err.value.reason, err.value.detail)
+    assert len(report.components) == len(proofs)
+    assert {c.verdict for c in report.components} == {"ok"}
+    (tee,) = [s for s in report.sessions if s.kind == "tee_attestation"]
+    assert (tee.signature, tee.verdict) == ("ok", "hash-mismatch")
+    assert err.value.detail.startswith(f"session {tee.index}: hash-mismatch: ")
+
+
+def test_calls_share_one_session_per_component_scheme(scripted):
+    world, trace, bundle = scripted
+    assert [s.kind for s in bundle.sessions] == ["webproof", "tee_attestation"]
+    report = VerificationReport()
+    verify_trace(trace.steps[-1].core_output, bundle, world.aid, world.registry, report)
+    by_kind = {s.kind: s for s in report.sessions}
+    assert set(by_kind) == {"webproof", "tee_attestation"}
+    for check in report.components:
+        session = by_kind[check.kind]
+        assert check.session == session.index
+        assert f"step:{check.step_index}/{check.position}" in session.components
+    for session in report.sessions:
+        assert (session.signature, session.verdict) == ("ok", "ok")
+        assert session.exchanges == len(session.components)
+    assert sum(s.exchanges for s in report.sessions) == len(bundle.proofs)
+
+
+def _count_signature_checks(monkeypatch):
+    """Count ``keys.verify_signature`` calls from every ``vet`` module that imported it."""
+    import sys
+
+    from vet import keys
+
+    calls = []
+    original = keys.verify_signature
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "vet" or name.startswith("vet."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_steps", [2, 16])
+def test_signature_checks_are_one_per_session(monkeypatch, n_steps):
+    world = ScriptedWorld(f"flat-{n_steps}", n_steps=n_steps)
+    trace = run_agent(world.core_fn, world.tools, "begin", max_steps=n_steps)
+    assert len(trace.steps) == n_steps
+    bundle = prove_trace(trace, world.aid, world.provers)
+    calls = _count_signature_checks(monkeypatch)
+    verify_trace(trace.steps[-1].core_output, bundle, world.aid, world.registry)
+    assert len(bundle.sessions) == 2
+    assert len(calls) == len(bundle.sessions)
+
+
+def test_run_outgrowing_a_session_rolls_to_a_fresh_one(scripted):
+    world, trace, bundle = scripted
+    # Room for any one core request, never for two: each core call
+    # rolls to a fresh notarized session.
+    small = ScriptedWorld("composer", n_steps=2, cap_up=max(_core_request_lengths(bundle)))
+    trace, rolled = small.run()
+    kinds = [s.kind for s in rolled.sessions]
+    assert kinds.count("webproof") == len(trace.steps) and kinds.count("tee_attestation") == 1
+    m = trace.steps[-1].core_output
+    assert verify_trace(m, rolled, small.aid, small.registry) == m
+
+    # Dropping the proof of the last session's one exchange is rejected.
+    last = max(i for i, p in enumerate(rolled.proofs) if p.kind == "webproof")
+    proofs = rolled.proofs[:last] + rolled.proofs[last + 1:]
+    with pytest.raises(Rejected) as err:
+        verify_trace(m, _rebuild(rolled, proofs=proofs), small.aid, small.registry)
+    assert err.value.reason == "subproof-invalid"
+
+
+def test_session_that_no_proof_names_is_rejected(scripted):
+    world, trace, bundle = scripted
+    spare = VerifiableExecutionTrace(
+        bundle.aid_id, bundle.trace, bundle.proofs, bundle.claims, bundle.sessions * 2
+    )
+    with pytest.raises(Rejected) as err:
+        verify_trace(trace.steps[-1].core_output, spare, world.aid, world.registry)
+    assert err.value.reason == "subproof-invalid"
+    assert err.value.detail == "session 2 is named by no proof"
+
+
+def test_proof_naming_a_session_of_the_other_kind_is_rejected(scripted):
+    world, trace, bundle = scripted
+    proofs = list(bundle.proofs)
+    tee = next(s for s, session in enumerate(bundle.sessions) if session.kind == "tee_attestation")
+    proofs[0] = ComponentProof(
+        proofs[0].kind, proofs[0].step_index, proofs[0].position,
+        dict(proofs[0].payload, signed_statement=str(tee)),
+    )
+    with pytest.raises(Rejected) as err:
+        forged = _rebuild(bundle, proofs=proofs)
+        verify_trace(trace.steps[-1].core_output, forged, world.aid, world.registry)
+    assert err.value.detail == (
+        f"step:0/core: session {tee} holds a 'tee_attestation', not a webproof"
+    )
+
+
+def test_components_sharing_a_log_must_each_declare_its_enclave_key():
+    # The demo's two tools share one proxy log. Here the document declares
+    # another enclave key for the sentiment tool than the proxy signs with.
+    from dataclasses import replace
+
+    from vet import demo
+
+    world = demo.build_world("0")
+    rogue = SigningKey.from_seed("rogue-enclave").public_string
+    tools = tuple(
+        replace(t, verification=VerificationMetadata(
+            t.verification.scheme, {**t.verification.params, "enclave_public_key": rogue}
+        ))
+        if t.name == "sentiment" else t
+        for t in world.aid.tools
+    )
+    aid = replace(world.aid, tools=tools).with_hash()
+    trace = run_agent(world.core_fn, world.tools, "trade tick for bitcoin", max_steps=4)
+    provers = {
+        SCHEME_TLS_NOTARY: WebProofComponentProver(
+            WebProofProver(
+                world.notary, world.registry, secrets={demo.DEMO_SECRET_NAME: world.secret}
+            )
+        ),
+        SCHEME_PROXY_TEE: TeeComponentProver(
+            {"price_feed": world.proxy, "sentiment": world.proxy}, world.registry
+        ),
+    }
+    bundle = prove_trace(trace, aid, provers)
+    assert [s.kind for s in bundle.sessions].count("tee_attestation") == 1
+    report = VerificationReport()
+    with pytest.raises(Rejected) as err:
+        verify_trace(trace.steps[-1].core_output, bundle, aid, world.registry, report)
+    (j, k), = [
+        (s.step_index, k)
+        for s in trace.steps
+        for k, c in enumerate(s.tool_calls)
+        if c.tool_id == "sentiment"
+    ]
+    assert err.value.detail.startswith(f"step:{j}/tool:{k}: bad-signature: ")
+    assert report.components[-1].verdict == "bad-signature"

@@ -11,6 +11,7 @@ a traceback.
 import copy
 import functools
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -20,10 +21,11 @@ from hypothesis import strategies as st
 from conftest import WebProofRig
 from vet import demo as demo_mod, webproof
 from vet.aid import AgentIdentityDocument, compute_id, validate
-from vet.canonical import FORMAT
+from vet.canonical import FORMAT, canonical_bytes
 from vet.cli import main
 from vet.composer import VerifiableExecutionTrace, verify_trace
 from vet.errors import Rejected, ValidationError
+from vet.keys import SigningKey
 from vet.templates import ROLE_TOOL, TemplateRegistry, expected_request
 
 SETTINGS = settings(
@@ -63,11 +65,13 @@ def _paths(node, path=()):
 
 
 @st.composite
-def one_field_mutation(draw, seed_doc):
-    """``seed_doc()`` with one field replaced by any JSON value, or dropped."""
+def one_field_mutation(draw, seed_doc, under=()):
+    """``seed_doc()`` with one field replaced by any JSON value, or dropped;
+    with ``under``, a field below that path."""
     doc = seed_doc()
     mutated = copy.deepcopy(doc)
-    path = draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    paths = [path for path in _paths(doc) if path[: len(under)] == under]
+    path = draw(st.sampled_from(sorted(paths, key=repr)))
     parent = mutated
     for key in path[:-1]:
         parent = parent[key]
@@ -125,6 +129,12 @@ def test_seeds_are_valid_documents_of_the_current_format():
     assert doc["format"] == FORMAT
     bundle = VerifiableExecutionTrace.from_obj(doc)
     assert verify_trace(claim, bundle, result.aid, result.registry) == claim
+    # One notarized session of several exchanges, one proxy log of several links.
+    signed = {session["kind"]: session["signed"] for session in doc["sessions"]}
+    assert len(signed) == len(doc["sessions"]) == 2
+    statement = webproof.SignedStatement.from_obj(signed["webproof"])
+    assert len(webproof.exchanges_of(statement.records)) >= 2
+    assert int(signed["tee_attestation"]["exchanges"]) >= 2
 
 
 @SETTINGS
@@ -137,15 +147,62 @@ def test_webproof_decoder_only_rejects(mutated):
         pass
 
 
-@SETTINGS
-@given(one_field_mutation(bundle_doc))
-def test_bundle_decoder_only_rejects(mutated):
+def _verify_bundle_doc(mutated):
     result, claim, _ = _bundle_case()
     try:
         bundle = VerifiableExecutionTrace.from_obj(mutated)
         verify_trace(claim, bundle, result.aid, result.registry)
     except (Rejected, ValidationError):
         pass
+
+
+@SETTINGS
+@given(one_field_mutation(bundle_doc))
+def test_bundle_decoder_only_rejects(mutated):
+    _verify_bundle_doc(mutated)
+
+
+@SETTINGS
+@given(one_field_mutation(bundle_doc, under=("sessions",)))
+def test_sessions_table_decoder_only_rejects(mutated):
+    _verify_bundle_doc(mutated)
+
+
+# A signed chain drawn from the demo statement's own records: any number
+# of them, in any order, some turned to the other direction.
+record_picks = st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=8)
+FLIP = {"up": "down", "down": "up"}
+
+
+@settings(SETTINGS, max_examples=150)
+@given(record_picks)
+def test_signed_chain_of_any_shape_is_a_reason(picks):
+    result, claim, doc = _bundle_case()
+    mutated = copy.deepcopy(doc)
+    index = next(i for i, s in enumerate(doc["sessions"]) if s["kind"] == "webproof")
+    statement = mutated["sessions"][index]["signed"]["statement"]
+    honest = statement["records"]
+    statement["records"] = [
+        dict(honest[i % len(honest)], direction=FLIP[honest[i % len(honest)]["direction"]])
+        if flip
+        else honest[i % len(honest)]
+        for i, flip in picks
+    ]
+    # Signed by the demo's notary key, so only the chain's shape is wrong.
+    notary = SigningKey.from_seed(b"notary:0")
+    mutated["sessions"][index]["signed"]["notary_signature"] = notary.sign(
+        canonical_bytes(statement)
+    )
+    shaped = [r["direction"] for r in statement["records"]]
+    runs = "".join("u" if d == "up" else "d" for d in shaped)
+    try:
+        verify_trace(claim, VerifiableExecutionTrace.from_obj(mutated), result.aid, result.registry)
+    except Rejected as exc:
+        assert exc.reason == "subproof-invalid"
+        if not re.fullmatch("(u+d+)*", runs):
+            assert "cipher-mismatch: signed records from " in exc.detail
+    else:
+        assert statement["records"] == honest
 
 
 @SETTINGS

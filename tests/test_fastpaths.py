@@ -25,7 +25,16 @@ from hypothesis import strategies as st
 
 from conftest import grid
 from vet import toytls
+from vet.agent_model import (
+    ExecutionTrace,
+    StepRecord,
+    ToolCall,
+    rebuild_transcript,
+    run_agent,
+    transcript_prefixes,
+)
 from vet.canonical import canonical_bytes
+from vet.composer import core_input, invocations
 from vet.commitment import (
     SALT_LEN,
     Disclosure,
@@ -555,9 +564,10 @@ def test_check_records_and_assemble_match_oracle(case):
         response_commitment=commitment,
         response_disclosure=Disclosure((), ()),
     )
-    args = (proof, "down", commitment, disclosed)
-    result = outcome(_check_records, *args)
-    assert result == outcome(old_check_records, *args)
+    # Every record is a down record, so the exchange's down records are
+    # the whole chain the oracle reads.
+    result = outcome(_check_records, tuple(records), keys, "down", commitment, disclosed)
+    assert result == outcome(old_check_records, proof, "down", commitment, disclosed)
     if mutation == "none":
         assert result[0] == "ok"
     total = commitment.total_length
@@ -728,3 +738,44 @@ def test_canonical_bytes_accepts_str_subclasses_as_before():
     doc = {"a": [Name("x"), {"b": Name("y")}]}
     assert outcome(canonical_bytes, doc) == outcome(old_canonical_bytes, doc)
     assert canonical_bytes(doc) == b'{"a":["x",{"b":"y"}]}'
+
+
+# ---------------------------------------------------------------------------
+# Transcript prefixes: one running prefix against a rebuild per step.
+
+
+_texts = st.text(max_size=12)
+_steps = st.lists(
+    st.tuples(_texts, st.lists(st.tuples(_texts, _texts, _texts), max_size=3)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@SETTINGS
+@given(_texts, _steps)
+def test_running_prefixes_match_rebuild_per_step(initial, steps):
+    trace = ExecutionTrace(
+        initial,
+        tuple(
+            StepRecord(j, output, tuple(ToolCall(*call) for call in calls))
+            for j, (output, calls) in enumerate(steps)
+        ),
+    )
+    prefixes = list(transcript_prefixes(trace.initial_input, trace.steps))
+    assert prefixes == [rebuild_transcript(trace, j) for j in range(len(trace.steps))]
+    cores = [i.x for i in invocations(trace) if i.call is None]
+    assert cores == [core_input(trace, j) for j in range(len(trace.steps))]
+    # The agent loop feeds its core the same prefixes.
+    outputs = iter(trace.steps)
+    fed = []
+
+    def core(transcript):
+        fed.append(transcript)
+        step = next(outputs)
+        return step.core_output, [(c.tool_id, c.input) for c in step.tool_calls]
+
+    results = iter([c.result for s in trace.steps for c in s.tool_calls])
+    tools = {c.tool_id: lambda x: next(results) for s in trace.steps for c in s.tool_calls}
+    ran = run_agent(core, tools, initial, max_steps=len(trace.steps))
+    assert fed == prefixes[: len(ran.steps)]

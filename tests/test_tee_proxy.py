@@ -180,3 +180,37 @@ def test_attested_request_that_is_not_utf8_is_a_parse_failure(setup):
     with pytest.raises(Rejected) as err:
         tee_proxy.verify_component(payload, entry, registry, "tool")
     assert err.value.reason == "parse-failure"
+
+
+def test_log_signs_one_head_over_its_exchanges(setup):
+    registry, proxy, entry, template = setup
+    from vet.templates import inject
+
+    log = proxy.open_log()
+    requests = [inject(template, coin) for coin in ("bitcoin", "bitcoin", "bitcoin")]
+    payloads = [{"request": r.hex(), "response": log.fetch(r).hex()} for r in requests]
+    head = log.close()
+    assert head.exchanges == 3 and head.enclave_public_key == proxy.public_key
+
+    def verify(order, signed=head.to_obj()):
+        opened = tee_proxy.open_log(signed, entry)
+        for k in order:
+            tee_proxy.verify_exchange(payloads[k], entry, registry, "tool", opened)
+        opened.close()
+
+    verify([0, 1, 2])
+    # The chain fixes the number of exchanges and their bytes.
+    for order, detail in (
+        ([0, 1], "the log holds 3 exchanges, 2 were proven"),
+        ([0, 1, 2, 2], "the log holds 3 exchanges, and more proofs name it"),
+    ):
+        with pytest.raises(Rejected) as err:
+            verify(order)
+        assert (err.value.reason, err.value.detail) == ("hash-mismatch", detail)
+    payloads[1] = dict(payloads[1], response=payloads[2]["response"][:-2] + "00")
+    with pytest.raises(Rejected) as err:
+        verify([0, 1, 2])
+    assert err.value.reason in ("hash-mismatch", "parse-failure")
+    with pytest.raises(Rejected) as err:
+        verify([0, 1, 2], dict(head.to_obj(), exchanges="4"))
+    assert err.value.reason == "bad-signature"

@@ -12,9 +12,13 @@ from vet.errors import CapacityExceeded, ProtocolError, Rejected, ValidationErro
 from vet.keys import SigningKey
 from vet.templates import render
 from vet.webproof import (
+    OpenStatement,
+    RecordInfo,
     SignedStatement,
     WebProof,
     WebProofProver,
+    authenticate,
+    exchanges_of,
     provision_channel,
     run_session,
     verify_webproof,
@@ -305,3 +309,127 @@ def test_statement_chain_must_match_observation(rig):
     request, spans = render(template, "tamper", {"token": SECRET})
     with pytest.raises(ProtocolError):
         run_session(channel, request, secret_spans=sorted(spans.values()))
+
+
+def _run(rig, messages, **caps):
+    """The proofs of echoing ``messages`` in one run of notarized sessions."""
+    prover = WebProofProver(rig.service, rig.registry, secrets={"token": SECRET}, **caps)
+    run = prover.sessions("echo.test")
+    for message in messages:
+        run.add(rig.entry, message, "tool")
+    return run.finish()
+
+
+def _verify_sessions(rig, sessions):
+    """Check each session's proofs in order against its statement, opened
+    once, as a bundle's verifier does; return the authenticated values."""
+    values = []
+    for proven in sessions:
+        session = OpenStatement(proven[0][1].statement, rig.notary_key.public_string, "echo.test")
+        for exchange, proof in proven:
+            assert proof.statement is session.statement
+            checked = authenticate(
+                proof,
+                rig.notary_key.public_string,
+                "echo.test",
+                rig.registry.get_inject(rig.inject_uid),
+                rig.registry.get_parse(rig.parse_uid),
+                "tool",
+                session,
+            )
+            assert checked == exchange
+            values.append(checked.value)
+        session.close()
+    return values
+
+
+def _sizes(rig, message):
+    """(request, response) bytes of one echo of ``message``."""
+    _, proof = _prove(rig, message)
+    return proof.request_commitment.total_length, proof.response_commitment.total_length
+
+
+def _aborted(service):
+    entries = [service.ledger.get(sid) for sid in service.ledger.session_ids()]
+    return [e.abort_reason for e in entries if e.state == "aborted"]
+
+
+def test_exchanges_share_one_session_and_each_must_be_proven(rig):
+    messages = [f"{i}" * 20 for i in range(4)]
+    (proven,) = _run(rig, messages)
+    assert len(proven) == 4 and len({id(p.statement) for _, p in proven}) == 1
+    assert _verify_sessions(rig, [proven]) == messages
+    # Alone, a proof of a four-exchange statement leaves three unproven.
+    with pytest.raises(Rejected) as err:
+        verify_webproof(messages[0], proven[0][1], rig.entry, "tool", rig.registry)
+    assert err.value.reason == "cipher-mismatch"
+    assert "holds 4 exchanges, 1 were proven" in err.value.detail
+
+
+def test_request_that_would_overflow_rolls_to_a_fresh_session(rig):
+    service = rig.fresh_notary()
+    request, _ = _sizes(rig, "a" * 30)
+    sessions = _run(rig, [c * 30 for c in "abc"], cap_up=2 * request + 1)
+    assert [len(s) for s in sessions] == [2, 1]
+    assert _verify_sessions(rig, sessions) == [c * 30 for c in "abc"]
+    assert _aborted(service) == []
+
+
+def test_response_overflow_replays_the_shared_session(rig):
+    service = rig.fresh_notary()
+    _, response = _sizes(rig, "a" * 30)
+    sessions = _run(rig, [c * 30 for c in "abc"], cap_down=2 * response)
+    # The third response aborted the session of all three; the first two
+    # were replayed into a session of their own, and no proof was lost.
+    assert [len(s) for s in sessions] == [2, 1]
+    assert _verify_sessions(rig, sessions) == [c * 30 for c in "abc"]
+    (reason,) = _aborted(service)
+    assert "down capacity" in reason
+
+
+@pytest.mark.parametrize("before", [0, 2], ids=["alone", "after-two"])
+def test_exchange_too_big_for_a_fresh_session_fails(rig, before):
+    _, response = _sizes(rig, "a" * 30)
+    messages = ["a" * 30] * before + ["b" * 2000]
+    with pytest.raises(CapacityExceeded):
+        _run(rig, messages, cap_down=before * response + 100)
+
+
+def _records(shape):
+    directions = {"u": "up", "d": "down", "x": "sideways"}
+    return tuple(RecordInfo(directions[c], "00" * 32, 1) for c in shape)
+
+
+def test_chain_cuts_into_maximal_request_response_runs():
+    assert [
+        (len(up), len(down)) for up, down in exchanges_of(_records("udduduuud"))
+    ] == [(1, 2), (1, 1), (3, 1)]
+    assert exchanges_of(()) == []
+
+
+@pytest.mark.parametrize(
+    "shape, at",
+    [("u", 0), ("d", 0), ("udu", 2), ("udduu", 3), ("uxd", 0)],
+    ids=[
+        "request-only", "response-only", "trailing-request", "trailing-requests", "other-direction"
+    ],
+)
+def test_chain_that_is_not_request_response_pairs_is_rejected(shape, at):
+    with pytest.raises(Rejected) as err:
+        exchanges_of(_records(shape))
+    assert (err.value.reason, err.value.detail) == (
+        "cipher-mismatch", f"signed records from {at} on do not form a request/response exchange"
+    )
+
+
+def test_session_opened_for_one_notary_key_serves_no_other(rig):
+    (proven,) = _run(rig, ["a" * 8, "b" * 8])
+    session = OpenStatement(proven[0][1].statement, rig.notary_key.public_string, "echo.test")
+    rogue = SigningKey.from_seed("rogue-notary").public_string
+    with pytest.raises(Rejected) as err:
+        authenticate(
+            proven[0][1], rogue, "echo.test",
+            rig.registry.get_inject(rig.inject_uid), rig.registry.get_parse(rig.parse_uid),
+            "tool", session,
+        )
+    assert err.value.reason == "bad-signature"
