@@ -42,7 +42,10 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # re-encrypt to their signed hashes.
 # 6: a bundle's sessions table holds each notary statement or proxy log
 # head once, and each proof names its session by index.
-FORMAT = "6"
+# 7: a record is sealed encrypt-and-MAC with its tag over the plaintext,
+# and the notary signs that tag, not a hash of the wire, so format-6
+# statements no longer match their records.
+FORMAT = "7"
 
 
 def canonical_bytes(obj: Any) -> bytes:

@@ -53,6 +53,17 @@ def encode(ftype: int, payload: bytes) -> bytes:
     return _HEADER.pack(ftype, len(payload)) + payload
 
 
+def _cut_short(data: bytes, pos: int) -> ValidationError:
+    """The error for the frame at ``pos``, whose header or payload is truncated."""
+    if len(data) - pos < _HEADER.size:
+        return ValidationError(f"truncated frame header at byte {pos}")
+    length = _HEADER.unpack_from(data, pos)[1]
+    return ValidationError(
+        f"frame at byte {pos} declares {length} payload bytes, "
+        f"{len(data) - pos - _HEADER.size} remain"
+    )
+
+
 def decode_all(data: bytes) -> list[tuple[int, bytes]]:
     """Split concatenated frames back into (type, payload) pairs; a
     truncated header or payload is a ValidationError."""
@@ -60,17 +71,30 @@ def decode_all(data: bytes) -> list[tuple[int, bytes]]:
     pos = 0
     while pos < len(data):
         if len(data) - pos < _HEADER.size:
-            raise ValidationError(f"truncated frame header at byte {pos}")
+            raise _cut_short(data, pos)
         ftype, length = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
         if len(data) - pos < length:
-            raise ValidationError(
-                f"frame at byte {pos - _HEADER.size} declares {length} payload bytes, "
-                f"{len(data) - pos} remain"
-            )
+            raise _cut_short(data, pos - _HEADER.size)
         out.append((ftype, data[pos:pos + length]))
         pos += length
     return out
+
+
+def count_type(data: bytes, ftype: int) -> int:
+    """How many of the concatenated frames have type ``ftype``, read off
+    the headers alone, with the errors of ``decode_all``."""
+    count = 0
+    pos = 0
+    while pos < len(data):
+        if len(data) - pos < _HEADER.size:
+            raise _cut_short(data, pos)
+        found, length = _HEADER.unpack_from(data, pos)
+        if len(data) - pos - _HEADER.size < length:
+            raise _cut_short(data, pos)
+        count += found == ftype
+        pos += _HEADER.size + length
+    return count
 
 
 @dataclass(frozen=True)

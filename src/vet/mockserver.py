@@ -205,7 +205,7 @@ def scripted_core(
     """
 
     def core(transcript: bytes) -> tuple[str, list[tuple[str, str]]]:
-        done = sum(1 for role, _ in frames.decode_all(transcript) if role == ROLE_CORE)
+        done = frames.count_type(transcript, ROLE_CORE)
         value = _digest_int(seed, "step", transcript.hex())
         if done >= n_steps - 1:
             return f"final answer {value % 10**6}", []

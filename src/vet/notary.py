@@ -2,11 +2,19 @@
 
 The notary sits between the prover and the target server. It forwards
 encrypted records in both directions without parsing their payloads,
-keeps an ordered log of (direction, ciphertext hash, plaintext length)
-per session, enforces the per-direction capacity the session was opened
+keeps an ordered log of (direction, record tag, plaintext length) per
+session, enforces the per-direction capacity the session was opened
 with, and on request signs a statement over the log. It never holds a
-decryption key, so the signed statement attests only to what bytes
-crossed the wire, not to what they said.
+decryption key, so the signed statement attests only to what crossed
+the wire, not to what it said.
+
+A record's tag is the last 32 bytes of its wire,
+``H("VET/mac:" || key || plaintext)`` (see ``vet.toytls``), and the
+notary logs it as it stands, without hashing the wire. The tag is a
+commitment to the plaintext under the record key: a released key opens
+it with one hash, and a key never released keeps the record hidden. The
+server refuses an up record whose tag does not match what it decrypts,
+and it releases the down seed only once this log is signed.
 """
 
 from __future__ import annotations

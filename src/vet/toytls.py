@@ -1,17 +1,32 @@
 """Desk-scale stand-in for MPC-TLS: commit-then-key-release record crypto.
 
 Records are encrypted with a SHAKE-256 keystream, one call per record,
-and MAC'd with SHA-256; the key for record ``i`` is derived from a
-direction-specific secret. Up-direction keys come from the X25519
-handshake secret (known to prover and server, never to the relay).
-Down-direction keys come from a server-held session seed that is
-released to the prover only after the relay has signed the ciphertext
-chain, so the prover's pre-signature view never suffices to forge a
-response. The keystream only has to be a PRF of the fresh record key;
-what binds a disclosed key to the signed hash is the tag
-``H("VET/mac:" || key || ct)`` that the hash covers, so the plaintext is a
-deterministic function of the signed ciphertext, and steering it to a
-chosen value requires a SHA-256 preimage.
+and sealed encrypt-and-MAC, as SSH's binary packet protocol does
+(RFC 4253 §6.4): the wire is ``ct || tag`` with
+``tag = H("VET/mac:" || key || plaintext)``. The key for record ``i`` is
+derived from a direction-specific secret. Up-direction keys come from
+the X25519 handshake secret (known to prover and server, never to the
+relay). Down-direction keys come from a server-held session seed that is
+released to the prover only after the relay has signed the chain of
+tags, so the prover's pre-signature view never suffices to forge a
+response.
+
+The tag is what the notary signs for a record, and it is the record's
+commitment, opened by releasing its key (DECO's commit-then-key-release
+binds released keys through a MAC in the same way):
+
+- Binding rests on SHA-256 collision resistance. A released key and a
+  plaintext of the signed length must hash to the signed tag. The
+  length fixes where the key ends and the plaintext begins, so any
+  other pair than the sealed one is a collision. The verifier checks
+  one hash per record and never re-encrypts.
+- Hiding: a secret record's key is never released, so its tag is a
+  hash salted with a 256-bit key that no one else holds, the argument
+  ``vet.commitment`` makes for its salted leaves.
+- The down seed is still released only after the tags are signed, so
+  the prover cannot steer a response to a tag it already knows.
+- The server refuses an up record whose tag does not match what it
+  decrypts, so the plaintext a tag binds is the one the server read.
 """
 
 from __future__ import annotations
@@ -54,23 +69,26 @@ def _xor_keystream(key: bytes, data: bytes) -> bytes:
     return mixed.to_bytes(len(data), "big")
 
 
+def record_tag(key: bytes, plaintext: bytes) -> bytes:
+    return hashlib.sha256(b"VET/mac:" + key + plaintext).digest()
+
+
 def seal_record(key: bytes, plaintext: bytes) -> bytes:
-    ct = _xor_keystream(key, plaintext)
-    tag = hashlib.sha256(b"VET/mac:" + key + ct).digest()
-    return ct + tag
+    return _xor_keystream(key, plaintext) + record_tag(key, plaintext)
 
 
 def open_record(key: bytes, wire: bytes) -> bytes:
     if len(wire) < TAG_LEN:
         raise ProtocolError("record shorter than MAC tag")
-    ct, tag = wire[:-TAG_LEN], wire[-TAG_LEN:]
-    if hashlib.sha256(b"VET/mac:" + key + ct).digest() != tag:
+    plaintext = _xor_keystream(key, wire[:-TAG_LEN])
+    if record_tag(key, plaintext) != wire[-TAG_LEN:]:
         raise ProtocolError("record MAC check failed")
-    return _xor_keystream(key, ct)
+    return plaintext
 
 
 def record_hash(wire: bytes) -> str:
-    return hashlib.sha256(wire).hexdigest()
+    """The digest the notary signs for a sealed record: its tag, in hex."""
+    return wire[-TAG_LEN:].hex()
 
 
 def up_secret(shared: bytes) -> bytes:
@@ -204,7 +222,7 @@ class ServerConnection:
         ).digest()
         self._up_wires: list[bytes] = []  # the request in progress
         self._counts = {"up": 0, "down": 0}  # records keyed so far, per direction
-        self._sent_hashes: list[tuple[str, str, int]] = []  # (direction, hash, pt length)
+        self._sent_hashes: list[tuple[str, str, int]] = []  # (direction, tag, pt length)
 
     def handle(self, frame: Frame) -> list[Frame]:
         if frame.type == frames.HS_UP:
@@ -307,7 +325,7 @@ class TargetServer:
     """A toy-TLS endpoint wrapping a plain HTTP handler function.
 
     The server is trusted to follow its interface; it withholds the
-    down-direction seed until shown the relay-signed ciphertext chain.
+    down-direction seed until shown the relay-signed chain of record tags.
     """
 
     def __init__(

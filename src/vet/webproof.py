@@ -4,11 +4,22 @@ The prover opens a notarized channel, speaks toy-TLS to the target
 server through the content-oblivious notary, and assembles a WebProof:
 the notary-signed session statement, salted commitments to the request
 and response, a selective disclosure (secrets redacted), and the
-per-record keys for every disclosed record. The verifier re-encrypts
-each disclosed record under its released key and checks the result
-against the ciphertext hash chain the notary signed, then re-renders
-the request template and re-parses the response. Acceptance means the
-claimed value really crossed the notarized channel.
+per-record keys for every disclosed record. The verifier hashes each
+disclosed record under its released key and compares the result with
+the record tag the notary signed, then re-renders the request template
+and re-parses the response. Acceptance means the claimed value really
+crossed the notarized channel.
+
+A signed tag is ``H("VET/mac:" || key || plaintext)``, so it is already
+a per-record salted commitment that the released key opens. Binding
+rests on SHA-256 collision resistance: the plaintext length is signed,
+so a released key and disclosed bytes that hash to the signed tag but
+differ from the sealed ones are a collision, whatever the key's length.
+A secret record's key is never released, and its tag, salted with that
+256-bit key, hides it. The down seed is released only after the tags
+are signed, and the server refuses an up record whose tag does not
+match what it decrypts (``vet.toytls``). The verifier never runs the
+cipher.
 
 The prover commits to the request and to the response in chunks of
 variable length, one chunk per toy-TLS record: the request records are
@@ -21,8 +32,8 @@ reveals. A disclosure has one entry per run of revealed chunks, carrying
 the leaf hashes of the hidden chunks; ``vet.commitment`` describes it and
 argues its soundness, including why the root binds the chunk lengths.
 The verifier reads disclosed bytes only through that check, then binds
-them to the signed chain by re-encryption, which does not depend on where
-the chunks were cut.
+them to the signed chain by the record tags, which does not depend on
+where the chunks were cut.
 
 A notarized session carries any number of exchanges, as a kept-alive
 TLS connection does, and the notary signs one statement over the record
@@ -39,7 +50,7 @@ end every exchange must have been consumed: a session holding an
 exchange that no proof accounts for is rejected. A standalone proof is
 the one-exchange case of the same code.
 
-A serialized proof carries ``"format": "6"``, and ``WebProof.from_obj``
+A serialized proof carries ``"format": "7"``, and ``WebProof.from_obj``
 reads no other. In a bundle its ``signed_statement`` is the index of the
 statement in the bundle's sessions table.
 """
@@ -280,7 +291,7 @@ class NotarizedSession:
     takes the down seed the server then releases, and returns each
     exchange's response and web proof, in order.
 
-    Protocol order matters: the notary signs the ciphertext chain before
+    Protocol order matters: the notary signs the chain of record tags before
     the server releases the down-direction key seed, so nothing in the
     prover's pre-signature view determines a response plaintext.
     """
@@ -527,8 +538,8 @@ def _check_records(
     """Bind disclosed plaintext to one direction's signed records of an exchange.
 
     Every disclosed byte must fall in a record whose key was released,
-    and every keyed record must be fully disclosed and re-encrypt to the
-    hash the notary signed. Bytes in unkeyed records stay unauthenticated
+    and every keyed record must be fully disclosed and hash, under its
+    key, to the tag the notary signed. Bytes in unkeyed records stay unauthenticated
     and must not be disclosed at all.
     """
     total = sum(record.length for record in records)
@@ -555,11 +566,10 @@ def _check_records(
                 "cipher-mismatch",
                 f"{direction} record {index} has a key but partial disclosure",
             )
-        wire = toytls.seal_record(key, bytes(stream[offset:end]))
-        if toytls.record_hash(wire) != record.hash:
+        if toytls.record_tag(key, bytes(stream[offset:end])).hex() != record.hash:
             raise Rejected(
                 "cipher-mismatch",
-                f"{direction} record {index} does not re-encrypt to the signed hash",
+                f"{direction} record {index} does not match its signed tag",
             )
     for (d, index) in record_keys:
         if d == direction and index >= len(records):
@@ -583,7 +593,7 @@ def authenticate(
     the proof covers its next exchange. Without it the proof stands
     alone, and its statement must hold exactly one exchange.
     """
-    # Step 1: the signed statement and the re-encryption binding.
+    # Step 1: the signed statement and the record tags.
     alone = session is None
     if alone:
         session = OpenStatement(proof.statement, notary_public_key, server_domain)

@@ -1,5 +1,6 @@
 import pytest
 
+from vet import toytls
 from vet.canonical import canonical_bytes
 from vet.composer import verify_trace
 from vet.demo import TradeDecision, build_world, inspect_bundle, run_demo
@@ -24,6 +25,17 @@ def test_trade_decision_serialization_round_trip():
 def test_demo_seed_zero(demo_result):
     assert demo_result.decision.action == "hold"
     assert demo_result.decision.asset == "bitcoin"
+    m = demo_result.decision.serialized()
+    assert verify_trace(m, demo_result.bundle, demo_result.aid, demo_result.registry) == m
+
+
+def test_verify_trace_runs_no_keystream(demo_result, monkeypatch):
+    # The verifier checks each released record key with one tag hash; it
+    # never decrypts or re-encrypts a record.
+    def refuse(key, length):
+        raise AssertionError("the verifier ran the record keystream")
+
+    monkeypatch.setattr(toytls, "keystream", refuse)
     m = demo_result.decision.serialized()
     assert verify_trace(m, demo_result.bundle, demo_result.aid, demo_result.registry) == m
 

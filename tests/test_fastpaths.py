@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid
-from vet import toytls
+from vet import frames, toytls
 from vet.agent_model import (
     ExecutionTrace,
     StepRecord,
@@ -71,23 +71,29 @@ def outcome(fn, *args):
 
 
 def old_keystream(key, length):
-    # The construction itself (format 5); what the oracles below keep is
-    # the per-byte XOR that the int-XOR fast path replaced.
+    # The construction itself (format 5 on); what the oracles below keep
+    # is the per-byte XOR that the int-XOR fast path replaced.
     return hashlib.shake_256(b"VET/ks:" + key).digest(length)
+
+
+def old_tag(key, plaintext):
+    # Format 7: encrypt-and-MAC, the tag over the plaintext.
+    return hashlib.sha256(b"VET/mac:" + key + plaintext).digest()
 
 
 def old_seal_record(key, plaintext):
     ct = bytes(a ^ b for a, b in zip(plaintext, old_keystream(key, len(plaintext))))
-    return ct + hashlib.sha256(b"VET/mac:" + key + ct).digest()
+    return ct + old_tag(key, plaintext)
 
 
 def old_open_record(key, wire):
     if len(wire) < toytls.TAG_LEN:
         raise ProtocolError("record shorter than MAC tag")
     ct, tag = wire[:-toytls.TAG_LEN], wire[-toytls.TAG_LEN:]
-    if hashlib.sha256(b"VET/mac:" + key + ct).digest() != tag:
+    plaintext = bytes(a ^ b for a, b in zip(ct, old_keystream(key, len(ct))))
+    if old_tag(key, plaintext) != tag:
         raise ProtocolError("record MAC check failed")
-    return bytes(a ^ b for a, b in zip(ct, old_keystream(key, len(ct))))
+    return plaintext
 
 
 @dataclass(frozen=True)
@@ -210,10 +216,12 @@ def old_check_records(proof, direction, commitment, disclosed):
             raise Rejected(
                 "cipher-mismatch", f"{direction} record {index} has a key but partial disclosure"
             )
+        # The oracle re-seals the record, as the verifier did before
+        # format 7, and reads the tag off the wire.
         wire = old_seal_record(key, bytes(covered))
-        if toytls.record_hash(wire) != chain[index].hash:
+        if wire[-toytls.TAG_LEN:].hex() != chain[index].hash:
             raise Rejected(
-                "cipher-mismatch", f"{direction} record {index} does not re-encrypt to the signed hash"
+                "cipher-mismatch", f"{direction} record {index} does not match its signed tag"
             )
     for (d, index) in proof.record_keys:
         if d == direction and index >= len(chain):
@@ -309,6 +317,27 @@ def test_seal_open_match_oracle(key, plaintext, flip):
     assert outcome(toytls.open_record, key, tampered) == outcome(old_open_record, key, tampered)
     short = wire[: flip % toytls.TAG_LEN]
     assert outcome(toytls.open_record, key, short) == outcome(old_open_record, key, short)
+
+
+# ---------------------------------------------------------------------------
+# Frame counting: the header walk against counting the decoded frames.
+
+
+def old_count_type(data, ftype):
+    return sum(1 for found, _ in frames.decode_all(data) if found == ftype)
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(st.integers(1, 5), st.binary(max_size=40)), max_size=12),
+    st.integers(1, 5),
+    st.one_of(st.none(), st.integers(0, 600)),
+)
+def test_count_type_matches_decode_all(parts, ftype, cut):
+    data = b"".join(frames.encode(t, payload) for t, payload in parts)
+    if cut is not None:
+        data = data[: cut % (len(data) + 1)]  # cut short, possibly mid-header
+    assert outcome(frames.count_type, data, ftype) == outcome(old_count_type, data, ftype)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +524,7 @@ def test_empty_range_off_the_disclosed_chunks():
 
 
 # ---------------------------------------------------------------------------
-# Record re-encryption and response assembly.
+# Record tag checks and response assembly.
 
 
 @st.composite
@@ -512,7 +541,7 @@ def record_cases(draw):
     for i, (start, end) in enumerate(spans):
         key = rng.randbytes(32)
         wire = old_seal_record(key, plaintext[start:end])
-        records.append(RecordInfo("down", toytls.record_hash(wire), end - start))
+        records.append(RecordInfo("down", wire[-toytls.TAG_LEN:].hex(), end - start))
         if draw(st.booleans()):
             keys[("down", i)] = key
     commitment, opening = commit(plaintext, grid(size, chunk_size), rng)

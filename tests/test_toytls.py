@@ -48,6 +48,30 @@ def test_open_rejects_tampering():
         open_record(key, wire[: toytls.TAG_LEN - 1])  # shorter than tag
 
 
+def test_seal_record_known_answer():
+    # Format 7: the SHAKE-256 keystream XOR the plaintext, then the tag
+    # SHA-256("VET/mac:" || key || plaintext), which is the digest the
+    # notary signs.
+    key, plaintext = b"k" * 32, b"GET / HTTP/1.1\r\n"
+    stream = hashlib.shake_256(b"VET/ks:" + key).digest(len(plaintext))
+    tag = hashlib.sha256(b"VET/mac:" + key + plaintext).digest()
+    wire = seal_record(key, plaintext)
+    assert wire == bytes(a ^ b for a, b in zip(plaintext, stream)) + tag
+    assert toytls.record_tag(key, plaintext) == tag
+    assert record_hash(wire) == tag.hex()
+
+
+def test_open_refuses_a_flipped_ciphertext_or_tag_byte():
+    key = b"k" * 32
+    wire = seal_record(key, b"hello world bytes")
+    ct_len = len(wire) - toytls.TAG_LEN
+    for pos in (0, ct_len - 1, ct_len, len(wire) - 1):  # ciphertext, then tag
+        flipped = bytearray(wire)
+        flipped[pos] ^= 0x80
+        with pytest.raises(ProtocolError, match="MAC check failed"):
+            open_record(key, bytes(flipped))
+
+
 def test_keystream_oracle():
     key = b"x" * 32
     stream = hashlib.shake_256(b"VET/ks:" + key).digest(40)
@@ -164,6 +188,21 @@ def test_server_round_trip_and_key_release():
     )
     assert response.startswith(b"HTTP/1.1 200 OK")
     assert b'"echo":"m"' in response
+
+
+def test_server_refuses_an_up_record_whose_tag_names_other_plaintext():
+    # The signed tag binds the plaintext the server read: a prover that
+    # pairs one request's ciphertext with another's tag is refused.
+    server, _ = _make_server()
+    connection = server.open_connection("sess-tag")
+    shared, _ = _drive_handshake(connection, random.Random(3), "sess-tag")
+    key = derive_record_key("up", toytls.up_secret(shared), 0)
+    sent = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"m"}'
+    claimed = sent.replace(b'"m"', b'"n"')
+    wire = seal_record(key, sent)[: -toytls.TAG_LEN] + toytls.record_tag(key, claimed)
+    connection.handle(Frame(frames.RELAY_UP, wire))
+    with pytest.raises(ProtocolError, match="MAC check failed"):
+        connection.handle(Frame(frames.END_UP, b""))
 
 
 def _release_attempt(connection, hk, statement, signature):

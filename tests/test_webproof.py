@@ -152,6 +152,17 @@ def test_large_proof_is_at_most_three_times_its_exchange(rig):
     assert salts == len(records) - 1
 
 
+def test_verify_webproof_runs_no_keystream(rig, monkeypatch):
+    message = "".join(random.Random(49).choices(string.ascii_letters, k=48 * 1024))
+    _, proof = _prove(rig, message)
+
+    def refuse(key, length):
+        raise AssertionError("the verifier ran the record keystream")
+
+    monkeypatch.setattr(toytls, "keystream", refuse)
+    assert verify_webproof(message, proof, rig.entry, "tool", rig.registry) == message
+
+
 def test_cross_session_splicing_rejected(rig):
     _, proof_a = _prove(rig, "aaaa", seed=1)
     _, proof_b = _prove(rig, "bbbb", seed=2)
