@@ -84,9 +84,20 @@ def _block():
 def _parse_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
     try:
-        return host or "127.0.0.1", int(port)
+        if 0 <= int(port) <= 65535:
+            return host or "127.0.0.1", int(port)
     except ValueError:
-        _fail(f"invalid listen address {value!r}")
+        pass
+    _fail(f"invalid listen address {value!r}")
+
+
+def _bind(serve, target, host: str, port: int):
+    """``serve(target, host, port)``; an address that cannot be bound is
+    a usage error (exit 2)."""
+    try:
+        return serve(target, host, port)
+    except OSError as exc:
+        _fail(f"cannot listen on {host}:{port}: {exc}")
 
 
 _MOCK_KINDS = {
@@ -165,7 +176,7 @@ def notary_serve(listen, key_file, max_up, max_down, upstream_kind, upstream_dom
         max_cap_up=max_up,
         max_cap_down=max_down,
     )
-    server = notary_mod.serve(service, host, port)
+    server = _bind(notary_mod.serve, service, host, port)
     click.echo(f"notary {signing_key.public_string}")
     click.echo(f"listening on {server.server_address[0]}:{server.server_address[1]}")
     _block()
@@ -188,7 +199,7 @@ def proxy_serve(listen, key_file, upstream_kind, seed):
     signing_key = _load_key(key_file)
     handler = _MOCK_KINDS[upstream_kind](seed)
     instance = tee_proxy.TeeProxy(signing_key, handler)
-    server = tee_proxy.serve(instance, host, port)
+    server = _bind(tee_proxy.serve, instance, host, port)
     click.echo(f"enclave {signing_key.public_string}")
     click.echo(f"listening on {server.server_address[0]}:{server.server_address[1]}")
     _block()
@@ -207,7 +218,7 @@ def mock_serve(kind, listen, seed):
     """Serve one mock component over the framed TCP protocol (blocks)."""
     host, port = _parse_listen(listen)
     handler = _MOCK_KINDS[kind](seed)
-    server = frames.serve_relay(handler, host, port)
+    server = _bind(frames.serve_relay, handler, host, port)
     click.echo(f"mock {kind} listening on {server.server_address[0]}:{server.server_address[1]}")
     _block()
 

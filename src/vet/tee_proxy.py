@@ -18,12 +18,14 @@ signature once (`OpenLog`), chains each proof's request and response
 onto it in the order the trace invokes the log's components, and at
 the end requires that every exchange was consumed and that the chain
 reaches the signed head: a proof moved, swapped, dropped or added
-changes the chain. `TeeProxy.fetch` is a log of one exchange, and its
-`ProxyAttestation` carries the two hashes that log chains.
+changes the chain.
 
-A standalone component proof is the attested request and response bytes
-plus the attestation (`component_payload`); `verify_component` checks it
-against the AID entry.
+A standalone proof is a log of one exchange, checked by the same code:
+`TeeProxy.fetch` opens a log, forwards one request and closes it, and
+`verify_attestation` opens the head, takes the one exchange and closes
+the log before it reads the exchange. It is its bundle payload with the
+head in place of the session index:
+``{"request", "response", "attestation": <LogHead>}``.
 """
 
 from __future__ import annotations
@@ -69,11 +71,6 @@ def log_link(head: str, request_hash: str, response_hash: str) -> str:
     return _digest(b"VET/log:" + canonical_bytes([head, request_hash, response_hash]))
 
 
-def _text_fields(cls, obj: dict, numbers: tuple[str, ...]) -> dict:
-    """The fields of ``cls`` read from ``obj``: ``numbers`` as ints, the rest as text."""
-    return {name: json_field(obj, name, int if name in numbers else str) for name in cls._fields}
-
-
 class LogHead(NamedTuple):
     """A proxy log's head, signed once when the log closes."""
 
@@ -96,40 +93,8 @@ class LogHead(NamedTuple):
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LogHead":
-        return cls(**_text_fields(cls, obj, ("exchanges", "timestamp")))
-
-
-class ProxyAttestation(NamedTuple):
-    """The signed head of a log of one exchange, with that exchange's hashes."""
-
-    enclave_public_key: str
-    tee_type: str
-    measurement: str
-    request_hash: str
-    response_hash: str
-    timestamp: int
-    signature: str
-
-    def log_head(self) -> LogHead:
-        return LogHead(
-            enclave_public_key=self.enclave_public_key,
-            tee_type=self.tee_type,
-            measurement=self.measurement,
-            exchanges=1,
-            head=log_link(LOG_START, self.request_hash, self.response_hash),
-            timestamp=self.timestamp,
-            signature=self.signature,
-        )
-
-    def signed_payload(self) -> bytes:
-        return self.log_head().signed_payload()
-
-    def to_obj(self) -> dict:
-        return {**self._asdict(), "timestamp": str(self.timestamp)}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ProxyAttestation":
-        return cls(**_text_fields(cls, obj, ("timestamp",)))
+        numbers = ("exchanges", "timestamp")
+        return cls(**{k: json_field(obj, k, int if k in numbers else str) for k in cls._fields})
 
 
 class TeeProxy:
@@ -155,20 +120,10 @@ class TeeProxy:
     def open_log(self) -> "ProxyLog":
         return ProxyLog(self)
 
-    def fetch(self, request_bytes: bytes) -> tuple[bytes, ProxyAttestation]:
+    def fetch(self, request_bytes: bytes) -> tuple[bytes, LogHead]:
         """Forward one request in a log of its own."""
         log = self.open_log()
-        response_bytes = log.fetch(request_bytes)
-        head = log.close()
-        return response_bytes, ProxyAttestation(
-            enclave_public_key=head.enclave_public_key,
-            tee_type=head.tee_type,
-            measurement=head.measurement,
-            request_hash=_digest(request_bytes),
-            response_hash=_digest(response_bytes),
-            timestamp=head.timestamp,
-            signature=head.signature,
-        )
+        return log.fetch(request_bytes), log.close()
 
 
 class ProxyLog:
@@ -202,17 +157,6 @@ class ProxyLog:
         return unsigned._replace(signature=signature)
 
 
-def component_payload(
-    request_bytes: bytes, response_bytes: bytes, attestation: ProxyAttestation
-) -> dict:
-    """The serialized standalone proof that ``verify_component`` reads."""
-    return {
-        "request": request_bytes.hex(),
-        "response": response_bytes.hex(),
-        "attestation": attestation.to_obj(),
-    }
-
-
 def _match_tee_request(template, request_bytes: bytes) -> str:
     """Recover x from an attested plaintext request and pin it to the template.
 
@@ -242,13 +186,11 @@ class OpenLog:
     """
 
     def __init__(self, signed: LogHead, entry):
-        key = entry.verification.key_string()
-        if signed.enclave_public_key != key or not verify_signature(
-            key, signed.signed_payload(), signed.signature
-        ):
-            raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
         self.signed = signed
         self.bind(entry)
+        key = signed.enclave_public_key
+        if not verify_signature(key, signed.signed_payload(), signed.signature):
+            raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
         self.head = LOG_START
         self.taken = 0
 
@@ -284,55 +226,17 @@ class OpenLog:
 
 
 def _read_exchange(
-    request_bytes: bytes | None,
+    request_bytes: bytes,
     response_bytes: bytes,
     entry,
     registry: TemplateRegistry,
     role: str,
 ) -> AuthenticatedExchange:
-    """Match the request to the inject template, which yields x (left
-    empty when no request is given), and parse the response once."""
-    x = ""
-    if request_bytes is not None:
-        x = _match_tee_request(
-            registry.get_inject(entry.injection_algorithm_uid), request_bytes
-        )
+    """Match the request to the inject template, which yields x, and
+    parse the response once."""
+    x = _match_tee_request(registry.get_inject(entry.injection_algorithm_uid), request_bytes)
     template = registry.get_parse(entry.parsing_algorithm_uid)
     return AuthenticatedExchange(x, *parse_exchange(template, response_bytes, role))
-
-
-def _authenticate(
-    response_bytes: bytes,
-    attestation: ProxyAttestation,
-    entry,
-    registry: TemplateRegistry,
-    role: str,
-    request_bytes: bytes | None,
-) -> AuthenticatedExchange:
-    """Check a one-exchange attestation against the AID entry, then read the exchange.
-
-    The signature and the declared TEE type come first, then the hashes
-    of the bytes given; the attested request hash stands in for a
-    request that is not given.
-    """
-    log = OpenLog(attestation.log_head(), entry)
-    if _digest(response_bytes) != attestation.response_hash:
-        raise Rejected("hash-mismatch", "response bytes do not match the attested hash")
-    if request_bytes is not None and _digest(request_bytes) != attestation.request_hash:
-        raise Rejected("hash-mismatch", "request bytes do not match the attested hash")
-    log.take(attestation.request_hash, attestation.response_hash)
-    log.close()
-    return _read_exchange(request_bytes, response_bytes, entry, registry, role)
-
-
-def verify_component(
-    payload: dict, entry, registry: TemplateRegistry, role: str
-) -> AuthenticatedExchange:
-    """The ProxyTEE verifier of a standalone proof: decode a
-    ``component_payload`` and authenticate it against the AID entry."""
-    attestation = ProxyAttestation.from_obj(json_field(payload, "attestation", dict))
-    response, request = (json_field(payload, key, bytes) for key in ("response", "request"))
-    return _authenticate(response, attestation, entry, registry, role, request)
 
 
 def open_log(signed: dict, entry) -> OpenLog:
@@ -353,21 +257,25 @@ def verify_exchange(
 
 def verify_attestation(
     m: str,
+    request_bytes: bytes,
     response_bytes: bytes,
-    attestation: ProxyAttestation,
+    head: LogHead,
     entry,
     registry: TemplateRegistry,
-    request_bytes: bytes | None = None,
     role: str = "tool",
 ):
-    """Accept iff the attestation binds these bytes and they parse to m.
+    """Accept iff ``head`` signs a log of this one exchange, and its
+    bytes match the entry's templates and parse to m.
 
     Returns the authenticated value (for core role, the (y, calls)
-    pair). ``request_bytes`` is optional; when given, its hash is
-    checked against the attestation and it must match the inject
-    template too.
+    pair). The log is opened, taken and closed as a bundle's is, and
+    closed before the exchange is read, so bytes the head does not chain
+    are a hash-mismatch whatever they hold.
     """
-    exchange = _authenticate(response_bytes, attestation, entry, registry, role, request_bytes)
+    log = OpenLog(head, entry)
+    log.take(_digest(request_bytes), _digest(response_bytes))
+    log.close()
+    exchange = _read_exchange(request_bytes, response_bytes, entry, registry, role)
     if m != exchange.value:
         raise Rejected(
             "value-mismatch", f"claimed {m!r}, attested value is {exchange.value!r}"
@@ -378,18 +286,17 @@ def verify_attestation(
 
 
 def serve(proxy: TeeProxy, host: str = "127.0.0.1", port: int = 0) -> frames.FrameServer:
-    """Serve ``proxy.fetch`` over TCP; a reply carries the response and its attestation."""
+    """Serve ``proxy.fetch`` over TCP; a reply is ``{"response", "attestation"}``,
+    the response and the head of its one-exchange log."""
 
     def respond(request_bytes: bytes) -> bytes:
-        response_bytes, attestation = proxy.fetch(request_bytes)
-        return canonical_bytes(
-            {"response": response_bytes.hex(), "attestation": attestation.to_obj()}
-        )
+        response_bytes, head = proxy.fetch(request_bytes)
+        return canonical_bytes({"response": response_bytes.hex(), "attestation": head.to_obj()})
 
     return frames.serve_relay(respond, host, port, health=proxy.public_key.encode())
 
 
-def fetch_tcp(host: str, port: int, request_bytes: bytes) -> tuple[bytes, ProxyAttestation]:
+def fetch_tcp(host: str, port: int, request_bytes: bytes) -> tuple[bytes, LogHead]:
     obj = canonical_loads(frames.relay(host, port, request_bytes))
-    attestation = ProxyAttestation.from_obj(json_field(obj, "attestation", dict))
-    return json_field(obj, "response", bytes), attestation
+    head = LogHead.from_obj(json_field(obj, "attestation", dict))
+    return json_field(obj, "response", bytes), head

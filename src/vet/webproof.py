@@ -48,11 +48,15 @@ order the trace invokes the component, so a proof moved to another step
 or swapped with another is checked against the wrong records. At the
 end every exchange must have been consumed: a session holding an
 exchange that no proof accounts for is rejected. A standalone proof is
-the one-exchange case of the same code.
+a session of one, checked by the same calls: ``authenticate`` without a
+session opens the statement, checks the proof as its next exchange and
+closes it, so a statement of more than one exchange is rejected.
 
 A serialized proof carries ``"format": "7"``, and ``WebProof.from_obj``
-reads no other. In a bundle its ``signed_statement`` is the index of the
-statement in the bundle's sessions table.
+reads no other. A standalone proof is its bundle payload with the
+session field holding the signed object instead of its index: its
+``signed_statement`` is the statement itself, where in a bundle it is
+the index of the statement in the bundle's sessions table.
 """
 
 from __future__ import annotations
@@ -490,7 +494,7 @@ class OpenStatement:
             raise Rejected("bad-signature", "statement not signed by the declared notary")
         self.statement = statement
         self.notary_public_key = notary_public_key
-        self.bind(notary_public_key, server_domain)
+        self._check_domain(server_domain)
         cap_up, cap_down = statement.capacity
         records = statement.records
         if sum(r.length for r in records if r.direction == "up") > cap_up:
@@ -504,6 +508,9 @@ class OpenStatement:
         """Rejected unless a component of this notary key and domain may use the statement."""
         if notary_public_key != self.notary_public_key:
             raise Rejected("bad-signature", "statement not signed by the declared notary")
+        self._check_domain(server_domain)
+
+    def _check_domain(self, server_domain: str) -> None:
         if self.statement.server_domain != server_domain:
             raise Rejected(
                 "wrong-domain",
@@ -590,18 +597,19 @@ def authenticate(
     """Steps 1 and 2 of the verifier: channel binding, then templates.
 
     ``session`` is the proof's statement opened once for a bundle, and
-    the proof covers its next exchange. Without it the proof stands
-    alone, and its statement must hold exactly one exchange.
+    the proof covers its next exchange. Without it the proof is a
+    session of one, opened, taken and closed here.
     """
-    # Step 1: the signed statement and the record tags.
-    alone = session is None
-    if alone:
+    if session is None:
         session = OpenStatement(proof.statement, notary_public_key, server_domain)
-    else:
-        session.bind(notary_public_key, server_domain)
-    up, down = session.take()
-    if alone:
+        exchange = authenticate(
+            proof, notary_public_key, server_domain, inject_template, parse_template, role, session
+        )
         session.close()
+        return exchange
+    # Step 1: the signed statement and the record tags.
+    session.bind(notary_public_key, server_domain)
+    up, down = session.take()
     req_map = disclosed_bytes(proof.request_commitment, proof.request_disclosure)
     res_map = disclosed_bytes(proof.response_commitment, proof.response_disclosure)
     _check_records(up, proof.record_keys, "up", proof.request_commitment, req_map)
@@ -662,14 +670,6 @@ def _authenticate_entry(
         role=role,
         session=session,
     )
-
-
-def verify_component(
-    payload: dict, entry, registry: TemplateRegistry, role: str
-) -> AuthenticatedExchange:
-    """The TLSNotary verifier of a standalone proof: decode a serialized
-    web proof and authenticate it against the AID entry (steps 1 and 2)."""
-    return _authenticate_entry(WebProof.from_obj(payload), entry, registry, role)
 
 
 def open_session(signed: dict, entry) -> OpenStatement:

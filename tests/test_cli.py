@@ -1,10 +1,13 @@
 import json
+import socket
 
 import pytest
 from click.testing import CliRunner
 
+from vet import cli
 from vet.canonical import FORMAT
 from vet.cli import main
+from vet.keys import SigningKey
 from vet.composer import VerifiableExecutionTrace
 from vet.webproof import SignedStatement, WebProof
 
@@ -484,3 +487,38 @@ def test_honest_bundle_decodes_to_the_same_document(proved):
             assert decoded.exchange_obj() == {
                 k: v for k, v in payload.items() if k != "signed_statement"
             }
+
+
+def _serve_args(tmp_path, command, listen):
+    key = tmp_path / "k.hex"
+    key.write_text(SigningKey.from_seed("serve").private_hex())
+    keyed = ["--key", str(key)]
+    return {
+        "proxy": ["proxy", "serve", *keyed],
+        "notary": ["notary", "serve", *keyed, "--server-key", str(key)],
+        "mock": ["mock", "serve", "--kind", "echo"],
+    }[command] + ["--listen", listen]
+
+
+def _serve(tmp_path, monkeypatch, command, listen):
+    # A serve that binds by mistake returns instead of blocking.
+    monkeypatch.setattr(cli, "_block", lambda: None)
+    return CliRunner().invoke(main, _serve_args(tmp_path, command, listen))
+
+
+@pytest.mark.parametrize("command", ["proxy", "notary", "mock"])
+def test_serve_on_a_port_out_of_range_is_a_usage_error(tmp_path, monkeypatch, command):
+    result = _serve(tmp_path, monkeypatch, command, "127.0.0.1:99999")
+    assert result.exit_code == 2, result.output
+    assert "invalid listen address '127.0.0.1:99999'" in result.output
+
+
+@pytest.mark.parametrize("command", ["proxy", "notary", "mock"])
+def test_serve_on_an_address_in_use_is_a_usage_error(tmp_path, monkeypatch, command):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        result = _serve(tmp_path, monkeypatch, command, f"127.0.0.1:{port}")
+    assert result.exit_code == 2, result.output
+    assert f"cannot listen on 127.0.0.1:{port}" in result.output

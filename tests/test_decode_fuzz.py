@@ -1,7 +1,7 @@
 """Structure-aware fuzzing of the decoders of outside documents.
 
-Each example starts from a valid web proof, bundle, AID or template,
-then replaces or drops one field at any depth with any JSON value.
+Each example starts from a valid web proof, proxy log head, bundle, AID
+or template, then replaces or drops one field at any depth with any JSON value.
 Verification must end in a ``Rejected`` reason or a ``ValidationError``;
 decoding an AID or registering a template in a ``ValidationError``; and
 ``vet verify --json`` and ``vet aid validate`` in an exit code, never in
@@ -19,14 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import WebProofRig
-from vet import demo as demo_mod, webproof
+from vet import demo as demo_mod, tee_proxy, webproof
 from vet.aid import AgentIdentityDocument, compute_id, validate
 from vet.canonical import FORMAT, canonical_bytes
 from vet.cli import main
 from vet.composer import VerifiableExecutionTrace, verify_trace
 from vet.errors import Rejected, ValidationError
 from vet.keys import SigningKey
-from vet.templates import ROLE_TOOL, TemplateRegistry, expected_request
+from vet.templates import ROLE_TOOL, TemplateRegistry, expected_request, inject, parse_tool
 
 SETTINGS = settings(
     max_examples=300,
@@ -97,8 +97,30 @@ def _bundle_case():
     return result, claim, result.bundle.to_obj()
 
 
+@functools.lru_cache(maxsize=None)
+def _log_head_case():
+    """A one-exchange proxy log head of the demo's price tool, with the
+    exchange it signs and the value that exchange carries."""
+    world = demo_mod.build_world("fuzz")
+    entry = world.aid.tools[0]
+    request = inject(world.registry.get_inject(entry.injection_algorithm_uid), "bitcoin")
+    response, head = world.proxy.fetch(request)
+    value = parse_tool(world.registry.get_parse(entry.parsing_algorithm_uid), response)
+    return world, entry, request, response, value, head.to_obj()
+
+
 def webproof_doc():
     return _webproof_case()[1]
+
+
+def log_head_doc():
+    return _log_head_case()[5]
+
+
+def _verify_log_head(doc):
+    world, entry, request, response, value, _ = _log_head_case()
+    head = tee_proxy.LogHead.from_obj(doc)
+    return tee_proxy.verify_attestation(value, request, response, head, entry, world.registry)
 
 
 def aid_doc():
@@ -124,7 +146,11 @@ def bundle_doc():
 def test_seeds_are_valid_documents_of_the_current_format():
     rig, doc = _webproof_case()
     assert doc["format"] == FORMAT
-    webproof.verify_component(doc, rig.entry, rig.registry, ROLE_TOOL)
+    proof = webproof.WebProof.from_obj(doc)
+    assert webproof.verify_webproof("fuzz me", proof, rig.entry, ROLE_TOOL, rig.registry) == "fuzz me"
+    *_, value, doc = _log_head_case()
+    assert doc["exchanges"] == "1"
+    assert _verify_log_head(doc) == value
     result, claim, doc = _bundle_case()
     assert doc["format"] == FORMAT
     bundle = VerifiableExecutionTrace.from_obj(doc)
@@ -142,9 +168,21 @@ def test_seeds_are_valid_documents_of_the_current_format():
 def test_webproof_decoder_only_rejects(mutated):
     rig, _ = _webproof_case()
     try:
-        webproof.verify_component(mutated, rig.entry, rig.registry, ROLE_TOOL)
+        proof = webproof.WebProof.from_obj(mutated)
+        webproof.verify_webproof("fuzz me", proof, rig.entry, ROLE_TOOL, rig.registry)
     except (Rejected, ValidationError):
         pass
+
+
+@SETTINGS
+@given(one_field_mutation(log_head_doc))
+def test_log_head_decoder_only_rejects(mutated):
+    # The honest value is claimed, so only a head left as it was may pass.
+    try:
+        _verify_log_head(mutated)
+    except (Rejected, ValidationError):
+        return
+    assert mutated == log_head_doc()
 
 
 def _verify_bundle_doc(mutated):

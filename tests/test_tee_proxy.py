@@ -7,8 +7,10 @@ from vet.errors import Rejected
 from vet.keys import SigningKey
 from vet.mockserver import make_echo_handler, make_price_handler
 from vet.tee_proxy import (
-    ProxyAttestation,
+    LOG_START,
+    LogHead,
     TeeProxy,
+    log_link,
     measurement_of,
     verify_attestation,
 )
@@ -64,12 +66,12 @@ def test_fetch_and_verify(setup):
     from vet.templates import inject, parse_tool
 
     request = inject(template, "bitcoin")
-    response, attestation = proxy.fetch(request)
+    response, head = proxy.fetch(request)
     value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
-    assert verify_attestation(
-        value, response, attestation, entry, registry, request_bytes=request
-    ) == value
-    assert attestation.request_hash == "sha256:" + hashlib.sha256(request).hexdigest()
+    assert verify_attestation(value, request, response, head, entry, registry) == value
+    digest = lambda data: "sha256:" + hashlib.sha256(data).hexdigest()
+    assert head.exchanges == 1
+    assert head.head == log_link(LOG_START, digest(request), digest(response))
 
 
 def test_verify_rejections(setup):
@@ -77,53 +79,58 @@ def test_verify_rejections(setup):
     from vet.templates import inject, parse_tool
 
     request = inject(template, "bitcoin")
-    response, attestation = proxy.fetch(request)
+    response, head = proxy.fetch(request)
     value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
 
     with pytest.raises(Rejected) as err:
-        verify_attestation("wrong", response, attestation, entry, registry)
+        verify_attestation("wrong", request, response, head, entry, registry)
     assert err.value.reason == "value-mismatch"
 
     tampered = response.replace(b'"usd"', b'"eur"')
     with pytest.raises(Rejected) as err:
-        verify_attestation(value, tampered, attestation, entry, registry)
-    assert err.value.reason in ("hash-mismatch", "parse-failure")
-
-    with pytest.raises(Rejected) as err:
-        verify_attestation(
-            value, response, attestation, entry, registry, request_bytes=request + b" "
-        )
+        verify_attestation(value, request, tampered, head, entry, registry)
     assert err.value.reason == "hash-mismatch"
 
-    forged = ProxyAttestation(
-        enclave_public_key=attestation.enclave_public_key,
-        tee_type=attestation.tee_type,
-        measurement=attestation.measurement,
-        request_hash=attestation.request_hash,
-        response_hash=attestation.response_hash,
-        timestamp=attestation.timestamp + 1,  # signed payload changes
-        signature=attestation.signature,
-    )
     with pytest.raises(Rejected) as err:
-        verify_attestation(value, response, forged, entry, registry)
+        verify_attestation(value, request + b" ", response, head, entry, registry)
+    assert err.value.reason == "hash-mismatch"
+
+    forged = head._replace(timestamp=head.timestamp + 1)  # signed payload changes
+    with pytest.raises(Rejected) as err:
+        verify_attestation(value, request, response, forged, entry, registry)
     assert err.value.reason == "bad-signature"
 
     rogue = SigningKey.from_seed("rogue-enclave")
-    impostor = ProxyAttestation.from_obj(
-        {**attestation.to_obj(), "enclave_public_key": rogue.public_string}
-    )
+    impostor = LogHead.from_obj({**head.to_obj(), "enclave_public_key": rogue.public_string})
     with pytest.raises(Rejected) as err:
-        verify_attestation(value, response, impostor, entry, registry)
+        verify_attestation(value, request, response, impostor, entry, registry)
     assert err.value.reason == "bad-signature"
 
 
+def test_verify_attestation_closes_its_log_of_one_once(setup, monkeypatch):
+    registry, proxy, entry, template = setup
+    from vet.templates import inject, parse_tool
+
+    closed = []
+    close = tee_proxy.OpenLog.close
+    monkeypatch.setattr(tee_proxy.OpenLog, "close", lambda log: closed.append(log) or close(log))
+    request = inject(template, "bitcoin")
+    response, head = proxy.fetch(request)
+    value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
+    assert verify_attestation(value, request, response, head, entry, registry) == value
+    assert len(closed) == 1 and closed[0].signed == head
+
+
 def test_parse_failure_reason(setup):
-    registry, _, entry, _ = setup
+    registry, _, entry, template = setup
+    from vet.templates import inject
+
     key = SigningKey.from_seed("tee-test")
     junk_proxy = TeeProxy(key, lambda req: b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\njunk")
-    response, attestation = junk_proxy.fetch(b"GET /api/v3/simple/price?ids=bitcoin&vs_currencies=usd HTTP/1.1\r\nHost: h\r\n\r\n")
+    request = inject(template, "bitcoin")
+    response, head = junk_proxy.fetch(request)
     with pytest.raises(Rejected) as err:
-        verify_attestation("x", response, attestation, entry, registry)
+        verify_attestation("x", request, response, head, entry, registry)
     assert err.value.reason == "parse-failure"
 
 
@@ -143,8 +150,8 @@ def test_attestation_obj_round_trip(setup):
     _, proxy, _, template = setup
     from vet.templates import inject
 
-    _, attestation = proxy.fetch(inject(template, "bitcoin"))
-    assert ProxyAttestation.from_obj(attestation.to_obj()) == attestation
+    _, head = proxy.fetch(inject(template, "bitcoin"))
+    assert LogHead.from_obj(head.to_obj()) == head
 
 
 def test_measurement_deterministic():
@@ -155,19 +162,21 @@ def test_measurement_deterministic():
 
 
 def test_tcp_serve_and_fetch(setup):
-    _, proxy, entry, template = setup
-    from vet.templates import inject
+    registry, proxy, entry, template = setup
+    from vet.templates import inject, parse_tool
 
     server = tee_proxy.serve(proxy)
     try:
         host, port = server.server_address
         request = inject(template, "bitcoin")
-        response, attestation = tee_proxy.fetch_tcp(host, port, request)
+        response, head = tee_proxy.fetch_tcp(host, port, request)
         local_response, _ = proxy.fetch(request)
         assert response == local_response
-        assert attestation.enclave_public_key == proxy.public_key
+        value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
+        assert verify_attestation(value, request, response, head, entry, registry) == value
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_attested_request_that_is_not_utf8_is_a_parse_failure(setup):
@@ -176,9 +185,9 @@ def test_attested_request_that_is_not_utf8_is_a_parse_failure(setup):
     response = b'HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\n{"bitcoin":{"usd":"1.00"}}'
     proxy = TeeProxy(SigningKey.from_seed("tee-test"), lambda request: response)
     request = b"GET /api/v3/simple/price?ids=\xff&vs_currencies=usd HTTP/1.1\r\n\r\n"
-    payload = tee_proxy.component_payload(request, response, proxy.fetch(request)[1])
+    _, head = proxy.fetch(request)
     with pytest.raises(Rejected) as err:
-        tee_proxy.verify_component(payload, entry, registry, "tool")
+        verify_attestation("1.00", request, response, head, entry, registry)
     assert err.value.reason == "parse-failure"
 
 

@@ -163,6 +163,15 @@ def test_verify_webproof_runs_no_keystream(rig, monkeypatch):
     assert verify_webproof(message, proof, rig.entry, "tool", rig.registry) == message
 
 
+def test_verify_webproof_closes_its_session_of_one_once(rig, monkeypatch):
+    _, proof = _prove(rig, "once")
+    closed = []
+    close = OpenStatement.close
+    monkeypatch.setattr(OpenStatement, "close", lambda s: closed.append(s) or close(s))
+    assert verify_webproof("once", proof, rig.entry, "tool", rig.registry) == "once"
+    assert len(closed) == 1 and closed[0].statement is proof.statement
+
+
 def test_cross_session_splicing_rejected(rig):
     _, proof_a = _prove(rig, "aaaa", seed=1)
     _, proof_b = _prove(rig, "bbbb", seed=2)
