@@ -45,7 +45,10 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # 7: a record is sealed encrypt-and-MAC with its tag over the plaintext,
 # and the notary signs that tag, not a hash of the wire, so format-6
 # statements no longer match their records.
-FORMAT = "7"
+# 8: a web proof no longer commits to or discloses its request, which the
+# verifier renders from the template and the claimed input; the request
+# fields are fixed stubs, and a format-7 request disclosure is refused.
+FORMAT = "8"
 
 
 def canonical_bytes(obj: Any) -> bytes:

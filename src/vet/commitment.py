@@ -360,11 +360,3 @@ def verify_disclosure(
         out[(offset, length)] = runs[k].data[start:start + length]
     return out
 
-
-def disclosed_bytes(
-    commitment: TranscriptCommitment, disclosure: Disclosure
-) -> dict[int, bytes]:
-    """Verify and return the bytes of each revealed run keyed by offset."""
-    verify_disclosure(commitment, disclosure)
-    offsets = _offsets(commitment.chunk_lengths)
-    return {offsets[run.index]: run.data for run in disclosure.chunks}

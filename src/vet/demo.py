@@ -345,8 +345,8 @@ def inspect_bundle(
             where += f" (session {check.session})"
         detail = ""
         if check.request_disclosed is not None:
-            disclosed, redacted = check.request_disclosed
-            detail = f"  request {disclosed}/{disclosed + redacted} bytes disclosed, rest redacted"
+            public, secret = check.request_disclosed
+            detail = f"  request {public}/{public + secret} bytes public, rest secret"
         lines.append(f"  {where}: {check.kind}  [{_status(check.verdict)}]{detail}")
     if report.reason is None:
         lines.append("trace consistency: ok")

@@ -171,7 +171,7 @@ def _match_tee_request(template, request_bytes: bytes) -> str:
     expected, secret = expected_request(template, x)
     if len(expected) != len(request_bytes):
         raise Rejected("template-mismatch", "attested request length differs from template")
-    differs = first_difference(expected, secret, 0, request_bytes)
+    differs = first_difference(expected, secret, request_bytes)
     if differs is not None:
         raise Rejected("template-mismatch", f"attested request byte {differs} differs")
     return x

@@ -282,9 +282,9 @@ def parse_core(
 class AuthenticatedExchange:
     """What a verified component proof establishes about one call.
 
-    ``request_disclosed`` is (disclosed, redacted) request bytes for a
-    proof that can keep request bytes hidden; it takes no part in
-    comparing exchanges.
+    ``request_disclosed`` is (public, secret) bytes of the rendered
+    request for a proof that can keep request bytes hidden; it takes no
+    part in comparing exchanges.
     """
 
     x: str
@@ -308,40 +308,39 @@ def match_request(
     template: InjectTemplate,
     x: str,
     total_length: int,
-    disclosed: Mapping[int, bytes],
-) -> None:
-    """Check disclosed request bytes against the template for input ``x``.
+    record_lengths: list[int],
+) -> tuple[bytes, frozenset[int]]:
+    """Render the request for input ``x`` and cut it into records.
 
-    ``disclosed`` maps absolute offsets to revealed byte runs. Accepts
-    iff the disclosure covers exactly the non-secret bytes, those bytes
-    equal the deterministic rendering, and every secret span is fully
-    redacted. Raises Rejected("template-mismatch") otherwise.
+    Returns the rendering, its secret spans masked, and the indices of
+    the records of ``record_lengths`` bytes that lie inside a secret
+    span. Raises Rejected("template-mismatch") unless the rendering is
+    ``total_length`` bytes long, the records carry exactly those bytes,
+    and each lies wholly inside a secret span or wholly outside all.
     """
     expected, secret = expected_request(template, x)
     if len(expected) != total_length:
         raise Rejected(
             "template-mismatch",
-            f"rendered length {len(expected)} != committed length {total_length}",
+            f"rendered length {len(expected)} != declared length {total_length}",
         )
-    # Secret bytes count as covered: disclosing one is rejected below.
-    covered = bytearray(secret)
-    for offset, data in disclosed.items():
-        end = offset + len(data)
-        leak = secret.find(1, offset, end)
-        bad = first_difference(expected, secret, offset, data)
-        if leak >= 0 and (bad is None or leak < bad):
-            raise Rejected("template-mismatch", f"secret byte at {leak} was disclosed")
-        if bad is not None:
-            if bad >= total_length:
-                raise Rejected("template-mismatch", "disclosure extends past request end")
-            raise Rejected("template-mismatch", f"request byte {bad} differs from template")
-        covered[offset:end] = b"\x01" * len(data)
-    missing = covered.find(0)
-    if missing >= 0:
+    if sum(record_lengths) != total_length:
         raise Rejected(
             "template-mismatch",
-            f"non-secret bytes not disclosed (first at {missing})",
+            f"request records carry {sum(record_lengths)} bytes, not {total_length}",
         )
+    inside = []
+    end = 0
+    for index, length in enumerate(record_lengths):
+        offset, end = end, end + length
+        if secret.find(1, offset, end) < 0:
+            continue
+        if secret.find(0, offset, end) >= 0:
+            raise Rejected(
+                "template-mismatch", f"request record {index} straddles a secret span edge"
+            )
+        inside.append(index)
+    return expected, frozenset(inside)
 
 
 # Maps a secret mask (1 inside a secret span) to a byte mask of the
@@ -359,28 +358,23 @@ def expected_request(template: InjectTemplate, x: str) -> tuple[bytes, bytearray
     return expected, secret
 
 
-def first_difference(
-    expected: bytes, secret: bytearray, offset: int, data: bytes
-) -> int | None:
-    """First position at which ``data``, laid at ``offset``, runs past
-    ``expected`` or differs from it outside a secret span; None if none.
+def first_difference(expected: bytes, secret: bytearray, data: bytes) -> int | None:
+    """First position at which request ``data`` differs from ``expected``
+    outside a secret span, or the shorter one's length if their lengths
+    differ; None if none.
 
-    The run is compared with ``expected`` as a whole, under the secret
-    mask. Only a run that differs is scanned byte by byte, to name the
-    first offending position.
+    The request is compared with ``expected`` as a whole, under the
+    secret mask. Only a request that differs is scanned byte by byte, to
+    name the first offending position.
     """
-    end = offset + len(data)
-    if end <= len(expected):
-        rendered = expected[offset:end]
-        if data == rendered:
-            return None
-        public = int.from_bytes(secret[offset:end].translate(_PUBLIC), "big")
-        if not (int.from_bytes(data, "big") ^ int.from_bytes(rendered, "big")) & public:
-            return None
-    for pos, byte in enumerate(data, offset):
-        if pos >= len(expected) or (not secret[pos] and byte != expected[pos]):
-            return pos
-    return None
+    if len(data) != len(expected):
+        return min(len(data), len(expected))
+    if data == expected:
+        return None
+    public = int.from_bytes(secret.translate(_PUBLIC), "big")
+    if not (int.from_bytes(data, "big") ^ int.from_bytes(expected, "big")) & public:
+        return None
+    return next(pos for pos, byte in enumerate(data) if not secret[pos] and byte != expected[pos])
 
 
 class TemplateRegistry:

@@ -2,38 +2,47 @@
 
 The prover opens a notarized channel, speaks toy-TLS to the target
 server through the content-oblivious notary, and assembles a WebProof:
-the notary-signed session statement, salted commitments to the request
-and response, a selective disclosure (secrets redacted), and the
-per-record keys for every disclosed record. The verifier hashes each
-disclosed record under its released key and compares the result with
-the record tag the notary signed, then re-renders the request template
-and re-parses the response. Acceptance means the claimed value really
-crossed the notarized channel.
+the notary-signed session statement, the keys of the records it may
+reveal, the response under a salted commitment disclosed in full, and
+the claimed input. The request is not shipped. As DECO's verifier checks
+a query against a public template, the verifier renders the request
+from the inject template and the claimed input, with the secret spans
+masked (``templates.match_request``), cuts it at the signed up-record
+lengths, and hashes each public record under its released key. Each
+response record is hashed likewise over the disclosed response. Every
+hash must equal the record tag the notary signed; the response is then
+parsed. Acceptance means the claimed value really crossed the notarized
+channel, in answer to the request the template renders.
 
 A signed tag is ``H("VET/mac:" || key || plaintext)``, so it is already
 a per-record salted commitment that the released key opens. Binding
 rests on SHA-256 collision resistance: the plaintext length is signed,
-so a released key and disclosed bytes that hash to the signed tag but
-differ from the sealed ones are a collision, whatever the key's length.
-A secret record's key is never released, and its tag, salted with that
-256-bit key, hides it. The down seed is released only after the tags
-are signed, and the server refuses an up record whose tag does not
-match what it decrypts (``vet.toytls``). The verifier never runs the
-cipher.
+so a released key and bytes that hash to the signed tag but differ from
+the sealed ones are a collision, whatever the key's length. A secret
+record's key is never released, and its tag, salted with that 256-bit
+key, hides it. The down seed is released only after the tags are
+signed. The verifier never runs the cipher.
 
-The prover commits to the request and to the response in chunks of
-variable length, one chunk per toy-TLS record: the request records are
-cut at every secret-span edge and at ``toytls.RECORD_MAX``, and the
-response chunks are the opened down records. A 48 KiB exchange thus has
-about ten leaves and salts. An honest prover's chunk lengths are the
-record lengths the notary signed, so listing them reveals nothing the
-statement does not, and the secret spans are whole chunks that no run
-reveals. A disclosure has one entry per run of revealed chunks, carrying
-the leaf hashes of the hidden chunks; ``vet.commitment`` describes it and
-argues its soundness, including why the root binds the chunk lengths.
-The verifier reads disclosed bytes only through that check, then binds
-them to the signed chain by the record tags, which does not depend on
-where the chunks were cut.
+Soundness of the rendered request. The server refuses an up record whose
+tag does not match what it decrypts (``vet.toytls``), so each signed up
+tag is a tag over the bytes the server received. A keyed tag binds its
+bytes, short of a SHA-256 collision. The signed lengths fix where each
+record sits in the rendering, and their sum must equal the rendering's
+length and the declared ``total_length``. So every public byte the
+server received is the rendered byte at its position. Each up record
+must lie wholly inside a secret span or wholly outside every secret
+span. A public record must have its key released and its tag checked.
+A withheld key is allowed only on a record that lies inside a secret
+span, whose bytes the template leaves to the prover. A record that mixes
+public and secret bytes is rejected whether or not its key is released,
+so no public byte goes unchecked and no secret byte needs revealing.
+
+The response is committed in chunks of variable length, one chunk per
+opened down record, and disclosed in full: its ``ranges`` must be
+exactly ``[[0, total_length]]``. ``vet.commitment`` describes the
+disclosure and argues its soundness. The verifier reads the response
+only through that check, then binds it to the signed chain by the record
+tags.
 
 A notarized session carries any number of exchanges, as a kept-alive
 TLS connection does, and the notary signs one statement over the record
@@ -52,9 +61,12 @@ a session of one, checked by the same calls: ``authenticate`` without a
 session opens the statement, checks the proof as its next exchange and
 closes it, so a statement of more than one exchange is rejected.
 
-A serialized proof carries ``"format": "7"``, and ``WebProof.from_obj``
-reads no other. A standalone proof is its bundle payload with the
-session field holding the signed object instead of its index: its
+A serialized proof carries ``"format": "8"``, and ``WebProof.from_obj``
+reads no other. Its request fields are fixed stubs that the benchmark
+still reads, ``{"total_length": "<n>"}`` and ``{"chunks": []}``, and its
+``claims`` are exactly ``{"input": <string>}``, so each proof has one
+encoding. A standalone proof is its bundle payload with the session
+field holding the signed object instead of its index: its
 ``signed_statement`` is the statement itself, where in a bundle it is
 the index of the statement in the bundle's sessions table.
 """
@@ -74,8 +86,8 @@ from .commitment import (
     TranscriptCommitment,
     commit,
     disclose,
-    disclosed_bytes,
     normalize_ranges,
+    verify_disclosure,
 )
 from .errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from .frames import Frame
@@ -99,8 +111,7 @@ from .toytls import RecordInfo, SignedStatement  # re-exported for callers of th
 class WebProof:
     statement: SignedStatement
     record_keys: dict[tuple[str, int], bytes]
-    request_commitment: TranscriptCommitment
-    request_disclosure: Disclosure
+    request_length: int
     response_commitment: TranscriptCommitment
     response_disclosure: Disclosure
     claims: dict = field(default_factory=dict)
@@ -119,8 +130,10 @@ class WebProof:
                 {"direction": d, "index": str(i), "key": k.hex()}
                 for (d, i), k in sorted(self.record_keys.items())
             ],
-            "request_commitment": self.request_commitment.to_obj(),
-            "request_disclosure": self.request_disclosure.to_obj(),
+            # Fixed stubs: the verifier renders the request, but the
+            # benchmark still reads these two fields.
+            "request_commitment": {"total_length": str(self.request_length)},
+            "request_disclosure": {"chunks": []},
             "response_commitment": self.response_commitment.to_obj(),
             "response_disclosure": self.response_disclosure.to_obj(),
             "claims": dict(self.claims),
@@ -139,12 +152,29 @@ class WebProof:
         return cls(
             statement=statement or part("signed_statement", SignedStatement.from_obj),
             record_keys=_read_record_keys(json_field(obj, "record_keys", list)),
-            request_commitment=part("request_commitment", TranscriptCommitment.from_obj),
-            request_disclosure=part("request_disclosure", Disclosure.from_obj),
+            request_length=_read_request_length(obj),
             response_commitment=part("response_commitment", TranscriptCommitment.from_obj),
             response_disclosure=part("response_disclosure", Disclosure.from_obj),
-            claims=dict(json_field(obj, "claims", dict, {})),
+            claims=part("claims", _read_claims),
         )
+
+
+def _read_request_length(obj: dict) -> int:
+    """The request length, from the two request stubs, which admit no other content."""
+    stub = json_field(obj, "request_commitment", dict)
+    disclosure = json_field(obj, "request_disclosure", dict)
+    if set(stub) != {"total_length"} or disclosure != {"chunks": []}:
+        raise ValidationError(
+            'a web proof\'s request fields must be {"total_length": n} and {"chunks": []}'
+        )
+    return json_field(stub, "total_length", int)
+
+
+def _read_claims(claims: dict) -> dict:
+    if set(claims) != {"input"}:
+        raise ValidationError('a web proof\'s claims must be exactly {"input": <string>}')
+    json_field(claims, "input")
+    return dict(claims)
 
 
 def _read_record_keys(entries: list) -> dict[tuple[str, int], bytes]:
@@ -277,7 +307,7 @@ def _expect(replies: list[Frame], wanted: int) -> Frame:
 class _Sent(NamedTuple):
     """One exchange of an open session, as the prover sent and received it."""
 
-    request: bytes
+    request_length: int
     secret_spans: list[tuple[int, int]]
     record_spans: list[tuple[int, int]]
     up_keys: list[bytes]
@@ -354,7 +384,7 @@ class NotarizedSession:
         self.up_used += len(request_bytes)
         self._sent.append(
             _Sent(
-                request_bytes, secret_spans, record_spans, up_keys, up_wires, down_wires,
+                len(request_bytes), secret_spans, record_spans, up_keys, up_wires, down_wires,
                 dict(claims or {}),
             )
         )
@@ -392,38 +422,33 @@ class NotarizedSession:
     def _prove(
         self, signed: SignedStatement, sent: _Sent, down_keys: list[bytes]
     ) -> tuple[bytes, WebProof]:
-        """One exchange's response and proof; record indices count from its start."""
+        """One exchange's response and proof; record indices count from its
+        start. The request is neither committed to nor disclosed: the
+        verifier renders it, so the proof releases only the keys of the
+        records outside every secret span."""
         records = [
             toytls.open_record(key, wire) for key, wire in zip(down_keys, sent.down_wires)
         ]
         response_bytes = b"".join(records)
 
         # Commit one chunk per record (an empty response is one empty record,
-        # and a chunk is never empty), then disclose all but the secret spans.
-        request_bytes, secret_spans = sent.request, sent.secret_spans
-        req_commitment, req_opening = commit(
-            request_bytes, [length for _, length in sent.record_spans], self.rng
-        )
-        res_commitment, res_opening = commit(
+        # and a chunk is never empty), and disclose it all.
+        commitment, opening = commit(
             response_bytes, [len(record) for record in records if record], self.rng
         )
-        req_disclosure = disclose(req_opening, _complement(secret_spans, len(request_bytes)))
-        res_disclosure = disclose(res_opening, [(0, len(response_bytes))])
-
-        record_keys: dict[tuple[str, int], bytes] = {}
-        for i, (offset, length) in enumerate(sent.record_spans):
-            if not _overlaps_secret(offset, length, secret_spans):
-                record_keys[("up", i)] = sent.up_keys[i]
-        for i, key in enumerate(down_keys):
-            record_keys[("down", i)] = key
+        record_keys = {
+            ("up", i): sent.up_keys[i]
+            for i, (offset, length) in enumerate(sent.record_spans)
+            if not _overlaps_secret(offset, length, sent.secret_spans)
+        }
+        record_keys.update((("down", i), key) for i, key in enumerate(down_keys))
 
         proof = WebProof(
             statement=signed,
             record_keys=record_keys,
-            request_commitment=req_commitment,
-            request_disclosure=req_disclosure,
-            response_commitment=res_commitment,
-            response_disclosure=res_disclosure,
+            request_length=sent.request_length,
+            response_commitment=commitment,
+            response_disclosure=disclose(opening, [(0, len(response_bytes))]),
             claims=sent.claims,
         )
         return response_bytes, proof
@@ -441,18 +466,6 @@ def run_session(
     session.send(request_bytes, secret_spans, claims)
     ((response_bytes, proof),) = session.finish()
     return response_bytes, proof
-
-
-def _complement(spans: list[tuple[int, int]], total: int) -> list[tuple[int, int]]:
-    out = []
-    pos = 0
-    for offset, length in spans:
-        if offset > pos:
-            out.append((pos, offset - pos))
-        pos = offset + length
-    if pos < total:
-        out.append((pos, total - pos))
-    return out
 
 
 def _overlaps_secret(offset: int, length: int, spans: list[tuple[int, int]]) -> bool:
@@ -539,45 +552,32 @@ def _check_records(
     records: tuple[RecordInfo, ...],
     record_keys: dict[tuple[str, int], bytes],
     direction: str,
-    commitment: TranscriptCommitment,
-    disclosed: dict[int, bytes],
+    data: bytes,
+    reason: str,
+    secret: frozenset[int] = frozenset(),
 ) -> None:
-    """Bind disclosed plaintext to one direction's signed records of an exchange.
+    """Bind plaintext ``data`` to one direction's signed records of an exchange.
 
-    Every disclosed byte must fall in a record whose key was released,
-    and every keyed record must be fully disclosed and hash, under its
-    key, to the tag the notary signed. Bytes in unkeyed records stay unauthenticated
-    and must not be disclosed at all.
+    The records must carry exactly ``data``. A record whose index is in
+    ``secret`` must have no released key; every other record must have
+    one, and hash under it, over its bytes of ``data``, to the tag the
+    notary signed. A violation is ``reason``; a key for a record past the
+    chain is a cipher-mismatch.
     """
     total = sum(record.length for record in records)
-    if total != commitment.total_length:
-        raise Rejected(
-            "cipher-mismatch",
-            f"{direction} chain carries {total} bytes but commitment "
-            f"covers {commitment.total_length}",
-        )
-    stream, seen = _overlay(disclosed, total)
+    if total != len(data):
+        raise Rejected(reason, f"{direction} chain carries {total} bytes, the proof {len(data)}")
     end = 0
     for index, record in enumerate(records):
         offset, end = end, end + record.length
         key = record_keys.get((direction, index))
-        if key is None:
-            if seen.find(1, offset, end) >= 0:
-                raise Rejected(
-                    "cipher-mismatch",
-                    f"{direction} record {index} disclosed without a key",
-                )
-            continue
-        if seen.find(0, offset, end) >= 0:
-            raise Rejected(
-                "cipher-mismatch",
-                f"{direction} record {index} has a key but partial disclosure",
-            )
-        if toytls.record_tag(key, bytes(stream[offset:end])).hex() != record.hash:
-            raise Rejected(
-                "cipher-mismatch",
-                f"{direction} record {index} does not match its signed tag",
-            )
+        if index in secret:
+            if key is not None:
+                raise Rejected(reason, f"{direction} record {index} is secret but has a key")
+        elif key is None:
+            raise Rejected(reason, f"{direction} record {index} has no key")
+        elif toytls.record_tag(key, data[offset:end]).hex() != record.hash:
+            raise Rejected(reason, f"{direction} record {index} does not match its signed tag")
     for (d, index) in record_keys:
         if d == direction and index >= len(records):
             raise Rejected(
@@ -607,49 +607,33 @@ def authenticate(
         )
         session.close()
         return exchange
-    # Step 1: the signed statement and the record tags.
+    # Step 1: the signed statement, the whole response and its record tags.
     session.bind(notary_public_key, server_domain)
     up, down = session.take()
-    req_map = disclosed_bytes(proof.request_commitment, proof.request_disclosure)
-    res_map = disclosed_bytes(proof.response_commitment, proof.response_disclosure)
-    _check_records(up, proof.record_keys, "up", proof.request_commitment, req_map)
-    _check_records(down, proof.record_keys, "down", proof.response_commitment, res_map)
+    total = proof.response_commitment.total_length
+    if proof.response_disclosure.ranges != ((0, total),):
+        raise Rejected(
+            "chunk-range-inconsistency", f"the response disclosure must be the range (0, {total})"
+        )
+    disclosed = verify_disclosure(proof.response_commitment, proof.response_disclosure)
+    response_bytes = disclosed[0, total]
+    _check_records(down, proof.record_keys, "down", response_bytes, "cipher-mismatch")
 
-    # Step 2: the disclosed request must be the template rendering of the
+    # Step 2: the request records must be the template rendering of the
     # claimed input, and the response must parse under the parse template.
     x = proof.claims.get("input")
     if not isinstance(x, str):
         raise Rejected("template-mismatch", "proof does not claim an input value")
-    match_request(inject_template, x, proof.request_commitment.total_length, req_map)
-
-    response_bytes = _assemble(res_map, proof.response_commitment.total_length)
-    if response_bytes is None:
-        raise Rejected("parse-failure", "response not fully disclosed")
-    total = proof.request_commitment.total_length
-    disclosed = sum(n for _, n in proof.request_disclosure.ranges)
+    rendered, secret = match_request(
+        inject_template, x, proof.request_length, [record.length for record in up]
+    )
+    _check_records(up, proof.record_keys, "up", rendered, "template-mismatch", secret)
+    redacted = sum(up[index].length for index in secret)
     return AuthenticatedExchange(
         x,
         *parse_exchange(parse_template, response_bytes, role),
-        request_disclosed=(disclosed, total - disclosed),
+        request_disclosed=(len(rendered) - redacted, redacted),
     )
-
-
-def _overlay(byte_map: dict[int, bytes], total: int) -> tuple[bytearray, bytearray]:
-    """The runs of ``byte_map`` laid out in ``total`` bytes, and a mask
-    that is 1 at every byte some run covers and 0 elsewhere."""
-    buf = bytearray(total)
-    seen = bytearray(total)
-    for offset, data in byte_map.items():
-        buf[offset:offset + len(data)] = data
-        seen[offset:offset + len(data)] = b"\x01" * len(data)
-    return buf, seen
-
-
-def _assemble(byte_map: dict[int, bytes], total: int) -> bytes | None:
-    buf, seen = _overlay(byte_map, total)
-    if seen.find(0) >= 0:
-        return None
-    return bytes(buf)
 
 
 def _authenticate_entry(

@@ -9,6 +9,7 @@ import random
 import re
 import string
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -39,7 +40,14 @@ from vet.commitment import (
 from vet.composer import ComponentProof, VerifiableExecutionTrace, verify_trace
 from vet.errors import Rejected
 from vet.keys import SigningKey
-from vet.webproof import WebProof, WebProofProver, verify_webproof
+from vet.templates import render
+from vet.webproof import (
+    NotarizedSession,
+    WebProof,
+    WebProofProver,
+    provision_channel,
+    verify_webproof,
+)
 
 
 def _string_leaves(node, path=()):
@@ -141,15 +149,14 @@ def test_criterion_2_soundness_no_forgery_accepted():
         accepted.append(label)
 
     # (a) ciphertext mutation post-signature: flip one character anywhere
-    # in a serialized proof (record keys, disclosed chunks, commitments,
-    # signed statement fields, claims). Disclosure range boundaries are
-    # handled separately below: narrowing one is a benign re-encoding of
-    # the same disclosure, not a forgery. Mutations that decode back to
-    # the identical proof (hex case flips) are skipped for the same reason.
+    # in a serialized proof (record keys, disclosed chunks and ranges,
+    # commitments, the request stub, signed statement fields, claims).
+    # Mutations that decode back to the identical proof (hex case flips)
+    # are skipped, as a benign re-encoding of the same proof.
     for i in range(2500):
         x, proof = pool[rng.randrange(len(pool))]
         obj = proof.to_obj()
-        forged_obj = _mutate_obj(obj, rng, skip_token="ranges")
+        forged_obj = _mutate_obj(obj, rng)
         try:
             forged = WebProof.from_obj(forged_obj)
         except Exception:
@@ -159,24 +166,42 @@ def test_criterion_2_soundness_no_forgery_accepted():
             continue
         attempt_webproof(f"ciphertext-mutation-{i}", x, forged)
 
-    # (a') disclosure widening: claim the full request as revealed while
-    # the secret chunks stay undisclosed and their record key unreleased.
+    # (a') disclosure widening: reveal a request record the template
+    # keeps secret, or leave a public one unchecked. Each forgery is made
+    # by the prover, who holds every up record's key: release the secret
+    # record's key, withhold a public record's key, or send the secret in
+    # one record with its public neighbour before or after it, with that
+    # record's key released or withheld.
+    template = rig.registry.get_inject(rig.inject_uid)
+
+    def session_proof(x, merge):
+        request, spans = render(template, x, {"token": secret})
+        offset, length = spans["token"]
+        cut = {
+            None: [(offset, length)],
+            "before": [(0, offset + length)],
+            "after": [(offset, len(request) - offset)],
+        }[merge]
+        channel = provision_channel(rig.service, "echo.test", rng=rng)
+        session = NotarizedSession(channel, rng)
+        session.send(request, cut, {"input": x})
+        up_keys = session._sent[0].up_keys
+        ((_, proof),) = session.finish()
+        return x, proof, up_keys
+
+    split = [session_proof(f"widen-{i}", None) for i in range(4)]
+    merged = [session_proof(f"merge-{i}", side) for i in range(4) for side in ("before", "after")]
     for i in range(500):
-        x, proof = pool[rng.randrange(len(pool))]
-        widened = Disclosure(
-            ranges=((0, proof.request_commitment.total_length),),
-            chunks=proof.request_disclosure.chunks,
-        )
-        forged = WebProof(
-            statement=proof.statement,
-            record_keys=proof.record_keys,
-            request_commitment=proof.request_commitment,
-            request_disclosure=widened,
-            response_commitment=proof.response_commitment,
-            response_disclosure=proof.response_disclosure,
-            claims=proof.claims,
-        )
-        attempt_webproof(f"disclosure-widening-{i}", x, forged)
+        family = rng.randrange(3)
+        x, proof, up_keys = rng.choice(merged if family == 2 else split)
+        keys = dict(proof.record_keys)
+        # The one withheld key: the secret's record, or the merged one.
+        (hidden,) = [k for k in range(len(up_keys)) if ("up", k) not in keys]
+        if family == 1:
+            del keys[rng.choice([slot for slot in keys if slot[0] == "up"])]
+        elif family == 0 or rng.random() < 0.5:
+            keys["up", hidden] = up_keys[hidden]
+        attempt_webproof(f"disclosure-widening-{i}", x, replace(proof, record_keys=keys))
 
     # (b) plaintext/commitment recomputation: keep the signed statement
     # and released keys but commit to a fabricated response.
@@ -189,14 +214,10 @@ def test_criterion_2_soundness_no_forgery_accepted():
             + b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
         )
         fake_commitment, fake_opening = commit(fake_response, grid(len(fake_response), 16), rng)
-        forged = WebProof(
-            statement=proof.statement,
-            record_keys=proof.record_keys,
-            request_commitment=proof.request_commitment,
-            request_disclosure=proof.request_disclosure,
+        forged = replace(
+            proof,
             response_commitment=fake_commitment,
             response_disclosure=disclose(fake_opening, [(0, len(fake_response))]),
-            claims=proof.claims,
         )
         attempt_webproof(f"recommitment-{i}", fake_value, forged)
 
@@ -205,8 +226,7 @@ def test_criterion_2_soundness_no_forgery_accepted():
     fields = (
         "statement",
         "record_keys",
-        "request_commitment",
-        "request_disclosure",
+        "request_length",
         "response_commitment",
         "response_disclosure",
         "claims",
@@ -215,7 +235,9 @@ def test_criterion_2_soundness_no_forgery_accepted():
         ia, ib = rng.sample(range(len(pool)), 2)
         (xa, pa), (_, pb) = pool[ia], pool[ib]
         picks = {name: rng.choice((pa, pb)) for name in fields}
-        if all(p is pa for p in picks.values()):
+        # Fields equal in both proofs (the request length of inputs of one
+        # length) splice nothing, so at least one that differs comes from pb.
+        if all(p is pa or getattr(pa, name) == getattr(pb, name) for name, p in picks.items()):
             picks["statement"] = pb
         spliced = WebProof(**{name: getattr(p, name) for name, p in picks.items()})
         attempt_webproof(f"splice-{i}", xa, spliced)

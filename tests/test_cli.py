@@ -210,6 +210,7 @@ def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, 
         (lambda bundle: bundle.update(format="4"), "bundle format 4"),
         (lambda bundle: bundle.update(format="5"), "bundle format 5"),
         (lambda bundle: bundle.update(format="6"), "bundle format 6"),
+        (lambda bundle: bundle.update(format="7"), "bundle format 7"),
         (lambda bundle: bundle["proofs"][0]["payload"].pop("format"), "web proof format 1"),
     ],
 )

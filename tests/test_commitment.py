@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,7 +14,6 @@ from vet.commitment import (
     chunk_cover,
     commit,
     disclose,
-    disclosed_bytes,
     leaf_hash,
     normalize_ranges,
     recommit,
@@ -34,8 +34,7 @@ def test_commit_disclose_round_trip(size, chunk_size):
     revealed = verify_disclosure(commitment, disclosure)
     if size:
         assert revealed[(0, size)] == data
-    by_offset = disclosed_bytes(commitment, disclosure)
-    assert b"".join(by_offset[k] for k in sorted(by_offset)) == data
+    assert b"".join(run.data for run in disclosure.chunks) == data
 
 
 def test_empty_transcript_root():
@@ -306,8 +305,10 @@ def test_variable_chunks_verify_to_the_committed_bytes(case):
     assert Disclosure.from_obj(disclosure.to_obj()) == disclosure
     out = verify_disclosure(commitment, disclosure)
     assert out == {(o, n): data[o:o + n] for o, n in disclosure.ranges}
-    for offset, run in disclosed_bytes(commitment, disclosure).items():
-        assert run == data[offset:offset + len(run)]
+    offsets = list(accumulate(commitment.chunk_lengths, initial=0))
+    for run in disclosure.chunks:
+        offset = offsets[run.index]
+        assert run.data == data[offset:offset + len(run.data)]
 
 
 @st.composite

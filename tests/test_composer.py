@@ -419,8 +419,11 @@ def test_report_lists_checked_components(scripted):
     # A rejected component is the last one listed, with the scheme's reason.
     proofs = list(bundle.proofs)
     k = [i for i, p in enumerate(proofs) if p.kind == "webproof"][1]
+    # The first key in order is a response record's, whose tag is checked
+    # over the disclosed response.
     keys = [dict(entry) for entry in proofs[k].payload["record_keys"]]
-    keys[-1]["key"] = ("0" if keys[-1]["key"][0] != "0" else "1") + keys[-1]["key"][1:]
+    assert keys[0]["direction"] == "down"
+    keys[0]["key"] = ("0" if keys[0]["key"][0] != "0" else "1") + keys[0]["key"][1:]
     payload = dict(proofs[k].payload, record_keys=keys)
     proofs[k] = ComponentProof(proofs[k].kind, proofs[k].step_index, proofs[k].position, payload)
     report = VerificationReport()

@@ -39,7 +39,6 @@ from vet.commitment import (
     SALT_LEN,
     Disclosure,
     RevealedRun,
-    TranscriptCommitment,
     chunk_cover,
     commit,
     disclose,
@@ -48,8 +47,15 @@ from vet.commitment import (
 )
 from vet.tee_proxy import _match_tee_request
 from vet.errors import ProtocolError, Rejected, ValidationError
-from vet.templates import InjectTemplate, extract_input, match_request, render
-from vet.webproof import RecordInfo, SignedStatement, WebProof, _assemble, _check_records
+from vet.templates import (
+    InjectTemplate,
+    expected_request,
+    extract_input,
+    first_difference,
+    match_request,
+    render,
+)
+from vet.webproof import RecordInfo, _check_records
 
 SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -184,86 +190,66 @@ def old_verify_disclosure(commitment, disclosure):
     return out
 
 
-def old_check_records(proof, direction, commitment, disclosed):
-    records = proof.statement.records
-    spans = []
-    offset = index = 0
-    for record in records:
-        if record.direction == direction:
-            spans.append((index, offset, record.length))
-            offset += record.length
-            index += 1
-    chain = [r for r in records if r.direction == direction]
-    total = sum(length for _, _, length in spans)
-    if total != commitment.total_length:
-        raise Rejected(
-            "cipher-mismatch",
-            f"{direction} chain carries {total} bytes but commitment "
-            f"covers {commitment.total_length}",
-        )
-    stream = {}
-    for offset, data in disclosed.items():
-        for k, b in enumerate(data):
-            stream[offset + k] = b
-    for index, offset, length in spans:
-        key = proof.record_keys.get((direction, index))
-        covered = [stream.get(offset + k) for k in range(length)]
-        if key is None:
-            if any(b is not None for b in covered):
-                raise Rejected("cipher-mismatch", f"{direction} record {index} disclosed without a key")
+def old_check_records(records, record_keys, direction, data, reason, secret):
+    total = sum(record.length for record in records)
+    if total != len(data):
+        raise Rejected(reason, f"{direction} chain carries {total} bytes, the proof {len(data)}")
+    offset = 0
+    for index, record in enumerate(records):
+        plaintext = bytes(data[offset + k] for k in range(record.length))
+        offset += record.length
+        key = record_keys.get((direction, index))
+        if index in secret:
+            if key is not None:
+                raise Rejected(reason, f"{direction} record {index} is secret but has a key")
             continue
-        if any(b is None for b in covered):
-            raise Rejected(
-                "cipher-mismatch", f"{direction} record {index} has a key but partial disclosure"
-            )
+        if key is None:
+            raise Rejected(reason, f"{direction} record {index} has no key")
         # The oracle re-seals the record, as the verifier did before
         # format 7, and reads the tag off the wire.
-        wire = old_seal_record(key, bytes(covered))
-        if wire[-toytls.TAG_LEN:].hex() != chain[index].hash:
-            raise Rejected(
-                "cipher-mismatch", f"{direction} record {index} does not match its signed tag"
-            )
-    for (d, index) in proof.record_keys:
-        if d == direction and index >= len(chain):
+        if old_seal_record(key, plaintext)[-toytls.TAG_LEN:].hex() != record.hash:
+            raise Rejected(reason, f"{direction} record {index} does not match its signed tag")
+    for (d, index) in record_keys:
+        if d == direction and index >= len(records):
             raise Rejected("cipher-mismatch", f"key for nonexistent {direction} record {index}")
 
 
-def old_assemble(byte_map, total):
-    buf = bytearray(total)
-    seen = bytearray(total)
-    for offset, data in byte_map.items():
-        buf[offset:offset + len(data)] = data
-        for k in range(len(data)):
-            seen[offset + k] = 1
-    if total and not all(seen):
-        return None
-    return bytes(buf)
-
-
-def old_match_request(template, x, total_length, disclosed):
+def old_match_request(template, x, total_length, record_lengths):
     expected, spans = render(template, x, {})
     if len(expected) != total_length:
         raise Rejected(
             "template-mismatch",
-            f"rendered length {len(expected)} != committed length {total_length}",
+            f"rendered length {len(expected)} != declared length {total_length}",
+        )
+    if sum(record_lengths) != total_length:
+        raise Rejected(
+            "template-mismatch",
+            f"request records carry {sum(record_lengths)} bytes, not {total_length}",
         )
     secret_bytes = set()
     for offset, length in spans.values():
         secret_bytes.update(range(offset, offset + length))
-    covered = bytearray(total_length)
-    for offset, data in disclosed.items():
-        for i, byte in enumerate(data):
-            pos = offset + i
-            if pos >= total_length:
-                raise Rejected("template-mismatch", "disclosure extends past request end")
-            if pos in secret_bytes:
-                raise Rejected("template-mismatch", f"secret byte at {pos} was disclosed")
-            if byte != expected[pos]:
-                raise Rejected("template-mismatch", f"request byte {pos} differs from template")
-            covered[pos] = 1
-    missing = [i for i in range(total_length) if not covered[i] and i not in secret_bytes]
-    if missing:
-        raise Rejected("template-mismatch", f"non-secret bytes not disclosed (first at {missing[0]})")
+    inside = set()
+    offset = 0
+    for index, length in enumerate(record_lengths):
+        hidden = [pos in secret_bytes for pos in range(offset, offset + length)]
+        offset += length
+        if any(hidden) and not all(hidden):
+            raise Rejected(
+                "template-mismatch", f"request record {index} straddles a secret span edge"
+            )
+        if any(hidden):
+            inside.add(index)
+    return expected, frozenset(inside)
+
+
+def old_first_difference(expected, secret_bytes, data):
+    for pos in range(max(len(data), len(expected))):
+        if pos >= min(len(data), len(expected)):
+            return pos
+        if pos not in secret_bytes and data[pos] != expected[pos]:
+            return pos
+    return None
 
 
 def old_match_tee_request(template, request_bytes):
@@ -524,7 +510,7 @@ def test_empty_range_off_the_disclosed_chunks():
 
 
 # ---------------------------------------------------------------------------
-# Record tag checks and response assembly.
+# Record tag checks.
 
 
 @st.composite
@@ -537,71 +523,49 @@ def record_cases(draw):
     on_grid = range(0, size + 1, chunk_size)
     cuts = sorted({0, size, *(rng.choice(on_grid) for _ in range(draw(st.integers(0, 4))))})
     spans = list(zip(cuts, cuts[1:])) or [(0, 0)]
-    keys, records = {}, []
+    direction = draw(st.sampled_from(["up", "down"]))
+    keys, records, secret = {}, [], set()
     for i, (start, end) in enumerate(spans):
         key = rng.randbytes(32)
         wire = old_seal_record(key, plaintext[start:end])
-        records.append(RecordInfo("down", wire[-toytls.TAG_LEN:].hex(), end - start))
-        if draw(st.booleans()):
-            keys[("down", i)] = key
-    commitment, opening = commit(plaintext, grid(size, chunk_size), rng)
-    # Disclose exactly the keyed records, as an honest prover does.
-    keyed = [spans[i] for (_, i) in keys]
-    disclosed = {
-        c.index * chunk_size: c.data
-        for c in disclose(opening, [(s, e - s) for s, e in keyed]).chunks
-    }
+        records.append(RecordInfo(direction, wire[-toytls.TAG_LEN:].hex(), end - start))
+        # An honest prover withholds the key of a secret record, and only of one.
+        if direction == "up" and draw(st.booleans()):
+            secret.add(i)
+        else:
+            keys[(direction, i)] = key
     mutation = draw(
         st.sampled_from(
-            ["none", "flip", "drop-run", "drop-first", "extra-run", "drop-key", "extra-key", "wrong-key", "length"]
+            ["none", "flip", "drop-key", "extra-key", "wrong-key", "secret-key", "length"]
         )
     )
-    return plaintext, records, keys, commitment, disclosed, mutation, rng
+    return plaintext, records, keys, direction, secret, mutation, rng
 
 
 @SETTINGS
 @given(record_cases())
-def test_check_records_and_assemble_match_oracle(case):
-    plaintext, records, keys, commitment, disclosed, mutation, rng = case
-    disclosed = dict(disclosed)
-    offsets = sorted(disclosed)
-    if mutation == "flip" and offsets:
-        o = rng.choice(offsets)
-        disclosed[o] = bytes([disclosed[o][0] ^ 1]) + disclosed[o][1:]
-    elif mutation == "drop-run" and offsets:
-        del disclosed[rng.choice(offsets)]
-    elif mutation == "drop-first" and offsets:
-        del disclosed[offsets[0]]
-    elif mutation == "extra-run" and plaintext:
-        o = rng.randrange(len(plaintext))
-        disclosed[o] = plaintext[o:o + rng.randrange(1, 20)]
+def test_check_records_matches_oracle(case):
+    plaintext, records, keys, direction, secret, mutation, rng = case
+    data = plaintext
+    if mutation == "flip" and data:
+        o = rng.randrange(len(data))
+        data = data[:o] + bytes([data[o] ^ 1]) + data[o + 1:]
     elif mutation == "drop-key" and keys:
         del keys[rng.choice(sorted(keys))]
     elif mutation == "extra-key":
-        keys[("down", rng.randrange(len(records) + 2))] = rng.randbytes(32)
+        keys[(direction, rng.randrange(len(records) + 2))] = rng.randbytes(32)
     elif mutation == "wrong-key" and keys:
         keys[rng.choice(sorted(keys))] = rng.randbytes(32)
+    elif mutation == "secret-key" and secret:
+        keys[(direction, rng.choice(sorted(secret)))] = rng.randbytes(32)
     elif mutation == "length":
-        commitment = TranscriptCommitment(
-            commitment.root, commitment.chunk_lengths, commitment.total_length + 1
-        )
-    proof = WebProof(
-        statement=SignedStatement({}, "", "", "", (0, 0), tuple(records)),
-        record_keys=keys,
-        request_commitment=commitment,
-        request_disclosure=Disclosure((), ()),
-        response_commitment=commitment,
-        response_disclosure=Disclosure((), ()),
-    )
-    # Every record is a down record, so the exchange's down records are
-    # the whole chain the oracle reads.
-    result = outcome(_check_records, tuple(records), keys, "down", commitment, disclosed)
-    assert result == outcome(old_check_records, proof, "down", commitment, disclosed)
+        data = data + b"!" if rng.random() < 0.5 or not data else data[:-1]
+    reason = "template-mismatch" if direction == "up" else "cipher-mismatch"
+    args = (tuple(records), keys, direction, data, reason, frozenset(secret))
+    result = outcome(_check_records, *args)
+    assert result == outcome(old_check_records, *args)
     if mutation == "none":
         assert result[0] == "ok"
-    total = commitment.total_length
-    if all(o + len(d) <= total for o, d in disclosed.items()):
-        assert _assemble(disclosed, total) == old_assemble(disclosed, total)
 
 
 # ---------------------------------------------------------------------------
@@ -644,73 +608,65 @@ def request_cases(draw):
     x = draw(inputs)
     rng = random.Random(draw(st.integers(0, 2**32)))
     data, spans = render(template, x, {})
-    secret = set()
-    for offset, length in spans.values():
-        secret.update(range(offset, offset + length))
-    public = [i for i in range(len(data)) if i not in secret]
-    # Runs of public bytes, split at random points as chunks would split them.
-    runs, start = {}, 0
-    for k, i in enumerate(public):
-        if k + 1 == len(public) or public[k + 1] != i + 1 or rng.random() < 0.1:
-            runs[public[start]] = data[public[start]:i + 1]
-            start = k + 1
+    # Records cut at every secret-span edge, as a prover cuts them, and at
+    # random points besides, as RECORD_MAX would.
+    edges = {edge for offset, length in spans.values() for edge in (offset, offset + length)}
+    extra = {rng.randrange(len(data) + 1) for _ in range(draw(st.integers(0, 4)))}
+    cuts = sorted({0, len(data), *edges, *extra})
+    records = [end - start for start, end in zip(cuts, cuts[1:])]
     mutation = draw(
-        st.sampled_from(["none", "flip", "leak", "drop", "past-end", "reorder", "claim", "length"])
+        st.sampled_from(["none", "shift", "merge", "drop", "past-end", "claim", "length"])
     )
-    return template, x, data, spans, runs, mutation, rng
+    return template, x, data, spans, records, mutation, rng
 
 
 @SETTINGS
 @given(request_cases())
 def test_match_request_matches_oracle(case):
-    template, x, data, spans, runs, mutation, rng = case
+    template, x, data, spans, records, mutation, rng = case
     total = len(data)
-    offsets = list(runs)
-    if mutation == "flip" and offsets:
-        o = rng.choice(offsets)
-        k = rng.randrange(len(runs[o]))
-        run = bytearray(runs[o])
-        run[k] ^= 1
-        runs[o] = bytes(run)
-    elif mutation == "leak" and spans:
-        # A run reaching into a secret span, perhaps also differing
-        # before or inside it: the first offending byte names the reason.
-        offset, length = rng.choice(sorted(spans.values()))
-        at = offset + rng.randrange(length) - rng.randrange(4)
-        run = bytearray(data[at:at + rng.randrange(1, 48)])
-        if rng.random() < 0.5:
-            run[rng.randrange(len(run))] ^= 1
-        runs[at] = bytes(run)
-    elif mutation == "drop" and offsets:
-        del runs[rng.choice(offsets)]
+    records = list(records)
+    if mutation == "shift" and len(records) > 1:
+        # Move one cut by a few bytes, perhaps across a secret-span edge.
+        k = rng.randrange(len(records) - 1)
+        step = rng.randint(-min(3, records[k]), min(3, records[k + 1]))
+        records[k], records[k + 1] = records[k] + step, records[k + 1] - step
+    elif mutation == "merge" and len(records) > 1:
+        k = rng.randrange(len(records) - 1)
+        records[k:k + 2] = [records[k] + records[k + 1]]
+    elif mutation == "drop" and records:
+        del records[rng.randrange(len(records))]
     elif mutation == "past-end":
-        runs[total - rng.randrange(3)] = b"xyz"
-    elif mutation == "reorder":
-        runs = dict(rng.sample(list(runs.items()), len(runs)))
-        if offsets:
-            o = rng.choice(offsets)
-            runs[o] = b"!" + runs[o][1:]
+        records.append(rng.randrange(1, 4))
     elif mutation == "claim":
         x = x + "z"
     elif mutation == "length":
         total += rng.choice([-1, 1])
-    result = outcome(match_request, template, x, total, runs)
-    assert result == outcome(old_match_request, template, x, total, runs)
+    result = outcome(match_request, template, x, total, records)
+    assert result == outcome(old_match_request, template, x, total, records)
     if mutation == "none":
-        assert result[0] == "ok"
+        assert result[0] == "ok" and result[1][0] == data
 
 
 def test_first_offending_byte_names_the_reason():
+    # A flipped public byte is named; a flipped secret byte is no difference.
     template = TEMPLATES[0]
     data, spans = render(template, "q", {})
+    _, secret = expected_request(template, "q")
+    secret_bytes = {pos for o, n in spans.values() for pos in range(o, o + n)}
     offset, length = spans["token"]
-    for flip, reason in ((offset + length + 2, "secret byte at"), (offset - 2, "request byte")):
-        run = bytearray(data[offset - 4:offset + length + 4])
-        run[flip - (offset - 4)] ^= 1
-        runs = {offset - 4: bytes(run)}
-        result = outcome(match_request, template, "q", len(data), runs)
-        assert result == outcome(old_match_request, template, "q", len(data), runs)
-        assert result[2].startswith(reason)
+    for flip, named in ((offset + length + 2, offset + length + 2), (offset - 2, offset - 2),
+                        (offset + 3, None)):
+        request = bytearray(data)
+        request[flip] ^= 1
+        assert first_difference(data, secret, bytes(request)) == named
+        assert old_first_difference(data, secret_bytes, request) == named
+    # A request of another length differs where the shorter one ends.
+    for request in (data + b"!", data[:-1]):
+        assert first_difference(data, secret, request) == len(data) - (request == data[:-1])
+        assert old_first_difference(data, secret_bytes, request) == first_difference(
+            data, secret, request
+        )
 
 
 @SETTINGS

@@ -117,48 +117,48 @@ def test_template_validation_errors():
         ParseTemplate.from_obj({"type": "parse", "kind": "core", "output_pointer": "/y"})
 
 
-def _disclosed_map(data, spans):
-    secret = set()
-    for offset, length in spans.values():
-        secret.update(range(offset, offset + length))
-    return {
-        i: bytes([b])
-        for i, b in enumerate(data)
-        if i not in secret
-    }
+def _records(data, spans):
+    """Record lengths cut at every secret-span edge, as a prover sends them."""
+    edges = {edge for offset, length in spans.values() for edge in (offset, offset + length)}
+    cuts = sorted({0, len(data), *edges})
+    return [end - start for start, end in zip(cuts, cuts[1:])]
 
 
 def test_match_request_accepts_honest_disclosure():
     template = InjectTemplate.from_obj(BODY_TEMPLATE)
     data, spans = render(template, "hello", {})
-    match_request(template, "hello", len(data), _disclosed_map(data, spans))
+    # The records are the public head, the secret and the rest.
+    assert match_request(template, "hello", len(data), _records(data, spans)) == (
+        data, frozenset({1})
+    )
+    # Finer cuts classify the same way: a public record may be any length.
+    split = [1] * spans["token"][0] + _records(data, spans)[1:]
+    assert match_request(template, "hello", len(data), split)[1] == {spans["token"][0]}
 
 
 def test_match_request_rejections():
     template = InjectTemplate.from_obj(BODY_TEMPLATE)
     data, spans = render(template, "hello", {})
-    disclosed = _disclosed_map(data, spans)
+    records = _records(data, spans)
 
-    with pytest.raises(Rejected):  # wrong claimed input
-        match_request(template, "other", len(data), disclosed)
-    with pytest.raises(Rejected):  # length mismatch
-        match_request(template, "hello", len(data) + 1, disclosed)
+    def reason(*args):
+        with pytest.raises(Rejected) as err:
+            match_request(template, *args)
+        assert err.value.reason == "template-mismatch"
+        return err.value.detail
 
-    offset, _ = spans["token"]
-    leaked = dict(disclosed)
-    leaked[offset] = b"~"
-    with pytest.raises(Rejected):  # secret byte disclosed
-        match_request(template, "hello", len(data), leaked)
-
-    partial = dict(disclosed)
-    del partial[0]
-    with pytest.raises(Rejected):  # non-secret byte withheld
-        match_request(template, "hello", len(data), partial)
-
-    tampered = dict(disclosed)
-    tampered[0] = b"X"
-    with pytest.raises(Rejected):  # disclosed byte differs
-        match_request(template, "hello", len(data), tampered)
+    # A claimed input of another length, or a declared length that differs.
+    assert reason("hello!", len(data), records).startswith("rendered length")
+    assert reason("hello", len(data) + 1, records).startswith("rendered length")
+    # Records that carry too few or too many bytes.
+    assert reason("hello", len(data), records[:-1]).startswith("request records carry")
+    assert reason("hello", len(data), records + [1]).startswith("request records carry")
+    # A record that runs into the secret, or out of it.
+    for moved in ([records[0] + 1, records[1] - 1], [records[0] - 1, records[1] + 1]):
+        detail = reason("hello", len(data), moved + records[2:])
+        assert detail.endswith("straddles a secret span edge")
+    merged = [records[0] + records[1]] + records[2:]
+    assert reason("hello", len(data), merged) == "request record 0 straddles a secret span edge"
 
 
 def test_parse_tool_and_core():

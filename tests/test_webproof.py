@@ -1,17 +1,18 @@
 import random
 import string
-from itertools import accumulate
+from dataclasses import replace
 
 import pytest
 
 from conftest import grid
-from vet import toytls
+from vet import commitment, toytls
 from vet.canonical import canonical_bytes
-from vet.commitment import SALT_LEN, Disclosure, commit, disclose
+from vet.commitment import SALT_LEN, commit, disclose
 from vet.errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from vet.keys import SigningKey
 from vet.templates import render
 from vet.webproof import (
+    NotarizedSession,
     OpenStatement,
     RecordInfo,
     SignedStatement,
@@ -119,14 +120,10 @@ def test_recommitment_to_other_plaintext_rejected(rig):
     )
     rng = random.Random(9)
     fake_commitment, fake_opening = commit(fake_response, grid(len(fake_response), 16), rng)
-    forged = WebProof(
-        statement=proof.statement,
-        record_keys=proof.record_keys,
-        request_commitment=proof.request_commitment,
-        request_disclosure=proof.request_disclosure,
+    forged = replace(
+        proof,
         response_commitment=fake_commitment,
         response_disclosure=disclose(fake_opening, [(0, len(fake_response))]),
-        claims=proof.claims,
     )
     with pytest.raises(Rejected) as err:
         verify_webproof("forged", forged, rig.entry, "tool", rig.registry)
@@ -137,19 +134,14 @@ def test_large_proof_is_at_most_three_times_its_exchange(rig):
     message = "".join(random.Random(48).choices(string.ascii_letters, k=48 * 1024))
     _, proof = _prove(rig, message)
     assert verify_webproof(message, proof, rig.entry, "tool", rig.registry) == message
-    exchange = proof.request_commitment.total_length + proof.response_commitment.total_length
+    exchange = proof.request_length + proof.response_commitment.total_length
     assert exchange > 2 * 48 * 1024
     assert len(canonical_bytes(proof.to_obj())) <= 3 * exchange
-    # One chunk, and so one salt, per record; only the secret's stays hidden.
-    records = proof.statement.records
-    for direction, commitment in (
-        ("up", proof.request_commitment), ("down", proof.response_commitment)
-    ):
-        lengths = [r.length for r in records if r.direction == direction]
-        assert list(commitment.chunk_lengths) == lengths
-    disclosures = (proof.request_disclosure, proof.response_disclosure)
-    salts = sum(len(run.salt) for d in disclosures for run in d.chunks) // SALT_LEN
-    assert salts == len(records) - 1
+    # One chunk, and so one salt, per response record; the request has none.
+    down = [r.length for r in proof.statement.records if r.direction == "down"]
+    assert list(proof.response_commitment.chunk_lengths) == down
+    salts = sum(len(run.salt) for run in proof.response_disclosure.chunks) // SALT_LEN
+    assert salts == len(down)
 
 
 def test_verify_webproof_runs_no_keystream(rig, monkeypatch):
@@ -175,50 +167,28 @@ def test_verify_webproof_closes_its_session_of_one_once(rig, monkeypatch):
 def test_cross_session_splicing_rejected(rig):
     _, proof_a = _prove(rig, "aaaa", seed=1)
     _, proof_b = _prove(rig, "bbbb", seed=2)
-    spliced = WebProof(
-        statement=proof_b.statement,  # signed chain from the other session
-        record_keys=proof_a.record_keys,
-        request_commitment=proof_a.request_commitment,
-        request_disclosure=proof_a.request_disclosure,
-        response_commitment=proof_a.response_commitment,
-        response_disclosure=proof_a.response_disclosure,
-        claims=proof_a.claims,
-    )
+    # The signed chain from the other session.
+    spliced = replace(proof_a, statement=proof_b.statement)
     with pytest.raises(Rejected) as err:
         verify_webproof("aaaa", spliced, rig.entry, "tool", rig.registry)
     assert err.value.reason == "cipher-mismatch"
 
 
 def test_mutated_record_key_rejected(rig):
+    # A response record's tag is checked over the disclosed response, a
+    # request record's over the rendering of the claimed input.
     _, proof = _prove(rig, "x")
-    keys = dict(proof.record_keys)
-    (slot, key) = next(iter(keys.items()))
-    keys[slot] = bytes([key[0] ^ 1]) + key[1:]
-    mutated = WebProof(
-        statement=proof.statement,
-        record_keys=keys,
-        request_commitment=proof.request_commitment,
-        request_disclosure=proof.request_disclosure,
-        response_commitment=proof.response_commitment,
-        response_disclosure=proof.response_disclosure,
-        claims=proof.claims,
-    )
-    with pytest.raises(Rejected) as err:
-        verify_webproof("x", mutated, rig.entry, "tool", rig.registry)
-    assert err.value.reason == "cipher-mismatch"
+    for (direction, index), key in proof.record_keys.items():
+        keys = {**proof.record_keys, (direction, index): bytes([key[0] ^ 1]) + key[1:]}
+        assert _reason(rig, "x", replace(proof, record_keys=keys)) == (
+            "cipher-mismatch" if direction == "down" else "template-mismatch",
+            f"{direction} record {index} does not match its signed tag",
+        )
 
 
 def test_claimed_input_must_match_disclosure(rig):
     _, proof = _prove(rig, "x")
-    lied = WebProof(
-        statement=proof.statement,
-        record_keys=proof.record_keys,
-        request_commitment=proof.request_commitment,
-        request_disclosure=proof.request_disclosure,
-        response_commitment=proof.response_commitment,
-        response_disclosure=proof.response_disclosure,
-        claims={"input": "y"},
-    )
+    lied = replace(proof, claims={"input": "y"})
     with pytest.raises(Rejected) as err:
         verify_webproof("x", lied, rig.entry, "tool", rig.registry)
     assert err.value.reason == "template-mismatch"
@@ -241,52 +211,185 @@ def test_minimal_disclosure_excludes_secret_chunks(rig):
     _, proof = _prove(rig, "mindisc")
     request, spans = render(template, "mindisc", {"token": SECRET})
     (offset, length) = spans["token"]
-    # The secret is a record of its own, so it is one chunk of its own.
-    offsets = list(accumulate(proof.request_commitment.chunk_lengths, initial=0))
-    secret_chunk = offsets.index(offset)
-    assert offsets[secret_chunk + 1] == offset + length
-    revealed = {i for run in proof.request_disclosure.chunks for i in range(run.index, run.end)}
-    assert offsets[-1] == len(request)
-    assert revealed == set(range(len(offsets) - 1)) - {secret_chunk}
+    # The secret is an up record of its own, the one whose key is withheld;
+    # nothing of the request is disclosed.
+    up = [r.length for r in proof.statement.records if r.direction == "up"]
+    secret_record = [sum(up[:i]) for i in range(len(up))].index(offset)
+    assert up[secret_record] == length and sum(up) == proof.request_length == len(request)
+    released = {i for d, i in proof.record_keys if d == "up"}
+    assert released == set(range(len(up))) - {secret_record}
+    assert proof.to_obj()["request_disclosure"] == {"chunks": []}
 
 
 def test_unkeyed_record_disclosure_rejected(rig):
-    # Disclose the secret chunk without a key for its record.
+    # A request disclosed as format 7 did, the secret record's bytes
+    # included, no longer decodes: the request stubs admit no content.
     template = rig.registry.get_inject(rig.inject_uid)
-    prover = WebProofProver(
-        rig.service, rig.registry, secrets={"token": SECRET}, rng=random.Random(77)
+    _, proof = _prove(rig, "leakattempt")
+    request, _ = render(template, "leakattempt", {"token": SECRET})
+    up = [r.length for r in proof.statement.records if r.direction == "up"]
+    request_commitment, opening = commit(request, up, random.Random(79))
+    obj = proof.to_obj()
+    obj["request_commitment"] = request_commitment.to_obj()
+    obj["request_disclosure"] = disclose(opening, [(0, len(request))]).to_obj()
+    with pytest.raises(ValidationError, match="request fields must be"):
+        WebProof.from_obj(obj)
+
+
+def _session_proof(rig, x, spans=None, seed=0):
+    """A proof of echoing ``x`` with its request cut at ``spans`` (the
+    template's secret spans by default), and the key of every up record,
+    as only the prover holds them."""
+    template = rig.registry.get_inject(rig.inject_uid)
+    request, secret = render(template, x, {"token": SECRET})
+    session = NotarizedSession(
+        provision_channel(rig.service, "echo.test", rng=random.Random(seed)), random.Random(seed)
     )
-    request, spans = render(template, "leakattempt", {"token": SECRET})
-    channel = provision_channel(rig.service, "echo.test", rng=random.Random(78))
-    rng = random.Random(79)
-    # Re-run the session manually but disclose everything, including the
-    # secret span, while the secret record's key stays unreleased.
-    response, proof = run_session(
-        channel,
-        request,
-        secret_spans=sorted(spans.values()),
-        rng=rng,
-        claims={"input": "leakattempt"},
+    session.send(request, sorted(secret.values()) if spans is None else spans, {"input": x})
+    up_keys = session._sent[0].up_keys
+    ((_, proof),) = session.finish()
+    return proof, up_keys
+
+
+def _reason(rig, x, proof):
+    with pytest.raises(Rejected) as err:
+        verify_webproof(x, proof, rig.entry, "tool", rig.registry)
+    return err.value.reason, err.value.detail
+
+
+def test_key_released_for_a_secret_record_is_rejected(rig):
+    proof, up_keys = _session_proof(rig, "reveal")
+    assert verify_webproof("reveal", proof, rig.entry, "tool", rig.registry) == "reveal"
+    ((secret_record,),) = [
+        set(range(len(up_keys))) - {i for d, i in proof.record_keys if d == "up"}
+    ]
+    keys = {**proof.record_keys, ("up", secret_record): up_keys[secret_record]}
+    assert _reason(rig, "reveal", replace(proof, record_keys=keys)) == (
+        "template-mismatch", f"up record {secret_record} is secret but has a key"
     )
-    full_commitment, full_opening = None, None
-    # Rebuild a disclosure of the full request under the same commitment
-    # is impossible without the opening; instead widen the honest one by
-    # lying about the ranges.
-    widened = Disclosure(
-        ranges=((0, proof.request_commitment.total_length),),
-        chunks=proof.request_disclosure.chunks,
+
+
+def test_withheld_public_record_key_is_rejected(rig):
+    proof, _ = _session_proof(rig, "withhold")
+    for slot in [slot for slot in proof.record_keys if slot[0] == "up"]:
+        keys = {s: k for s, k in proof.record_keys.items() if s != slot}
+        assert _reason(rig, "withhold", replace(proof, record_keys=keys)) == (
+            "template-mismatch", f"up record {slot[1]} has no key"
+        )
+
+
+@pytest.mark.parametrize("side", ["before", "after"])
+@pytest.mark.parametrize("release", [False, True], ids=["withheld", "released"])
+def test_record_straddling_a_secret_span_edge_is_rejected(rig, side, release):
+    # The secret is sent in one record with its public neighbour, as a
+    # prover that reveals the neighbour's bytes without a record of their
+    # own would: the signed lengths then cut across the span's edge.
+    template = rig.registry.get_inject(rig.inject_uid)
+    request, spans = render(template, "straddle", {"token": SECRET})
+    offset, length = spans["token"]
+    merged = [(0, offset + length)] if side == "before" else [(offset, len(request) - offset)]
+    proof, up_keys = _session_proof(rig, "straddle", spans=merged)
+    merged_record = 0 if side == "before" else 1
+    assert ("up", merged_record) not in proof.record_keys
+    if release:
+        proof = replace(
+            proof, record_keys={**proof.record_keys, ("up", merged_record): up_keys[merged_record]}
+        )
+    assert _reason(rig, "straddle", proof) == (
+        "template-mismatch", f"request record {merged_record} straddles a secret span edge"
     )
-    forged = WebProof(
-        statement=proof.statement,
-        record_keys=proof.record_keys,
-        request_commitment=proof.request_commitment,
-        request_disclosure=widened,
-        response_commitment=proof.response_commitment,
-        response_disclosure=proof.response_disclosure,
-        claims=proof.claims,
+
+
+def test_key_for_an_up_record_past_the_chain_is_a_cipher_mismatch(rig):
+    _, proof = _prove(rig, "past")
+    keys = {**proof.record_keys, ("up", 3): bytes(32)}
+    assert _reason(rig, "past", replace(proof, record_keys=keys)) == (
+        "cipher-mismatch", "key for nonexistent up record 3"
     )
-    with pytest.raises(Rejected):
-        verify_webproof("leakattempt", forged, rig.entry, "tool", rig.registry)
+
+
+def test_request_stub_with_a_wrong_total_length_is_rejected(rig):
+    _, proof = _prove(rig, "length")
+    for wrong in (proof.request_length - 1, proof.request_length + 1, 0):
+        obj = proof.to_obj()
+        obj["request_commitment"]["total_length"] = str(wrong)
+        reason, detail = _reason(rig, "length", WebProof.from_obj(obj))
+        assert reason == "template-mismatch" and f"declared length {wrong}" in detail
+
+
+@pytest.mark.parametrize(
+    "field, stub",
+    [
+        ("request_disclosure", {"chunks": [{"index": "0"}]}),
+        ("request_disclosure", {"chunks": [], "ranges": []}),
+        ("request_disclosure", {}),
+        ("request_commitment", {"total_length": "1", "root": "00" * 32}),
+        ("request_commitment", {}),
+        ("claims", {"input": "stub", "more": "x"}),
+        ("claims", {}),
+    ],
+    ids=[
+        "nonempty-chunks", "extra-disclosure-key", "no-chunks", "extra-commitment-key",
+        "no-total-length", "extra-claim", "no-input",
+    ],
+)
+def test_request_stubs_and_claims_admit_one_shape(rig, field, stub):
+    _, proof = _prove(rig, "stub")
+    obj = proof.to_obj()
+    obj[field] = stub
+    with pytest.raises(ValidationError):
+        WebProof.from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [[], [["0", "1"]], [["1", "N"]], [["0", "N"], ["0", "N"]], [["0", "N+1"]]],
+    ids=["none", "short", "shifted", "twice", "past-end"],
+)
+def test_response_ranges_must_be_the_whole_response(rig, ranges):
+    _, proof = _prove(rig, "ranges")
+    total = proof.response_commitment.total_length
+    obj = proof.to_obj()
+    obj["response_disclosure"]["ranges"] = [
+        [o, n.replace("N+1", str(total + 1)).replace("N", str(total))] for o, n in ranges
+    ]
+    assert _reason(rig, "ranges", WebProof.from_obj(obj))[0] == "chunk-range-inconsistency"
+
+
+def test_proof_of_format_7_is_rejected_naming_its_version(rig):
+    _, proof = _prove(rig, "old")
+    obj = proof.to_obj()
+    obj["format"] = "7"
+    with pytest.raises(ValidationError, match="web proof format 7 is not supported"):
+        WebProof.from_obj(obj)
+
+
+def test_proof_size_carries_no_copy_of_the_request(rig):
+    # Growing x by 7 KiB grows the proof by the input claim and the
+    # response echo alone: no hex copy of the request comes back.
+    letters = random.Random(50).choices(string.ascii_letters, k=8 * 1024)
+    small_x, large_x = "".join(letters[:1024]), "".join(letters)
+    (_, small), (_, large) = _prove(rig, small_x, seed=1), _prove(rig, large_x, seed=2)
+    grown = len(canonical_bytes(large.to_obj())) - len(canonical_bytes(small.to_obj()))
+    response_growth = (
+        large.response_commitment.total_length - small.response_commitment.total_length
+    )
+    assert 0 < grown < 2 * (7 * 1024 + response_growth)
+
+
+def test_verify_webproof_checks_one_disclosure(rig, monkeypatch):
+    _, proof = _prove(rig, "one disclosure")
+    calls = []
+    check = commitment.verify_disclosure
+
+    def counted(*args):
+        calls.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(commitment, "verify_disclosure", counted)
+    monkeypatch.setattr("vet.webproof.verify_disclosure", counted)
+    assert verify_webproof("one disclosure", proof, rig.entry, "tool", rig.registry)
+    assert calls == [proof.response_commitment]
 
 
 def test_capacity_exhaustion_raises(rig):
@@ -366,7 +469,7 @@ def _verify_sessions(rig, sessions):
 def _sizes(rig, message):
     """(request, response) bytes of one echo of ``message``."""
     _, proof = _prove(rig, message)
-    return proof.request_commitment.total_length, proof.response_commitment.total_length
+    return proof.request_length, proof.response_commitment.total_length
 
 
 def _aborted(service):
