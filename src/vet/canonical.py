@@ -48,7 +48,11 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # 8: a web proof no longer commits to or discloses its request, which the
 # verifier renders from the template and the claimed input; the request
 # fields are fixed stubs, and a format-7 request disclosure is refused.
-FORMAT = "8"
+# 9: the notary signs the head of a hash chain over the session's records
+# and their count, not a list of them; a web proof adds the tags of its
+# secret up records and its down record lengths, and a format-8 statement,
+# which lists every record, is refused.
+FORMAT = "9"
 
 
 def canonical_bytes(obj: Any) -> bytes:

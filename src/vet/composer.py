@@ -17,13 +17,15 @@ invocation order, which the verifier recomputes, so no position ships.
 
 ``SCHEMES`` is the one place that knows the proof systems: it maps each
 AID verification scheme to the ``kind`` its proofs carry on the wire,
-the payload field naming their session, and three functions. ``open``
-checks a session's signature once, ``verify`` authenticates the
-session's next exchange, and ``close`` requires that every exchange of
-the session was consumed; each raises ``Rejected`` with the scheme's own
-reason. Adding a scheme means adding one entry. Proving and verifying
-walk a trace's invocations in one order (``invocations``), and
-``verify_trace`` records what it checked in a ``VerificationReport``.
+the payload field naming their session, and two functions. ``open``
+checks a session's signature once and returns a ``vet.chain.OpenChain``
+over the hash chain it signs, and ``verify`` authenticates the
+session's next exchange and chains it on; the chain's ``close``
+requires that every signed exchange was consumed. Each raises
+``Rejected`` with the scheme's own reason. Adding a scheme means adding
+one entry. Proving and verifying walk a trace's invocations in one order
+(``invocations``), and ``verify_trace`` records what it checked in a
+``VerificationReport``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .aid import (
     compute_id,
 )
 from .canonical import FORMAT, check_format, json_field
+from .chain import OpenChain
 from .errors import Rejected, ValidationError
 from .templates import (
     ROLE_CORE,
@@ -66,9 +69,10 @@ KIND_TEE = "tee_attestation"
 class Scheme(NamedTuple):
     kind: str
     session_field: str
-    open: Callable[[dict, ComponentEntry], object]
-    verify: Callable[[dict, ComponentEntry, TemplateRegistry, str, object], AuthenticatedExchange]
-    close: Callable[[object], None]
+    open: Callable[[dict, ComponentEntry], OpenChain]
+    verify: Callable[
+        [dict, ComponentEntry, TemplateRegistry, str, OpenChain], AuthenticatedExchange
+    ]
 
 
 SCHEMES = {
@@ -77,14 +81,12 @@ SCHEMES = {
         "signed_statement",
         webproof.open_session,
         webproof.verify_exchange,
-        webproof.OpenStatement.close,
     ),
     SCHEME_PROXY_TEE: Scheme(
         KIND_TEE,
         "attestation",
         tee_proxy.open_log,
         tee_proxy.verify_exchange,
-        tee_proxy.OpenLog.close,
     ),
 }
 
@@ -410,11 +412,11 @@ class SessionCheck:
     """One session of a bundle as ``verify_trace`` checked it.
 
     ``signature`` is the verdict of opening it: "ok" once its signature
-    and what it binds (key, domain or TEE type, shape) check out, or the
-    reason they did not. ``verdict`` is that of closing it: "ok" once
-    every exchange it holds was consumed, or the reason. ``exchanges``
-    counts the exchanges its proofs consumed, and ``components`` names
-    those proofs.
+    and what it binds (key, domain or TEE type) check out, or the reason
+    they did not. ``verdict`` is that of closing it: "ok" once its proofs
+    chained the signed number of items to the signed head, or the reason.
+    ``exchanges`` counts the exchanges its proofs consumed, and
+    ``components`` names those proofs.
     """
 
     index: int
@@ -544,9 +546,9 @@ class _OpenSessions:
     def __init__(self, sessions: tuple[Session, ...], report: VerificationReport):
         self.sessions = sessions
         self.report = report
-        self.opened: dict[int, tuple[Scheme, object, SessionCheck]] = {}
+        self.opened: dict[int, tuple[OpenChain, SessionCheck]] = {}
 
-    def state(self, index: int, scheme: Scheme, entry: ComponentEntry, locator: str) -> object:
+    def state(self, index: int, scheme: Scheme, entry: ComponentEntry, locator: str) -> OpenChain:
         """The state of session ``index`` for the next proof of ``scheme``,
         opening the session first if no proof has named it yet."""
         if not 0 <= index < len(self.sessions):
@@ -569,8 +571,8 @@ class _OpenSessions:
                 check.signature = "subproof-invalid"
                 raise
             check.signature = "ok"
-            self.opened[index] = (scheme, state, check)
-        _, state, check = self.opened[index]
+            self.opened[index] = (state, check)
+        state, check = self.opened[index]
         check.exchanges += 1
         check.components.append(locator)
         return state
@@ -580,9 +582,9 @@ class _OpenSessions:
         for index in range(len(self.sessions)):
             if index not in self.opened:
                 raise Rejected("subproof-invalid", f"session {index} is named by no proof")
-        for index, (scheme, state, check) in sorted(self.opened.items()):
+        for index, (state, check) in sorted(self.opened.items()):
             try:
-                scheme.close(state)
+                state.close()
             except Rejected as exc:
                 check.verdict = exc.reason
                 raise Rejected("subproof-invalid", f"session {index}: {exc.reason}: {exc.detail}")

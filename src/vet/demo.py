@@ -333,7 +333,7 @@ def inspect_bundle(
             f"  signature {_status(session.signature)}"
         )
         if session.verdict:
-            line += f", every exchange consumed {_status(session.verdict)}"
+            line += f", chain closed {_status(session.verdict)}"
         lines.append(line)
     step = None
     for check in report.components:

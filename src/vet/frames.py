@@ -42,6 +42,8 @@ HEALTH = 0x10
 HEALTH_OK = 0x11
 
 MAX_FRAME = 1 << 24
+# A notary's bound on any frame but a RELAY_UP: every other one is small.
+CONTROL_MAX = 1 << 12
 # Seconds a socket of the frame server or of its clients waits on a read
 # or a write before the connection counts as dropped.
 IDLE_TIMEOUT = 30.0
@@ -106,10 +108,20 @@ class Frame:
         return encode(self.type, self.payload)
 
 
-def read_frame(sock: socket.socket) -> Frame:
+class FrameTooLarge(ProtocolError):
+    """A frame whose header declares more payload than its reader admits."""
+
+    def __init__(self, ftype: int, length: int, limit: int):
+        super().__init__(f"frame of {length} bytes exceeds limit {limit}")
+        self.type = ftype
+
+
+def read_frame(sock: socket.socket, limit: Callable[[int], int] = lambda ftype: MAX_FRAME) -> Frame:
+    """The next frame; FrameTooLarge, before the payload is read, if its
+    header declares more than ``limit(type)`` bytes."""
     ftype, length = _HEADER.unpack(_read_exact(sock, _HEADER.size))
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds limit")
+    if length > limit(ftype):
+        raise FrameTooLarge(ftype, length, limit(ftype))
     return Frame(ftype, _read_exact(sock, length))
 
 
@@ -138,18 +150,21 @@ class FrameServer(socketserver.ThreadingTCPServer):
     other frame opens a session, ``open_session(frame) -> (session,
     replies)``, where a refusal is no session and an ABORT reply; each
     later frame gets ``session.handle(frame) -> replies``. A frame's
-    replies leave in one write. The loop ends after CLOSE, an ABORT reply,
-    a read error or ``IDLE_TIMEOUT`` seconds of silence, then calls
-    ``session.drop()``.
+    replies leave in one write. A frame declaring more than ``first_limit``
+    bytes, or ``session.frame_limit(type)`` once a session is open, gets
+    an ABORT (``session.refuse(exc)``) before its payload is read. The
+    loop ends after CLOSE, an ABORT reply, a read error or
+    ``IDLE_TIMEOUT`` seconds of silence, then calls ``session.drop()``.
     """
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], open_session: Callable, health: bytes = b""):
+    def __init__(self, address, open_session: Callable, health=b"", first_limit=MAX_FRAME):
         super().__init__(address, _FrameHandler)
         self.open_session = open_session
         self.health = health
+        self.first_limit = first_limit
 
     def start(self) -> "FrameServer":
         """Serve from a daemon thread; returns the bound server."""
@@ -167,7 +182,13 @@ class _FrameHandler(socketserver.BaseRequestHandler):
         try:
             while True:
                 try:
-                    frame = read_frame(sock)
+                    frame = read_frame(
+                        sock, session.frame_limit if session else lambda _: server.first_limit
+                    )
+                except FrameTooLarge as exc:
+                    refusal = [Frame(ABORT, str(exc).encode())]
+                    write_frame(sock, *(session.refuse(exc) if session else refusal))
+                    return
                 except (ProtocolError, OSError):
                     return
                 if frame.type == HEALTH:
@@ -201,6 +222,12 @@ class _RelaySession:
         if frame.type == CLOSE:
             return []
         return [Frame(ABORT, b"expected RELAY_UP")]
+
+    def frame_limit(self, ftype: int) -> int:
+        return MAX_FRAME
+
+    def refuse(self, exc: FrameTooLarge) -> list[Frame]:
+        return [Frame(ABORT, str(exc).encode())]
 
     def drop(self) -> None:
         pass

@@ -1,20 +1,24 @@
-"""Content-oblivious notary: relays ciphertext, signs the record chain.
+"""Content-oblivious notary: relays ciphertext, signs the record chain's head.
 
 The notary sits between the prover and the target server. It forwards
 encrypted records in both directions without parsing their payloads,
-keeps an ordered log of (direction, record tag, plaintext length) per
-session, enforces the per-direction capacity the session was opened
-with, and on request signs a statement over the log. It never holds a
-decryption key, so the signed statement attests only to what crossed
-the wire, not to what it said.
+folds each record's direction, plaintext length and tag into the
+running head of the session's hash chain (``toytls.RecordChain``),
+enforces the per-direction capacity the session was opened with, and on
+request signs a statement over the head and the record count. Whatever
+the number of records, a session's state is that head, the count and
+the two byte sums. It never holds a decryption key, so the signed
+statement attests only to what crossed the wire, not to what it said.
 
 A record's tag is the last 32 bytes of its wire,
-``H("VET/mac:" || key || plaintext)`` (see ``vet.toytls``), and the
-notary logs it as it stands, without hashing the wire. The tag is a
-commitment to the plaintext under the record key: a released key opens
-it with one hash, and a key never released keeps the record hidden. The
-server refuses an up record whose tag does not match what it decrypts,
-and it releases the down seed only once this log is signed.
+``H("VET/mac:" || key || plaintext)`` (see ``vet.toytls``): a commitment
+to the plaintext that a released key opens with one hash. The server
+refuses an up record whose tag does not match what it decrypts, and it
+releases the down seed only once the head is signed.
+
+Over TCP a frame is bounded before its payload is read: a ``RELAY_UP``
+by the session's remaining up capacity and a tag, any other frame, and
+every frame before OPEN, by ``frames.CONTROL_MAX``.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class LedgerEntry:
     state: str = STATE_OPEN
     used_up: int = 0
     used_down: int = 0
-    records: list[tuple[str, str, int]] = field(default_factory=list)
+    chain: toytls.RecordChain = field(default_factory=toytls.RecordChain)
     statement_frame: Frame | None = None
     abort_reason: str = ""
     closed: bool = False
@@ -64,13 +68,12 @@ class LedgerEntry:
         self.state = state
 
     def close(self) -> None:
-        """End the session: drop its records and statement, keep its state.
+        """End the session: drop its statement, keep its state.
 
         The ledger keeps the entry, so its session id stays taken: the
         server derives its seed and ephemeral key from that id.
         """
         self.closed = True
-        self.records = []
         self.statement_frame = None
 
 
@@ -172,7 +175,7 @@ class NotarySession:
                 raise CapacityExceeded(
                     f"down capacity {self.entry.cap_down} exceeded at {self.entry.used_down}"
                 )
-        self.entry.records.append((direction, toytls.record_hash(wire), plaintext_len))
+        self.entry.chain.add(direction, wire)
 
     def _statement(self) -> Frame:
         if self.entry.statement_frame is None:
@@ -187,10 +190,8 @@ class NotarySession:
                 "opened_at": str(self.entry.opened_at),
                 "closed_at": str(self.service.now_ms()),
                 "tee_backed": False,
-                "records": [
-                    {"direction": d, "hash": h, "length": str(n)}
-                    for d, h, n in self.entry.records
-                ],
+                "records": str(self.entry.chain.count),
+                "head": self.entry.chain.head.hex(),
             }
             signature = self.service.signing_key.sign(canonical_bytes(statement))
             body = canonical_bytes(
@@ -208,6 +209,19 @@ class NotarySession:
 
     def _abort_frame(self) -> Frame:
         return Frame(frames.ABORT, self.entry.abort_reason.encode("utf-8"))
+
+    def frame_limit(self, ftype: int) -> int:
+        """The most payload bytes a frame of ``ftype`` may declare: the
+        remaining up capacity and a tag for a RELAY_UP, else CONTROL_MAX."""
+        if ftype == frames.RELAY_UP:
+            return self.entry.cap_up - self.entry.used_up + toytls.TAG_LEN
+        return frames.CONTROL_MAX
+
+    def refuse(self, exc: frames.FrameTooLarge) -> list[Frame]:
+        """Abort on a frame over its limit, before its payload is read."""
+        if exc.type == frames.RELAY_UP:
+            return self._abort(f"up capacity {self.entry.cap_up} exceeded: {exc}")
+        return self._abort(f"protocol error: {exc}")
 
     def drop(self) -> None:
         """End the session when its connection ends; a session still open
@@ -283,7 +297,7 @@ class NotaryService:
 
 class NotaryTCPServer(frames.FrameServer):
     def __init__(self, address: tuple[str, int], service: NotaryService):
-        super().__init__(address, self._open)
+        super().__init__(address, self._open, first_limit=frames.CONTROL_MAX)
         self.service = service
 
     def _open(self, frame: Frame) -> tuple[NotarySession | None, list[Frame]]:

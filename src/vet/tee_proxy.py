@@ -14,11 +14,12 @@ signs its head once, when it closes: a signed tree head in the sense of
 RFC 9162, over the hash chain of Crosby and Wallach's tamper-evident
 logs. The chain fixes every exchange and their order, and the signed
 count fixes how many there are. A bundle's verifier checks the
-signature once (`OpenLog`), chains each proof's request and response
-onto it in the order the trace invokes the log's components, and at
-the end requires that every exchange was consumed and that the chain
-reaches the signed head: a proof moved, swapped, dropped or added
-changes the chain.
+signature once (`open_log`, a `vet.chain.OpenChain` as a notary
+statement's is), chains each proof's request and response onto it in
+the order the trace invokes the log's components, and at the end
+requires that every exchange was consumed and that the chain reaches
+the signed head: a proof moved, swapped, dropped or added changes the
+chain.
 
 A standalone proof is a log of one exchange, checked by the same code:
 `TeeProxy.fetch` opens a log, forwards one request and closes it, and
@@ -37,6 +38,7 @@ from typing import Callable, NamedTuple
 
 from . import frames
 from .canonical import canonical_bytes, canonical_loads, json_field
+from .chain import OpenChain
 from .errors import Rejected, ValidationError
 from .keys import SigningKey, verify_signature
 from .templates import (
@@ -177,52 +179,27 @@ def _match_tee_request(template, request_bytes: bytes) -> str:
     return x
 
 
-class OpenLog:
-    """A signed log head checked once, and the chain its exchanges rebuild.
+def _bind(head: LogHead, entry) -> None:
+    """Rejected unless a component of this enclave key and TEE type may use the log."""
+    if head.enclave_public_key != entry.verification.key_string():
+        raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
+    tee_type = entry.verification.params.get("tee_type")
+    if head.tee_type != tee_type:
+        raise Rejected(
+            "bad-signature",
+            f"attestation is from a {head.tee_type!r} enclave, the document declares {tee_type!r}",
+        )
 
-    ``take`` chains one exchange's hashes on; ``close`` requires that the
-    signed number of exchanges was taken and that they chain to the
-    signed head.
-    """
 
-    def __init__(self, signed: LogHead, entry):
-        self.signed = signed
-        self.bind(entry)
-        key = signed.enclave_public_key
-        if not verify_signature(key, signed.signed_payload(), signed.signature):
-            raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
-        self.head = LOG_START
-        self.taken = 0
-
-    def bind(self, entry) -> None:
-        """Rejected unless a component of this enclave key and TEE type may use the log."""
-        if self.signed.enclave_public_key != entry.verification.key_string():
-            raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
-        tee_type = entry.verification.params.get("tee_type")
-        if self.signed.tee_type != tee_type:
-            raise Rejected(
-                "bad-signature",
-                f"attestation is from a {self.signed.tee_type!r} enclave, "
-                f"the document declares {tee_type!r}",
-            )
-
-    def take(self, request_hash: str, response_hash: str) -> None:
-        if self.taken == self.signed.exchanges:
-            raise Rejected(
-                "hash-mismatch",
-                f"the log holds {self.signed.exchanges} exchanges, and more proofs name it",
-            )
-        self.head = log_link(self.head, request_hash, response_hash)
-        self.taken += 1
-
-    def close(self) -> None:
-        if self.taken != self.signed.exchanges:
-            raise Rejected(
-                "hash-mismatch",
-                f"the log holds {self.signed.exchanges} exchanges, {self.taken} were proven",
-            )
-        if self.head != self.signed.head:
-            raise Rejected("hash-mismatch", "the exchanges do not chain to the signed log head")
+def _open(head: LogHead, entry) -> OpenChain:
+    """Check a log head's signature, once, and open the chain it signs."""
+    _bind(head, entry)
+    key = head.enclave_public_key
+    if not verify_signature(key, head.signed_payload(), head.signature):
+        raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
+    return OpenChain(
+        head, key, head.exchanges, head.head, LOG_START, log_link, "hash-mismatch", "exchanges"
+    )
 
 
 def _read_exchange(
@@ -239,17 +216,17 @@ def _read_exchange(
     return AuthenticatedExchange(x, *parse_exchange(template, response_bytes, role))
 
 
-def open_log(signed: dict, entry) -> OpenLog:
+def open_log(signed: dict, entry) -> OpenChain:
     """Open a bundle's signed log head for the components of ``entry``'s
     enclave: the signature is checked here, once."""
-    return OpenLog(LogHead.from_obj(signed), entry)
+    return _open(LogHead.from_obj(signed), entry)
 
 
 def verify_exchange(
-    payload: dict, entry, registry: TemplateRegistry, role: str, log: OpenLog
+    payload: dict, entry, registry: TemplateRegistry, role: str, log: OpenChain
 ) -> AuthenticatedExchange:
     """The ProxyTEE verifier of a bundle's proof: the next exchange of ``log``."""
-    log.bind(entry)
+    _bind(log.signed, entry)
     request, response = (json_field(payload, key, bytes) for key in ("request", "response"))
     log.take(_digest(request), _digest(response))
     return _read_exchange(request, response, entry, registry, role)
@@ -272,7 +249,7 @@ def verify_attestation(
     closed before the exchange is read, so bytes the head does not chain
     are a hash-mismatch whatever they hold.
     """
-    log = OpenLog(head, entry)
+    log = _open(head, entry)
     log.take(_digest(request_bytes), _digest(response_bytes))
     log.close()
     exchange = _read_exchange(request_bytes, response_bytes, entry, registry, role)

@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .canonical import canonical_bytes, canonical_loads, content_hash, json_field, json_pointer
+from .commitment import normalize_ranges
 from .errors import Rejected, ValidationError
 from .httpmsg import parse_request, parse_response
+from .toytls import split_records
 
 PAD_CHAR = "~"
 INPUT_SLOT = "{input}"
@@ -305,42 +307,30 @@ def parse_exchange(
 
 
 def match_request(
-    template: InjectTemplate,
-    x: str,
-    total_length: int,
-    record_lengths: list[int],
-) -> tuple[bytes, frozenset[int]]:
-    """Render the request for input ``x`` and cut it into records.
+    template: InjectTemplate, x: str, total_length: int
+) -> tuple[bytes, list[int], frozenset[int]]:
+    """Render the request for input ``x`` and cut it into records as the prover does.
 
-    Returns the rendering, its secret spans masked, and the indices of
-    the records of ``record_lengths`` bytes that lie inside a secret
-    span. Raises Rejected("template-mismatch") unless the rendering is
-    ``total_length`` bytes long, the records carry exactly those bytes,
-    and each lies wholly inside a secret span or wholly outside all.
+    Returns the rendering, its secret spans masked; the lengths of its
+    records, cut by ``toytls.split_records`` at every secret-span edge;
+    and the indices of the records inside a secret span. Raises
+    Rejected("template-mismatch") unless the rendering is
+    ``total_length`` bytes long.
     """
-    expected, secret = expected_request(template, x)
+    expected, spans = render(template, x, {})
     if len(expected) != total_length:
         raise Rejected(
             "template-mismatch",
             f"rendered length {len(expected)} != declared length {total_length}",
         )
-    if sum(record_lengths) != total_length:
-        raise Rejected(
-            "template-mismatch",
-            f"request records carry {sum(record_lengths)} bytes, not {total_length}",
-        )
-    inside = []
-    end = 0
-    for index, length in enumerate(record_lengths):
-        offset, end = end, end + length
-        if secret.find(1, offset, end) < 0:
-            continue
-        if secret.find(0, offset, end) >= 0:
-            raise Rejected(
-                "template-mismatch", f"request record {index} straddles a secret span edge"
-            )
-        inside.append(index)
-    return expected, frozenset(inside)
+    secret_spans = normalize_ranges(list(spans.values()), total_length)
+    records = split_records(total_length, secret_spans)
+    inside = frozenset(
+        index
+        for index, (offset, _) in enumerate(records)
+        if any(start <= offset < start + length for start, length in secret_spans)
+    )
+    return expected, [length for _, length in records], inside
 
 
 # Maps a secret mask (1 inside a secret span) to a byte mask of the

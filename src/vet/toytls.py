@@ -7,33 +7,42 @@ and sealed encrypt-and-MAC, as SSH's binary packet protocol does
 derived from a direction-specific secret. Up-direction keys come from
 the X25519 handshake secret (known to prover and server, never to the
 relay). Down-direction keys come from a server-held session seed that is
-released to the prover only after the relay has signed the chain of
-tags, so the prover's pre-signature view never suffices to forge a
-response.
+released to the prover only after the relay has signed the head of the
+record chain, so the prover's pre-signature view never suffices to
+forge a response.
 
-The tag is what the notary signs for a record, and it is the record's
-commitment, opened by releasing its key (DECO's commit-then-key-release
-binds released keys through a MAC in the same way):
+The tag is the record's commitment, opened by releasing its key (DECO's
+commit-then-key-release binds released keys through a MAC in the same
+way):
 
 - Binding rests on SHA-256 collision resistance. A released key and a
-  plaintext of the signed length must hash to the signed tag. The
-  length fixes where the key ends and the plaintext begins, so any
-  other pair than the sealed one is a collision. The verifier checks
-  one hash per record and never re-encrypts.
+  plaintext of the record's length must hash to its tag. The length
+  fixes where the key ends and the plaintext begins, so any other pair
+  than the sealed one is a collision. The verifier checks one hash per
+  record and never re-encrypts.
 - Hiding: a secret record's key is never released, so its tag is a
   hash salted with a 256-bit key that no one else holds, the argument
   ``vet.commitment`` makes for its salted leaves.
-- The down seed is still released only after the tags are signed, so
-  the prover cannot steer a response to a tag it already knows.
 - The server refuses an up record whose tag does not match what it
   decrypts, so the plaintext a tag binds is the one the server read.
+
+The notary, the server and the prover each fold a session's records
+into one running hash (``RecordChain``),
+``h_i = H("VET/rec:" || h_{i-1} || direction || length || tag)`` from
+``h_0`` all zero, with a one-byte direction and an eight-byte length, so
+every input has one parse. The notary signs the head and the number of
+records, not a list of them, and keeps O(1) state per session. Short of
+a SHA-256 collision, the head binds the order, direction, length and tag
+of every record, and the signed count fixes their number. The down seed
+is released only after that head is signed, so the prover cannot steer
+a response to a tag it already knows.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -86,9 +95,29 @@ def open_record(key: bytes, wire: bytes) -> bytes:
     return plaintext
 
 
-def record_hash(wire: bytes) -> str:
-    """The digest the notary signs for a sealed record: its tag, in hex."""
-    return wire[-TAG_LEN:].hex()
+# The head of a chain that holds no record yet.
+CHAIN_START = bytes(32)
+_DIRECTION_BYTE = {"up": b"u", "down": b"d"}
+
+
+def chain_link(head: bytes, direction: str, length: int, tag: bytes) -> bytes:
+    """The record chain's head after one more record."""
+    return hashlib.sha256(
+        b"VET/rec:" + head + _DIRECTION_BYTE[direction] + length.to_bytes(8, "big") + tag
+    ).digest()
+
+
+class RecordChain:
+    """A session's records folded into the head of their hash chain, and their count."""
+
+    def __init__(self):
+        self.head = CHAIN_START
+        self.count = 0
+
+    def add(self, direction: str, wire: bytes) -> None:
+        """Chain on the sealed record ``wire``, at least ``TAG_LEN`` bytes long."""
+        self.head = chain_link(self.head, direction, len(wire) - TAG_LEN, wire[-TAG_LEN:])
+        self.count += 1
 
 
 def up_secret(shared: bytes) -> bytes:
@@ -149,34 +178,30 @@ def handshake_signature_message(
     )
 
 
-class RecordInfo(NamedTuple):  # equal to the plain (direction, hash, length) tuple
-    direction: str
-    hash: str
-    length: int
-
-
 @dataclass(frozen=True)
 class SignedStatement:
-    """A notary-signed session statement, decoded once; ``statement`` is the signed object."""
+    """A notary-signed session statement, decoded once; ``statement`` is the
+    signed object, over the head and count of the session's record chain."""
 
     statement: dict
     signature: str
     session_id: str
     server_domain: str
     capacity: tuple[int, int]  # (up, down)
-    records: tuple[RecordInfo, ...]
+    records: int
+    head: bytes
 
     def verify(self, notary_key: str) -> bool:
         return verify_signature(notary_key, canonical_bytes(self.statement), self.signature)
 
-    def check_session(self, notary_keys: list[str], session_id: str, chain: list) -> None:
+    def check_session(self, notary_keys: list[str], session_id: str, chain: RecordChain) -> None:
         """ProtocolError unless one of ``notary_keys`` signed this statement for
-        ``session_id`` over ``chain``, a (direction, hash, length) per record."""
+        ``session_id`` over ``chain``."""
         if not any(self.verify(key) for key in notary_keys):
             raise ProtocolError("statement not signed by a known notary")
         if self.session_id != session_id:
             raise ProtocolError("statement is for a different session")
-        if list(self.records) != chain:
+        if (self.records, self.head) != (chain.count, chain.head):
             raise ProtocolError("signed chain does not match the session records")
 
     def to_obj(self) -> dict:
@@ -186,18 +211,17 @@ class SignedStatement:
     def from_obj(cls, obj: dict) -> "SignedStatement":
         statement = json_field(obj, "statement", dict)
         capacity = json_field(statement, "channel_capacity", dict)
+        head = json_field(statement, "head", bytes)
+        if len(head) != len(CHAIN_START):
+            raise ValidationError(f"head must be {len(CHAIN_START)} bytes, not {len(head)}")
         return cls(
             statement=statement,
             signature=json_field(obj, "notary_signature"),
             session_id=json_field(statement, "session_id"),
             server_domain=json_field(statement, "server_domain"),
             capacity=(json_field(capacity, "up", int), json_field(capacity, "down", int)),
-            records=tuple(
-                RecordInfo(
-                    json_field(r, "direction"), json_field(r, "hash"), json_field(r, "length", int)
-                )
-                for r in json_field(statement, "records", list)
-            ),
+            records=json_field(statement, "records", int),
+            head=head,
         )
 
 
@@ -220,9 +244,9 @@ class ServerConnection:
         self._seed = hashlib.sha256(
             b"VET/session-seed:" + server.session_secret + session_id.encode()
         ).digest()
-        self._up_wires: list[bytes] = []  # the request in progress
+        self._request = bytearray()  # the request in progress, opened record by record
         self._counts = {"up": 0, "down": 0}  # records keyed so far, per direction
-        self._sent_hashes: list[tuple[str, str, int]] = []  # (direction, tag, pt length)
+        self._chain = RecordChain()
 
     def handle(self, frame: Frame) -> list[Frame]:
         if frame.type == frames.HS_UP:
@@ -273,8 +297,8 @@ class ServerConnection:
     def _record_up(self, wire: bytes) -> None:
         if self._up_secret is None:
             raise ProtocolError("server: record before handshake")
-        self._up_wires.append(wire)
-        self._sent_hashes.append(("up", record_hash(wire), len(wire) - TAG_LEN))
+        self._request += open_record(self._key("up"), wire)
+        self._chain.add("up", wire)
 
     def _key(self, direction: str) -> bytes:
         """The key of the next record in ``direction``; indices run on
@@ -286,8 +310,7 @@ class ServerConnection:
 
     def _respond(self) -> list[Frame]:
         """Answer the request sent since the last END_UP."""
-        request_bytes = b"".join(open_record(self._key("up"), wire) for wire in self._up_wires)
-        self._up_wires = []
+        request_bytes, self._request = bytes(self._request), bytearray()
         # A request the handler cannot read ends the session, as an HTTP
         # server closes the connection on a malformed request.
         try:
@@ -301,7 +324,7 @@ class ServerConnection:
         ] or [b""]
         for chunk in chunks:
             wire = seal_record(self._key("down"), chunk)
-            self._sent_hashes.append(("down", record_hash(wire), len(chunk)))
+            self._chain.add("down", wire)
             out.append(Frame(frames.RELAY_DOWN, wire))
         out.append(Frame(frames.END_DOWN, b""))
         return out
@@ -316,7 +339,7 @@ class ServerConnection:
             signed = SignedStatement.from_obj(canonical_loads(statement_bytes))
         except ValidationError as exc:
             raise ProtocolError(f"malformed key request: {exc}")
-        signed.check_session(self.server.notary_keys, self.session_id, self._sent_hashes)
+        signed.check_session(self.server.notary_keys, self.session_id, self._chain)
         released = seal_record(post_key(self._hk, "down"), self._seed)
         return [Frame(frames.POST_DOWN, released)]
 
@@ -325,7 +348,7 @@ class TargetServer:
     """A toy-TLS endpoint wrapping a plain HTTP handler function.
 
     The server is trusted to follow its interface; it withholds the
-    down-direction seed until shown the relay-signed chain of record tags.
+    down-direction seed until shown the relay-signed head of the record chain.
     """
 
     def __init__(

@@ -3,72 +3,62 @@
 The prover opens a notarized channel, speaks toy-TLS to the target
 server through the content-oblivious notary, and assembles a WebProof:
 the notary-signed session statement, the keys of the records it may
-reveal, the response under a salted commitment disclosed in full, and
-the claimed input. The request is not shipped. As DECO's verifier checks
-a query against a public template, the verifier renders the request
-from the inject template and the claimed input, with the secret spans
-masked (``templates.match_request``), cuts it at the signed up-record
-lengths, and hashes each public record under its released key. Each
-response record is hashed likewise over the disclosed response. Every
-hash must equal the record tag the notary signed; the response is then
-parsed. Acceptance means the claimed value really crossed the notarized
-channel, in answer to the request the template renders.
+reveal, the tags of those it keeps secret, the response record lengths,
+the response under a salted commitment disclosed in full, and the
+claimed input. The request is not shipped. As DECO's verifier checks a
+query against a public template, the verifier renders the request from
+the inject template and the claimed input, with the secret spans
+masked, and cuts it into records as the prover does
+(``templates.match_request``). It hashes each public record under its
+released key, and each response record likewise over the disclosed
+response; a secret record's tag comes from the proof. It chains every
+tag onto the session's record chain and, when the session closes,
+requires the signed count and head. Acceptance means the claimed value
+really crossed the notarized channel, in answer to the request the
+template renders. The verifier never runs the cipher.
 
-A signed tag is ``H("VET/mac:" || key || plaintext)``, so it is already
-a per-record salted commitment that the released key opens. Binding
-rests on SHA-256 collision resistance: the plaintext length is signed,
-so a released key and bytes that hash to the signed tag but differ from
-the sealed ones are a collision, whatever the key's length. A secret
-record's key is never released, and its tag, salted with that 256-bit
-key, hides it. The down seed is released only after the tags are
-signed. The verifier never runs the cipher.
+Soundness. A tag is ``H("VET/mac:" || key || plaintext)``, a salted
+commitment that the released key opens, and the server refuses an up
+record whose tag does not match what it decrypts; a secret record's key
+is never released, so its tag hides it. The notary signs
+``h_n = H("VET/rec:" || h_{n-1} || direction || length || tag)`` and
+the count ``n`` (``vet.toytls``). The fields have fixed widths, so short
+of a SHA-256 collision the head binds the order, direction, length and
+tag of every record, and the signed count fixes their number: the
+rebuilt chain reaches the signed head only if it is the session's
+records, and each keyed tag then binds the bytes the server read or
+sent. The verifier cuts the up records from the rendering itself, so
+every public byte the server received is the rendered byte at its
+position. A public record must have its key released and a secret one
+must not, so only a record inside a secret span, whose bytes the
+template leaves to the prover, takes its tag from the proof. Every
+proof covers at least one up and one down record, so a session's
+exchanges are its maximal runs of up records, each followed by its
+maximal run of down records: the directions in the chain fix where one
+proof's records end and the next one's begin, and the cut is unique.
 
-Soundness of the rendered request. The server refuses an up record whose
-tag does not match what it decrypts (``vet.toytls``), so each signed up
-tag is a tag over the bytes the server received. A keyed tag binds its
-bytes, short of a SHA-256 collision. The signed lengths fix where each
-record sits in the rendering, and their sum must equal the rendering's
-length and the declared ``total_length``. So every public byte the
-server received is the rendered byte at its position. Each up record
-must lie wholly inside a secret span or wholly outside every secret
-span. A public record must have its key released and its tag checked.
-A withheld key is allowed only on a record that lies inside a secret
-span, whose bytes the template leaves to the prover. A record that mixes
-public and secret bytes is rejected whether or not its key is released,
-so no public byte goes unchecked and no secret byte needs revealing.
-
-The response is committed in chunks of variable length, one chunk per
-opened down record, and disclosed in full: its ``ranges`` must be
-exactly ``[[0, total_length]]``. ``vet.commitment`` describes the
-disclosure and argues its soundness. The verifier reads the response
-only through that check, then binds it to the signed chain by the record
-tags.
+The response is committed in chunks of variable length, one per down
+record, and disclosed in full: its ``ranges`` must be exactly
+``[[0, total_length]]`` (``vet.commitment`` argues its soundness).
 
 A notarized session carries any number of exchanges, as a kept-alive
-TLS connection does, and the notary signs one statement over the record
-chain of them all. An exchange is a maximal run of up records followed
-by a maximal run of down records, so its boundaries come from the
-directions the notary signed, not from anything the prover ships; a
-chain that is not a sequence of such pairs is rejected. Each web proof
-in a session covers one exchange, and record indices in it count from
-the start of that exchange. A bundle's verifier opens the statement
-once (signature, domain, capacity) and hands out its exchanges in the
-order the trace invokes the component, so a proof moved to another step
-or swapped with another is checked against the wrong records. At the
-end every exchange must have been consumed: a session holding an
-exchange that no proof accounts for is rejected. A standalone proof is
-a session of one, checked by the same calls: ``authenticate`` without a
-session opens the statement, checks the proof as its next exchange and
-closes it, so a statement of more than one exchange is rejected.
+TLS connection does, under one signed head. Each web proof covers one
+exchange, and record indices in it count from the start of that
+exchange. A bundle's verifier opens the statement once (signature,
+domain) and chains each proof's records on in the order the trace
+invokes the component, so a proof moved, swapped, dropped or added
+changes the chain. A standalone proof is a session of one:
+``authenticate`` without a session opens the statement, chains the
+proof and closes it before it parses the response.
 
-A serialized proof carries ``"format": "8"``, and ``WebProof.from_obj``
+A serialized proof carries ``"format": "9"``, and ``WebProof.from_obj``
 reads no other. Its request fields are fixed stubs that the benchmark
-still reads, ``{"total_length": "<n>"}`` and ``{"chunks": []}``, and its
-``claims`` are exactly ``{"input": <string>}``, so each proof has one
-encoding. A standalone proof is its bundle payload with the session
-field holding the signed object instead of its index: its
-``signed_statement`` is the statement itself, where in a bundle it is
-the index of the statement in the bundle's sessions table.
+still reads, ``{"total_length": "<n>"}`` and ``{"chunks": []}``; its
+``withheld_tags`` are the tags of its secret up records, in order, and
+its ``down_lengths`` the length of each response record; its ``claims``
+are exactly ``{"input": <string>}``, so each proof has one encoding. A
+standalone proof's ``signed_statement`` is the statement itself; in a
+bundle it is the statement's index in the bundle's sessions table.
 """
 
 from __future__ import annotations
@@ -80,7 +70,16 @@ from typing import NamedTuple
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from . import frames, toytls
-from .canonical import FORMAT, canonical_bytes, canonical_loads, check_format, json_field
+from .canonical import (
+    FORMAT,
+    canonical_bytes,
+    canonical_loads,
+    check_format,
+    json_field,
+    parse_hex,
+    parse_int,
+)
+from .chain import OpenChain
 from .commitment import (
     Disclosure,
     TranscriptCommitment,
@@ -104,7 +103,7 @@ from .templates import (  # the roles are re-exported for callers of this module
     parse_exchange,
     render,
 )
-from .toytls import RecordInfo, SignedStatement  # re-exported for callers of this module
+from .toytls import SignedStatement  # re-exported for callers of this module
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,8 @@ class WebProof:
     statement: SignedStatement
     record_keys: dict[tuple[str, int], bytes]
     request_length: int
+    withheld_tags: tuple[bytes, ...]  # of the secret up records, in order
+    down_lengths: tuple[int, ...]
     response_commitment: TranscriptCommitment
     response_disclosure: Disclosure
     claims: dict = field(default_factory=dict)
@@ -134,6 +135,8 @@ class WebProof:
             # benchmark still reads these two fields.
             "request_commitment": {"total_length": str(self.request_length)},
             "request_disclosure": {"chunks": []},
+            "withheld_tags": [tag.hex() for tag in self.withheld_tags],
+            "down_lengths": [str(n) for n in self.down_lengths],
             "response_commitment": self.response_commitment.to_obj(),
             "response_disclosure": self.response_disclosure.to_obj(),
             "claims": dict(self.claims),
@@ -153,6 +156,8 @@ class WebProof:
             statement=statement or part("signed_statement", SignedStatement.from_obj),
             record_keys=_read_record_keys(json_field(obj, "record_keys", list)),
             request_length=_read_request_length(obj),
+            withheld_tags=_read_tags(json_field(obj, "withheld_tags", list)),
+            down_lengths=_read_down_lengths(json_field(obj, "down_lengths", list)),
             response_commitment=part("response_commitment", TranscriptCommitment.from_obj),
             response_disclosure=part("response_disclosure", Disclosure.from_obj),
             claims=part("claims", _read_claims),
@@ -168,6 +173,20 @@ def _read_request_length(obj: dict) -> int:
             'a web proof\'s request fields must be {"total_length": n} and {"chunks": []}'
         )
     return json_field(stub, "total_length", int)
+
+
+def _read_tags(entries: list) -> tuple[bytes, ...]:
+    tags = tuple(parse_hex(tag, "withheld_tags") for tag in entries)
+    if any(len(tag) != toytls.TAG_LEN for tag in tags):
+        raise ValidationError(f"a withheld tag must be {toytls.TAG_LEN} bytes")
+    return tags
+
+
+def _read_down_lengths(entries: list) -> tuple[int, ...]:
+    lengths = tuple(parse_int(n, "down_lengths") for n in entries)
+    if any(not 0 <= n <= toytls.RECORD_MAX for n in lengths):
+        raise ValidationError(f"a down record length must lie in 0..{toytls.RECORD_MAX}")
+    return lengths
 
 
 def _read_claims(claims: dict) -> dict:
@@ -226,8 +245,14 @@ class ProvisionedChannel:
         )
         self.notary_public_key = json_field(canonical_loads(ok.payload), "notary_public_key")
 
-    def exchange(self, frame: Frame) -> list[Frame]:
-        return self._session.handle(frame)
+    def exchange(self, *batch: Frame) -> list[Frame]:
+        """The replies to each frame of ``batch`` in turn, up to an ABORT."""
+        replies = []
+        for frame in batch:
+            replies += self._session.handle(frame)
+            if replies and replies[-1].type == frames.ABORT:
+                break
+        return replies
 
     def close(self) -> None:
         self._session.handle(Frame(frames.CLOSE, b""))
@@ -256,17 +281,22 @@ class TCPChannel:
             raise ProtocolError(f"notary rejected session: {reply.payload.decode()}")
         self.notary_public_key = json_field(canonical_loads(reply.payload), "notary_public_key")
 
-    def exchange(self, frame: Frame) -> list[Frame]:
-        frames.write_frame(self._sock, frame)
+    def exchange(self, *batch: Frame) -> list[Frame]:
+        """Send ``batch`` in one write, then read the replies to each frame
+        in turn, up to an ABORT: one frame, or for END_UP every frame up
+        to END_DOWN."""
+        try:
+            frames.write_frame(self._sock, *batch)
+        except ConnectionError:  # the notary may have aborted mid-batch; read its ABORT
+            pass
         replies = []
-        if frame.type == frames.END_UP:
+        for frame in batch:
             while True:
-                reply = frames.read_frame(self._sock)
-                replies.append(reply)
-                if reply.type in (frames.END_DOWN, frames.ABORT):
+                replies.append(frames.read_frame(self._sock))
+                if replies[-1].type == frames.ABORT:
+                    return replies
+                if frame.type != frames.END_UP or replies[-1].type == frames.END_DOWN:
                     break
-        else:
-            replies.append(frames.read_frame(self._sock))
         return replies
 
     def close(self) -> None:
@@ -308,8 +338,7 @@ class _Sent(NamedTuple):
     """One exchange of an open session, as the prover sent and received it."""
 
     request_length: int
-    secret_spans: list[tuple[int, int]]
-    record_spans: list[tuple[int, int]]
+    secret: list[bool]  # per up record: does it lie inside a secret span
     up_keys: list[bytes]
     up_wires: list[bytes]
     down_wires: list[bytes]
@@ -325,9 +354,9 @@ class NotarizedSession:
     takes the down seed the server then releases, and returns each
     exchange's response and web proof, in order.
 
-    Protocol order matters: the notary signs the chain of record tags before
-    the server releases the down-direction key seed, so nothing in the
-    prover's pre-signature view determines a response plaintext.
+    Protocol order matters: the notary signs the head of the record chain
+    before the server releases the down-direction key seed, so nothing in
+    the prover's pre-signature view determines a response plaintext.
     """
 
     def __init__(self, channel, rng: random.Random):
@@ -335,6 +364,7 @@ class NotarizedSession:
         self.rng = rng
         self.up_used = 0
         self._sent: list[_Sent] = []
+        self._chain = toytls.RecordChain()  # of every record sent and received
         # Handshake: ephemeral X25519, server signs the transcript binding.
         eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
         client_eph = toytls.pub_hex(eph)
@@ -358,48 +388,51 @@ class NotarizedSession:
         self._hk = toytls.handshake_key(shared, bytes.fromhex(nonce))
 
     def send(
-        self,
-        request_bytes: bytes,
-        secret_spans: list[tuple[int, int]] | None = None,
-        claims: dict | None = None,
+        self, request_bytes: bytes, secret_spans: list[tuple[int, int]], claims: dict
     ) -> None:
-        """Send a request as records split at secret-span boundaries, and
-        take the response records; they stay sealed until ``finish``."""
-        secret_spans = normalize_ranges(secret_spans or [], len(request_bytes))
+        """Send a request as records split at secret-span boundaries, in
+        one batch with its END_UP, and take the response records; they
+        stay sealed until ``finish``. ``claims`` must be exactly
+        ``{"input": x}``, with ``x`` the input the request renders."""
+        claims = _read_claims(claims)
+        if not request_bytes:
+            raise ValidationError("a request must carry at least one byte")
+        secret_spans = normalize_ranges(secret_spans, len(request_bytes))
         record_spans = toytls.split_records(len(request_bytes), secret_spans)
         first = sum(len(sent.up_wires) for sent in self._sent)
-        up_keys = []
-        up_wires = []
-        for i, (offset, length) in enumerate(record_spans):
-            key = toytls.derive_record_key("up", self._up_secret, first + i)
-            wire = toytls.seal_record(key, request_bytes[offset:offset + length])
-            up_keys.append(key)
-            up_wires.append(wire)
-            _expect(self.channel.exchange(Frame(frames.RELAY_UP, wire)), frames.ACK)
-        replies = self.channel.exchange(Frame(frames.END_UP, b""))
+        up_keys = [
+            toytls.derive_record_key("up", self._up_secret, first + i)
+            for i in range(len(record_spans))
+        ]
+        up_wires = [
+            toytls.seal_record(key, request_bytes[offset:offset + length])
+            for key, (offset, length) in zip(up_keys, record_spans)
+        ]
+        batch = [Frame(frames.RELAY_UP, wire) for wire in up_wires]
+        replies = self.channel.exchange(*batch, Frame(frames.END_UP, b""))
         _raise_on_abort(replies)
-        if not replies or replies[-1].type != frames.END_DOWN:
+        acks, down = replies[:len(batch)], replies[len(batch):]
+        if any(ack.type != frames.ACK for ack in acks) or not down:
+            raise ProtocolError(f"expected an ACK per record, got {[r.type for r in acks]}")
+        if down[-1].type != frames.END_DOWN:
             raise ProtocolError("response did not terminate with END_DOWN")
-        down_wires = [r.payload for r in replies if r.type == frames.RELAY_DOWN]
+        down_wires = [r.payload for r in down if r.type == frames.RELAY_DOWN]
+        for direction, wires in (("up", up_wires), ("down", down_wires)):
+            for wire in wires:
+                self._chain.add(direction, wire)
         self.up_used += len(request_bytes)
+        secret = [_overlaps_secret(*span, secret_spans) for span in record_spans]
         self._sent.append(
-            _Sent(
-                len(request_bytes), secret_spans, record_spans, up_keys, up_wires, down_wires,
-                dict(claims or {}),
-            )
+            _Sent(len(request_bytes), secret, up_keys, up_wires, down_wires, claims)
         )
 
     def finish(self) -> list[tuple[bytes, WebProof]]:
         # The notary signs the chain; only then does the server release the seed.
         statement_frame = _expect(self.channel.exchange(Frame(frames.FIN, b"")), frames.STATEMENT)
         signed = SignedStatement.from_obj(canonical_loads(statement_frame.payload))
-        on_wire = [
-            (direction, toytls.record_hash(w), len(w) - toytls.TAG_LEN)
-            for sent in self._sent
-            for direction, wires in (("up", sent.up_wires), ("down", sent.down_wires))
-            for w in wires
-        ]
-        signed.check_session([self.channel.notary_public_key], self.channel.session_id, on_wire)
+        signed.check_session(
+            [self.channel.notary_public_key], self.channel.session_id, self._chain
+        )
         release_request = toytls.seal_record(
             toytls.post_key(self._hk, "up"), statement_frame.payload
         )
@@ -424,8 +457,8 @@ class NotarizedSession:
     ) -> tuple[bytes, WebProof]:
         """One exchange's response and proof; record indices count from its
         start. The request is neither committed to nor disclosed: the
-        verifier renders it, so the proof releases only the keys of the
-        records outside every secret span."""
+        verifier renders it, so the proof releases the keys of the
+        records outside every secret span and the tags of those inside."""
         records = [
             toytls.open_record(key, wire) for key, wire in zip(down_keys, sent.down_wires)
         ]
@@ -437,9 +470,7 @@ class NotarizedSession:
             response_bytes, [len(record) for record in records if record], self.rng
         )
         record_keys = {
-            ("up", i): sent.up_keys[i]
-            for i, (offset, length) in enumerate(sent.record_spans)
-            if not _overlaps_secret(offset, length, sent.secret_spans)
+            ("up", i): key for i, key in enumerate(sent.up_keys) if not sent.secret[i]
         }
         record_keys.update((("down", i), key) for i, key in enumerate(down_keys))
 
@@ -447,6 +478,10 @@ class NotarizedSession:
             statement=signed,
             record_keys=record_keys,
             request_length=sent.request_length,
+            withheld_tags=tuple(
+                wire[-toytls.TAG_LEN:] for wire, hidden in zip(sent.up_wires, sent.secret) if hidden
+            ),
+            down_lengths=tuple(len(record) for record in records),
             response_commitment=commitment,
             response_disclosure=disclose(opening, [(0, len(response_bytes))]),
             claims=sent.claims,
@@ -459,11 +494,13 @@ def run_session(
     request_bytes: bytes,
     secret_spans: list[tuple[int, int]] | None = None,
     rng: random.Random | None = None,
-    claims: dict | None = None,
+    *,
+    claims: dict,
 ) -> tuple[bytes, WebProof]:
-    """Drive a notarized session of one exchange and assemble its proof."""
+    """Drive a notarized session of one exchange and assemble its proof;
+    ``claims`` is ``{"input": x}``, with ``x`` the input the request renders."""
     session = NotarizedSession(channel, rng or random.Random())
-    session.send(request_bytes, secret_spans, claims)
+    session.send(request_bytes, secret_spans or [], claims)
     ((response_bytes, proof),) = session.finish()
     return response_bytes, proof
 
@@ -472,117 +509,127 @@ def _overlaps_secret(offset: int, length: int, spans: list[tuple[int, int]]) -> 
     return any(offset < s + n and s < offset + length for s, n in spans)
 
 
-def exchanges_of(records: tuple[RecordInfo, ...]) -> list[tuple[tuple[RecordInfo, ...], ...]]:
-    """A signed chain cut into exchanges: (up records, down records) for
-    each maximal up run and the maximal down run after it. A chain of
-    any other shape is a cipher-mismatch."""
-    out = []
-    i = 0
-    while i < len(records):
-        j = i
-        while j < len(records) and records[j].direction == "up":
-            j += 1
-        k = j
-        while k < len(records) and records[k].direction == "down":
-            k += 1
-        if i == j or j == k:
+def _bind(session: OpenChain, notary_public_key: str, server_domain: str) -> None:
+    """Rejected unless a component of this notary key and domain may use the session."""
+    if notary_public_key != session.key:
+        raise Rejected("bad-signature", "statement not signed by the declared notary")
+    if session.signed.server_domain != server_domain:
+        raise Rejected(
+            "wrong-domain",
+            f"statement attests {session.signed.server_domain!r}, "
+            f"component endpoint is {server_domain!r}",
+        )
+
+
+def open_statement(
+    statement: SignedStatement, notary_public_key: str, server_domain: str
+) -> OpenChain:
+    """Check a statement's signature, once, and open the record chain it
+    signs. Records chained onto it may not exceed the signed capacity."""
+    if not statement.verify(notary_public_key):
+        raise Rejected("bad-signature", "statement not signed by the declared notary")
+    capacity = dict(zip(("up", "down"), statement.capacity))
+    used = dict.fromkeys(capacity, 0)
+
+    def link(head: bytes, direction: str, length: int, tag: bytes) -> bytes:
+        used[direction] += length
+        if used[direction] > capacity[direction]:
             raise Rejected(
                 "cipher-mismatch",
-                f"signed records from {i} on do not form a request/response exchange",
+                f"the proofs carry more {direction} bytes than the signed {capacity[direction]}",
             )
-        out.append((records[i:j], records[j:k]))
-        i = k
-    return out
+        return toytls.chain_link(head, direction, length, tag)
 
-
-class OpenStatement:
-    """A signed statement checked once, and the exchanges it holds.
-
-    ``take`` hands the exchanges out in chain order; ``close`` requires
-    that every one was taken, so no signed exchange goes unaccounted.
-    """
-
-    def __init__(self, statement: SignedStatement, notary_public_key: str, server_domain: str):
-        if not statement.verify(notary_public_key):
-            raise Rejected("bad-signature", "statement not signed by the declared notary")
-        self.statement = statement
-        self.notary_public_key = notary_public_key
-        self._check_domain(server_domain)
-        cap_up, cap_down = statement.capacity
-        records = statement.records
-        if sum(r.length for r in records if r.direction == "up") > cap_up:
-            raise Rejected("bad-signature", "statement chain exceeds its own up capacity")
-        if sum(r.length for r in records if r.direction == "down") > cap_down:
-            raise Rejected("bad-signature", "statement chain exceeds its own down capacity")
-        self.exchanges = exchanges_of(records)
-        self.taken = 0
-
-    def bind(self, notary_public_key: str, server_domain: str) -> None:
-        """Rejected unless a component of this notary key and domain may use the statement."""
-        if notary_public_key != self.notary_public_key:
-            raise Rejected("bad-signature", "statement not signed by the declared notary")
-        self._check_domain(server_domain)
-
-    def _check_domain(self, server_domain: str) -> None:
-        if self.statement.server_domain != server_domain:
-            raise Rejected(
-                "wrong-domain",
-                f"statement attests {self.statement.server_domain!r}, "
-                f"component endpoint is {server_domain!r}",
-            )
-
-    def take(self) -> tuple[tuple[RecordInfo, ...], ...]:
-        if self.taken == len(self.exchanges):
-            raise Rejected(
-                "cipher-mismatch",
-                f"the statement holds {len(self.exchanges)} exchanges, and more proofs name it",
-            )
-        self.taken += 1
-        return self.exchanges[self.taken - 1]
-
-    def close(self) -> None:
-        if self.taken != len(self.exchanges):
-            raise Rejected(
-                "cipher-mismatch",
-                f"the statement holds {len(self.exchanges)} exchanges, {self.taken} were proven",
-            )
+    session = OpenChain(
+        statement, notary_public_key, statement.records, statement.head, toytls.CHAIN_START,
+        link, "cipher-mismatch", "records",
+    )
+    _bind(session, notary_public_key, server_domain)
+    return session
 
 
 def _check_records(
-    records: tuple[RecordInfo, ...],
+    lengths: tuple[int, ...] | list[int],
     record_keys: dict[tuple[str, int], bytes],
     direction: str,
     data: bytes,
     reason: str,
     secret: frozenset[int] = frozenset(),
-) -> None:
-    """Bind plaintext ``data`` to one direction's signed records of an exchange.
+    withheld: tuple[bytes, ...] = (),
+) -> list[bytes]:
+    """The tag of each of one direction's records of an exchange, in order.
 
-    The records must carry exactly ``data``. A record whose index is in
-    ``secret`` must have no released key; every other record must have
-    one, and hash under it, over its bytes of ``data``, to the tag the
-    notary signed. A violation is ``reason``; a key for a record past the
-    chain is a cipher-mismatch.
+    The records, of ``lengths`` bytes, must carry exactly ``data``. A
+    record whose index is in ``secret`` must have no released key, and
+    its tag is the next of ``withheld``, which holds one per secret
+    record. Every other record must have a key, and its tag is the hash
+    under it of its bytes of ``data``. A violation is ``reason``; a key
+    for a record past the exchange is a cipher-mismatch.
     """
-    total = sum(record.length for record in records)
-    if total != len(data):
-        raise Rejected(reason, f"{direction} chain carries {total} bytes, the proof {len(data)}")
+    if sum(lengths) != len(data):
+        raise Rejected(
+            reason, f"{direction} records carry {sum(lengths)} bytes, the proof {len(data)}"
+        )
+    if len(withheld) != len(secret):
+        raise Rejected(
+            reason, f"the proof withholds {len(withheld)} tags for {len(secret)} secret records"
+        )
+    withheld_tags = iter(withheld)
+    tags = []
     end = 0
-    for index, record in enumerate(records):
-        offset, end = end, end + record.length
+    for index, length in enumerate(lengths):
+        offset, end = end, end + length
         key = record_keys.get((direction, index))
         if index in secret:
             if key is not None:
                 raise Rejected(reason, f"{direction} record {index} is secret but has a key")
+            tags.append(next(withheld_tags))
         elif key is None:
             raise Rejected(reason, f"{direction} record {index} has no key")
-        elif toytls.record_tag(key, data[offset:end]).hex() != record.hash:
-            raise Rejected(reason, f"{direction} record {index} does not match its signed tag")
+        else:
+            tags.append(toytls.record_tag(key, data[offset:end]))
     for (d, index) in record_keys:
-        if d == direction and index >= len(records):
+        if d == direction and index >= len(lengths):
             raise Rejected(
                 "cipher-mismatch", f"key for nonexistent {direction} record {index}"
             )
+    return tags
+
+
+def _take_exchange(
+    proof: WebProof, inject_template: InjectTemplate, session: OpenChain
+) -> tuple[str, bytes, tuple[int, int]]:
+    """Chain one proof's records onto ``session``: the up records of the
+    request rendered for the claimed input, then the down records of the
+    disclosed response. Returns the input, the response and the (public,
+    secret) bytes of the rendering."""
+    total = proof.response_commitment.total_length
+    if proof.response_disclosure.ranges != ((0, total),):
+        raise Rejected(
+            "chunk-range-inconsistency", f"the response disclosure must be the range (0, {total})"
+        )
+    disclosed = verify_disclosure(proof.response_commitment, proof.response_disclosure)
+    response_bytes = disclosed[0, total]
+    x = proof.claims.get("input")
+    if not isinstance(x, str):
+        raise Rejected("template-mismatch", "proof does not claim an input value")
+    rendered, up_lengths, secret = match_request(inject_template, x, proof.request_length)
+    if not up_lengths or not proof.down_lengths:
+        raise Rejected("cipher-mismatch", "a proof must cover an up and a down record")
+    up_tags = _check_records(
+        up_lengths, proof.record_keys, "up", rendered, "template-mismatch", secret,
+        proof.withheld_tags,
+    )
+    down_tags = _check_records(
+        proof.down_lengths, proof.record_keys, "down", response_bytes, "cipher-mismatch"
+    )
+    for direction, lengths, tags in (
+        ("up", up_lengths, up_tags), ("down", proof.down_lengths, down_tags)
+    ):
+        for length, tag in zip(lengths, tags):
+            session.take(direction, length, tag)
+    redacted = sum(up_lengths[index] for index in secret)
+    return x, response_bytes, (len(rendered) - redacted, redacted)
 
 
 def authenticate(
@@ -592,47 +639,27 @@ def authenticate(
     inject_template: InjectTemplate,
     parse_template: ParseTemplate,
     role: str,
-    session: OpenStatement | None = None,
+    session: OpenChain | None = None,
 ) -> AuthenticatedExchange:
     """Steps 1 and 2 of the verifier: channel binding, then templates.
 
     ``session`` is the proof's statement opened once for a bundle, and
-    the proof covers its next exchange. Without it the proof is a
-    session of one, opened, taken and closed here.
+    the proof's records are chained onto it as its next exchange; the
+    bundle closes it. Without it the proof is a session of one, opened
+    here and closed before the response is parsed.
     """
-    if session is None:
-        session = OpenStatement(proof.statement, notary_public_key, server_domain)
-        exchange = authenticate(
-            proof, notary_public_key, server_domain, inject_template, parse_template, role, session
-        )
+    alone = session is None
+    if alone:
+        session = open_statement(proof.statement, notary_public_key, server_domain)
+    else:
+        _bind(session, notary_public_key, server_domain)
+    x, response_bytes, request_disclosed = _take_exchange(proof, inject_template, session)
+    if alone:
         session.close()
-        return exchange
-    # Step 1: the signed statement, the whole response and its record tags.
-    session.bind(notary_public_key, server_domain)
-    up, down = session.take()
-    total = proof.response_commitment.total_length
-    if proof.response_disclosure.ranges != ((0, total),):
-        raise Rejected(
-            "chunk-range-inconsistency", f"the response disclosure must be the range (0, {total})"
-        )
-    disclosed = verify_disclosure(proof.response_commitment, proof.response_disclosure)
-    response_bytes = disclosed[0, total]
-    _check_records(down, proof.record_keys, "down", response_bytes, "cipher-mismatch")
-
-    # Step 2: the request records must be the template rendering of the
-    # claimed input, and the response must parse under the parse template.
-    x = proof.claims.get("input")
-    if not isinstance(x, str):
-        raise Rejected("template-mismatch", "proof does not claim an input value")
-    rendered, secret = match_request(
-        inject_template, x, proof.request_length, [record.length for record in up]
-    )
-    _check_records(up, proof.record_keys, "up", rendered, "template-mismatch", secret)
-    redacted = sum(up[index].length for index in secret)
     return AuthenticatedExchange(
         x,
         *parse_exchange(parse_template, response_bytes, role),
-        request_disclosed=(len(rendered) - redacted, redacted),
+        request_disclosed=request_disclosed,
     )
 
 
@@ -641,7 +668,7 @@ def _authenticate_entry(
     entry,
     registry: TemplateRegistry,
     role: str,
-    session: OpenStatement | None = None,
+    session: OpenChain | None = None,
 ) -> AuthenticatedExchange:
     """``authenticate`` against the notary key, endpoint host and
     templates that an AID entry declares."""
@@ -656,18 +683,18 @@ def _authenticate_entry(
     )
 
 
-def open_session(signed: dict, entry) -> OpenStatement:
+def open_session(signed: dict, entry) -> OpenChain:
     """Open a bundle's signed statement for the components of ``entry``'s
     notary and host: the signature is checked here, once."""
     statement = SignedStatement.from_obj(signed)
-    return OpenStatement(statement, entry.verification.key_string(), entry.host)
+    return open_statement(statement, entry.verification.key_string(), entry.host)
 
 
 def verify_exchange(
-    payload: dict, entry, registry: TemplateRegistry, role: str, session: OpenStatement
+    payload: dict, entry, registry: TemplateRegistry, role: str, session: OpenChain
 ) -> AuthenticatedExchange:
     """The TLSNotary verifier of a bundle's proof: the next exchange of ``session``."""
-    proof = WebProof.from_obj(payload, statement=session.statement)
+    proof = WebProof.from_obj(payload, statement=session.signed)
     return _authenticate_entry(proof, entry, registry, role, session)
 
 

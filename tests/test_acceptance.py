@@ -17,6 +17,7 @@ from test_aid import _doc_obj, _oracle_id, mutate_one_field
 from test_composer import ScriptedWorld
 from conftest import WebProofRig, grid
 
+from vet import toytls
 from vet.aid import AgentIdentityDocument
 from vet.canonical import canonical_bytes
 from vet.channel_sim import (
@@ -169,9 +170,10 @@ def test_criterion_2_soundness_no_forgery_accepted():
     # (a') disclosure widening: reveal a request record the template
     # keeps secret, or leave a public one unchecked. Each forgery is made
     # by the prover, who holds every up record's key: release the secret
-    # record's key, withhold a public record's key, or send the secret in
+    # record's key, withhold a public record's key, send the secret in
     # one record with its public neighbour before or after it, with that
-    # record's key released or withheld.
+    # record's key released or withheld, or ship in place of the secret
+    # record's signed tag a tag over other bytes under its key.
     template = rig.registry.get_inject(rig.inject_uid)
 
     def session_proof(x, merge):
@@ -192,16 +194,20 @@ def test_criterion_2_soundness_no_forgery_accepted():
     split = [session_proof(f"widen-{i}", None) for i in range(4)]
     merged = [session_proof(f"merge-{i}", side) for i in range(4) for side in ("before", "after")]
     for i in range(500):
-        family = rng.randrange(3)
+        family = rng.randrange(4)
         x, proof, up_keys = rng.choice(merged if family == 2 else split)
         keys = dict(proof.record_keys)
         # The one withheld key: the secret's record, or the merged one.
         (hidden,) = [k for k in range(len(up_keys)) if ("up", k) not in keys]
+        tags = proof.withheld_tags
         if family == 1:
             del keys[rng.choice([slot for slot in keys if slot[0] == "up"])]
+        elif family == 3:
+            tags = (toytls.record_tag(up_keys[hidden], rng.randbytes(len(secret))),)
         elif family == 0 or rng.random() < 0.5:
             keys["up", hidden] = up_keys[hidden]
-        attempt_webproof(f"disclosure-widening-{i}", x, replace(proof, record_keys=keys))
+        forged = replace(proof, record_keys=keys, withheld_tags=tags)
+        attempt_webproof(f"disclosure-widening-{i}", x, forged)
 
     # (b) plaintext/commitment recomputation: keep the signed statement
     # and released keys but commit to a fabricated response.
@@ -227,6 +233,8 @@ def test_criterion_2_soundness_no_forgery_accepted():
         "statement",
         "record_keys",
         "request_length",
+        "withheld_tags",
+        "down_lengths",
         "response_commitment",
         "response_disclosure",
         "claims",
@@ -377,8 +385,8 @@ def test_criterion_2_soundness_no_forgery_accepted():
     # (j) drop the proof of a session's last exchange, drop the last step
     # with every proof of it, or add an unused exchange: a proof at no
     # invocation, a spare copy of a session, or a signed session grown by
-    # one exchange (a higher count, or more records) that its signature
-    # does not cover.
+    # one exchange or record (a higher count, or another chain head) that
+    # its signature does not cover.
     last_step = deep_trace.steps[-1].step_index
     truncated_trace = type(deep_trace)(
         deep_trace.initial_input, deep_trace.steps[:-1], deep_trace.truncated
@@ -407,8 +415,11 @@ def test_criterion_2_soundness_no_forgery_accepted():
             signed = copy.deepcopy(sessions[index].signed)
             if "exchanges" in signed:
                 signed["exchanges"] = str(int(signed["exchanges"]) + 1)
+            elif rng.random() < 0.5:
+                signed["statement"]["records"] = str(int(signed["statement"]["records"]) + 1)
             else:
-                signed["statement"]["records"] += signed["statement"]["records"][-2:]
+                head = bytes.fromhex(signed["statement"]["head"])
+                signed["statement"]["head"] = toytls.chain_link(head, "up", 1, bytes(32)).hex()
             sessions[index] = type(sessions[index])(sessions[index].kind, signed)
             forged = with_proofs(proofs, sessions=tuple(sessions))
         attempt_session(f"session-drop-or-extra-{i}", "j", forged)

@@ -212,6 +212,7 @@ def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, 
         (lambda bundle: bundle.update(format="6"), "bundle format 6"),
         (lambda bundle: bundle.update(format="7"), "bundle format 7"),
         (lambda bundle: bundle["proofs"][0]["payload"].pop("format"), "web proof format 1"),
+        (lambda bundle: bundle.update(format="8"), "bundle format 8"),
     ],
 )
 def test_other_format_is_rejected_naming_its_version(proved, tmp_path, mangle, named):
@@ -290,7 +291,7 @@ def test_verify_json_and_inspect_list_sessions(proved):
     for session in sessions:
         assert (
             f"session {session['index']}: {session['kind']}, {session['exchanges']} exchanges"
-            "  signature ok, every exchange consumed ok"
+            "  signature ok, chain closed ok"
         ) in inspect.output
     assert "  core (session 0): webproof  [ok]" in inspect.output
 

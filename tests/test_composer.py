@@ -275,12 +275,15 @@ def _core_request_lengths(bundle):
 def test_subproof_substitution(scripted):
     world, trace, bundle = scripted
     m = trace.steps[-1].core_output
-    # Both core calls went through one notarized session, so each swapped
-    # proof is checked against the other's exchange and its records.
+    # Both core calls went through one notarized session, so the swapped
+    # proofs chain their records in the wrong order, and the session's
+    # chain misses the signed head.
     with pytest.raises(Rejected) as err:
         verify_trace(m, _swap_cores(bundle), world.aid, world.registry)
     assert err.value.reason == "subproof-invalid"
-    assert err.value.detail.startswith("step:0/core: cipher-mismatch: ")
+    assert err.value.detail == (
+        "session 0: cipher-mismatch: the records do not chain to the signed head"
+    )
 
     # With sessions of one core call each, each swapped proof is valid in
     # isolation but authenticates the wrong transcript prefix.
@@ -416,14 +419,11 @@ def test_report_lists_checked_components(scripted):
         else:
             assert check.request_disclosed is None
 
-    # A rejected component is the last one listed, with the scheme's reason.
+    # A rejected component is the last one listed, with the scheme's
+    # reason: here a proof that withholds a public request record's key.
     proofs = list(bundle.proofs)
     k = [i for i, p in enumerate(proofs) if p.kind == "webproof"][1]
-    # The first key in order is a response record's, whose tag is checked
-    # over the disclosed response.
-    keys = [dict(entry) for entry in proofs[k].payload["record_keys"]]
-    assert keys[0]["direction"] == "down"
-    keys[0]["key"] = ("0" if keys[0]["key"][0] != "0" else "1") + keys[0]["key"][1:]
+    keys = [entry for entry in proofs[k].payload["record_keys"] if entry["direction"] != "up"]
     payload = dict(proofs[k].payload, record_keys=keys)
     proofs[k] = ComponentProof(proofs[k].kind, proofs[k].step_index, proofs[k].position, payload)
     report = VerificationReport()
@@ -432,7 +432,27 @@ def test_report_lists_checked_components(scripted):
     assert (report.reason, report.detail) == (err.value.reason, err.value.detail)
     checked = [(c.step_index, c.position) for c in report.components]
     assert checked == [(p.step_index, p.position) for p in proofs[: k + 1]]
-    assert report.components[-1].verdict == "cipher-mismatch"
+    assert report.components[-1].verdict == "template-mismatch"
+
+    # A flipped response key gives its record another tag, which is caught
+    # when the notarized session closes: the records no longer chain to
+    # the signed head. Every component is listed, and the session carries
+    # the scheme's reason.
+    proofs = list(bundle.proofs)
+    keys = [dict(entry) for entry in proofs[k].payload["record_keys"]]
+    assert keys[0]["direction"] == "down"
+    keys[0]["key"] = ("0" if keys[0]["key"][0] != "0" else "1") + keys[0]["key"][1:]
+    payload = dict(proofs[k].payload, record_keys=keys)
+    proofs[k] = ComponentProof(proofs[k].kind, proofs[k].step_index, proofs[k].position, payload)
+    report = VerificationReport()
+    with pytest.raises(Rejected) as err:
+        verify_trace(m, _rebuild(bundle, proofs=proofs), world.aid, world.registry, report)
+    assert {c.verdict for c in report.components} == {"ok"}
+    (notarized,) = [s for s in report.sessions if s.kind == "webproof"]
+    assert (notarized.signature, notarized.verdict) == ("ok", "cipher-mismatch")
+    assert err.value.detail == (
+        f"session {notarized.index}: cipher-mismatch: the records do not chain to the signed head"
+    )
 
     # A TEE response that still parses is caught when its log closes: the
     # exchanges no longer chain to the signed head. Every component is

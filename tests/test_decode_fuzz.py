@@ -159,7 +159,8 @@ def test_seeds_are_valid_documents_of_the_current_format():
     signed = {session["kind"]: session["signed"] for session in doc["sessions"]}
     assert len(signed) == len(doc["sessions"]) == 2
     statement = webproof.SignedStatement.from_obj(signed["webproof"])
-    assert len(webproof.exchanges_of(statement.records)) >= 2
+    core_proofs = [p for p in doc["proofs"] if p["kind"] == "webproof"]
+    assert len(core_proofs) >= 2 and statement.records >= 4
     assert int(signed["tee_attestation"]["exchanges"]) >= 2
 
 
@@ -209,41 +210,44 @@ def test_sessions_table_decoder_only_rejects(mutated):
     _verify_bundle_doc(mutated)
 
 
-# A signed chain drawn from the demo statement's own records: any number
-# of them, in any order, some turned to the other direction.
-record_picks = st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=8)
-FLIP = {"up": "down", "down": "up"}
+# A signed chain of any length and head: the honest count moved by any
+# amount, and the honest head, another session's, or random bytes.
+chain_picks = st.tuples(
+    st.integers(-8, 8),
+    st.sampled_from(["honest", "other", "random"]),
+    st.binary(min_size=32, max_size=32),
+)
 
 
 @settings(SETTINGS, max_examples=150)
-@given(record_picks)
+@given(chain_picks)
 def test_signed_chain_of_any_shape_is_a_reason(picks):
+    shift, which, noise = picks
     result, claim, doc = _bundle_case()
     mutated = copy.deepcopy(doc)
     index = next(i for i, s in enumerate(doc["sessions"]) if s["kind"] == "webproof")
     statement = mutated["sessions"][index]["signed"]["statement"]
-    honest = statement["records"]
-    statement["records"] = [
-        dict(honest[i % len(honest)], direction=FLIP[honest[i % len(honest)]["direction"]])
-        if flip
-        else honest[i % len(honest)]
-        for i, flip in picks
-    ]
-    # Signed by the demo's notary key, so only the chain's shape is wrong.
+    honest = dict(statement)
+    statement["records"] = str(max(int(honest["records"]) + shift, 0))
+    statement["head"] = {
+        "honest": honest["head"],
+        "other": _webproof_case()[1]["signed_statement"]["statement"]["head"],
+        "random": noise.hex(),
+    }[which]
+    # Signed by the demo's notary key, so only the chain is wrong.
     notary = SigningKey.from_seed(b"notary:0")
     mutated["sessions"][index]["signed"]["notary_signature"] = notary.sign(
         canonical_bytes(statement)
     )
-    shaped = [r["direction"] for r in statement["records"]]
-    runs = "".join("u" if d == "up" else "d" for d in shaped)
     try:
         verify_trace(claim, VerifiableExecutionTrace.from_obj(mutated), result.aid, result.registry)
     except Rejected as exc:
         assert exc.reason == "subproof-invalid"
-        if not re.fullmatch("(u+d+)*", runs):
-            assert "cipher-mismatch: signed records from " in exc.detail
+        # Too few records fails where a proof carries more; too many, or
+        # another head, where the session closes.
+        assert re.match(r"(step:\S+|session \d+): cipher-mismatch: ", exc.detail), exc.detail
     else:
-        assert statement["records"] == honest
+        assert statement == honest
 
 
 @SETTINGS

@@ -12,7 +12,7 @@ from conftest import WebProofRig
 from vet import frames, notary as notary_mod, toytls
 from vet.canonical import canonical_bytes, canonical_loads
 from vet.channel_sim import CostModel
-from vet.errors import CapacityExceeded, ProtocolError
+from vet.errors import CapacityExceeded, ProtocolError, ValidationError
 from vet.frames import Frame
 from vet.keys import SigningKey, key_fingerprint
 from vet import mockserver
@@ -86,31 +86,28 @@ def test_record_after_statement_aborts(rig):
     assert rig.service.ledger.get("s1").state == STATE_ABORTED
 
 
-def _handshake(session):
-    hello = canonical_bytes({"client_eph": "11" * 32, "nonce": "22" * 16})
-    (reply,) = session.handle(Frame(frames.HS_UP, hello))
-    assert reply.type == frames.HS_DOWN
+def _sealed_up(up, index, plaintext):
+    key = toytls.derive_record_key("up", up, index)
+    return Frame(frames.RELAY_UP, toytls.seal_record(key, plaintext))
 
 
 def test_capacity_enforced(rig):
-    session, _ = rig.service.open_session(_open_frame("s1", cap_up=64))
-    _handshake(session)
-    wire = b"x" * (64 + toytls.TAG_LEN)
-    (ack,) = session.handle(Frame(frames.RELAY_UP, wire))
+    channel = provision_channel(rig.service, "echo.test", cap_up=64, session_id="s1")
+    up, _ = _real_handshake(channel)
+    (ack,) = channel.exchange(_sealed_up(up, 0, b"x" * 64))
     assert ack.type == frames.ACK
-    (reply,) = session.handle(Frame(frames.RELAY_UP, b"y" * (1 + toytls.TAG_LEN)))
+    (reply,) = channel.exchange(_sealed_up(up, 1, b"y"))
     assert reply.type == frames.ABORT
     assert b"capacity" in reply.payload
     # An aborted session answers everything with the abort frame.
-    (again,) = session.handle(Frame(frames.FIN, b""))
+    (again,) = channel.exchange(Frame(frames.FIN, b""))
     assert again.type == frames.ABORT
 
 
 def test_capacity_counts_plaintext_not_tag(rig):
-    session, _ = rig.service.open_session(_open_frame("s1", cap_up=64))
-    _handshake(session)
-    session.handle(Frame(frames.RELAY_UP, b"x" * (32 + toytls.TAG_LEN)))
-    (ack,) = session.handle(Frame(frames.RELAY_UP, b"x" * (32 + toytls.TAG_LEN)))
+    channel = provision_channel(rig.service, "echo.test", cap_up=64, session_id="s1")
+    up, _ = _real_handshake(channel)
+    (ack,) = channel.exchange(_sealed_up(up, 0, b"x" * 32), _sealed_up(up, 1, b"x" * 32))[1:]
     assert ack.type == frames.ACK
     assert rig.service.ledger.get("s1").used_up == 64
 
@@ -146,7 +143,7 @@ def test_session_fixture_sizes(rig):
             rig.service, "echo.test", cap_up, cap_down, session_id=session_id
         )
         request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"m"}'
-        response, proof = run_session(channel, request)
+        response, proof = run_session(channel, request, claims={"input": "m"})
         assert b'"echo":"m"' in response
         assert proof.statement.capacity == (cap_up, cap_down)
 
@@ -163,7 +160,7 @@ def test_concurrent_sessions(rig):
                 b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 17\r\n\r\n'
                 + b'{"message":"c%d"}' % i
             )
-            response, _ = run_session(channel, request)
+            response, _ = run_session(channel, request, claims={"input": f"c{i}"})
             assert b'"echo":"c%d"' % i in response
         except Exception as exc:  # pragma: no cover - collected for assert
             errors.append(exc)
@@ -192,7 +189,7 @@ def test_tcp_end_to_end(rig):
         assert check_health(host, port)
         channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-1")
         request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"t"}'
-        response, proof = run_session(channel, request)
+        response, proof = run_session(channel, request, claims={"input": "t"})
         assert b'"echo":"t"' in response
         assert rig.service.ledger.get("tcp-1").state == STATE_FINALIZED
     finally:
@@ -235,10 +232,10 @@ def test_session_cap_counts_only_live_sessions(rig):
     request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"c"}'
     for i in range(service.max_sessions + 6):
         channel = provision_channel(service, "echo.test", session_id=f"done-{i}")
-        run_session(channel, request)
+        run_session(channel, request, claims={"input": "c"})
     entry = service.ledger.get("done-0")
     assert entry.state == STATE_FINALIZED
-    assert entry.records == [] and entry.statement_frame is None
+    assert entry.statement_frame is None
     for i in range(service.max_sessions):
         service.open_session(_open_frame(f"live-{i}"))
     with pytest.raises(ProtocolError, match="session limit reached"):
@@ -336,7 +333,13 @@ def _notary_signed(key, statement):
         pytest.param(
             lambda key, sid: _notary_signed(
                 key,
-                {"session_id": sid, "records": [{"direction": "up", "hash": "00", "length": "x"}]},
+                {
+                    "session_id": sid,
+                    "server_domain": "echo.test",
+                    "channel_capacity": {"up": "1", "down": "1"},
+                    "records": "x",
+                    "head": "00" * 32,
+                },
             ),
             id="length-not-an-integer",
         ),
@@ -450,7 +453,7 @@ def test_tcp_health_answered_mid_session(rig):
         channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-health")
         assert channel.exchange(Frame(frames.HEALTH, b"")) == [Frame(frames.HEALTH_OK, b"")]
         request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"h"}'
-        response, _ = run_session(channel, request)
+        response, _ = run_session(channel, request, claims={"input": "h"})
         assert b'"echo":"h"' in response
         assert rig.service.ledger.get("tcp-health").state == STATE_FINALIZED
     finally:
@@ -504,3 +507,140 @@ def test_fuzz_session_only_returns_frames(ops):
         replies = channel.exchange(frame)
         assert isinstance(replies, list)
         assert all(isinstance(reply, Frame) for reply in replies)
+
+
+def _post_for(message):
+    body = canonical_bytes({"message": message})
+    return _post("/v1/echo", body)
+
+
+def test_session_state_is_constant_in_its_records(rig):
+    # A request of 1,000 one-byte records leaves no per-record container
+    # in the ledger or the server connection, and a statement as long as
+    # that of a session of one up record, but for the digits of the count.
+    request = next(r for r in map(_post_for, ("m" * k for k in range(1000))) if len(r) == 1000)
+    lengths = {}
+    for session_id, cut in (("many-0", [1] * 1000), ("one-00", [1000])):
+        channel = provision_channel(rig.service, "echo.test", session_id=session_id)
+        up, _ = _real_handshake(channel)
+        pos = 0
+        batch = []
+        for index, n in enumerate(cut):
+            batch.append(_sealed_up(up, index, request[pos:pos + n]))
+            pos += n
+        replies = channel.exchange(*batch)
+        assert [r.type for r in replies] == [frames.ACK] * len(cut)
+        session = channel._session
+        for state in (session.entry, session._server):
+            containers = [
+                (name, len(value))
+                for name, value in vars(state).items()
+                if isinstance(value, (list, tuple, dict, set))
+            ]
+            assert all(size <= 2 for _, size in containers), containers
+        *_, end_down = channel.exchange(Frame(frames.END_UP, b""))
+        assert end_down.type == frames.END_DOWN
+        (statement,) = channel.exchange(Frame(frames.FIN, b""))
+        signed = canonical_loads(statement.payload)
+        lengths[session_id] = (int(signed["statement"]["records"]), len(statement.payload))
+    (many, many_bytes), (one, one_bytes) = lengths["many-0"], lengths["one-00"]
+    assert many == one + 999
+    assert many_bytes - one_bytes == len(str(many)) - len(str(one))
+
+
+def _send_header(sock, ftype, length):
+    sock.sendall(bytes([ftype]) + length.to_bytes(4, "big"))
+
+
+@pytest.mark.parametrize("opened", [False, True], ids=["before-open", "after-open"])
+def test_tcp_frame_over_its_bound_is_refused_unread(rig, opened):
+    # A header declaring 16 MiB - 1 against a 64 KiB session: the notary
+    # answers ABORT and hangs up without waiting for the payload.
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        session_id = f"oversize-{opened}"
+        with socket.create_connection((host, port), timeout=5) as sock:
+            if opened:
+                frames.write_frame(sock, _open_frame(session_id, cap_up=1 << 16))
+                assert frames.read_frame(sock).type == frames.OPEN_OK
+            _send_header(sock, frames.RELAY_UP if opened else frames.OPEN, (1 << 24) - 1)
+            reply = frames.read_frame(sock)
+            assert reply.type == frames.ABORT
+            assert f"frame of {(1 << 24) - 1} bytes exceeds limit".encode() in reply.payload
+            assert sock.recv(1) == b""
+        if opened:
+            entry = rig.service.ledger.get(session_id)
+            assert entry.state == STATE_ABORTED
+            assert entry.abort_reason.startswith("up capacity 65536 exceeded: frame of")
+        assert check_health(host, port)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_frame_limits_follow_the_session(rig):
+    session, _ = rig.service.open_session(_open_frame("limits", cap_up=100))
+    assert session.frame_limit(frames.RELAY_UP) == 100 + toytls.TAG_LEN
+    assert session.frame_limit(frames.POST_UP) == frames.CONTROL_MAX
+    session.entry.used_up = 60
+    assert session.frame_limit(frames.RELAY_UP) == 40 + toytls.TAG_LEN
+
+
+def test_capacity_abort_inside_a_batch_raises(rig):
+    # The request's records and END_UP leave in one batch; a record past
+    # the capacity ends it with an ABORT, in process and over TCP.
+    template = rig.registry.get_inject(rig.inject_uid)
+    from vet.templates import render
+
+    request, spans = render(template, "b" * 200, {"token": "T" * 16})
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        for channel in (
+            provision_channel(rig.service, "echo.test", cap_up=150, session_id="batch-local"),
+            TCPChannel(host, port, "echo.test", 150, 1 << 16, "batch-tcp"),
+        ):
+            with pytest.raises(CapacityExceeded, match="up capacity 150 exceeded"):
+                run_session(
+                    channel, request, sorted(spans.values()), claims={"input": "b" * 200}
+                )
+            assert rig.service.ledger.get(channel.session_id).state == STATE_ABORTED
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_tcp_session_takes_five_round_trips(rig, monkeypatch):
+    # OPEN, the handshake, the request's records with END_UP in one batch,
+    # FIN and the key request; CLOSE expects no reply.
+    server = notary_mod.serve(rig.service)
+    writes = []
+    exchange = TCPChannel.exchange
+    monkeypatch.setattr(
+        TCPChannel, "exchange", lambda self, *batch: writes.append(batch) or exchange(self, *batch)
+    )
+    try:
+        host, port = server.server_address
+        channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "round-trips")
+        template = rig.registry.get_inject(rig.inject_uid)
+        from vet.templates import render
+
+        request, spans = render(template, "trips", {"token": "T" * 16})
+        run_session(channel, request, sorted(spans.values()), claims={"input": "trips"})
+        assert 1 + len(writes) == 5
+        assert [f.type for f in writes[1]] == [frames.RELAY_UP] * 3 + [frames.END_UP]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize(
+    "claims", [{}, {"input": 5}, {"input": "m", "more": "x"}], ids=["none", "not-a-string", "extra"]
+)
+def test_session_requires_the_claimed_input(rig, claims):
+    channel = provision_channel(rig.service, "echo.test")
+    with pytest.raises(ValidationError, match="claims must be exactly|input must be a string"):
+        run_session(channel, _post_for("m"), claims=claims)
+    with pytest.raises(TypeError):
+        run_session(channel, _post_for("m"))

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from vet import tee_proxy
+from vet.chain import OpenChain
 from vet.errors import Rejected
 from vet.keys import SigningKey
 from vet.mockserver import make_echo_handler, make_price_handler
@@ -112,8 +113,8 @@ def test_verify_attestation_closes_its_log_of_one_once(setup, monkeypatch):
     from vet.templates import inject, parse_tool
 
     closed = []
-    close = tee_proxy.OpenLog.close
-    monkeypatch.setattr(tee_proxy.OpenLog, "close", lambda log: closed.append(log) or close(log))
+    close = OpenChain.close
+    monkeypatch.setattr(OpenChain, "close", lambda log: closed.append(log) or close(log))
     request = inject(template, "bitcoin")
     response, head = proxy.fetch(request)
     value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
@@ -210,8 +211,8 @@ def test_log_signs_one_head_over_its_exchanges(setup):
     verify([0, 1, 2])
     # The chain fixes the number of exchanges and their bytes.
     for order, detail in (
-        ([0, 1], "the log holds 3 exchanges, 2 were proven"),
-        ([0, 1, 2, 2], "the log holds 3 exchanges, and more proofs name it"),
+        ([0, 1], "the session holds 3 exchanges, 2 were proven"),
+        ([0, 1, 2, 2], "the session holds 3 exchanges, and the proofs carry more"),
     ):
         with pytest.raises(Rejected) as err:
             verify(order)

@@ -15,6 +15,7 @@ from vet.templates import (
     secret_spans,
 )
 from vet.httpmsg import parse_request
+from vet.toytls import RECORD_MAX
 
 PATH_TEMPLATE = {
     "type": "inject",
@@ -117,29 +118,26 @@ def test_template_validation_errors():
         ParseTemplate.from_obj({"type": "parse", "kind": "core", "output_pointer": "/y"})
 
 
-def _records(data, spans):
-    """Record lengths cut at every secret-span edge, as a prover sends them."""
-    edges = {edge for offset, length in spans.values() for edge in (offset, offset + length)}
-    cuts = sorted({0, len(data), *edges})
-    return [end - start for start, end in zip(cuts, cuts[1:])]
-
-
 def test_match_request_accepts_honest_disclosure():
     template = InjectTemplate.from_obj(BODY_TEMPLATE)
     data, spans = render(template, "hello", {})
-    # The records are the public head, the secret and the rest.
-    assert match_request(template, "hello", len(data), _records(data, spans)) == (
-        data, frozenset({1})
+    # The verifier cuts the records itself, as the prover does: the public
+    # head, the secret and the rest.
+    offset, length = spans["token"]
+    assert match_request(template, "hello", len(data)) == (
+        data, [offset, length, len(data) - offset - length], frozenset({1})
     )
-    # Finer cuts classify the same way: a public record may be any length.
-    split = [1] * spans["token"][0] + _records(data, spans)[1:]
-    assert match_request(template, "hello", len(data), split)[1] == {spans["token"][0]}
+    # A rendering longer than a record is cut at RECORD_MAX as well.
+    long = "h" * (2 * RECORD_MAX)
+    data, spans = render(template, long, {})
+    _, lengths, secret = match_request(template, long, len(data))
+    assert sum(lengths) == len(data) and lengths[2:4] == [RECORD_MAX] * 2 and len(lengths) == 5
+    assert secret == {1} and lengths[1] == spans["token"][1]
 
 
 def test_match_request_rejections():
     template = InjectTemplate.from_obj(BODY_TEMPLATE)
-    data, spans = render(template, "hello", {})
-    records = _records(data, spans)
+    data, _ = render(template, "hello", {})
 
     def reason(*args):
         with pytest.raises(Rejected) as err:
@@ -148,17 +146,11 @@ def test_match_request_rejections():
         return err.value.detail
 
     # A claimed input of another length, or a declared length that differs.
-    assert reason("hello!", len(data), records).startswith("rendered length")
-    assert reason("hello", len(data) + 1, records).startswith("rendered length")
-    # Records that carry too few or too many bytes.
-    assert reason("hello", len(data), records[:-1]).startswith("request records carry")
-    assert reason("hello", len(data), records + [1]).startswith("request records carry")
-    # A record that runs into the secret, or out of it.
-    for moved in ([records[0] + 1, records[1] - 1], [records[0] - 1, records[1] + 1]):
-        detail = reason("hello", len(data), moved + records[2:])
-        assert detail.endswith("straddles a secret span edge")
-    merged = [records[0] + records[1]] + records[2:]
-    assert reason("hello", len(data), merged) == "request record 0 straddles a secret span edge"
+    assert reason("hello!", len(data)).startswith("rendered length")
+    assert reason("hello", len(data) + 1).startswith("rendered length")
+    assert reason("hello", len(data) - 1) == (
+        f"rendered length {len(data)} != declared length {len(data) - 1}"
+    )
 
 
 def test_parse_tool_and_core():

@@ -14,14 +14,15 @@ from vet.frames import Frame
 from vet.keys import SigningKey, verify_signature
 from vet.mockserver import make_echo_handler
 from vet.toytls import (
+    CHAIN_START,
     RECORD_MAX,
+    RecordChain,
     ServerConnection,
     TargetServer,
     derive_record_key,
     handshake_signature_message,
     keystream,
     open_record,
-    record_hash,
     seal_record,
     split_records,
 )
@@ -58,7 +59,13 @@ def test_seal_record_known_answer():
     wire = seal_record(key, plaintext)
     assert wire == bytes(a ^ b for a, b in zip(plaintext, stream)) + tag
     assert toytls.record_tag(key, plaintext) == tag
-    assert record_hash(wire) == tag.hex()
+    # Format 9: the record chain's head over (direction, length, tag), one
+    # byte of direction and eight of length, from an all-zero head.
+    chain = RecordChain()
+    chain.add("up", wire)
+    link = b"VET/rec:" + bytes(32) + b"u" + len(plaintext).to_bytes(8, "big") + tag
+    assert (chain.count, chain.head) == (1, hashlib.sha256(link).digest())
+    assert CHAIN_START == bytes(32)
 
 
 def test_open_refuses_a_flipped_ciphertext_or_tag_byte():
@@ -134,15 +141,19 @@ def _drive_handshake(connection, rng, session_id):
     return shared, nonce
 
 
-def _statement(session_id, chain):
-    """A statement of the notary's shape over ``chain``: (direction, hash,
-    plaintext length) per record."""
+def _statement(session_id, records):
+    """A statement of the notary's shape over ``records``: (direction,
+    sealed wire) each."""
+    chain = RecordChain()
+    for direction, wire in records:
+        chain.add(direction, wire)
     return {
         "session_id": session_id,
         "server_domain": "echo.test",
         "server_key_fingerprint": "sha256:" + "0" * 64,
         "channel_capacity": {"up": "65536", "down": "65536"},
-        "records": [{"direction": d, "hash": h, "length": str(n)} for d, h, n in chain],
+        "records": str(chain.count),
+        "head": chain.head.hex(),
     }
 
 
@@ -169,9 +180,7 @@ def test_server_round_trip_and_key_release():
     assert down_wires
 
     # Build the statement the notary would sign over this session's chain.
-    chain = [("up", record_hash(wire), len(request))] + [
-        ("down", record_hash(w), len(w) - toytls.TAG_LEN) for w in down_wires
-    ]
+    chain = [("up", wire)] + [("down", w) for w in down_wires]
     statement = _statement("sess-1", chain)
     signed = canonical_bytes(
         {
@@ -200,9 +209,8 @@ def test_server_refuses_an_up_record_whose_tag_names_other_plaintext():
     sent = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"m"}'
     claimed = sent.replace(b'"m"', b'"n"')
     wire = seal_record(key, sent)[: -toytls.TAG_LEN] + toytls.record_tag(key, claimed)
-    connection.handle(Frame(frames.RELAY_UP, wire))
     with pytest.raises(ProtocolError, match="MAC check failed"):
-        connection.handle(Frame(frames.END_UP, b""))
+        connection.handle(Frame(frames.RELAY_UP, wire))
 
 
 def _release_attempt(connection, hk, statement, signature):
@@ -222,9 +230,7 @@ def test_server_withholds_seed_without_valid_statement():
     connection.handle(Frame(frames.RELAY_UP, wire))
     replies = connection.handle(Frame(frames.END_UP, b""))
     down_wires = [r.payload for r in replies if r.type == frames.RELAY_DOWN]
-    chain = [("up", record_hash(wire), len(request))] + [
-        ("down", record_hash(w), len(w) - toytls.TAG_LEN) for w in down_wires
-    ]
+    chain = [("up", wire)] + [("down", w) for w in down_wires]
 
     def statement_for(records, session_id="sess-2"):
         return _statement(session_id, records)
@@ -239,8 +245,10 @@ def test_server_withholds_seed_without_valid_statement():
             connection, hk, wrong_session, notary.sign(canonical_bytes(wrong_session))
         )
     short = statement_for(chain[:-1])
-    with pytest.raises(ProtocolError):
-        _release_attempt(connection, hk, short, notary.sign(canonical_bytes(short)))
+    recounted = dict(good, records=str(len(chain) + 1))  # the honest head, one record more
+    for forged in (short, recounted):
+        with pytest.raises(ProtocolError, match="signed chain does not match"):
+            _release_attempt(connection, hk, forged, notary.sign(canonical_bytes(forged)))
     # The honest statement still works after the failed attempts.
     (post,) = _release_attempt(connection, hk, good, notary.sign(canonical_bytes(good)))
     assert post.type == frames.POST_DOWN

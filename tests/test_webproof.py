@@ -11,15 +11,14 @@ from vet.commitment import SALT_LEN, commit, disclose
 from vet.errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from vet.keys import SigningKey
 from vet.templates import render
+from vet.chain import OpenChain
 from vet.webproof import (
     NotarizedSession,
-    OpenStatement,
-    RecordInfo,
     SignedStatement,
     WebProof,
     WebProofProver,
     authenticate,
-    exchanges_of,
+    open_statement,
     provision_channel,
     run_session,
     verify_webproof,
@@ -87,14 +86,17 @@ def test_statement_tampering_rejected(rig):
 def test_statement_of_the_wrong_shape_does_not_decode(rig):
     # Signed by the rig's own notary, so only decoding can refuse it.
     _, proof = _prove(rig, "x")
-    obj = proof.to_obj()
-    statement = obj["signed_statement"]["statement"]
-    statement["records"][0]["length"] = "x"
-    obj["signed_statement"]["notary_signature"] = rig.notary_key.sign(canonical_bytes(statement))
-    with pytest.raises(ValidationError, match="length must be a decimal integer string"):
-        WebProof.from_obj(obj)
-    with pytest.raises(ValidationError):
-        verify_webproof("x", WebProof.from_obj(obj), rig.entry, "tool", rig.registry)
+    for field, value, message in (
+        ("records", "x", "records must be a decimal integer string"),
+        ("head", "00" * 31, "head must be 32 bytes, not 31"),
+    ):
+        obj = proof.to_obj()
+        statement = obj["signed_statement"]["statement"]
+        statement[field] = value
+        signature = rig.notary_key.sign(canonical_bytes(statement))
+        obj["signed_statement"]["notary_signature"] = signature
+        with pytest.raises(ValidationError, match=message):
+            WebProof.from_obj(obj)
 
 
 def test_wrong_domain_rejected(rig):
@@ -138,8 +140,8 @@ def test_large_proof_is_at_most_three_times_its_exchange(rig):
     assert exchange > 2 * 48 * 1024
     assert len(canonical_bytes(proof.to_obj())) <= 3 * exchange
     # One chunk, and so one salt, per response record; the request has none.
-    down = [r.length for r in proof.statement.records if r.direction == "down"]
-    assert list(proof.response_commitment.chunk_lengths) == down
+    down = list(proof.down_lengths)
+    assert len(down) > 1 and list(proof.response_commitment.chunk_lengths) == down
     salts = sum(len(run.salt) for run in proof.response_disclosure.chunks) // SALT_LEN
     assert salts == len(down)
 
@@ -158,10 +160,10 @@ def test_verify_webproof_runs_no_keystream(rig, monkeypatch):
 def test_verify_webproof_closes_its_session_of_one_once(rig, monkeypatch):
     _, proof = _prove(rig, "once")
     closed = []
-    close = OpenStatement.close
-    monkeypatch.setattr(OpenStatement, "close", lambda s: closed.append(s) or close(s))
+    close = OpenChain.close
+    monkeypatch.setattr(OpenChain, "close", lambda s: closed.append(s) or close(s))
     assert verify_webproof("once", proof, rig.entry, "tool", rig.registry) == "once"
-    assert len(closed) == 1 and closed[0].statement is proof.statement
+    assert len(closed) == 1 and closed[0].signed is proof.statement
 
 
 def test_cross_session_splicing_rejected(rig):
@@ -174,24 +176,25 @@ def test_cross_session_splicing_rejected(rig):
     assert err.value.reason == "cipher-mismatch"
 
 
+UNCHAINED = ("cipher-mismatch", "the records do not chain to the signed head")
+
+
 def test_mutated_record_key_rejected(rig):
-    # A response record's tag is checked over the disclosed response, a
-    # request record's over the rendering of the claimed input.
+    # A response record's tag is hashed over the disclosed response, a
+    # request record's over the rendering of the claimed input; a wrong
+    # key gives another tag, and the chain another head.
     _, proof = _prove(rig, "x")
     for (direction, index), key in proof.record_keys.items():
         keys = {**proof.record_keys, (direction, index): bytes([key[0] ^ 1]) + key[1:]}
-        assert _reason(rig, "x", replace(proof, record_keys=keys)) == (
-            "cipher-mismatch" if direction == "down" else "template-mismatch",
-            f"{direction} record {index} does not match its signed tag",
-        )
+        assert _reason(rig, "x", replace(proof, record_keys=keys)) == UNCHAINED
 
 
 def test_claimed_input_must_match_disclosure(rig):
+    # An input of the same length renders as many bytes, in records of
+    # the same lengths, whose tags do not chain to the signed head.
     _, proof = _prove(rig, "x")
     lied = replace(proof, claims={"input": "y"})
-    with pytest.raises(Rejected) as err:
-        verify_webproof("x", lied, rig.entry, "tool", rig.registry)
-    assert err.value.reason == "template-mismatch"
+    assert _reason(rig, "x", lied) == UNCHAINED
 
 
 def test_secret_never_in_serialized_proof(rig):
@@ -211,13 +214,14 @@ def test_minimal_disclosure_excludes_secret_chunks(rig):
     _, proof = _prove(rig, "mindisc")
     request, spans = render(template, "mindisc", {"token": SECRET})
     (offset, length) = spans["token"]
-    # The secret is an up record of its own, the one whose key is withheld;
-    # nothing of the request is disclosed.
-    up = [r.length for r in proof.statement.records if r.direction == "up"]
-    secret_record = [sum(up[:i]) for i in range(len(up))].index(offset)
-    assert up[secret_record] == length and sum(up) == proof.request_length == len(request)
+    # The secret is an up record of its own, the one whose key is withheld
+    # and whose tag is shipped; nothing of the request is disclosed.
+    up = toytls.split_records(len(request), [spans["token"]])
+    secret_record = up.index((offset, length))
+    assert proof.request_length == len(request)
     released = {i for d, i in proof.record_keys if d == "up"}
     assert released == set(range(len(up))) - {secret_record}
+    assert len(proof.withheld_tags) == 1
     assert proof.to_obj()["request_disclosure"] == {"chunks": []}
 
 
@@ -226,8 +230,8 @@ def test_unkeyed_record_disclosure_rejected(rig):
     # included, no longer decodes: the request stubs admit no content.
     template = rig.registry.get_inject(rig.inject_uid)
     _, proof = _prove(rig, "leakattempt")
-    request, _ = render(template, "leakattempt", {"token": SECRET})
-    up = [r.length for r in proof.statement.records if r.direction == "up"]
+    request, spans = render(template, "leakattempt", {"token": SECRET})
+    up = [n for _, n in toytls.split_records(len(request), [spans["token"]])]
     request_commitment, opening = commit(request, up, random.Random(79))
     obj = proof.to_obj()
     obj["request_commitment"] = request_commitment.to_obj()
@@ -283,7 +287,9 @@ def test_withheld_public_record_key_is_rejected(rig):
 def test_record_straddling_a_secret_span_edge_is_rejected(rig, side, release):
     # The secret is sent in one record with its public neighbour, as a
     # prover that reveals the neighbour's bytes without a record of their
-    # own would: the signed lengths then cut across the span's edge.
+    # own would. The verifier cuts the rendering at the span's edges, so
+    # the proof's keys fall on records of other roles: a public record
+    # has no key, or a secret one has the merged record's key.
     template = rig.registry.get_inject(rig.inject_uid)
     request, spans = render(template, "straddle", {"token": SECRET})
     offset, length = spans["token"]
@@ -295,9 +301,13 @@ def test_record_straddling_a_secret_span_edge_is_rejected(rig, side, release):
         proof = replace(
             proof, record_keys={**proof.record_keys, ("up", merged_record): up_keys[merged_record]}
         )
-    assert _reason(rig, "straddle", proof) == (
-        "template-mismatch", f"request record {merged_record} straddles a secret span edge"
-    )
+    failure = {
+        ("before", False): "up record 0 has no key",
+        ("before", True): "up record 1 is secret but has a key",
+        ("after", False): "up record 2 has no key",
+        ("after", True): "up record 1 is secret but has a key",
+    }[side, release]
+    assert _reason(rig, "straddle", proof) == ("template-mismatch", failure)
 
 
 def test_key_for_an_up_record_past_the_chain_is_a_cipher_mismatch(rig):
@@ -364,6 +374,16 @@ def test_proof_of_format_7_is_rejected_naming_its_version(rig):
         WebProof.from_obj(obj)
 
 
+def test_proof_of_format_8_is_rejected_naming_its_version(rig):
+    # Format 8 listed every record in the statement; its proofs name the
+    # version they were written in.
+    _, proof = _prove(rig, "old")
+    obj = proof.to_obj()
+    obj["format"] = "8"
+    with pytest.raises(ValidationError, match="web proof format 8 is not supported"):
+        WebProof.from_obj(obj)
+
+
 def test_proof_size_carries_no_copy_of_the_request(rig):
     # Growing x by 7 KiB grows the proof by the input claim and the
     # response echo alone: no hex copy of the request comes back.
@@ -410,10 +430,10 @@ def test_statement_chain_must_match_observation(rig):
             self.session_id = inner.session_id
             self.notary_public_key = inner.notary_public_key
 
-        def exchange(self, frame):
+        def exchange(self, *batch):
             from vet import frames as f
 
-            replies = self.inner.exchange(frame)
+            replies = self.inner.exchange(*batch)
             out = []
             for reply in replies:
                 if reply.type == f.RELAY_DOWN:
@@ -431,7 +451,9 @@ def test_statement_chain_must_match_observation(rig):
     template = rig.registry.get_inject(rig.inject_uid)
     request, spans = render(template, "tamper", {"token": SECRET})
     with pytest.raises(ProtocolError):
-        run_session(channel, request, secret_spans=sorted(spans.values()))
+        run_session(
+            channel, request, secret_spans=sorted(spans.values()), claims={"input": "tamper"}
+        )
 
 
 def _run(rig, messages, **caps):
@@ -448,9 +470,11 @@ def _verify_sessions(rig, sessions):
     once, as a bundle's verifier does; return the authenticated values."""
     values = []
     for proven in sessions:
-        session = OpenStatement(proven[0][1].statement, rig.notary_key.public_string, "echo.test")
+        session = open_statement(
+            proven[0][1].statement, rig.notary_key.public_string, "echo.test"
+        )
         for exchange, proof in proven:
-            assert proof.statement is session.statement
+            assert proof.statement is session.signed
             checked = authenticate(
                 proof,
                 rig.notary_key.public_string,
@@ -485,8 +509,10 @@ def test_exchanges_share_one_session_and_each_must_be_proven(rig):
     # Alone, a proof of a four-exchange statement leaves three unproven.
     with pytest.raises(Rejected) as err:
         verify_webproof(messages[0], proven[0][1], rig.entry, "tool", rig.registry)
-    assert err.value.reason == "cipher-mismatch"
-    assert "holds 4 exchanges, 1 were proven" in err.value.detail
+    # Each exchange is three up records (the secret in one of its own) and one down.
+    assert (err.value.reason, err.value.detail) == (
+        "cipher-mismatch", "the session holds 16 records, 4 were proven"
+    )
 
 
 def test_request_that_would_overflow_rolls_to_a_fresh_session(rig):
@@ -518,36 +544,109 @@ def test_exchange_too_big_for_a_fresh_session_fails(rig, before):
         _run(rig, messages, cap_down=before * response + 100)
 
 
-def _records(shape):
-    directions = {"u": "up", "d": "down", "x": "sideways"}
-    return tuple(RecordInfo(directions[c], "00" * 32, 1) for c in shape)
+def test_chain_cuts_into_maximal_request_response_runs(rig):
+    # Each proof chains its exchange's up run, then its down run, and no
+    # record of the next exchange: a short and a long echo, in one session.
+    (proven,) = _run(rig, ["a", "b" * 40000])
+    session = open_statement(proven[0][1].statement, rig.notary_key.public_string, "echo.test")
+    taken = []
+    for exchange, proof in proven:
+        template = rig.registry.get_inject(rig.inject_uid)
+        authenticate(
+            proof, rig.notary_key.public_string, "echo.test", template,
+            rig.registry.get_parse(rig.parse_uid), "tool", session,
+        )
+        taken.append(session.taken)
+    short, long = (len(proof.down_lengths) for _, proof in proven)
+    assert (short, long) == (1, 3)
+    assert taken == [3 + short, 3 + short + 5 + long] and session.taken == session.count
+    session.close()
 
 
-def test_chain_cuts_into_maximal_request_response_runs():
-    assert [
-        (len(up), len(down)) for up, down in exchanges_of(_records("udduduuud"))
-    ] == [(1, 2), (1, 1), (3, 1)]
-    assert exchanges_of(()) == []
+def test_proof_must_cover_an_up_and_a_down_record(rig):
+    _, proof = _prove(rig, "shape")
+    assert _reason(rig, "shape", replace(proof, down_lengths=())) == (
+        "cipher-mismatch", "a proof must cover an up and a down record"
+    )
+    # The response's bytes regrouped into records of other lengths.
+    (n,) = proof.down_lengths
+    regrouped = replace(
+        proof,
+        down_lengths=(1, n - 1),
+        record_keys={**proof.record_keys, ("down", 1): proof.record_keys["down", 0]},
+    )
+    assert _reason(rig, "shape", regrouped) == (
+        "cipher-mismatch", "the session holds 4 records, and the proofs carry more"
+    )
+
+
+def test_withheld_tag_must_be_the_signed_one(rig):
+    # The prover holds the secret record's key, so it can tag other bytes
+    # under it; that tag does not chain to the signed head.
+    proof, up_keys = _session_proof(rig, "retag")
+    ((secret_record,),) = [
+        set(range(len(up_keys))) - {i for d, i in proof.record_keys if d == "up"}
+    ]
+    other = toytls.record_tag(up_keys[secret_record], b"~" * len(SECRET))
+    assert _reason(rig, "retag", replace(proof, withheld_tags=(other,))) == UNCHAINED
+    assert _reason(rig, "retag", replace(proof, withheld_tags=())) == (
+        "template-mismatch", "the proof withholds 0 tags for 1 secret records"
+    )
+
+
+def test_chain_past_its_signed_capacity_is_rejected(rig):
+    # A statement signed by the notary, but with less capacity than its
+    # records carry: the verifier sums the bytes as it chains them.
+    _, proof = _prove(rig, "capacity")
+    statement = dict(proof.statement.statement, channel_capacity={"up": "10", "down": "65536"})
+    signed = SignedStatement.from_obj(
+        {
+            "statement": statement,
+            "notary_signature": rig.notary_key.sign(canonical_bytes(statement)),
+        }
+    )
+    assert _reason(rig, "capacity", replace(proof, statement=signed)) == (
+        "cipher-mismatch", "the proofs carry more up bytes than the signed 10"
+    )
 
 
 @pytest.mark.parametrize(
-    "shape, at",
-    [("u", 0), ("d", 0), ("udu", 2), ("udduu", 3), ("uxd", 0)],
-    ids=[
-        "request-only", "response-only", "trailing-request", "trailing-requests", "other-direction"
+    "field, value",
+    [
+        ("withheld_tags", ["00" * 31]),
+        ("withheld_tags", "00" * 32),
+        ("withheld_tags", ["AB" * 32]),
+        ("down_lengths", ["-1"]),
+        ("down_lengths", [str(toytls.RECORD_MAX + 1)]),
+        ("down_lengths", ["01"]),
     ],
+    ids=["short-tag", "tags-not-a-list", "uppercase-tag", "negative", "past-record-max", "spelled"],
 )
-def test_chain_that_is_not_request_response_pairs_is_rejected(shape, at):
-    with pytest.raises(Rejected) as err:
-        exchanges_of(_records(shape))
-    assert (err.value.reason, err.value.detail) == (
-        "cipher-mismatch", f"signed records from {at} on do not form a request/response exchange"
+def test_withheld_tags_and_down_lengths_admit_one_shape(rig, field, value):
+    _, proof = _prove(rig, "shape")
+    obj = proof.to_obj()
+    obj[field] = value
+    with pytest.raises(ValidationError):
+        WebProof.from_obj(obj)
+
+
+@pytest.mark.parametrize("message", ["", "m", "x" * 20000], ids=["empty", "short", "two-records"])
+@pytest.mark.parametrize("secret", [False, True], ids=["public", "secret-header"])
+def test_every_run_session_proof_round_trips(rig, message, secret):
+    template = rig.registry.get_inject(rig.inject_uid)
+    request, spans = render(template, message, {"token": SECRET})
+    channel = provision_channel(rig.service, "echo.test", rng=random.Random(7))
+    _, proof = run_session(
+        channel, request, sorted(spans.values()) if secret else None, claims={"input": message}
     )
+    obj = proof.to_obj()
+    assert WebProof.from_obj(obj).to_obj() == obj
+    assert len(proof.withheld_tags) == int(secret)
 
 
 def test_session_opened_for_one_notary_key_serves_no_other(rig):
     (proven,) = _run(rig, ["a" * 8, "b" * 8])
-    session = OpenStatement(proven[0][1].statement, rig.notary_key.public_string, "echo.test")
+    session = open_statement(proven[0][1].statement, rig.notary_key.public_string, "echo.test")
     rogue = SigningKey.from_seed("rogue-notary").public_string
     with pytest.raises(Rejected) as err:
         authenticate(
