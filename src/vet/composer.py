@@ -23,9 +23,18 @@ over the hash chain it signs, and ``verify`` authenticates the
 session's next exchange and chains it on; the chain's ``close``
 requires that every signed exchange was consumed. Each raises
 ``Rejected`` with the scheme's own reason. Adding a scheme means adding
-one entry. Proving and verifying walk a trace's invocations in one order
-(``invocations``), and ``verify_trace`` records what it checked in a
-``VerificationReport``.
+one entry.
+
+Proving (``prove_trace``) re-runs each call of the trace. The composer
+renders every request, from the entry's inject template and the
+prover's secrets, and parses every response, once per call. A scheme's
+prover only groups calls into sessions (``session_key``) and carries
+bytes through them: ``open`` starts a run, whose ``add`` sends a
+rendered request and whose ``finish`` gives each signed object with
+every call's response and payload. A TEE proof ships its raw request,
+so the ProxyTEE prover holds no secret. Proving and verifying walk a
+trace's invocations in one order (``invocations``), and ``verify_trace``
+records what it checked in a ``VerificationReport``.
 """
 
 from __future__ import annotations
@@ -56,8 +65,6 @@ from .templates import (
     ROLE_TOOL,
     AuthenticatedExchange,
     TemplateRegistry,
-    parse_exchange,
-    render,
 )
 from .tee_proxy import TeeProxy
 from .webproof import WebProofProver
@@ -203,7 +210,9 @@ class Invocation:
         return _locator(self.step.step_index, self.position)
 
     def entry(self, aid: AgentIdentityDocument) -> ComponentEntry:
-        """The AID entry of the called component; KeyError for an unknown tool."""
+        """The AID entry of the called component; ValidationError for a tool the AID lacks."""
+        if self.call is not None and self.call.tool_id not in {t.name for t in aid.tools}:
+            raise ValidationError(f"tool {self.call.tool_id!r} not in the AID")
         return aid.core if self.call is None else aid.tool(self.call.tool_id)
 
     def recorded(self) -> AuthenticatedExchange:
@@ -230,74 +239,44 @@ def invocations(trace: ExecutionTrace) -> Iterator[Invocation]:
 
 
 class TeeComponentProver:
-    """Per-scheme prover adapter for ProxyTEE entries.
+    """The prover of ProxyTEE entries: ``proxies`` maps component names to
+    the TeeProxy fronting each one's upstream, and the calls to one proxy
+    share one log.
 
-    ``proxies`` maps component names to the TeeProxy fronting that
-    component's upstream. The calls to one proxy share one log.
+    A TEE proof ships its raw request, so this prover holds no secret: a
+    ProxyTEE entry whose inject template has a secret slot is refused,
+    and secret-bearing calls go through web proofs.
     """
 
-    def __init__(
-        self,
-        proxies: dict[str, TeeProxy],
-        registry: TemplateRegistry,
-        secrets: dict[str, str] | None = None,
-    ):
+    secrets: dict[str, str] = {}  # always empty, as above
+
+    def __init__(self, proxies: dict[str, TeeProxy], registry: TemplateRegistry):
         self.proxies = dict(proxies)
         self.registry = registry
-        self.secrets = dict(secrets or {})
 
     def session_key(self, entry: ComponentEntry) -> TeeProxy:
+        if entry.name not in self.proxies:
+            raise ValidationError(f"no TEE proxy fronts {entry.name!r}")
         return self.proxies[entry.name]
 
-    def open(self, entry: ComponentEntry) -> "_TeeLogRun":
-        return _TeeLogRun(self, self.proxies[entry.name].open_log())
-
-
-class _TeeLogRun:
-    def __init__(self, prover: TeeComponentProver, log: tee_proxy.ProxyLog):
-        self.prover = prover
-        self.log = log
-        self.proven: list[tuple[AuthenticatedExchange, dict]] = []
-
-    def add(self, entry: ComponentEntry, x: str, role: str) -> None:
-        registry = self.prover.registry
-        template = registry.get_inject(entry.injection_algorithm_uid)
-        secrets = {name: self.prover.secrets[name] for name in template.secret_names()}
-        request_bytes, _ = render(template, x, secrets)
-        response_bytes = self.log.fetch(request_bytes)
-        parse = registry.get_parse(entry.parsing_algorithm_uid)
-        exchange = AuthenticatedExchange(x, *parse_exchange(parse, response_bytes, role))
-        payload = {"request": request_bytes.hex(), "response": response_bytes.hex()}
-        self.proven.append((exchange, payload))
-
-    def finish(self) -> list[tuple[dict, list[tuple[AuthenticatedExchange, dict]]]]:
-        return [(self.log.close().to_obj(), self.proven)]
+    def open(self, entry: ComponentEntry) -> tee_proxy.ProxyLog:
+        return self.proxies[entry.name].open_log()
 
 
 class WebProofComponentProver:
-    """Per-scheme prover adapter for TLSNotary entries: the calls to one
-    host under one notary key share notarized sessions."""
+    """The prover of TLSNotary entries: the calls to one host under one
+    notary key share notarized sessions."""
 
     def __init__(self, prover: WebProofProver):
         self.prover = prover
+        self.registry = prover.registry
+        self.secrets = prover.secrets
 
     def session_key(self, entry: ComponentEntry) -> tuple[str, str]:
         return entry.verification.key_string(), entry.host
 
-    def open(self, entry: ComponentEntry) -> "_NotarizedRun":
-        return _NotarizedRun(self.prover.sessions(entry.host))
-
-
-class _NotarizedRun:
-    def __init__(self, run: webproof.NotarizedRun):
-        self.run = run
-        self.add = run.add
-
-    def finish(self) -> list[tuple[dict, list[tuple[AuthenticatedExchange, dict]]]]:
-        return [
-            (proven[0][1].statement.to_obj(), [(e, proof.exchange_obj()) for e, proof in proven])
-            for proven in self.run.finish()
-        ]
+    def open(self, entry: ComponentEntry) -> webproof.NotarizedRun:
+        return webproof.NotarizedRun(self.prover, entry.host)
 
 
 def prove_trace(
@@ -307,41 +286,49 @@ def prove_trace(
 ) -> VerifiableExecutionTrace:
     """Generate one component proof per invocation by re-running each call.
 
-    The calls that a prover's ``session_key`` groups go through one
-    session (``prover.open(entry)``): its ``add`` runs a call, and its
-    ``finish`` gives, per signed session it used, the signed object and
-    each call's parsed exchange and payload, in order. Requires the
-    components to be deterministic for the recorded inputs (the mock
-    servers are); a live value differing from the trace is a
-    proof-generation failure naming the invocation.
+    Each call is rendered, and its response parsed, here; the runs that
+    provers open carry the bytes (see the module docstring). The parsed
+    exchange must be the recorded one, so the components must be
+    deterministic for the recorded inputs (the mock servers are). A call
+    whose live response does not parse or gives another value, or that
+    no prover can make, is a ValidationError naming the invocation.
     """
-    runs: dict[tuple, tuple[object, list]] = {}
+    runs: dict[tuple, tuple[object, object, list]] = {}
     claims = []
     for invocation in invocations(trace):
-        entry = invocation.entry(aid)
-        scheme = entry.verification.scheme
-        if scheme not in provers:
-            raise ValidationError(f"no prover available for scheme {scheme!r}")
-        prover = provers[scheme]
-        key = (scheme, prover.session_key(entry))
+        try:
+            entry = invocation.entry(aid)
+            scheme = entry.verification.scheme
+            if scheme not in provers:
+                raise ValidationError(f"no prover available for scheme {scheme!r}")
+            prover = provers[scheme]
+            key = (scheme, prover.session_key(entry))
+            request_bytes, spans = prover.registry.render_call(entry, invocation.x, prover.secrets)
+        except ValidationError as exc:
+            raise ValidationError(f"{invocation.locator}: {exc}") from None
         if key not in runs:
-            runs[key] = (prover.open(entry), [])
-        run, calls = runs[key]
-        recorded = invocation.recorded()
-        run.add(entry, recorded.x, invocation.role)
-        calls.append((invocation, recorded))
-        claims.append((invocation.claim(recorded), invocation.locator))
+            runs[key] = (prover, prover.open(entry), [])
+        _, run, calls = runs[key]
+        run.add(request_bytes, spans, invocation.x)
+        calls.append((invocation, entry))
+        claims.append((invocation.claim(invocation.recorded()), invocation.locator))
 
     sessions = []
     proofs = {}
-    for (scheme, _), (run, calls) in runs.items():
+    for (scheme, _), (prover, run, calls) in runs.items():
         spec = SCHEMES[scheme]
         pending = iter(calls)
         for signed, proven in run.finish():
             index = str(len(sessions))
             sessions.append(Session(spec.kind, signed))
-            for (exchange, payload), (invocation, recorded) in zip(proven, pending):
-                if exchange != recorded:
+            for (response_bytes, payload), (invocation, entry) in zip(proven, pending):
+                try:
+                    exchange = prover.registry.read_call(
+                        entry, invocation.x, response_bytes, invocation.role
+                    )
+                except (Rejected, ValidationError) as exc:  # the response cannot be read
+                    raise ValidationError(f"{invocation.locator}: {exc}") from None
+                if exchange != invocation.recorded():
                     raise ValidationError(
                         f"{invocation.locator} no longer reproduces the recorded exchange"
                     )
@@ -514,12 +501,10 @@ def _verify_trace(
         proof = by_locator.pop((j, invocation.position), None)
         if proof is None:
             raise Rejected("subproof-invalid", f"missing proof at {invocation.locator}")
-        if invocation.call and invocation.call.tool_id not in {t.name for t in aid.tools}:
-            raise Rejected(
-                "transcript-inconsistent",
-                f"step {j}: tool {invocation.call.tool_id!r} not in the AID",
-            )
-        entry = invocation.entry(aid)
+        try:
+            entry = invocation.entry(aid)
+        except ValidationError as exc:
+            raise Rejected("transcript-inconsistent", f"step {j}: {exc}") from None
         check = ComponentCheck(j, invocation.position, proof.kind)
         report.components.append(check)
         exchange = _verify_component(proof, entry, registry, invocation.role, check, opened)

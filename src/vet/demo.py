@@ -315,7 +315,8 @@ def inspect_bundle(
     """Human-readable verification report; returns (text, all_ok).
 
     Verifies the final core output, so it stops at the same first
-    rejection that ``verify_trace`` names.
+    rejection that ``verify_trace`` names. A component is also marked
+    with the failure of its session if that failed to close.
     """
     report = VerificationReport()
     try:
@@ -335,6 +336,7 @@ def inspect_bundle(
         if session.verdict:
             line += f", chain closed {_status(session.verdict)}"
         lines.append(line)
+    unchained = {s.index: s.verdict for s in report.sessions if s.verdict not in ("", "ok")}
     step = None
     for check in report.components:
         if check.step_index != step:
@@ -347,7 +349,10 @@ def inspect_bundle(
         if check.request_disclosed is not None:
             public, secret = check.request_disclosed
             detail = f"  request {public}/{public + secret} bytes public, rest secret"
-        lines.append(f"  {where}: {check.kind}  [{_status(check.verdict)}]{detail}")
+        status = _status(check.verdict)
+        if check.session in unchained:
+            status += f"; session FAIL: {unchained[check.session]}"
+        lines.append(f"  {where}: {check.kind}  [{status}]{detail}")
     if report.reason is None:
         lines.append("trace consistency: ok")
     else:

@@ -48,7 +48,6 @@ from .templates import (
     expected_request,
     extract_input,
     first_difference,
-    parse_exchange,
 )
 
 
@@ -130,18 +129,29 @@ class TeeProxy:
 
 class ProxyLog:
     """One log of a proxy: ``fetch`` forwards a request and extends the
-    chain, ``close`` signs the head."""
+    chain, ``close`` signs the head. ``add`` and ``finish`` do the same for
+    ``composer.prove_trace``, as a ``webproof.NotarizedRun`` does, keeping
+    each exchange's response and bundle payload."""
 
     def __init__(self, proxy: TeeProxy):
         self.proxy = proxy
         self.head = LOG_START
         self.exchanges = 0
+        self._proven: list[tuple[bytes, dict]] = []
 
     def fetch(self, request_bytes: bytes) -> bytes:
         response_bytes = self.proxy.upstream(request_bytes)
         self.head = log_link(self.head, _digest(request_bytes), _digest(response_bytes))
         self.exchanges += 1
         return response_bytes
+
+    def add(self, request_bytes: bytes, secret_spans: list[tuple[int, int]], x: str) -> None:
+        response_bytes = self.fetch(request_bytes)
+        payload = {"request": request_bytes.hex(), "response": response_bytes.hex()}
+        self._proven.append((response_bytes, payload))
+
+    def finish(self) -> list[tuple[dict, list[tuple[bytes, dict]]]]:
+        return [(self.close().to_obj(), self._proven)]
 
     def close(self) -> LogHead:
         proxy = self.proxy
@@ -202,20 +212,6 @@ def _open(head: LogHead, entry) -> OpenChain:
     )
 
 
-def _read_exchange(
-    request_bytes: bytes,
-    response_bytes: bytes,
-    entry,
-    registry: TemplateRegistry,
-    role: str,
-) -> AuthenticatedExchange:
-    """Match the request to the inject template, which yields x, and
-    parse the response once."""
-    x = _match_tee_request(registry.get_inject(entry.injection_algorithm_uid), request_bytes)
-    template = registry.get_parse(entry.parsing_algorithm_uid)
-    return AuthenticatedExchange(x, *parse_exchange(template, response_bytes, role))
-
-
 def open_log(signed: dict, entry) -> OpenChain:
     """Open a bundle's signed log head for the components of ``entry``'s
     enclave: the signature is checked here, once."""
@@ -229,7 +225,8 @@ def verify_exchange(
     _bind(log.signed, entry)
     request, response = (json_field(payload, key, bytes) for key in ("request", "response"))
     log.take(_digest(request), _digest(response))
-    return _read_exchange(request, response, entry, registry, role)
+    x = _match_tee_request(registry.get_inject(entry.injection_algorithm_uid), request)
+    return registry.read_call(entry, x, response, role)
 
 
 def verify_attestation(
@@ -252,7 +249,8 @@ def verify_attestation(
     log = _open(head, entry)
     log.take(_digest(request_bytes), _digest(response_bytes))
     log.close()
-    exchange = _read_exchange(request_bytes, response_bytes, entry, registry, role)
+    x = _match_tee_request(registry.get_inject(entry.injection_algorithm_uid), request_bytes)
+    exchange = registry.read_call(entry, x, response_bytes, role)
     if m != exchange.value:
         raise Rejected(
             "value-mismatch", f"claimed {m!r}, attested value is {exchange.value!r}"

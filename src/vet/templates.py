@@ -398,6 +398,23 @@ class TemplateRegistry:
             raise ValidationError(f"unknown parse template uid {uid}")
         return self._parse[uid]
 
+    def render_call(
+        self, entry, x: str, secrets: Mapping[str, str]
+    ) -> tuple[bytes, list[tuple[int, int]]]:
+        """The request that calls component ``entry`` on ``x``, and its
+        secret spans in order. Every secret slot must be bound."""
+        template = self.get_inject(entry.injection_algorithm_uid)
+        missing = [name for name in template.secret_names() if name not in secrets]
+        if missing:
+            raise ValidationError(f"no secret {missing[0]!r} is held for {entry.name!r}")
+        request_bytes, spans = render(template, x, secrets)
+        return request_bytes, sorted(spans.values())
+
+    def read_call(self, entry, x: str, response_bytes: bytes, role: str) -> AuthenticatedExchange:
+        """The exchange that a call of component ``entry`` on ``x`` made."""
+        template = self.get_parse(entry.parsing_algorithm_uid)
+        return AuthenticatedExchange(x, *parse_exchange(template, response_bytes, role))
+
     def __contains__(self, uid: str) -> bool:
         return uid in self._objs
 

@@ -101,7 +101,6 @@ from .templates import (  # the roles are re-exported for callers of this module
     TemplateRegistry,
     match_request,
     parse_exchange,
-    render,
 )
 from .toytls import SignedStatement  # re-exported for callers of this module
 
@@ -740,44 +739,44 @@ class WebProofProver:
         self.cap_down = cap_down
         self.rng = rng or random.Random()
 
-    def sessions(self, host: str) -> "NotarizedRun":
-        return NotarizedRun(self, host)
-
     def call(self, entry, x: str, role: str) -> tuple[AuthenticatedExchange, WebProof]:
         """Render, run a notarized session of one exchange, parse, and package the proof."""
-        run = self.sessions(entry.host)
-        run.add(entry, x, role)
-        ((exchange_and_proof,),) = run.finish()
-        return exchange_and_proof
+        request_bytes, spans = self.registry.render_call(entry, x, self.secrets)
+        session = self.new_session(entry.host)
+        session.send(request_bytes, spans, {"input": x})
+        ((response_bytes, proof),) = session.finish()
+        return self.registry.read_call(entry, x, response_bytes, role), proof
+
+    def new_session(self, host: str) -> NotarizedSession:
+        """A notarized session with ``host``, over a freshly provisioned channel."""
+        channel = provision_channel(self.service, host, self.cap_up, self.cap_down, rng=self.rng)
+        return NotarizedSession(channel, self.rng)
 
 
 class NotarizedRun:
     """A prover's exchanges with one host, over as few sessions as hold them.
 
-    ``add`` sends each exchange in the open session. Before a request
-    that would overflow the session's remaining up capacity, the session
-    is finished and a fresh one opened. A response that overflows the
-    down capacity makes the notary abort the session; the exchanges it
-    carried are then replayed in a fresh session, which is finished, and
-    the overflowing one is sent in a session of its own. An exchange that
-    does not fit even a fresh session raises ``CapacityExceeded``.
-    Replays need components that answer a request the same way again,
-    as ``prove_trace`` already does.
+    ``add`` sends each rendered request in the open session. Before a
+    request that would overflow the session's remaining up capacity, the
+    session is finished and a fresh one opened. A response that
+    overflows the down capacity makes the notary abort the session; the
+    exchanges it carried are then replayed in a fresh session, which is
+    finished, and the overflowing one is sent in a session of its own. An
+    exchange that does not fit even a fresh session raises
+    ``CapacityExceeded``. Replays need components that answer a request
+    the same way again, as ``composer.prove_trace`` already does.
     """
 
     def __init__(self, prover: WebProofProver, host: str):
         self.prover = prover
         self.host = host
-        self._calls: list[tuple] = []  # (entry, x, role) of every exchange, in order
         self._finished: list[list[tuple[bytes, WebProof]]] = []
         self._session: NotarizedSession | None = None
         self._carried: list[tuple] = []  # what the open session has sent
 
-    def add(self, entry, x: str, role: str) -> None:
-        template = self.prover.registry.get_inject(entry.injection_algorithm_uid)
-        secrets = {name: self.prover.secrets[name] for name in template.secret_names()}
-        request_bytes, spans = render(template, x, secrets)
-        exchange = (request_bytes, sorted(spans.values()), {"input": x})
+    def add(self, request_bytes: bytes, secret_spans: list[tuple[int, int]], x: str) -> None:
+        """Send the request rendered for input ``x``, with its secret spans."""
+        exchange = (request_bytes, secret_spans, {"input": x})
         if self._session and self._session.up_used + len(request_bytes) > self.prover.cap_up:
             self._finish_session()
         try:
@@ -790,18 +789,10 @@ class NotarizedRun:
                 self._send(earlier)
             self._finish_session()
             self._send(exchange)
-        self._calls.append((entry, x, role))
 
     def _send(self, exchange: tuple) -> None:
         if self._session is None:
-            channel = provision_channel(
-                self.prover.service,
-                self.host,
-                self.prover.cap_up,
-                self.prover.cap_down,
-                rng=self.prover.rng,
-            )
-            self._session = NotarizedSession(channel, self.prover.rng)
+            self._session = self.prover.new_session(self.host)
         self._session.send(*exchange)
         self._carried.append(exchange)
 
@@ -809,17 +800,12 @@ class NotarizedRun:
         self._finished.append(self._session.finish())
         self._session, self._carried = None, []
 
-    def finish(self) -> list[list[tuple[AuthenticatedExchange, WebProof]]]:
-        """Finish the open session; per session, each exchange as parsed and its proof."""
+    def finish(self) -> list[tuple[dict, list[tuple[bytes, dict]]]]:
+        """Finish the open session; per session, its signed statement and
+        each exchange's response and proof, as a bundle holds them."""
         if self._session is not None:
             self._finish_session()
-        calls = iter(self._calls)
-        out = []
-        for session in self._finished:
-            proven = []
-            for (response_bytes, proof), (entry, x, role) in zip(session, calls):
-                parse = self.prover.registry.get_parse(entry.parsing_algorithm_uid)
-                exchange = AuthenticatedExchange(x, *parse_exchange(parse, response_bytes, role))
-                proven.append((exchange, proof))
-            out.append(proven)
-        return out
+        return [
+            (proven[0][1].statement.to_obj(), [(r, proof.exchange_obj()) for r, proof in proven])
+            for proven in self._finished
+        ]

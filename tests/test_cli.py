@@ -334,6 +334,32 @@ def test_inspect_stops_at_first_rejection(proved, tmp_path):
     assert sum("[ok]" in line or "[FAIL" in line for line in lines) == tee + 1
 
 
+def test_inspect_marks_the_components_of_a_session_that_fails_to_chain(proved, tmp_path):
+    # A flipped record key is caught only when its session closes, so each
+    # of that session's components passed its own check.
+    bundle = json.loads((proved / "bundle.json").read_text())
+    key = bundle["proofs"][0]["payload"]["record_keys"][0]
+    key["key"] = ("0" if key["key"][0] != "0" else "1") + key["key"][1:]
+    bad = tmp_path / "bundle.json"
+    bad.write_text(json.dumps(bundle))
+    result = CliRunner().invoke(
+        main,
+        [
+            "inspect",
+            "--aid", str(proved / "aid.json"),
+            "--bundle", str(bad),
+            "--templates", str(proved / "templates"),
+        ],
+    )
+    assert result.exit_code == 1
+    session = bundle["proofs"][0]["payload"]["signed_statement"]
+    assert f"session {session}: webproof, 2 exchanges" in result.output
+    marked = [line for line in result.output.splitlines() if f"(session {session})" in line]
+    assert len(marked) == 2
+    assert all("[ok; session FAIL: cipher-mismatch]" in line for line in marked)
+    assert result.output.count("[ok]") == len(bundle["proofs"]) - 2
+
+
 @pytest.mark.parametrize(
     "doc", [[], {"core": 5}, {"tools": "x"}], ids=["array", "core-5", "tools-x"]
 )

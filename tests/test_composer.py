@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vet import mockserver
+from vet import demo, keys, mockserver, templates
 from vet.agent_model import ExecutionTrace, StepRecord, ToolCall, run_agent
 from vet.aid import (
     SCHEME_PROXY_TEE,
@@ -379,10 +379,131 @@ def test_prove_trace_detects_nondeterminism(scripted):
         prove_trace(lied, world.aid, world.provers)
 
 
+def test_prove_trace_names_a_live_response_that_does_not_parse(scripted):
+    world, trace, _ = scripted
+    busy = TeeProxy(world.proxy.signing_key, lambda request: b"HTTP/1.1 503 Busy\r\n\r\n")
+    provers = {**world.provers, SCHEME_PROXY_TEE: TeeComponentProver({"echo": busy}, world.registry)}
+    with pytest.raises(
+        ValidationError, match="^step:0/tool:0: parse-failure: non-200 status 503$"
+    ):
+        prove_trace(trace, world.aid, provers)
+
+
 def test_prove_trace_requires_prover(scripted):
     world, trace, _ = scripted
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^step:0/core: no prover available"):
         prove_trace(trace, world.aid, {})
+
+
+def test_prove_trace_names_a_tool_the_aid_lacks(scripted):
+    world, trace, _ = scripted
+    step0 = trace.steps[0]
+    call = step0.tool_calls[0]
+    ghost = ExecutionTrace(
+        trace.initial_input,
+        (StepRecord(0, step0.core_output, (ToolCall("ghost", call.input, call.result),)),)
+        + trace.steps[1:],
+        trace.truncated,
+    )
+    with pytest.raises(ValidationError, match="^step:0/tool:0: tool 'ghost' not in the AID$"):
+        prove_trace(ghost, world.aid, world.provers)
+
+
+def _demo_provers(world, secrets, proxies):
+    return {
+        SCHEME_TLS_NOTARY: WebProofComponentProver(
+            WebProofProver(world.notary, world.registry, secrets=secrets)
+        ),
+        SCHEME_PROXY_TEE: TeeComponentProver(
+            {name: world.proxy for name in proxies}, world.registry
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def demo_run():
+    world = demo.build_world("0")
+    trace = run_agent(world.core_fn, world.tools, "trade tick for bitcoin", max_steps=4)
+    return world, trace
+
+
+def _locator_of(trace, tool_id):
+    return next(
+        f"step:{s.step_index}/tool:{k}"
+        for s in trace.steps
+        for k, c in enumerate(s.tool_calls)
+        if c.tool_id == tool_id
+    )
+
+
+def test_prove_trace_names_a_secret_the_prover_lacks(demo_run):
+    world, trace = demo_run
+    provers = _demo_provers(world, {}, ["price_feed", "sentiment"])
+    with pytest.raises(ValidationError, match="^step:0/core: no secret 'api_key' is held"):
+        prove_trace(trace, world.aid, provers)
+
+
+def test_prove_trace_names_a_tee_tool_without_a_proxy(demo_run):
+    world, trace = demo_run
+    provers = _demo_provers(world, {demo.DEMO_SECRET_NAME: world.secret}, ["price_feed"])
+    locator = _locator_of(trace, "sentiment")
+    with pytest.raises(ValidationError, match=f"^{locator}: no TEE proxy fronts 'sentiment'$"):
+        prove_trace(trace, world.aid, provers)
+
+
+def test_tee_template_with_a_secret_slot_is_refused(demo_run):
+    # A TEE proof ships its raw request, so a secret rendered into it
+    # would be published: the call is refused before the proxy sees it.
+    from dataclasses import replace
+
+    world, trace = demo_run
+    price = world.registry.get_inject(world.aid.tool("price_feed").injection_algorithm_uid)
+    uid = world.registry.register(
+        {
+            "type": "inject",
+            "kind": "tool",
+            "method": price.method,
+            "path": price.path,
+            "headers": [*price.headers, {"name": "X-Key", "secret": "api_key", "length": "48"}],
+        }
+    )
+    tools = tuple(
+        replace(t, injection_algorithm_uid=uid) if t.name == "price_feed" else t
+        for t in world.aid.tools
+    )
+    aid = replace(world.aid, tools=tools).with_hash()
+    provers = _demo_provers(
+        world, {demo.DEMO_SECRET_NAME: world.secret}, ["price_feed", "sentiment"]
+    )
+    forwarded = []
+    proxy = TeeProxy(world.proxy.signing_key, lambda r: forwarded.append(r) or b"")
+    provers[SCHEME_PROXY_TEE].proxies["price_feed"] = proxy
+    locator = _locator_of(trace, "price_feed")
+    # The TEE prover holds no secret to render into it.
+    with pytest.raises(ValidationError, match=f"^{locator}: no secret 'api_key' is held for "):
+        prove_trace(trace, aid, provers)
+    assert forwarded == []
+
+
+def test_prove_trace_renders_and_parses_each_call_once(monkeypatch, scripted):
+    world, trace, bundle = scripted
+    renders = _count_calls(monkeypatch, templates.render)
+    parses = _count_calls(monkeypatch, templates.parse_exchange)
+    again = prove_trace(trace, world.aid, world.provers)
+    calls = sum(1 + len(step.tool_calls) for step in trace.steps)
+    assert len(renders) == len(parses) == len(again.proofs) == calls
+    # Each proof kind keeps its payload members.
+    assert {(p.kind, frozenset(p.payload)) for p in again.proofs} == {
+        (
+            "webproof",
+            frozenset({
+                "format", "record_keys", "request_commitment", "request_disclosure",
+                "withheld_tags", "down_lengths", "response_commitment",
+                "response_disclosure", "claims", "signed_statement",
+            }),
+        ),
+        ("tee_attestation", frozenset({"request", "response", "attestation"})),
+    }
 
 
 def test_attestation_from_other_tee_type_rejected():
@@ -493,14 +614,11 @@ def test_calls_share_one_session_per_component_scheme(scripted):
     assert sum(s.exchanges for s in report.sessions) == len(bundle.proofs)
 
 
-def _count_signature_checks(monkeypatch):
-    """Count ``keys.verify_signature`` calls from every ``vet`` module that imported it."""
+def _count_calls(monkeypatch, original):
+    """Count calls of ``original`` from every ``vet`` module that holds it."""
     import sys
 
-    from vet import keys
-
     calls = []
-    original = keys.verify_signature
 
     def counted(*args):
         calls.append(args)
@@ -520,7 +638,7 @@ def test_signature_checks_are_one_per_session(monkeypatch, n_steps):
     trace = run_agent(world.core_fn, world.tools, "begin", max_steps=n_steps)
     assert len(trace.steps) == n_steps
     bundle = prove_trace(trace, world.aid, world.provers)
-    calls = _count_signature_checks(monkeypatch)
+    calls = _count_calls(monkeypatch, keys.verify_signature)
     verify_trace(trace.steps[-1].core_output, bundle, world.aid, world.registry)
     assert len(bundle.sessions) == 2
     assert len(calls) == len(bundle.sessions)

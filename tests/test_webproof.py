@@ -13,6 +13,7 @@ from vet.keys import SigningKey
 from vet.templates import render
 from vet.chain import OpenChain
 from vet.webproof import (
+    NotarizedRun,
     NotarizedSession,
     SignedStatement,
     WebProof,
@@ -457,12 +458,24 @@ def test_statement_chain_must_match_observation(rig):
 
 
 def _run(rig, messages, **caps):
-    """The proofs of echoing ``messages`` in one run of notarized sessions."""
+    """Per session, each exchange and proof of echoing ``messages`` in one
+    run of notarized sessions, decoded from what a bundle holds."""
     prover = WebProofProver(rig.service, rig.registry, secrets={"token": SECRET}, **caps)
-    run = prover.sessions("echo.test")
+    run = NotarizedRun(prover, "echo.test")
     for message in messages:
-        run.add(rig.entry, message, "tool")
-    return run.finish()
+        run.add(*rig.registry.render_call(rig.entry, message, prover.secrets), message)
+    pending = iter(messages)
+    sessions = []
+    for signed, proven in run.finish():
+        statement = SignedStatement.from_obj(signed)
+        sessions.append([
+            (
+                rig.registry.read_call(rig.entry, next(pending), response, "tool"),
+                WebProof.from_obj(payload, statement),
+            )
+            for response, payload in proven
+        ])
+    return sessions
 
 
 def _verify_sessions(rig, sessions):
