@@ -21,11 +21,8 @@ from .templates import TemplateRegistry
 
 SCHEME_TLS_NOTARY = "TLSNotary"
 SCHEME_PROXY_TEE = "ProxyTEE"
-# Appears in published documents but has no verifier in this artifact.
-SCHEME_CONSENSUS = "Consensus"
 
-KNOWN_SCHEMES = {SCHEME_TLS_NOTARY, SCHEME_PROXY_TEE, SCHEME_CONSENSUS}
-# (key field, other required parameter) of each scheme that has a verifier.
+# (key field, other required parameter) of each scheme; each has a verifier.
 _SCHEME_PARAMS = {
     SCHEME_TLS_NOTARY: ("notary_public_key", "protocol_version"),
     SCHEME_PROXY_TEE: ("enclave_public_key", "tee_type"),
@@ -148,9 +145,9 @@ def _validate_entry(entry: ComponentEntry, path: str, registry: TemplateRegistry
         elif registry is not None and uid not in registry:
             out.append(Violation(f"{path}/{uid_field}", f"uid {uid} not in template registry"))
     scheme = entry.verification.scheme
-    if scheme not in KNOWN_SCHEMES:
+    if scheme not in _SCHEME_PARAMS:
         out.append(Violation(f"{path}/verification", f"unknown scheme {scheme!r}"))
-    elif scheme in _SCHEME_PARAMS:
+    else:
         key_field, required = _SCHEME_PARAMS[scheme]
         if required not in entry.verification.params:
             out.append(Violation(f"{path}/verification", f"{scheme} requires {required}"))

@@ -79,7 +79,10 @@ class CostModel:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CostModel":
-        return cls(**{k: float(v) for k, v in obj.items()})
+        try:
+            return cls(**{k: float(v) for k, v in obj.items()})
+        except (AttributeError, TypeError, ValueError) as exc:  # not an object of numbers
+            raise ValidationError(f"not a cost model: {exc}") from None
 
     def save(self, path) -> None:
         import pathlib

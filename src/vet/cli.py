@@ -42,10 +42,13 @@ def _load_json(path: str, decode=lambda obj: obj):
 def _write_out(result: demo_mod.DemoResult, out_dir: str) -> pathlib.Path:
     """Write a demo run's AID, bundle and templates into ``out_dir``."""
     directory = pathlib.Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "aid.json").write_bytes(canonical_bytes(result.aid.to_obj()))
-    (directory / "bundle.json").write_bytes(canonical_bytes(result.bundle.to_obj()))
-    result.registry.save_dir(directory / "templates")
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "aid.json").write_bytes(canonical_bytes(result.aid.to_obj()))
+        (directory / "bundle.json").write_bytes(canonical_bytes(result.bundle.to_obj()))
+        result.registry.save_dir(directory / "templates")
+    except OSError as exc:
+        _fail(f"cannot write to {out_dir}: {exc}")
     return directory
 
 
@@ -64,9 +67,7 @@ def _load_key(path: str) -> SigningKey:
         _fail(f"cannot load key {path}: {exc}")
 
 
-def _load_registry(path: str | None) -> TemplateRegistry:
-    if path is None:
-        return TemplateRegistry()
+def _load_registry(path: str) -> TemplateRegistry:
     try:
         return TemplateRegistry.load_dir(path)
     except (OSError, VetError) as exc:
@@ -238,6 +239,76 @@ def prove(seed, out_dir):
     click.echo(f"wrote {directory}/aid.json, bundle.json, templates/")
 
 
+def _status(verdict: str) -> str:
+    return "ok" if verdict == "ok" else f"FAIL: {verdict}"
+
+
+def _verdict_text(report: VerificationReport, bundle) -> str:
+    return "accept" if report.reason is None else f"reject: {report.reason} ({report.detail})"
+
+
+def _report_text(report: VerificationReport, bundle: VerifiableExecutionTrace) -> str:
+    """The report as text: the bundle's AID id and counts, a line per session and
+    per component checked (marked too if its session failed to close), the verdict."""
+    # A malformed reject comes before the verifier, so before the AID id check.
+    match = "not checked" if report.reason == "malformed" else "MISMATCH"
+    lines = [
+        f"agent id: {bundle.aid_id}  [{'match' if report.aid_match else match}]",
+        f"steps: {len(bundle.trace.steps)}  proofs: {len(bundle.proofs)}"
+        f"  sessions: {len(bundle.sessions)}",
+    ]
+    for session in report.sessions:
+        closed = f", chain closed {_status(session.verdict)}" if session.verdict else ""
+        lines.append(
+            f"session {session.index}: {session.kind}, {session.exchanges} exchanges"
+            f"  signature {_status(session.signature)}{closed}"
+        )
+    unchained = {s.index: s.verdict for s in report.sessions if s.verdict not in ("", "ok")}
+    step = None
+    for check in report.components:
+        if check.step_index != step:
+            step = check.step_index
+            lines.append(f"step {step}:")
+        where = "" if check.session is None else f" (session {check.session})"
+        detail = ""
+        if check.request_disclosed is not None:
+            public, secret = check.request_disclosed
+            detail = f"  request {public}/{public + secret} bytes public, rest secret"
+        status = _status(check.verdict)
+        if check.session in unchained:
+            status += f"; session FAIL: {unchained[check.session]}"
+        lines.append(f"  {check.position}{where}: {check.kind}  [{status}]{detail}")
+    verdict = "ok" if report.reason is None else f"FAIL ({report.reason}: {report.detail})"
+    return "\n".join([*lines, f"trace consistency: {verdict}"])
+
+
+def _verify(aid_file, bundle_file, templates_dir, claim, as_json, render):
+    """Verify ``claim`` with the AID's verifier and print the report, as
+    JSON or as ``render(report, bundle)``; exit 0 on acceptance, else 1.
+
+    A VetError once the files are read is a malformed reject. A claim of
+    None is the bundle's final core output, so a document that does not
+    decode leaves nothing to verify: a usage error (exit 2).
+    """
+    aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
+    registry = _load_registry(templates_dir)
+    report, document, bundle = VerificationReport(), None, None
+    try:
+        document = AgentIdentityDocument.from_obj(aid_obj)
+        bundle = VerifiableExecutionTrace.from_obj(bundle_obj)
+        if claim is None:
+            claim = bundle.trace.steps[-1].core_output
+        instantiate_verifier(document, TrustStore(registry=registry)).verify(claim, bundle, report)
+    except Rejected:
+        pass  # the verifier filled in the reason
+    except VetError as exc:
+        if claim is None:
+            _fail(f"malformed {'AID' if document is None else 'bundle'}: {exc}")
+        report.reason, report.detail = "malformed", str(exc)
+    click.echo(json.dumps(report.to_obj(claim)) if as_json else render(report, bundle))
+    sys.exit(0 if report.reason is None else 1)
+
+
 @main.command()
 @click.option("--aid", "aid_file", required=True)
 @click.option("--bundle", "bundle_file", required=True)
@@ -248,33 +319,10 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
     """Verify a claimed message against a bundle; exit 0 iff accepted."""
     if claim.startswith("@"):
         try:
-            claim = pathlib.Path(claim[1:]).read_text()
-        except OSError as exc:
-            _fail(str(exc))
-    aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
-    registry = _load_registry(templates_dir)
-    checked = VerificationReport()
-    try:
-        document = AgentIdentityDocument.from_obj(aid_obj)
-        verifier = instantiate_verifier(document, TrustStore(registry=registry))
-        verifier.verify(claim, VerifiableExecutionTrace.from_obj(bundle_obj), checked)
-        report = {"result": "accept", "claim": claim}
-        code = 0
-    except Rejected as exc:
-        report = {"result": "reject", "reason": exc.reason, "detail": exc.detail}
-        code = 1
-    except VetError as exc:
-        report = {"result": "reject", "reason": "malformed", "detail": str(exc)}
-        code = 1
-    report["components"] = [check.to_obj() for check in checked.components]
-    report["sessions"] = [check.to_obj() for check in checked.sessions]
-    if as_json:
-        click.echo(json.dumps(report))
-    elif code == 0:
-        click.echo("accept")
-    else:
-        click.echo(f"reject: {report['reason']} ({report.get('detail', '')})")
-    sys.exit(code)
+            claim = pathlib.Path(claim[1:]).read_bytes().decode("utf-8")  # keeps "\r\n"
+        except (OSError, UnicodeDecodeError) as exc:
+            _fail(f"cannot read {claim[1:]}: {exc}")
+    _verify(aid_file, bundle_file, templates_dir, claim, as_json, _verdict_text)
 
 
 @main.command()
@@ -283,20 +331,8 @@ def verify(aid_file, bundle_file, claim, templates_dir, as_json):
 @click.option("--templates", "templates_dir", required=True)
 @click.option("--json", "as_json", is_flag=True)
 def inspect(aid_file, bundle_file, templates_dir, as_json):
-    """Print a per-step verification report for a bundle."""
-    aid_obj, bundle_obj = _load_json(aid_file), _load_json(bundle_file)
-    registry = _load_registry(templates_dir)
-    try:
-        document = AgentIdentityDocument.from_obj(aid_obj)
-        bundle = VerifiableExecutionTrace.from_obj(bundle_obj)
-        text, ok = demo_mod.inspect_bundle(bundle, document, registry)
-    except VetError as exc:
-        _fail(f"malformed bundle: {exc}")
-    if as_json:
-        click.echo(json.dumps({"ok": ok, "report": text}))
-    else:
-        click.echo(text)
-    sys.exit(0 if ok else 1)
+    """Verify a bundle's final core output and print the per-step report."""
+    _verify(aid_file, bundle_file, templates_dir, None, as_json, _report_text)
 
 
 @main.group()
@@ -313,15 +349,19 @@ def bench():
 @click.option("--csv", "csv_file", default=None, help="Write per-round rows to this file.")
 def bench_channels(strategy, rounds, model_file, base_capacity, csv_file):
     """Simulate channel provisioning strategies for an N-round session."""
-    if model_file:
-        model = channel_sim.CostModel.load(model_file)
-    else:
-        model, _ = channel_sim.paper_calibration(base_capacity=base_capacity)
-    workload = channel_sim.SessionWorkload(rounds=rounds)
     strategies = ["naive", "optimized"] if strategy == "both" else [strategy]
+    try:
+        if model_file:
+            model = channel_sim.CostModel.load(model_file)
+        else:
+            model, _ = channel_sim.paper_calibration(base_capacity=base_capacity)
+        workload = channel_sim.SessionWorkload(rounds=rounds)
+        plans = [channel_sim.plan(name, workload, base_capacity) for name in strategies]
+        csv = open(csv_file, "w") if csv_file else None
+    except (OSError, ValidationError) as exc:
+        _fail(str(exc))
     rows = []
-    for name in strategies:
-        channel_plan = channel_sim.plan(name, workload, base_capacity)
+    for name, channel_plan in zip(strategies, plans):
         if not channel_plan.feasible:
             click.echo(f"{name}: infeasible at round {channel_plan.failing_round}")
             continue
@@ -332,11 +372,11 @@ def bench_channels(strategy, rounds, model_file, base_capacity, csv_file):
         )
         for k, (latency, cumulative) in enumerate(zip(result.per_round, result.cumulative), 1):
             rows.append((name, k, latency, cumulative))
-    if csv_file:
-        with open(csv_file, "w") as fh:
-            fh.write("strategy,round,latency_s,cumulative_s\n")
+    if csv:
+        with csv:
+            csv.write("strategy,round,latency_s,cumulative_s\n")
             for name, k, latency, cumulative in rows:
-                fh.write(f"{name},{k},{latency:.6f},{cumulative:.6f}\n")
+                csv.write(f"{name},{k},{latency:.6f},{cumulative:.6f}\n")
         click.echo(f"wrote {csv_file}")
 
 

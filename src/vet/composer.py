@@ -422,9 +422,11 @@ class VerificationReport:
     """What ``verify_trace`` checked, in order, up to its verdict.
 
     ``reason`` and ``detail`` are those of the ``Rejected`` it raised,
-    and ``reason`` stays None on acceptance. Components after the first
-    rejected one are not checked and not listed; sessions are listed as
-    their first component opens them.
+    and ``reason`` stays None on acceptance; a caller that cannot build
+    the verifier sets "malformed" and the error. ``aid_match`` stays False
+    until checked. Components after the first rejected one are not
+    checked and not listed; sessions are listed as their first component
+    opens them.
     """
 
     aid_match: bool = False
@@ -432,6 +434,19 @@ class VerificationReport:
     sessions: list[SessionCheck] = field(default_factory=list)
     reason: str | None = None
     detail: str = ""
+
+    def to_obj(self, claim: str) -> dict:
+        """The report on ``claim``: the object ``vet verify/inspect --json`` print."""
+        if self.reason is None:
+            verdict = {"result": "accept", "claim": claim}
+        else:
+            verdict = {"result": "reject", "reason": self.reason, "detail": self.detail}
+        return {
+            **verdict,
+            "aid_match": self.aid_match,
+            "components": [check.to_obj() for check in self.components],
+            "sessions": [check.to_obj() for check in self.sessions],
+        }
 
 
 class ComposedVerifier:

@@ -26,12 +26,11 @@ from .canonical import canonical_bytes, canonical_loads, json_field
 from .composer import (
     TeeComponentProver,
     VerifiableExecutionTrace,
-    VerificationReport,
     WebProofComponentProver,
     prove_trace,
     verify_trace,
 )
-from .errors import Rejected, ValidationError
+from .errors import ValidationError
 from .keys import SigningKey
 from .notary import NotaryService
 from .templates import TemplateRegistry
@@ -301,60 +300,3 @@ def run_demo(seed: str = "0") -> DemoResult:
         registry=world.registry,
         latency=latency_report(model, steps=len(trace.steps), tool_calls=tool_calls),
     )
-
-
-def _status(verdict: str) -> str:
-    return "ok" if verdict == "ok" else f"FAIL: {verdict}"
-
-
-def inspect_bundle(
-    bundle: VerifiableExecutionTrace,
-    aid: AgentIdentityDocument,
-    registry: TemplateRegistry,
-) -> tuple[str, bool]:
-    """Human-readable verification report; returns (text, all_ok).
-
-    Verifies the final core output, so it stops at the same first
-    rejection that ``verify_trace`` names. A component is also marked
-    with the failure of its session if that failed to close.
-    """
-    report = VerificationReport()
-    try:
-        verify_trace(bundle.trace.steps[-1].core_output, bundle, aid, registry, report)
-    except Rejected:
-        pass
-    lines = [
-        f"agent id: {bundle.aid_id}  [{'match' if report.aid_match else 'MISMATCH'}]",
-        f"steps: {len(bundle.trace.steps)}  proofs: {len(bundle.proofs)}"
-        f"  sessions: {len(bundle.sessions)}",
-    ]
-    for session in report.sessions:
-        line = (
-            f"session {session.index}: {session.kind}, {session.exchanges} exchanges"
-            f"  signature {_status(session.signature)}"
-        )
-        if session.verdict:
-            line += f", chain closed {_status(session.verdict)}"
-        lines.append(line)
-    unchained = {s.index: s.verdict for s in report.sessions if s.verdict not in ("", "ok")}
-    step = None
-    for check in report.components:
-        if check.step_index != step:
-            step = check.step_index
-            lines.append(f"step {step}:")
-        where = check.position
-        if check.session is not None:
-            where += f" (session {check.session})"
-        detail = ""
-        if check.request_disclosed is not None:
-            public, secret = check.request_disclosed
-            detail = f"  request {public}/{public + secret} bytes public, rest secret"
-        status = _status(check.verdict)
-        if check.session in unchained:
-            status += f"; session FAIL: {unchained[check.session]}"
-        lines.append(f"  {where}: {check.kind}  [{status}]{detail}")
-    if report.reason is None:
-        lines.append("trace consistency: ok")
-    else:
-        lines.append(f"trace consistency: FAIL ({report.reason}: {report.detail})")
-    return "\n".join(lines), report.reason is None

@@ -430,6 +430,7 @@ class TemplateRegistry:
     @classmethod
     def load_dir(cls, path) -> "TemplateRegistry":
         registry = cls()
-        for file in sorted(pathlib.Path(path).glob("*.json")):
+        # iterdir, unlike glob, refuses a path that is not a directory.
+        for file in sorted(f for f in pathlib.Path(path).iterdir() if f.suffix == ".json"):
             registry.register(canonical_loads(file.read_bytes()))
         return registry

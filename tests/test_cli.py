@@ -4,8 +4,8 @@ import socket
 import pytest
 from click.testing import CliRunner
 
-from vet import cli
-from vet.canonical import FORMAT
+from vet import cli, demo
+from vet.canonical import FORMAT, canonical_bytes
 from vet.cli import main
 from vet.keys import SigningKey
 from vet.composer import VerifiableExecutionTrace
@@ -90,6 +90,16 @@ def test_verify_claim_from_file(proved, tmp_path):
     assert result.exit_code == 0
 
 
+def test_verify_claim_file_is_read_byte_for_byte(proved, tmp_path):
+    claim_file = tmp_path / "claim.txt"
+    claim_file.write_bytes(b"a\r\nb")
+    result = CliRunner().invoke(
+        main, _verify_args(proved) + ["--claim", f"@{claim_file}", "--json"]
+    )
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["detail"] == "'a\\r\\nb' is not an authenticated output"
+
+
 def test_verify_missing_file_is_usage_error(proved):
     result = CliRunner().invoke(
         main,
@@ -116,7 +126,24 @@ def test_inspect(proved):
     assert result.exit_code == 0
     assert "trace consistency: ok" in result.output
     as_json = runner.invoke(main, args + ["--json"])
-    assert json.loads(as_json.output)["ok"] is True
+    assert as_json.exit_code == 0
+    assert json.loads(as_json.output)["result"] == "accept"
+
+
+def test_inspect_matches_the_aid_and_lists_both_proof_kinds(proved):
+    result = CliRunner().invoke(main, ["inspect", *_verify_args(proved)[1:]])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[0].endswith("[match]")
+    assert "webproof" in result.output and "tee_attestation" in result.output
+
+
+def test_inspect_flags_another_seeds_aid_as_mismatch(proved, tmp_path):
+    result = CliRunner().invoke(
+        main, ["inspect", *_verify_args(proved, _other_seed_aid(proved, tmp_path))[1:]]
+    )
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines()[0].endswith("[MISMATCH]")
+    assert "trace consistency: FAIL (aid-mismatch: " in result.output
 
 
 def test_bench_channels(tmp_path):
@@ -199,6 +226,24 @@ def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, 
     assert json.loads(verify.output)["reason"] == "subproof-invalid"
     inspect = runner.invoke(main, ["inspect", *args])
     assert inspect.exit_code == 1, inspect.output
+
+
+@pytest.mark.parametrize("document", ["aid", "bundle"])
+def test_inspect_names_the_document_that_does_not_decode(proved, tmp_path, document):
+    bad = tmp_path / f"{document}.json"
+    bad.write_text('{"core": 5}')
+    args = {"aid": proved / "aid.json", "bundle": proved / "bundle.json", document: bad}
+    result = CliRunner().invoke(
+        main,
+        [
+            "inspect",
+            "--aid", str(args["aid"]),
+            "--bundle", str(args["bundle"]),
+            "--templates", str(proved / "templates"),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: malformed {'AID' if document == 'aid' else 'bundle'}: ")
 
 
 @pytest.mark.parametrize(
@@ -310,11 +355,30 @@ def test_verify_refuses_scheme_outside_trust_store(proved, tmp_path):
     assert "Consensus" in report["detail"]
 
 
-def test_inspect_stops_at_first_rejection(proved, tmp_path):
-    bundle = json.loads((proved / "bundle.json").read_text())
+def _other_seed_aid(proved, tmp_path):
+    aid_file = tmp_path / "aid-seed-7.json"
+    aid_file.write_bytes(canonical_bytes(demo.build_world("7").aid.to_obj()))
+    return aid_file
+
+
+def _stamp_tee_head(bundle):
+    """Change the signed timestamp of the first TEE proof's log head;
+    returns that proof's index."""
     tee = next(i for i, p in enumerate(bundle["proofs"]) if p["kind"] == "tee_attestation")
     session = int(bundle["proofs"][tee]["payload"]["attestation"])
     bundle["sessions"][session]["signed"]["timestamp"] = "1"
+    return tee
+
+
+def _flip_record_key(bundle):
+    """Flip the first hex digit of the first web proof's first record key."""
+    key = bundle["proofs"][0]["payload"]["record_keys"][0]
+    key["key"] = ("0" if key["key"][0] != "0" else "1") + key["key"][1:]
+
+
+def test_inspect_stops_at_first_rejection(proved, tmp_path):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    tee = _stamp_tee_head(bundle)
     bad = tmp_path / "bundle.json"
     bad.write_text(json.dumps(bundle))
     result = CliRunner().invoke(
@@ -338,8 +402,7 @@ def test_inspect_marks_the_components_of_a_session_that_fails_to_chain(proved, t
     # A flipped record key is caught only when its session closes, so each
     # of that session's components passed its own check.
     bundle = json.loads((proved / "bundle.json").read_text())
-    key = bundle["proofs"][0]["payload"]["record_keys"][0]
-    key["key"] = ("0" if key["key"][0] != "0" else "1") + key["key"][1:]
+    _flip_record_key(bundle)
     bad = tmp_path / "bundle.json"
     bad.write_text(json.dumps(bundle))
     result = CliRunner().invoke(
@@ -358,6 +421,128 @@ def test_inspect_marks_the_components_of_a_session_that_fails_to_chain(proved, t
     assert len(marked) == 2
     assert all("[ok; session FAIL: cipher-mismatch]" in line for line in marked)
     assert result.output.count("[ok]") == len(bundle["proofs"]) - 2
+
+
+def _aid_with_scheme(scheme):
+    """A writer of the demo AID with its first tool under ``scheme``."""
+    def write(proved, tmp_path):
+        doc = json.loads((proved / "aid.json").read_text())
+        doc["tools"][0]["verification"] = {scheme: {"quorum": "2"}}
+        aid_file = tmp_path / "aid.json"
+        aid_file.write_text(json.dumps(doc))
+        return aid_file
+    return write
+
+
+# Each reject the CLI reaches by changing the demo bundle or its AID.
+PARITY_CASES = {
+    "accept": (None, None, None),
+    "other-seed-aid": (None, _other_seed_aid, "aid-mismatch"),
+    "tee-head-timestamp": (_stamp_tee_head, None, "subproof-invalid"),
+    "flipped-record-key": (_flip_record_key, None, "subproof-invalid"),
+    "consensus-aid": (None, _aid_with_scheme("Consensus"), "malformed"),
+    "scheme-outside-trust-store": (None, _aid_with_scheme("Quorum"), "malformed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_verify_json_and_inspect_json_print_one_report(proved, tmp_path, case):
+    mangle_bundle, write_aid, reason = PARITY_CASES[case]
+    bundle_file = proved / "bundle.json"
+    if mangle_bundle:
+        bundle = json.loads(bundle_file.read_text())
+        mangle_bundle(bundle)
+        bundle_file = tmp_path / "bundle.json"
+        bundle_file.write_text(json.dumps(bundle))
+    aid_file = write_aid(proved, tmp_path) if write_aid else proved / "aid.json"
+    args = [
+        "--aid", str(aid_file),
+        "--bundle", str(bundle_file),
+        "--templates", str(proved / "templates"),
+        "--json",
+    ]
+    runner = CliRunner()
+    verify = runner.invoke(main, ["verify", *args, "--claim", _claim(proved)])
+    inspect = runner.invoke(main, ["inspect", *args])
+    assert verify.exit_code == inspect.exit_code == (0 if reason is None else 1), inspect.output
+    report = json.loads(verify.output)
+    assert json.loads(inspect.output) == report
+    assert report["result"] == ("accept" if reason is None else "reject")
+    assert report.get("reason") == reason
+    assert report["aid_match"] is (write_aid is None)
+
+
+def test_inspect_of_an_aid_the_verifier_refuses_is_malformed(proved, tmp_path):
+    aid_file = _aid_with_scheme("Consensus")(proved, tmp_path)
+    result = CliRunner().invoke(main, ["inspect", *_verify_args(proved, aid_file)[1:]])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[0].endswith("[not checked]")
+    assert lines[-1].startswith("trace consistency: FAIL (malformed: /tools/0/verification: ")
+
+
+def test_aid_validate_refuses_the_consensus_scheme(proved, tmp_path):
+    aid_file = _aid_with_scheme("Consensus")(proved, tmp_path)
+    result = CliRunner().invoke(
+        main, ["aid", "validate", str(aid_file), "--templates", str(proved / "templates")]
+    )
+    assert result.exit_code == 1, result.output
+    assert "/tools/0/verification: unknown scheme 'Consensus'" in result.output
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path
+
+
+# Inputs that cannot be read or used: each is a usage error (exit 2).
+BAD_INPUTS = {
+    "verify-claim-not-utf8": lambda proved, tmp: [
+        *_verify_args(proved), "--claim", "@" + str(_write(tmp, "claim", b"\xff\xfe"))
+    ],
+    "verify-templates-missing": lambda proved, tmp: [
+        *_verify_args(proved)[:-1], "/nonexistent", "--claim", _claim(proved)
+    ],
+    "inspect-templates-missing": lambda proved, tmp: [
+        "inspect", *_verify_args(proved)[1:-1], "/nonexistent"
+    ],
+    "inspect-templates-a-file": lambda proved, tmp: [
+        "inspect", *_verify_args(proved)[1:-1], str(_write(tmp, "afile", b""))
+    ],
+    "validate-templates-missing": lambda proved, tmp: [
+        "aid", "validate", str(proved / "aid.json"), "--templates", "/nonexistent"
+    ],
+    "prove-out-under-a-file": lambda proved, tmp: [
+        "prove", "--out", str(_write(tmp, "afile", b"") / "x")
+    ],
+    "demo-out-under-a-file": lambda proved, tmp: [
+        "demo", "veritrade", "--out", str(_write(tmp, "afile", b"") / "x")
+    ],
+    "bench-model-missing": lambda proved, tmp: [
+        "bench", "channels", "--model", "/nonexistent/model.json"
+    ],
+    "bench-model-unknown-field": lambda proved, tmp: [
+        "bench", "channels", "--model", str(_write(tmp, "model.json", b'{"x": 1}'))
+    ],
+    "bench-model-not-a-number": lambda proved, tmp: [
+        "bench", "channels", "--model", str(_write(tmp, "model.json", b'{"rtt": "x"}'))
+    ],
+    "bench-rounds-0": lambda proved, tmp: ["bench", "channels", "--rounds", "0"],
+    "bench-rounds-negative": lambda proved, tmp: ["bench", "channels", "--rounds", "-1"],
+    "bench-base-capacity-0": lambda proved, tmp: ["bench", "channels", "--base-capacity", "0"],
+    "bench-csv-missing-dir": lambda proved, tmp: [
+        "bench", "channels", "--csv", "/nonexistent/x.csv"
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_input_that_cannot_be_used_is_a_usage_error(proved, tmp_path, case):
+    result = CliRunner().invoke(main, BAD_INPUTS[case](proved, tmp_path))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
 
 
 @pytest.mark.parametrize(

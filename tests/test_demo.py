@@ -3,7 +3,7 @@ import pytest
 from vet import toytls
 from vet.canonical import canonical_bytes
 from vet.composer import verify_trace
-from vet.demo import TradeDecision, build_world, inspect_bundle, run_demo
+from vet.demo import TradeDecision, build_world, run_demo
 from vet.errors import Rejected, ValidationError
 
 
@@ -68,21 +68,6 @@ def test_demo_seeds_vary():
     assert other.decision.action in ("buy", "sell", "hold")
     m = other.decision.serialized()
     verify_trace(m, other.bundle, other.aid, other.registry)
-
-
-def test_inspect_bundle_reports_ok(demo_result):
-    text, ok = inspect_bundle(demo_result.bundle, demo_result.aid, demo_result.registry)
-    assert ok
-    assert "trace consistency: ok" in text
-    assert "webproof" in text and "tee_attestation" in text
-    assert "[match]" in text
-
-
-def test_inspect_bundle_flags_mismatch(demo_result):
-    other = run_demo("7")
-    text, ok = inspect_bundle(demo_result.bundle, other.aid, other.registry)
-    assert not ok
-    assert "MISMATCH" in text or "FAIL" in text
 
 
 def test_forged_decision_rejected(demo_result):
