@@ -62,7 +62,6 @@ class StepRecord:
 class ExecutionTrace:
     initial_input: str
     steps: tuple[StepRecord, ...]
-    truncated: bool = False
 
     def __post_init__(self):
         if not self.steps:
@@ -73,11 +72,16 @@ class ExecutionTrace:
                     f"step indices must be contiguous from 0, got {step.step_index} at {j}"
                 )
 
+    @property
+    def truncated(self) -> bool:
+        """Whether the run stopped at max_steps with tool calls still pending:
+        the last step emitted calls, so the core was due another step."""
+        return bool(self.steps[-1].tool_calls)
+
     def to_obj(self) -> dict:
         """Canonical-JSON-ready representation (all scalars as strings)."""
         return {
             "initial_input": self.initial_input,
-            "truncated": self.truncated,
             "steps": [
                 {
                     "step_index": str(s.step_index),
@@ -104,11 +108,7 @@ class ExecutionTrace:
             )
             for s in json_field(obj, "steps", list)
         )
-        return cls(
-            initial_input=json_field(obj, "initial_input"),
-            steps=steps,
-            truncated=json_field(obj, "truncated", bool, False),
-        )
+        return cls(initial_input=json_field(obj, "initial_input"), steps=steps)
 
 
 def _step_frames(step: StepRecord) -> Iterable[bytes]:
@@ -164,13 +164,12 @@ def run_agent(
     Each step feeds the core the transcript of everything so far; the
     core's emitted tool calls are executed in order and their results
     recorded. The loop halts when the core emits no calls, or when
-    max_steps is reached (then the trace is flagged truncated if the
-    last step still had pending calls).
+    max_steps is reached (then the trace is truncated: its last step
+    still has pending calls).
     """
     if max_steps < 1:
         raise ValidationError("max_steps must be >= 1")
     steps: list[StepRecord] = []
-    truncated = False
     transcript = frame(ROLE_INPUT, input.encode("utf-8"))
     for j in range(max_steps):
         if steps:
@@ -184,7 +183,4 @@ def run_agent(
         steps.append(StepRecord(j, output, tuple(executed)))
         if not executed:
             break
-    else:
-        if steps and steps[-1].tool_calls:
-            truncated = True
-    return ExecutionTrace(initial_input=input, steps=tuple(steps), truncated=truncated)
+    return ExecutionTrace(initial_input=input, steps=tuple(steps))

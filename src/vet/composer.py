@@ -157,7 +157,6 @@ class VerifiableExecutionTrace:
     aid_id: str
     trace: ExecutionTrace
     proofs: tuple[ComponentProof, ...]
-    claims: tuple[tuple[str, str], ...] = ()  # (value, locator)
     sessions: tuple[Session, ...] = ()
 
     def to_obj(self) -> dict:
@@ -167,7 +166,6 @@ class VerifiableExecutionTrace:
             "trace": self.trace.to_obj(),
             "sessions": [s.to_obj() for s in self.sessions],
             "proofs": [p.to_obj() for p in self.proofs],
-            "claims": [{"value": v, "locator": l} for v, l in self.claims],
         }
 
     @classmethod
@@ -179,10 +177,6 @@ class VerifiableExecutionTrace:
             aid_id=json_field(obj, "aid_id"),
             trace=ExecutionTrace.from_obj(json_field(obj, "trace", dict)),
             proofs=tuple(ComponentProof.from_obj(p) for p in json_field(obj, "proofs", list)),
-            claims=tuple(
-                (json_field(c, "value"), json_field(c, "locator"))
-                for c in json_field(obj, "claims", list, [])
-            ),
             sessions=tuple(Session.from_obj(s) for s in json_field(obj, "sessions", list)),
         )
 
@@ -244,8 +238,9 @@ class TeeComponentProver:
     share one log.
 
     A TEE proof ships its raw request, so this prover holds no secret: a
-    ProxyTEE entry whose inject template has a secret slot is refused,
-    and secret-bearing calls go through web proofs.
+    ProxyTEE entry whose inject template has a secret slot is refused, as
+    the verifier refuses it, and secret-bearing calls go through web
+    proofs.
     """
 
     secrets: dict[str, str] = {}  # always empty, as above
@@ -294,7 +289,7 @@ def prove_trace(
     no prover can make, is a ValidationError naming the invocation.
     """
     runs: dict[tuple, tuple[object, object, list]] = {}
-    claims = []
+    locators = []
     for invocation in invocations(trace):
         try:
             entry = invocation.entry(aid)
@@ -311,7 +306,7 @@ def prove_trace(
         _, run, calls = runs[key]
         run.add(request_bytes, spans, invocation.x)
         calls.append((invocation, entry))
-        claims.append((invocation.claim(invocation.recorded()), invocation.locator))
+        locators.append(invocation.locator)
 
     sessions = []
     proofs = {}
@@ -341,8 +336,7 @@ def prove_trace(
     return VerifiableExecutionTrace(
         aid_id=compute_id(aid),
         trace=trace,
-        proofs=tuple(proofs[locator] for _, locator in claims),
-        claims=tuple(claims),
+        proofs=tuple(proofs[locator] for locator in locators),
         sessions=tuple(sessions),
     )
 

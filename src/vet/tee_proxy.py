@@ -27,6 +27,11 @@ A standalone proof is a log of one exchange, checked by the same code:
 the log before it reads the exchange. It is its bundle payload with the
 head in place of the session index:
 ``{"request", "response", "attestation": <LogHead>}``.
+
+The request a proof ships is public, so the verifier, like the prover,
+refuses a template with a secret slot, and requires the attested
+request to equal the template's rendering for the input it carries,
+byte for byte. Secret-bearing calls go through web proofs.
 """
 
 from __future__ import annotations
@@ -41,14 +46,7 @@ from .canonical import canonical_bytes, canonical_loads, json_field
 from .chain import OpenChain
 from .errors import Rejected, ValidationError
 from .keys import SigningKey, verify_signature
-from .templates import (
-    ROLE_CORE,
-    AuthenticatedExchange,
-    TemplateRegistry,
-    expected_request,
-    extract_input,
-    first_difference,
-)
+from .templates import ROLE_CORE, AuthenticatedExchange, TemplateRegistry, extract_input, render
 
 
 def measurement_of(registry: TemplateRegistry) -> str:
@@ -172,19 +170,25 @@ class ProxyLog:
 def _match_tee_request(template, request_bytes: bytes) -> str:
     """Recover x from an attested plaintext request and pin it to the template.
 
-    Bytes inside secret spans are ignored (the proxy saw the real secret;
-    the verifier must not require knowing it), everything else must equal
-    the deterministic rendering for the extracted x.
+    The request is public: a template with a secret slot is refused, and
+    the request must equal the rendering for the extracted x byte for
+    byte.
     """
+    secrets = template.secret_names()
+    if secrets:
+        raise Rejected(
+            "template-mismatch",
+            f"a ProxyTEE request is public, but its template has secret {secrets[0]!r}",
+        )
     try:
         x = extract_input(template, request_bytes)
     except ValidationError as exc:
         raise Rejected("parse-failure", str(exc))
-    expected, secret = expected_request(template, x)
+    expected, _ = render(template, x, {})
     if len(expected) != len(request_bytes):
         raise Rejected("template-mismatch", "attested request length differs from template")
-    differs = first_difference(expected, secret, request_bytes)
-    if differs is not None:
+    if expected != request_bytes:
+        differs = next(i for i, (a, b) in enumerate(zip(request_bytes, expected)) if a != b)
         raise Rejected("template-mismatch", f"attested request byte {differs} differs")
     return x
 

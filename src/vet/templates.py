@@ -9,11 +9,18 @@ hash of its canonical JSON; identity documents reference templates by
 uid, so a verifier can re-render the expected request byte-for-byte and
 re-run the exact parse the agent declared.
 
-Secret header slots are redacted by default in proofs. To make chunk
-level redaction exact, a secret's rendered span is aligned to the
-commitment chunk grid: alignment padding ("~") is inserted before the
-value, and the value itself is padded to a declared length that must be
-a multiple of the chunk size.
+A secret header slot is rendered at a fixed span: alignment padding
+("~") is inserted before the value, so that it starts on a multiple of
+the template's ``chunk_size``, and the value is padded to a declared
+length that must be a multiple of ``chunk_size``. Since format 8 no
+proof commits to a request in chunks, and the grid serves no redaction:
+a web proof's secret records are cut at the span's edges, wherever they
+fall. The alignment stays only because dropping it would
+change every secret-bearing rendering, so that no web proof with a
+secret slot made before would verify; it waits for the next format
+change. A ProxyTEE request is public, so its template has no secret
+slot, and the verifier compares the attested request with the rendering
+byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .canonical import canonical_bytes, canonical_loads, content_hash, json_field, json_pointer
-from .commitment import normalize_ranges
 from .errors import Rejected, ValidationError
 from .httpmsg import parse_request, parse_response
 from .toytls import split_records
@@ -69,12 +75,16 @@ class InjectTemplate:
         if path.count(INPUT_SLOT) > 1:
             raise ValidationError("multiple input slots in path")
         headers = json_field(obj, "headers", list, [])
+        secrets = set()
         for header in headers:
             json_field(header, "name")
             if "secret" not in header:
                 json_field(header, "value")
                 continue
             secret, length = json_field(header, "secret"), json_field(header, "length", int)
+            if secret in secrets:
+                raise ValidationError(f"secret {secret!r} fills more than one header")
+            secrets.add(secret)
             if length <= 0 or length % chunk_size:
                 raise ValidationError(
                     f"secret {secret!r} length must be a positive "
@@ -135,11 +145,14 @@ def _set_pointer(doc, pointer: str, value) -> None:
 def render(
     template: InjectTemplate, x: str, secrets: Mapping[str, str]
 ) -> tuple[bytes, dict[str, tuple[int, int]]]:
-    """Render the request; returns bytes plus secret spans (offset, length).
+    """Render the request; returns bytes plus each secret's span (offset, length).
 
-    Secrets may be absent from ``secrets``: their span renders as all
-    padding, which is also what the verifier compares against (secret
-    spans are never byte-compared, only required to be redacted).
+    A template names each secret once, so there is one span per secret
+    slot, and the spans are disjoint and in increasing order. Secrets may
+    be absent from ``secrets``: their span renders as all padding. The
+    web-proof verifier renders so and cuts the request's records at the
+    spans; the ProxyTEE verifier, whose templates have no secret slot,
+    compares an attested request with the rendering byte for byte.
     """
     path = template.path
     if INPUT_SLOT in path:
@@ -190,23 +203,6 @@ def render(
 
     head = "\r\n".join([request_line] + rendered_headers) + "\r\n\r\n"
     return head.encode("utf-8") + body, spans
-
-
-def inject(template: InjectTemplate, x: str, secrets: Mapping[str, str] | None = None) -> bytes:
-    """Deterministically encode input ``x`` into HTTP request bytes."""
-    secrets = secrets or {}
-    missing = [s for s in template.secret_names() if s not in secrets]
-    if missing:
-        raise ValidationError(f"unbound secret slots: {missing}")
-    data, _ = render(template, x, secrets)
-    parse_request(data)  # must round-trip as well-formed HTTP
-    return data
-
-
-def secret_spans(template: InjectTemplate, x: str) -> dict[str, tuple[int, int]]:
-    """Byte spans of each secret slot for input ``x`` (chunk-aligned)."""
-    _, spans = render(template, x, {})
-    return spans
 
 
 def extract_input(template: InjectTemplate, request_bytes: bytes) -> str:
@@ -323,7 +319,7 @@ def match_request(
             "template-mismatch",
             f"rendered length {len(expected)} != declared length {total_length}",
         )
-    secret_spans = normalize_ranges(list(spans.values()), total_length)
+    secret_spans = list(spans.values())
     records = split_records(total_length, secret_spans)
     inside = frozenset(
         index
@@ -331,40 +327,6 @@ def match_request(
         if any(start <= offset < start + length for start, length in secret_spans)
     )
     return expected, [length for _, length in records], inside
-
-
-# Maps a secret mask (1 inside a secret span) to a byte mask of the
-# public bytes (0xff outside every secret span).
-_PUBLIC = bytes.maketrans(b"\x00\x01", b"\xff\x00")
-
-
-def expected_request(template: InjectTemplate, x: str) -> tuple[bytes, bytearray]:
-    """The request rendered for ``x`` without secrets, and its secret mask:
-    1 at every byte of a secret span, 0 elsewhere."""
-    expected, spans = render(template, x, {})
-    secret = bytearray(len(expected))
-    for offset, length in spans.values():
-        secret[offset:offset + length] = b"\x01" * length
-    return expected, secret
-
-
-def first_difference(expected: bytes, secret: bytearray, data: bytes) -> int | None:
-    """First position at which request ``data`` differs from ``expected``
-    outside a secret span, or the shorter one's length if their lengths
-    differ; None if none.
-
-    The request is compared with ``expected`` as a whole, under the
-    secret mask. Only a request that differs is scanned byte by byte, to
-    name the first offending position.
-    """
-    if len(data) != len(expected):
-        return min(len(data), len(expected))
-    if data == expected:
-        return None
-    public = int.from_bytes(secret.translate(_PUBLIC), "big")
-    if not (int.from_bytes(data, "big") ^ int.from_bytes(expected, "big")) & public:
-        return None
-    return next(pos for pos, byte in enumerate(data) if not secret[pos] and byte != expected[pos])
 
 
 class TemplateRegistry:
@@ -408,7 +370,7 @@ class TemplateRegistry:
         if missing:
             raise ValidationError(f"no secret {missing[0]!r} is held for {entry.name!r}")
         request_bytes, spans = render(template, x, secrets)
-        return request_bytes, sorted(spans.values())
+        return request_bytes, list(spans.values())
 
     def read_call(self, entry, x: str, response_bytes: bytes, role: str) -> AuthenticatedExchange:
         """The exchange that a call of component ``entry`` on ``x`` made."""

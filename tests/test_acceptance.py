@@ -285,7 +285,6 @@ def test_criterion_2_soundness_no_forgery_accepted():
             aid_id=bundle.aid_id,
             trace=bundle.trace,
             proofs=tuple(proofs),
-            claims=bundle.claims,
             sessions=bundle.sessions,
         )
         attempt_trace(f"subproof-substitution-{i}", claim, forged)
@@ -356,7 +355,6 @@ def test_criterion_2_soundness_no_forgery_accepted():
             aid_id=deep_bundle.aid_id,
             trace=deep_bundle.trace,
             proofs=tuple(proofs),
-            claims=deep_bundle.claims,
             sessions=deep_bundle.sessions,
         )
         return VerifiableExecutionTrace(**{**parts, **changes})
@@ -388,9 +386,7 @@ def test_criterion_2_soundness_no_forgery_accepted():
     # one exchange or record (a higher count, or another chain head) that
     # its signature does not cover.
     last_step = deep_trace.steps[-1].step_index
-    truncated_trace = type(deep_trace)(
-        deep_trace.initial_input, deep_trace.steps[:-1], deep_trace.truncated
-    )
+    truncated_trace = type(deep_trace)(deep_trace.initial_input, deep_trace.steps[:-1])
     for i in range(500):
         ks = rng.choice(list(members.values()))
         proofs = list(deep_bundle.proofs)

@@ -13,14 +13,17 @@ from vet.aid import (
     compute_id,
 )
 from vet.composer import (
+    KIND_TEE,
     ComponentProof,
     ComposedVerifier,
+    Session,
     StepData,
     TeeComponentProver,
     VerifiableExecutionTrace,
     VerificationReport,
     WebProofComponentProver,
     core_input,
+    invocations,
     prove_trace,
     valid_trace,
     verify_trace,
@@ -221,7 +224,6 @@ def _rebuild(bundle, trace=None, proofs=None):
         aid_id=bundle.aid_id,
         trace=trace or bundle.trace,
         proofs=tuple(proofs if proofs is not None else bundle.proofs),
-        claims=bundle.claims,
         sessions=bundle.sessions,
     )
 
@@ -309,7 +311,7 @@ def test_trace_field_mutation(scripted):
             + step0.tool_calls[1:],
         ),
     ) + trace.steps[1:]
-    mutated = ExecutionTrace(trace.initial_input, mutated_steps, trace.truncated)
+    mutated = ExecutionTrace(trace.initial_input, mutated_steps)
     with pytest.raises(Rejected) as err:
         verify_trace(m, _rebuild(bundle, trace=mutated), world.aid, world.registry)
     assert err.value.reason in ("transcript-inconsistent", "subproof-invalid")
@@ -326,7 +328,7 @@ def test_unknown_tool_in_trace(scripted):
             (ToolCall("ghost", call.input, call.result),) + step0.tool_calls[1:],
         ),
     ) + trace.steps[1:]
-    mutated = ExecutionTrace(trace.initial_input, mutated_steps, trace.truncated)
+    mutated = ExecutionTrace(trace.initial_input, mutated_steps)
     with pytest.raises(Rejected) as err:
         verify_trace(
             trace.steps[-1].core_output,
@@ -373,7 +375,6 @@ def test_prove_trace_detects_nondeterminism(scripted):
         trace.initial_input,
         (StepRecord(0, step0.core_output + " (edited)", step0.tool_calls),)
         + trace.steps[1:],
-        trace.truncated,
     )
     with pytest.raises(ValidationError):
         prove_trace(lied, world.aid, world.provers)
@@ -403,7 +404,6 @@ def test_prove_trace_names_a_tool_the_aid_lacks(scripted):
         trace.initial_input,
         (StepRecord(0, step0.core_output, (ToolCall("ghost", call.input, call.result),)),)
         + trace.steps[1:],
-        trace.truncated,
     )
     with pytest.raises(ValidationError, match="^step:0/tool:0: tool 'ghost' not in the AID$"):
         prove_trace(ghost, world.aid, world.provers)
@@ -483,6 +483,56 @@ def test_tee_template_with_a_secret_slot_is_refused(demo_run):
     with pytest.raises(ValidationError, match=f"^{locator}: no secret 'api_key' is held for "):
         prove_trace(trace, aid, provers)
     assert forwarded == []
+
+
+def test_tee_proof_of_a_secret_slot_is_rejected_in_a_bundle():
+    # The prover refuses such a call, so the bundle is built by hand: the
+    # echo tool's template gains a secret header, and the tool calls go
+    # through a log of the proxy with the secret rendered into them.
+    from dataclasses import replace
+
+    world = ScriptedWorld("tee-secret", n_steps=2)
+    trace, bundle = world.run()
+    echo = world.aid.tool("echo")
+    uid = world.registry.register(
+        {
+            "type": "inject",
+            "kind": "tool",
+            "method": "POST",
+            "path": "/v1/echo",
+            "headers": [
+                {"name": "Host", "value": "echo.test"},
+                {"name": "X-Api-Key", "secret": "api_key", "length": "16"},
+            ],
+            "body": {"message": ""},
+            "input_pointer": "/message",
+        }
+    )
+    aid = replace(world.aid, tools=(replace(echo, injection_algorithm_uid=uid),)).with_hash()
+    log = world.proxy.open_log()
+    for invocation in invocations(trace):
+        if invocation.call is not None:
+            request, spans = world.registry.render_call(
+                aid.tool("echo"), invocation.x, {"api_key": "TOPSECRET"}
+            )
+            log.add(request, spans, invocation.x)
+    [(signed, proven)] = log.finish()
+    assert all(b"TOPSECRET" in bytes.fromhex(payload["request"]) for _, payload in proven)
+    index = next(i for i, s in enumerate(bundle.sessions) if s.kind == KIND_TEE)
+    payloads = iter({**payload, "attestation": str(index)} for _, payload in proven)
+    proofs = [replace(p, payload=next(payloads)) if p.kind == KIND_TEE else p for p in bundle.proofs]
+    sessions = list(bundle.sessions)
+    sessions[index] = Session(KIND_TEE, signed)
+    forged = VerifiableExecutionTrace(
+        aid_id=compute_id(aid), trace=trace, proofs=tuple(proofs), sessions=tuple(sessions)
+    )
+    with pytest.raises(Rejected) as err:
+        verify_trace(trace.steps[-1].core_output, forged, aid, world.registry)
+    assert err.value.reason == "subproof-invalid"
+    assert err.value.detail == (
+        "step:0/tool:0: template-mismatch: a ProxyTEE request is public, "
+        "but its template has secret 'api_key'"
+    )
 
 
 def test_prove_trace_renders_and_parses_each_call_once(monkeypatch, scripted):
@@ -666,7 +716,7 @@ def test_run_outgrowing_a_session_rolls_to_a_fresh_one(scripted):
 def test_session_that_no_proof_names_is_rejected(scripted):
     world, trace, bundle = scripted
     spare = VerifiableExecutionTrace(
-        bundle.aid_id, bundle.trace, bundle.proofs, bundle.claims, bundle.sessions * 2
+        bundle.aid_id, bundle.trace, bundle.proofs, bundle.sessions * 2
     )
     with pytest.raises(Rejected) as err:
         verify_trace(trace.steps[-1].core_output, spare, world.aid, world.registry)

@@ -26,7 +26,7 @@ from vet.cli import main
 from vet.composer import VerifiableExecutionTrace, verify_trace
 from vet.errors import Rejected, ValidationError
 from vet.keys import SigningKey
-from vet.templates import ROLE_TOOL, TemplateRegistry, expected_request, inject, parse_tool
+from vet.templates import ROLE_TOOL, TemplateRegistry, parse_tool, render
 
 SETTINGS = settings(
     max_examples=300,
@@ -103,7 +103,7 @@ def _log_head_case():
     exchange it signs and the value that exchange carries."""
     world = demo_mod.build_world("fuzz")
     entry = world.aid.tools[0]
-    request = inject(world.registry.get_inject(entry.injection_algorithm_uid), "bitcoin")
+    request, _ = render(world.registry.get_inject(entry.injection_algorithm_uid), "bitcoin", {})
     response, head = world.proxy.fetch(request)
     value = parse_tool(world.registry.get_parse(entry.parsing_algorithm_uid), response)
     return world, entry, request, response, value, head.to_obj()
@@ -268,7 +268,7 @@ def test_template_decoder_only_rejects(mutated):
     try:
         uid = registry.register(mutated)
         if mutated["type"] == "inject":
-            expected_request(registry.get_inject(uid), "fuzz")
+            render(registry.get_inject(uid), "fuzz", {})
     except ValidationError:
         pass
 

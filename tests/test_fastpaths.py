@@ -47,14 +47,7 @@ from vet.commitment import (
 )
 from vet.tee_proxy import _match_tee_request
 from vet.errors import ProtocolError, Rejected, ValidationError
-from vet.templates import (
-    InjectTemplate,
-    expected_request,
-    extract_input,
-    first_difference,
-    match_request,
-    render,
-)
+from vet.templates import InjectTemplate, extract_input, match_request, render
 from vet.webproof import _check_records
 
 SETTINGS = settings(
@@ -245,15 +238,6 @@ def old_match_request(template, x, total_length):
     if run:
         lengths.append(run)
     return expected, lengths, frozenset(inside)
-
-
-def old_first_difference(expected, secret_bytes, data):
-    for pos in range(max(len(data), len(expected))):
-        if pos >= min(len(data), len(expected)):
-            return pos
-        if pos not in secret_bytes and data[pos] != expected[pos]:
-            return pos
-    return None
 
 
 def old_match_tee_request(template, request_bytes):
@@ -609,14 +593,28 @@ TEMPLATES = [
             "chunk_size": "8",
         }
     ),
+    InjectTemplate.from_obj(
+        {
+            "type": "inject",
+            "kind": "tool",
+            "method": "POST",
+            "path": "/v1/q",
+            "headers": [{"name": "Host", "value": "h.test"}],
+            "body": {"query": "", "limit": "10"},
+            "input_pointer": "/query",
+        }
+    ),
 ]
+
+# The templates a ProxyTEE entry may use: no secret slot.
+PUBLIC_TEMPLATES = [t for t in TEMPLATES if not t.secret_names()]
 
 inputs = st.text(alphabet="abcdefgh0123456789-_", max_size=60)
 
 
 @st.composite
-def request_cases(draw):
-    template = draw(st.sampled_from(TEMPLATES))
+def request_cases(draw, templates=TEMPLATES):
+    template = draw(st.sampled_from(templates))
     # Some inputs are long enough that the rendering is cut at RECORD_MAX.
     x = draw(inputs) * draw(st.sampled_from([1, 1, 1, 400, 700]))
     data, _ = render(template, x, {})
@@ -639,37 +637,16 @@ def test_match_request_matches_oracle(case):
         assert result[0] == "ok" and result[1][0] == data
 
 
-def test_first_offending_byte_names_the_reason():
-    # A flipped public byte is named; a flipped secret byte is no difference.
-    template = TEMPLATES[0]
-    data, spans = render(template, "q", {})
-    _, secret = expected_request(template, "q")
-    secret_bytes = {pos for o, n in spans.values() for pos in range(o, o + n)}
-    offset, length = spans["token"]
-    for flip, named in ((offset + length + 2, offset + length + 2), (offset - 2, offset - 2),
-                        (offset + 3, None)):
-        request = bytearray(data)
-        request[flip] ^= 1
-        assert first_difference(data, secret, bytes(request)) == named
-        assert old_first_difference(data, secret_bytes, request) == named
-    # A request of another length differs where the shorter one ends.
-    for request in (data + b"!", data[:-1]):
-        assert first_difference(data, secret, request) == len(data) - (request == data[:-1])
-        assert old_first_difference(data, secret_bytes, request) == first_difference(
-            data, secret, request
-        )
-
-
 @SETTINGS
 @given(
-    request_cases(),
-    st.text(alphabet="ABCDEF~", max_size=16),
+    request_cases(PUBLIC_TEMPLATES),
     st.integers(0, 10**6),
     st.sampled_from(["none", "flip", "past-end"]),
 )
-def test_match_tee_request_matches_oracle(case, secret_value, flip, mutation):
-    template, x, *_ = case
-    request, _ = render(template, x, {"token": secret_value, "other": secret_value})
+def test_match_tee_request_matches_oracle(case, flip, mutation):
+    # The oracle ignores the bytes of secret spans; a ProxyTEE template
+    # has none, so it compares every byte, as the exact check does.
+    template, x, request, *_ = case
     if mutation == "flip":
         tampered = bytearray(request)
         tampered[flip % len(request)] ^= 0x20
@@ -680,6 +657,26 @@ def test_match_tee_request_matches_oracle(case, secret_value, flip, mutation):
     assert result == outcome(old_match_tee_request, template, request)
     if mutation == "none":
         assert result == ("ok", x)
+
+
+def test_every_one_byte_flip_of_an_attested_request_is_rejected():
+    # A flip that keeps the input is named at its byte. A flip that reads
+    # as another input is accepted only if it is that input's rendering,
+    # so no flipped request passes for the honest one.
+    for template in PUBLIC_TEMPLATES:
+        honest, _ = render(template, "abc-01", {})
+        for pos in range(len(honest)):
+            for mask in (0x01, 0x20, 0x80):
+                flipped = bytearray(honest)
+                flipped[pos] ^= mask
+                flipped = bytes(flipped)
+                result = outcome(_match_tee_request, template, flipped)
+                assert result != ("ok", "abc-01")
+                if outcome(extract_input, template, flipped) == ("ok", "abc-01"):
+                    detail = f"attested request byte {pos} differs"
+                    assert result == ("rejected", "template-mismatch", detail)
+                elif result[0] == "ok":
+                    assert render(template, result[1], {})[0] == flipped
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from vet.tee_proxy import (
     measurement_of,
     verify_attestation,
 )
-from vet.templates import TemplateRegistry
+from vet.templates import TemplateRegistry, parse_tool, render
 
 
 def _registry():
@@ -64,9 +64,8 @@ def setup():
 
 def test_fetch_and_verify(setup):
     registry, proxy, entry, template = setup
-    from vet.templates import inject, parse_tool
 
-    request = inject(template, "bitcoin")
+    request = render(template, "bitcoin", {})[0]
     response, head = proxy.fetch(request)
     value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
     assert verify_attestation(value, request, response, head, entry, registry) == value
@@ -77,9 +76,8 @@ def test_fetch_and_verify(setup):
 
 def test_verify_rejections(setup):
     registry, proxy, entry, template = setup
-    from vet.templates import inject, parse_tool
 
-    request = inject(template, "bitcoin")
+    request = render(template, "bitcoin", {})[0]
     response, head = proxy.fetch(request)
     value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
 
@@ -110,12 +108,11 @@ def test_verify_rejections(setup):
 
 def test_verify_attestation_closes_its_log_of_one_once(setup, monkeypatch):
     registry, proxy, entry, template = setup
-    from vet.templates import inject, parse_tool
 
     closed = []
     close = OpenChain.close
     monkeypatch.setattr(OpenChain, "close", lambda log: closed.append(log) or close(log))
-    request = inject(template, "bitcoin")
+    request = render(template, "bitcoin", {})[0]
     response, head = proxy.fetch(request)
     value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
     assert verify_attestation(value, request, response, head, entry, registry) == value
@@ -124,11 +121,10 @@ def test_verify_attestation_closes_its_log_of_one_once(setup, monkeypatch):
 
 def test_parse_failure_reason(setup):
     registry, _, entry, template = setup
-    from vet.templates import inject
 
     key = SigningKey.from_seed("tee-test")
     junk_proxy = TeeProxy(key, lambda req: b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\njunk")
-    request = inject(template, "bitcoin")
+    request = render(template, "bitcoin", {})[0]
     response, head = junk_proxy.fetch(request)
     with pytest.raises(Rejected) as err:
         verify_attestation("x", request, response, head, entry, registry)
@@ -137,21 +133,19 @@ def test_parse_failure_reason(setup):
 
 def test_proxy_sees_plaintext(setup, monkeypatch):
     registry, proxy, entry, template = setup
-    from vet.templates import inject
 
     seen = []
     upstream = proxy.upstream
     monkeypatch.setattr(proxy, "upstream", lambda request: seen.append(request) or upstream(request))
-    request = inject(template, "bitcoin")
+    request = render(template, "bitcoin", {})[0]
     proxy.fetch(request)
     assert request in seen
 
 
 def test_attestation_obj_round_trip(setup):
     _, proxy, _, template = setup
-    from vet.templates import inject
 
-    _, head = proxy.fetch(inject(template, "bitcoin"))
+    _, head = proxy.fetch(render(template, "bitcoin", {})[0])
     assert LogHead.from_obj(head.to_obj()) == head
 
 
@@ -164,12 +158,11 @@ def test_measurement_deterministic():
 
 def test_tcp_serve_and_fetch(setup):
     registry, proxy, entry, template = setup
-    from vet.templates import inject, parse_tool
 
     server = tee_proxy.serve(proxy)
     try:
         host, port = server.server_address
-        request = inject(template, "bitcoin")
+        request = render(template, "bitcoin", {})[0]
         response, head = tee_proxy.fetch_tcp(host, port, request)
         local_response, _ = proxy.fetch(request)
         assert response == local_response
@@ -194,10 +187,9 @@ def test_attested_request_that_is_not_utf8_is_a_parse_failure(setup):
 
 def test_log_signs_one_head_over_its_exchanges(setup):
     registry, proxy, entry, template = setup
-    from vet.templates import inject
 
     log = proxy.open_log()
-    requests = [inject(template, coin) for coin in ("bitcoin", "bitcoin", "bitcoin")]
+    requests = [render(template, coin, {})[0] for coin in ("bitcoin", "bitcoin", "bitcoin")]
     payloads = [{"request": r.hex(), "response": log.fetch(r).hex()} for r in requests]
     head = log.close()
     assert head.exchanges == 3 and head.enclave_public_key == proxy.public_key
@@ -224,3 +216,50 @@ def test_log_signs_one_head_over_its_exchanges(setup):
     with pytest.raises(Rejected) as err:
         verify([0, 1, 2], dict(head.to_obj(), exchanges="4"))
     assert err.value.reason == "bad-signature"
+
+
+def test_first_byte_that_differs_is_named(setup):
+    registry, proxy, entry, template = setup
+    request = render(template, "bitcoin", {})[0]
+    host = request.index(b"api.coingecko.test")
+    for tampered, detail in (
+        (request.replace(b"api.coingecko", b"api.coingeckO"), f"byte {host + 12} differs"),
+        (request + b"\r\n", "length differs from template"),
+    ):
+        response, head = proxy.fetch(tampered)
+        with pytest.raises(Rejected) as err:
+            verify_attestation("1.00", tampered, response, head, entry, registry)
+        assert (err.value.reason, err.value.detail) == (
+            "template-mismatch", f"attested request {detail}"
+        )
+
+
+def test_template_with_a_secret_slot_is_rejected():
+    # A TEE proof ships its request, so a secret rendered into it is
+    # public: the verifier refuses the template, as the prover does.
+    registry = TemplateRegistry()
+    inject_uid = registry.register(
+        {
+            "type": "inject",
+            "kind": "tool",
+            "method": "POST",
+            "path": "/v1/echo",
+            "headers": [
+                {"name": "Host", "value": "echo.test"},
+                {"name": "X-Api-Key", "secret": "api_key", "length": "16"},
+            ],
+            "body": {"message": ""},
+            "input_pointer": "/message",
+        }
+    )
+    parse_uid = registry.register({"type": "parse", "kind": "tool", "output_pointer": "/echo"})
+    key = SigningKey.from_seed("tee-test")
+    entry = _entry(registry, inject_uid, parse_uid, key)
+    request, _ = render(registry.get_inject(inject_uid), "hi", {"api_key": "TOPSECRET"})
+    response, head = TeeProxy(key, make_echo_handler()).fetch(request)
+    assert b"TOPSECRET" in request
+    with pytest.raises(Rejected) as err:
+        verify_attestation("hi", request, response, head, entry, registry)
+    assert (err.value.reason, err.value.detail) == (
+        "template-mismatch", "a ProxyTEE request is public, but its template has secret 'api_key'"
+    )

@@ -7,13 +7,12 @@ from vet.templates import (
     ParseTemplate,
     TemplateRegistry,
     extract_input,
-    inject,
     match_request,
     parse_core,
     parse_tool,
     render,
-    secret_spans,
 )
+from vet.aid import ComponentEntry
 from vet.httpmsg import parse_request
 from vet.toytls import RECORD_MAX
 
@@ -79,9 +78,6 @@ def test_render_body_slot_and_secret_span():
 
 def test_secret_span_stable_without_value():
     template = InjectTemplate.from_obj(BODY_TEMPLATE)
-    assert secret_spans(template, "hello") == {
-        name: span for name, span in render(template, "hello", {})[1].items()
-    }
     # Rendering with and without the secret differs only inside the span.
     with_secret, spans = render(template, "hello", {"token": "s" * 32})
     without, _ = render(template, "hello", {})
@@ -90,13 +86,43 @@ def test_secret_span_stable_without_value():
     assert with_secret[offset + length:] == without[offset + length:]
 
 
-def test_inject_requires_secrets():
-    template = InjectTemplate.from_obj(BODY_TEMPLATE)
+def test_render_call_requires_secrets():
+    registry = TemplateRegistry()
+    uid = registry.register(BODY_TEMPLATE)
+    entry = ComponentEntry("q", "https://h.test/v1/q", uid, uid, None)
+    with pytest.raises(ValidationError, match="^no secret 'token' is held for 'q'$"):
+        registry.render_call(entry, "x", {})
+    data, spans = registry.render_call(entry, "x", {"token": "t" * 32})
+    assert parse_request(data).body == b'{"query":"x"}'
+    assert [data[o:o + n] for o, n in spans] == [b"t" * 32]
     with pytest.raises(ValidationError):
-        inject(template, "x")
-    inject(template, "x", {"token": "t" * 32})
+        render(registry.get_inject(uid), "x", {"token": "t" * 33})  # longer than declared
+
+
+def test_render_gives_one_span_per_secret_slot_in_order():
+    headers = [
+        {"name": "X-A", "secret": "a", "length": "16"},
+        {"name": "Host", "value": "h.test"},
+        {"name": "X-B", "secret": "b", "length": "32"},
+    ]
+    template = InjectTemplate.from_obj({**BODY_TEMPLATE, "headers": headers})
+    data, spans = render(template, "hello", {"a": "A" * 16, "b": "B" * 32})
+    assert list(spans) == ["a", "b"]
+    (a, a_len), (b, b_len) = spans.values()
+    assert a + a_len < b and data[a:a + a_len] == b"A" * 16 and data[b:b + b_len] == b"B" * 32
+
+
+def test_a_secret_may_fill_one_header_only():
+    # Two headers of one secret would render two copies but report one
+    # span, so a web proof would release the key of the first copy's record.
+    headers = [
+        {"name": "X-A", "secret": "k", "length": "16"},
+        {"name": "X-B", "secret": "k", "length": "16"},
+    ]
+    with pytest.raises(ValidationError, match="^secret 'k' fills more than one header$"):
+        InjectTemplate.from_obj({**BODY_TEMPLATE, "headers": headers})
     with pytest.raises(ValidationError):
-        render(template, "x", {"token": "t" * 33})  # longer than declared
+        TemplateRegistry().register({**BODY_TEMPLATE, "headers": headers})
 
 
 def test_template_validation_errors():
