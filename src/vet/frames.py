@@ -33,7 +33,6 @@ RELAY_DOWN = 0x07
 END_DOWN = 0x08
 FIN = 0x09
 STATEMENT = 0x0A
-POST_UP = 0x0B
 POST_DOWN = 0x0C
 ACK = 0x0D
 ABORT = 0x0E
@@ -47,6 +46,9 @@ CONTROL_MAX = 1 << 12
 # Seconds a socket of the frame server or of its clients waits on a read
 # or a write before the connection counts as dropped.
 IDLE_TIMEOUT = 30.0
+# Replies that end a session, and with it the connection: an ABORT, or
+# the released seed that follows the notary's statement.
+_ENDING_REPLIES = (ABORT, POST_DOWN)
 
 _HEADER = struct.Struct(">BI")
 
@@ -153,8 +155,9 @@ class FrameServer(socketserver.ThreadingTCPServer):
     replies leave in one write. A frame declaring more than ``first_limit``
     bytes, or ``session.frame_limit(type)`` once a session is open, gets
     an ABORT (``session.refuse(exc)``) before its payload is read. The
-    loop ends after CLOSE, an ABORT reply, a read error or
-    ``IDLE_TIMEOUT`` seconds of silence, then calls ``session.drop()``.
+    loop ends after CLOSE, an ABORT or POST_DOWN reply, a read or write
+    error or ``IDLE_TIMEOUT`` seconds of silence, then calls
+    ``session.drop()``.
     """
 
     allow_reuse_address = True
@@ -189,7 +192,7 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                     refusal = [Frame(ABORT, str(exc).encode())]
                     write_frame(sock, *(session.refuse(exc) if session else refusal))
                     return
-                except (ProtocolError, OSError):
+                except ProtocolError:  # the peer hung up mid-frame
                     return
                 if frame.type == HEALTH:
                     replies = [Frame(HEALTH_OK, server.health)]
@@ -198,8 +201,10 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                 else:
                     replies = session.handle(frame)
                 write_frame(sock, *replies)
-                if frame.type == CLOSE or any(r.type == ABORT for r in replies):
+                if frame.type == CLOSE or any(r.type in _ENDING_REPLIES for r in replies):
                     return
+        except OSError:  # the peer is gone, or silent for IDLE_TIMEOUT seconds
+            return
         finally:
             if session is not None:
                 session.drop()

@@ -184,7 +184,10 @@ def _match_tee_request(template, request_bytes: bytes) -> str:
         x = extract_input(template, request_bytes)
     except ValidationError as exc:
         raise Rejected("parse-failure", str(exc))
-    expected, _ = render(template, x, {})
+    try:
+        expected, _ = render(template, x, {})
+    except ValidationError as exc:  # an input the template cannot hold
+        raise Rejected("template-mismatch", str(exc))
     if len(expected) != len(request_bytes):
         raise Rejected("template-mismatch", "attested request length differs from template")
     if expected != request_bytes:

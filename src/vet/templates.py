@@ -310,10 +310,13 @@ def match_request(
     Returns the rendering, its secret spans masked; the lengths of its
     records, cut by ``toytls.split_records`` at every secret-span edge;
     and the indices of the records inside a secret span. Raises
-    Rejected("template-mismatch") unless the rendering is
-    ``total_length`` bytes long.
+    Rejected("template-mismatch") if the template cannot render ``x``,
+    or the rendering is not ``total_length`` bytes long.
     """
-    expected, spans = render(template, x, {})
+    try:
+        expected, spans = render(template, x, {})
+    except ValidationError as exc:  # an input the template cannot hold
+        raise Rejected("template-mismatch", str(exc))
     if len(expected) != total_length:
         raise Rejected(
             "template-mismatch",

@@ -5,11 +5,14 @@ and sealed encrypt-and-MAC, as SSH's binary packet protocol does
 (RFC 4253 §6.4): the wire is ``ct || tag`` with
 ``tag = H("VET/mac:" || key || plaintext)``. The key for record ``i`` is
 derived from a direction-specific secret. Up-direction keys come from
-the X25519 handshake secret (known to prover and server, never to the
-relay). Down-direction keys come from a server-held session seed that is
-released to the prover only after the relay has signed the head of the
-record chain, so the prover's pre-signature view never suffices to
-forge a response.
+the X25519 handshake secret, known to prover and server and never to the
+relay: the server draws a fresh ephemeral key for each connection, so
+nothing the relay sees, the public keys included, determines it.
+Down-direction keys come from a seed the server also draws fresh for
+each connection and releases to the prover only after the relay has
+signed the head of the record chain, sealed under the handshake key, so
+the prover's pre-signature view never suffices to forge a response and
+the relay never learns the seed.
 
 The tag is the record's commitment, opened by releasing its key (DECO's
 commit-then-key-release binds released keys through a MAC in the same
@@ -41,6 +44,7 @@ a response to a tag it already knows.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -128,8 +132,9 @@ def handshake_key(shared: bytes, nonce: bytes) -> bytes:
     return hashlib.sha256(b"VET/hs:" + shared + nonce).digest()
 
 
-def post_key(hk: bytes, direction: str) -> bytes:
-    return hashlib.sha256(b"VET/post-" + direction.encode() + b":" + hk).digest()
+def release_key(hk: bytes) -> bytes:
+    """The key that seals the down seed the server releases."""
+    return hashlib.sha256(b"VET/release:" + hk).digest()
 
 
 def split_records(total_length: int, secret_spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -226,24 +231,25 @@ class SignedStatement:
 
 
 class ServerConnection:
-    """Per-session server-side state machine, driven frame by frame.
+    """Per-connection server-side state machine, driven frame by frame.
 
     ``handle(frame)`` returns the frames to relay back toward the
     prover. The relay never sees anything here in plaintext except the
     handshake metadata (ephemeral public keys and a signature). A
     session carries any number of exchanges, as a kept-alive connection
     does: each END_UP answers the up records sent since the one before.
-    The down seed is released once, after the statement over them all.
+    The ephemeral key and the down seed are drawn fresh for each
+    connection, so a session id only names a live session. The down
+    seed is released once, in answer to the notary's STATEMENT over all
+    the records, sealed under the handshake key.
     """
 
     def __init__(self, server: "TargetServer", session_id: str):
         self.server = server
         self.session_id = session_id
+        self._seed = os.urandom(32)
         self._hk: bytes | None = None
         self._up_secret: bytes | None = None
-        self._seed = hashlib.sha256(
-            b"VET/session-seed:" + server.session_secret + session_id.encode()
-        ).digest()
         self._request = bytearray()  # the request in progress, opened record by record
         self._counts = {"up": 0, "down": 0}  # records keyed so far, per direction
         self._chain = RecordChain()
@@ -256,18 +262,14 @@ class ServerConnection:
             return []
         if frame.type == frames.END_UP:
             return self._respond()
-        if frame.type == frames.POST_UP:
-            return self._on_key_request(frame.payload)
-        if frame.type == frames.CLOSE:
-            return []
+        if frame.type == frames.STATEMENT:
+            return self._release(frame.payload)
         raise ProtocolError(f"server: unexpected frame type {frame.type:#x}")
 
     def _on_hello(self, payload: bytes) -> list[Frame]:
-        eph = X25519PrivateKey.from_private_bytes(
-            hashlib.sha256(
-                b"VET/server-eph:" + self.server.session_secret + self.session_id.encode()
-            ).digest()
-        )
+        if self._hk is not None:
+            raise ProtocolError("server: second hello")
+        eph = X25519PrivateKey.generate()
         # The hello comes from the prover unchecked by the relay: one that
         # does not decode, or has no shared secret, aborts the session.
         try:
@@ -329,19 +331,17 @@ class ServerConnection:
         out.append(Frame(frames.END_DOWN, b""))
         return out
 
-    def _on_key_request(self, payload: bytes) -> list[Frame]:
+    def _release(self, statement_bytes: bytes) -> list[Frame]:
+        """The down seed, sealed under the handshake key, for a statement
+        that a known notary signed over this connection's records."""
         if self._hk is None:
-            raise ProtocolError("server: key request before handshake")
-        statement_bytes = open_record(post_key(self._hk, "up"), payload)
-        # The prover holds the handshake key, so the sealed statement is
-        # outside input: one that does not decode is a protocol error.
+            raise ProtocolError("server: statement before handshake")
         try:
             signed = SignedStatement.from_obj(canonical_loads(statement_bytes))
         except ValidationError as exc:
-            raise ProtocolError(f"malformed key request: {exc}")
+            raise ProtocolError(f"malformed statement: {exc}")
         signed.check_session(self.server.notary_keys, self.session_id, self._chain)
-        released = seal_record(post_key(self._hk, "down"), self._seed)
-        return [Frame(frames.POST_DOWN, released)]
+        return [Frame(frames.POST_DOWN, seal_record(release_key(self._hk), self._seed))]
 
 
 class TargetServer:
@@ -362,9 +362,6 @@ class TargetServer:
         self.handler = handler
         self.signing_key = signing_key
         self.notary_keys = list(notary_keys)
-        self.session_secret = hashlib.sha256(
-            b"VET/server-secret:" + signing_key.public_string.encode()
-        ).digest()
 
     def open_connection(self, session_id: str) -> ServerConnection:
         return ServerConnection(self, session_id)

@@ -257,6 +257,10 @@ class ProvisionedChannel:
         self._session.handle(Frame(frames.CLOSE, b""))
 
 
+# The reply that ends a frame's answer of more than one frame.
+_LAST_REPLY = {frames.END_UP: frames.END_DOWN, frames.FIN: frames.POST_DOWN}
+
+
 class TCPChannel:
     """Same protocol as ProvisionedChannel, over a real socket."""
 
@@ -273,33 +277,45 @@ class TCPChannel:
 
         self.session_id = session_id
         self._sock = socket.create_connection((host, port), timeout=frames.IDLE_TIMEOUT)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        frames.write_frame(self._sock, _open_frame(session_id, domain, cap_up, cap_down))
-        reply = frames.read_frame(self._sock)
-        if reply.type == frames.ABORT:
-            raise ProtocolError(f"notary rejected session: {reply.payload.decode()}")
-        self.notary_public_key = json_field(canonical_loads(reply.payload), "notary_public_key")
+        try:
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            frames.write_frame(self._sock, _open_frame(session_id, domain, cap_up, cap_down))
+            reply = frames.read_frame(self._sock)
+            if reply.type == frames.ABORT:
+                raise ProtocolError(f"notary rejected session: {reply.payload.decode()}")
+            self.notary_public_key = json_field(
+                canonical_loads(reply.payload), "notary_public_key"
+            )
+        except BaseException:
+            self._sock.close()
+            raise
 
     def exchange(self, *batch: Frame) -> list[Frame]:
         """Send ``batch`` in one write, then read the replies to each frame
-        in turn, up to an ABORT: one frame, or for END_UP every frame up
-        to END_DOWN."""
+        in turn, up to an ABORT: one frame, or every frame up to END_DOWN
+        for END_UP and up to POST_DOWN for FIN."""
         try:
             frames.write_frame(self._sock, *batch)
         except ConnectionError:  # the notary may have aborted mid-batch; read its ABORT
             pass
         replies = []
         for frame in batch:
+            last = _LAST_REPLY.get(frame.type)
             while True:
                 replies.append(frames.read_frame(self._sock))
                 if replies[-1].type == frames.ABORT:
                     return replies
-                if frame.type != frames.END_UP or replies[-1].type == frames.END_DOWN:
+                if last in (None, replies[-1].type):
                     break
         return replies
 
     def close(self) -> None:
-        frames.write_frame(self._sock, Frame(frames.CLOSE, b""))
+        """Send CLOSE and hang up. The notary may have hung up already, after
+        FIN or an ABORT, and the channel may be closed already."""
+        try:
+            frames.write_frame(self._sock, Frame(frames.CLOSE, b""))
+        except OSError:
+            pass
         self._sock.close()
 
 
@@ -326,11 +342,12 @@ def _raise_on_abort(replies: list[Frame]) -> None:
             raise ProtocolError(f"session aborted: {reason}")
 
 
-def _expect(replies: list[Frame], wanted: int) -> Frame:
+def _expect(replies: list[Frame], *wanted: int) -> list[Frame]:
+    """``replies``, which must be frames of the types ``wanted``, in order."""
     _raise_on_abort(replies)
-    if len(replies) != 1 or replies[0].type != wanted:
-        raise ProtocolError(f"expected frame {wanted:#x}, got {[r.type for r in replies]}")
-    return replies[0]
+    if [r.type for r in replies] != list(wanted):
+        raise ProtocolError(f"expected frames {wanted}, got {[r.type for r in replies]}")
+    return replies
 
 
 class _Sent(NamedTuple):
@@ -349,13 +366,16 @@ class NotarizedSession:
 
     Opening it runs the handshake; ``send`` carries one request/response
     exchange, and ``up_used`` counts the request bytes sent so far;
-    ``finish`` has the notary sign the record chain of every exchange,
-    takes the down seed the server then releases, and returns each
-    exchange's response and web proof, in order.
+    ``finish`` sends FIN, takes the notary's statement over the record
+    chain of every exchange and the down seed the server then releases,
+    and returns each exchange's response and web proof, in order.
 
     Protocol order matters: the notary signs the head of the record chain
     before the server releases the down-direction key seed, so nothing in
-    the prover's pre-signature view determines a response plaintext.
+    the prover's pre-signature view determines a response plaintext. The
+    seed comes sealed under the handshake key, which the server's fresh
+    ephemeral key keeps from the notary. The channel is closed when the
+    session finishes, or when an exchange over it fails or aborts.
     """
 
     def __init__(self, channel, rng: random.Random):
@@ -369,20 +389,23 @@ class NotarizedSession:
         client_eph = toytls.pub_hex(eph)
         nonce = rng.randbytes(16).hex()
         hello = canonical_bytes({"client_eph": client_eph, "nonce": nonce})
-        reply = _expect(channel.exchange(Frame(frames.HS_UP, hello)), frames.HS_DOWN)
-        server_hello = canonical_loads(reply.payload)
-        server_pub = json_field(server_hello, "server_pub")
-        server_eph = json_field(server_hello, "server_eph", bytes)
-        if not verify_signature(
-            server_pub,
-            toytls.handshake_signature_message(
-                client_eph, server_eph.hex(), nonce, channel.session_id
-            ),
-            json_field(server_hello, "signature"),
-        ):
+        try:
+            (reply,) = _expect(channel.exchange(Frame(frames.HS_UP, hello)), frames.HS_DOWN)
+            server_hello = canonical_loads(reply.payload)
+            server_pub = json_field(server_hello, "server_pub")
+            server_eph = json_field(server_hello, "server_eph", bytes)
+            if not verify_signature(
+                server_pub,
+                toytls.handshake_signature_message(
+                    client_eph, server_eph.hex(), nonce, channel.session_id
+                ),
+                json_field(server_hello, "signature"),
+            ):
+                raise ProtocolError("server handshake signature invalid")
+            shared = toytls.shared_secret(eph, server_eph)
+        except BaseException:
             channel.close()
-            raise ProtocolError("server handshake signature invalid")
-        shared = toytls.shared_secret(eph, server_eph)
+            raise
         self._up_secret = toytls.up_secret(shared)
         self._hk = toytls.handshake_key(shared, bytes.fromhex(nonce))
 
@@ -408,13 +431,17 @@ class NotarizedSession:
             for key, (offset, length) in zip(up_keys, record_spans)
         ]
         batch = [Frame(frames.RELAY_UP, wire) for wire in up_wires]
-        replies = self.channel.exchange(*batch, Frame(frames.END_UP, b""))
-        _raise_on_abort(replies)
-        acks, down = replies[:len(batch)], replies[len(batch):]
-        if any(ack.type != frames.ACK for ack in acks) or not down:
-            raise ProtocolError(f"expected an ACK per record, got {[r.type for r in acks]}")
-        if down[-1].type != frames.END_DOWN:
-            raise ProtocolError("response did not terminate with END_DOWN")
+        try:
+            replies = self.channel.exchange(*batch, Frame(frames.END_UP, b""))
+            _raise_on_abort(replies)
+            acks, down = replies[:len(batch)], replies[len(batch):]
+            if any(ack.type != frames.ACK for ack in acks) or not down:
+                raise ProtocolError(f"expected an ACK per record, got {[r.type for r in acks]}")
+            if down[-1].type != frames.END_DOWN:
+                raise ProtocolError("response did not terminate with END_DOWN")
+        except BaseException:
+            self.channel.close()
+            raise
         down_wires = [r.payload for r in down if r.type == frames.RELAY_DOWN]
         for direction, wires in (("up", up_wires), ("down", down_wires)):
             for wire in wires:
@@ -426,20 +453,19 @@ class NotarizedSession:
         )
 
     def finish(self) -> list[tuple[bytes, WebProof]]:
-        # The notary signs the chain; only then does the server release the seed.
-        statement_frame = _expect(self.channel.exchange(Frame(frames.FIN, b"")), frames.STATEMENT)
-        signed = SignedStatement.from_obj(canonical_loads(statement_frame.payload))
-        signed.check_session(
-            [self.channel.notary_public_key], self.channel.session_id, self._chain
-        )
-        release_request = toytls.seal_record(
-            toytls.post_key(self._hk, "up"), statement_frame.payload
-        )
-        post = _expect(
-            self.channel.exchange(Frame(frames.POST_UP, release_request)), frames.POST_DOWN
-        )
-        seed = toytls.open_record(toytls.post_key(self._hk, "down"), post.payload)
-        self.channel.close()
+        """FIN: the notary signs the chain, and the server then releases the
+        seed, sealed under the handshake key; the session is over."""
+        try:
+            statement, released = _expect(
+                self.channel.exchange(Frame(frames.FIN, b"")), frames.STATEMENT, frames.POST_DOWN
+            )
+            signed = SignedStatement.from_obj(canonical_loads(statement.payload))
+            signed.check_session(
+                [self.channel.notary_public_key], self.channel.session_id, self._chain
+            )
+            seed = toytls.open_record(toytls.release_key(self._hk), released.payload)
+        finally:
+            self.channel.close()
         out = []
         first = 0
         for sent in self._sent:

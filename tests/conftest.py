@@ -38,8 +38,8 @@ class WebProofRig:
     """A notary, an echo-style target server, and matching templates.
 
     Small enough to build fresh in each test; ``fresh_notary()`` rewires
-    a new NotaryService around the same server so capacity and ledger
-    state do not leak between tests.
+    a new NotaryService around the same server so capacity and live
+    sessions do not leak between tests.
     """
 
     def __init__(self, seed="rig", handler=None, secret_length="16"):
@@ -104,7 +104,6 @@ OPAQUE_TYPES = {
     frames.HS_DOWN,
     frames.RELAY_UP,
     frames.RELAY_DOWN,
-    frames.POST_UP,
     frames.POST_DOWN,
 }
 
@@ -123,6 +122,24 @@ def relayed_payloads(monkeypatch):
 
     monkeypatch.setattr(NotarySession, "handle", spy)
     return seen
+
+
+@pytest.fixture
+def opened_sessions(monkeypatch):
+    """A spy on ``NotaryService.open_session``: every session it opens, by
+    id (the last one, for an id opened again). The notary itself keeps
+    nothing of a session once it ends; this is how a test reads one that
+    a TCP handler thread opened."""
+    opened: dict[str, NotarySession] = {}
+    open_session = NotaryService.open_session
+
+    def spy(self, frame):
+        session, ok = open_session(self, frame)
+        opened[session.session_id] = session
+        return session, ok
+
+    monkeypatch.setattr(NotaryService, "open_session", spy)
+    return opened
 
 
 @pytest.fixture

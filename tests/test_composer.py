@@ -535,6 +535,47 @@ def test_tee_proof_of_a_secret_slot_is_rejected_in_a_bundle():
     )
 
 
+def test_tee_request_the_template_cannot_render_is_rejected_in_a_bundle():
+    # The echo tool's template takes its input in a path slot, and the
+    # attested requests, built by hand, put "{x}" there: the verifier
+    # names the template mismatch inside the bundle's verdict.
+    from dataclasses import replace
+
+    world = ScriptedWorld("tee-path", n_steps=2)
+    trace, bundle = world.run()
+    echo = world.aid.tool("echo")
+    uid = world.registry.register(
+        {
+            "type": "inject",
+            "kind": "tool",
+            "method": "GET",
+            "path": "/v1/echo?message={input}",
+            "headers": [{"name": "Host", "value": "echo.test"}],
+        }
+    )
+    aid = replace(world.aid, tools=(replace(echo, injection_algorithm_uid=uid),)).with_hash()
+    log = world.proxy.open_log()
+    request = b"GET /v1/echo?message={x} HTTP/1.1\r\nHost: echo.test\r\n\r\n"
+    for invocation in invocations(trace):
+        if invocation.call is not None:
+            log.add(request, [], invocation.x)
+    [(signed, proven)] = log.finish()
+    index = next(i for i, s in enumerate(bundle.sessions) if s.kind == KIND_TEE)
+    payloads = iter({**payload, "attestation": str(index)} for _, payload in proven)
+    proofs = [replace(p, payload=next(payloads)) if p.kind == KIND_TEE else p for p in bundle.proofs]
+    sessions = list(bundle.sessions)
+    sessions[index] = Session(KIND_TEE, signed)
+    forged = VerifiableExecutionTrace(
+        aid_id=compute_id(aid), trace=trace, proofs=tuple(proofs), sessions=tuple(sessions)
+    )
+    with pytest.raises(Rejected) as err:
+        verify_trace(trace.steps[-1].core_output, forged, aid, world.registry)
+    assert (err.value.reason, err.value.detail) == (
+        "subproof-invalid",
+        "step:0/tool:0: template-mismatch: input '{x}' not encodable in a path slot",
+    )
+
+
 def test_prove_trace_renders_and_parses_each_call_once(monkeypatch, scripted):
     world, trace, bundle = scripted
     renders = _count_calls(monkeypatch, templates.render)

@@ -213,8 +213,17 @@ def old_check_records(lengths, record_keys, direction, data, reason, secret, wit
     return tags
 
 
+def old_render(template, x):
+    """``render`` as a verifier calls it: an input the template cannot hold
+    is a template mismatch."""
+    try:
+        return render(template, x, {})
+    except ValidationError as exc:
+        raise Rejected("template-mismatch", str(exc))
+
+
 def old_match_request(template, x, total_length):
-    expected, spans = render(template, x, {})
+    expected, spans = old_render(template, x)
     if len(expected) != total_length:
         raise Rejected(
             "template-mismatch",
@@ -245,7 +254,7 @@ def old_match_tee_request(template, request_bytes):
         x = extract_input(template, request_bytes)
     except ValidationError as exc:
         raise Rejected("parse-failure", str(exc))
-    expected, spans = render(template, x, {})
+    expected, spans = old_render(template, x)
     if len(expected) != len(request_bytes):
         raise Rejected("template-mismatch", "attested request length differs from template")
     secret = set()

@@ -72,3 +72,32 @@ def test_relay_answers_an_unreadable_request_with_abort(handler, bad_request):
 def test_decode_all_refuses_a_truncated_frame(data):
     with pytest.raises(ValidationError, match="truncated frame header|payload bytes"):
         frames.decode_all(data)
+
+
+def test_failed_reply_write_ends_the_connection_quietly(rig, opened_sessions, monkeypatch):
+    # A reply that cannot be written (the peer is gone) ends the connection
+    # without a traceback, and the session is still dropped.
+    from vet import notary
+
+    errors = []
+    monkeypatch.setattr(frames.FrameServer, "handle_error", lambda self, *args: errors.append(args))
+    server = notary.serve(rig.service)
+    try:
+        open_frame = Frame(
+            frames.OPEN, canonical_bytes({"session_id": "gone", "domain": "echo.test"})
+        )
+
+        def broken(sock, *batch):
+            raise BrokenPipeError("the peer is gone")
+
+        monkeypatch.setattr(frames, "write_frame", broken)
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(open_frame.encode())
+            assert sock.recv(1) == b""
+        session = opened_sessions["gone"]
+        assert (session.state, session.abort_reason) == ("aborted", "connection dropped")
+        assert rig.service._live == set()
+        assert errors == []
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -1,7 +1,11 @@
+import gc
+import hashlib
 import random
 import socket
 import threading
 import time
+import weakref
+from types import SimpleNamespace
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
@@ -26,6 +30,7 @@ from vet.notary import (
 )
 from vet.toytls import TargetServer
 from vet.webproof import (
+    NotarizedSession,
     TCPChannel,
     WebProofProver,
     provision_channel,
@@ -49,10 +54,11 @@ def _open_frame(session_id, cap_up=1 << 16, cap_down=1 << 16, domain="echo.test"
 
 
 def test_open_session_and_statement(rig):
-    session, ok = rig.service.open_session(_open_frame("s1", 4096, 16384))
-    payload = canonical_loads(ok.payload)
-    assert payload["notary_public_key"] == rig.notary_key.public_string
-    (statement_frame,) = session.handle(Frame(frames.FIN, b""))
+    channel = provision_channel(rig.service, "echo.test", 4096, 16384, session_id="s1")
+    assert channel.notary_public_key == rig.notary_key.public_string
+    _real_handshake(channel)
+    statement_frame, released = channel.exchange(Frame(frames.FIN, b""))
+    assert (statement_frame.type, released.type) == (frames.STATEMENT, frames.POST_DOWN)
     signed = canonical_loads(statement_frame.payload)
     statement = signed["statement"]
     assert statement["server_domain"] == "echo.test"
@@ -70,20 +76,29 @@ def test_open_session_and_statement(rig):
     )
 
 
-def test_one_signature_per_session(rig):
-    session, _ = rig.service.open_session(_open_frame("s1"))
-    (first,) = session.handle(Frame(frames.FIN, b""))
-    (second,) = session.handle(Frame(frames.FIN, b""))
-    assert first is second  # cached frame, signed exactly once
-    assert rig.service.ledger.get("s1").state == STATE_FINALIZED
+def test_one_signature_per_session(rig, monkeypatch):
+    channel = provision_channel(rig.service, "echo.test", session_id="s1")
+    _real_handshake(channel)
+    signed = []
+    sign = SigningKey.sign
+    monkeypatch.setattr(SigningKey, "sign", lambda key, msg: signed.append(msg) or sign(key, msg))
+    first = channel.exchange(Frame(frames.FIN, b""))
+    assert [f.type for f in first] == [frames.STATEMENT, frames.POST_DOWN]
+    # FIN ended the session: a second one gets an ABORT and no signature.
+    (second,) = channel.exchange(Frame(frames.FIN, b""))
+    assert (second.type, second.payload) == (frames.ABORT, b"session ended")
+    assert len(signed) == 1
+    assert channel._session.state == STATE_FINALIZED
 
 
 def test_record_after_statement_aborts(rig):
-    session, _ = rig.service.open_session(_open_frame("s1"))
-    session.handle(Frame(frames.FIN, b""))
-    (reply,) = session.handle(Frame(frames.RELAY_UP, b"x" * 64))
+    channel = provision_channel(rig.service, "echo.test", session_id="s1")
+    _real_handshake(channel)
+    channel.exchange(Frame(frames.FIN, b""))
+    (reply,) = channel.exchange(Frame(frames.RELAY_UP, b"x" * 64))
     assert reply.type == frames.ABORT
-    assert rig.service.ledger.get("s1").state == STATE_ABORTED
+    session = channel._session
+    assert (session.state, session.chain.count) == (STATE_FINALIZED, 0)
 
 
 def _sealed_up(up, index, plaintext):
@@ -109,7 +124,7 @@ def test_capacity_counts_plaintext_not_tag(rig):
     up, _ = _real_handshake(channel)
     (ack,) = channel.exchange(_sealed_up(up, 0, b"x" * 32), _sealed_up(up, 1, b"x" * 32))[1:]
     assert ack.type == frames.ACK
-    assert rig.service.ledger.get("s1").used_up == 64
+    assert channel._session.used_up == 64
 
 
 def test_open_rejects_bad_requests(rig):
@@ -148,7 +163,7 @@ def test_session_fixture_sizes(rig):
         assert proof.statement.capacity == (cap_up, cap_down)
 
 
-def test_concurrent_sessions(rig):
+def test_concurrent_sessions(rig, opened_sessions):
     errors = []
 
     def one(i):
@@ -171,10 +186,8 @@ def test_concurrent_sessions(rig):
     for t in threads:
         t.join()
     assert errors == []
-    finalized = [
-        rig.service.ledger.get(s).state for s in rig.service.ledger.session_ids()
-    ]
-    assert finalized.count(STATE_FINALIZED) == 8
+    assert [s.state for s in opened_sessions.values()] == [STATE_FINALIZED] * 8
+    assert rig.service._live == set()
 
 
 def test_simulate_setup_delay_linear():
@@ -182,7 +195,7 @@ def test_simulate_setup_delay_linear():
     assert model.setup_delay(1000, 2000) == pytest.approx(0.5 + 3.0)
 
 
-def test_tcp_end_to_end(rig):
+def test_tcp_end_to_end(rig, opened_sessions):
     server = notary_mod.serve(rig.service)
     try:
         host, port = server.server_address
@@ -191,28 +204,28 @@ def test_tcp_end_to_end(rig):
         request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"t"}'
         response, proof = run_session(channel, request, claims={"input": "t"})
         assert b'"echo":"t"' in response
-        assert rig.service.ledger.get("tcp-1").state == STATE_FINALIZED
+        assert opened_sessions["tcp-1"].state == STATE_FINALIZED
     finally:
         server.shutdown()
+        server.server_close()
 
 
-def test_tcp_disconnect_aborts_session(rig):
+def test_tcp_disconnect_aborts_session(rig, opened_sessions):
     server = notary_mod.serve(rig.service)
     try:
         host, port = server.server_address
         channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-drop")
         channel._sock.close()  # drop mid-session without CLOSE
+        session = opened_sessions["tcp-drop"]
         for _ in range(100):
-            if rig.service.ledger.get("tcp-drop").state == STATE_ABORTED:
+            if session.state == STATE_ABORTED:
                 break
-            import time
-
             time.sleep(0.01)
-        entry = rig.service.ledger.get("tcp-drop")
-        assert entry.state == STATE_ABORTED
-        assert entry.statement_frame is None
+        assert (session.state, session.abort_reason) == (STATE_ABORTED, "connection dropped")
+        assert rig.service._live == set()
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_notary_blindness_instrumentation(rig, relayed_payloads):
@@ -226,30 +239,35 @@ def test_notary_blindness_instrumentation(rig, relayed_payloads):
     verify_webproof("blind-check", proof, rig.entry, "tool", rig.registry)
 
 
-def test_session_cap_counts_only_live_sessions(rig):
+def test_session_cap_counts_only_live_sessions(rig, opened_sessions):
     # The default cap, as `vet notary serve` builds the service.
     service = NotaryService(rig.notary_key, {"echo.test": rig.server}.__getitem__)
     request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"c"}'
     for i in range(service.max_sessions + 6):
         channel = provision_channel(service, "echo.test", session_id=f"done-{i}")
         run_session(channel, request, claims={"input": "c"})
-    entry = service.ledger.get("done-0")
-    assert entry.state == STATE_FINALIZED
-    assert entry.statement_frame is None
+    assert opened_sessions["done-0"].state == STATE_FINALIZED
+    assert service._live == set()
     for i in range(service.max_sessions):
         service.open_session(_open_frame(f"live-{i}"))
     with pytest.raises(ProtocolError, match="session limit reached"):
         service.open_session(_open_frame("one-too-many"))
 
 
-def test_reused_session_id_refused_after_close(rig):
-    session, _ = rig.service.open_session(_open_frame("once"))
-    session.handle(Frame(frames.FIN, b""))
-    session.handle(Frame(frames.CLOSE, b""))
-    with pytest.raises(ProtocolError, match="already used"):
+def test_session_id_refused_only_while_live(rig):
+    request = _post_for("again")
+    live = provision_channel(rig.service, "echo.test", session_id="once")
+    with pytest.raises(ProtocolError, match="session 'once' is live"):
         rig.service.open_session(_open_frame("once"))
-    # A closed session answers with an abort and signs nothing more.
-    (reply,) = session.handle(Frame(frames.FIN, b""))
+    _, first = run_session(live, request, rng=random.Random(0), claims={"input": "again"})
+    # The session ended at FIN, so its id may open again; the server draws
+    # a fresh seed, so the same exchange gets other down keys.
+    again = provision_channel(rig.service, "echo.test", session_id="once")
+    _, second = run_session(again, request, rng=random.Random(0), claims={"input": "again"})
+    assert first.record_keys["up", 0] != second.record_keys["up", 0]
+    assert first.record_keys["down", 0] != second.record_keys["down", 0]
+    # An ended session answers with an abort and signs nothing more.
+    (reply,) = live.exchange(Frame(frames.FIN, b""))
     assert reply.type == frames.ABORT
 
 
@@ -277,7 +295,7 @@ def test_tcp_malformed_open_gets_abort(rig, payload):
         canonical_bytes({"client_eph": "00" * 32, "nonce": "00"}),  # low-order key
     ],
 )
-def test_tcp_malformed_hello_gets_abort(rig, hello):
+def test_tcp_malformed_hello_gets_abort(rig, opened_sessions, hello):
     server = notary_mod.serve(rig.service)
     try:
         host, port = server.server_address
@@ -289,7 +307,7 @@ def test_tcp_malformed_hello_gets_abort(rig, hello):
             reply = frames.read_frame(sock)
         assert reply.type == frames.ABORT
         assert reply.payload.startswith(b"protocol error: malformed hello")
-        entry = rig.service.ledger.get(session_id)
+        entry = opened_sessions[session_id]
         assert entry.state == STATE_ABORTED
         assert entry.abort_reason.startswith("protocol error: malformed hello")
         assert check_health(host, port)
@@ -309,10 +327,6 @@ def _real_handshake(channel):
     server_eph = bytes.fromhex(canonical_loads(reply.payload)["server_eph"])
     shared = eph.exchange(X25519PublicKey.from_public_bytes(server_eph))
     return toytls.up_secret(shared), toytls.handshake_key(shared, nonce)
-
-
-def _key_request(hk, statement_bytes):
-    return Frame(frames.POST_UP, toytls.seal_record(toytls.post_key(hk, "up"), statement_bytes))
 
 
 def _notary_signed(key, statement):
@@ -346,13 +360,14 @@ def _notary_signed(key, statement):
     ],
 )
 def test_malformed_key_request_aborts(rig, make_request):
+    # The notary hands its statement to the server connection as a
+    # STATEMENT frame; one that does not decode releases no seed.
     session_id = "bad-post"
-    channel = provision_channel(rig.service, "echo.test", session_id=session_id)
-    _, hk = _real_handshake(channel)
-    (reply,) = channel.exchange(_key_request(hk, make_request(rig.notary_key, session_id)))
-    assert reply.type == frames.ABORT
-    assert reply.payload.startswith(b"protocol error: malformed key request")
-    assert rig.service.ledger.get(session_id).state == STATE_ABORTED
+    connection = rig.server.open_connection(session_id)
+    _real_handshake(SimpleNamespace(exchange=connection.handle))
+    statement = Frame(frames.STATEMENT, make_request(rig.notary_key, session_id))
+    with pytest.raises(ProtocolError, match="malformed statement"):
+        connection.handle(statement)
 
 
 def test_unreadable_request_aborts(rig):
@@ -363,7 +378,7 @@ def test_unreadable_request_aborts(rig):
     (reply,) = channel.exchange(Frame(frames.END_UP, b""))
     assert reply.type == frames.ABORT
     assert reply.payload.startswith(b"protocol error: server: malformed request")
-    assert rig.service.ledger.get("bad-request").state == STATE_ABORTED
+    assert channel._session.state == STATE_ABORTED
 
 
 def _post(path, body):
@@ -427,26 +442,29 @@ def test_array_body_gets_response_frames(rig):
     assert [r.type for r in replies] == [frames.RELAY_DOWN] * (len(replies) - 1) + [frames.END_DOWN]
 
 
-def test_tcp_malformed_key_request_aborts(rig):
+def test_tcp_malformed_key_request_aborts(rig, opened_sessions):
+    # Only the notary hands a statement to the server: a prover's STATEMENT,
+    # or a frame of the retired key-request type (0x0B), aborts the session.
     server = notary_mod.serve(rig.service)
     try:
         host, port = server.server_address
-        channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-bad-post")
-        _, hk = _real_handshake(channel)
-        (reply,) = channel.exchange(_key_request(hk, b"garbage"))
-        channel.close()
-        assert reply.type == frames.ABORT
-        assert reply.payload.startswith(b"protocol error: malformed key request")
-        entry = rig.service.ledger.get("tcp-bad-post")
-        assert entry.state == STATE_ABORTED
-        assert entry.abort_reason.startswith("protocol error: malformed key request")
+        for ftype in (0x0B, frames.STATEMENT):
+            session_id = f"tcp-bad-post-{ftype}"
+            channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, session_id)
+            _real_handshake(channel)
+            (reply,) = channel.exchange(Frame(ftype, b"garbage"))
+            channel.close()
+            reason = f"protocol error: notary: unexpected frame type {ftype:#x}"
+            assert (reply.type, reply.payload) == (frames.ABORT, reason.encode())
+            entry = opened_sessions[session_id]
+            assert (entry.state, entry.abort_reason) == (STATE_ABORTED, reason)
         assert check_health(host, port)
     finally:
         server.shutdown()
         server.server_close()
 
 
-def test_tcp_health_answered_mid_session(rig):
+def test_tcp_health_answered_mid_session(rig, opened_sessions):
     server = notary_mod.serve(rig.service)
     try:
         host, port = server.server_address
@@ -455,13 +473,13 @@ def test_tcp_health_answered_mid_session(rig):
         request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"h"}'
         response, _ = run_session(channel, request, claims={"input": "h"})
         assert b'"echo":"h"' in response
-        assert rig.service.ledger.get("tcp-health").state == STATE_FINALIZED
+        assert opened_sessions["tcp-health"].state == STATE_FINALIZED
     finally:
         server.shutdown()
         server.server_close()
 
 
-def test_tcp_idle_connection_times_out(rig, monkeypatch):
+def test_tcp_idle_connection_times_out(rig, opened_sessions, monkeypatch):
     monkeypatch.setattr(frames, "IDLE_TIMEOUT", 0.2)
     server = notary_mod.serve(rig.service)
     try:
@@ -472,7 +490,7 @@ def test_tcp_idle_connection_times_out(rig, monkeypatch):
             started = time.monotonic()
             assert sock.recv(1) == b""  # the notary hangs up on the stalled prover
             assert time.monotonic() - started < 4
-        entry = rig.service.ledger.get("stalled")
+        entry = opened_sessions["stalled"]
         assert entry.state == STATE_ABORTED
         assert entry.abort_reason == "connection dropped"
     finally:
@@ -480,11 +498,13 @@ def test_tcp_idle_connection_times_out(rig, monkeypatch):
         server.server_close()
 
 
-# One frame for the fuzzer: a raw frame of any type byte, or a RELAY_UP
-# or POST_UP sealed under the session's keys over random bytes.
+# One frame for the fuzzer: a raw frame of any type byte, a raw
+# STATEMENT, or a RELAY_UP sealed under the session's up keys over
+# random bytes.
 _FUZZ_FRAMES = st.one_of(
     st.tuples(st.just("raw"), st.integers(0, 255), st.binary(max_size=64)),
-    st.tuples(st.sampled_from(["relay", "post"]), st.just(0), st.binary(max_size=64)),
+    st.tuples(st.just("raw"), st.just(frames.STATEMENT), st.binary(max_size=64)),
+    st.tuples(st.just("relay"), st.just(0), st.binary(max_size=64)),
 )
 
 
@@ -493,15 +513,13 @@ _FUZZ_FRAMES = st.one_of(
 def test_fuzz_session_only_returns_frames(ops):
     rig = WebProofRig()
     channel = provision_channel(rig.service, "echo.test", session_id="fuzz")
-    up, hk = _real_handshake(channel)
+    up, _ = _real_handshake(channel)
     sealed = 0
     for kind, ftype, payload in ops:
         if kind == "relay":
             key = toytls.derive_record_key("up", up, sealed)
             frame = Frame(frames.RELAY_UP, toytls.seal_record(key, payload))
             sealed += 1
-        elif kind == "post":
-            frame = _key_request(hk, payload)
         else:
             frame = Frame(ftype, payload)
         replies = channel.exchange(frame)
@@ -516,7 +534,7 @@ def _post_for(message):
 
 def test_session_state_is_constant_in_its_records(rig):
     # A request of 1,000 one-byte records leaves no per-record container
-    # in the ledger or the server connection, and a statement as long as
+    # in the notary session or the server connection, and a statement as long as
     # that of a session of one up record, but for the digits of the count.
     request = next(r for r in map(_post_for, ("m" * k for k in range(1000))) if len(r) == 1000)
     lengths = {}
@@ -531,7 +549,7 @@ def test_session_state_is_constant_in_its_records(rig):
         replies = channel.exchange(*batch)
         assert [r.type for r in replies] == [frames.ACK] * len(cut)
         session = channel._session
-        for state in (session.entry, session._server):
+        for state in (session, session._server):
             containers = [
                 (name, len(value))
                 for name, value in vars(state).items()
@@ -540,7 +558,7 @@ def test_session_state_is_constant_in_its_records(rig):
             assert all(size <= 2 for _, size in containers), containers
         *_, end_down = channel.exchange(Frame(frames.END_UP, b""))
         assert end_down.type == frames.END_DOWN
-        (statement,) = channel.exchange(Frame(frames.FIN, b""))
+        statement, _ = channel.exchange(Frame(frames.FIN, b""))
         signed = canonical_loads(statement.payload)
         lengths[session_id] = (int(signed["statement"]["records"]), len(statement.payload))
     (many, many_bytes), (one, one_bytes) = lengths["many-0"], lengths["one-00"]
@@ -553,7 +571,7 @@ def _send_header(sock, ftype, length):
 
 
 @pytest.mark.parametrize("opened", [False, True], ids=["before-open", "after-open"])
-def test_tcp_frame_over_its_bound_is_refused_unread(rig, opened):
+def test_tcp_frame_over_its_bound_is_refused_unread(rig, opened_sessions, opened):
     # A header declaring 16 MiB - 1 against a 64 KiB session: the notary
     # answers ABORT and hangs up without waiting for the payload.
     server = notary_mod.serve(rig.service)
@@ -570,7 +588,7 @@ def test_tcp_frame_over_its_bound_is_refused_unread(rig, opened):
             assert f"frame of {(1 << 24) - 1} bytes exceeds limit".encode() in reply.payload
             assert sock.recv(1) == b""
         if opened:
-            entry = rig.service.ledger.get(session_id)
+            entry = opened_sessions[session_id]
             assert entry.state == STATE_ABORTED
             assert entry.abort_reason.startswith("up capacity 65536 exceeded: frame of")
         assert check_health(host, port)
@@ -582,12 +600,12 @@ def test_tcp_frame_over_its_bound_is_refused_unread(rig, opened):
 def test_tcp_frame_limits_follow_the_session(rig):
     session, _ = rig.service.open_session(_open_frame("limits", cap_up=100))
     assert session.frame_limit(frames.RELAY_UP) == 100 + toytls.TAG_LEN
-    assert session.frame_limit(frames.POST_UP) == frames.CONTROL_MAX
-    session.entry.used_up = 60
+    assert session.frame_limit(frames.FIN) == frames.CONTROL_MAX
+    session.used_up = 60
     assert session.frame_limit(frames.RELAY_UP) == 40 + toytls.TAG_LEN
 
 
-def test_capacity_abort_inside_a_batch_raises(rig):
+def test_capacity_abort_inside_a_batch_raises(rig, opened_sessions):
     # The request's records and END_UP leave in one batch; a record past
     # the capacity ends it with an ABORT, in process and over TCP.
     template = rig.registry.get_inject(rig.inject_uid)
@@ -605,15 +623,16 @@ def test_capacity_abort_inside_a_batch_raises(rig):
                 run_session(
                     channel, request, sorted(spans.values()), claims={"input": "b" * 200}
                 )
-            assert rig.service.ledger.get(channel.session_id).state == STATE_ABORTED
+            assert opened_sessions[channel.session_id].state == STATE_ABORTED
     finally:
         server.shutdown()
         server.server_close()
 
 
-def test_tcp_session_takes_five_round_trips(rig, monkeypatch):
+def test_tcp_session_takes_four_round_trips(rig, monkeypatch):
     # OPEN, the handshake, the request's records with END_UP in one batch,
-    # FIN and the key request; CLOSE expects no reply.
+    # and FIN, answered by the statement and the released seed; CLOSE
+    # expects no reply.
     server = notary_mod.serve(rig.service)
     writes = []
     exchange = TCPChannel.exchange
@@ -628,8 +647,9 @@ def test_tcp_session_takes_five_round_trips(rig, monkeypatch):
 
         request, spans = render(template, "trips", {"token": "T" * 16})
         run_session(channel, request, sorted(spans.values()), claims={"input": "trips"})
-        assert 1 + len(writes) == 5
+        assert 1 + len(writes) == 4
         assert [f.type for f in writes[1]] == [frames.RELAY_UP] * 3 + [frames.END_UP]
+        assert [f.type for f in writes[2]] == [frames.FIN]
     finally:
         server.shutdown()
         server.server_close()
@@ -644,3 +664,210 @@ def test_session_requires_the_claimed_input(rig, claims):
         run_session(channel, _post_for("m"), claims=claims)
     with pytest.raises(TypeError):
         run_session(channel, _post_for("m"))
+
+
+def test_relay_view_recovers_no_server_secret(rig, monkeypatch):
+    # The relay sees every frame NotarySession.handle takes and returns,
+    # and the server's public key. A server whose ephemeral key and down
+    # seed followed from that key and the session id, by the derivation
+    # below, would give the relay the up keys, and so the secret header,
+    # and the seed before the head is signed. Drawn fresh per connection,
+    # they follow from nothing the relay sees.
+    seen: list[Frame] = []
+    handle = notary_mod.NotarySession.handle
+
+    def spy(self, frame):
+        replies = handle(self, frame)
+        seen.extend([frame, *replies])
+        return replies
+
+    monkeypatch.setattr(notary_mod.NotarySession, "handle", spy)
+    prover = WebProofProver(rig.service, rig.registry, secrets={"token": "T" * 16})
+    prover.call(rig.entry, "relay-view", "tool")
+    (opened,) = {f.payload for f in seen if f.type == frames.HS_UP}
+    (hs_down,) = {f.payload for f in seen if f.type == frames.HS_DOWN}
+    (statement,) = {f.payload for f in seen if f.type == frames.STATEMENT}
+    session_id = canonical_loads(statement)["statement"]["session_id"]
+    server_secret = hashlib.sha256(
+        b"VET/server-secret:" + rig.server_key.public_string.encode()
+    ).digest()
+    guess = X25519PrivateKey.from_private_bytes(
+        hashlib.sha256(b"VET/server-eph:" + server_secret + session_id.encode()).digest()
+    )
+    seed = hashlib.sha256(b"VET/session-seed:" + server_secret + session_id.encode()).digest()
+    assert toytls.pub_hex(guess) != canonical_loads(hs_down)["server_eph"]
+    client_eph = bytes.fromhex(canonical_loads(opened)["client_eph"])
+    up = toytls.up_secret(guess.exchange(X25519PublicKey.from_public_bytes(client_eph)))
+    ups = [f.payload for f in seen if f.type == frames.RELAY_UP]
+    downs = [f.payload for f in seen if f.type == frames.RELAY_DOWN]
+    assert ups and downs
+    recovered = []
+    for direction, secret, wires in (("up", up, ups), ("down", seed, downs)):
+        for index, wire in enumerate(wires):
+            try:
+                key = toytls.derive_record_key(direction, secret, index)
+                recovered.append(toytls.open_record(key, wire))
+            except ProtocolError:
+                pass
+    assert recovered == []
+    assert b"T" * 16 not in b"".join(f.payload for f in seen)
+
+
+def _weak_sessions(monkeypatch):
+    """Weak references to every session ``NotaryService.open_session`` opens."""
+    refs = []
+    open_session = NotaryService.open_session
+
+    def spy(self, frame):
+        session, ok = open_session(self, frame)
+        refs.append(weakref.ref(session))
+        return session, ok
+
+    monkeypatch.setattr(NotaryService, "open_session", spy)
+    return refs
+
+
+def test_sessions_leave_nothing_behind(rig, monkeypatch):
+    # 1,000 sessions in process (finalized, aborted on capacity, or closed
+    # before FIN, over seven reused ids) and 100 over TCP (every fifth
+    # dropped mid-session): once they end nothing of them is left, and the
+    # cap still counts only live sessions.
+    refs = _weak_sessions(monkeypatch)
+    service = NotaryService(rig.notary_key, {"echo.test": rig.server}.__getitem__)
+    request = _post_for("m" * 40)
+    for i in range(1000):
+        kind = i % 3
+        cap_up = len(request) - 1 if kind == 1 else 1 << 16
+        channel = provision_channel(service, "echo.test", cap_up, session_id=f"mem-{i % 7}")
+        session = NotarizedSession(channel, random.Random(i))
+        if kind == 2:
+            channel.close()
+            continue
+        try:
+            session.send(request, [], {"input": "m" * 40})
+            session.finish()
+            assert kind == 0
+        except CapacityExceeded:
+            assert kind == 1
+    del channel, session
+    server = notary_mod.serve(service)
+    try:
+        host, port = server.server_address
+        for i in range(100):
+            channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, f"tcp-mem-{i}")
+            if i % 5 == 0:
+                channel._sock.close()  # dropped without CLOSE
+            else:
+                run_session(channel, request, rng=random.Random(i), claims={"input": "m" * 40})
+        del channel
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            gc.collect()
+            if not service._live and all(ref() is None for ref in refs):
+                break
+            time.sleep(0.01)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(refs) == 1100
+    assert service._live == set()
+    assert [ref for ref in refs if ref() is not None] == []
+    live = [service.open_session(_open_frame(f"live-{i}"))[0] for i in range(service.max_sessions)]
+    with pytest.raises(ProtocolError, match="session limit reached"):
+        service.open_session(_open_frame("one-too-many"))
+    live[0].handle(Frame(frames.CLOSE, b""))
+    service.open_session(_open_frame("one-too-many"))
+
+
+@pytest.mark.parametrize("end", ["fin", "abort", "close", "drop"])
+def test_every_end_path_frees_its_place_once(rig, monkeypatch, end):
+    released = []
+    release = NotaryService.release
+    monkeypatch.setattr(
+        NotaryService, "release", lambda self, sid: released.append(sid) or release(self, sid)
+    )
+    channel = provision_channel(rig.service, "echo.test", cap_up=64, session_id="end")
+    up, _ = _real_handshake(channel)
+    session = channel._session
+    if end == "fin":
+        replies = channel.exchange(Frame(frames.FIN, b""))
+        assert [r.type for r in replies] == [frames.STATEMENT, frames.POST_DOWN]
+    elif end == "abort":
+        (reply,) = channel.exchange(_sealed_up(up, 0, b"x" * 65))
+        assert reply.type == frames.ABORT
+    elif end == "close":
+        assert channel.exchange(Frame(frames.CLOSE, b"")) == []
+    else:
+        session.drop()
+    assert session.state == (STATE_FINALIZED if end == "fin" else STATE_ABORTED)
+    reason = session.abort_reason
+    signed = []
+    sign = SigningKey.sign
+    monkeypatch.setattr(SigningKey, "sign", lambda key, msg: signed.append(msg) or sign(key, msg))
+    # Whatever comes after the end finds the session ended, and signs nothing.
+    for frame in (Frame(frames.FIN, b""), _sealed_up(up, 0, b"x"), Frame(frames.CLOSE, b"")):
+        (reply,) = channel.exchange(frame)
+        assert reply.type == frames.ABORT
+    session.drop()
+    assert (session.abort_reason, signed, released) == (reason, [], ["end"])
+    assert rig.service._live == set()
+
+
+@pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+@pytest.mark.parametrize("end", ["fin", "abort"])
+def test_tcp_handler_returns_when_its_session_ends(rig, end):
+    # The notary hangs up once the session ends, without waiting for
+    # CLOSE or IDLE_TIMEOUT, and the prover's close() tolerates that.
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        channel = TCPChannel(host, port, "echo.test", 64, 1 << 16, f"tcp-end-{end}")
+        up, _ = _real_handshake(channel)
+        if end == "fin":
+            replies = channel.exchange(Frame(frames.FIN, b""))
+            assert [r.type for r in replies] == [frames.STATEMENT, frames.POST_DOWN]
+        else:
+            (reply,) = channel.exchange(_sealed_up(up, 0, b"x" * 65))
+            assert reply.type == frames.ABORT
+        channel._sock.settimeout(5)
+        assert channel._sock.recv(1) == b""
+        channel.close()
+        channel.close()
+        assert rig.service._live == set()
+    finally:
+        server.shutdown()
+        server.server_close()
+    gc.collect()
+
+
+@pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+def test_prover_closes_its_socket_on_a_refused_open_or_an_aborted_handshake(rig, monkeypatch):
+    sockets = []
+    connect = socket.create_connection
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: sockets.append(connect(*a, **k)) or sockets[-1])
+    service = NotaryService(rig.notary_key, {"echo.test": rig.server}.__getitem__, max_sessions=0)
+    server = notary_mod.serve(service)
+    try:
+        host, port = server.server_address
+        with pytest.raises(ProtocolError, match="notary rejected session: session limit reached"):
+            TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "refused")
+        service.max_sessions = 1
+
+        def no_hello(self, payload):
+            raise ProtocolError("no hello")
+
+        monkeypatch.setattr(toytls.ServerConnection, "_on_hello", no_hello)
+        channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "no-hello")
+        with pytest.raises(ProtocolError, match="session aborted: protocol error: no hello"):
+            NotarizedSession(channel, random.Random(0))
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(sockets) == 2
+    assert [sock.fileno() for sock in sockets] == [-1, -1]
+    del channel, sockets
+    gc.collect()

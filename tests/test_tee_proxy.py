@@ -234,6 +234,20 @@ def test_first_byte_that_differs_is_named(setup):
         )
 
 
+def test_input_the_template_cannot_render_is_a_template_mismatch(setup):
+    # The attested request carries "{x}" where the path slot holds the
+    # input: the template cannot render that input, so the request is not
+    # the template's.
+    registry, proxy, entry, template = setup
+    request = render(template, "bitcoin", {})[0].replace(b"bitcoin", b"{x}")
+    response, head = proxy.fetch(request)
+    with pytest.raises(Rejected) as err:
+        verify_attestation("1.00", request, response, head, entry, registry)
+    assert (err.value.reason, err.value.detail) == (
+        "template-mismatch", "input '{x}' not encodable in a path slot"
+    )
+
+
 def test_template_with_a_secret_slot_is_rejected():
     # A TEE proof ships its request, so a secret rendered into it is
     # public: the verifier refuses the template, as the prover does.

@@ -188,9 +188,8 @@ def test_server_round_trip_and_key_release():
             "notary_signature": notary.sign(canonical_bytes(statement)),
         }
     )
-    request_frame = seal_record(toytls.post_key(hk, "up"), signed)
-    (post,) = connection.handle(Frame(frames.POST_UP, request_frame))
-    seed = open_record(toytls.post_key(hk, "down"), post.payload)
+    (post,) = connection.handle(Frame(frames.STATEMENT, signed))
+    seed = open_record(toytls.release_key(hk), post.payload)
     response = b"".join(
         open_record(derive_record_key("down", seed, i), w)
         for i, w in enumerate(down_wires)
@@ -213,10 +212,10 @@ def test_server_refuses_an_up_record_whose_tag_names_other_plaintext():
         connection.handle(Frame(frames.RELAY_UP, wire))
 
 
-def _release_attempt(connection, hk, statement, signature):
+def _release_attempt(connection, statement, signature):
+    """Hand the server a statement, as the notary does at FIN."""
     signed = canonical_bytes({"statement": statement, "notary_signature": signature})
-    wire = seal_record(toytls.post_key(hk, "up"), signed)
-    return connection.handle(Frame(frames.POST_UP, wire))
+    return connection.handle(Frame(frames.STATEMENT, signed))
 
 
 def test_server_withholds_seed_without_valid_statement():
@@ -238,20 +237,21 @@ def test_server_withholds_seed_without_valid_statement():
     good = statement_for(chain)
     rogue = SigningKey.from_seed("rogue")
     with pytest.raises(ProtocolError):  # not a known relay key
-        _release_attempt(connection, hk, good, rogue.sign(canonical_bytes(good)))
+        _release_attempt(connection, good, rogue.sign(canonical_bytes(good)))
     wrong_session = statement_for(chain, session_id="sess-other")
     with pytest.raises(ProtocolError):
-        _release_attempt(
-            connection, hk, wrong_session, notary.sign(canonical_bytes(wrong_session))
-        )
+        _release_attempt(connection, wrong_session, notary.sign(canonical_bytes(wrong_session)))
     short = statement_for(chain[:-1])
     recounted = dict(good, records=str(len(chain) + 1))  # the honest head, one record more
     for forged in (short, recounted):
         with pytest.raises(ProtocolError, match="signed chain does not match"):
-            _release_attempt(connection, hk, forged, notary.sign(canonical_bytes(forged)))
-    # The honest statement still works after the failed attempts.
-    (post,) = _release_attempt(connection, hk, good, notary.sign(canonical_bytes(good)))
+            _release_attempt(connection, forged, notary.sign(canonical_bytes(forged)))
+    # The honest statement still works after the failed attempts, and the
+    # seed it releases opens the response.
+    (post,) = _release_attempt(connection, good, notary.sign(canonical_bytes(good)))
     assert post.type == frames.POST_DOWN
+    seed = open_record(toytls.release_key(hk), post.payload)
+    assert open_record(derive_record_key("down", seed, 0), down_wires[0]).startswith(b"HTTP/1.1")
 
 
 def test_server_rejects_out_of_order_frames():
@@ -259,21 +259,40 @@ def test_server_rejects_out_of_order_frames():
     connection = server.open_connection("sess-3")
     with pytest.raises(ProtocolError):
         connection.handle(Frame(frames.RELAY_UP, b"x" * 40))
-    with pytest.raises(ProtocolError):
-        connection.handle(Frame(frames.POST_UP, b"x" * 40))
+    with pytest.raises(ProtocolError, match="statement before handshake"):
+        connection.handle(Frame(frames.STATEMENT, b"x" * 40))
     with pytest.raises(ProtocolError):
         connection.handle(Frame(frames.OPEN, b""))
+    # One hello per connection: a second would re-key the release.
+    _drive_handshake(connection, random.Random(4), "sess-3")
+    with pytest.raises(ProtocolError, match="second hello"):
+        _drive_handshake(connection, random.Random(5), "sess-3")
 
 
-def test_server_eph_deterministic_per_session():
-    server, _ = _make_server()
-    a = server.open_connection("sess-x")
-    b = server.open_connection("sess-x")
-    ra = a.handle(Frame(frames.HS_UP, canonical_bytes({"client_eph": "11" * 32, "nonce": "22" * 16})))
-    rb = b.handle(Frame(frames.HS_UP, canonical_bytes({"client_eph": "11" * 32, "nonce": "22" * 16})))
-    ea = canonical_loads(ra[0].payload)["server_eph"]
-    eb = canonical_loads(rb[0].payload)["server_eph"]
-    assert ea == eb
-    c = server.open_connection("sess-y")
-    rc = c.handle(Frame(frames.HS_UP, canonical_bytes({"client_eph": "11" * 32, "nonce": "22" * 16})))
-    assert canonical_loads(rc[0].payload)["server_eph"] != ea
+def _one_session(server, notary, session_id):
+    """(server ephemeral key, released down seed) of a connection that
+    carries one echo and is shown the notary's statement over its records."""
+    connection = server.open_connection(session_id)
+    eph = X25519PrivateKey.from_private_bytes(bytes(31) + b"\x01")
+    nonce = bytes(16)
+    hello = canonical_bytes({"client_eph": toytls.pub_hex(eph), "nonce": nonce.hex()})
+    (reply,) = connection.handle(Frame(frames.HS_UP, hello))
+    server_eph = canonical_loads(reply.payload)["server_eph"]
+    shared = eph.exchange(X25519PublicKey.from_public_bytes(bytes.fromhex(server_eph)))
+    request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"m"}'
+    wire = seal_record(derive_record_key("up", toytls.up_secret(shared), 0), request)
+    connection.handle(Frame(frames.RELAY_UP, wire))
+    down = [r.payload for r in connection.handle(Frame(frames.END_UP, b"")) if r.payload]
+    statement = _statement(session_id, [("up", wire)] + [("down", w) for w in down])
+    (post,) = _release_attempt(connection, statement, notary.sign(canonical_bytes(statement)))
+    return server_eph, open_record(toytls.release_key(toytls.handshake_key(shared, nonce)), post.payload)
+
+
+def test_server_secrets_fresh_per_connection():
+    # The same session id on two connections gives another ephemeral key
+    # and another down seed: nothing the relay sees, the id and the
+    # server's public key included, determines either.
+    server, notary = _make_server()
+    (eph_a, seed_a), (eph_b, seed_b) = (_one_session(server, notary, "sess-x") for _ in range(2))
+    assert eph_a != eph_b
+    assert seed_a != seed_b

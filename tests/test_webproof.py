@@ -114,6 +114,27 @@ def test_wrong_domain_rejected(rig):
     assert err.value.reason == "wrong-domain"
 
 
+def test_claimed_input_the_template_cannot_render_is_a_template_mismatch(rig):
+    # A proof claims "a b", which the entry's path-slot template cannot
+    # render: the proof does not match the template.
+    _, proof = _prove(rig, "a b")
+    path_uid = rig.registry.register(
+        {
+            "type": "inject",
+            "kind": "tool",
+            "method": "GET",
+            "path": "/v1/echo?message={input}",
+            "headers": [{"name": "Host", "value": "echo.test"}],
+        }
+    )
+    entry = replace(rig.entry, injection_algorithm_uid=path_uid)
+    with pytest.raises(Rejected) as err:
+        verify_webproof("a b", proof, entry, "tool", rig.registry)
+    assert (err.value.reason, err.value.detail) == (
+        "template-mismatch", "input 'a b' not encodable in a path slot"
+    )
+
+
 def test_recommitment_to_other_plaintext_rejected(rig):
     # Forge: keep the signed statement but commit to a different response.
     _, proof = _prove(rig, "x")
@@ -509,9 +530,9 @@ def _sizes(rig, message):
     return proof.request_length, proof.response_commitment.total_length
 
 
-def _aborted(service):
-    entries = [service.ledger.get(sid) for sid in service.ledger.session_ids()]
-    return [e.abort_reason for e in entries if e.state == "aborted"]
+def _aborted(opened):
+    """The abort reasons of the sessions a test opened."""
+    return [s.abort_reason for s in opened.values() if s.state == "aborted"]
 
 
 def test_exchanges_share_one_session_and_each_must_be_proven(rig):
@@ -528,24 +549,24 @@ def test_exchanges_share_one_session_and_each_must_be_proven(rig):
     )
 
 
-def test_request_that_would_overflow_rolls_to_a_fresh_session(rig):
-    service = rig.fresh_notary()
+def test_request_that_would_overflow_rolls_to_a_fresh_session(rig, opened_sessions):
     request, _ = _sizes(rig, "a" * 30)
+    opened_sessions.clear()
     sessions = _run(rig, [c * 30 for c in "abc"], cap_up=2 * request + 1)
     assert [len(s) for s in sessions] == [2, 1]
     assert _verify_sessions(rig, sessions) == [c * 30 for c in "abc"]
-    assert _aborted(service) == []
+    assert _aborted(opened_sessions) == []
 
 
-def test_response_overflow_replays_the_shared_session(rig):
-    service = rig.fresh_notary()
+def test_response_overflow_replays_the_shared_session(rig, opened_sessions):
     _, response = _sizes(rig, "a" * 30)
+    opened_sessions.clear()
     sessions = _run(rig, [c * 30 for c in "abc"], cap_down=2 * response)
     # The third response aborted the session of all three; the first two
     # were replayed into a session of their own, and no proof was lost.
     assert [len(s) for s in sessions] == [2, 1]
     assert _verify_sessions(rig, sessions) == [c * 30 for c in "abc"]
-    (reason,) = _aborted(service)
+    (reason,) = _aborted(opened_sessions)
     assert "down capacity" in reason
 
 
