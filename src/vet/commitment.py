@@ -1,50 +1,40 @@
-"""Salted chunk commitments with selective disclosure of byte ranges.
+"""The salted commitment under which a web proof discloses its response whole.
 
 The committer cuts the transcript into chunks of lengths it chooses, each
 at least one byte long; a web-proof prover cuts at its TLS record
 boundaries, so one record is one chunk. Each chunk gets an independent
-16-byte salt, so revealing one chunk leaks nothing about the bytes of the
-others, only their lengths. Chunk ``i`` has the leaf
-``H("VET/leaf:" || salt_i || chunk_i)``, and the root hashes the chunk
+16-byte salt, and chunk ``i`` has the leaf
+``H("VET/leaf:" || salt_i || chunk_i)``. The root hashes the chunk
 count, every chunk length and every leaf, counts and lengths as 8-byte
 big-endian integers:
 ``H("VET/root:" || n || len_0 .. len_{n-1} || leaf_0 .. leaf_{n-1})``.
 The commitment lists the chunk lengths next to the root and the total
 length.
 
-A disclosure has one entry per run of consecutive revealed chunks: the
-run's salts and bytes, and the leaf hashes of the hidden chunks in the
-gap before the run (the last run also carries the gap after it). Which
-chunks those hashes stand for follows from the run layout and the chunk
-count alone, and a disclosure with any other number of hashes is
-rejected, so every disclosure has one encoding. ``verify_disclosure``
-lays the supplied and the recomputed leaves out in chunk order and
-hashes the root once.
+A disclosure reveals the whole transcript. Its one range is
+``[0, total_length]``, and its one run starts at chunk 0 and carries
+every salt and every byte, with no hidden leaf; an empty transcript has
+no chunk and so no run. The serialized shape is format 9's: ranges,
+and runs with an index and a path of hidden leaves. Any other shape is
+refused: other ranges, another number of runs or a run that does not
+start at chunk 0 are a ``chunk-range-inconsistency``, salts or bytes of
+the wrong length a ``length-mismatch``, and a hidden leaf or a root that
+does not match a ``bad-path``.
 
-Soundness. Suppose a disclosure hashes to the committed root. The
-verifier refuses a hidden leaf that is not 32 bytes long, so every leaf
-it lays out is 32 bytes and the root input has a fixed layout once ``n``
-is read. Short of a SHA-256 collision, then, the verifier hashed the
-committer's exact input: the same chunk lengths, and at each revealed
-position the committed leaf. A leaf binds no index or offset, so the
-size check is what stops one supplied hash from standing in for part of
-its neighbour's, moving a revealed chunk to another position. Equal
-leaves in turn mean the same salt and chunk bytes, again short of a
-collision. The verifier places revealed chunk ``i`` at the sum of the
-lengths before it, which is therefore the committed offset, so every
-revealed byte is the committed byte at the position it is read from.
-Binding the lengths is what makes chunks of variable length sound: a
-commitment that lists other lengths, even with the same sum and the same
-revealed chunks, hashes to another root.
+``verify_disclosure`` recomputes every leaf and the root from the
+committed lengths, so short of a SHA-256 collision the bytes it returns
+are the committed ones. The commitment is not what binds a response to
+its session: nothing signs its root, and the prover commits after the
+session has closed. What binds the response is the tag of each down
+record under its released key, which the notary's chain head signs
+(``vet.webproof`` gives that argument).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .canonical import json_field, parse_hex, parse_int
 from .errors import Rejected, ValidationError
@@ -59,35 +49,16 @@ def leaf_hash(salt: bytes, chunk: bytes) -> bytes:
     return hashlib.sha256(_LEAF + salt + chunk).digest()
 
 
-def _root_hash(chunk_lengths, leaves) -> bytes:
-    """The root over the chunk lengths and the leaves, in chunk order."""
-    return hashlib.sha256(
-        b"".join(
-            [_ROOT, len(chunk_lengths).to_bytes(8, "big")]
-            + [n.to_bytes(8, "big") for n in chunk_lengths]
-            + list(leaves)
-        )
-    ).digest()
-
-
-def _offsets(chunk_lengths) -> list[int]:
-    """The start offset of each chunk, then the total length."""
-    return list(accumulate(chunk_lengths, initial=0))
-
-
-def chunk_cover(ranges: list[tuple[int, int]], chunk_lengths) -> list[int]:
-    """Minimal sorted set of chunk indices covering the given byte ranges."""
-    offsets = _offsets(chunk_lengths)
-    indices: set[int] = set()
-    for offset, length in ranges:
-        if length < 0 or offset < 0 or offset + length > offsets[-1]:
-            raise ValidationError(f"range ({offset},{length}) out of bounds")
-        if length == 0:
-            continue
-        first = bisect_right(offsets, offset) - 1
-        last = bisect_right(offsets, offset + length - 1) - 1
-        indices.update(range(first, last + 1))
-    return sorted(indices)
+def _root(chunk_lengths, salts: bytes, data: bytes) -> bytes:
+    """The root over the chunk lengths and the leaves of ``data`` cut at
+    them, chunk ``i`` salted with the ``i``-th SALT_LEN bytes of ``salts``."""
+    parts = [_ROOT, len(chunk_lengths).to_bytes(8, "big")]
+    parts += [n.to_bytes(8, "big") for n in chunk_lengths]
+    offset = 0
+    for i, n in enumerate(chunk_lengths):
+        parts.append(leaf_hash(salts[i * SALT_LEN:(i + 1) * SALT_LEN], data[offset:offset + n]))
+        offset += n
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 @dataclass(frozen=True)
@@ -124,30 +95,22 @@ class TranscriptCommitment:
 
 @dataclass(frozen=True)
 class Opening:
-    """Prover-held witness: the plaintext, its chunk lengths, all
-    per-chunk salts and the leaves ``commit`` hashed from them, so
-    disclosing reads the hidden leaves instead of rehashing."""
+    """Prover-held witness: the plaintext and the salt of each chunk."""
 
     plaintext: bytes
     salts: tuple[bytes, ...]
-    chunk_lengths: tuple[int, ...]
-    leaves: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
 class RevealedRun:
-    """Revealed chunks ``index`` .. ``end - 1``, with their salts and
-    bytes concatenated, and in ``path`` the leaves of the hidden chunks
-    in the gap before the run (for the last run, also after it)."""
+    """Revealed chunks from ``index`` on, with their salts and bytes
+    concatenated; ``path`` would hold the leaves of hidden chunks, and a
+    whole disclosure has none."""
 
     index: int
     salt: bytes
     data: bytes
     path: tuple[bytes, ...]
-
-    @property
-    def end(self) -> int:
-        return self.index + len(self.salt) // SALT_LEN
 
     def to_obj(self) -> dict:
         return {
@@ -189,19 +152,6 @@ class Disclosure:
         )
 
 
-def _run_leaves(first: int, salt: bytes, data: bytes, offsets: list[int]) -> list[bytes]:
-    """Leaf hashes of the chunks from ``first`` on, one per SALT_LEN bytes
-    of ``salt``; ``data`` holds their bytes from offset ``offsets[first]``."""
-    base = offsets[first]
-    return [
-        leaf_hash(
-            salt[(i - first) * SALT_LEN:(i - first + 1) * SALT_LEN],
-            data[offsets[i] - base:offsets[i + 1] - base],
-        )
-        for i in range(first, first + len(salt) // SALT_LEN)
-    ]
-
-
 def commit(
     transcript: bytes,
     chunk_lengths,
@@ -222,141 +172,55 @@ def commit(
     if randomness is None:
         randomness = random.SystemRandom()
     salts = tuple(randomness.randbytes(SALT_LEN) for _ in lengths)
-    leaves = tuple(_run_leaves(0, b"".join(salts), transcript, _offsets(lengths)))
     commitment = TranscriptCommitment(
-        root=_root_hash(lengths, leaves), chunk_lengths=lengths, total_length=len(transcript)
+        root=_root(lengths, b"".join(salts), transcript),
+        chunk_lengths=lengths,
+        total_length=len(transcript),
     )
-    return commitment, Opening(
-        plaintext=transcript, salts=salts, chunk_lengths=lengths, leaves=leaves
-    )
+    return commitment, Opening(plaintext=transcript, salts=salts)
 
 
-def recommit(opening: Opening) -> bytes:
-    """Root recomputed from an opening (consistency checks in tests)."""
-    offsets = _offsets(opening.chunk_lengths)
-    leaves = _run_leaves(0, b"".join(opening.salts), opening.plaintext, offsets)
-    return _root_hash(opening.chunk_lengths, leaves)
+def disclose(opening: Opening) -> Disclosure:
+    """Reveal the whole transcript: one run of every chunk, if it has any."""
+    runs = [RevealedRun(0, b"".join(opening.salts), opening.plaintext, ())] if opening.salts else []
+    return Disclosure(ranges=((0, len(opening.plaintext)),), chunks=tuple(runs))
 
 
-def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[tuple[int, int]]:
-    """Sort, bounds-check, drop empties and merge overlapping ranges."""
-    checked = []
-    for offset, length in ranges:
-        if offset < 0 or length < 0 or offset + length > total_length:
-            raise ValidationError(f"range ({offset},{length}) out of bounds")
-        if length:
-            checked.append((offset, length))
-    checked.sort()
-    merged: list[tuple[int, int]] = []
-    for offset, length in checked:
-        if merged and offset <= merged[-1][0] + merged[-1][1]:
-            prev_off, prev_len = merged[-1]
-            merged[-1] = (prev_off, max(prev_off + prev_len, offset + length) - prev_off)
-        else:
-            merged.append((offset, length))
-    return merged
+def verify_disclosure(commitment: TranscriptCommitment, disclosure: Disclosure) -> bytes:
+    """The committed transcript, from a disclosure of all of it.
 
-
-def disclose(opening: Opening, ranges: list[tuple[int, int]]) -> Disclosure:
-    """Reveal the minimal chunk cover of ``ranges`` as runs, each with the
-    hidden leaves of the gap before it."""
-    norm = normalize_ranges(ranges, len(opening.plaintext))
-    spans: list[list[int]] = []  # [first, end) of each run of the cover
-    for index in chunk_cover(norm, opening.chunk_lengths):
-        if spans and spans[-1][1] == index:
-            spans[-1][1] += 1
-        else:
-            spans.append([index, index + 1])
-    offsets = _offsets(opening.chunk_lengths)
-    runs = []
-    gap = 0
-    for k, (first, end) in enumerate(spans):
-        hidden = opening.leaves[gap:first]
-        if k == len(spans) - 1:
-            hidden += opening.leaves[end:]
-        runs.append(
-            RevealedRun(
-                index=first,
-                salt=b"".join(opening.salts[first:end]),
-                data=opening.plaintext[offsets[first]:offsets[end]],
-                path=hidden,
-            )
-        )
-        gap = end
-    return Disclosure(ranges=tuple(norm), chunks=tuple(runs))
-
-
-def verify_disclosure(
-    commitment: TranscriptCommitment, disclosure: Disclosure
-) -> dict[tuple[int, int], bytes]:
-    """Check a disclosure against a commitment root.
-
-    Accepts iff the runs are in order, apart, inside the transcript and
-    of consistent lengths, each carries exactly the hidden leaves its
-    layout dictates, each a 32-byte hash, the leaves and lengths hash to
-    the root, and each claimed range lies in one run. Returns the bytes
-    of each claimed range; raises Rejected otherwise.
+    Accepts iff the disclosure has the whole shape (the range
+    ``(0, total_length)``, and one run from chunk 0 with no hidden leaf
+    unless the transcript is empty), its salts and bytes have the
+    committed lengths, and they hash to the root. Raises Rejected
+    otherwise.
     """
-    offsets = _offsets(commitment.chunk_lengths)
-    n = len(commitment.chunk_lengths)
-    runs = disclosure.chunks
-    gap = 0
-    for k, run in enumerate(runs):
-        if run.index < 0:
-            raise Rejected("chunk-range-inconsistency", f"run index {run.index} out of range")
-        if k and run.index <= gap:
+    total, n = commitment.total_length, len(commitment.chunk_lengths)
+    if disclosure.ranges != ((0, total),):
+        raise Rejected(
+            "chunk-range-inconsistency", f"the disclosure must be the range (0, {total})"
+        )
+    if len(disclosure.chunks) != min(n, 1):
+        raise Rejected(
+            "chunk-range-inconsistency",
+            f"the disclosure has {len(disclosure.chunks)} runs, its {n} chunks need {min(n, 1)}",
+        )
+    salt = data = b""
+    for run in disclosure.chunks:
+        if run.index != 0:
+            raise Rejected("chunk-range-inconsistency", f"the run starts at chunk {run.index}")
+        if len(run.salt) != n * SALT_LEN or len(run.data) != total:
             raise Rejected(
-                "chunk-range-inconsistency",
-                f"run at chunk {run.index} overlaps or abuts the run before it",
+                "length-mismatch",
+                f"the run has {len(run.salt)} salt and {len(run.data)} data bytes "
+                f"for {n} chunks of {total} bytes",
             )
-        count, odd = divmod(len(run.salt), SALT_LEN)
-        if odd or not count:
-            raise Rejected(
-                "length-mismatch", f"run at chunk {run.index} has {len(run.salt)} salt bytes"
-            )
-        if run.end > n:
-            raise Rejected(
-                "chunk-range-inconsistency",
-                f"run at chunk {run.index} of {count} chunks passes the last chunk {n - 1}",
-            )
-        if len(run.data) != offsets[run.end] - offsets[run.index]:
-            raise Rejected(
-                "length-mismatch", f"run at chunk {run.index} has wrong data length"
-            )
-        gap = run.end
-    leaves: list[bytes] = []
-    for k, run in enumerate(runs):
-        before = run.index - len(leaves)
-        after = n - run.end if k == len(runs) - 1 else 0
-        if len(run.path) != before + after:
+        if run.path:
             raise Rejected(
                 "bad-path",
-                f"run at chunk {run.index} carries {len(run.path)} hidden leaves, "
-                f"its layout needs {before + after}",
+                f"the run carries hidden leaves ({len(run.path)}); a whole disclosure hides no chunk",
             )
-        if any(len(leaf) != 32 for leaf in run.path):
-            raise Rejected("bad-path", f"run at chunk {run.index} carries a leaf not of 32 bytes")
-        leaves += run.path[:before]
-        leaves += _run_leaves(run.index, run.salt, run.data, offsets)
-        leaves += run.path[before:]
-    if (runs or not n) and _root_hash(commitment.chunk_lengths, leaves) != commitment.root:
-        raise Rejected("bad-path", "revealed runs do not authenticate to the root")
-
-    starts = [offsets[run.index] for run in runs]
-    out: dict[tuple[int, int], bytes] = {}
-    for offset, length in disclosure.ranges:
-        if offset < 0 or length < 0 or offset + length > offsets[-1]:
-            raise Rejected("chunk-range-inconsistency", f"range ({offset},{length}) out of bounds")
-        if not length:
-            out[(offset, length)] = b""
-            continue
-        k = bisect_right(starts, offset) - 1
-        if k < 0 or offset + length > offsets[runs[k].end]:
-            raise Rejected(
-                "chunk-range-inconsistency",
-                f"range ({offset},{length}) is not inside one revealed run",
-            )
-        start = offset - starts[k]
-        out[(offset, length)] = runs[k].data[start:start + length]
-    return out
-
+        salt, data = run.salt, run.data
+    if _root(commitment.chunk_lengths, salt, data) != commitment.root:
+        raise Rejected("bad-path", "the disclosed chunks do not authenticate to the root")
+    return data

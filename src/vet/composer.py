@@ -47,7 +47,6 @@ from .agent_model import (
     ExecutionTrace,
     StepRecord,
     ToolCall,
-    rebuild_transcript,
     transcript_prefixes,
 )
 from .aid import (
@@ -179,11 +178,6 @@ class VerifiableExecutionTrace:
             proofs=tuple(ComponentProof.from_obj(p) for p in json_field(obj, "proofs", list)),
             sessions=tuple(Session.from_obj(s) for s in json_field(obj, "sessions", list)),
         )
-
-
-def core_input(trace: ExecutionTrace, step_index: int) -> str:
-    """The core's input string at a step: the transcript prefix, hex-encoded."""
-    return rebuild_transcript(trace, step_index).hex()
 
 
 @dataclass(frozen=True)

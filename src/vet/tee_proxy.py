@@ -46,7 +46,7 @@ from .canonical import canonical_bytes, canonical_loads, json_field
 from .chain import OpenChain
 from .errors import Rejected, ValidationError
 from .keys import SigningKey, verify_signature
-from .templates import ROLE_CORE, AuthenticatedExchange, TemplateRegistry, extract_input, render
+from .templates import AuthenticatedExchange, TemplateRegistry, extract_input, render
 
 
 def measurement_of(registry: TemplateRegistry) -> str:
@@ -244,14 +244,14 @@ def verify_attestation(
     entry,
     registry: TemplateRegistry,
     role: str = "tool",
-):
+) -> str:
     """Accept iff ``head`` signs a log of this one exchange, and its
     bytes match the entry's templates and parse to m.
 
-    Returns the authenticated value (for core role, the (y, calls)
-    pair). The log is opened, taken and closed as a bundle's is, and
-    closed before the exchange is read, so bytes the head does not chain
-    are a hash-mismatch whatever they hold.
+    Returns the authenticated value, for either role, as
+    ``webproof.verify_webproof`` does. The log is opened, taken and
+    closed as a bundle's is, and closed before the exchange is read, so
+    bytes the head does not chain are a hash-mismatch whatever they hold.
     """
     log = _open(head, entry)
     log.take(_digest(request_bytes), _digest(response_bytes))
@@ -262,8 +262,6 @@ def verify_attestation(
         raise Rejected(
             "value-mismatch", f"claimed {m!r}, attested value is {exchange.value!r}"
         )
-    if role == ROLE_CORE:
-        return exchange.value, list(exchange.tool_calls)
     return exchange.value
 
 

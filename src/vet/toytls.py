@@ -24,8 +24,9 @@ way):
   than the sealed one is a collision. The verifier checks one hash per
   record and never re-encrypts.
 - Hiding: a secret record's key is never released, so its tag is a
-  hash salted with a 256-bit key that no one else holds, the argument
-  ``vet.commitment`` makes for its salted leaves.
+  hash salted with a 256-bit key that no one else holds. A guess at the
+  plaintext cannot be checked against the tag without that key, and two
+  records of one plaintext under independent keys have unrelated tags.
 - The server refuses an up record whose tag does not match what it
   decrypts, so the plaintext a tag binds is the one the server read.
 
@@ -135,6 +136,25 @@ def handshake_key(shared: bytes, nonce: bytes) -> bytes:
 def release_key(hk: bytes) -> bytes:
     """The key that seals the down seed the server releases."""
     return hashlib.sha256(b"VET/release:" + hk).digest()
+
+
+def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[tuple[int, int]]:
+    """Sort, bounds-check, drop empties and merge overlapping ranges."""
+    checked = []
+    for offset, length in ranges:
+        if offset < 0 or length < 0 or offset + length > total_length:
+            raise ValidationError(f"range ({offset},{length}) out of bounds")
+        if length:
+            checked.append((offset, length))
+    checked.sort()
+    merged: list[tuple[int, int]] = []
+    for offset, length in checked:
+        if merged and offset <= merged[-1][0] + merged[-1][1]:
+            prev_off, prev_len = merged[-1]
+            merged[-1] = (prev_off, max(prev_off + prev_len, offset + length) - prev_off)
+        else:
+            merged.append((offset, length))
+    return merged
 
 
 def split_records(total_length: int, secret_spans: list[tuple[int, int]]) -> list[tuple[int, int]]:

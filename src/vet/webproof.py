@@ -37,9 +37,12 @@ exchanges are its maximal runs of up records, each followed by its
 maximal run of down records: the directions in the chain fix where one
 proof's records end and the next one's begin, and the cut is unique.
 
-The response is committed in chunks of variable length, one per down
-record, and disclosed in full: its ``ranges`` must be exactly
-``[[0, total_length]]`` (``vet.commitment`` argues its soundness).
+The response ships under a salted commitment, one chunk per down
+record, disclosed whole: ``vet.commitment.verify_disclosure`` refuses
+any shape but the range ``[[0, total_length]]`` with one run of every
+chunk, and returns the bytes. The commitment adds nothing to soundness, since nothing
+signs its root; the down records' tags under their released keys bind
+the response, as above. It stays only as format 9's wire shape.
 
 A notarized session carries any number of exchanges, as a kept-alive
 TLS connection does, under one signed head. Each web proof covers one
@@ -80,14 +83,7 @@ from .canonical import (
     parse_int,
 )
 from .chain import OpenChain
-from .commitment import (
-    Disclosure,
-    TranscriptCommitment,
-    commit,
-    disclose,
-    normalize_ranges,
-    verify_disclosure,
-)
+from .commitment import Disclosure, TranscriptCommitment, commit, disclose, verify_disclosure
 from .errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from .frames import Frame
 from .keys import verify_signature
@@ -419,7 +415,7 @@ class NotarizedSession:
         claims = _read_claims(claims)
         if not request_bytes:
             raise ValidationError("a request must carry at least one byte")
-        secret_spans = normalize_ranges(secret_spans, len(request_bytes))
+        secret_spans = toytls.normalize_ranges(secret_spans, len(request_bytes))
         record_spans = toytls.split_records(len(request_bytes), secret_spans)
         first = sum(len(sent.up_wires) for sent in self._sent)
         up_keys = [
@@ -508,7 +504,7 @@ class NotarizedSession:
             ),
             down_lengths=tuple(len(record) for record in records),
             response_commitment=commitment,
-            response_disclosure=disclose(opening, [(0, len(response_bytes))]),
+            response_disclosure=disclose(opening),
             claims=sent.claims,
         )
         return response_bytes, proof
@@ -628,13 +624,7 @@ def _take_exchange(
     request rendered for the claimed input, then the down records of the
     disclosed response. Returns the input, the response and the (public,
     secret) bytes of the rendering."""
-    total = proof.response_commitment.total_length
-    if proof.response_disclosure.ranges != ((0, total),):
-        raise Rejected(
-            "chunk-range-inconsistency", f"the response disclosure must be the range (0, {total})"
-        )
-    disclosed = verify_disclosure(proof.response_commitment, proof.response_disclosure)
-    response_bytes = disclosed[0, total]
+    response_bytes = verify_disclosure(proof.response_commitment, proof.response_disclosure)
     x = proof.claims.get("input")
     if not isinstance(x, str):
         raise Rejected("template-mismatch", "proof does not claim an input value")

@@ -29,21 +29,14 @@ from vet.channel_sim import (
     proxied_latency,
     simulate,
 )
-from vet.commitment import (
-    Disclosure,
-    RevealedRun,
-    chunk_cover,
-    commit,
-    disclose,
-    leaf_hash,
-    verify_disclosure,
-)
+from vet.commitment import commit, disclose
 from vet.composer import ComponentProof, VerifiableExecutionTrace, verify_trace
 from vet.errors import Rejected
 from vet.keys import SigningKey
 from vet.templates import render
 from vet.webproof import (
     NotarizedSession,
+    SignedStatement,
     WebProof,
     WebProofProver,
     provision_channel,
@@ -223,7 +216,7 @@ def test_criterion_2_soundness_no_forgery_accepted():
         forged = replace(
             proof,
             response_commitment=fake_commitment,
-            response_disclosure=disclose(fake_opening, [(0, len(fake_response))]),
+            response_disclosure=disclose(fake_opening),
         )
         attempt_webproof(f"recommitment-{i}", fake_value, forged)
 
@@ -535,80 +528,118 @@ def test_criterion_6_aid_goldens_and_mutation_sensitivity(demo_world):
 
 
 def test_criterion_7_commitment_binding_hiding_minimality():
-    """Binding (0 forged disclosures in 10^4 trials), hiding (salted
-    leaves), and chunk-cover minimality against a brute-force oracle."""
+    """Record tags under released keys, the commitments that bind a web
+    proof. Binding: 0 of 10^4 single mutations accepted, over a disclosed
+    response byte, a released key, a key's record index, and a withheld or
+    signed tag. Hiding: one plaintext's tags under independent keys
+    differ. Minimality: in 500 cases the released up keys are exactly the
+    records outside every secret span, against a per-byte oracle."""
     rng = random.Random(7)
-    data = rng.randbytes(256)
-    commitment, opening = commit(data, grid(256, 16), rng)
-    # Runs at chunks 0-2, 5, 9-12 and 15; all but the first carry
-    # hidden leaves.
-    disclosure = disclose(opening, [(0, 48), (80, 16), (144, 64), (240, 16)])
-    verify_disclosure(commitment, disclosure)
+    rig = WebProofRig(seed="binding-rig")
+    secret = "K" * 16
+    prover = WebProofProver(
+        rig.service, rig.registry, secrets={"token": secret}, rng=random.Random(70)
+    )
+    # Responses of one down record and of three.
+    messages = ["short", "m" * 700, "".join(rng.choices(string.ascii_letters, k=40 * 1024))]
+    pool = [(m, prover.call(rig.entry, m, "tool")[1]) for m in messages]
+    assert {len(proof.down_lengths) for _, proof in pool} == {1, 3}
 
-    rejected = 0
-    trials = 10_000
-    for _ in range(trials):
-        runs = list(disclosure.chunks)
-        mode = rng.randrange(4)
-        i = rng.randrange(len(runs)) if mode < 3 else 1 + rng.randrange(len(runs) - 1)
-        c = runs[i]
-        if mode == 0:
-            pos = rng.randrange(len(c.data))
-            data2 = bytes(
-                b ^ (1 << rng.randrange(8)) if k == pos else b
-                for k, b in enumerate(c.data)
+    accepted = []
+    reasons = {family: set() for family in "abcd"}
+    trials = 0
+
+    def flip_bit(blob):
+        pos = rng.randrange(8 * len(blob))
+        return blob[:pos // 8] + bytes([blob[pos // 8] ^ 1 << pos % 8]) + blob[pos // 8 + 1:]
+
+    for i in range(10_000):
+        family = "abcd"[i % 4]
+        x, proof = rng.choice(pool)
+        if family == "a":
+            # A response byte changed, under a fresh commitment at the same
+            # chunk lengths: the commitment binds nothing, the down tags must.
+            response = flip_bit(proof.response_disclosure.chunks[0].data)
+            commitment, opening = commit(response, proof.response_commitment.chunk_lengths, rng)
+            forged = replace(
+                proof, response_commitment=commitment, response_disclosure=disclose(opening)
             )
-            runs[i] = RevealedRun(c.index, c.salt, data2, c.path)
-        elif mode == 1:
-            pos = rng.randrange(len(c.salt))
-            salt2 = bytes(b ^ 1 if k == pos else b for k, b in enumerate(c.salt))
-            runs[i] = RevealedRun(c.index, salt2, c.data, c.path)
-        elif mode == 2:
-            runs[i] = RevealedRun(
-                (c.index + 1 + rng.randrange(15)) % 16, c.salt, c.data, c.path
+        elif family == "b":
+            slot = rng.choice(sorted(proof.record_keys))
+            forged = replace(
+                proof,
+                record_keys={**proof.record_keys, slot: flip_bit(proof.record_keys[slot])},
             )
+        elif family == "c":
+            # One key moved to another record (or one past the last); a key
+            # already there trades places with it.
+            keys = dict(proof.record_keys)
+            direction, index = rng.choice(sorted(keys))
+            count = len(proof.down_lengths) if direction == "down" else (
+                sum(d == "up" for d, _ in keys) + len(proof.withheld_tags)
+            )
+            other = rng.choice([j for j in range(count + 1) if j != index])
+            key = keys.pop((direction, index))
+            if (direction, other) in keys:
+                keys[direction, index] = keys[direction, other]
+            keys[direction, other] = key
+            forged = replace(proof, record_keys=keys)
+        elif rng.random() < 0.5:
+            (tag,) = proof.withheld_tags
+            forged = replace(proof, withheld_tags=(flip_bit(tag),))
         else:
-            j = rng.randrange(len(c.path))
-            path2 = tuple(
-                bytes(b ^ (1 << rng.randrange(8)) for b in p) if k == j else p
-                for k, p in enumerate(c.path)
-            )
-            runs[i] = RevealedRun(c.index, c.salt, c.data, path2)
-        mutated = Disclosure(ranges=disclosure.ranges, chunks=tuple(runs))
+            # The signed head, which folds in every record's tag.
+            signed = copy.deepcopy(proof.statement.to_obj())
+            head = flip_bit(bytes.fromhex(signed["statement"]["head"]))
+            signed["statement"]["head"] = head.hex()
+            forged = replace(proof, statement=SignedStatement.from_obj(signed))
+        trials += 1
         try:
-            out = verify_disclosure(commitment, mutated)
-        except Exception:
-            rejected += 1
+            verify_webproof(x, forged, rig.entry, "tool", rig.registry)
+        except Rejected as exc:
+            reasons[family].add(exc.reason)
             continue
-        # Acceptance is only sound if the revealed bytes still equal the
-        # committed plaintext everywhere.
-        assert all(out[(o, n)] == data[o:o + n] for o, n in mutated.ranges)
-    assert rejected == trials
+        accepted.append((family, i))
+    assert trials == 10_000
+    assert accepted == [], f"{len(accepted)} forgeries accepted: {accepted[:5]}"
+    assert reasons["a"] == {"cipher-mismatch"}, reasons
+    assert set().union(*reasons.values()) <= {
+        "cipher-mismatch", "template-mismatch", "bad-signature"
+    }, reasons
 
-    # Hiding: independent salts make undisclosed chunks unconfirmable.
-    same = b"A" * 64
-    c1, o1 = commit(same, grid(64, 16), random.Random(1))
-    c2, o2 = commit(same, grid(64, 16), random.Random(2))
-    assert c1.root != c2.root
-    assert leaf_hash(o1.salts[0], same[:16]) != leaf_hash(o2.salts[0], same[:16])
-    assert leaf_hash(o1.salts[0], same[:16]) != leaf_hash(o1.salts[1], same[16:32])
+    # Hiding: a tag is a hash salted with its record's key, so one
+    # plaintext under independent keys gives unrelated tags, and the same
+    # secret sent in two sessions is withheld under two different tags.
+    plaintext = secret.encode()
+    assert len({toytls.record_tag(rng.randbytes(32), plaintext) for _ in range(1000)}) == 1000
+    (_, first), (_, second) = (prover.call(rig.entry, "same", "tool") for _ in range(2))
+    assert first.withheld_tags != second.withheld_tags
 
-    # Cover minimality against the brute-force oracle.
+    # Minimality against a per-byte oracle: a record's key is released iff
+    # none of its bytes lies in a secret span, and no record mixes secret
+    # and public bytes.
+    blank = WebProofRig(seed="minimality-rig", handler=lambda request: b"HTTP/1.1 204 OK\r\n\r\n")
     for _ in range(500):
-        total = rng.randrange(1, 300)
-        chunk_size = rng.choice([1, 4, 16, 32])
-        ranges = []
-        for _ in range(rng.randrange(0, 4)):
-            offset = rng.randrange(0, total)
-            ranges.append((offset, rng.randrange(0, total - offset + 1)))
-        needed = sorted(
-            {
-                pos // chunk_size
-                for offset, length in ranges
-                for pos in range(offset, offset + length)
-            }
-        )
-        assert chunk_cover(ranges, grid(total, chunk_size)) == needed
+        length = rng.choice([rng.randrange(1, 200), rng.randrange(1, 2 * toytls.RECORD_MAX + 99)])
+        spans = []
+        for _ in range(rng.randrange(0, 5)):
+            offset = rng.randrange(length)
+            spans.append((offset, rng.randrange(length - offset + 1)))
+        session = NotarizedSession(provision_channel(blank.service, "echo.test", rng=rng), rng)
+        session.send(rng.randbytes(length), spans, {"input": "m"})
+        up_lengths = [len(wire) - toytls.TAG_LEN for wire in session._sent[0].up_wires]
+        ((_, proof),) = session.finish()
+        secret_bytes = {p for offset, n in spans for p in range(offset, offset + n)}
+        outside, start = set(), 0
+        for index, n in enumerate(up_lengths):
+            inside = [p in secret_bytes for p in range(start, start + n)]
+            assert all(inside) or not any(inside)
+            if not any(inside):
+                outside.add(index)
+            start += n
+        assert start == length
+        assert {i for d, i in proof.record_keys if d == "up"} == outside
+        assert len(proof.withheld_tags) == len(up_lengths) - len(outside)
 
 
 def test_criterion_8_wall_clock_substituted_by_model():

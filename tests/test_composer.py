@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vet import demo, keys, mockserver, templates
-from vet.agent_model import ExecutionTrace, StepRecord, ToolCall, run_agent
+from vet.agent_model import ExecutionTrace, StepRecord, ToolCall, rebuild_transcript, run_agent
 from vet.aid import (
     SCHEME_PROXY_TEE,
     SCHEME_TLS_NOTARY,
@@ -22,7 +22,6 @@ from vet.composer import (
     VerifiableExecutionTrace,
     VerificationReport,
     WebProofComponentProver,
-    core_input,
     invocations,
     prove_trace,
     valid_trace,
@@ -204,11 +203,10 @@ def test_bundle_obj_round_trip(scripted):
 
 
 def test_core_input_is_transcript_hex(scripted):
+    # Each step's core invocation takes the transcript prefix, hex-encoded.
     _, trace, _ = scripted
-    from vet.agent_model import rebuild_transcript
-
-    for j in range(len(trace.steps)):
-        assert core_input(trace, j) == rebuild_transcript(trace, j).hex()
+    cores = [i.x for i in invocations(trace) if i.call is None]
+    assert cores == [rebuild_transcript(trace, j).hex() for j in range(len(trace.steps))]
 
 
 def test_aid_mismatch(scripted):
@@ -346,7 +344,7 @@ def test_valid_trace_predicate(scripted):
         honest.append(
             StepData(
                 core=AuthenticatedExchange(
-                    x=core_input(trace, step.step_index),
+                    x=rebuild_transcript(trace, step.step_index).hex(),
                     value=step.core_output,
                     tool_calls=tuple((c.tool_id, c.input) for c in step.tool_calls),
                 ),

@@ -5,12 +5,12 @@ Each test draws honest inputs, optionally applies one mutation, and
 requires the same outcome from both sides: the same result on
 acceptance, or the same exception type, reject reason and detail.
 Disclosures are the exception, because their format changed from one
-entry per chunk to one per run: the oracle verifies the per-chunk
-disclosure of the same ranges (each revealed chunk on its own, and the
-leaf of every hidden chunk by index), and a mutated run disclosure must be
-rejected or yield exactly the committed bytes from 32-byte hidden leaves. The commitments here are
-cut on a fixed grid (``conftest.grid``), the chunking of the per-chunk
-format; the oracle reads each chunk's offset and length from the list.
+entry per chunk to one run of the whole transcript: the oracle verifies
+the per-chunk disclosure of the whole range (each chunk on its own,
+read back byte by byte), and a mutated whole disclosure must be rejected
+or be the honest one. The commitments here are cut on a fixed grid
+(``conftest.grid``), the chunking of the per-chunk format; the oracle
+reads each chunk's offset and length from the list.
 """
 
 import hashlib
@@ -34,17 +34,8 @@ from vet.agent_model import (
     transcript_prefixes,
 )
 from vet.canonical import canonical_bytes
-from vet.composer import core_input, invocations
-from vet.commitment import (
-    SALT_LEN,
-    Disclosure,
-    RevealedRun,
-    chunk_cover,
-    commit,
-    disclose,
-    normalize_ranges,
-    verify_disclosure,
-)
+from vet.composer import invocations
+from vet.commitment import SALT_LEN, Disclosure, RevealedRun, commit, disclose, verify_disclosure
 from vet.tee_proxy import _match_tee_request
 from vet.errors import ProtocolError, Rejected, ValidationError
 from vet.templates import InjectTemplate, extract_input, match_request, render
@@ -122,18 +113,14 @@ def old_leaf(salt, chunk):
     return hashlib.sha256(b"VET/leaf:" + salt + chunk).digest()
 
 
-def old_disclose(opening, ranges):
-    norm = normalize_ranges(ranges, len(opening.plaintext))
-    cover = chunk_cover(norm, opening.chunk_lengths)
-    offsets = offsets_of(opening.chunk_lengths)
-    chunks = [
-        opening.plaintext[offsets[i]:offsets[i + 1]] for i in range(len(opening.chunk_lengths))
-    ]
-    revealed = tuple(RevealedChunk(i, opening.salts[i], chunks[i]) for i in cover)
-    hidden = {
-        i: old_leaf(opening.salts[i], c) for i, c in enumerate(chunks) if i not in cover
-    }
-    return ChunkDisclosure(tuple(norm), revealed, hidden)
+def old_disclose_whole(opening, chunk_lengths):
+    """Every chunk revealed on its own, for the range of the whole transcript."""
+    offsets = offsets_of(chunk_lengths)
+    chunks = tuple(
+        RevealedChunk(i, opening.salts[i], opening.plaintext[offsets[i]:offsets[i + 1]])
+        for i in range(len(chunk_lengths))
+    )
+    return ChunkDisclosure(((0, len(opening.plaintext)),), chunks, {})
 
 
 def old_verify_disclosure(commitment, disclosure):
@@ -160,25 +147,16 @@ def old_verify_disclosure(commitment, disclosure):
         root.update(old_leaf(chunk.salt, chunk.data) if chunk else disclosure.hidden[i])
     if root.digest() != commitment.root:
         raise Rejected("bad-path", "chunks do not authenticate to the root")
-    try:
-        needed = chunk_cover(list(disclosure.ranges), commitment.chunk_lengths)
-    except ValidationError as exc:
-        raise Rejected("chunk-range-inconsistency", str(exc))
-    missing = [i for i in needed if i not in by_index]
-    if missing:
-        raise Rejected("chunk-range-inconsistency", f"ranges not covered, missing chunks {missing}")
     out = {}
     for offset, length in disclosure.ranges:
+        if offset < 0 or length < 0 or offset + length > offsets[-1]:
+            raise Rejected("chunk-range-inconsistency", f"range ({offset},{length}) out of bounds")
         parts = []
-        pos = offset
-        end = offset + length
-        while pos < end:
+        for pos in range(offset, offset + length):  # byte by byte
             index = bisect_right(offsets, pos) - 1
-            chunk = by_index[index]
-            start_in_chunk = pos - offsets[index]
-            take = min(end - pos, len(chunk.data) - start_in_chunk)
-            parts.append(chunk.data[start_in_chunk:start_in_chunk + take])
-            pos += take
+            if index not in by_index:
+                raise Rejected("chunk-range-inconsistency", f"chunk {index} is not revealed")
+            parts.append(by_index[index].data[pos - offsets[index]:pos - offsets[index] + 1])
         out[(offset, length)] = b"".join(parts)
     return out
 
@@ -324,12 +302,11 @@ def test_count_type_matches_decode_all(parts, ftype, cut):
 
 
 # ---------------------------------------------------------------------------
-# Commitments.
+# Commitments: the whole disclosure against the per-chunk oracle.
 
 MUTATIONS = (
-    "none", "data", "salt", "index", "path-node", "path-short", "path-extra",
-    "swap", "swap-paths", "duplicate", "drop", "split", "extra-range", "empty-range",
-    "path-regroup",
+    "none", "data", "salt", "index", "path-extra", "duplicate", "drop", "split",
+    "split-gap", "extra-range", "empty-range", "short-range",
 )
 
 
@@ -338,15 +315,8 @@ def disclosures(draw):
     size = draw(st.integers(0, 300))
     chunk_size = draw(st.integers(1, 20))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    data = rng.randbytes(size)
-    commitment, opening = commit(data, grid(size, chunk_size), rng)
-    ranges = []
-    for _ in range(draw(st.integers(0, 4))):
-        offset = draw(st.integers(0, size))
-        ranges.append((offset, draw(st.integers(0, size - offset))))
-    if draw(st.booleans()):
-        ranges.append((0, size))
-    return commitment, opening, ranges, draw(st.sampled_from(MUTATIONS)), rng
+    commitment, opening = commit(rng.randbytes(size), grid(size, chunk_size), rng)
+    return commitment, opening, draw(st.sampled_from(MUTATIONS)), rng
 
 
 def per_chunk(disclosure, chunk_lengths):
@@ -367,124 +337,104 @@ def per_chunk(disclosure, chunk_lengths):
 
 
 def mutate(disclosure, commitment, mutation, rng):
-    """One mutation of a run disclosure."""
+    """One mutation of a whole disclosure."""
     runs = list(disclosure.chunks)
     ranges = list(disclosure.ranges)
     n = len(commitment.chunk_lengths)
+    offsets = offsets_of(commitment.chunk_lengths)
     if runs:
-        i = rng.randrange(len(runs))
-        c = runs[i]
-        if mutation == "data" and c.data:
+        c = runs[0]
+        if mutation == "data":
             k = rng.randrange(len(c.data))
             flipped = c.data[:k] + bytes([c.data[k] ^ 1]) + c.data[k + 1:]
-            runs[i] = RevealedRun(c.index, c.salt, flipped, c.path)
+            runs[0] = RevealedRun(c.index, c.salt, flipped, c.path)
         elif mutation == "salt":
             k = rng.randrange(len(c.salt))
             flipped = c.salt[:k] + bytes([c.salt[k] ^ 1]) + c.salt[k + 1:]
-            runs[i] = RevealedRun(c.index, flipped, c.data, c.path)
+            runs[0] = RevealedRun(c.index, flipped, c.data, c.path)
         elif mutation == "index":
-            other = rng.choice([c.index - 1, c.index + 1, rng.randrange(-1, n + 1)])
-            runs[i] = RevealedRun(other, c.salt, c.data, c.path)
-        elif mutation == "path-node" and c.path:
-            j = rng.randrange(len(c.path))
-            path = tuple(bytes(b ^ 1 for b in p) if k == j else p for k, p in enumerate(c.path))
-            runs[i] = RevealedRun(c.index, c.salt, c.data, path)
-        elif mutation == "path-short" and c.path:
-            j = rng.randrange(len(c.path))
-            runs[i] = RevealedRun(c.index, c.salt, c.data, c.path[:j] + c.path[j + 1:])
+            runs[0] = RevealedRun(rng.choice([-1, 1, rng.randrange(2, n + 2)]), c.salt, c.data, c.path)
         elif mutation == "path-extra":
-            j = rng.randrange(len(c.path) + 1)
-            extra = rng.choice([bytes(32), *c.path])
-            runs[i] = RevealedRun(c.index, c.salt, c.data, c.path[:j] + (extra,) + c.path[j:])
-        elif mutation == "path-regroup" and c.path:
-            # The same hidden-leaf bytes cut at other points, so the run
-            # still carries as many entries and they join to the same input.
-            joined = b"".join(c.path)
-            cuts = sorted(rng.randrange(len(joined) + 1) for _ in range(len(c.path) - 1))
-            bounds = [0, *cuts, len(joined)]
-            path = tuple(joined[a:b] for a, b in zip(bounds, bounds[1:]))
-            runs[i] = RevealedRun(c.index, c.salt, c.data, path)
-        elif mutation == "swap" and len(runs) > 1:
-            j = rng.randrange(len(runs))
-            runs[i], runs[j] = runs[j], runs[i]
-        elif mutation == "swap-paths" and len(runs) > 1:
-            j = rng.randrange(len(runs))
-            a, b = runs[i], runs[j]
-            runs[i] = RevealedRun(a.index, a.salt, a.data, b.path)
-            runs[j] = RevealedRun(b.index, b.salt, b.data, a.path)
+            runs[0] = RevealedRun(c.index, c.salt, c.data, (rng.choice([bytes(32), c.salt]),))
         elif mutation == "duplicate":
-            runs.insert(rng.randrange(len(runs) + 1), c)
+            runs.append(c)
         elif mutation == "drop":
-            del runs[i]
-        elif mutation == "split" and len(c.salt) > SALT_LEN:
-            # Two abutting runs where the prover made one.
-            cut = SALT_LEN * rng.randrange(1, len(c.salt) // SALT_LEN)
-            offsets = offsets_of(commitment.chunk_lengths)
-            at = offsets[c.index + cut // SALT_LEN] - offsets[c.index]
-            runs[i:i + 1] = [
-                RevealedRun(c.index, c.salt[:cut], c.data[:at], c.path),
-                RevealedRun(c.index + cut // SALT_LEN, c.salt[cut:], c.data[at:], ()),
+            runs = []
+        elif mutation in ("split", "split-gap") and n > 1 + (mutation == "split-gap"):
+            # Two runs where the prover made one: abutting, or around one
+            # chunk whose correct leaf the second run carries.
+            gap = mutation == "split-gap"
+            k = rng.randrange(1, n - gap)
+            salt = lambda i, j: c.salt[i * SALT_LEN:j * SALT_LEN]
+            leaf = old_leaf(salt(k, k + 1), c.data[offsets[k]:offsets[k + 1]])
+            runs = [
+                RevealedRun(0, salt(0, k), c.data[:offsets[k]], ()),
+                RevealedRun(k + gap, salt(k + gap, n), c.data[offsets[k + gap]:], (leaf,) * gap),
             ]
+    elif mutation in ("duplicate", "path-extra"):
+        runs.append(RevealedRun(0, b"", b"", (bytes(32),) * (mutation == "path-extra")))
+    total = commitment.total_length
     if mutation == "extra-range":
-        total = commitment.total_length
         offset = rng.randrange(total + 2)
         ranges.append((offset, rng.randrange(total + 2)))
     elif mutation == "empty-range":
-        ranges.append((rng.randrange(commitment.total_length + 1), 0))
+        ranges.append((rng.randrange(total + 1), 0))
+    elif mutation == "short-range":
+        ranges = [(0, rng.choice([total - 1, total + 1]))]
     return Disclosure(ranges=tuple(ranges), chunks=tuple(runs))
 
 
 @SETTINGS
 @given(disclosures())
 def test_disclose_and_verify_disclosure_match_oracle(case):
-    commitment, opening, ranges, mutation, rng = case
-    disclosure = disclose(opening, ranges)
-    oracle = old_disclose(opening, ranges)
-    # The runs reveal exactly the chunks the per-chunk disclosure reveals,
-    # and read back to the same range bytes.
-    assert per_chunk(disclosure, opening.chunk_lengths) == per_chunk(oracle, opening.chunk_lengths)
-    assert outcome(verify_disclosure, commitment, disclosure) == outcome(
-        old_verify_disclosure, commitment, oracle
+    commitment, opening, mutation, rng = case
+    disclosure = disclose(opening)
+    oracle = old_disclose_whole(opening, commitment.chunk_lengths)
+    # The run reveals exactly the chunks the per-chunk disclosure reveals,
+    # and reads back to the same bytes.
+    lengths = commitment.chunk_lengths
+    assert per_chunk(disclosure, lengths) == per_chunk(oracle, lengths)
+    total = commitment.total_length
+    assert outcome(old_verify_disclosure, commitment, oracle) == (
+        "ok", {(0, total): opening.plaintext}
     )
-    assert outcome(verify_disclosure, commitment, disclosure)[0] == "ok"
+    assert outcome(verify_disclosure, commitment, disclosure) == ("ok", opening.plaintext)
+    # The whole shape has one encoding: a mutation is rejected, or it
+    # changed nothing.
     mutated = mutate(disclosure, commitment, mutation, rng)
     result = outcome(verify_disclosure, commitment, mutated)
     if result[0] == "ok":
-        data = opening.plaintext
-        assert result[1] == {(o, k): data[o:o + k] for o, k in mutated.ranges}
-        assert all(len(leaf) == 32 for run in mutated.chunks for leaf in run.path)
+        assert mutated == disclosure and result[1] == opening.plaintext
     else:
-        assert result[0] == "rejected"
+        assert result[:1] == ("rejected",)
+        assert result[1] in ("bad-path", "chunk-range-inconsistency", "length-mismatch")
 
 
 def test_bad_hidden_leaf_after_the_last_run_is_rejected():
     rng = random.Random(5)
     data = rng.randbytes(16 * 8)
     commitment, opening = commit(data, grid(len(data), 16), rng)
-    disclosure = disclose(opening, [(0, 16), (32, 16)])
-    runs = list(disclosure.chunks)
-    last = runs[1]
-    assert len(last.path) == 6  # chunk 1 before it; chunks 3-7 after it
-    runs[1] = RevealedRun(last.index, last.salt, last.data, last.path[:-1] + (bytes(32),))
-    mutated = Disclosure(disclosure.ranges, tuple(runs))
+    (run,) = disclose(opening).chunks
+    assert run.path == ()
+    mutated = Disclosure(((0, len(data)),), (RevealedRun(0, run.salt, run.data, (bytes(32),)),))
     assert outcome(verify_disclosure, commitment, mutated) == (
-        "rejected", "bad-path", "revealed runs do not authenticate to the root"
+        "rejected", "bad-path", "the run carries hidden leaves (1); a whole disclosure hides no chunk"
     )
-    # The same wrong leaf for chunk 7 fails the per-chunk check.
-    oracle = old_disclose(opening, [(0, 16), (32, 16)])
-    bad = replace(oracle, hidden={**oracle.hidden, 7: bytes(32)})
+    # The per-chunk oracle refuses a leaf for a chunk past the last one.
+    oracle = old_disclose_whole(opening, commitment.chunk_lengths)
+    bad = replace(oracle, hidden={8: bytes(32)})
     assert outcome(old_verify_disclosure, commitment, bad)[:2] == ("rejected", "bad-path")
 
 
 def test_hidden_leaves_joined_across_a_run_are_rejected():
+    # Leaves 0 and 1 as one 64-byte entry and an empty one, which join to
+    # the committed root input; a whole run carries no hidden leaf at all.
     rng = random.Random(7)
     data = rng.randbytes(48)
     commitment, opening = commit(data, grid(len(data), 16), rng)
-    l0, l1, _ = opening.leaves
-    # Chunk 2's salt and bytes as chunk 1, with leaves 0 and 1 in one entry.
-    forged = Disclosure(
-        ((16, 16),), (RevealedRun(1, opening.salts[2], data[32:], (l0 + l1, b"")),)
-    )
+    l0, l1 = (old_leaf(opening.salts[i], data[16 * i:16 * i + 16]) for i in (0, 1))
+    (run,) = disclose(opening).chunks
+    forged = Disclosure(((0, 48),), (RevealedRun(0, run.salt, data, (l0 + l1, b"")),))
     assert outcome(verify_disclosure, commitment, forged)[:2] == ("rejected", "bad-path")
     oracle = ChunkDisclosure(
         ((16, 16),), (RevealedChunk(1, opening.salts[2], data[32:]),), {0: l0 + l1, 2: b""}
@@ -493,16 +443,20 @@ def test_hidden_leaves_joined_across_a_run_are_rejected():
 
 
 def test_empty_range_off_the_disclosed_chunks():
+    # The per-chunk oracle reads an extra empty range as no bytes; the
+    # whole shape has exactly one range, so it is refused.
     rng = random.Random(6)
     data = rng.randbytes(100)
     commitment, opening = commit(data, grid(len(data), 16), rng)
-    disclosure = disclose(opening, [(0, 10)])
+    disclosure = disclose(opening)
     padded = Disclosure(disclosure.ranges + ((50, 0),), disclosure.chunks)
-    assert outcome(verify_disclosure, commitment, padded) == ("ok", {(0, 10): data[:10], (50, 0): b""})
-    oracle = old_disclose(opening, [(0, 10)])
+    assert outcome(verify_disclosure, commitment, padded)[:2] == (
+        "rejected", "chunk-range-inconsistency"
+    )
+    oracle = old_disclose_whole(opening, commitment.chunk_lengths)
     oracle = replace(oracle, ranges=oracle.ranges + ((50, 0),))
-    assert outcome(old_verify_disclosure, commitment, oracle) == outcome(
-        verify_disclosure, commitment, padded
+    assert outcome(old_verify_disclosure, commitment, oracle) == (
+        "ok", {(0, 100): data, (50, 0): b""}
     )
 
 
@@ -752,7 +706,7 @@ def test_running_prefixes_match_rebuild_per_step(initial, steps):
     prefixes = list(transcript_prefixes(trace.initial_input, trace.steps))
     assert prefixes == [rebuild_transcript(trace, j) for j in range(len(trace.steps))]
     cores = [i.x for i in invocations(trace) if i.call is None]
-    assert cores == [core_input(trace, j) for j in range(len(trace.steps))]
+    assert cores == [rebuild_transcript(trace, j).hex() for j in range(len(trace.steps))]
     # The agent loop feeds its core the same prefixes.
     outputs = iter(trace.steps)
     fed = []

@@ -106,6 +106,36 @@ def test_verify_rejections(setup):
     assert err.value.reason == "bad-signature"
 
 
+def test_verify_attestation_returns_the_core_value():
+    # A core role authenticates its output as a tool role does: the value,
+    # not the output with its tool calls.
+    from vet.mockserver import make_core_handler
+
+    registry = TemplateRegistry()
+    inject_uid = registry.register(
+        {
+            "type": "inject", "kind": "core", "method": "POST", "path": "/v1/agent",
+            "headers": [{"name": "Host", "value": "llm.test"}],
+            "body": {"history": ""}, "input_pointer": "/history",
+        }
+    )
+    parse_uid = registry.register(
+        {"type": "parse", "kind": "core", "output_pointer": "/output", "calls_pointer": "/calls"}
+    )
+    key = SigningKey.from_seed("tee-core")
+    core = lambda history: (f"saw {len(history)} bytes", [("price", "bitcoin")])
+    proxy = TeeProxy(key, make_core_handler(core), measurement=measurement_of(registry))
+    entry = _entry(registry, inject_uid, parse_uid, key)
+    request = render(registry.get_inject(inject_uid), b"history".hex(), {})[0]
+    response, head = proxy.fetch(request)
+    assert verify_attestation(
+        "saw 7 bytes", request, response, head, entry, registry, role="core"
+    ) == "saw 7 bytes"
+    with pytest.raises(Rejected) as err:
+        verify_attestation("saw 8 bytes", request, response, head, entry, registry, role="core")
+    assert err.value.reason == "value-mismatch"
+
+
 def test_verify_attestation_closes_its_log_of_one_once(setup, monkeypatch):
     registry, proxy, entry, template = setup
 

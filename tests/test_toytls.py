@@ -9,7 +9,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 
 from vet import frames, toytls
 from vet.canonical import canonical_bytes, canonical_loads
-from vet.errors import ProtocolError
+from vet.errors import ProtocolError, ValidationError
 from vet.frames import Frame
 from vet.keys import SigningKey, verify_signature
 from vet.mockserver import make_echo_handler
@@ -22,6 +22,7 @@ from vet.toytls import (
     derive_record_key,
     handshake_signature_message,
     keystream,
+    normalize_ranges,
     open_record,
     seal_record,
     split_records,
@@ -102,6 +103,15 @@ def test_record_keys_distinct():
         derive_record_key(d, secret, i) for d in ("up", "down") for i in range(10)
     }
     assert len(keys) == 20
+
+
+def test_normalize_ranges():
+    assert normalize_ranges([(5, 5), (0, 6), (20, 0)], 30) == [(0, 10)]
+    assert normalize_ranges([(0, 3), (3, 3)], 10) == [(0, 6)]
+    with pytest.raises(ValidationError):
+        normalize_ranges([(0, 11)], 10)
+    with pytest.raises(ValidationError):
+        normalize_ranges([(-1, 2)], 10)
 
 
 def test_split_records_plain():

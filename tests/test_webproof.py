@@ -7,7 +7,7 @@ import pytest
 from conftest import grid
 from vet import commitment, toytls
 from vet.canonical import canonical_bytes
-from vet.commitment import SALT_LEN, commit, disclose
+from vet.commitment import SALT_LEN, Disclosure, RevealedRun, commit, disclose, leaf_hash
 from vet.errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from vet.keys import SigningKey
 from vet.templates import render
@@ -147,7 +147,7 @@ def test_recommitment_to_other_plaintext_rejected(rig):
     forged = replace(
         proof,
         response_commitment=fake_commitment,
-        response_disclosure=disclose(fake_opening, [(0, len(fake_response))]),
+        response_disclosure=disclose(fake_opening),
     )
     with pytest.raises(Rejected) as err:
         verify_webproof("forged", forged, rig.entry, "tool", rig.registry)
@@ -257,7 +257,7 @@ def test_unkeyed_record_disclosure_rejected(rig):
     request_commitment, opening = commit(request, up, random.Random(79))
     obj = proof.to_obj()
     obj["request_commitment"] = request_commitment.to_obj()
-    obj["request_disclosure"] = disclose(opening, [(0, len(request))]).to_obj()
+    obj["request_disclosure"] = disclose(opening).to_obj()
     with pytest.raises(ValidationError, match="request fields must be"):
         WebProof.from_obj(obj)
 
@@ -386,6 +386,64 @@ def test_response_ranges_must_be_the_whole_response(rig, ranges):
         [o, n.replace("N+1", str(total + 1)).replace("N", str(total))] for o, n in ranges
     ]
     assert _reason(rig, "ranges", WebProof.from_obj(obj))[0] == "chunk-range-inconsistency"
+
+
+def test_an_empty_response_is_refused_by_its_parser(rig):
+    # An empty response has no chunk: its whole disclosure is the range
+    # (0, 0) and no run, and the verdict comes from parsing it.
+    empty = type(rig)(seed="empty", handler=lambda request: b"")
+    request, spans = empty.registry.render_call(empty.entry, "nothing", {"token": SECRET})
+    channel = provision_channel(empty.service, "echo.test", rng=random.Random(1))
+    response, proof = run_session(
+        channel, request, spans, random.Random(2), claims={"input": "nothing"}
+    )
+    assert response == b"" and proof.down_lengths == (0,)
+    assert proof.response_disclosure.to_obj() == {"ranges": [["0", "0"]], "chunks": []}
+    with pytest.raises(Rejected) as err:
+        verify_webproof("nothing", proof, empty.entry, "tool", empty.registry)
+    assert err.value.reason == "parse-failure"
+
+
+def _split_around(run, lengths, k):
+    """``run`` cut into chunks before ``k`` and after it, the second run
+    carrying chunk ``k``'s correct leaf."""
+    start, end = sum(lengths[:k]), sum(lengths[:k + 1])
+    salt = lambda i, j: run.salt[i * SALT_LEN:j * SALT_LEN]
+    leaf = leaf_hash(salt(k, k + 1), run.data[start:end])
+    return (
+        RevealedRun(0, salt(0, k), run.data[:start], ()),
+        RevealedRun(k + 1, salt(k + 1, len(lengths)), run.data[end:], (leaf,)),
+    )
+
+
+def _flip_at(blob, index):
+    return blob[:index] + bytes([blob[index] ^ 1]) + blob[index + 1:]
+
+
+@pytest.mark.parametrize(
+    "mutate, reason",
+    [
+        (lambda run, lengths: (replace(run, data=_flip_at(run.data, 100)),), "bad-path"),
+        (lambda run, lengths: (replace(run, salt=_flip_at(run.salt, 20)),), "bad-path"),
+        (lambda run, lengths: (replace(run, index=1),), "chunk-range-inconsistency"),
+        (lambda run, lengths: (replace(run, path=(bytes(32),)),), "bad-path"),
+        (lambda run, lengths: _split_around(run, lengths, 1), "chunk-range-inconsistency"),
+        (lambda run, lengths: (replace(run, salt=run.salt[:15]),), "length-mismatch"),
+    ],
+    ids=["data-byte", "salt-byte", "run-index-1", "extra-leaf", "split-around-a-gap",
+         "salt-of-15-bytes"],
+)
+def test_each_mutation_of_the_disclosed_response_has_its_reason(rig, mutate, reason):
+    message = "".join(random.Random(51).choices(string.ascii_letters, k=40 * 1024))
+    _, proof = _prove(rig, message)
+    lengths = proof.response_commitment.chunk_lengths
+    assert len(lengths) >= 3
+    (run,) = proof.response_disclosure.chunks
+    forged = replace(
+        proof,
+        response_disclosure=Disclosure(proof.response_disclosure.ranges, mutate(run, lengths)),
+    )
+    assert _reason(rig, message, forged)[0] == reason
 
 
 def test_proof_of_format_7_is_rejected_naming_its_version(rig):
