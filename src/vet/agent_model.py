@@ -119,13 +119,6 @@ def _step_frames(step: StepRecord) -> Iterable[bytes]:
         yield frame(ROLE_TOOL_RESULT, call.result.encode("utf-8"))
 
 
-def _transcript_bytes(initial_input: str, steps: Sequence[StepRecord]) -> bytes:
-    parts = [frame(ROLE_INPUT, initial_input.encode("utf-8"))]
-    for step in steps:
-        parts.extend(_step_frames(step))
-    return b"".join(parts)
-
-
 def rebuild_transcript(trace: ExecutionTrace, upto_step: int) -> bytes:
     """Transcript fed to the core at step ``upto_step``.
 
@@ -135,7 +128,10 @@ def rebuild_transcript(trace: ExecutionTrace, upto_step: int) -> bytes:
     """
     if not 0 <= upto_step < len(trace.steps):
         raise IndexError(f"upto_step {upto_step} out of range for {len(trace.steps)} steps")
-    return _transcript_bytes(trace.initial_input, trace.steps[:upto_step])
+    parts = [frame(ROLE_INPUT, trace.initial_input.encode("utf-8"))]
+    for step in trace.steps[:upto_step]:
+        parts.extend(_step_frames(step))
+    return b"".join(parts)
 
 
 def transcript_prefixes(initial_input: str, steps: Iterable[StepRecord]) -> Iterator[bytes]:
@@ -146,11 +142,6 @@ def transcript_prefixes(initial_input: str, steps: Iterable[StepRecord]) -> Iter
     for step in steps:
         yield bytes(prefix)
         prefix += b"".join(_step_frames(step))
-
-
-def full_transcript(trace: ExecutionTrace) -> bytes:
-    """Transcript including every step of the trace."""
-    return _transcript_bytes(trace.initial_input, trace.steps)
 
 
 def run_agent(

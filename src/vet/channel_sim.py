@@ -9,6 +9,10 @@ fresh short-lived channel per round, sized in multiples of a base
 capacity M, and provisions round k+1's channel while round k is in
 flight, so only the uncovered remainder of each setup is visible.
 
+``plan`` is the one place a strategy becomes channels. In ``simulate``
+the strategies differ only by ``(start, delays)``: when the clock starts
+and how much setup each round shows.
+
 Everything here runs on a virtual clock: results are exact functions of
 the plan and the cost model, never of wall time.
 """
@@ -16,7 +20,8 @@ the plan and the cost model, never of wall time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 
 from .canonical import canonical_bytes, canonical_loads
 from .errors import ValidationError
@@ -47,16 +52,9 @@ class CostModel:
     proxy_overhead: float = 0.16
 
     def __post_init__(self):
-        for name in (
-            "setup_base",
-            "setup_per_byte",
-            "transfer_per_byte",
-            "rtt",
-            "api_latency",
-            "proxy_overhead",
-        ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:  # NaN fails both comparisons
+                raise ValidationError(f"{f.name} must be finite and non-negative")
 
     def setup_delay(self, cap_up: int, cap_down: int) -> float:
         """Modeled cost of provisioning a channel of this capacity: linear
@@ -68,20 +66,16 @@ class CostModel:
         return self.rtt + self.transfer_per_byte * n_bytes
 
     def to_obj(self) -> dict:
-        return {
-            "setup_base": f"{self.setup_base:.12g}",
-            "setup_per_byte": f"{self.setup_per_byte:.12g}",
-            "transfer_per_byte": f"{self.transfer_per_byte:.12g}",
-            "rtt": f"{self.rtt:.12g}",
-            "api_latency": f"{self.api_latency:.12g}",
-            "proxy_overhead": f"{self.proxy_overhead:.12g}",
-        }
+        return {f.name: f"{getattr(self, f.name):.12g}" for f in fields(self)}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "CostModel":
+        """Read ``to_obj``'s form: an object whose values are decimal strings."""
+        if not isinstance(obj, dict) or not all(isinstance(v, str) for v in obj.values()):
+            raise ValidationError("not a cost model: expected an object of decimal strings")
         try:
             return cls(**{k: float(v) for k, v in obj.items()})
-        except (AttributeError, TypeError, ValueError) as exc:  # not an object of numbers
+        except (TypeError, ValueError) as exc:  # an unknown field or not a number
             raise ValidationError(f"not a cost model: {exc}") from None
 
     def save(self, path) -> None:
@@ -144,9 +138,7 @@ class ChannelPlan:
 
     def require_feasible(self) -> "ChannelPlan":
         if not self.feasible:
-            raise ValidationError(
-                f"{self.strategy} plan infeasible at round {self.failing_round}"
-            )
+            raise ValidationError(f"{self.strategy} plan infeasible at round {self.failing_round}")
         return self
 
 
@@ -156,29 +148,29 @@ def plan(
     base_capacity: int = DEFAULT_M,
     session_cap: int = SESSION_CAP,
 ) -> ChannelPlan:
-    """Size channels for the workload; marks infeasibility instead of raising."""
-    rounds = range(1, workload.rounds + 1)
-    if strategy == STRATEGY_NAIVE:
-        cap_up = 0
-        cap_down = 0
-        for k in rounds:
+    """Size channels for the workload; marks infeasibility instead of raising.
+
+    Naive grows one channel by every round's bytes; optimized opens one
+    per round, each direction rounded up to a multiple of base_capacity.
+    """
+    naive = strategy == STRATEGY_NAIVE
+    if not naive and strategy != STRATEGY_OPTIMIZED:
+        raise ValidationError(f"unknown strategy {strategy!r}")
+    if not naive and base_capacity < 1:
+        raise ValidationError("base capacity must be positive")
+    channels = []
+    cap_up = cap_down = 0
+    for k in range(1, workload.rounds + 1):
+        if naive:
             cap_up += workload.up_bytes(k)
             cap_down += workload.down_bytes(k)
-            if cap_up > session_cap or cap_down > session_cap:
-                return ChannelPlan(strategy, workload, (), False, failing_round=k)
-        return ChannelPlan(strategy, workload, (Channel(cap_up, cap_down),), True)
-    if strategy == STRATEGY_OPTIMIZED:
-        if base_capacity < 1:
-            raise ValidationError("base capacity must be positive")
-        channels = []
-        for k in rounds:
+        else:
             cap_up = math.ceil(workload.up_bytes(k) / base_capacity) * base_capacity
             cap_down = math.ceil(workload.down_bytes(k) / base_capacity) * base_capacity
-            if cap_up > session_cap or cap_down > session_cap:
-                return ChannelPlan(strategy, workload, (), False, failing_round=k)
-            channels.append(Channel(cap_up, cap_down))
-        return ChannelPlan(strategy, workload, tuple(channels), True)
-    raise ValidationError(f"unknown strategy {strategy!r}")
+        if cap_up > session_cap or cap_down > session_cap:
+            return ChannelPlan(strategy, workload, (), False, failing_round=k)
+        channels.append(Channel(cap_up, cap_down))
+    return ChannelPlan(strategy, workload, tuple(channels[-1:] if naive else channels), True)
 
 
 @dataclass(frozen=True)
@@ -191,81 +183,41 @@ class SimulationResult:
     per_round: tuple[float, ...]
     per_round_setup_delay: tuple[float, ...]
     cumulative: tuple[float, ...]
+    # Mean notarization cost added per message, API time excluded: all
+    # setup work (hidden provisioning still costs) plus the transfers.
+    # This is what differs between strategies and against a direct call.
+    per_message_overhead: float
 
     @property
     def total(self) -> float:
         return self.cumulative[-1]
-
-    @property
-    def per_message_overhead(self) -> float:
-        """Mean notarization cost added per message, API time excluded.
-
-        Counts all setup work (hidden provisioning still costs) plus
-        transfer overhead; this is the quantity that differs between
-        strategies and against a direct un-notarized call.
-        """
-        rounds = len(self.per_round)
-        transfer = (
-            sum(self.per_round)
-            - rounds * self._api
-            - sum(self.per_round_setup_delay)
-        )
-        return (self.setup_cost_total + transfer) / rounds
-
-    _api: float = 0.0
 
 
 def simulate(channel_plan: ChannelPlan, model: CostModel) -> SimulationResult:
     """Deterministic per-round latency accounting for a feasible plan."""
     channel_plan.require_feasible()
     workload = channel_plan.workload
-    rounds = workload.rounds
-    round_times = [
-        model.transfer_delay(workload.round_bytes(k)) + model.api_latency
-        for k in range(1, rounds + 1)
-    ]
-
-    if channel_plan.strategy == STRATEGY_NAIVE:
-        setup = model.setup_delay(
-            channel_plan.channels[0].cap_up, channel_plan.channels[0].cap_down
-        )
-        delays = [0.0] * rounds
-        per_round = list(round_times)
-        cumulative = []
-        clock = setup
-        for value in per_round:
-            clock += value
-            cumulative.append(clock)
-        return SimulationResult(
-            strategy=STRATEGY_NAIVE,
-            setup_total=setup,
-            setup_cost_total=setup,
-            per_round=tuple(per_round),
-            per_round_setup_delay=tuple(delays),
-            cumulative=tuple(cumulative),
-            _api=model.api_latency,
-        )
-
+    transfers = [model.transfer_delay(workload.round_bytes(k)) for k in range(1, workload.rounds + 1)]
+    round_times = [t + model.api_latency for t in transfers]
     setups = [model.setup_delay(c.cap_up, c.cap_down) for c in channel_plan.channels]
-    delays = [setups[0]]
-    for k in range(1, rounds):
+    if channel_plan.strategy == STRATEGY_NAIVE:
+        start, delays = setups[0], [0.0] * workload.rounds
+    else:
         # Channel k+1 is provisioned while round k is in flight; only the
         # remainder that outlives the round shows up as latency.
-        delays.append(max(0.0, setups[k] - round_times[k - 1]))
-    per_round = [delays[k] + round_times[k] for k in range(rounds)]
-    cumulative = []
-    clock = 0.0
-    for value in per_round:
-        clock += value
-        cumulative.append(clock)
+        start, delays = 0.0, [setups[0]] + [
+            max(0.0, setup - previous) for setup, previous in zip(setups[1:], round_times)
+        ]
+    per_round = tuple(d + t for d, t in zip(delays, round_times))
+    setup_cost_total = sum(setups)
     return SimulationResult(
-        strategy=STRATEGY_OPTIMIZED,
-        setup_total=sum(delays),
-        setup_cost_total=sum(setups),
-        per_round=tuple(per_round),
+        strategy=channel_plan.strategy,
+        setup_total=start + sum(delays),
+        setup_cost_total=setup_cost_total,
+        per_round=per_round,
         per_round_setup_delay=tuple(delays),
-        cumulative=tuple(cumulative),
-        _api=model.api_latency,
+        cumulative=tuple(accumulate(per_round, initial=start))[1:],
+        per_message_overhead=(setup_cost_total + sum(transfers)) / workload.rounds,
     )
 
 
@@ -321,46 +273,24 @@ def calibrate(
         raise ValidationError("need at least 3 calibration points")
     proto = workload or SessionWorkload(rounds=1)
 
-    rows = []
-    targets = []
+    rows, targets = [], []
     for point in points:
-        w = SessionWorkload(
-            rounds=point.rounds,
-            message_bytes=proto.message_bytes,
-            response_bytes=proto.response_bytes,
-            envelope_bytes=proto.envelope_bytes,
-            history_policy=proto.history_policy,
-            summary_cap=proto.summary_cap,
-        )
-        rounds = point.rounds
-        total_bytes = sum(w.round_bytes(k) for k in range(1, rounds + 1))
-        naive = plan(STRATEGY_NAIVE, w, base_capacity, session_cap)
-        optimized = plan(STRATEGY_OPTIMIZED, w, base_capacity, session_cap)
-        if point.kind == "naive-setup":
-            c = naive.require_feasible().channels[0]
-            rows.append([1.0, c.cap_up + c.cap_down, 0.0])
-            targets.append(point.observed)
-        elif point.kind == "optimized-setup":
-            c = optimized.require_feasible().channels[0]
-            rows.append([1.0, c.cap_up + c.cap_down, 0.0])
-            targets.append(point.observed)
-        elif point.kind == "naive-per-message":
-            c = naive.require_feasible().channels[0]
-            rows.append(
-                [1.0 / rounds, (c.cap_up + c.cap_down) / rounds, total_bytes / rounds]
-            )
-            targets.append(point.observed)
-        elif point.kind == "optimized-per-message":
-            caps = sum(
-                c.cap_up + c.cap_down for c in optimized.require_feasible().channels
-            )
-            rows.append([1.0, caps / rounds, total_bytes / rounds])
-            targets.append(point.observed)
-        elif point.kind == "first-round":
+        w = replace(proto, rounds=point.rounds)
+        if point.kind == "first-round":
             rows.append([0.0, 0.0, w.round_bytes(1)])
             targets.append(point.observed - api_latency)
-        else:
+            continue
+        strategy, _, quantity = point.kind.partition("-")
+        if quantity not in ("setup", "per-message"):
             raise ValidationError(f"unknown calibration point kind {point.kind!r}")
+        channels = plan(strategy, w, base_capacity, session_cap).require_feasible().channels
+        if quantity == "setup":  # the first channel's setup, shown whole
+            rows.append([1.0, channels[0].cap_up + channels[0].cap_down, 0.0])
+        else:  # the mean of all setups and transfers, as in simulate
+            caps = sum(c.cap_up + c.cap_down for c in channels)
+            total_bytes = sum(w.round_bytes(k) for k in range(1, w.rounds + 1))
+            rows.append([len(channels) / w.rounds, caps / w.rounds, total_bytes / w.rounds])
+        targets.append(point.observed)
 
     matrix = numpy.array(rows, dtype=float)
     vector = numpy.array(targets, dtype=float)

@@ -266,11 +266,18 @@ class DemoResult:
     bundle: VerifiableExecutionTrace
     aid: AgentIdentityDocument
     registry: TemplateRegistry
-    latency: LatencyReport
+
+    @property
+    def latency(self) -> LatencyReport:
+        """The modeled latency of this decision. It runs the paper
+        calibration (SciPy), so only a caller that prints it pays."""
+        model, _ = channel_sim.paper_calibration()
+        steps = self.bundle.trace.steps
+        return latency_report(model, len(steps), sum(len(s.tool_calls) for s in steps))
 
 
 def run_demo(seed: str = "0") -> DemoResult:
-    """Run the agent, prove the trace, verify the bundle, report latency."""
+    """Run the agent, prove the trace and verify the bundle."""
     world = build_world(seed)
     trace = run_agent(world.core_fn, world.tools, f"trade tick for {DEMO_ASSET}", max_steps=4)
     provers = {
@@ -291,12 +298,4 @@ def run_demo(seed: str = "0") -> DemoResult:
     decision_text = trace.steps[-1].core_output
     verify_trace(decision_text, bundle, world.aid, world.registry)
     decision = TradeDecision.from_serialized(decision_text)
-    model, _ = channel_sim.paper_calibration()
-    tool_calls = sum(len(s.tool_calls) for s in trace.steps)
-    return DemoResult(
-        decision=decision,
-        bundle=bundle,
-        aid=world.aid,
-        registry=world.registry,
-        latency=latency_report(model, steps=len(trace.steps), tool_calls=tool_calls),
-    )
+    return DemoResult(decision=decision, bundle=bundle, aid=world.aid, registry=world.registry)

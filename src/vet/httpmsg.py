@@ -23,12 +23,6 @@ class HttpRequest:
     headers: tuple[tuple[str, str], ...]
     body: bytes
 
-    def header(self, name: str) -> str | None:
-        for key, value in self.headers:
-            if key.lower() == name.lower():
-                return value
-        return None
-
 
 @dataclass(frozen=True)
 class HttpResponse:
@@ -36,24 +30,6 @@ class HttpResponse:
     reason: str
     headers: tuple[tuple[str, str], ...]
     body: bytes
-
-    def header(self, name: str) -> str | None:
-        for key, value in self.headers:
-            if key.lower() == name.lower():
-                return value
-        return None
-
-
-def render_request(request: HttpRequest) -> bytes:
-    lines = [f"{request.method} {request.path} HTTP/1.1".encode()]
-    has_length = False
-    for name, value in request.headers:
-        if name.lower() == "content-length":
-            has_length = True
-        lines.append(f"{name}: {value}".encode())
-    if request.body and not has_length:
-        lines.append(f"Content-Length: {len(request.body)}".encode())
-    return CRLF.join(lines) + CRLF + CRLF + request.body
 
 
 def render_response(response: HttpResponse) -> bytes:

@@ -13,9 +13,9 @@ from vet.agent_model import (
     ToolCall,
     UnknownToolError,
     frame,
-    full_transcript,
     rebuild_transcript,
     run_agent,
+    transcript_prefixes,
 )
 from vet.errors import ValidationError
 
@@ -53,7 +53,7 @@ def test_transcript_layout():
     )
     assert t1 == expected
     assert t1.startswith(t0)
-    assert full_transcript(trace).startswith(t1)
+    assert list(transcript_prefixes(trace.initial_input, trace.steps)) == [t0, t1]
 
 
 def test_rebuild_transcript_bounds():

@@ -259,4 +259,6 @@ def test_cost_model_validation():
     with pytest.raises(ValidationError):
         CostModel(setup_base=-0.1)
     with pytest.raises(ValidationError):
+        CostModel(setup_base=math.nan)
+    with pytest.raises(ValidationError):
         SessionWorkload(rounds=0)

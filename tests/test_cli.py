@@ -158,6 +158,53 @@ def test_bench_channels(tmp_path):
     assert len(lines) == 1 + 12  # both strategies, six rounds each
 
 
+# The cost model's printed figures for the paper fit, rounded as printed
+# (6 places at most), so that NNLS's last bits do not show.
+PINNED_CHANNELS = {
+    "6": (
+        "naive: setup 8.09s  total 22.98s  per-message overhead 2.03s\n"
+        "optimized: setup 1.68s  total 16.57s  per-message overhead 2.75s\n",
+        "naive,1,2.232615,10.322092\n"
+        "naive,2,2.332450,12.654542\n"
+        "naive,3,2.432284,15.086826\n"
+        "naive,4,2.532118,17.618944\n"
+        "naive,5,2.631953,20.250897\n"
+        "naive,6,2.731787,22.982684\n"
+        "optimized,1,3.848932,3.848932\n"
+        "optimized,2,2.332450,6.181382\n"
+        "optimized,3,2.432284,8.613666\n"
+        "optimized,4,2.532118,11.145784\n"
+        "optimized,5,2.631953,13.777737\n"
+        "optimized,6,2.793696,16.571433\n",
+    ),
+    "9": (
+        "naive: infeasible at round 7\n"
+        "optimized: setup 1.98s  total 25.67s  per-message overhead 3.17s\n",
+        "optimized,1,3.848932,3.848932\n"
+        "optimized,2,2.332450,6.181382\n"
+        "optimized,3,2.432284,8.613666\n"
+        "optimized,4,2.532118,11.145784\n"
+        "optimized,5,2.631953,13.777737\n"
+        "optimized,6,2.793696,16.571433\n"
+        "optimized,7,2.831621,19.403054\n"
+        "optimized,8,2.931455,22.334509\n"
+        "optimized,9,3.332468,25.666978\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("rounds", sorted(PINNED_CHANNELS))
+def test_bench_channels_output_is_pinned(tmp_path, rounds):
+    csv = tmp_path / "bench.csv"
+    result = CliRunner().invoke(
+        main, ["bench", "channels", "--strategy", "both", "--rounds", rounds, "--csv", str(csv)]
+    )
+    assert result.exit_code == 0, result.output
+    stdout, rows = PINNED_CHANNELS[rounds]
+    assert result.output == stdout + f"wrote {csv}\n"
+    assert csv.read_text() == "strategy,round,latency_s,cumulative_s\n" + rows
+
+
 def test_bench_infeasible_strategy_reported():
     result = CliRunner().invoke(
         main, ["bench", "channels", "--strategy", "naive", "--rounds", "7"]
@@ -527,6 +574,18 @@ BAD_INPUTS = {
     ],
     "bench-model-not-a-number": lambda proved, tmp: [
         "bench", "channels", "--model", str(_write(tmp, "model.json", b'{"rtt": "x"}'))
+    ],
+    "bench-model-nan": lambda proved, tmp: [
+        "bench", "channels", "--model", str(_write(tmp, "model.json", b'{"rtt": "nan"}'))
+    ],
+    "bench-model-inf": lambda proved, tmp: [
+        "bench", "channels", "--model", str(_write(tmp, "model.json", b'{"rtt": "inf"}'))
+    ],
+    "bench-model-boolean": lambda proved, tmp: [
+        "bench", "channels", "--model", str(_write(tmp, "model.json", b'{"rtt": true}'))
+    ],
+    "bench-model-number-not-string": lambda proved, tmp: [
+        "bench", "channels", "--model", str(_write(tmp, "model.json", b'{"rtt": 1}'))
     ],
     "bench-rounds-0": lambda proved, tmp: ["bench", "channels", "--rounds", "0"],
     "bench-rounds-negative": lambda proved, tmp: ["bench", "channels", "--rounds", "-1"],

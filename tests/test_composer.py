@@ -148,12 +148,11 @@ class ScriptedWorld:
 def _echo_value(handler, x):
     import json
 
-    from vet.httpmsg import parse_response, render_request, HttpRequest
+    from vet.httpmsg import parse_response
 
     body = json.dumps({"message": x}).encode()
-    request = render_request(
-        HttpRequest("POST", "/v1/echo", (("Host", "echo.test"),), body)
-    )
+    request = b"POST /v1/echo HTTP/1.1\r\nHost: echo.test\r\nContent-Length: %d\r\n\r\n" % len(body)
+    request += body
     return json.loads(parse_response(handler(request)).body)["echo"]
 
 

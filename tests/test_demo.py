@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import vet
 from vet import toytls
 from vet.canonical import canonical_bytes
 from vet.composer import verify_trace
@@ -61,6 +67,15 @@ def test_demo_latency_report(demo_result):
     latency = demo_result.latency
     assert latency.direct < latency.proxied_tools < latency.notarized_core
     assert latency.total_tee_core < latency.total_webproof_core
+
+
+def test_run_demo_leaves_scipy_unimported():
+    # Only the latency report runs the paper calibration (SciPy NNLS);
+    # proving and verifying the demo must not pay for importing it.
+    src = str(pathlib.Path(vet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys; from vet import demo; demo.run_demo('0'); sys.exit('scipy' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_demo_seeds_vary():
