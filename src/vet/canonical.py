@@ -52,7 +52,12 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # and their count, not a list of them; a web proof adds the tags of its
 # secret up records and its down record lengths, and a format-8 statement,
 # which lists every record, is refused.
-FORMAT = "9"
+# 10: a proxy log head signs the same record chain as a notary, as
+# "records" and a 32-byte "head" over an up and a down record per
+# exchange, where format 9 signed "exchanges" and a "sha256:" head of its
+# own chain; the notary statement drops the server key's fingerprint and
+# a TEE flag that was always false, which no verifier read.
+FORMAT = "10"
 
 
 def canonical_bytes(obj: Any) -> bytes:

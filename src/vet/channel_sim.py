@@ -156,7 +156,7 @@ def plan(
     naive = strategy == STRATEGY_NAIVE
     if not naive and strategy != STRATEGY_OPTIMIZED:
         raise ValidationError(f"unknown strategy {strategy!r}")
-    if not naive and base_capacity < 1:
+    if base_capacity < 1:
         raise ValidationError("base capacity must be positive")
     channels = []
     cap_up = cap_down = 0

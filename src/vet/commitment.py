@@ -14,8 +14,8 @@ length.
 A disclosure reveals the whole transcript. Its one range is
 ``[0, total_length]``, and its one run starts at chunk 0 and carries
 every salt and every byte, with no hidden leaf; an empty transcript has
-no chunk and so no run. The serialized shape is format 9's: ranges,
-and runs with an index and a path of hidden leaves. Any other shape is
+no chunk and so no run. The serialized shape still has ranges, and
+runs with an index and a path of hidden leaves. Any other shape is
 refused: other ranges, another number of runs or a run that does not
 start at chunk 0 are a ``chunk-range-inconsistency``, salts or bytes of
 the wrong length a ``length-mismatch``, and a hidden leaf or a root that

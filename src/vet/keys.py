@@ -80,9 +80,3 @@ def verify_signature(key_string: str, message: bytes, signature_hex: str) -> boo
         return True
     except (InvalidSignature, ValidationError):
         return False
-
-
-def key_fingerprint(key_string: str) -> str:
-    """Content hash of a public key string, "sha256:<hex>"."""
-    parse_public_key(key_string)
-    return "sha256:" + hashlib.sha256(key_string.encode("utf-8")).hexdigest()

@@ -6,9 +6,12 @@ folds each record's direction, plaintext length and tag into the
 running head of the session's hash chain (``toytls.RecordChain``),
 enforces the per-direction capacity the session was opened with, and at
 FIN signs a statement over the head and the record count. Whatever the
-number of records, a session's state is that head, the count and the
-two byte sums. It never holds a decryption key, so the signed statement
-attests only to what crossed the wire, not to what it said.
+number of records, a session's state is that chain: its head, its count
+and the bytes relayed each way, which the capacity check reads. It never
+holds a decryption key, so the signed statement attests only to what
+crossed the wire, not to what it said. The statement is
+``{session_id, server_domain, channel_capacity, opened_at, closed_at,
+records, head}``: what a verifier decodes, and the session's times.
 
 A record's tag is the last 32 bytes of its wire,
 ``H("VET/mac:" || key || plaintext)`` (see ``vet.toytls``): a commitment
@@ -42,7 +45,7 @@ from . import frames, toytls
 from .canonical import canonical_bytes, canonical_loads, json_field
 from .errors import CapacityExceeded, ProtocolError, ValidationError
 from .frames import Frame
-from .keys import SigningKey, key_fingerprint
+from .keys import SigningKey
 from .toytls import TargetServer
 
 STATE_OPEN = "open"
@@ -67,17 +70,11 @@ class NotarySession:
         self.domain = domain
         self.cap_up = cap_up
         self.cap_down = cap_down
-        self.used_up = 0
-        self.used_down = 0
-        self.chain = toytls.RecordChain()
+        self.chain = toytls.RecordChain()  # with the bytes relayed each way
         self.state = STATE_OPEN
         self.abort_reason = ""
         self.opened_at = service.now_ms()
-        server = service.resolver(domain)
-        # The notary is also the TCP relay to the server, so knowing which
-        # server key it connected to is transport metadata, not content.
-        self._server_fingerprint = key_fingerprint(server.signing_key.public_string)
-        self._server = server.open_connection(session_id)
+        self._server = service.resolver(domain).open_connection(session_id)
 
     def handle(self, frame: Frame) -> list[Frame]:
         if self.state != STATE_OPEN:
@@ -115,30 +112,23 @@ class NotarySession:
         raise ProtocolError(f"notary: unexpected frame type {frame.type:#x}")
 
     def _log(self, direction: str, wire: bytes) -> None:
-        plaintext_len = len(wire) - toytls.TAG_LEN
-        if plaintext_len < 0:
+        if len(wire) < toytls.TAG_LEN:
             raise ProtocolError("record shorter than its MAC tag")
-        if direction == "up":
-            self.used_up += plaintext_len
-            if self.used_up > self.cap_up:
-                raise CapacityExceeded(f"up capacity {self.cap_up} exceeded at {self.used_up}")
-        else:
-            self.used_down += plaintext_len
-            if self.used_down > self.cap_down:
-                raise CapacityExceeded(
-                    f"down capacity {self.cap_down} exceeded at {self.used_down}"
-                )
         self.chain.add(direction, wire)
+        cap = self.cap_up if direction == "up" else self.cap_down
+        if self.chain.used[direction] > cap:
+            # The session aborts, so the record chained on is never signed.
+            raise CapacityExceeded(
+                f"{direction} capacity {cap} exceeded at {self.chain.used[direction]}"
+            )
 
     def _statement(self) -> Frame:
         statement = {
             "session_id": self.session_id,
             "server_domain": self.domain,
-            "server_key_fingerprint": self._server_fingerprint,
             "channel_capacity": {"up": str(self.cap_up), "down": str(self.cap_down)},
             "opened_at": str(self.opened_at),
             "closed_at": str(self.service.now_ms()),
-            "tee_backed": False,
             "records": str(self.chain.count),
             "head": self.chain.head.hex(),
         }
@@ -163,7 +153,7 @@ class NotarySession:
         """The most payload bytes a frame of ``ftype`` may declare: the
         remaining up capacity and a tag for a RELAY_UP, else CONTROL_MAX."""
         if ftype == frames.RELAY_UP:
-            return self.cap_up - self.used_up + toytls.TAG_LEN
+            return self.cap_up - self.chain.used["up"] + toytls.TAG_LEN
         return frames.CONTROL_MAX
 
     def refuse(self, exc: frames.FrameTooLarge) -> list[Frame]:

@@ -9,17 +9,22 @@ interface; the `measurement` field stands in for the enclave code
 identity and here hashes the proxy's declared template set.
 
 The proxy attests a log of exchanges, not each one. A log (`ProxyLog`)
-keeps a hash chain over (H(request), H(response)) per exchange and
-signs its head once, when it closes: a signed tree head in the sense of
-RFC 9162, over the hash chain of Crosby and Wallach's tamper-evident
-logs. The chain fixes every exchange and their order, and the signed
-count fixes how many there are. A bundle's verifier checks the
-signature once (`open_log`, a `vet.chain.OpenChain` as a notary
-statement's is), chains each proof's request and response onto it in
-the order the trace invokes the log's components, and at the end
-requires that every exchange was consumed and that the chain reaches
-the signed head: a proof moved, swapped, dropped or added changes the
-chain.
+keeps the hash chain a notary keeps, a `toytls.RecordChain`: each
+exchange is an up record of the request and then a down record of the
+response, each chained as its length and its SHA-256 in place of a
+record tag,
+``h_i = H("VET/rec:" || h_{i-1} || direction || length || H(bytes))``.
+The log signs the head and the record count once, when it closes: a
+signed tree head in the sense of RFC 9162, over the hash chain of
+Crosby and Wallach's tamper-evident logs. The fields have fixed widths,
+so short of a SHA-256 collision the head fixes every exchange's bytes
+and their order, and the signed count fixes how many there are. A
+bundle's verifier checks the signature once (`open_log`, a
+`vet.chain.OpenChain` as a notary statement's is), chains each proof's
+request and response onto it in the order the trace invokes the log's
+components, and at the end requires that every record was consumed and
+that the chain reaches the signed head: a proof moved, swapped, dropped
+or added changes the chain.
 
 A standalone proof is a log of one exchange, checked by the same code:
 `TeeProxy.fetch` opens a log, forwards one request and closes it, and
@@ -47,6 +52,7 @@ from .chain import OpenChain
 from .errors import Rejected, ValidationError
 from .keys import SigningKey, verify_signature
 from .templates import AuthenticatedExchange, TemplateRegistry, extract_input, render
+from .toytls import RecordChain, read_chain
 
 
 def measurement_of(registry: TemplateRegistry) -> str:
@@ -57,17 +63,11 @@ def measurement_of(registry: TemplateRegistry) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-# The head of a log that holds no exchange yet.
-LOG_START = "sha256:" + "0" * 64
-
-
-def log_link(head: str, request_hash: str, response_hash: str) -> str:
-    """The log head after one more exchange."""
-    return _digest(b"VET/log:" + canonical_bytes([head, request_hash, response_hash]))
+def _take(chain, request_bytes: bytes, response_bytes: bytes) -> None:
+    """Chain one exchange on: an up record of the request, a down record of
+    the response, each its length and SHA-256 in place of a record tag."""
+    for direction, data in (("up", request_bytes), ("down", response_bytes)):
+        chain.take(direction, len(data), hashlib.sha256(data).digest())
 
 
 class LogHead(NamedTuple):
@@ -76,8 +76,8 @@ class LogHead(NamedTuple):
     enclave_public_key: str
     tee_type: str
     measurement: str
-    exchanges: int
-    head: str
+    records: int
+    head: bytes
     timestamp: int
     signature: str
 
@@ -88,12 +88,23 @@ class LogHead(NamedTuple):
         return canonical_bytes(obj)
 
     def to_obj(self) -> dict:
-        return {**self._asdict(), "exchanges": str(self.exchanges), "timestamp": str(self.timestamp)}
+        return {
+            **self._asdict(),
+            "records": str(self.records),
+            "head": self.head.hex(),
+            "timestamp": str(self.timestamp),
+        }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "LogHead":
-        numbers = ("exchanges", "timestamp")
-        return cls(**{k: json_field(obj, k, int if k in numbers else str) for k in cls._fields})
+        records, head = read_chain(obj)
+        strings = ("enclave_public_key", "tee_type", "measurement", "signature")
+        return cls(
+            **{k: json_field(obj, k) for k in strings},
+            records=records,
+            head=head,
+            timestamp=json_field(obj, "timestamp", int),
+        )
 
 
 class TeeProxy:
@@ -133,14 +144,12 @@ class ProxyLog:
 
     def __init__(self, proxy: TeeProxy):
         self.proxy = proxy
-        self.head = LOG_START
-        self.exchanges = 0
+        self.chain = RecordChain()
         self._proven: list[tuple[bytes, dict]] = []
 
     def fetch(self, request_bytes: bytes) -> bytes:
         response_bytes = self.proxy.upstream(request_bytes)
-        self.head = log_link(self.head, _digest(request_bytes), _digest(response_bytes))
-        self.exchanges += 1
+        _take(self.chain, request_bytes, response_bytes)
         return response_bytes
 
     def add(self, request_bytes: bytes, secret_spans: list[tuple[int, int]], x: str) -> None:
@@ -157,8 +166,8 @@ class ProxyLog:
             enclave_public_key=proxy.public_key,
             tee_type=proxy.tee_type,
             measurement=proxy.measurement,
-            exchanges=self.exchanges,
-            head=self.head,
+            records=self.chain.count,
+            head=self.chain.head,
             timestamp=int(time.time() * 1000),
             signature="",
         )
@@ -214,9 +223,7 @@ def _open(head: LogHead, entry) -> OpenChain:
     key = head.enclave_public_key
     if not verify_signature(key, head.signed_payload(), head.signature):
         raise Rejected("bad-signature", "attestation not signed by the declared enclave key")
-    return OpenChain(
-        head, key, head.exchanges, head.head, LOG_START, log_link, "hash-mismatch", "exchanges"
-    )
+    return OpenChain(head, key, "hash-mismatch")
 
 
 def open_log(signed: dict, entry) -> OpenChain:
@@ -231,7 +238,7 @@ def verify_exchange(
     """The ProxyTEE verifier of a bundle's proof: the next exchange of ``log``."""
     _bind(log.signed, entry)
     request, response = (json_field(payload, key, bytes) for key in ("request", "response"))
-    log.take(_digest(request), _digest(response))
+    _take(log, request, response)
     x = _match_tee_request(registry.get_inject(entry.injection_algorithm_uid), request)
     return registry.read_call(entry, x, response, role)
 
@@ -254,7 +261,7 @@ def verify_attestation(
     bytes the head does not chain are a hash-mismatch whatever they hold.
     """
     log = _open(head, entry)
-    log.take(_digest(request_bytes), _digest(response_bytes))
+    _take(log, request_bytes, response_bytes)
     log.close()
     x = _match_tee_request(registry.get_inject(entry.injection_algorithm_uid), request_bytes)
     exchange = registry.read_call(entry, x, response_bytes, role)

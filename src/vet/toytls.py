@@ -31,7 +31,8 @@ way):
   decrypts, so the plaintext a tag binds is the one the server read.
 
 The notary, the server and the prover each fold a session's records
-into one running hash (``RecordChain``),
+into one running hash (``RecordChain``), as a proxy log does its
+exchanges (``vet.tee_proxy``),
 ``h_i = H("VET/rec:" || h_{i-1} || direction || length || tag)`` from
 ``h_0`` all zero, with a one-byte direction and an eight-byte length, so
 every input has one parse. The notary signs the head and the number of
@@ -113,16 +114,31 @@ def chain_link(head: bytes, direction: str, length: int, tag: bytes) -> bytes:
 
 
 class RecordChain:
-    """A session's records folded into the head of their hash chain, and their count."""
+    """A session's records folded into the head of their hash chain, their
+    count, and the bytes each direction's records carry."""
 
     def __init__(self):
         self.head = CHAIN_START
         self.count = 0
+        self.used = {"up": 0, "down": 0}
+
+    def take(self, direction: str, length: int, tag: bytes) -> None:
+        """Chain on one more record of ``length`` bytes under ``tag``."""
+        self.head = chain_link(self.head, direction, length, tag)
+        self.count += 1
+        self.used[direction] += length
 
     def add(self, direction: str, wire: bytes) -> None:
         """Chain on the sealed record ``wire``, at least ``TAG_LEN`` bytes long."""
-        self.head = chain_link(self.head, direction, len(wire) - TAG_LEN, wire[-TAG_LEN:])
-        self.count += 1
+        self.take(direction, len(wire) - TAG_LEN, wire[-TAG_LEN:])
+
+
+def read_chain(obj: dict) -> tuple[int, bytes]:
+    """The signed ``records`` count and 32-byte ``head`` of a chain's signer."""
+    head = json_field(obj, "head", bytes)
+    if len(head) != len(CHAIN_START):
+        raise ValidationError(f"head must be {len(CHAIN_START)} bytes, not {len(head)}")
+    return json_field(obj, "records", int), head
 
 
 def up_secret(shared: bytes) -> bytes:
@@ -236,16 +252,14 @@ class SignedStatement:
     def from_obj(cls, obj: dict) -> "SignedStatement":
         statement = json_field(obj, "statement", dict)
         capacity = json_field(statement, "channel_capacity", dict)
-        head = json_field(statement, "head", bytes)
-        if len(head) != len(CHAIN_START):
-            raise ValidationError(f"head must be {len(CHAIN_START)} bytes, not {len(head)}")
+        records, head = read_chain(statement)
         return cls(
             statement=statement,
             signature=json_field(obj, "notary_signature"),
             session_id=json_field(statement, "session_id"),
             server_domain=json_field(statement, "server_domain"),
             capacity=(json_field(capacity, "up", int), json_field(capacity, "down", int)),
-            records=json_field(statement, "records", int),
+            records=records,
             head=head,
         )
 

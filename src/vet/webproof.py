@@ -42,7 +42,7 @@ record, disclosed whole: ``vet.commitment.verify_disclosure`` refuses
 any shape but the range ``[[0, total_length]]`` with one run of every
 chunk, and returns the bytes. The commitment adds nothing to soundness, since nothing
 signs its root; the down records' tags under their released keys bind
-the response, as above. It stays only as format 9's wire shape.
+the response, as above. It stays only as the wire shape.
 
 A notarized session carries any number of exchanges, as a kept-alive
 TLS connection does, under one signed head. Each web proof covers one
@@ -54,7 +54,7 @@ changes the chain. A standalone proof is a session of one:
 ``authenticate`` without a session opens the statement, chains the
 proof and closes it before it parses the response.
 
-A serialized proof carries ``"format": "9"``, and ``WebProof.from_obj``
+A serialized proof carries ``"format": "10"``, and ``WebProof.from_obj``
 reads no other. Its request fields are fixed stubs that the benchmark
 still reads, ``{"total_length": "<n>"}`` and ``{"chunks": []}``; its
 ``withheld_tags`` are the tags of its secret up records, in order, and
@@ -361,10 +361,11 @@ class NotarizedSession:
     """The prover's side of one notarized toy-TLS session.
 
     Opening it runs the handshake; ``send`` carries one request/response
-    exchange, and ``up_used`` counts the request bytes sent so far;
-    ``finish`` sends FIN, takes the notary's statement over the record
-    chain of every exchange and the down seed the server then releases,
-    and returns each exchange's response and web proof, in order.
+    exchange onto ``chain``, whose byte sums count what was sent and
+    received so far; ``finish`` sends FIN, takes the notary's statement
+    over the record chain of every exchange and the down seed the server
+    then releases, and returns each exchange's response and web proof,
+    in order.
 
     Protocol order matters: the notary signs the head of the record chain
     before the server releases the down-direction key seed, so nothing in
@@ -377,9 +378,8 @@ class NotarizedSession:
     def __init__(self, channel, rng: random.Random):
         self.channel = channel
         self.rng = rng
-        self.up_used = 0
         self._sent: list[_Sent] = []
-        self._chain = toytls.RecordChain()  # of every record sent and received
+        self.chain = toytls.RecordChain()  # of every record sent and received
         # Handshake: ephemeral X25519, server signs the transcript binding.
         eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
         client_eph = toytls.pub_hex(eph)
@@ -441,8 +441,7 @@ class NotarizedSession:
         down_wires = [r.payload for r in down if r.type == frames.RELAY_DOWN]
         for direction, wires in (("up", up_wires), ("down", down_wires)):
             for wire in wires:
-                self._chain.add(direction, wire)
-        self.up_used += len(request_bytes)
+                self.chain.add(direction, wire)
         secret = [_overlaps_secret(*span, secret_spans) for span in record_spans]
         self._sent.append(
             _Sent(len(request_bytes), secret, up_keys, up_wires, down_wires, claims)
@@ -457,7 +456,7 @@ class NotarizedSession:
             )
             signed = SignedStatement.from_obj(canonical_loads(statement.payload))
             signed.check_session(
-                [self.channel.notary_public_key], self.channel.session_id, self._chain
+                [self.channel.notary_public_key], self.channel.session_id, self.chain
             )
             seed = toytls.open_record(toytls.release_key(self._hk), released.payload)
         finally:
@@ -546,25 +545,10 @@ def open_statement(
     statement: SignedStatement, notary_public_key: str, server_domain: str
 ) -> OpenChain:
     """Check a statement's signature, once, and open the record chain it
-    signs. Records chained onto it may not exceed the signed capacity."""
+    signs."""
     if not statement.verify(notary_public_key):
         raise Rejected("bad-signature", "statement not signed by the declared notary")
-    capacity = dict(zip(("up", "down"), statement.capacity))
-    used = dict.fromkeys(capacity, 0)
-
-    def link(head: bytes, direction: str, length: int, tag: bytes) -> bytes:
-        used[direction] += length
-        if used[direction] > capacity[direction]:
-            raise Rejected(
-                "cipher-mismatch",
-                f"the proofs carry more {direction} bytes than the signed {capacity[direction]}",
-            )
-        return toytls.chain_link(head, direction, length, tag)
-
-    session = OpenChain(
-        statement, notary_public_key, statement.records, statement.head, toytls.CHAIN_START,
-        link, "cipher-mismatch", "records",
-    )
+    session = OpenChain(statement, notary_public_key, "cipher-mismatch")
     _bind(session, notary_public_key, server_domain)
     return session
 
@@ -622,7 +606,8 @@ def _take_exchange(
 ) -> tuple[str, bytes, tuple[int, int]]:
     """Chain one proof's records onto ``session``: the up records of the
     request rendered for the claimed input, then the down records of the
-    disclosed response. Returns the input, the response and the (public,
+    disclosed response. The bytes chained each way may not exceed the
+    signed capacity. Returns the input, the response and the (public,
     secret) bytes of the rendering."""
     response_bytes = verify_disclosure(proof.response_commitment, proof.response_disclosure)
     x = proof.claims.get("input")
@@ -638,11 +623,17 @@ def _take_exchange(
     down_tags = _check_records(
         proof.down_lengths, proof.record_keys, "down", response_bytes, "cipher-mismatch"
     )
-    for direction, lengths, tags in (
-        ("up", up_lengths, up_tags), ("down", proof.down_lengths, down_tags)
+    for direction, lengths, tags, capacity in zip(
+        ("up", "down"), (up_lengths, proof.down_lengths), (up_tags, down_tags),
+        session.signed.capacity,
     ):
         for length, tag in zip(lengths, tags):
             session.take(direction, length, tag)
+            if session.chain.used[direction] > capacity:
+                raise Rejected(
+                    "cipher-mismatch",
+                    f"the proofs carry more {direction} bytes than the signed {capacity}",
+                )
     redacted = sum(up_lengths[index] for index in secret)
     return x, response_bytes, (len(rendered) - redacted, redacted)
 
@@ -793,7 +784,8 @@ class NotarizedRun:
     def add(self, request_bytes: bytes, secret_spans: list[tuple[int, int]], x: str) -> None:
         """Send the request rendered for input ``x``, with its secret spans."""
         exchange = (request_bytes, secret_spans, {"input": x})
-        if self._session and self._session.up_used + len(request_bytes) > self.prover.cap_up:
+        session = self._session
+        if session and session.chain.used["up"] + len(request_bytes) > self.prover.cap_up:
             self._finish_session()
         try:
             self._send(exchange)

@@ -402,13 +402,14 @@ def test_criterion_2_soundness_no_forgery_accepted():
             sessions = list(deep_bundle.sessions)
             index = rng.randrange(len(sessions))
             signed = copy.deepcopy(sessions[index].signed)
-            if "exchanges" in signed:
-                signed["exchanges"] = str(int(signed["exchanges"]) + 1)
-            elif rng.random() < 0.5:
-                signed["statement"]["records"] = str(int(signed["statement"]["records"]) + 1)
+            # A notary nests its signed fields under "statement", a proxy
+            # log head does not; both sign "records" and "head".
+            fields = signed.get("statement", signed)
+            if rng.random() < 0.5:
+                fields["records"] = str(int(fields["records"]) + 1)
             else:
-                head = bytes.fromhex(signed["statement"]["head"])
-                signed["statement"]["head"] = toytls.chain_link(head, "up", 1, bytes(32)).hex()
+                head = bytes.fromhex(fields["head"])
+                fields["head"] = toytls.chain_link(head, "up", 1, bytes(32)).hex()
             sessions[index] = type(sessions[index])(sessions[index].kind, signed)
             forged = with_proofs(proofs, sessions=tuple(sessions))
         attempt_session(f"session-drop-or-extra-{i}", "j", forged)

@@ -305,6 +305,8 @@ def test_inspect_names_the_document_that_does_not_decode(proved, tmp_path, docum
         (lambda bundle: bundle.update(format="7"), "bundle format 7"),
         (lambda bundle: bundle["proofs"][0]["payload"].pop("format"), "web proof format 1"),
         (lambda bundle: bundle.update(format="8"), "bundle format 8"),
+        (lambda bundle: bundle.update(format="9"), "bundle format 9"),
+        (lambda bundle: bundle["proofs"][0]["payload"].update(format="9"), "web proof format 9"),
     ],
 )
 def test_other_format_is_rejected_naming_its_version(proved, tmp_path, mangle, named):
@@ -590,6 +592,16 @@ BAD_INPUTS = {
     "bench-rounds-0": lambda proved, tmp: ["bench", "channels", "--rounds", "0"],
     "bench-rounds-negative": lambda proved, tmp: ["bench", "channels", "--rounds", "-1"],
     "bench-base-capacity-0": lambda proved, tmp: ["bench", "channels", "--base-capacity", "0"],
+    # With a model file no calibration runs, so the naive plan alone
+    # must refuse the base capacity.
+    "bench-naive-base-capacity-0": lambda proved, tmp: [
+        "bench", "channels", "--strategy", "naive", "--base-capacity", "0",
+        "--model", str(_write(tmp, "model.json", b"{}")),
+    ],
+    "bench-naive-base-capacity-negative": lambda proved, tmp: [
+        "bench", "channels", "--strategy", "naive", "--base-capacity", "-5",
+        "--model", str(_write(tmp, "model.json", b"{}")),
+    ],
     "bench-csv-missing-dir": lambda proved, tmp: [
         "bench", "channels", "--csv", "/nonexistent/x.csv"
     ],

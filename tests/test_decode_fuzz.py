@@ -10,6 +10,7 @@ a traceback.
 
 import copy
 import functools
+import hashlib
 import json
 import re
 
@@ -149,7 +150,7 @@ def test_seeds_are_valid_documents_of_the_current_format():
     proof = webproof.WebProof.from_obj(doc)
     assert webproof.verify_webproof("fuzz me", proof, rig.entry, ROLE_TOOL, rig.registry) == "fuzz me"
     *_, value, doc = _log_head_case()
-    assert doc["exchanges"] == "1"
+    assert doc["records"] == "2" and len(bytes.fromhex(doc["head"])) == 32
     assert _verify_log_head(doc) == value
     result, claim, doc = _bundle_case()
     assert doc["format"] == FORMAT
@@ -161,7 +162,7 @@ def test_seeds_are_valid_documents_of_the_current_format():
     statement = webproof.SignedStatement.from_obj(signed["webproof"])
     core_proofs = [p for p in doc["proofs"] if p["kind"] == "webproof"]
     assert len(core_proofs) >= 2 and statement.records >= 4
-    assert int(signed["tee_attestation"]["exchanges"]) >= 2
+    assert int(signed["tee_attestation"]["records"]) >= 4
 
 
 @SETTINGS
@@ -210,6 +211,43 @@ def test_sessions_table_decoder_only_rejects(mutated):
     _verify_bundle_doc(mutated)
 
 
+def _format_9_head(doc, exchanges, seed):
+    """The format-9 proxy log head over ``exchanges``, (request, response)
+    hex pairs, with the fields of the format-10 ``doc``: "exchanges" and
+    a "sha256:" head of the old log chain in place of "records" and
+    "head", signed by the enclave key of ``seed``."""
+    head = "sha256:" + "0" * 64
+    for pair in exchanges:
+        digests = ["sha256:" + hashlib.sha256(bytes.fromhex(data)).hexdigest() for data in pair]
+        link = b"VET/log:" + canonical_bytes([head, *digests])
+        head = "sha256:" + hashlib.sha256(link).hexdigest()
+    old = {k: v for k, v in doc.items() if k not in ("records", "signature")}
+    old.update(exchanges=str(len(exchanges)), head=head)
+    key = SigningKey.from_seed(f"enclave:{seed}".encode())
+    return dict(old, signature=key.sign(canonical_bytes(old)))
+
+
+def test_format_9_log_head_is_refused():
+    _, _, request, response, _, doc = _log_head_case()
+    with pytest.raises(ValidationError):
+        _verify_log_head(_format_9_head(doc, [(request.hex(), response.hex())], "fuzz"))
+    # The same inside a bundle of the current format, as its proxy session.
+    result, claim, bundle = _bundle_case()
+    mutated = copy.deepcopy(bundle)
+    index = next(i for i, s in enumerate(bundle["sessions"]) if s["kind"] == "tee_attestation")
+    exchanges = [
+        (p["payload"]["request"], p["payload"]["response"])
+        for p in bundle["proofs"] if p["payload"].get("attestation") == str(index)
+    ]
+    assert len(exchanges) >= 2
+    session = mutated["sessions"][index]
+    session["signed"] = _format_9_head(session["signed"], exchanges, "0")
+    with pytest.raises((Rejected, ValidationError)):
+        verify_trace(
+            claim, VerifiableExecutionTrace.from_obj(mutated), result.aid, result.registry
+        )
+
+
 # A signed chain of any length and head: the honest count moved by any
 # amount, and the honest head, another session's, or random bytes.
 chain_picks = st.tuples(
@@ -248,6 +286,34 @@ def test_signed_chain_of_any_shape_is_a_reason(picks):
         assert re.match(r"(step:\S+|session \d+): cipher-mismatch: ", exc.detail), exc.detail
     else:
         assert statement == honest
+
+
+@settings(SETTINGS, max_examples=150)
+@given(chain_picks)
+def test_signed_log_head_of_any_shape_is_a_reason(picks):
+    # The proxy log head signs the notary's chain: the same picks, signed
+    # by the demo's enclave key, are a hash-mismatch where they differ.
+    shift, which, noise = picks
+    result, claim, doc = _bundle_case()
+    mutated = copy.deepcopy(doc)
+    index = next(i for i, s in enumerate(doc["sessions"]) if s["kind"] == "tee_attestation")
+    head = mutated["sessions"][index]["signed"]
+    honest = dict(head)
+    head["records"] = str(max(int(honest["records"]) + shift, 0))
+    head["head"] = {
+        "honest": honest["head"],
+        "other": log_head_doc()["head"],
+        "random": noise.hex(),
+    }[which]
+    unsigned = {k: v for k, v in head.items() if k != "signature"}
+    head["signature"] = SigningKey.from_seed(b"enclave:0").sign(canonical_bytes(unsigned))
+    try:
+        verify_trace(claim, VerifiableExecutionTrace.from_obj(mutated), result.aid, result.registry)
+    except Rejected as exc:
+        assert exc.reason == "subproof-invalid"
+        assert re.match(r"(step:\S+|session \d+): hash-mismatch: ", exc.detail), exc.detail
+    else:
+        assert head == honest
 
 
 @SETTINGS

@@ -1,15 +1,8 @@
-import hashlib
-
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from vet.errors import ValidationError
-from vet.keys import (
-    SigningKey,
-    key_fingerprint,
-    parse_public_key,
-    verify_signature,
-)
+from vet.keys import SigningKey, parse_public_key, verify_signature
 
 
 def test_from_seed_deterministic():
@@ -61,11 +54,3 @@ def test_generate_gives_distinct_keys():
 def test_parse_public_key_rejects(bad):
     with pytest.raises(ValidationError):
         parse_public_key(bad)
-
-
-def test_key_fingerprint_oracle():
-    key = SigningKey.from_seed("fp")
-    expected = hashlib.sha256(key.public_string.encode()).hexdigest()
-    assert key_fingerprint(key.public_string) == "sha256:" + expected
-    with pytest.raises(ValidationError):
-        key_fingerprint("ed25519:nothex")

@@ -18,7 +18,7 @@ from vet.canonical import canonical_bytes, canonical_loads
 from vet.channel_sim import CostModel
 from vet.errors import CapacityExceeded, ProtocolError, ValidationError
 from vet.frames import Frame
-from vet.keys import SigningKey, key_fingerprint
+from vet.keys import SigningKey
 from vet import mockserver
 from vet.httpmsg import parse_response
 from vet.mockserver import make_echo_handler
@@ -63,10 +63,11 @@ def test_open_session_and_statement(rig):
     statement = signed["statement"]
     assert statement["server_domain"] == "echo.test"
     assert statement["channel_capacity"] == {"up": "4096", "down": "16384"}
-    assert statement["tee_backed"] is False
-    assert statement["server_key_fingerprint"] == key_fingerprint(
-        rig.server_key.public_string
-    )
+    # Exactly the fields a verifier decodes, and the session's times.
+    assert set(statement) == {
+        "session_id", "server_domain", "channel_capacity", "opened_at", "closed_at",
+        "records", "head",
+    }
     from vet.keys import verify_signature
 
     assert verify_signature(
@@ -124,7 +125,7 @@ def test_capacity_counts_plaintext_not_tag(rig):
     up, _ = _real_handshake(channel)
     (ack,) = channel.exchange(_sealed_up(up, 0, b"x" * 32), _sealed_up(up, 1, b"x" * 32))[1:]
     assert ack.type == frames.ACK
-    assert channel._session.used_up == 64
+    assert channel._session.chain.used == {"up": 64, "down": 0}
 
 
 def test_open_rejects_bad_requests(rig):
@@ -601,7 +602,7 @@ def test_tcp_frame_limits_follow_the_session(rig):
     session, _ = rig.service.open_session(_open_frame("limits", cap_up=100))
     assert session.frame_limit(frames.RELAY_UP) == 100 + toytls.TAG_LEN
     assert session.frame_limit(frames.FIN) == frames.CONTROL_MAX
-    session.used_up = 60
+    session.chain.used["up"] = 60
     assert session.frame_limit(frames.RELAY_UP) == 40 + toytls.TAG_LEN
 
 

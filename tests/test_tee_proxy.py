@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import pytest
 
@@ -7,15 +8,20 @@ from vet.chain import OpenChain
 from vet.errors import Rejected
 from vet.keys import SigningKey
 from vet.mockserver import make_echo_handler, make_price_handler
-from vet.tee_proxy import (
-    LOG_START,
-    LogHead,
-    TeeProxy,
-    log_link,
-    measurement_of,
-    verify_attestation,
-)
+from vet.tee_proxy import LogHead, TeeProxy, measurement_of, verify_attestation
 from vet.templates import TemplateRegistry, parse_tool, render
+
+
+def _expected_head(exchanges):
+    """The chain head over ``(request, response)`` pairs, rebuilt from the
+    link formula alone: an up record of each request, then a down record
+    of its response, each its 8-byte length and SHA-256."""
+    head = bytes(32)
+    for exchange in exchanges:
+        for direction, data in zip((b"u", b"d"), exchange):
+            item = direction + struct.pack(">Q", len(data)) + hashlib.sha256(data).digest()
+            head = hashlib.sha256(b"VET/rec:" + head + item).digest()
+    return head
 
 
 def _registry():
@@ -69,9 +75,8 @@ def test_fetch_and_verify(setup):
     response, head = proxy.fetch(request)
     value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
     assert verify_attestation(value, request, response, head, entry, registry) == value
-    digest = lambda data: "sha256:" + hashlib.sha256(data).hexdigest()
-    assert head.exchanges == 1
-    assert head.head == log_link(LOG_START, digest(request), digest(response))
+    assert head.records == 2
+    assert head.head == _expected_head([(request, response)])
 
 
 def test_verify_rejections(setup):
@@ -222,7 +227,9 @@ def test_log_signs_one_head_over_its_exchanges(setup):
     requests = [render(template, coin, {})[0] for coin in ("bitcoin", "bitcoin", "bitcoin")]
     payloads = [{"request": r.hex(), "response": log.fetch(r).hex()} for r in requests]
     head = log.close()
-    assert head.exchanges == 3 and head.enclave_public_key == proxy.public_key
+    assert head.records == 6 and head.enclave_public_key == proxy.public_key
+    exchanges = [(bytes.fromhex(p["request"]), bytes.fromhex(p["response"])) for p in payloads]
+    assert head.head == _expected_head(exchanges)
 
     def verify(order, signed=head.to_obj()):
         opened = tee_proxy.open_log(signed, entry)
@@ -233,8 +240,8 @@ def test_log_signs_one_head_over_its_exchanges(setup):
     verify([0, 1, 2])
     # The chain fixes the number of exchanges and their bytes.
     for order, detail in (
-        ([0, 1], "the session holds 3 exchanges, 2 were proven"),
-        ([0, 1, 2, 2], "the session holds 3 exchanges, and the proofs carry more"),
+        ([0, 1], "the session holds 6 records, 4 were proven"),
+        ([0, 1, 2, 2], "the session holds 6 records, and the proofs carry more"),
     ):
         with pytest.raises(Rejected) as err:
             verify(order)
@@ -244,7 +251,12 @@ def test_log_signs_one_head_over_its_exchanges(setup):
         verify([0, 1, 2])
     assert err.value.reason in ("hash-mismatch", "parse-failure")
     with pytest.raises(Rejected) as err:
-        verify([0, 1, 2], dict(head.to_obj(), exchanges="4"))
+        verify([0, 1, 2], dict(head.to_obj(), records="8"))
+    assert err.value.reason == "bad-signature"
+    # A fourth exchange chained onto the head: the signature no longer covers it.
+    grown = _expected_head([*exchanges, exchanges[0]])
+    with pytest.raises(Rejected) as err:
+        verify([0, 1, 2, 0], dict(head.to_obj(), records="8", head=grown.hex()))
     assert err.value.reason == "bad-signature"
 
 

@@ -160,7 +160,6 @@ def _statement(session_id, records):
     return {
         "session_id": session_id,
         "server_domain": "echo.test",
-        "server_key_fingerprint": "sha256:" + "0" * 64,
         "channel_capacity": {"up": "65536", "down": "65536"},
         "records": str(chain.count),
         "head": chain.head.hex(),

@@ -648,10 +648,10 @@ def test_chain_cuts_into_maximal_request_response_runs(rig):
             proof, rig.notary_key.public_string, "echo.test", template,
             rig.registry.get_parse(rig.parse_uid), "tool", session,
         )
-        taken.append(session.taken)
+        taken.append(session.chain.count)
     short, long = (len(proof.down_lengths) for _, proof in proven)
     assert (short, long) == (1, 3)
-    assert taken == [3 + short, 3 + short + 5 + long] and session.taken == session.count
+    assert taken == [3 + short, 3 + short + 5 + long] and taken[-1] == session.signed.records
     session.close()
 
 
