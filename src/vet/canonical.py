@@ -56,7 +56,9 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # "records" and a 32-byte "head" over an up and a down record per
 # exchange, where format 9 signed "exchanges" and a "sha256:" head of its
 # own chain; the notary statement drops the server key's fingerprint and
-# a TEE flag that was always false, which no verifier read.
+# a TEE flag that was always false, which no verifier read. The record
+# cipher moved from SHAKE-256 to AES-256-CTR after format 10 with no bump,
+# since no proof byte has depended on the ciphertext since format 7.
 FORMAT = "10"
 
 

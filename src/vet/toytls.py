@@ -1,13 +1,31 @@
 """Desk-scale stand-in for MPC-TLS: commit-then-key-release record crypto.
 
-Records are encrypted with a SHAKE-256 keystream, one call per record,
-and sealed encrypt-and-MAC, as SSH's binary packet protocol does
-(RFC 4253 §6.4): the wire is ``ct || tag`` with
-``tag = H("VET/mac:" || key || plaintext)``. The key for record ``i`` is
-derived from a direction-specific secret. Up-direction keys come from
-the X25519 handshake secret, known to prover and server and never to the
-relay: the server draws a fresh ephemeral key for each connection, so
-nothing the relay sees, the public keys included, determines it.
+Records are sealed encrypt-and-MAC, as SSH's binary packet protocol
+does (RFC 4253 §6.4): the wire is ``ct || tag`` with
+``tag = H("VET/mac:" || key || plaintext)``. The cipher is the AES-GCM of
+TLS 1.3 record protection (RFC 8446 §5.2), one call per record, under
+``SHA-256("VET/ks:" || key)`` and an all-zero 96-bit nonce, with the
+GHASH tag dropped. What remains is GCTR (NIST SP 800-38D §7.1): AES-256
+in counter mode from counter block ``0^96 || 2``, the plaintext XOR
+``AES(k, 0^96 || 2) || AES(k, 0^96 || 3) || ...``. That is safe here:
+
+- Each record key is derived for one record and seals only it, so no
+  keystream is ever used twice under the fixed nonce.
+- No GCM tag is sent. The SHA-256 tag, which the notary chains and
+  signs, is the record's MAC, so GHASH would only add a second one.
+- Opening recomputes the same keystream from the key the opener already
+  holds; it decrypts locally and sends nothing, so it reveals nothing.
+- The cipher is not part of the proof format: tags are over the
+  plaintext and the verifier never runs the cipher, so no proof byte
+  depends on the ciphertext, and the cipher can change without a format
+  bump. A prover and a target server must still run the same one, or the
+  server's first MAC check ends the session.
+
+The key for record ``i`` is derived from a direction-specific secret.
+Up-direction keys come from the X25519 handshake secret, known to prover
+and server and never to the relay: the server draws a fresh ephemeral
+key for each connection, so nothing the relay sees, the public keys
+included, determines it.
 Down-direction keys come from a seed the server also draws fresh for
 each connection and releases to the prover only after the relay has
 signed the head of the record chain, sealed under the handshake key, so
@@ -54,6 +72,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import frames
@@ -64,6 +83,9 @@ from .keys import SigningKey, verify_signature
 
 RECORD_MAX = 16384
 TAG_LEN = 32
+# Each record key seals one record, so one fixed nonce serves every key.
+_NONCE = bytes(12)
+_GCM_TAG_LEN = 16
 
 
 def derive_record_key(direction: str, secret: bytes, index: int) -> bytes:
@@ -74,14 +96,14 @@ def derive_record_key(direction: str, secret: bytes, index: int) -> bytes:
     return h.digest()
 
 
-def keystream(key: bytes, length: int) -> bytes:
-    return hashlib.shake_256(b"VET/ks:" + key).digest(length)
+def keystream_xor(key: bytes, data: bytes) -> bytes:
+    """``data`` XOR the record keystream of ``key``: seals and opens alike.
 
-
-def _xor_keystream(key: bytes, data: bytes) -> bytes:
-    stream = keystream(key, len(data))
-    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    return mixed.to_bytes(len(data), "big")
+    AES-256-GCM's ciphertext under ``SHA-256("VET/ks:" || key)`` and an
+    all-zero nonce, with its 16-byte GHASH tag dropped.
+    """
+    aes = AESGCM(hashlib.sha256(b"VET/ks:" + key).digest())
+    return aes.encrypt(_NONCE, data, None)[:-_GCM_TAG_LEN]
 
 
 def record_tag(key: bytes, plaintext: bytes) -> bytes:
@@ -89,13 +111,13 @@ def record_tag(key: bytes, plaintext: bytes) -> bytes:
 
 
 def seal_record(key: bytes, plaintext: bytes) -> bytes:
-    return _xor_keystream(key, plaintext) + record_tag(key, plaintext)
+    return keystream_xor(key, plaintext) + record_tag(key, plaintext)
 
 
 def open_record(key: bytes, wire: bytes) -> bytes:
     if len(wire) < TAG_LEN:
         raise ProtocolError("record shorter than MAC tag")
-    plaintext = _xor_keystream(key, wire[:-TAG_LEN])
+    plaintext = keystream_xor(key, wire[:-TAG_LEN])
     if record_tag(key, plaintext) != wire[-TAG_LEN:]:
         raise ProtocolError("record MAC check failed")
     return plaintext

@@ -1,8 +1,10 @@
 """Shared fixtures: a wired demo world and a small webproof test rig."""
 
+import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from vet import demo as demo_mod, frames
 from vet.aid import (
@@ -22,6 +24,21 @@ from vet import mockserver
 def grid(total: int, size: int) -> list[int]:
     """The lengths of ``total`` bytes cut every ``size`` bytes: a fixed chunk grid."""
     return [min(size, total - start) for start in range(0, total, size)]
+
+
+def gctr(aes_key: bytes, data: bytes) -> bytes:
+    """``data`` XOR AES-256 under ``aes_key`` over the counter blocks
+    ``0^96 || 2 + i``, built block by block: GCTR (NIST SP 800-38D §7.1)
+    for an all-zero 96-bit nonce, with no AES-GCM call."""
+    encryptor = Cipher(algorithms.AES(aes_key), modes.ECB()).encryptor()
+    blocks = b"".join(bytes(12) + (2 + i).to_bytes(4, "big") for i in range((len(data) + 15) // 16))
+    stream = encryptor.update(blocks) + encryptor.finalize()
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
+def aes_ctr_xor(key: bytes, data: bytes) -> bytes:
+    """``data`` XOR the keystream of record key ``key``."""
+    return gctr(hashlib.sha256(b"VET/ks:" + key).digest(), data)
 
 
 @pytest.fixture(scope="session")

@@ -38,10 +38,13 @@ def test_demo_seed_zero(demo_result):
 def test_verify_trace_runs_no_keystream(demo_result, monkeypatch):
     # The verifier checks each released record key with one tag hash; it
     # never decrypts or re-encrypts a record.
-    def refuse(key, length):
-        raise AssertionError("the verifier ran the record keystream")
+    def refuse(key, data):
+        raise AssertionError("ran the record keystream")
 
-    monkeypatch.setattr(toytls, "keystream", refuse)
+    monkeypatch.setattr(toytls, "keystream_xor", refuse)
+    # The patch is live: proving, which seals records, runs into it.
+    with pytest.raises(AssertionError, match="ran the record keystream"):
+        run_demo("0")
     m = demo_result.decision.serialized()
     assert verify_trace(m, demo_result.bundle, demo_result.aid, demo_result.registry) == m
 

@@ -20,10 +20,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid
+from conftest import aes_ctr_xor, grid
 from vet import frames, toytls
 from vet.agent_model import (
     ExecutionTrace,
@@ -60,27 +60,22 @@ def outcome(fn, *args):
 # Oracles: the implementations the fast paths replaced.
 
 
-def old_keystream(key, length):
-    # The construction itself (format 5 on); what the oracles below keep
-    # is the per-byte XOR that the int-XOR fast path replaced.
-    return hashlib.shake_256(b"VET/ks:" + key).digest(length)
-
-
 def old_tag(key, plaintext):
     # Format 7: encrypt-and-MAC, the tag over the plaintext.
     return hashlib.sha256(b"VET/mac:" + key + plaintext).digest()
 
 
 def old_seal_record(key, plaintext):
-    ct = bytes(a ^ b for a, b in zip(plaintext, old_keystream(key, len(plaintext))))
-    return ct + old_tag(key, plaintext)
+    # The keystream built AES block by block over its counter blocks and
+    # XORed byte by byte, in place of the one AES-GCM call per record.
+    return aes_ctr_xor(key, plaintext) + old_tag(key, plaintext)
 
 
 def old_open_record(key, wire):
     if len(wire) < toytls.TAG_LEN:
         raise ProtocolError("record shorter than MAC tag")
     ct, tag = wire[:-toytls.TAG_LEN], wire[-toytls.TAG_LEN:]
-    plaintext = bytes(a ^ b for a, b in zip(ct, old_keystream(key, len(ct))))
+    plaintext = aes_ctr_xor(key, ct)
     if old_tag(key, plaintext) != tag:
         raise ProtocolError("record MAC check failed")
     return plaintext
@@ -268,6 +263,12 @@ def old_check_scalars(obj, path):
 
 @SETTINGS
 @given(st.binary(min_size=32, max_size=32), st.binary(max_size=2000), st.integers(0, 2063))
+@example(b"k" * 32, b"", 0)
+@example(b"k" * 32, b"a", 1)
+@example(b"k" * 32, b"a" * 15, 15)
+@example(b"k" * 32, b"a" * 16, 16)
+@example(b"k" * 32, b"a" * 17, 17)
+@example(b"k" * 32, b"a" * toytls.RECORD_MAX, toytls.RECORD_MAX - 1)
 def test_seal_open_match_oracle(key, plaintext, flip):
     wire = toytls.seal_record(key, plaintext)
     assert wire == old_seal_record(key, plaintext)

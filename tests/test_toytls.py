@@ -7,6 +7,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
+from conftest import aes_ctr_xor, gctr
 from vet import frames, toytls
 from vet.canonical import canonical_bytes, canonical_loads
 from vet.errors import ProtocolError, ValidationError
@@ -21,7 +22,7 @@ from vet.toytls import (
     TargetServer,
     derive_record_key,
     handshake_signature_message,
-    keystream,
+    keystream_xor,
     normalize_ranges,
     open_record,
     seal_record,
@@ -51,14 +52,14 @@ def test_open_rejects_tampering():
 
 
 def test_seal_record_known_answer():
-    # Format 7: the SHAKE-256 keystream XOR the plaintext, then the tag
+    # The AES-256 counter-mode keystream XOR the plaintext, then the tag
     # SHA-256("VET/mac:" || key || plaintext), which is the digest the
     # notary signs.
     key, plaintext = b"k" * 32, b"GET / HTTP/1.1\r\n"
-    stream = hashlib.shake_256(b"VET/ks:" + key).digest(len(plaintext))
     tag = hashlib.sha256(b"VET/mac:" + key + plaintext).digest()
     wire = seal_record(key, plaintext)
-    assert wire == bytes(a ^ b for a, b in zip(plaintext, stream)) + tag
+    assert wire == aes_ctr_xor(key, plaintext) + tag
+    assert wire[:-toytls.TAG_LEN].hex() == "3ecdaec503759ccebfc05eb3701897be"
     assert toytls.record_tag(key, plaintext) == tag
     # Format 9: the record chain's head over (direction, length, tag), one
     # byte of direction and eight of length, from an all-zero head.
@@ -81,19 +82,25 @@ def test_open_refuses_a_flipped_ciphertext_or_tag_byte():
 
 
 def test_keystream_oracle():
-    key = b"x" * 32
-    stream = hashlib.shake_256(b"VET/ks:" + key).digest(40)
-    assert keystream(key, 16) == stream[:16]
-    assert keystream(key, 40)[:32] == stream[:32]
+    # Sizes around one 16-byte AES block, and a full record.
+    for size in (0, 1, 15, 16, 17, RECORD_MAX):
+        rng = random.Random(size)
+        key, data = rng.randbytes(32), rng.randbytes(size)
+        assert keystream_xor(key, data) == aes_ctr_xor(key, data)
+        assert keystream_xor(key, keystream_xor(key, data)) == data
 
 
 def test_keystream_known_answer():
-    # SHAKE-256("VET/ks:" || "x" * 32), 40 bytes, as OpenSSL computes it
-    # through `cryptography.hazmat.primitives.hashes.SHAKE256(40)`. Any
+    # The oracle's counter blocks against a published vector: the GCM
+    # specification's test case 14 (McGrew and Viega), a zero 256-bit key,
+    # a zero 96-bit IV and one zero block, whose ciphertext is GCTR's.
+    assert gctr(bytes(32), bytes(16)).hex() == "cea7403d4d606b6e074ec5d3baf39d18"
+    # AES-256 under SHA-256("VET/ks:" || "x" * 32), counter blocks from
+    # 0^96 || 2, 40 bytes of keystream (the XOR of 40 zero bytes). Any
     # change to the keystream construction changes this vector.
-    assert keystream(b"x" * 32, 40).hex() == (
-        "902d55a0e5a9b72c88d2e8c037708750169b9ed0f80886e3"
-        "bbf5bf948afbc0cf9b62250a8c3c270b"
+    assert keystream_xor(b"x" * 32, bytes(40)).hex() == (
+        "c005e20d64de629b51d30a473c9562ee987da9dbc8dbf725"
+        "f244629250adc3015b0837d850d4607a"
     )
 
 

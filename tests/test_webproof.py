@@ -172,10 +172,13 @@ def test_verify_webproof_runs_no_keystream(rig, monkeypatch):
     message = "".join(random.Random(49).choices(string.ascii_letters, k=48 * 1024))
     _, proof = _prove(rig, message)
 
-    def refuse(key, length):
-        raise AssertionError("the verifier ran the record keystream")
+    def refuse(key, data):
+        raise AssertionError("ran the record keystream")
 
-    monkeypatch.setattr(toytls, "keystream", refuse)
+    monkeypatch.setattr(toytls, "keystream_xor", refuse)
+    # The patch is live: proving, which seals records, runs into it.
+    with pytest.raises(AssertionError, match="ran the record keystream"):
+        _prove(rig, message)
     assert verify_webproof(message, proof, rig.entry, "tool", rig.registry) == message
 
 
