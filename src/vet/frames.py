@@ -7,15 +7,18 @@ layout, with a role tag in place of the frame type.
 
 Every TCP service (the notary, the TEE proxy and the mock servers) runs
 the one connection loop of `FrameServer`, and none keeps a log of what
-it relays. The TEE proxy and the mock servers speak the smallest
-protocol over these frames: one RELAY_UP request, one RELAY_DOWN reply
-(`serve_relay`, `relay`).
+it relays. A pool of at most ``MAX_WORKERS`` threads serves the
+connections, each on the thread that accepted it. A connection is read
+through one buffer, and the replies to every frame that has arrived
+leave in one write, so a client that sends several frames in one write
+gets their replies back in one. The TEE proxy and the mock servers speak
+the smallest protocol over these frames: one RELAY_UP request, one
+RELAY_DOWN reply (`serve_relay`, `relay`).
 """
 
 from __future__ import annotations
 
 import socket
-import socketserver
 import struct
 import threading
 from dataclasses import dataclass
@@ -48,7 +51,12 @@ CONTROL_MAX = 1 << 12
 IDLE_TIMEOUT = 30.0
 # Replies that end a session, and with it the connection: an ABORT, or
 # the released seed that follows the notary's statement.
-_ENDING_REPLIES = (ABORT, POST_DOWN)
+ENDING_REPLIES = (ABORT, POST_DOWN)
+# Most connections a FrameServer serves at once, one worker thread each:
+# the notary's default ``max_sessions``.
+MAX_WORKERS = 64
+# Bytes a RecvBuffer asks of the socket at once, at least.
+_RECV_SIZE = 1 << 16
 
 _HEADER = struct.Struct(">BI")
 
@@ -118,9 +126,12 @@ class FrameTooLarge(ProtocolError):
         self.type = ftype
 
 
-def read_frame(sock: socket.socket, limit: Callable[[int], int] = lambda ftype: MAX_FRAME) -> Frame:
-    """The next frame; FrameTooLarge, before the payload is read, if its
-    header declares more than ``limit(type)`` bytes."""
+def read_frame(
+    sock: socket.socket | RecvBuffer, limit: Callable[[int], int] = lambda ftype: MAX_FRAME
+) -> Frame:
+    """The next frame from a socket or a ``RecvBuffer``; FrameTooLarge,
+    before the payload is read, if its header declares more than
+    ``limit(type)`` bytes."""
     ftype, length = _HEADER.unpack(_read_exact(sock, _HEADER.size))
     if length > limit(ftype):
         raise FrameTooLarge(ftype, length, limit(ftype))
@@ -133,7 +144,7 @@ def write_frame(sock: socket.socket, *batch: Frame) -> None:
     sock.sendall(b"".join(frame.encode() for frame in batch))
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
+def _read_exact(sock: socket.socket | RecvBuffer, n: int) -> bytes:
     chunks = []
     remaining = n
     while remaining:
@@ -145,67 +156,171 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-class FrameServer(socketserver.ThreadingTCPServer):
-    """A threaded TCP server running one loop per connection.
+class RecvBuffer:
+    """The reading end of a socket, through one buffer: a read from the
+    socket takes every byte that has arrived, so a burst of frames costs
+    one system call, and ``has_frame`` tells whether the next frame is
+    already here."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._data = b""
+
+    def recv(self, n: int) -> bytes:
+        """At most ``n`` bytes: buffered ones, else from one socket read."""
+        if not self._data:
+            self._data = self.sock.recv(max(n, _RECV_SIZE))
+        chunk, self._data = self._data[:n], self._data[n:]
+        return chunk
+
+    def has_frame(self) -> bool:
+        data = self._data
+        return len(data) >= _HEADER.size and (
+            len(data) - _HEADER.size >= _HEADER.unpack_from(data)[1]
+        )
+
+
+class FrameServer:
+    """A TCP server that serves each connection on the thread that accepted it.
+
+    Worker threads block in ``accept()`` on the one listening socket,
+    which on Linux hands over a connection once its first bytes have
+    arrived. ``start`` starts one; a worker that accepts while no other is
+    idle starts one more, up to ``MAX_WORKERS``, and a connection past
+    that waits in the listen backlog until a worker is free.
 
     HEALTH gets HEALTH_OK carrying ``health`` at any point. The first
     other frame opens a session, ``open_session(frame) -> (session,
     replies)``, where a refusal is no session and an ABORT reply; each
-    later frame gets ``session.handle(frame) -> replies``. A frame's
-    replies leave in one write. A frame declaring more than ``first_limit``
-    bytes, or ``session.frame_limit(type)`` once a session is open, gets
-    an ABORT (``session.refuse(exc)``) before its payload is read. The
-    loop ends after CLOSE, an ABORT or POST_DOWN reply, a read or write
-    error or ``IDLE_TIMEOUT`` seconds of silence, then calls
-    ``session.drop()``.
+    later frame gets ``session.handle(frame) -> replies``. The frames of a
+    connection are read through a ``RecvBuffer``; every complete frame
+    already buffered is answered before the replies leave, all in one
+    write. A frame declaring more than ``first_limit`` bytes, or
+    ``session.frame_limit(type)`` once a session is open, gets an ABORT
+    (``session.refuse(exc)``), after the replies to the frames before it
+    and before its payload is read. The loop ends after CLOSE, an ABORT
+    or POST_DOWN reply, a read or write error or ``IDLE_TIMEOUT`` seconds
+    of silence, then calls ``session.drop()``.
     """
 
-    allow_reuse_address = True
-    daemon_threads = True
-
     def __init__(self, address, open_session: Callable, health=b"", first_limit=MAX_FRAME):
-        super().__init__(address, _FrameHandler)
+        self.socket = socket.create_server(address)
+        if hasattr(socket, "TCP_DEFER_ACCEPT"):  # Linux
+            # accept() returns once a connection's first bytes have arrived
+            # (or after 1 s without any), so a worker wakes with frames to
+            # answer instead of waiting on the client that is still making
+            # them: about half the thread switches of a notary session.
+            self.socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, 1)
+        self.server_address = self.socket.getsockname()
         self.open_session = open_session
         self.health = health
         self.first_limit = first_limit
+        self._lock = threading.Lock()
+        self._workers: list[threading.Thread] = []
+        self._idle = 0  # workers in, or on their way to, accept()
+        self._closed = False
 
     def start(self) -> "FrameServer":
-        """Serve from a daemon thread; returns the bound server."""
-        threading.Thread(target=self.serve_forever, daemon=True).start()
+        """Start the first worker; returns the bound server."""
+        with self._lock:
+            self._add_worker()
         return self
 
+    def shutdown(self) -> None:
+        """Stop accepting: wake every ``accept()``, and join each worker once
+        its connection, if it has one, has ended."""
+        with self._lock:
+            self._closed = True
+            workers = list(self._workers)
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # not listening
+            pass
+        for worker in workers:
+            worker.join()
 
-class _FrameHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        server: FrameServer = self.server  # type: ignore[assignment]
-        sock: socket.socket = self.request
+    def server_close(self) -> None:
+        self._closed = True
+        self.socket.close()
+
+    def handle_error(self, request, client_address) -> None:
+        """Report an exception that serving a connection raised; the worker
+        goes on accepting."""
+        import traceback
+
+        traceback.print_exc()
+
+    def _add_worker(self) -> None:
+        """Start one more worker; the caller holds the lock."""
+        worker = threading.Thread(target=self._work, daemon=True)
+        self._workers.append(worker)
+        self._idle += 1
+        worker.start()
+
+    def _work(self) -> None:
+        while True:
+            try:
+                conn, address = self.socket.accept()
+            except OSError:
+                if self._closed:
+                    return
+                continue
+            with self._lock:
+                self._idle -= 1
+                if not self._idle and len(self._workers) < MAX_WORKERS and not self._closed:
+                    self._add_worker()
+            with conn:
+                try:
+                    self._serve(conn)
+                except Exception:
+                    self.handle_error(conn, address)
+
+    def _free(self) -> None:
+        with self._lock:
+            self._idle += 1
+
+    def _serve(self, sock: socket.socket) -> None:
+        """Serve one connection; the worker counts as idle again from its
+        last write, or from the end if the peer hung up."""
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(IDLE_TIMEOUT)
+        received = RecvBuffer(sock)
         session = None
+        replies: list[Frame] = []
+        ending = False
         try:
-            while True:
+            while not ending:
                 try:
                     frame = read_frame(
-                        sock, session.frame_limit if session else lambda _: server.first_limit
+                        received, session.frame_limit if session else lambda _: self.first_limit
                     )
                 except FrameTooLarge as exc:
                     refusal = [Frame(ABORT, str(exc).encode())]
-                    write_frame(sock, *(session.refuse(exc) if session else refusal))
-                    return
+                    replies += session.refuse(exc) if session else refusal
+                    ending = True
                 except ProtocolError:  # the peer hung up mid-frame
                     return
-                if frame.type == HEALTH:
-                    replies = [Frame(HEALTH_OK, server.health)]
-                elif session is None:
-                    session, replies = server.open_session(frame)
                 else:
-                    replies = session.handle(frame)
-                write_frame(sock, *replies)
-                if frame.type == CLOSE or any(r.type in _ENDING_REPLIES for r in replies):
-                    return
+                    if frame.type == HEALTH:
+                        answer = [Frame(HEALTH_OK, self.health)]
+                    elif session is None:
+                        session, answer = self.open_session(frame)
+                    else:
+                        answer = session.handle(frame)
+                    replies += answer
+                    ending = frame.type == CLOSE or any(r.type in ENDING_REPLIES for r in answer)
+                if ending:
+                    # Before the last write: the peer may connect again as
+                    # soon as it has read it, and should find a worker.
+                    self._free()
+                if replies and (ending or not received.has_frame()):
+                    write_frame(sock, *replies)
+                    replies = []
         except OSError:  # the peer is gone, or silent for IDLE_TIMEOUT seconds
             return
         finally:
+            if not ending:
+                self._free()
             if session is not None:
                 session.drop()
 

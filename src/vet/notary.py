@@ -26,8 +26,13 @@ under the handshake key, which only prover and server hold. The session
 then ends, as it does at an ABORT, a CLOSE or a dropped connection. The
 server draws its secrets fresh for each connection, so nothing outlives
 a session: the service keeps only the ids of live sessions, and
-``max_sessions`` bounds them. A session of one exchange is four round
-trips: OPEN, the handshake, the request with END_UP, and FIN.
+``max_sessions`` bounds them. Over TCP a session of one exchange is two
+round trips: ``[OPEN, HS_UP]``, then the request's ``RELAY_UP`` records
+with ``END_UP`` and ``FIN`` (see ``webproof.NotarizedSession``). The
+server answers every frame that has arrived before it writes, so each
+burst's replies leave in one write: ``[OPEN_OK, HS_DOWN]``, then an
+``ACK`` per record, the response records, ``END_DOWN``, ``STATEMENT``
+and ``POST_DOWN``.
 
 Over TCP a frame is bounded before its payload is read: a ``RELAY_UP``
 by the session's remaining up capacity and a tag, any other frame, and
@@ -253,7 +258,7 @@ class NotaryTCPServer(frames.FrameServer):
 
 
 def serve(service: NotaryService, host: str = "127.0.0.1", port: int = 0) -> NotaryTCPServer:
-    """Start a TCP notary in a daemon thread; returns the bound server."""
+    """Start a TCP notary on its first worker thread; returns the bound server."""
     return NotaryTCPServer((host, port), service).start()
 
 

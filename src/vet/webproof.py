@@ -258,7 +258,9 @@ _LAST_REPLY = {frames.END_UP: frames.END_DOWN, frames.FIN: frames.POST_DOWN}
 
 
 class TCPChannel:
-    """Same protocol as ProvisionedChannel, over a real socket."""
+    """Same protocol as ProvisionedChannel, over a real socket. Its OPEN
+    leaves with its first batch, and the notary's reply to it is read
+    ahead of that batch's replies."""
 
     def __init__(
         self,
@@ -273,32 +275,36 @@ class TCPChannel:
 
         self.session_id = session_id
         self._sock = socket.create_connection((host, port), timeout=frames.IDLE_TIMEOUT)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._received = frames.RecvBuffer(self._sock)
+        self._opening: Frame | None = _open_frame(session_id, domain, cap_up, cap_down)
+        self._open = False  # whether the notary holds a session for this channel
+
+    def exchange(self, *batch: Frame) -> list[Frame]:
+        """Send ``batch`` in one write, then read the replies to each frame
+        in turn, up to an ABORT: one frame, or every frame up to END_DOWN
+        for END_UP and up to POST_DOWN for FIN. The first batch goes after
+        OPEN; a refusal is a ProtocolError."""
+        opening, self._opening = self._opening, None
         try:
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            frames.write_frame(self._sock, _open_frame(session_id, domain, cap_up, cap_down))
-            reply = frames.read_frame(self._sock)
+            frames.write_frame(self._sock, *((opening, *batch) if opening else batch))
+        except ConnectionError:  # the notary may have aborted mid-batch; read its ABORT
+            pass
+        if opening is not None:
+            reply = frames.read_frame(self._received)
             if reply.type == frames.ABORT:
                 raise ProtocolError(f"notary rejected session: {reply.payload.decode()}")
             self.notary_public_key = json_field(
                 canonical_loads(reply.payload), "notary_public_key"
             )
-        except BaseException:
-            self._sock.close()
-            raise
-
-    def exchange(self, *batch: Frame) -> list[Frame]:
-        """Send ``batch`` in one write, then read the replies to each frame
-        in turn, up to an ABORT: one frame, or every frame up to END_DOWN
-        for END_UP and up to POST_DOWN for FIN."""
-        try:
-            frames.write_frame(self._sock, *batch)
-        except ConnectionError:  # the notary may have aborted mid-batch; read its ABORT
-            pass
+            self._open = True
         replies = []
         for frame in batch:
             last = _LAST_REPLY.get(frame.type)
             while True:
-                replies.append(frames.read_frame(self._sock))
+                replies.append(frames.read_frame(self._received))
+                if replies[-1].type in frames.ENDING_REPLIES:
+                    self._open = False
                 if replies[-1].type == frames.ABORT:
                     return replies
                 if last in (None, replies[-1].type):
@@ -306,12 +312,15 @@ class TCPChannel:
         return replies
 
     def close(self) -> None:
-        """Send CLOSE and hang up. The notary may have hung up already, after
-        FIN or an ABORT, and the channel may be closed already."""
-        try:
-            frames.write_frame(self._sock, Frame(frames.CLOSE, b""))
-        except OSError:
-            pass
+        """Send CLOSE while the notary holds the session, and hang up. After
+        POST_DOWN or an ABORT the notary has hung up already; a second
+        close does nothing."""
+        if self._open:
+            self._open = False
+            try:
+                frames.write_frame(self._sock, Frame(frames.CLOSE, b""))
+            except OSError:
+                pass
         self._sock.close()
 
 
@@ -353,7 +362,7 @@ class _Sent(NamedTuple):
     secret: list[bool]  # per up record: does it lie inside a secret span
     up_keys: list[bytes]
     up_wires: list[bytes]
-    down_wires: list[bytes]
+    down_wires: list[bytes]  # filled once the exchange held back is sent
     claims: dict
 
 
@@ -367,6 +376,14 @@ class NotarizedSession:
     then releases, and returns each exchange's response and web proof,
     in order.
 
+    ``send`` seals its request's records and holds them back, with END_UP,
+    until the next ``send`` or ``finish``, which sends them first in its
+    own batch: the last exchange leaves with FIN. So a session of one
+    exchange over TCP takes two round trips, ``[OPEN, HS_UP]`` and
+    ``[RELAY_UP..., END_UP, FIN]``, and a failure of an exchange, such as
+    a response over the down capacity, is raised by the call that sends
+    it. The held-back up records are on ``chain`` already.
+
     Protocol order matters: the notary signs the head of the record chain
     before the server releases the down-direction key seed, so nothing in
     the prover's pre-signature view determines a response plaintext. The
@@ -379,6 +396,7 @@ class NotarizedSession:
         self.channel = channel
         self.rng = rng
         self._sent: list[_Sent] = []
+        self._held: list[Frame] = []  # the last exchange's frames, not yet sent
         self.chain = toytls.RecordChain()  # of every record sent and received
         # Handshake: ephemeral X25519, server signs the transcript binding.
         eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
@@ -408,15 +426,21 @@ class NotarizedSession:
     def send(
         self, request_bytes: bytes, secret_spans: list[tuple[int, int]], claims: dict
     ) -> None:
-        """Send a request as records split at secret-span boundaries, in
-        one batch with its END_UP, and take the response records; they
-        stay sealed until ``finish``. ``claims`` must be exactly
-        ``{"input": x}``, with ``x`` the input the request renders."""
+        """Send the exchange held back, then seal a request as records split
+        at secret-span boundaries and hold them back with END_UP; the
+        response records stay sealed until ``finish``. ``claims`` must be
+        exactly ``{"input": x}``, with ``x`` the input the request renders."""
         claims = _read_claims(claims)
         if not request_bytes:
             raise ValidationError("a request must carry at least one byte")
         secret_spans = toytls.normalize_ranges(secret_spans, len(request_bytes))
         record_spans = toytls.split_records(len(request_bytes), secret_spans)
+        if self._held:
+            try:
+                self._flush()
+            except BaseException:
+                self.channel.close()
+                raise
         first = sum(len(sent.up_wires) for sent in self._sent)
         up_keys = [
             toytls.derive_record_key("up", self._up_secret, first + i)
@@ -426,33 +450,39 @@ class NotarizedSession:
             toytls.seal_record(key, request_bytes[offset:offset + length])
             for key, (offset, length) in zip(up_keys, record_spans)
         ]
-        batch = [Frame(frames.RELAY_UP, wire) for wire in up_wires]
-        try:
-            replies = self.channel.exchange(*batch, Frame(frames.END_UP, b""))
-            _raise_on_abort(replies)
-            acks, down = replies[:len(batch)], replies[len(batch):]
-            if any(ack.type != frames.ACK for ack in acks) or not down:
-                raise ProtocolError(f"expected an ACK per record, got {[r.type for r in acks]}")
-            if down[-1].type != frames.END_DOWN:
-                raise ProtocolError("response did not terminate with END_DOWN")
-        except BaseException:
-            self.channel.close()
-            raise
-        down_wires = [r.payload for r in down if r.type == frames.RELAY_DOWN]
-        for direction, wires in (("up", up_wires), ("down", down_wires)):
-            for wire in wires:
-                self.chain.add(direction, wire)
+        for wire in up_wires:
+            self.chain.add("up", wire)
         secret = [_overlaps_secret(*span, secret_spans) for span in record_spans]
-        self._sent.append(
-            _Sent(len(request_bytes), secret, up_keys, up_wires, down_wires, claims)
-        )
+        self._sent.append(_Sent(len(request_bytes), secret, up_keys, up_wires, [], claims))
+        self._held = [Frame(frames.RELAY_UP, wire) for wire in up_wires]
+        self._held.append(Frame(frames.END_UP, b""))
+
+    def _flush(self, *more: Frame) -> list[Frame]:
+        """Send the held-back exchange and ``more`` in one batch, take the
+        exchange's response records, and return the replies to ``more``."""
+        held, self._held = self._held, []
+        replies = self.channel.exchange(*held, *more)
+        _raise_on_abort(replies)
+        if not held:
+            return replies
+        acks, down = replies[:len(held) - 1], replies[len(held) - 1:]
+        if any(ack.type != frames.ACK for ack in acks):
+            raise ProtocolError(f"expected an ACK per record, got {[r.type for r in acks]}")
+        end = next((i for i, r in enumerate(down) if r.type != frames.RELAY_DOWN), len(down))
+        if end == len(down) or down[end].type != frames.END_DOWN:
+            raise ProtocolError("response did not terminate with END_DOWN")
+        for reply in down[:end]:
+            self.chain.add("down", reply.payload)
+            self._sent[-1].down_wires.append(reply.payload)
+        return down[end + 1:]
 
     def finish(self) -> list[tuple[bytes, WebProof]]:
-        """FIN: the notary signs the chain, and the server then releases the
-        seed, sealed under the handshake key; the session is over."""
+        """FIN, after the exchange held back: the notary signs the chain, and
+        the server then releases the seed, sealed under the handshake key;
+        the session is over."""
         try:
             statement, released = _expect(
-                self.channel.exchange(Frame(frames.FIN, b"")), frames.STATEMENT, frames.POST_DOWN
+                self._flush(Frame(frames.FIN, b"")), frames.STATEMENT, frames.POST_DOWN
             )
             signed = SignedStatement.from_obj(canonical_loads(statement.payload))
             signed.check_session(
@@ -767,11 +797,16 @@ class NotarizedRun:
     request that would overflow the session's remaining up capacity, the
     session is finished and a fresh one opened. A response that
     overflows the down capacity makes the notary abort the session; the
-    exchanges it carried are then replayed in a fresh session, which is
-    finished, and the overflowing one is sent in a session of its own. An
-    exchange that does not fit even a fresh session raises
-    ``CapacityExceeded``. Replays need components that answer a request
-    the same way again, as ``composer.prove_trace`` already does.
+    exchanges it carried before the overflowing one are then replayed in
+    a fresh session, which is finished, and the overflowing one is sent
+    in a session of its own. An exchange that does not fit even a fresh
+    session raises ``CapacityExceeded``. Replays need components that
+    answer a request the same way again, as ``composer.prove_trace``
+    already does.
+
+    A session holds each exchange back until the next one or FIN (see
+    ``NotarizedSession``), so the exchange that overflowed is always the
+    last one the session carried.
     """
 
     def __init__(self, prover: WebProofProver, host: str):
@@ -779,34 +814,48 @@ class NotarizedRun:
         self.host = host
         self._finished: list[list[tuple[bytes, WebProof]]] = []
         self._session: NotarizedSession | None = None
-        self._carried: list[tuple] = []  # what the open session has sent
+        self._carried: list[tuple] = []  # what the open session has sent or holds
 
     def add(self, request_bytes: bytes, secret_spans: list[tuple[int, int]], x: str) -> None:
         """Send the request rendered for input ``x``, with its secret spans."""
-        exchange = (request_bytes, secret_spans, {"input": x})
-        session = self._session
-        if session and session.chain.used["up"] + len(request_bytes) > self.prover.cap_up:
-            self._finish_session()
-        try:
-            self._send(exchange)
-        except CapacityExceeded:
-            carried, self._session, self._carried = self._carried, None, []
-            if not carried:
-                raise
-            for earlier in carried:
-                self._send(earlier)
-            self._finish_session()
-            self._send(exchange)
+        self._send((request_bytes, secret_spans, {"input": x}))
 
     def _send(self, exchange: tuple) -> None:
-        if self._session is None:
-            self._session = self.prover.new_session(self.host)
-        self._session.send(*exchange)
+        while True:
+            session = self._session
+            if session and session.chain.used["up"] + len(exchange[0]) > self.prover.cap_up:
+                self._finish_session()
+            if self._session is None:
+                self._session = self.prover.new_session(self.host)
+            try:
+                self._session.send(*exchange)
+                break
+            except CapacityExceeded as exc:
+                self._replay(exc)
         self._carried.append(exchange)
 
     def _finish_session(self) -> None:
-        self._finished.append(self._session.finish())
+        while True:
+            try:
+                self._finished.append(self._session.finish())
+                break
+            except CapacityExceeded as exc:
+                self._replay(exc)
         self._session, self._carried = None, []
+
+    def _replay(self, exc: CapacityExceeded) -> None:
+        """The open session aborted on the last exchange it carried: replay
+        the ones before it in a fresh session and finish that, then open a
+        session holding the overflowing one alone. If none came before,
+        the exchange fits no session: raise ``exc``."""
+        *earlier, overflowed = self._carried
+        self._session, self._carried = None, []
+        if not earlier:
+            raise exc
+        for exchange in earlier:
+            self._send(exchange)
+        self._finish_session()
+        self._send(overflowed)
 
     def finish(self) -> list[tuple[dict, list[tuple[bytes, dict]]]]:
         """Finish the open session; per session, its signed statement and

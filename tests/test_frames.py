@@ -1,4 +1,7 @@
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
@@ -101,3 +104,102 @@ def test_failed_reply_write_ends_the_connection_quietly(rig, opened_sessions, mo
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _health(sock):
+    frames.write_frame(sock, Frame(frames.HEALTH, b""))
+    return frames.read_frame(sock)
+
+
+def test_a_connection_past_the_worker_cap_waits_for_a_free_worker(monkeypatch):
+    monkeypatch.setattr(frames, "MAX_WORKERS", 2)
+    server = frames.serve_relay(make_echo_handler(), health=b"ok")
+    try:
+        first = socket.create_connection(server.server_address, timeout=5)
+        second = socket.create_connection(server.server_address, timeout=5)
+        assert _health(first) == _health(second) == Frame(frames.HEALTH_OK, b"ok")
+        with socket.create_connection(server.server_address, timeout=5) as third:
+            frames.write_frame(third, Frame(frames.HEALTH, b""))
+            third.settimeout(0.3)
+            with pytest.raises(TimeoutError):
+                third.recv(1)  # in the backlog: both workers are busy
+            first.close()
+            third.settimeout(5)
+            assert frames.read_frame(third) == Frame(frames.HEALTH_OK, b"ok")
+        second.close()
+        assert len(server._workers) == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_client_silent_past_the_accept_deferral_is_served():
+    # A listening socket may hold a connection back from accept() until
+    # its first bytes arrive, for 1 s at most; one that stays silent
+    # longer is served all the same.
+    server = frames.serve_relay(make_echo_handler(), health=b"ok")
+    try:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            time.sleep(1.5)
+            assert _health(sock) == Frame(frames.HEALTH_OK, b"ok")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_sequential_sessions_take_two_workers_and_shutdown_ends_them(rig):
+    from vet import notary, webproof
+
+    baseline = threading.active_count()
+    server = notary.serve(rig.service)
+    request, spans = rig.registry.render_call(rig.entry, "seq", {"token": "T" * 16})
+    counts = []
+    try:
+        host, port = server.server_address
+        for i in range(10):
+            channel = webproof.TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, f"seq-{i}")
+            webproof.run_session(channel, request, spans, claims={"input": "seq"})
+            counts.append(threading.active_count())
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert max(counts) <= baseline + 2, counts
+    for worker in server._workers:
+        worker.join(timeout=1)
+        assert not worker.is_alive()
+    assert threading.active_count() <= baseline
+
+
+def test_workers_count_idle_exactly_under_concurrent_clients():
+    # Four clients on two cores, with thread switches forced often: every
+    # request is answered, and once all have hung up every worker counts
+    # as idle again, which a lost update of the count would break.
+    server = frames.serve_relay(make_echo_handler())
+    host, port = server.server_address
+    errors = []
+
+    def client():
+        try:
+            for _ in range(10):
+                assert b'{"echo":"r"}' in frames.relay(host, port, REQUEST)
+        except Exception as exc:  # pragma: no cover - collected for assert
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(4)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        deadline = time.monotonic() + 5
+        while server._idle != len(server._workers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        sys.setswitchinterval(interval)
+        server.shutdown()
+        server.server_close()
+    assert errors == []
+    assert server._idle == len(server._workers)

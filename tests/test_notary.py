@@ -216,6 +216,9 @@ def test_tcp_disconnect_aborts_session(rig, opened_sessions):
     try:
         host, port = server.server_address
         channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-drop")
+        # OPEN leaves with the handshake: a channel that sent nothing opens
+        # no session.
+        _real_handshake(channel)
         channel._sock.close()  # drop mid-session without CLOSE
         session = opened_sessions["tcp-drop"]
         for _ in range(100):
@@ -567,28 +570,35 @@ def test_session_state_is_constant_in_its_records(rig):
     assert many_bytes - one_bytes == len(str(many)) - len(str(one))
 
 
-def _send_header(sock, ftype, length):
-    sock.sendall(bytes([ftype]) + length.to_bytes(4, "big"))
-
-
-@pytest.mark.parametrize("opened", [False, True], ids=["before-open", "after-open"])
-def test_tcp_frame_over_its_bound_is_refused_unread(rig, opened_sessions, opened):
+@pytest.mark.parametrize("when", ["before-open", "after-open", "in-a-burst"])
+def test_tcp_frame_over_its_bound_is_refused_unread(rig, opened_sessions, when):
     # A header declaring 16 MiB - 1 against a 64 KiB session: the notary
-    # answers ABORT and hangs up without waiting for the payload.
+    # answers ABORT and hangs up without waiting for the payload. In a
+    # burst, the frames before it are answered first.
     server = notary_mod.serve(rig.service)
     try:
         host, port = server.server_address
-        session_id = f"oversize-{opened}"
+        session_id = f"oversize-{when}"
+        header = bytes([frames.OPEN if when == "before-open" else frames.RELAY_UP])
+        header += ((1 << 24) - 1).to_bytes(4, "big")
         with socket.create_connection((host, port), timeout=5) as sock:
-            if opened:
+            if when == "after-open":
                 frames.write_frame(sock, _open_frame(session_id, cap_up=1 << 16))
                 assert frames.read_frame(sock).type == frames.OPEN_OK
-            _send_header(sock, frames.RELAY_UP if opened else frames.OPEN, (1 << 24) - 1)
+            if when == "in-a-burst":
+                eph = X25519PrivateKey.from_private_bytes(bytes(range(32)))
+                hello = canonical_bytes({"client_eph": toytls.pub_hex(eph), "nonce": "00" * 16})
+                burst = _open_frame(session_id).encode() + frames.encode(frames.HS_UP, hello)
+                sock.sendall(burst + header + b"x" * 100)
+                types = [frames.read_frame(sock).type for _ in range(2)]
+                assert types == [frames.OPEN_OK, frames.HS_DOWN]
+            else:
+                sock.sendall(header)
             reply = frames.read_frame(sock)
             assert reply.type == frames.ABORT
             assert f"frame of {(1 << 24) - 1} bytes exceeds limit".encode() in reply.payload
             assert sock.recv(1) == b""
-        if opened:
+        if when != "before-open":
             entry = opened_sessions[session_id]
             assert entry.state == STATE_ABORTED
             assert entry.abort_reason.startswith("up capacity 65536 exceeded: frame of")
@@ -630,16 +640,19 @@ def test_capacity_abort_inside_a_batch_raises(rig, opened_sessions):
         server.server_close()
 
 
-def test_tcp_session_takes_four_round_trips(rig, monkeypatch):
-    # OPEN, the handshake, the request's records with END_UP in one batch,
-    # and FIN, answered by the statement and the released seed; CLOSE
-    # expects no reply.
+def test_tcp_session_takes_two_round_trips(rig, monkeypatch):
+    # OPEN leaves with the handshake, and FIN with the request's records
+    # and END_UP; the server answers each burst in one write, and the
+    # prover sends no CLOSE after POST_DOWN.
     server = notary_mod.serve(rig.service)
     writes = []
-    exchange = TCPChannel.exchange
-    monkeypatch.setattr(
-        TCPChannel, "exchange", lambda self, *batch: writes.append(batch) or exchange(self, *batch)
-    )
+    write_frame = frames.write_frame
+
+    def spy(sock, *batch):
+        writes.append([f.type for f in batch])
+        write_frame(sock, *batch)
+
+    monkeypatch.setattr(frames, "write_frame", spy)
     try:
         host, port = server.server_address
         channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "round-trips")
@@ -648,9 +661,16 @@ def test_tcp_session_takes_four_round_trips(rig, monkeypatch):
 
         request, spans = render(template, "trips", {"token": "T" * 16})
         run_session(channel, request, sorted(spans.values()), claims={"input": "trips"})
-        assert 1 + len(writes) == 4
-        assert [f.type for f in writes[1]] == [frames.RELAY_UP] * 3 + [frames.END_UP]
-        assert [f.type for f in writes[2]] == [frames.FIN]
+        assert len(writes) == 4
+        assert writes[0] == [frames.OPEN, frames.HS_UP]
+        assert writes[1] == [frames.OPEN_OK, frames.HS_DOWN]
+        assert writes[2] == [frames.RELAY_UP] * 3 + [frames.END_UP, frames.FIN]
+        down = len(writes[3]) - 6
+        assert down >= 1
+        assert writes[3] == (
+            [frames.ACK] * 3 + [frames.RELAY_DOWN] * down
+            + [frames.END_DOWN, frames.STATEMENT, frames.POST_DOWN]
+        )
     finally:
         server.shutdown()
         server.server_close()
@@ -757,6 +777,7 @@ def test_sessions_leave_nothing_behind(rig, monkeypatch):
         for i in range(100):
             channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, f"tcp-mem-{i}")
             if i % 5 == 0:
+                _real_handshake(channel)  # OPEN leaves with the handshake
                 channel._sock.close()  # dropped without CLOSE
             else:
                 run_session(channel, request, rng=random.Random(i), claims={"input": "m" * 40})
@@ -854,8 +875,10 @@ def test_prover_closes_its_socket_on_a_refused_open_or_an_aborted_handshake(rig,
     server = notary_mod.serve(service)
     try:
         host, port = server.server_address
+        # OPEN leaves with the handshake, so the session refuses it.
+        refused = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "refused")
         with pytest.raises(ProtocolError, match="notary rejected session: session limit reached"):
-            TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "refused")
+            NotarizedSession(refused, random.Random(0))
         service.max_sessions = 1
 
         def no_hello(self, payload):
@@ -870,5 +893,5 @@ def test_prover_closes_its_socket_on_a_refused_open_or_an_aborted_handshake(rig,
         server.server_close()
     assert len(sockets) == 2
     assert [sock.fileno() for sock in sockets] == [-1, -1]
-    del channel, sockets
+    del channel, refused, sockets
     gc.collect()
