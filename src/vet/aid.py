@@ -11,7 +11,7 @@ recompute it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from urllib.parse import urlparse
 
 from .canonical import canonical_bytes, is_hash_string, json_field
@@ -196,8 +196,11 @@ def _id_of(canonical: bytes) -> str:
 
 
 def canonicalize(aid: AgentIdentityDocument) -> bytes:
-    """Canonical bytes of the document with agent_hash excluded."""
-    violations = [v for v in validate(aid) if v.path != "/agent_hash"]
+    """Canonical bytes of the document with agent_hash excluded.
+
+    The advisory hash is no part of them, so it is left unchecked: the
+    document is validated without it, and encoded once."""
+    violations = validate(replace(aid, agent_hash=None))
     if violations:
         raise ValidationError("; ".join(str(v) for v in violations))
     return _canonical_unchecked(aid)
@@ -228,8 +231,7 @@ def instantiate_verifier(aid: AgentIdentityDocument, trust_store: TrustStore):
     is consulted. Raises ValidationError for unsupported schemes or
     unknown template uids.
     """
-    violations = validate(aid, trust_store.registry)
-    violations = [v for v in violations if v.path != "/agent_hash"]
+    violations = validate(replace(aid, agent_hash=None), trust_store.registry)
     if violations:
         raise ValidationError("; ".join(str(v) for v in violations))
     for entry in (aid.core, *aid.tools):

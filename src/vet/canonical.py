@@ -218,30 +218,41 @@ def is_hash_string(value: str) -> bool:
     return isinstance(value, str) and _HASH_STRING.fullmatch(value) is not None
 
 
-def json_pointer(doc: Any, pointer: str) -> Any:
-    """Resolve an RFC 6901 JSON pointer against ``doc``.
+class JsonPointer:
+    """An RFC 6901 JSON pointer, split into its unescaped tokens once, so
+    that a template resolves it against many documents."""
 
-    Raises KeyError naming the pointer when a token does not resolve.
-    """
-    if pointer == "":
-        return doc
-    if not pointer.startswith("/"):
-        raise KeyError(f"invalid JSON pointer {pointer!r}")
-    node = doc
-    for raw in pointer.split("/")[1:]:
-        token = raw.replace("~1", "/").replace("~0", "~")
-        if isinstance(node, dict):
-            if token not in node:
-                raise KeyError(f"pointer {pointer!r}: missing key {token!r}")
-            node = node[token]
-        elif isinstance(node, list):
-            try:
-                index = int(token)
-            except ValueError:
-                raise KeyError(f"pointer {pointer!r}: bad index {token!r}")
-            if not 0 <= index < len(node):
-                raise KeyError(f"pointer {pointer!r}: index {index} out of range")
-            node = node[index]
-        else:
-            raise KeyError(f"pointer {pointer!r}: cannot descend into scalar")
-    return node
+    __slots__ = ("text", "tokens")
+
+    def __init__(self, text: str):
+        self.text = text
+        # None marks text that is not a pointer; resolving it is an error.
+        self.tokens = (
+            tuple(raw.replace("~1", "/").replace("~0", "~") for raw in text.split("/")[1:])
+            if text == "" or text.startswith("/")
+            else None
+        )
+
+    def resolve(self, doc: Any) -> Any:
+        """The value the pointer names in ``doc``; KeyError naming the
+        pointer when a token does not resolve."""
+        pointer = self.text
+        if self.tokens is None:
+            raise KeyError(f"invalid JSON pointer {pointer!r}")
+        node = doc
+        for token in self.tokens:
+            if isinstance(node, dict):
+                if token not in node:
+                    raise KeyError(f"pointer {pointer!r}: missing key {token!r}")
+                node = node[token]
+            elif isinstance(node, list):
+                try:
+                    index = int(token)
+                except ValueError:
+                    raise KeyError(f"pointer {pointer!r}: bad index {token!r}")
+                if not 0 <= index < len(node):
+                    raise KeyError(f"pointer {pointer!r}: index {index} out of range")
+                node = node[index]
+            else:
+                raise KeyError(f"pointer {pointer!r}: cannot descend into scalar")
+        return node

@@ -367,9 +367,12 @@ def serve_relay(
 
 
 def relay(host: str, port: int, payload: bytes) -> bytes:
-    """One RELAY_UP/RELAY_DOWN round trip; any other reply is a ProtocolError."""
+    """One RELAY_UP/RELAY_DOWN round trip; any other reply is a ProtocolError.
+
+    CLOSE leaves with the request, so that the server's worker counts
+    itself idle before it writes the reply and the next call finds it."""
     with socket.create_connection((host, port), timeout=IDLE_TIMEOUT) as sock:
-        write_frame(sock, Frame(RELAY_UP, payload))
+        write_frame(sock, Frame(RELAY_UP, payload), Frame(CLOSE, b""))
         reply = read_frame(sock)
     if reply.type != RELAY_DOWN:
         raise ProtocolError(f"relay error: {reply.payload.decode('utf-8', 'replace')}")

@@ -21,16 +21,36 @@ secret slot made before would verify; it waits for the next format
 change. A ProxyTEE request is public, so its template has no secret
 slot, and the verifier compares the attested request with the rendering
 byte for byte.
+
+Both sides render every call, the prover to send it and the verifier to
+check it, so each inject template is compiled once, when it is built,
+and keeps its compiled form for its lifetime (no module-level cache, so
+a long-running verifier's memory is bounded by the templates it holds).
+The compiled form is the template's request as fixed bytes around its
+slots: the request line, split at the input if the path holds it; the
+fixed header lines between secret values; and the canonical body, cut
+in two at the input slot. A sentinel string found exactly once in the
+body's canonical bytes marks the cut, and a rendering puts the input
+there as ``json.encoder.encode_basestring`` spells it, the string
+encoder of ``canonical_bytes``, so the bytes equal those of serializing
+the whole body with the input set. Per call only the input, the secret
+padding, the span offsets and ``Content-Length`` are formed. An input
+pointer that does not resolve in the body fails each rendering, not the
+template's registration, so a proof naming such a template is a
+template mismatch. A parse template splits each of its JSON pointers
+into tokens once.
 """
 
 from __future__ import annotations
 
-import json
+import copy
+import itertools
 import pathlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Mapping
 
-from .canonical import canonical_bytes, canonical_loads, content_hash, json_field, json_pointer
+from .canonical import JsonPointer, canonical_bytes, canonical_loads, content_hash, json_field
 from .errors import Rejected, ValidationError
 from .httpmsg import parse_request, parse_response
 from .toytls import split_records
@@ -54,6 +74,10 @@ class InjectTemplate:
     body: dict | None
     input_pointer: str | None
     chunk_size: int
+    _compiled: _Compiled = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_compiled", _compile(self))
 
     @classmethod
     def from_obj(cls, obj: dict) -> "InjectTemplate":
@@ -113,6 +137,18 @@ class ParseTemplate:
     calls_pointer: str | None
     call_tool_pointer: str
     call_input_pointer: str
+    # Each pointer above, split into its tokens once (None for no calls pointer).
+    _output: JsonPointer = field(init=False, repr=False, compare=False)
+    _calls: JsonPointer | None = field(init=False, repr=False, compare=False)
+    _call_tool: JsonPointer = field(init=False, repr=False, compare=False)
+    _call_input: JsonPointer = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_output", JsonPointer(self.output_pointer))
+        calls = None if self.calls_pointer is None else JsonPointer(self.calls_pointer)
+        object.__setattr__(self, "_calls", calls)
+        object.__setattr__(self, "_call_tool", JsonPointer(self.call_tool_pointer))
+        object.__setattr__(self, "_call_input", JsonPointer(self.call_input_pointer))
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ParseTemplate":
@@ -134,12 +170,82 @@ class ParseTemplate:
         )
 
 
-def _set_pointer(doc, pointer: str, value) -> None:
-    """Replace the value at ``pointer``, which resolves in ``doc``."""
-    parent, _, last = pointer.rpartition("/")
-    node = json_pointer(doc, parent)
-    token = last.replace("~1", "/").replace("~0", "~")
-    node[int(token) if isinstance(node, list) else token] = value
+@dataclass(frozen=True)
+class _SecretSlot:
+    name: str
+    declared: int  # the value's length, in characters, padding included
+    lead: bytes  # the fixed head bytes from the previous slot to this value
+    skew: int  # bytes minus characters of the header's "name: " prefix
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """An inject template's request, as fixed bytes around its slots."""
+
+    line_start: bytes  # the request line up to its input slot, or all of it
+    line_end: bytes | None  # the rest of the request line, for a path slot
+    secrets: tuple[_SecretSlot, ...]
+    tail: bytes  # the fixed header lines after the last secret value
+    body: tuple[bytes, ...] | None  # the body, or its two halves around the input
+    error: str | None  # why the template renders no input, if it cannot
+
+
+def _compile(template: InjectTemplate) -> _Compiled:
+    """Cut the request that ``template`` renders into fixed bytes and slots."""
+    method, path = template.method, template.path
+    if INPUT_SLOT in path:
+        before, after = path.split(INPUT_SLOT)
+        line_start, line_end = f"{method} {before}".encode(), f"{after} HTTP/1.1\r\n".encode()
+    else:
+        line_start, line_end = f"{method} {path} HTTP/1.1\r\n".encode(), None
+    secrets = []
+    fixed = ""  # header text since the last secret value
+    for header in template.headers:
+        name = header["name"]
+        if "secret" not in header:
+            fixed += f"{name}: {header['value']}\r\n"
+            continue
+        prefix = f"{name}: "
+        declared = json_field(header, "length", int)
+        lead = (fixed + prefix).encode()
+        # The span's offset counts the prefix in characters, not bytes, as
+        # every rendering has: the two differ for a non-ASCII header name.
+        skew = len(prefix.encode()) - len(prefix)
+        secrets.append(_SecretSlot(header["secret"], declared, lead, skew))
+        fixed = "\r\n"
+    body, error = None, None
+    if template.body is not None:
+        try:
+            body = _split_body(template.body, template.input_pointer)
+        except ValidationError as exc:
+            error = str(exc)
+    return _Compiled(line_start, line_end, tuple(secrets), fixed.encode(), body, error)
+
+
+def _split_body(body: dict, pointer: str | None) -> tuple[bytes, ...]:
+    """The canonical body bytes, cut in two around the input slot if it has one.
+
+    A sentinel string stands in for the input; one is drawn that the
+    body's canonical bytes hold exactly once, and it is the input's: a
+    JSON string there encodes in canonical JSON to the same bytes wherever
+    it stands, so only the bytes between the two halves vary."""
+    if not pointer:
+        return (canonical_bytes(body),)
+    doc = copy.deepcopy(body)
+    slot = JsonPointer(pointer)
+    try:
+        slot.resolve(doc)
+    except KeyError:
+        raise ValidationError(f"input pointer {pointer!r} missing from body template")
+    node = JsonPointer(pointer.rpartition("/")[0]).resolve(doc)
+    key = int(slot.tokens[-1]) if isinstance(node, list) else slot.tokens[-1]
+    for n in itertools.count():
+        sentinel = f"\x00input-slot-{n}"
+        node[key] = sentinel
+        data = canonical_bytes(doc)
+        encoded = encode_basestring(sentinel).encode()
+        if data.count(encoded) == 1:
+            return tuple(data.split(encoded))
 
 
 def render(
@@ -154,55 +260,39 @@ def render(
     spans; the ProxyTEE verifier, whose templates have no secret slot,
     compares an attested request with the rendering byte for byte.
     """
-    path = template.path
-    if INPUT_SLOT in path:
+    compiled = template._compiled
+    parts = [compiled.line_start]
+    if compiled.line_end is not None:
         if any(c in x for c in " {}\r\n"):
             raise ValidationError(f"input {x!r} not encodable in a path slot")
-        path = path.replace(INPUT_SLOT, x)
+        parts += (x.encode(), compiled.line_end)
+    if compiled.error is not None:
+        raise ValidationError(compiled.error)
+    if compiled.body is not None:
+        body = encode_basestring(x).encode().join(compiled.body)
 
-    body = b""
-    if template.body is not None:
-        doc = json.loads(json.dumps(template.body))
-        if template.input_pointer:
-            try:
-                json_pointer(doc, template.input_pointer)
-            except KeyError:
-                raise ValidationError(
-                    f"input pointer {template.input_pointer!r} missing from body template"
-                )
-            _set_pointer(doc, template.input_pointer, x)
-        body = canonical_bytes(doc)
-
-    # Assemble the head manually so secret spans land on the chunk grid.
-    request_line = f"{template.method} {path} HTTP/1.1"
-    offset = len(request_line.encode("utf-8")) + 2
+    # Secret values start on the chunk grid, counted from the request's start.
+    offset = sum(map(len, parts))
     spans: dict[str, tuple[int, int]] = {}
-    rendered_headers: list[str] = []
-    for header in template.headers:
-        name = header["name"]
-        if "secret" in header:
-            secret_name = header["secret"]
-            declared = json_field(header, "length", int)
-            value = secrets.get(secret_name, "")
-            if len(value) > declared:
-                raise ValidationError(
-                    f"secret {secret_name!r} longer than declared length {declared}"
-                )
-            prefix = f"{name}: "
-            value_start = offset + len(prefix)
-            align = (-value_start) % template.chunk_size
-            padded = PAD_CHAR * align + value + PAD_CHAR * (declared - len(value))
-            spans[secret_name] = (value_start + align, declared)
-            line = prefix + padded
-        else:
-            line = f"{name}: {header['value']}"
-        rendered_headers.append(line)
-        offset += len(line.encode("utf-8")) + 2
-    if body:
-        rendered_headers.append(f"Content-Length: {len(body)}")
-
-    head = "\r\n".join([request_line] + rendered_headers) + "\r\n\r\n"
-    return head.encode("utf-8") + body, spans
+    for slot in compiled.secrets:
+        value = secrets.get(slot.name, "")
+        if len(value) > slot.declared:
+            raise ValidationError(
+                f"secret {slot.name!r} longer than declared length {slot.declared}"
+            )
+        offset += len(slot.lead)
+        value_start = offset - slot.skew
+        align = (-value_start) % template.chunk_size
+        padded = (PAD_CHAR * align + value + PAD_CHAR * (slot.declared - len(value))).encode()
+        spans[slot.name] = (value_start + align, slot.declared)
+        parts += (slot.lead, padded)
+        offset += len(padded)
+    parts.append(compiled.tail)
+    if compiled.body is None:
+        parts.append(b"\r\n")
+    else:
+        parts += (b"Content-Length: %d\r\n\r\n" % len(body), body)
+    return b"".join(parts), spans
 
 
 def extract_input(template: InjectTemplate, request_bytes: bytes) -> str:
@@ -210,7 +300,7 @@ def extract_input(template: InjectTemplate, request_bytes: bytes) -> str:
     request = parse_request(request_bytes)
     if template.input_pointer:
         doc = _json_body(request.body, "request")
-        return _pointer_str(doc, template.input_pointer)
+        return _pointer_str(doc, JsonPointer(template.input_pointer))
     before, after = template.path.split(INPUT_SLOT)
     path = request.path
     if not (path.startswith(before) and path.endswith(after)):
@@ -225,13 +315,13 @@ def _json_body(body: bytes, what: str):
         raise Rejected("parse-failure", f"{what} body is not valid JSON")
 
 
-def _pointer_str(doc, pointer: str) -> str:
+def _pointer_str(doc, pointer: JsonPointer) -> str:
     try:
-        value = json_pointer(doc, pointer)
+        value = pointer.resolve(doc)
     except KeyError as exc:
         raise Rejected("parse-failure", str(exc.args[0]))
     if not isinstance(value, str):
-        raise Rejected("parse-failure", f"value at {pointer!r} is not a string")
+        raise Rejected("parse-failure", f"value at {pointer.text!r} is not a string")
     return value
 
 
@@ -249,7 +339,7 @@ def parse_tool(template: ParseTemplate, response_bytes: bytes) -> str:
     """Extract the tool result string from HTTP response bytes."""
     response = _check_status(response_bytes)
     doc = _json_body(response.body, "response")
-    return _pointer_str(doc, template.output_pointer)
+    return _pointer_str(doc, template._output)
 
 
 def parse_core(
@@ -258,9 +348,9 @@ def parse_core(
     """Extract (output, ordered tool calls) from a core response."""
     response = _check_status(response_bytes)
     doc = _json_body(response.body, "response")
-    output = _pointer_str(doc, template.output_pointer)
+    output = _pointer_str(doc, template._output)
     try:
-        calls_node = json_pointer(doc, template.calls_pointer)
+        calls_node = template._calls.resolve(doc)
     except KeyError as exc:
         raise Rejected("parse-failure", str(exc.args[0]))
     if not isinstance(calls_node, list):
@@ -269,8 +359,8 @@ def parse_core(
     for item in calls_node:
         calls.append(
             (
-                _pointer_str(item, template.call_tool_pointer),
-                _pointer_str(item, template.call_input_pointer),
+                _pointer_str(item, template._call_tool),
+                _pointer_str(item, template._call_input),
             )
         )
     return output, calls

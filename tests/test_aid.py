@@ -177,6 +177,25 @@ def test_compute_id_rejects_invalid_document():
         compute_id(AgentIdentityDocument.from_obj(bad))
 
 
+def test_compute_id_ignores_a_wrong_agent_hash_and_encodes_once(monkeypatch):
+    import vet.aid
+
+    obj = _doc_obj()
+    wrong = AgentIdentityDocument.from_obj({**obj, "agent_hash": "sha256:" + "0" * 64})
+    encoded = []
+    real = vet.aid.canonical_bytes
+    monkeypatch.setattr(vet.aid, "canonical_bytes", lambda doc: encoded.append(doc) or real(doc))
+    assert compute_id(wrong) == _oracle_id(obj)
+    assert len(encoded) == 1
+    # The hash is still checked where a document is validated.
+    assert [v.path for v in validate(wrong)] == ["/agent_hash"]
+    bad = AgentIdentityDocument.from_obj(
+        {**obj, "agent_hash": "sha256:" + "0" * 64, "agent_name": ""}
+    )
+    with pytest.raises(ValidationError, match="^/agent_name: must be non-empty$"):
+        compute_id(bad)
+
+
 def test_verification_scheme_count():
     bad = _doc_obj()
     bad["core"]["verification"]["Extra"] = {}

@@ -4,12 +4,12 @@ import json
 import pytest
 
 from vet.canonical import (
+    JsonPointer,
     canonical_bytes,
     canonical_loads,
     content_hash,
     is_hash_string,
     json_field,
-    json_pointer,
     parse_hex,
     parse_int,
 )
@@ -70,11 +70,11 @@ def test_is_hash_string():
 
 def test_json_pointer():
     doc = {"a": {"b": ["x", "y"]}, "e~f": "tilde", "g/h": "slash", "": "empty"}
-    assert json_pointer(doc, "") == doc
-    assert json_pointer(doc, "/a/b/1") == "y"
-    assert json_pointer(doc, "/e~0f") == "tilde"
-    assert json_pointer(doc, "/g~1h") == "slash"
-    assert json_pointer(doc, "/") == "empty"
+    assert JsonPointer("").resolve(doc) == doc
+    assert JsonPointer("/a/b/1").resolve(doc) == "y"
+    assert JsonPointer("/e~0f").resolve(doc) == "tilde"
+    assert JsonPointer("/g~1h").resolve(doc) == "slash"
+    assert JsonPointer("/").resolve(doc) == "empty"
 
 
 @pytest.mark.parametrize(
@@ -83,7 +83,7 @@ def test_json_pointer():
 def test_json_pointer_errors(pointer):
     doc = {"a": {"b": ["x", "y"]}}
     with pytest.raises(KeyError):
-        json_pointer(doc, pointer)
+        JsonPointer(pointer).resolve(doc)
 
 
 @pytest.mark.parametrize(

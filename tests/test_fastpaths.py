@@ -33,7 +33,7 @@ from vet.agent_model import (
     run_agent,
     transcript_prefixes,
 )
-from vet.canonical import canonical_bytes
+from vet.canonical import JsonPointer, canonical_bytes
 from vet.composer import invocations
 from vet.commitment import SALT_LEN, Disclosure, RevealedRun, commit, disclose, verify_disclosure
 from vet.tee_proxy import _match_tee_request
@@ -186,11 +186,68 @@ def old_check_records(lengths, record_keys, direction, data, reason, secret, wit
     return tags
 
 
+def old_set_pointer(doc, pointer, value):
+    parent, _, last = pointer.rpartition("/")
+    node = JsonPointer(parent).resolve(doc)
+    token = last.replace("~1", "/").replace("~0", "~")
+    node[int(token) if isinstance(node, list) else token] = value
+
+
+def old_render_request(template, x, secrets):
+    """The request rendered from the template's fields on every call: a
+    deep copy of the body with the input set at its pointer and the whole
+    body serialized, and the head built header by header."""
+    path = template.path
+    if "{input}" in path:
+        if any(c in x for c in " {}\r\n"):
+            raise ValidationError(f"input {x!r} not encodable in a path slot")
+        path = path.replace("{input}", x)
+    body = b""
+    if template.body is not None:
+        doc = json.loads(json.dumps(template.body))
+        if template.input_pointer:
+            try:
+                JsonPointer(template.input_pointer).resolve(doc)
+            except KeyError:
+                raise ValidationError(
+                    f"input pointer {template.input_pointer!r} missing from body template"
+                )
+            old_set_pointer(doc, template.input_pointer, x)
+        body = canonical_bytes(doc)
+    request_line = f"{template.method} {path} HTTP/1.1"
+    offset = len(request_line.encode("utf-8")) + 2
+    spans = {}
+    lines = []
+    for header in template.headers:
+        name = header["name"]
+        if "secret" in header:
+            secret_name = header["secret"]
+            declared = int(header["length"])
+            value = secrets.get(secret_name, "")
+            if len(value) > declared:
+                raise ValidationError(
+                    f"secret {secret_name!r} longer than declared length {declared}"
+                )
+            prefix = f"{name}: "
+            value_start = offset + len(prefix)
+            align = (-value_start) % template.chunk_size
+            spans[secret_name] = (value_start + align, declared)
+            line = prefix + "~" * align + value + "~" * (declared - len(value))
+        else:
+            line = f"{name}: {header['value']}"
+        lines.append(line)
+        offset += len(line.encode("utf-8")) + 2
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    head = "\r\n".join([request_line] + lines) + "\r\n\r\n"
+    return head.encode("utf-8") + body, spans
+
+
 def old_render(template, x):
-    """``render`` as a verifier calls it: an input the template cannot hold
-    is a template mismatch."""
+    """The rendering as a verifier asks for it: an input the template
+    cannot hold is a template mismatch."""
     try:
-        return render(template, x, {})
+        return old_render_request(template, x, {})
     except ValidationError as exc:
         raise Rejected("template-mismatch", str(exc))
 
@@ -641,6 +698,122 @@ def test_every_one_byte_flip_of_an_attested_request_is_rejected():
                     assert result == ("rejected", "template-mismatch", detail)
                 elif result[0] == "ok":
                     assert render(template, result[1], {})[0] == flipped
+
+
+# ---------------------------------------------------------------------------
+# Request rendering: the compiled template against a rendering from its
+# fields on every call.
+
+_names = st.text(alphabet="AbX-é", min_size=1, max_size=5)
+# Quotes, backslashes, control, non-ASCII and astral characters, which the
+# body's canonical JSON escapes or keeps as they are. No half surrogate
+# pair: a claimed input is decoded by canonical_loads, which refuses one.
+_chars = st.one_of(
+    st.characters(exclude_categories=("Cs",)), st.sampled_from('"\\\x00\x1f\x7f\u2028é😀{} \r\n~/')
+)
+_input_texts = st.text(alphabet=_chars, max_size=12)
+_keys = st.text(alphabet="ab~/é", max_size=3)
+_bodies = st.dictionaries(
+    _keys,
+    st.recursive(
+        st.text(alphabet=_chars, max_size=4),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3),
+            st.dictionaries(_keys, inner, min_size=1, max_size=3),
+        ),
+        max_leaves=8,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _pointers(node, prefix=""):
+    """Every JSON pointer below ``node``, its tokens escaped."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        pointer = prefix + "/" + str(key).replace("~", "~0").replace("/", "~1")
+        yield pointer
+        yield from _pointers(child, pointer)
+
+
+@st.composite
+def render_cases(draw):
+    chunk_size = draw(st.integers(1, 24))
+    headers = []
+    for i in range(draw(st.integers(0, 3))):
+        length = str(chunk_size * draw(st.integers(1, 3)))
+        headers.append({"name": draw(_names), "secret": f"s{i}", "length": length})
+    for _ in range(draw(st.integers(0, 3))):
+        static = {"name": draw(_names), "value": draw(st.text(alphabet=_chars, max_size=6))}
+        headers.insert(draw(st.integers(0, len(headers))), static)
+    obj = {
+        "type": "inject",
+        "kind": draw(st.sampled_from(["tool", "core"])),
+        "method": draw(st.sampled_from(["GET", "POST"])),
+        "headers": headers,
+        "chunk_size": str(chunk_size),
+    }
+    path = draw(st.text(alphabet="/?=&aé", max_size=6))
+    if draw(st.booleans()):
+        obj["path"] = path + "{input}" + draw(st.text(alphabet="/?=&aé", max_size=6))
+        if draw(st.booleans()):
+            obj["body"] = draw(_bodies)
+    else:
+        obj["path"] = path
+        body = draw(_bodies)
+        pointers = list(_pointers(body))
+        # A pointer that names a value in the body, or one that does not.
+        dangling = ["/absent", pointers[0] + "/absent/x", "/0", "no-slash"]
+        obj["body"] = body
+        obj["input_pointer"] = draw(st.sampled_from(pointers + dangling))
+    template = InjectTemplate.from_obj(obj)
+    secrets = {}
+    for header in headers:
+        if "secret" in header and draw(st.booleans()):
+            declared = int(header["length"])
+            size = draw(st.sampled_from([0, declared - 1, declared, declared + 1]))
+            secrets[header["secret"]] = draw(st.text(alphabet=_chars, min_size=size, max_size=size))
+    return template, draw(_input_texts), secrets
+
+
+@SETTINGS
+@given(render_cases())
+@example(
+    (
+        InjectTemplate.from_obj(
+            {
+                "type": "inject", "kind": "tool", "method": "POST", "path": "/q",
+                "headers": [], "body": {"a~/b": [{"c": "", "d": "\x00"}]},
+                "input_pointer": "/a~0~1b/0/c",
+            }
+        ),
+        '"\\\x00é😀',
+        {},
+    )
+)
+@example(
+    # The body holds, as a key and as a value, the strings the compiler
+    # tries first as the input's stand-in.
+    (
+        InjectTemplate.from_obj(
+            {
+                "type": "inject", "kind": "tool", "method": "POST", "path": "/q",
+                "headers": [], "body": {"\x00input-slot-0": "\x00input-slot-1", "q": ""},
+                "input_pointer": "/q",
+            }
+        ),
+        "\x00input-slot-1",
+        {},
+    )
+)
+def test_render_matches_oracle(case):
+    template, x, secrets = case
+    result = outcome(render, template, x, secrets)
+    assert result == outcome(old_render_request, template, x, secrets)
 
 
 # ---------------------------------------------------------------------------

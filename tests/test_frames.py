@@ -203,3 +203,30 @@ def test_workers_count_idle_exactly_under_concurrent_clients():
         server.server_close()
     assert errors == []
     assert server._idle == len(server._workers)
+
+
+def test_sequential_relay_calls_take_two_workers(monkeypatch):
+    # A relay call sends CLOSE with its request, so the worker counts
+    # itself idle before its reply and the next call finds it waiting.
+    writes = []
+    write_frame = frames.write_frame
+
+    def recorded(sock, *batch):
+        writes.append(tuple(frame.type for frame in batch))
+        write_frame(sock, *batch)
+
+    monkeypatch.setattr(frames, "write_frame", recorded)
+    baseline = threading.active_count()
+    server = frames.serve_relay(make_echo_handler())
+    host, port = server.server_address
+    counts = []
+    try:
+        for _ in range(10):
+            assert b'{"echo":"r"}' in frames.relay(host, port, REQUEST)
+            counts.append(threading.active_count())
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert writes == [(frames.RELAY_UP, frames.CLOSE), (frames.RELAY_DOWN,)] * 10
+    assert max(counts) <= baseline + 2, counts
+    assert len(server._workers) <= 2

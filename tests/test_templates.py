@@ -179,6 +179,24 @@ def test_match_request_rejections():
     )
 
 
+def test_an_input_pointer_missing_from_the_body_fails_at_render_not_at_register():
+    # The template registers, and every rendering of it fails, so a proof
+    # naming it is a template mismatch (exit 1), not an unusable
+    # template directory (exit 2).
+    dangling = {**BODY_TEMPLATE, "input_pointer": "/missing"}
+    registry = TemplateRegistry()
+    template = registry.get_inject(registry.register(dangling))
+    message = "^input pointer '/missing' missing from body template$"
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=message):
+            render(template, "hello", {})
+    with pytest.raises(Rejected) as err:
+        match_request(template, "hello", 100)
+    assert (err.value.reason, err.value.detail) == (
+        "template-mismatch", "input pointer '/missing' missing from body template"
+    )
+
+
 def test_parse_tool_and_core():
     tool = ParseTemplate.from_obj({"type": "parse", "kind": "tool", "output_pointer": "/v"})
     ok = b'HTTP/1.1 200 OK\r\nContent-Length: 11\r\n\r\n{"v":"out"}'

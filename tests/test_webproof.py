@@ -135,6 +135,17 @@ def test_claimed_input_the_template_cannot_render_is_a_template_mismatch(rig):
     )
 
 
+def test_template_whose_input_pointer_is_missing_from_its_body_is_a_template_mismatch(rig):
+    _, proof = _prove(rig, "dangling")
+    uid = rig.registry.register({**rig.registry._objs[rig.inject_uid], "input_pointer": "/nope"})
+    entry = replace(rig.entry, injection_algorithm_uid=uid)
+    with pytest.raises(Rejected) as err:
+        verify_webproof("dangling", proof, entry, "tool", rig.registry)
+    assert (err.value.reason, err.value.detail) == (
+        "template-mismatch", "input pointer '/nope' missing from body template"
+    )
+
+
 def test_recommitment_to_other_plaintext_rejected(rig):
     # Forge: keep the signed statement but commit to a different response.
     _, proof = _prove(rig, "x")
