@@ -17,7 +17,7 @@ from urllib.parse import urlparse
 from .canonical import canonical_bytes, is_hash_string, json_field
 from .errors import ValidationError
 from .keys import parse_public_key
-from .templates import TemplateRegistry
+from .templates import ROLE_CORE, ROLE_TOOL, TemplateRegistry
 
 SCHEME_TLS_NOTARY = "TLSNotary"
 SCHEME_PROXY_TEE = "ProxyTEE"
@@ -130,7 +130,9 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-def _validate_entry(entry: ComponentEntry, path: str, registry: TemplateRegistry | None) -> list[Violation]:
+def _validate_entry(
+    entry: ComponentEntry, path: str, registry: TemplateRegistry | None, role: str
+) -> list[Violation]:
     out = []
     try:
         parsed = urlparse(entry.endpoint)
@@ -144,6 +146,13 @@ def _validate_entry(entry: ComponentEntry, path: str, registry: TemplateRegistry
             out.append(Violation(f"{path}/{uid_field}", f"not a sha256:-prefixed hash: {uid!r}"))
         elif registry is not None and uid not in registry:
             out.append(Violation(f"{path}/{uid_field}", f"uid {uid} not in template registry"))
+        elif registry is not None and uid_field == "parsing_algorithm_uid":
+            try:
+                kind = registry.get_parse(uid).kind
+                if kind != role:
+                    raise ValidationError(f"a {kind} parse template for a {role}")
+            except ValidationError as exc:  # also the uid of an inject template
+                out.append(Violation(f"{path}/{uid_field}", str(exc)))
     scheme = entry.verification.scheme
     if scheme not in _SCHEME_PARAMS:
         out.append(Violation(f"{path}/verification", f"unknown scheme {scheme!r}"))
@@ -173,12 +182,12 @@ def validate(
     out: list[Violation] = []
     if not aid.agent_name:
         out.append(Violation("/agent_name", "must be non-empty"))
-    out.extend(_validate_entry(aid.core, "/core", registry))
+    out.extend(_validate_entry(aid.core, "/core", registry, ROLE_CORE))
     names = [t.name for t in aid.tools]
     if len(set(names)) != len(names):
         out.append(Violation("/tools", "duplicate tool name"))
     for i, tool in enumerate(aid.tools):
-        out.extend(_validate_entry(tool, f"/tools/{i}", registry))
+        out.extend(_validate_entry(tool, f"/tools/{i}", registry, ROLE_TOOL))
     if aid.agent_hash is not None:
         if not is_hash_string(aid.agent_hash):
             out.append(Violation("/agent_hash", f"not a sha256: hash: {aid.agent_hash!r}"))

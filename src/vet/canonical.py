@@ -12,6 +12,9 @@ Numbers are rejected outright: every count, length and timestamp is
 encoded as a decimal string. This removes float-formatting divergence
 between implementations and keeps the canonical form trivially auditable.
 
+One spelling of a JSON string, ``json_string``, serves every encoder:
+``canonical_bytes`` and the request renderer of ``vet.templates``.
+
 Decoders of outside documents read each field with ``json_field``, each
 integer with ``parse_int`` (the one spelling ``str(int(s))``) and bytes
 with ``parse_hex`` (lowercase hex), so that a field of the wrong shape or
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from json.encoder import c_make_encoder, encode_basestring
 from typing import Any
 
 from .errors import ValidationError
@@ -62,6 +66,38 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 FORMAT = "10"
 
 
+# The shortest string that ``json_string`` checks and quotes whole: below
+# it the check's fixed cost outweighs the escape pass it saves. Measured
+# with CPython 3.11.7 on a 2-vCPU VM, best of 7 over ASCII letters and
+# digits, ``encode_basestring`` against check-and-quote: 62 against 300 ns
+# at 4 characters, 460 against 439 ns at 192, 591 against 494 ns at 256,
+# and 108 against 38 us at 48 KiB (~2.2 against ~0.8 ns a character).
+QUOTE_WHOLE_MIN = 256
+# The bytes that JSON escapes in an ASCII string.
+_ESCAPED = bytes(range(0x20)) + b'"\\'
+
+
+def json_string(s: str) -> str:
+    """``s`` as a JSON string literal, exactly as ``encode_basestring``
+    (the ``ensure_ascii=False`` encoder of ``json.dumps``) spells it.
+
+    A string of at least ``QUOTE_WHOLE_MIN`` characters that is ASCII
+    and holds no quote, backslash or control character needs no escape,
+    and is quoted whole after one pass that checks it, in place of the
+    escape pass over each character."""
+    if len(s) >= QUOTE_WHOLE_MIN and s.isascii():
+        if len(s.encode().translate(None, _ESCAPED)) == len(s):
+            return '"' + s + '"'
+    return encode_basestring(s)
+
+
+# The encoder json.dumps builds for sort_keys=True, compact separators,
+# ensure_ascii=False and allow_nan=False, with json_string as its string
+# encoder and no circular-reference markers: ``_check_scalars`` has
+# walked the document first, and a cycle is a RecursionError there.
+_encode = c_make_encoder(None, None, json_string, None, ":", ",", True, False, False)
+
+
 def canonical_bytes(obj: Any) -> bytes:
     """Serialize ``obj`` to canonical JSON bytes.
 
@@ -73,14 +109,7 @@ def canonical_bytes(obj: Any) -> bytes:
     except _Rejection as exc:
         path = "".join(f"/{segment}" for segment in reversed(exc.segments))
         raise ValidationError(f"{exc.prefix} at {path or '/'}{exc.suffix}") from None
-    text = json.dumps(
-        obj,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-        allow_nan=False,
-    )
-    return text.encode("utf-8")
+    return "".join(_encode(obj, 0)).encode("utf-8")
 
 
 class _Rejection(Exception):

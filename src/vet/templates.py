@@ -12,11 +12,12 @@ re-run the exact parse the agent declared.
 A secret header slot is rendered at a fixed span: alignment padding
 ("~") is inserted before the value, so that it starts on a multiple of
 the template's ``chunk_size``, and the value is padded to a declared
-length that must be a multiple of ``chunk_size``. Since format 8 no
-proof commits to a request in chunks, and the grid serves no redaction:
-a web proof's secret records are cut at the span's edges, wherever they
-fall. The alignment stays only because dropping it would
-change every secret-bearing rendering, so that no web proof with a
+length that must be a multiple of ``chunk_size``. The value must be
+ASCII, so that the span's length in bytes is its length in characters.
+Since format 8 no proof commits to a request in chunks, and the grid
+serves no redaction: a web proof's secret records are cut at the span's
+edges, wherever they fall. The alignment stays only because dropping it
+would change every secret-bearing rendering, so that no web proof with a
 secret slot made before would verify; it waits for the next format
 change. A ProxyTEE request is public, so its template has no secret
 slot, and the verifier compares the attested request with the rendering
@@ -31,14 +32,16 @@ slots: the request line, split at the input if the path holds it; the
 fixed header lines between secret values; and the canonical body, cut
 in two at the input slot. A sentinel string found exactly once in the
 body's canonical bytes marks the cut, and a rendering puts the input
-there as ``json.encoder.encode_basestring`` spells it, the string
-encoder of ``canonical_bytes``, so the bytes equal those of serializing
-the whole body with the input set. Per call only the input, the secret
-padding, the span offsets and ``Content-Length`` are formed. An input
-pointer that does not resolve in the body fails each rendering, not the
-template's registration, so a proof naming such a template is a
-template mismatch. A parse template splits each of its JSON pointers
-into tokens once.
+there as ``canonical.json_string`` spells it, the string encoder of
+``canonical_bytes``, so the bytes equal those of serializing the whole
+body with the input set; a long input that needs no escape is quoted
+whole, without an escape pass over each character. Per call only the
+input, the secret padding, the span offsets and ``Content-Length`` are
+formed. An input pointer that does not resolve in the body fails each
+rendering, not the template's registration, so a proof naming such a
+template is a template mismatch. A parse template splits each of its
+JSON pointers into tokens once, and reads only a response of its own
+kind: one of the other kind is a template mismatch.
 """
 
 from __future__ import annotations
@@ -47,10 +50,16 @@ import copy
 import itertools
 import pathlib
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
 from typing import Mapping
 
-from .canonical import JsonPointer, canonical_bytes, canonical_loads, content_hash, json_field
+from .canonical import (
+    JsonPointer,
+    canonical_bytes,
+    canonical_loads,
+    content_hash,
+    json_field,
+    json_string,
+)
 from .errors import Rejected, ValidationError
 from .httpmsg import parse_request, parse_response
 from .toytls import split_records
@@ -243,7 +252,7 @@ def _split_body(body: dict, pointer: str | None) -> tuple[bytes, ...]:
         sentinel = f"\x00input-slot-{n}"
         node[key] = sentinel
         data = canonical_bytes(doc)
-        encoded = encode_basestring(sentinel).encode()
+        encoded = json_string(sentinel).encode()
         if data.count(encoded) == 1:
             return tuple(data.split(encoded))
 
@@ -269,7 +278,7 @@ def render(
     if compiled.error is not None:
         raise ValidationError(compiled.error)
     if compiled.body is not None:
-        body = encode_basestring(x).encode().join(compiled.body)
+        body = json_string(x).encode().join(compiled.body)
 
     # Secret values start on the chunk grid, counted from the request's start.
     offset = sum(map(len, parts))
@@ -280,6 +289,11 @@ def render(
             raise ValidationError(
                 f"secret {slot.name!r} longer than declared length {slot.declared}"
             )
+        # The value is padded in characters but its span counts bytes: a
+        # character of more than one byte would push the secret's end past
+        # the span, into a record whose key a web proof releases.
+        if not value.isascii():
+            raise ValidationError(f"secret {slot.name!r} is not ASCII")
         offset += len(slot.lead)
         value_start = offset - slot.skew
         align = (-value_start) % template.chunk_size
@@ -385,7 +399,12 @@ def parse_exchange(
     template: ParseTemplate, response_bytes: bytes, role: str
 ) -> tuple[str, tuple[tuple[str, str], ...]]:
     """Read a component response as (value, tool calls): a core's output
-    and the calls it emitted, or a tool's result and no calls."""
+    and the calls it emitted, or a tool's result and no calls. A parse
+    template of the other kind is a template mismatch."""
+    if template.kind != role:
+        raise Rejected(
+            "template-mismatch", f"a {template.kind} parse template cannot read a {role}'s response"
+        )
     if role == ROLE_CORE:
         output, calls = parse_core(template, response_bytes)
         return output, tuple(calls)

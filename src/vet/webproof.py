@@ -388,7 +388,10 @@ class NotarizedSession:
     before the server releases the down-direction key seed, so nothing in
     the prover's pre-signature view determines a response plaintext. The
     seed comes sealed under the handshake key, which the server's fresh
-    ephemeral key keeps from the notary. The channel is closed when the
+    ephemeral key keeps from a notary that relays the handshake as it is.
+    Not from one that answers it itself: ``server_pub`` comes in the same
+    unauthenticated hello as the signature checked under it, so nothing
+    pins the server's key. The channel is closed when the
     session finishes, or when an exchange over it fails or aborts.
     """
 

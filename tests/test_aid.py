@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -213,6 +214,33 @@ def test_instantiate_verifier_gating(demo_world):
         instantiate_verifier(demo_world.aid, narrow)
     with pytest.raises(ValidationError):
         instantiate_verifier(demo_world.aid, TrustStore())  # empty registry
+
+
+def test_a_parse_template_of_the_other_role_is_a_violation(demo_world):
+    # The core and the first tool swap parse templates; the ID is computed
+    # without the registry, so it does not see the swap.
+    core, tool = demo_world.aid.core, demo_world.aid.tools[0]
+    swapped = replace(
+        demo_world.aid,
+        core=replace(core, parsing_algorithm_uid=tool.parsing_algorithm_uid),
+        tools=(
+            replace(tool, parsing_algorithm_uid=core.parsing_algorithm_uid),
+            *demo_world.aid.tools[1:],
+        ),
+        agent_hash=None,
+    )
+    compute_id(swapped)
+    assert [str(v) for v in validate(swapped, demo_world.registry)] == [
+        "/core/parsing_algorithm_uid: a tool parse template for a core",
+        "/tools/0/parsing_algorithm_uid: a core parse template for a tool",
+    ]
+    with pytest.raises(ValidationError, match="a tool parse template for a core"):
+        instantiate_verifier(swapped, TrustStore(registry=demo_world.registry))
+    # An inject template's uid in the parse field is a violation, not a crash.
+    inject = replace(core, parsing_algorithm_uid=core.injection_algorithm_uid)
+    (violation,) = validate(replace(demo_world.aid, core=inject), demo_world.registry)
+    assert violation.path == "/core/parsing_algorithm_uid"
+    assert "unknown parse template uid" in violation.message
 
 
 def test_tool_lookup(demo_world):

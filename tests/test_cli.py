@@ -404,6 +404,20 @@ def test_verify_refuses_scheme_outside_trust_store(proved, tmp_path):
     assert "Consensus" in report["detail"]
 
 
+def test_verify_refuses_a_core_that_names_a_tool_parse_template(proved, tmp_path):
+    doc = json.loads((proved / "aid.json").read_text())
+    doc["core"]["parsing_algorithm_uid"] = doc["tools"][0]["parsing_algorithm_uid"]
+    aid_file = tmp_path / "aid.json"
+    aid_file.write_text(json.dumps(doc))
+    result = CliRunner().invoke(
+        main, _verify_args(proved, aid_file) + ["--claim", _claim(proved), "--json"]
+    )
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert report["reason"] == "malformed"
+    assert "/core/parsing_algorithm_uid: a tool parse template for a core" in report["detail"]
+
+
 def _other_seed_aid(proved, tmp_path):
     aid_file = tmp_path / "aid-seed-7.json"
     aid_file.write_bytes(canonical_bytes(demo.build_world("7").aid.to_obj()))

@@ -16,6 +16,7 @@ reads each chunk's offset and length from the list.
 import hashlib
 import json
 import random
+from json.encoder import encode_basestring
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -33,7 +34,7 @@ from vet.agent_model import (
     run_agent,
     transcript_prefixes,
 )
-from vet.canonical import JsonPointer, canonical_bytes
+from vet.canonical import QUOTE_WHOLE_MIN, JsonPointer, canonical_bytes, json_string
 from vet.composer import invocations
 from vet.commitment import SALT_LEN, Disclosure, RevealedRun, commit, disclose, verify_disclosure
 from vet.tee_proxy import _match_tee_request
@@ -228,6 +229,9 @@ def old_render_request(template, x, secrets):
                 raise ValidationError(
                     f"secret {secret_name!r} longer than declared length {declared}"
                 )
+            # Not in the parent's render: a non-ASCII secret overran its span.
+            if not value.isascii():
+                raise ValidationError(f"secret {secret_name!r} is not ASCII")
             prefix = f"{name}: "
             value_start = offset + len(prefix)
             align = (-value_start) % template.chunk_size
@@ -853,6 +857,75 @@ def test_canonical_bytes_accepts_str_subclasses_as_before():
     doc = {"a": [Name("x"), {"b": Name("y")}]}
     assert outcome(canonical_bytes, doc) == outcome(old_canonical_bytes, doc)
     assert canonical_bytes(doc) == b'{"a":["x",{"b":"y"}]}'
+
+
+# ---------------------------------------------------------------------------
+# JSON strings: json_string, which quotes a long string that needs no
+# escape whole, against the escape pass of encode_basestring; and
+# canonical_bytes, whose encoder calls it, against json.dumps.
+
+_unescaped = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'),
+    min_size=1,
+    max_size=8,
+)
+# The characters JSON escapes, DEL, which it does not, and characters
+# outside ASCII, one of them astral.
+_special = st.sampled_from(
+    [chr(c) for c in range(0x20)] + ['"', "\\", "\x7f", "é", "\u2028", "😀"]
+)
+_lengths = st.one_of(
+    st.sampled_from([0, 1, QUOTE_WHOLE_MIN - 1, QUOTE_WHOLE_MIN, QUOTE_WHOLE_MIN + 1]),
+    st.integers(0, 3 * QUOTE_WHOLE_MIN),
+)
+
+
+@st.composite
+def long_texts(draw, special=_special):
+    """A run of unescaped ASCII of a drawn length, on either side of
+    QUOTE_WHOLE_MIN, with 0 to 2 special characters put in anywhere."""
+    unit, length = draw(_unescaped), draw(_lengths)
+    text = (unit * (length // len(unit) + 1))[:length]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(special) + text[at:]
+    return text
+
+
+class Name(str):
+    pass
+
+
+@SETTINGS
+@given(st.one_of(st.text(), long_texts(_special | st.just("\ud800"))))
+@example("a" * QUOTE_WHOLE_MIN)
+@example("a" * (QUOTE_WHOLE_MIN - 1) + '"')
+@example("\x00" + "a" * QUOTE_WHOLE_MIN)
+def test_json_string_matches_encode_basestring(text):
+    assert json_string(text) == encode_basestring(text)
+    assert json_string(Name(text)) == encode_basestring(text)
+
+
+_strings = st.one_of(st.text(max_size=6), long_texts())
+json_documents = st.recursive(
+    st.one_of(_strings, _strings.map(Name), st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_strings, _strings.map(Name)), inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+@SETTINGS
+@given(json_documents)
+@example({Name("é" * QUOTE_WHOLE_MIN): ["a" * QUOTE_WHOLE_MIN + '"', "\x1f" + "b" * QUOTE_WHOLE_MIN]})
+def test_canonical_bytes_matches_json_dumps(doc):
+    expected = json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
+    ).encode()
+    assert canonical_bytes(doc) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,23 @@ def test_secret_never_in_serialized_proof(rig):
         assert window.hex().encode() not in blob
 
 
+def test_a_non_ascii_secret_is_refused_before_any_session_opens(rig, opened_sessions):
+    # "é" is two bytes: padded to 16 characters, the secret would fill 32
+    # bytes, 16 of them past its span, in a record whose key is released.
+    prover = WebProofProver(rig.service, rig.registry, secrets={"token": "é" * 16})
+    with pytest.raises(ValidationError, match="secret 'token' is not ASCII"):
+        prover.call(rig.entry, "hi", "tool")
+    assert opened_sessions == {}
+
+
+def test_a_core_entry_naming_a_tool_parse_template_is_a_template_mismatch(rig):
+    _, proof = _prove(rig, "core?")
+    with pytest.raises(Rejected) as err:
+        verify_webproof("core?", proof, rig.entry, "core", rig.registry)
+    assert err.value.reason == "template-mismatch"
+    assert "tool parse template" in err.value.detail
+
+
 def test_minimal_disclosure_excludes_secret_chunks(rig):
     template = rig.registry.get_inject(rig.inject_uid)
     _, proof = _prove(rig, "mindisc")
