@@ -62,7 +62,9 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # own chain; the notary statement drops the server key's fingerprint and
 # a TEE flag that was always false, which no verifier read. The record
 # cipher moved from SHAKE-256 to AES-256-CTR after format 10 with no bump,
-# since no proof byte has depended on the ciphertext since format 7.
+# since no proof byte has depended on the ciphertext since format 7, and
+# again with no bump from one AES key per record to one per direction and
+# session, the record index as its nonce.
 FORMAT = "10"
 
 

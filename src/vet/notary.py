@@ -22,7 +22,8 @@ releases the down seed only for a signed head that matches its own.
 A session lasts as long as its connection. At FIN the notary signs the
 head and hands the statement to the server connection, and answers with
 ``[STATEMENT, POST_DOWN]``: the statement, then the down seed sealed
-under the handshake key, which only prover and server hold. The session
+under the handshake key, which only prover and server hold, and the
+statement's bytes. The session
 then ends, as it does at an ABORT, a CLOSE or a dropped connection. The
 server draws its secrets fresh for each connection, so nothing outlives
 a session: the service keeps only the ids of live sessions, and
@@ -198,10 +199,6 @@ class NotaryService:
         self._lock = threading.Lock()
         self._live: set[str] = set()
 
-    @property
-    def public_key(self) -> str:
-        return self.signing_key.public_string
-
     def now_ms(self) -> int:
         return int(time.time() * 1000)
 
@@ -231,11 +228,7 @@ class NotaryService:
             if session_id in self._live:
                 raise ProtocolError(f"session {session_id!r} is live")
             self._live.add(session_id)
-        ok = Frame(
-            frames.OPEN_OK,
-            canonical_bytes({"session_id": session_id, "notary_public_key": self.public_key}),
-        )
-        return session, ok
+        return session, Frame(frames.OPEN_OK, canonical_bytes({"session_id": session_id}))
 
     def release(self, session_id: str) -> None:
         """Free an ended session's place; its id may then open again."""

@@ -2,35 +2,45 @@
 
 Records are sealed encrypt-and-MAC, as SSH's binary packet protocol
 does (RFC 4253 §6.4): the wire is ``ct || tag`` with
-``tag = H("VET/mac:" || key || plaintext)``. The cipher is the AES-GCM of
-TLS 1.3 record protection (RFC 8446 §5.2), one call per record, under
-``SHA-256("VET/ks:" || key)`` and an all-zero 96-bit nonce, with the
-GHASH tag dropped. What remains is GCTR (NIST SP 800-38D §7.1): AES-256
-in counter mode from counter block ``0^96 || 2``, the plaintext XOR
-``AES(k, 0^96 || 2) || AES(k, 0^96 || 3) || ...``. That is safe here:
+``tag = H("VET/mac:" || key || plaintext)`` under the record's own key.
+The cipher is the AES-GCM of TLS 1.3 record protection (RFC 8446 §5.2,
+§5.3): one AES-256 key per direction and session,
+``SHA-256("VET/ks-" || direction || ":" || secret)``, keyed once
+(``RecordCipher``), and record ``i`` of that direction encrypted under
+the 96-bit big-endian nonce ``i``, as TLS 1.3 uses the record sequence
+number, with the GHASH tag dropped. What remains is GCTR (NIST SP
+800-38D §7.1): AES-256 in counter mode, record ``i``'s plaintext XOR
+``AES(k, i || 2) || AES(k, i || 3) || ...``. That is safe here:
 
-- Each record key is derived for one record and seals only it, so no
-  keystream is ever used twice under the fixed nonce.
+- A direction's records have distinct indices, and a record holds at
+  most 1,024 blocks, so no counter block is used twice under one key;
+  the two directions and the release have keys of their own.
 - No GCM tag is sent. The SHA-256 tag, which the notary chains and
   signs, is the record's MAC, so GHASH would only add a second one.
-- Opening recomputes the same keystream from the key the opener already
-  holds; it decrypts locally and sends nothing, so it reveals nothing.
+- The tag keys stay per record (``derive_record_key``), and a proof
+  releases only those. A released key opens its record's tag and no
+  keystream: the cipher key follows from the direction's secret alone.
 - The cipher is not part of the proof format: tags are over the
   plaintext and the verifier never runs the cipher, so no proof byte
   depends on the ciphertext, and the cipher can change without a format
   bump. A prover and a target server must still run the same one, or the
   server's first MAC check ends the session.
 
-The key for record ``i`` is derived from a direction-specific secret.
+A direction's cipher key and record keys come from its own secret.
 Up-direction keys come from the X25519 handshake secret, known to prover
 and server and never to the relay: the server draws a fresh ephemeral
 key for each connection, so nothing the relay sees, the public keys
 included, determines it.
 Down-direction keys come from a seed the server also draws fresh for
 each connection and releases to the prover only after the relay has
-signed the head of the record chain, sealed under the handshake key, so
-the prover's pre-signature view never suffices to forge a response and
-the relay never learns the seed.
+signed the head of the record chain, so the prover's pre-signature view
+never suffices to forge a response and the relay never learns the seed.
+The seed is released as the one record of a ``"release"`` cipher under
+``release_key(hk, statement) = H("VET/release:" || hk ||
+H(statement))``: the handshake key, which only prover and server hold,
+and the STATEMENT payload the server checked. A seed that opens for the
+prover therefore vouches that the server accepted the very statement the
+prover holds (see ``webproof.NotarizedSession.finish``).
 
 The tag is the record's commitment, opened by releasing its key (DECO's
 commit-then-key-release binds released keys through a MAC in the same
@@ -83,8 +93,6 @@ from .keys import SigningKey, verify_signature
 
 RECORD_MAX = 16384
 TAG_LEN = 32
-# Each record key seals one record, so one fixed nonce serves every key.
-_NONCE = bytes(12)
 _GCM_TAG_LEN = 16
 
 
@@ -96,28 +104,40 @@ def derive_record_key(direction: str, secret: bytes, index: int) -> bytes:
     return h.digest()
 
 
-def keystream_xor(key: bytes, data: bytes) -> bytes:
-    """``data`` XOR the record keystream of ``key``: seals and opens alike.
+class RecordCipher:
+    """One direction of a session: AES-256 keyed once, under
+    ``SHA-256("VET/ks-" || direction || ":" || secret)``, and the record
+    keys derived from ``secret``."""
 
-    AES-256-GCM's ciphertext under ``SHA-256("VET/ks:" || key)`` and an
-    all-zero nonce, with its 16-byte GHASH tag dropped.
-    """
-    aes = AESGCM(hashlib.sha256(b"VET/ks:" + key).digest())
-    return aes.encrypt(_NONCE, data, None)[:-_GCM_TAG_LEN]
+    def __init__(self, direction: str, secret: bytes):
+        self.direction = direction
+        self.secret = secret
+        self._aes = AESGCM(hashlib.sha256(b"VET/ks-" + direction.encode() + b":" + secret).digest())
+
+    def key(self, index: int) -> bytes:
+        """The tag key of record ``index``, which a proof may release."""
+        return derive_record_key(self.direction, self.secret, index)
+
+    def xor(self, index: int, data: bytes) -> bytes:
+        """``data`` XOR the keystream of record ``index``: seals and opens
+        alike. AES-256-GCM's ciphertext under the 96-bit big-endian nonce
+        ``index``, with its 16-byte GHASH tag dropped."""
+        return self._aes.encrypt(index.to_bytes(12, "big"), data, None)[:-_GCM_TAG_LEN]
 
 
 def record_tag(key: bytes, plaintext: bytes) -> bytes:
     return hashlib.sha256(b"VET/mac:" + key + plaintext).digest()
 
 
-def seal_record(key: bytes, plaintext: bytes) -> bytes:
-    return keystream_xor(key, plaintext) + record_tag(key, plaintext)
+def seal_record(cipher: RecordCipher, plaintext: bytes, index: int, key: bytes) -> bytes:
+    """Record ``index`` of ``cipher``'s direction, tagged under ``key``."""
+    return cipher.xor(index, plaintext) + record_tag(key, plaintext)
 
 
-def open_record(key: bytes, wire: bytes) -> bytes:
+def open_record(cipher: RecordCipher, wire: bytes, index: int, key: bytes) -> bytes:
     if len(wire) < TAG_LEN:
         raise ProtocolError("record shorter than MAC tag")
-    plaintext = keystream_xor(key, wire[:-TAG_LEN])
+    plaintext = cipher.xor(index, wire[:-TAG_LEN])
     if record_tag(key, plaintext) != wire[-TAG_LEN:]:
         raise ProtocolError("record MAC check failed")
     return plaintext
@@ -171,9 +191,18 @@ def handshake_key(shared: bytes, nonce: bytes) -> bytes:
     return hashlib.sha256(b"VET/hs:" + shared + nonce).digest()
 
 
-def release_key(hk: bytes) -> bytes:
-    """The key that seals the down seed the server releases."""
-    return hashlib.sha256(b"VET/release:" + hk).digest()
+def release_key(hk: bytes, statement: bytes) -> bytes:
+    """The key that seals the down seed the server releases, bound to the
+    STATEMENT payload it checked."""
+    return hashlib.sha256(b"VET/release:" + hk + hashlib.sha256(statement).digest()).digest()
+
+
+def open_seed(hk: bytes, statement: bytes, wire: bytes) -> bytes:
+    """The down seed released for ``statement``, the one record of its
+    release cipher; ProtocolError if it does not open."""
+    release = RecordCipher("release", release_key(hk, statement))
+    return open_record(release, wire, 0, release.key(0))
+
 
 
 def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[tuple[int, int]]:
@@ -262,6 +291,11 @@ class SignedStatement:
         ``session_id`` over ``chain``."""
         if not any(self.verify(key) for key in notary_keys):
             raise ProtocolError("statement not signed by a known notary")
+        self.check_chain(session_id, chain)
+
+    def check_chain(self, session_id: str, chain: RecordChain) -> None:
+        """ProtocolError unless this statement is for ``session_id`` over
+        ``chain``; the signature is not checked."""
         if self.session_id != session_id:
             raise ProtocolError("statement is for a different session")
         if (self.records, self.head) != (chain.count, chain.head):
@@ -305,7 +339,7 @@ class ServerConnection:
         self.session_id = session_id
         self._seed = os.urandom(32)
         self._hk: bytes | None = None
-        self._up_secret: bytes | None = None
+        self._ciphers: dict[str, RecordCipher] = {}  # per direction, keyed at the hello
         self._request = bytearray()  # the request in progress, opened record by record
         self._counts = {"up": 0, "down": 0}  # records keyed so far, per direction
         self._chain = RecordChain()
@@ -336,7 +370,10 @@ class ServerConnection:
         except ValidationError as exc:
             raise ProtocolError(f"malformed hello: {exc}")
         self._hk = handshake_key(shared, nonce)
-        self._up_secret = up_secret(shared)
+        self._ciphers = {
+            "up": RecordCipher("up", up_secret(shared)),
+            "down": RecordCipher("down", self._seed),
+        }
         server_eph_hex = pub_hex(eph)
         signature = self.server.signing_key.sign(
             handshake_signature_message(
@@ -353,18 +390,18 @@ class ServerConnection:
         return [Frame(frames.HS_DOWN, reply)]
 
     def _record_up(self, wire: bytes) -> None:
-        if self._up_secret is None:
+        if not self._ciphers:
             raise ProtocolError("server: record before handshake")
-        self._request += open_record(self._key("up"), wire)
+        self._request += open_record(*self._next("up", wire))
         self._chain.add("up", wire)
 
-    def _key(self, direction: str) -> bytes:
-        """The key of the next record in ``direction``; indices run on
-        across the exchanges of the session."""
-        secret = self._up_secret if direction == "up" else self._seed
+    def _next(self, direction: str, data: bytes) -> tuple[RecordCipher, bytes, int, bytes]:
+        """The arguments that seal or open ``data`` as the next record in
+        ``direction``; indices run on across the exchanges of the session."""
+        cipher = self._ciphers[direction]
         index = self._counts[direction]
         self._counts[direction] += 1
-        return derive_record_key(direction, secret, index)
+        return cipher, data, index, cipher.key(index)
 
     def _respond(self) -> list[Frame]:
         """Answer the request sent since the last END_UP."""
@@ -381,15 +418,16 @@ class ServerConnection:
             for pos in range(0, len(response_bytes), RECORD_MAX)
         ] or [b""]
         for chunk in chunks:
-            wire = seal_record(self._key("down"), chunk)
+            wire = seal_record(*self._next("down", chunk))
             self._chain.add("down", wire)
             out.append(Frame(frames.RELAY_DOWN, wire))
         out.append(Frame(frames.END_DOWN, b""))
         return out
 
     def _release(self, statement_bytes: bytes) -> list[Frame]:
-        """The down seed, sealed under the handshake key, for a statement
-        that a known notary signed over this connection's records."""
+        """The down seed, for a statement that a known notary signed over
+        this connection's records, sealed under the handshake key and the
+        statement's bytes."""
         if self._hk is None:
             raise ProtocolError("server: statement before handshake")
         try:
@@ -397,7 +435,8 @@ class ServerConnection:
         except ValidationError as exc:
             raise ProtocolError(f"malformed statement: {exc}")
         signed.check_session(self.server.notary_keys, self.session_id, self._chain)
-        return [Frame(frames.POST_DOWN, seal_record(release_key(self._hk), self._seed))]
+        release = RecordCipher("release", release_key(self._hk, statement_bytes))
+        return [Frame(frames.POST_DOWN, seal_record(release, self._seed, 0, release.key(0)))]
 
 
 class TargetServer:

@@ -235,10 +235,7 @@ class ProvisionedChannel:
         session_id: str,
     ):
         self.session_id = session_id
-        self._session, ok = service.open_session(
-            _open_frame(session_id, domain, cap_up, cap_down)
-        )
-        self.notary_public_key = json_field(canonical_loads(ok.payload), "notary_public_key")
+        self._session, _ = service.open_session(_open_frame(session_id, domain, cap_up, cap_down))
 
     def exchange(self, *batch: Frame) -> list[Frame]:
         """The replies to each frame of ``batch`` in turn, up to an ABORT."""
@@ -294,9 +291,6 @@ class TCPChannel:
             reply = frames.read_frame(self._received)
             if reply.type == frames.ABORT:
                 raise ProtocolError(f"notary rejected session: {reply.payload.decode()}")
-            self.notary_public_key = json_field(
-                canonical_loads(reply.payload), "notary_public_key"
-            )
             self._open = True
         replies = []
         for frame in batch:
@@ -387,8 +381,9 @@ class NotarizedSession:
     Protocol order matters: the notary signs the head of the record chain
     before the server releases the down-direction key seed, so nothing in
     the prover's pre-signature view determines a response plaintext. The
-    seed comes sealed under the handshake key, which the server's fresh
-    ephemeral key keeps from a notary that relays the handshake as it is.
+    seed comes sealed under the handshake key and the statement, and the
+    server's fresh ephemeral key keeps the handshake key from a notary
+    that relays the handshake as it is.
     Not from one that answers it itself: ``server_pub`` comes in the same
     unauthenticated hello as the signature checked under it, so nothing
     pins the server's key. The channel is closed when the
@@ -423,7 +418,7 @@ class NotarizedSession:
         except BaseException:
             channel.close()
             raise
-        self._up_secret = toytls.up_secret(shared)
+        self._up = toytls.RecordCipher("up", toytls.up_secret(shared))
         self._hk = toytls.handshake_key(shared, bytes.fromhex(nonce))
 
     def send(
@@ -445,13 +440,11 @@ class NotarizedSession:
                 self.channel.close()
                 raise
         first = sum(len(sent.up_wires) for sent in self._sent)
-        up_keys = [
-            toytls.derive_record_key("up", self._up_secret, first + i)
-            for i in range(len(record_spans))
-        ]
+        indices = range(first, first + len(record_spans))
+        up_keys = [self._up.key(i) for i in indices]
         up_wires = [
-            toytls.seal_record(key, request_bytes[offset:offset + length])
-            for key, (offset, length) in zip(up_keys, record_spans)
+            toytls.seal_record(self._up, request_bytes[offset:offset + length], i, key)
+            for i, key, (offset, length) in zip(indices, up_keys, record_spans)
         ]
         for wire in up_wires:
             self.chain.add("up", wire)
@@ -481,39 +474,55 @@ class NotarizedSession:
 
     def finish(self) -> list[tuple[bytes, WebProof]]:
         """FIN, after the exchange held back: the notary signs the chain, and
-        the server then releases the seed, sealed under the handshake key;
-        the session is over."""
+        the server then releases the seed, sealed under the handshake key
+        and the statement it checked; the session is over.
+
+        The prover checks the statement's session id, count and head
+        against its own chain, and runs no signature check. The server
+        seals the seed under ``release_key(hk, statement)`` only after it
+        has checked the statement's signature under a notary key it trusts
+        and its chain against the server's own. Only prover and server
+        hold ``hk``, so a seed that opens under the statement the prover
+        holds means the server accepted those very bytes; a statement
+        changed or re-signed on its way to the prover opens nothing. A
+        prover that checked the signature itself could only use the key
+        the notary announced for itself. What the prover no longer learns
+        is that the signer is that announced key; the verifier checks the
+        signature under the AID's notary key in any case."""
         try:
             statement, released = _expect(
                 self._flush(Frame(frames.FIN, b"")), frames.STATEMENT, frames.POST_DOWN
             )
             signed = SignedStatement.from_obj(canonical_loads(statement.payload))
-            signed.check_session(
-                [self.channel.notary_public_key], self.channel.session_id, self.chain
-            )
-            seed = toytls.open_record(toytls.release_key(self._hk), released.payload)
+            signed.check_chain(self.channel.session_id, self.chain)
+            try:
+                seed = toytls.open_seed(self._hk, statement.payload, released.payload)
+            except ProtocolError as exc:
+                raise ProtocolError(f"seed release refused for this statement: {exc}") from None
         finally:
             self.channel.close()
+        down = toytls.RecordCipher("down", seed)
         out = []
         first = 0
         for sent in self._sent:
-            down_keys = [
-                toytls.derive_record_key("down", seed, first + i)
-                for i in range(len(sent.down_wires))
-            ]
-            out.append(self._prove(signed, sent, down_keys))
-            first += len(down_keys)
+            out.append(self._prove(signed, sent, down, first))
+            first += len(sent.down_wires)
         return out
 
     def _prove(
-        self, signed: SignedStatement, sent: _Sent, down_keys: list[bytes]
+        self, signed: SignedStatement, sent: _Sent, down: toytls.RecordCipher, first: int
     ) -> tuple[bytes, WebProof]:
-        """One exchange's response and proof; record indices count from its
-        start. The request is neither committed to nor disclosed: the
-        verifier renders it, so the proof releases the keys of the
-        records outside every secret span and the tags of those inside."""
+        """One exchange's response, its down records opened from index
+        ``first`` on, and its proof; record indices in the proof count from
+        the exchange's start. The request is neither committed to nor
+        disclosed: the verifier renders it, so the proof releases the keys
+        of the records outside every secret span and the tags of those
+        inside."""
+        indices = range(first, first + len(sent.down_wires))
+        down_keys = [down.key(i) for i in indices]
         records = [
-            toytls.open_record(key, wire) for key, wire in zip(down_keys, sent.down_wires)
+            toytls.open_record(down, wire, i, key)
+            for i, key, wire in zip(indices, down_keys, sent.down_wires)
         ]
         response_bytes = b"".join(records)
 

@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from vet import demo as demo_mod, frames
+from vet import demo as demo_mod, frames, toytls
 from vet.aid import (
     SCHEME_PROXY_TEE,
     SCHEME_TLS_NOTARY,
@@ -26,19 +27,53 @@ def grid(total: int, size: int) -> list[int]:
     return [min(size, total - start) for start in range(0, total, size)]
 
 
-def gctr(aes_key: bytes, data: bytes) -> bytes:
+def gctr(aes_key: bytes, nonce: bytes, data: bytes) -> bytes:
     """``data`` XOR AES-256 under ``aes_key`` over the counter blocks
-    ``0^96 || 2 + i``, built block by block: GCTR (NIST SP 800-38D §7.1)
-    for an all-zero 96-bit nonce, with no AES-GCM call."""
+    ``nonce || 2 + i``, built block by block: GCTR (NIST SP 800-38D §7.1)
+    for a 96-bit ``nonce``, with no AES-GCM call."""
     encryptor = Cipher(algorithms.AES(aes_key), modes.ECB()).encryptor()
-    blocks = b"".join(bytes(12) + (2 + i).to_bytes(4, "big") for i in range((len(data) + 15) // 16))
+    blocks = b"".join(nonce + (2 + i).to_bytes(4, "big") for i in range((len(data) + 15) // 16))
     stream = encryptor.update(blocks) + encryptor.finalize()
     return bytes(a ^ b for a, b in zip(data, stream))
 
 
-def aes_ctr_xor(key: bytes, data: bytes) -> bytes:
-    """``data`` XOR the keystream of record key ``key``."""
-    return gctr(hashlib.sha256(b"VET/ks:" + key).digest(), data)
+def record_xor(direction: str, secret: bytes, index: int, data: bytes) -> bytes:
+    """``data`` XOR the keystream of record ``index`` of ``direction``
+    under ``secret``: AES-256 keyed by ``SHA-256("VET/ks-" || direction
+    || ":" || secret)``, the 96-bit big-endian ``index`` as the nonce."""
+    aes_key = hashlib.sha256(b"VET/ks-" + direction.encode() + b":" + secret).digest()
+    return gctr(aes_key, index.to_bytes(12, "big"), data)
+
+
+class HandSealer:
+    """Records sealed and opened by hand, as one direction of a session
+    does under ``secret``: the one place tests key records outside a
+    session."""
+
+    def __init__(self, direction: str, secret: bytes):
+        self.cipher = toytls.RecordCipher(direction, secret)
+
+    def seal(self, index: int, plaintext: bytes) -> bytes:
+        return toytls.seal_record(self.cipher, plaintext, index, self.cipher.key(index))
+
+    def open(self, index: int, wire: bytes) -> bytes:
+        return toytls.open_record(self.cipher, wire, index, self.cipher.key(index))
+
+
+def count_calls(monkeypatch, original):
+    """Count calls of ``original`` from every ``vet`` module that holds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "vet" or name.startswith("vet."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import count_calls
 from vet import demo, keys, mockserver, templates
 from vet.agent_model import ExecutionTrace, StepRecord, ToolCall, rebuild_transcript, run_agent
 from vet.aid import (
@@ -575,8 +576,8 @@ def test_tee_request_the_template_cannot_render_is_rejected_in_a_bundle():
 
 def test_prove_trace_renders_and_parses_each_call_once(monkeypatch, scripted):
     world, trace, bundle = scripted
-    renders = _count_calls(monkeypatch, templates.render)
-    parses = _count_calls(monkeypatch, templates.parse_exchange)
+    renders = count_calls(monkeypatch, templates.render)
+    parses = count_calls(monkeypatch, templates.parse_exchange)
     again = prove_trace(trace, world.aid, world.provers)
     calls = sum(1 + len(step.tool_calls) for step in trace.steps)
     assert len(renders) == len(parses) == len(again.proofs) == calls
@@ -702,31 +703,13 @@ def test_calls_share_one_session_per_component_scheme(scripted):
     assert sum(s.exchanges for s in report.sessions) == len(bundle.proofs)
 
 
-def _count_calls(monkeypatch, original):
-    """Count calls of ``original`` from every ``vet`` module that holds it."""
-    import sys
-
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name == "vet" or name.startswith("vet."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("n_steps", [2, 16])
 def test_signature_checks_are_one_per_session(monkeypatch, n_steps):
     world = ScriptedWorld(f"flat-{n_steps}", n_steps=n_steps)
     trace = run_agent(world.core_fn, world.tools, "begin", max_steps=n_steps)
     assert len(trace.steps) == n_steps
     bundle = prove_trace(trace, world.aid, world.provers)
-    calls = _count_calls(monkeypatch, keys.verify_signature)
+    calls = count_calls(monkeypatch, keys.verify_signature)
     verify_trace(trace.steps[-1].core_output, bundle, world.aid, world.registry)
     assert len(bundle.sessions) == 2
     assert len(calls) == len(bundle.sessions)

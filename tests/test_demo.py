@@ -38,10 +38,10 @@ def test_demo_seed_zero(demo_result):
 def test_verify_trace_runs_no_keystream(demo_result, monkeypatch):
     # The verifier checks each released record key with one tag hash; it
     # never decrypts or re-encrypts a record.
-    def refuse(key, data):
+    def refuse(cipher, index, data):
         raise AssertionError("ran the record keystream")
 
-    monkeypatch.setattr(toytls, "keystream_xor", refuse)
+    monkeypatch.setattr(toytls.RecordCipher, "xor", refuse)
     # The patch is live: proving, which seals records, runs into it.
     with pytest.raises(AssertionError, match="ran the record keystream"):
         run_demo("0")

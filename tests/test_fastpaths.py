@@ -24,7 +24,7 @@ from itertools import accumulate
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import aes_ctr_xor, grid
+from conftest import grid, record_xor
 from vet import frames, toytls
 from vet.agent_model import (
     ExecutionTrace,
@@ -66,18 +66,25 @@ def old_tag(key, plaintext):
     return hashlib.sha256(b"VET/mac:" + key + plaintext).digest()
 
 
-def old_seal_record(key, plaintext):
+def old_record_key(direction, secret, index):
+    return hashlib.sha256(
+        b"VET/key-" + direction.encode() + b":" + secret + index.to_bytes(4, "big")
+    ).digest()
+
+
+def old_seal_record(direction, secret, index, plaintext):
     # The keystream built AES block by block over its counter blocks and
     # XORed byte by byte, in place of the one AES-GCM call per record.
-    return aes_ctr_xor(key, plaintext) + old_tag(key, plaintext)
+    key = old_record_key(direction, secret, index)
+    return record_xor(direction, secret, index, plaintext) + old_tag(key, plaintext)
 
 
-def old_open_record(key, wire):
+def old_open_record(direction, secret, index, wire):
     if len(wire) < toytls.TAG_LEN:
         raise ProtocolError("record shorter than MAC tag")
     ct, tag = wire[:-toytls.TAG_LEN], wire[-toytls.TAG_LEN:]
-    plaintext = aes_ctr_xor(key, ct)
-    if old_tag(key, plaintext) != tag:
+    plaintext = record_xor(direction, secret, index, ct)
+    if old_tag(old_record_key(direction, secret, index), plaintext) != tag:
         raise ProtocolError("record MAC check failed")
     return plaintext
 
@@ -178,9 +185,8 @@ def old_check_records(lengths, record_keys, direction, data, reason, secret, wit
             continue
         if key is None:
             raise Rejected(reason, f"{direction} record {index} has no key")
-        # The oracle re-seals the record, as the verifier did before
-        # format 7, and reads the tag off the wire.
-        tags.append(old_seal_record(key, plaintext)[-toytls.TAG_LEN:])
+        # The oracle hashes the tag over the plaintext, as sealing does.
+        tags.append(old_tag(key, plaintext))
     for (d, index) in record_keys:
         if d == direction and index >= len(lengths):
             raise Rejected("cipher-mismatch", f"key for nonexistent {direction} record {index}")
@@ -323,23 +329,38 @@ def old_check_scalars(obj, path):
 
 
 @SETTINGS
-@given(st.binary(min_size=32, max_size=32), st.binary(max_size=2000), st.integers(0, 2063))
-@example(b"k" * 32, b"", 0)
-@example(b"k" * 32, b"a", 1)
-@example(b"k" * 32, b"a" * 15, 15)
-@example(b"k" * 32, b"a" * 16, 16)
-@example(b"k" * 32, b"a" * 17, 17)
-@example(b"k" * 32, b"a" * toytls.RECORD_MAX, toytls.RECORD_MAX - 1)
-def test_seal_open_match_oracle(key, plaintext, flip):
-    wire = toytls.seal_record(key, plaintext)
-    assert wire == old_seal_record(key, plaintext)
-    assert outcome(toytls.open_record, key, wire) == outcome(old_open_record, key, wire)
+@given(
+    st.binary(min_size=32, max_size=32),
+    st.binary(max_size=2000),
+    st.integers(0, 2063),
+    st.sampled_from(["up", "down"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(b"k" * 32, b"", 0, "up", 0)
+@example(b"k" * 32, b"a", 1, "down", 1)
+@example(b"k" * 32, b"a" * 15, 15, "up", 2)
+@example(b"k" * 32, b"a" * 16, 16, "down", 0)
+@example(b"k" * 32, b"a" * 17, 17, "up", 2**32 - 1)
+@example(b"k" * 32, b"a" * toytls.RECORD_MAX, toytls.RECORD_MAX - 1, "down", 3)
+def test_seal_open_match_oracle(secret, plaintext, flip, direction, index):
+    cipher = toytls.RecordCipher(direction, secret)
+    key = cipher.key(index)
+
+    def new_open(wire):
+        return toytls.open_record(cipher, wire, index, key)
+
+    def old_open(wire):
+        return old_open_record(direction, secret, index, wire)
+
+    wire = toytls.seal_record(cipher, plaintext, index, key)
+    assert wire == old_seal_record(direction, secret, index, plaintext)
+    assert outcome(new_open, wire) == outcome(old_open, wire)
     tampered = bytearray(wire)
     tampered[flip % len(wire)] ^= 1
     tampered = bytes(tampered)
-    assert outcome(toytls.open_record, key, tampered) == outcome(old_open_record, key, tampered)
+    assert outcome(new_open, tampered) == outcome(old_open, tampered)
     short = wire[: flip % toytls.TAG_LEN]
-    assert outcome(toytls.open_record, key, short) == outcome(old_open_record, key, short)
+    assert outcome(new_open, short) == outcome(old_open, short)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +561,8 @@ def record_cases(draw):
     keys, lengths, tags, secret = {}, [], [], set()
     for i, (start, end) in enumerate(spans):
         key = rng.randbytes(32)
-        wire = old_seal_record(key, plaintext[start:end])
         lengths.append(end - start)
-        tags.append(wire[-toytls.TAG_LEN:])
+        tags.append(old_tag(key, plaintext[start:end]))
         # An honest prover withholds the key of a secret record, and only
         # of one, and ships its tag instead.
         if direction == "up" and draw(st.booleans()):

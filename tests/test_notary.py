@@ -11,7 +11,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from hypothesis import given, settings, strategies as st
 
-from conftest import WebProofRig
+from conftest import HandSealer, WebProofRig
 
 from vet import frames, notary as notary_mod, toytls
 from vet.canonical import canonical_bytes, canonical_loads
@@ -55,7 +55,6 @@ def _open_frame(session_id, cap_up=1 << 16, cap_down=1 << 16, domain="echo.test"
 
 def test_open_session_and_statement(rig):
     channel = provision_channel(rig.service, "echo.test", 4096, 16384, session_id="s1")
-    assert channel.notary_public_key == rig.notary_key.public_string
     _real_handshake(channel)
     statement_frame, released = channel.exchange(Frame(frames.FIN, b""))
     assert (statement_frame.type, released.type) == (frames.STATEMENT, frames.POST_DOWN)
@@ -103,8 +102,7 @@ def test_record_after_statement_aborts(rig):
 
 
 def _sealed_up(up, index, plaintext):
-    key = toytls.derive_record_key("up", up, index)
-    return Frame(frames.RELAY_UP, toytls.seal_record(key, plaintext))
+    return Frame(frames.RELAY_UP, HandSealer("up", up).seal(index, plaintext))
 
 
 def test_capacity_enforced(rig):
@@ -377,8 +375,7 @@ def test_malformed_key_request_aborts(rig, make_request):
 def test_unreadable_request_aborts(rig):
     channel = provision_channel(rig.service, "echo.test", session_id="bad-request")
     up, _ = _real_handshake(channel)
-    record = toytls.seal_record(toytls.derive_record_key("up", up, 0), b"not http")
-    assert channel.exchange(Frame(frames.RELAY_UP, record)) == [Frame(frames.ACK, b"")]
+    assert channel.exchange(_sealed_up(up, 0, b"not http")) == [Frame(frames.ACK, b"")]
     (reply,) = channel.exchange(Frame(frames.END_UP, b""))
     assert reply.type == frames.ABORT
     assert reply.payload.startswith(b"protocol error: server: malformed request")
@@ -425,8 +422,7 @@ def test_tcp_truncated_history_gets_response_frames():
         channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-short-history")
         up, _ = _real_handshake(channel)
         request = _post("/v1/agent", canonical_bytes({"history": "00"}))
-        record = toytls.seal_record(toytls.derive_record_key("up", up, 0), request)
-        assert channel.exchange(Frame(frames.RELAY_UP, record)) == [Frame(frames.ACK, b"")]
+        assert channel.exchange(_sealed_up(up, 0, request)) == [Frame(frames.ACK, b"")]
         replies = channel.exchange(Frame(frames.END_UP, b""))
         channel.close()
         types = [r.type for r in replies]
@@ -440,8 +436,7 @@ def test_tcp_truncated_history_gets_response_frames():
 def test_array_body_gets_response_frames(rig):
     channel = provision_channel(rig.service, "echo.test", session_id="array-body")
     up, _ = _real_handshake(channel)
-    record = toytls.seal_record(toytls.derive_record_key("up", up, 0), _post("/v1/echo", b"[]"))
-    assert channel.exchange(Frame(frames.RELAY_UP, record)) == [Frame(frames.ACK, b"")]
+    assert channel.exchange(_sealed_up(up, 0, _post("/v1/echo", b"[]"))) == [Frame(frames.ACK, b"")]
     replies = channel.exchange(Frame(frames.END_UP, b""))
     assert [r.type for r in replies] == [frames.RELAY_DOWN] * (len(replies) - 1) + [frames.END_DOWN]
 
@@ -521,8 +516,7 @@ def test_fuzz_session_only_returns_frames(ops):
     sealed = 0
     for kind, ftype, payload in ops:
         if kind == "relay":
-            key = toytls.derive_record_key("up", up, sealed)
-            frame = Frame(frames.RELAY_UP, toytls.seal_record(key, payload))
+            frame = _sealed_up(up, sealed, payload)
             sealed += 1
         else:
             frame = Frame(ftype, payload)
@@ -726,8 +720,7 @@ def test_relay_view_recovers_no_server_secret(rig, monkeypatch):
     for direction, secret, wires in (("up", up, ups), ("down", seed, downs)):
         for index, wire in enumerate(wires):
             try:
-                key = toytls.derive_record_key(direction, secret, index)
-                recovered.append(toytls.open_record(key, wire))
+                recovered.append(HandSealer(direction, secret).open(index, wire))
             except ProtocolError:
                 pass
     assert recovered == []

@@ -7,7 +7,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 
-from conftest import aes_ctr_xor, gctr
+from conftest import HandSealer, gctr, record_xor
 from vet import frames, toytls
 from vet.canonical import canonical_bytes, canonical_loads
 from vet.errors import ProtocolError, ValidationError
@@ -18,11 +18,11 @@ from vet.toytls import (
     CHAIN_START,
     RECORD_MAX,
     RecordChain,
+    RecordCipher,
     ServerConnection,
     TargetServer,
     derive_record_key,
     handshake_signature_message,
-    keystream_xor,
     normalize_ranges,
     open_record,
     seal_record,
@@ -30,36 +30,46 @@ from vet.toytls import (
 )
 
 
+def _keyed(direction="up", secret=b"k" * 32):
+    cipher = RecordCipher(direction, secret)
+    return cipher, cipher.key
+
+
 def test_seal_open_round_trip():
-    key = b"k" * 32
-    for size in [0, 1, 31, 32, 33, 1000]:
+    cipher, key = _keyed()
+    for index, size in enumerate([0, 1, 31, 32, 33, 1000]):
         plaintext = random.Random(size).randbytes(size)
-        wire = seal_record(key, plaintext)
+        wire = seal_record(cipher, plaintext, index, key(index))
         assert len(wire) == size + toytls.TAG_LEN
-        assert open_record(key, wire) == plaintext
+        assert open_record(cipher, wire, index, key(index)) == plaintext
 
 
 def test_open_rejects_tampering():
-    key = b"k" * 32
-    wire = seal_record(key, b"hello world bytes")
+    cipher, key = _keyed()
+    wire = seal_record(cipher, b"hello world bytes", 0, key(0))
     bad = bytes([wire[0] ^ 1]) + wire[1:]
     with pytest.raises(ProtocolError):
-        open_record(key, bad)
+        open_record(cipher, bad, 0, key(0))
     with pytest.raises(ProtocolError):
-        open_record(b"j" * 32, wire)  # wrong key
+        open_record(cipher, wire, 0, b"j" * 32)  # wrong tag key
     with pytest.raises(ProtocolError):
-        open_record(key, wire[: toytls.TAG_LEN - 1])  # shorter than tag
+        open_record(cipher, wire, 1, key(0))  # wrong index, so wrong keystream
+    with pytest.raises(ProtocolError):
+        open_record(RecordCipher("up", b"j" * 32), wire, 0, key(0))  # wrong cipher
+    with pytest.raises(ProtocolError):
+        open_record(cipher, wire[: toytls.TAG_LEN - 1], 0, key(0))  # shorter than tag
 
 
 def test_seal_record_known_answer():
-    # The AES-256 counter-mode keystream XOR the plaintext, then the tag
-    # SHA-256("VET/mac:" || key || plaintext), which is the digest the
+    # Record 0's AES-256 counter-mode keystream XOR the plaintext, then the
+    # tag SHA-256("VET/mac:" || key || plaintext), which is the digest the
     # notary signs.
-    key, plaintext = b"k" * 32, b"GET / HTTP/1.1\r\n"
+    cipher, derive = _keyed()
+    key, plaintext = derive(0), b"GET / HTTP/1.1\r\n"
     tag = hashlib.sha256(b"VET/mac:" + key + plaintext).digest()
-    wire = seal_record(key, plaintext)
-    assert wire == aes_ctr_xor(key, plaintext) + tag
-    assert wire[:-toytls.TAG_LEN].hex() == "3ecdaec503759ccebfc05eb3701897be"
+    wire = seal_record(cipher, plaintext, 0, key)
+    assert wire == record_xor("up", b"k" * 32, 0, plaintext) + tag
+    assert wire[:-toytls.TAG_LEN].hex() == "5e50e2fc979cd8d2e97519b3b2e1d72e"
     assert toytls.record_tag(key, plaintext) == tag
     # Format 9: the record chain's head over (direction, length, tag), one
     # byte of direction and eight of length, from an all-zero head.
@@ -71,36 +81,48 @@ def test_seal_record_known_answer():
 
 
 def test_open_refuses_a_flipped_ciphertext_or_tag_byte():
-    key = b"k" * 32
-    wire = seal_record(key, b"hello world bytes")
+    cipher, key = _keyed()
+    wire = seal_record(cipher, b"hello world bytes", 3, key(3))
     ct_len = len(wire) - toytls.TAG_LEN
     for pos in (0, ct_len - 1, ct_len, len(wire) - 1):  # ciphertext, then tag
         flipped = bytearray(wire)
         flipped[pos] ^= 0x80
         with pytest.raises(ProtocolError, match="MAC check failed"):
-            open_record(key, bytes(flipped))
+            open_record(cipher, bytes(flipped), 3, key(3))
 
 
 def test_keystream_oracle():
-    # Sizes around one 16-byte AES block, and a full record.
+    # Sizes around one 16-byte AES block, and a full record, in both
+    # directions and at several indices: record i of a direction is
+    # encrypted under that direction's one AES key and the nonce i.
     for size in (0, 1, 15, 16, 17, RECORD_MAX):
         rng = random.Random(size)
-        key, data = rng.randbytes(32), rng.randbytes(size)
-        assert keystream_xor(key, data) == aes_ctr_xor(key, data)
-        assert keystream_xor(key, keystream_xor(key, data)) == data
+        secret, data = rng.randbytes(32), rng.randbytes(size)
+        for direction in ("up", "down"):
+            cipher = RecordCipher(direction, secret)
+            for index in (0, 1, 7, 2**32 - 1):
+                assert cipher.xor(index, data) == record_xor(direction, secret, index, data)
+                assert cipher.xor(index, cipher.xor(index, data)) == data
+    # One key per direction: the same secret and index give unrelated
+    # keystreams in the two directions, and in one direction at two indices.
+    streams = {
+        RecordCipher(d, b"s" * 32).xor(i, bytes(32)) for d in ("up", "down") for i in (0, 1)
+    }
+    assert len(streams) == 4
 
 
 def test_keystream_known_answer():
     # The oracle's counter blocks against a published vector: the GCM
     # specification's test case 14 (McGrew and Viega), a zero 256-bit key,
     # a zero 96-bit IV and one zero block, whose ciphertext is GCTR's.
-    assert gctr(bytes(32), bytes(16)).hex() == "cea7403d4d606b6e074ec5d3baf39d18"
-    # AES-256 under SHA-256("VET/ks:" || "x" * 32), counter blocks from
-    # 0^96 || 2, 40 bytes of keystream (the XOR of 40 zero bytes). Any
-    # change to the keystream construction changes this vector.
-    assert keystream_xor(b"x" * 32, bytes(40)).hex() == (
-        "c005e20d64de629b51d30a473c9562ee987da9dbc8dbf725"
-        "f244629250adc3015b0837d850d4607a"
+    assert gctr(bytes(32), bytes(12), bytes(16)).hex() == "cea7403d4d606b6e074ec5d3baf39d18"
+    # AES-256 under SHA-256("VET/ks-up:" || "x" * 32), counter blocks from
+    # nonce 1 (96 bits, big-endian) || 2: record 1's 40 bytes of keystream
+    # (the XOR of 40 zero bytes). Any change to the keystream construction
+    # or the nonce layout changes this vector.
+    assert RecordCipher("up", b"x" * 32).xor(1, bytes(40)).hex() == (
+        "f3e5c8c7fdc8a5b7aaacd2d5ec65598dec1a79c343c1dfb8"
+        "ef84174c2a36330992d11573ac41bab8"
     )
 
 
@@ -184,11 +206,11 @@ def test_server_round_trip_and_key_release():
     connection = server.open_connection("sess-1")
     rng = random.Random(0)
     shared, nonce = _drive_handshake(connection, rng, "sess-1")
-    up = toytls.up_secret(shared)
+    up = HandSealer("up", toytls.up_secret(shared))
     hk = toytls.handshake_key(shared, bytes.fromhex(nonce))
 
     request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"m"}'
-    wire = seal_record(derive_record_key("up", up, 0), request)
+    wire = up.seal(0, request)
     assert connection.handle(Frame(frames.RELAY_UP, wire)) == []
     replies = connection.handle(Frame(frames.END_UP, b""))
     assert replies[-1].type == frames.END_DOWN
@@ -198,18 +220,10 @@ def test_server_round_trip_and_key_release():
     # Build the statement the notary would sign over this session's chain.
     chain = [("up", wire)] + [("down", w) for w in down_wires]
     statement = _statement("sess-1", chain)
-    signed = canonical_bytes(
-        {
-            "statement": statement,
-            "notary_signature": notary.sign(canonical_bytes(statement)),
-        }
-    )
+    signed = _signed(statement, notary.sign(canonical_bytes(statement)))
     (post,) = connection.handle(Frame(frames.STATEMENT, signed))
-    seed = open_record(toytls.release_key(hk), post.payload)
-    response = b"".join(
-        open_record(derive_record_key("down", seed, i), w)
-        for i, w in enumerate(down_wires)
-    )
+    down = HandSealer("down", toytls.open_seed(hk, signed, post.payload))
+    response = b"".join(down.open(i, w) for i, w in enumerate(down_wires))
     assert response.startswith(b"HTTP/1.1 200 OK")
     assert b'"echo":"m"' in response
 
@@ -220,28 +234,32 @@ def test_server_refuses_an_up_record_whose_tag_names_other_plaintext():
     server, _ = _make_server()
     connection = server.open_connection("sess-tag")
     shared, _ = _drive_handshake(connection, random.Random(3), "sess-tag")
-    key = derive_record_key("up", toytls.up_secret(shared), 0)
+    up = HandSealer("up", toytls.up_secret(shared))
     sent = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"m"}'
     claimed = sent.replace(b'"m"', b'"n"')
-    wire = seal_record(key, sent)[: -toytls.TAG_LEN] + toytls.record_tag(key, claimed)
+    wire = up.seal(0, sent)[: -toytls.TAG_LEN] + toytls.record_tag(up.cipher.key(0), claimed)
     with pytest.raises(ProtocolError, match="MAC check failed"):
         connection.handle(Frame(frames.RELAY_UP, wire))
 
 
+def _signed(statement, signature):
+    """The STATEMENT payload of ``statement`` under ``signature``."""
+    return canonical_bytes({"statement": statement, "notary_signature": signature})
+
+
 def _release_attempt(connection, statement, signature):
     """Hand the server a statement, as the notary does at FIN."""
-    signed = canonical_bytes({"statement": statement, "notary_signature": signature})
-    return connection.handle(Frame(frames.STATEMENT, signed))
+    return connection.handle(Frame(frames.STATEMENT, _signed(statement, signature)))
 
 
 def test_server_withholds_seed_without_valid_statement():
     server, notary = _make_server()
     connection = server.open_connection("sess-2")
     shared, nonce = _drive_handshake(connection, random.Random(1), "sess-2")
-    up = toytls.up_secret(shared)
+    up = HandSealer("up", toytls.up_secret(shared))
     hk = toytls.handshake_key(shared, bytes.fromhex(nonce))
     request = b"GET / HTTP/1.1\r\nHost: echo.test\r\n\r\n"
-    wire = seal_record(derive_record_key("up", up, 0), request)
+    wire = up.seal(0, request)
     connection.handle(Frame(frames.RELAY_UP, wire))
     replies = connection.handle(Frame(frames.END_UP, b""))
     down_wires = [r.payload for r in replies if r.type == frames.RELAY_DOWN]
@@ -264,10 +282,11 @@ def test_server_withholds_seed_without_valid_statement():
             _release_attempt(connection, forged, notary.sign(canonical_bytes(forged)))
     # The honest statement still works after the failed attempts, and the
     # seed it releases opens the response.
-    (post,) = _release_attempt(connection, good, notary.sign(canonical_bytes(good)))
+    signature = notary.sign(canonical_bytes(good))
+    (post,) = _release_attempt(connection, good, signature)
     assert post.type == frames.POST_DOWN
-    seed = open_record(toytls.release_key(hk), post.payload)
-    assert open_record(derive_record_key("down", seed, 0), down_wires[0]).startswith(b"HTTP/1.1")
+    seed = toytls.open_seed(hk, _signed(good, signature), post.payload)
+    assert HandSealer("down", seed).open(0, down_wires[0]).startswith(b"HTTP/1.1")
 
 
 def test_server_rejects_out_of_order_frames():
@@ -296,12 +315,14 @@ def _one_session(server, notary, session_id):
     server_eph = canonical_loads(reply.payload)["server_eph"]
     shared = eph.exchange(X25519PublicKey.from_public_bytes(bytes.fromhex(server_eph)))
     request = b'POST / HTTP/1.1\r\nHost: echo.test\r\nContent-Length: 15\r\n\r\n{"message":"m"}'
-    wire = seal_record(derive_record_key("up", toytls.up_secret(shared), 0), request)
+    wire = HandSealer("up", toytls.up_secret(shared)).seal(0, request)
     connection.handle(Frame(frames.RELAY_UP, wire))
     down = [r.payload for r in connection.handle(Frame(frames.END_UP, b"")) if r.payload]
     statement = _statement(session_id, [("up", wire)] + [("down", w) for w in down])
-    (post,) = _release_attempt(connection, statement, notary.sign(canonical_bytes(statement)))
-    return server_eph, open_record(toytls.release_key(toytls.handshake_key(shared, nonce)), post.payload)
+    signature = notary.sign(canonical_bytes(statement))
+    (post,) = _release_attempt(connection, statement, signature)
+    hk = toytls.handshake_key(shared, nonce)
+    return server_eph, toytls.open_seed(hk, _signed(statement, signature), post.payload)
 
 
 def test_server_secrets_fresh_per_connection():

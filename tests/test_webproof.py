@@ -4,14 +4,16 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import grid
-from vet import commitment, toytls
-from vet.canonical import canonical_bytes
+from conftest import count_calls, grid
+from vet import commitment, frames, keys, toytls
+from vet.canonical import canonical_bytes, canonical_loads
 from vet.commitment import SALT_LEN, Disclosure, RevealedRun, commit, disclose, leaf_hash
 from vet.errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from vet.keys import SigningKey
 from vet.templates import render
 from vet.chain import OpenChain
+from vet.frames import Frame
+from vet.notary import NotarySession
 from vet.webproof import (
     NotarizedRun,
     NotarizedSession,
@@ -183,10 +185,10 @@ def test_verify_webproof_runs_no_keystream(rig, monkeypatch):
     message = "".join(random.Random(49).choices(string.ascii_letters, k=48 * 1024))
     _, proof = _prove(rig, message)
 
-    def refuse(key, data):
+    def refuse(cipher, index, data):
         raise AssertionError("ran the record keystream")
 
-    monkeypatch.setattr(toytls, "keystream_xor", refuse)
+    monkeypatch.setattr(toytls.RecordCipher, "xor", refuse)
     # The patch is live: proving, which seals records, runs into it.
     with pytest.raises(AssertionError, match="ran the record keystream"):
         _prove(rig, message)
@@ -539,7 +541,6 @@ def test_statement_chain_must_match_observation(rig):
         def __init__(self, inner):
             self.inner = inner
             self.session_id = inner.session_id
-            self.notary_public_key = inner.notary_public_key
 
         def exchange(self, *batch):
             from vet import frames as f
@@ -565,6 +566,102 @@ def test_statement_chain_must_match_observation(rig):
         run_session(
             channel, request, secret_spans=sorted(spans.values()), claims={"input": "tamper"}
         )
+
+
+class StatementSwap:
+    """A channel that hands the prover ``rewrite(payload)`` in place of the
+    STATEMENT the server was shown, and counts its closes."""
+
+    def __init__(self, inner, rewrite):
+        self.inner = inner
+        self.session_id = inner.session_id
+        self.rewrite = rewrite
+        self.closes = 0
+
+    def exchange(self, *batch):
+        return [
+            Frame(frames.STATEMENT, self.rewrite(r.payload)) if r.type == frames.STATEMENT else r
+            for r in self.inner.exchange(*batch)
+        ]
+
+    def close(self):
+        self.closes += 1
+        self.inner.close()
+
+
+def _flip_signature(obj, rig):
+    signature = bytearray.fromhex(obj["notary_signature"])
+    signature[0] ^= 1
+    return dict(obj, notary_signature=signature.hex())
+
+
+def _signed_by(key, statement):
+    return {"statement": statement, "notary_signature": key.sign(canonical_bytes(statement))}
+
+
+@pytest.mark.parametrize(
+    "rewrite, refusal",
+    [
+        pytest.param(_flip_signature, "seed release refused", id="flipped-signature"),
+        pytest.param(
+            lambda obj, rig: _signed_by(SigningKey.from_seed("rogue"), obj["statement"]),
+            "seed release refused",
+            id="rogue-signed",
+        ),
+        pytest.param(
+            lambda obj, rig: _signed_by(rig.notary_key, dict(obj["statement"], head="00" * 32)),
+            "signed chain does not match",
+            id="notary-signed-wrong-chain",
+        ),
+    ],
+)
+def test_prover_refuses_a_statement_other_than_the_servers(rig, rewrite, refusal):
+    # The server checked and released the seed for the notary's honest
+    # statement; the prover is handed another one. A changed signature, a
+    # rogue signer, or a notary's second signature over a wrong chain
+    # each leaves no proof, and the channel is closed.
+    channel = StatementSwap(
+        provision_channel(rig.service, "echo.test", rng=random.Random(6)),
+        lambda payload: canonical_bytes(rewrite(canonical_loads(payload), rig)),
+    )
+    template = rig.registry.get_inject(rig.inject_uid)
+    request, spans = render(template, "swap", {"token": SECRET})
+    with pytest.raises(ProtocolError, match=refusal):
+        run_session(channel, request, secret_spans=sorted(spans.values()), claims={"input": "swap"})
+    assert channel.closes == 1
+
+
+def test_notary_signing_a_wrong_chain_leaves_no_proof(rig, monkeypatch):
+    # The notary signs a head that is not the session's: the server
+    # releases no seed, and the prover gets the abort, not a proof.
+    statement = NotarySession._statement
+
+    def wrong_head(session):
+        session.chain.head = bytes(32)
+        return statement(session)
+
+    monkeypatch.setattr(NotarySession, "_statement", wrong_head)
+    channel = StatementSwap(
+        provision_channel(rig.service, "echo.test", rng=random.Random(7)), lambda p: p
+    )
+    with pytest.raises(ProtocolError, match="aborted: .*signed chain does not match"):
+        run_session(channel, b"GET / HTTP/1.1\r\n\r\n", claims={"input": "x"})
+    assert channel.closes == 1
+
+
+def test_run_session_checks_two_signatures(rig, monkeypatch):
+    # The prover checks the server's handshake signature and the server
+    # checks the notary's statement before it releases the seed; the
+    # prover does not check the statement's signature a second time.
+    calls = count_calls(monkeypatch, keys.verify_signature)
+    channel = provision_channel(rig.service, "echo.test", rng=random.Random(8))
+    template = rig.registry.get_inject(rig.inject_uid)
+    request, spans = render(template, "count", {"token": SECRET})
+    response, _ = run_session(
+        channel, request, secret_spans=sorted(spans.values()), claims={"input": "count"}
+    )
+    assert b'"echo":"count"' in response
+    assert len(calls) == 2
 
 
 def _run(rig, messages, **caps):
