@@ -33,14 +33,17 @@ bytes through them: ``open`` starts a run, whose ``add`` sends a
 rendered request and whose ``finish`` gives each signed object with
 every call's response and payload. A TEE proof ships its raw request,
 so the ProxyTEE prover holds no secret. Proving and verifying walk a
-trace's invocations in one order (``invocations``), and ``verify_trace``
-records what it checked in a ``VerificationReport``.
+trace's invocations in one order (``invocations``), the order of a
+bundle's proofs: the i-th proof is the i-th invocation's, and any other
+order is subproof-invalid. ``verify_trace`` records what it checked in a
+``VerificationReport``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterator, NamedTuple
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import tee_proxy, webproof
 from .agent_model import (
@@ -283,7 +286,7 @@ def prove_trace(
     no prover can make, is a ValidationError naming the invocation.
     """
     runs: dict[tuple, tuple[object, object, list]] = {}
-    locators = []
+    slots: list[ComponentProof | None] = []  # one per invocation, in invocation order
     for invocation in invocations(trace):
         try:
             entry = invocation.entry(aid)
@@ -299,18 +302,17 @@ def prove_trace(
             runs[key] = (prover, prover.open(entry), [])
         _, run, calls = runs[key]
         run.add(request_bytes, spans, invocation.x)
-        calls.append((invocation, entry))
-        locators.append(invocation.locator)
+        calls.append((len(slots), invocation, entry))
+        slots.append(None)
 
     sessions = []
-    proofs = {}
     for (scheme, _), (prover, run, calls) in runs.items():
         spec = SCHEMES[scheme]
         pending = iter(calls)
         for signed, proven in run.finish():
             index = str(len(sessions))
             sessions.append(Session(spec.kind, signed))
-            for (response_bytes, payload), (invocation, entry) in zip(proven, pending):
+            for (response_bytes, payload), (slot, invocation, entry) in zip(proven, pending):
                 try:
                     exchange = prover.registry.read_call(
                         entry, invocation.x, response_bytes, invocation.role
@@ -321,7 +323,7 @@ def prove_trace(
                     raise ValidationError(
                         f"{invocation.locator} no longer reproduces the recorded exchange"
                     )
-                proofs[invocation.locator] = ComponentProof(
+                slots[slot] = ComponentProof(
                     kind=spec.kind,
                     step_index=invocation.step.step_index,
                     position=invocation.position,
@@ -330,7 +332,7 @@ def prove_trace(
     return VerifiableExecutionTrace(
         aid_id=compute_id(aid),
         trace=trace,
-        proofs=tuple(proofs[locator] for locator in locators),
+        proofs=tuple(slots),
         sessions=tuple(sessions),
     )
 
@@ -353,10 +355,15 @@ def valid_trace(trace: ExecutionTrace, step_data: list[StepData]) -> bool:
             return False
         # A tool exchange is compared by its input and result alone.
         exchanges += (data.core, *(replace(t, tool_calls=()) for t in data.tools))
-    return all(
-        exchange == invocation.recorded()
-        for invocation, exchange in zip(invocations(trace), exchanges)
-    )
+    return _first_mismatch(zip(invocations(trace), exchanges)) is None
+
+
+def _first_mismatch(
+    checked: Iterable[tuple[Invocation, AuthenticatedExchange]],
+) -> Invocation | None:
+    """ValidTrace, in one pass: the first call whose authenticated exchange
+    is not the recorded one, or None."""
+    return next((inv for inv, exchange in checked if exchange != inv.recorded()), None)
 
 
 @dataclass
@@ -490,20 +497,17 @@ def _verify_trace(
             "aid-mismatch", f"bundle built for {bundle.aid_id}, document is {aid_id}"
         )
 
-    by_locator: dict[tuple[int, str], ComponentProof] = {}
-    for proof in bundle.proofs:
-        key = (proof.step_index, proof.position)
-        if key in by_locator:
-            raise Rejected("subproof-invalid", f"duplicate proof at {proof.locator}")
-        by_locator[key] = proof
-
     opened = _OpenSessions(bundle.sessions, report)
     checked: list[tuple[Invocation, AuthenticatedExchange]] = []
-    for invocation in invocations(bundle.trace):
-        j = invocation.step.step_index
-        proof = by_locator.pop((j, invocation.position), None)
+    for invocation, proof in zip_longest(invocations(bundle.trace), bundle.proofs):
+        if invocation is None:
+            raise Rejected("subproof-invalid", f"proof at {proof.locator} matches no invocation")
         if proof is None:
             raise Rejected("subproof-invalid", f"missing proof at {invocation.locator}")
+        if proof.locator != invocation.locator:  # one spelling per (step_index, position)
+            detail = f"proof at {proof.locator} is out of invocation order"
+            raise Rejected("subproof-invalid", f"{detail}: {invocation.locator} comes first")
+        j = invocation.step.step_index
         try:
             entry = invocation.entry(aid)
         except ValidationError as exc:
@@ -512,16 +516,11 @@ def _verify_trace(
         report.components.append(check)
         exchange = _verify_component(proof, entry, registry, invocation.role, check, opened)
         checked.append((invocation, exchange))
-    if by_locator:
-        extra = next(iter(by_locator.values()))
-        raise Rejected("subproof-invalid", f"proof at {extra.locator} matches no invocation")
     opened.close_all()
 
-    # ValidTrace, in one pass: the first call whose authenticated exchange
-    # differs from the recorded one names the inconsistent step.
-    for invocation, exchange in checked:
-        if exchange != invocation.recorded():
-            raise Rejected("transcript-inconsistent", f"step {invocation.step.step_index}")
+    mismatch = _first_mismatch(checked)
+    if mismatch is not None:
+        raise Rejected("transcript-inconsistent", f"step {mismatch.step.step_index}")
 
     if m not in {invocation.claim(exchange) for invocation, exchange in checked}:
         raise Rejected("output-not-found", f"{m!r} is not an authenticated output")

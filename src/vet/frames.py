@@ -37,7 +37,6 @@ END_DOWN = 0x08
 FIN = 0x09
 STATEMENT = 0x0A
 POST_DOWN = 0x0C
-ACK = 0x0D
 ABORT = 0x0E
 CLOSE = 0x0F
 HEALTH = 0x10

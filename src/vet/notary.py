@@ -31,9 +31,9 @@ a session: the service keeps only the ids of live sessions, and
 round trips: ``[OPEN, HS_UP]``, then the request's ``RELAY_UP`` records
 with ``END_UP`` and ``FIN`` (see ``webproof.NotarizedSession``). The
 server answers every frame that has arrived before it writes, so each
-burst's replies leave in one write: ``[OPEN_OK, HS_DOWN]``, then an
-``ACK`` per record, the response records, ``END_DOWN``, ``STATEMENT``
-and ``POST_DOWN``.
+burst's replies leave in one write: ``[OPEN_OK, HS_DOWN]``, then the
+response records, ``END_DOWN``, ``STATEMENT`` and ``POST_DOWN``. A
+``RELAY_UP`` gets no reply, unless it ends the session with an ABORT.
 
 Over TCP a frame is bounded before its payload is read: a ``RELAY_UP``
 by the session's remaining up capacity and a tag, any other frame, and
@@ -97,8 +97,7 @@ class NotarySession:
             return self._server.handle(frame)
         if frame.type == frames.RELAY_UP:
             self._log("up", frame.payload)
-            self._server.handle(frame)
-            return [Frame(frames.ACK, b"")]
+            return self._server.handle(frame)  # none: a record gets no reply
         if frame.type == frames.END_UP:
             down = self._server.handle(frame)
             for f in down:

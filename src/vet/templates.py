@@ -13,7 +13,8 @@ A secret header slot is rendered at a fixed span: alignment padding
 ("~") is inserted before the value, so that it starts on a multiple of
 the template's ``chunk_size``, and the value is padded to a declared
 length that must be a multiple of ``chunk_size``. The value must be
-ASCII, so that the span's length in bytes is its length in characters.
+ASCII, so that the span's length in bytes is its length in characters,
+and a header name an HTTP token (RFC 9110 §5.6.2), which is ASCII too.
 Since format 8 no proof commits to a request in chunks, and the grid
 serves no redaction: a web proof's secret records are cut at the span's
 edges, wherever they fall. The alignment stays only because dropping it
@@ -49,6 +50,7 @@ from __future__ import annotations
 import copy
 import itertools
 import pathlib
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -110,7 +112,9 @@ class InjectTemplate:
         headers = json_field(obj, "headers", list, [])
         secrets = set()
         for header in headers:
-            json_field(header, "name")
+            name = json_field(header, "name")
+            if not _TOKEN.fullmatch(name):
+                raise ValidationError(f"header name {name!r:.40} is not an HTTP token")
             if "secret" not in header:
                 json_field(header, "value")
                 continue
@@ -184,7 +188,6 @@ class _SecretSlot:
     name: str
     declared: int  # the value's length, in characters, padding included
     lead: bytes  # the fixed head bytes from the previous slot to this value
-    skew: int  # bytes minus characters of the header's "name: " prefix
 
 
 @dataclass(frozen=True)
@@ -214,13 +217,9 @@ def _compile(template: InjectTemplate) -> _Compiled:
         if "secret" not in header:
             fixed += f"{name}: {header['value']}\r\n"
             continue
-        prefix = f"{name}: "
         declared = json_field(header, "length", int)
-        lead = (fixed + prefix).encode()
-        # The span's offset counts the prefix in characters, not bytes, as
-        # every rendering has: the two differ for a non-ASCII header name.
-        skew = len(prefix.encode()) - len(prefix)
-        secrets.append(_SecretSlot(header["secret"], declared, lead, skew))
+        lead = f"{fixed}{name}: ".encode()
+        secrets.append(_SecretSlot(header["secret"], declared, lead))
         fixed = "\r\n"
     body, error = None, None
     if template.body is not None:
@@ -229,6 +228,10 @@ def _compile(template: InjectTemplate) -> _Compiled:
         except ValidationError as exc:
             error = str(exc)
     return _Compiled(line_start, line_end, tuple(secrets), fixed.encode(), body, error)
+
+
+# RFC 9110 §5.6.2: a header name is a token.
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 
 
 def _split_body(body: dict, pointer: str | None) -> tuple[bytes, ...]:
@@ -295,10 +298,9 @@ def render(
         if not value.isascii():
             raise ValidationError(f"secret {slot.name!r} is not ASCII")
         offset += len(slot.lead)
-        value_start = offset - slot.skew
-        align = (-value_start) % template.chunk_size
+        align = (-offset) % template.chunk_size
         padded = (PAD_CHAR * align + value + PAD_CHAR * (slot.declared - len(value))).encode()
-        spans[slot.name] = (value_start + align, slot.declared)
+        spans[slot.name] = (offset + align, slot.declared)
         parts += (slot.lead, padded)
         offset += len(padded)
     parts.append(compiled.tail)
@@ -418,7 +420,7 @@ def match_request(
 
     Returns the rendering, its secret spans masked; the lengths of its
     records, cut by ``toytls.split_records`` at every secret-span edge;
-    and the indices of the records inside a secret span. Raises
+    and the indices of the records it flags secret. Raises
     Rejected("template-mismatch") if the template cannot render ``x``,
     or the rendering is not ``total_length`` bytes long.
     """
@@ -431,14 +433,9 @@ def match_request(
             "template-mismatch",
             f"rendered length {len(expected)} != declared length {total_length}",
         )
-    secret_spans = list(spans.values())
-    records = split_records(total_length, secret_spans)
-    inside = frozenset(
-        index
-        for index, (offset, _) in enumerate(records)
-        if any(start <= offset < start + length for start, length in secret_spans)
-    )
-    return expected, [length for _, length in records], inside
+    records = split_records(total_length, list(spans.values()))
+    inside = frozenset(index for index, (_, _, secret) in enumerate(records) if secret)
+    return expected, [length for _, length, _ in records], inside
 
 
 class TemplateRegistry:

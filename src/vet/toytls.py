@@ -224,25 +224,28 @@ def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[t
     return merged
 
 
-def split_records(total_length: int, secret_spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Record boundaries: cuts at every secret-span edge, then RECORD_MAX.
+def split_records(
+    total_length: int, secret_spans: list[tuple[int, int]]
+) -> list[tuple[int, int, bool]]:
+    """Each record's (offset, length, secret): cuts at every secret-span
+    edge, then every RECORD_MAX bytes.
 
-    Secret spans end up in records of their own, so every non-secret
-    record can later have its key released without touching a secret.
+    Secret spans end up in records of their own, flagged secret for the
+    prover and the verifier alike, so every other record can later have
+    its key released without touching a secret.
     """
     cuts = {0, total_length}
     for offset, length in secret_spans:
         cuts.add(offset)
         cuts.add(offset + length)
     edges = sorted(c for c in cuts if 0 <= c <= total_length)
-    spans = []
+    records = []
     for start, end in zip(edges, edges[1:]):
-        pos = start
-        while pos < end:
-            take = min(RECORD_MAX, end - pos)
-            spans.append((pos, take))
-            pos += take
-    return spans
+        # Every span edge is a cut, so a span holds all of [start, end) or none.
+        secret = any(offset <= start < offset + length for offset, length in secret_spans)
+        for pos in range(start, end, RECORD_MAX):
+            records.append((pos, min(RECORD_MAX, end - pos), secret))
+    return records
 
 
 def shared_secret(private: X25519PrivateKey, public: bytes) -> bytes:

@@ -192,13 +192,18 @@ def _read_claims(claims: dict) -> dict:
 
 
 def _read_record_keys(entries: list) -> dict[tuple[str, int], bytes]:
-    """Keys by (direction, index), each naming a distinct up or down record."""
+    """Keys by (direction, index), each naming a distinct up or down record,
+    in the one order ``WebProof.exchange_obj`` writes: by direction, then
+    index."""
     keys = {}
     for e in entries:
         direction, index = json_field(e, "direction"), json_field(e, "index", int)
-        if direction not in ("up", "down") or index < 0 or (direction, index) in keys:
+        if direction not in ("up", "down") or index < 0 or keys and (
+            (direction, index) <= next(reversed(keys))
+        ):
             raise ValidationError(
-                f"record key ({direction!r:.20}, {index}) is not a distinct up or down record"
+                f"record key ({direction!r:.20}, {index}) is not a distinct up or down "
+                "record in order by direction, then index"
             )
         keys[direction, index] = json_field(e, "key", bytes)
     return keys
@@ -279,9 +284,9 @@ class TCPChannel:
 
     def exchange(self, *batch: Frame) -> list[Frame]:
         """Send ``batch`` in one write, then read the replies to each frame
-        in turn, up to an ABORT: one frame, or every frame up to END_DOWN
-        for END_UP and up to POST_DOWN for FIN. The first batch goes after
-        OPEN; a refusal is a ProtocolError."""
+        in turn, up to an ABORT: none for a RELAY_UP, every frame up to
+        END_DOWN for END_UP and up to POST_DOWN for FIN, else one frame.
+        The first batch goes after OPEN; a refusal is a ProtocolError."""
         opening, self._opening = self._opening, None
         try:
             frames.write_frame(self._sock, *((opening, *batch) if opening else batch))
@@ -294,6 +299,8 @@ class TCPChannel:
             self._open = True
         replies = []
         for frame in batch:
+            if frame.type == frames.RELAY_UP:
+                continue  # no reply but an ABORT, read with a later frame's replies
             last = _LAST_REPLY.get(frame.type)
             while True:
                 replies.append(frames.read_frame(self._received))
@@ -376,7 +383,9 @@ class NotarizedSession:
     exchange over TCP takes two round trips, ``[OPEN, HS_UP]`` and
     ``[RELAY_UP..., END_UP, FIN]``, and a failure of an exchange, such as
     a response over the down capacity, is raised by the call that sends
-    it. The held-back up records are on ``chain`` already.
+    it. The held-back up records are on ``chain`` already. A ``RELAY_UP``
+    gets no reply but an ABORT, so an exchange's replies begin with its
+    response records.
 
     Protocol order matters: the notary signs the head of the record chain
     before the server releases the down-direction key seed, so nothing in
@@ -432,7 +441,7 @@ class NotarizedSession:
         if not request_bytes:
             raise ValidationError("a request must carry at least one byte")
         secret_spans = toytls.normalize_ranges(secret_spans, len(request_bytes))
-        record_spans = toytls.split_records(len(request_bytes), secret_spans)
+        records = toytls.split_records(len(request_bytes), secret_spans)
         if self._held:
             try:
                 self._flush()
@@ -440,15 +449,15 @@ class NotarizedSession:
                 self.channel.close()
                 raise
         first = sum(len(sent.up_wires) for sent in self._sent)
-        indices = range(first, first + len(record_spans))
+        indices = range(first, first + len(records))
         up_keys = [self._up.key(i) for i in indices]
         up_wires = [
             toytls.seal_record(self._up, request_bytes[offset:offset + length], i, key)
-            for i, key, (offset, length) in zip(indices, up_keys, record_spans)
+            for i, key, (offset, length, _) in zip(indices, up_keys, records)
         ]
         for wire in up_wires:
             self.chain.add("up", wire)
-        secret = [_overlaps_secret(*span, secret_spans) for span in record_spans]
+        secret = [flag for *_, flag in records]  # as the verifier's cut flags them
         self._sent.append(_Sent(len(request_bytes), secret, up_keys, up_wires, [], claims))
         self._held = [Frame(frames.RELAY_UP, wire) for wire in up_wires]
         self._held.append(Frame(frames.END_UP, b""))
@@ -461,16 +470,13 @@ class NotarizedSession:
         _raise_on_abort(replies)
         if not held:
             return replies
-        acks, down = replies[:len(held) - 1], replies[len(held) - 1:]
-        if any(ack.type != frames.ACK for ack in acks):
-            raise ProtocolError(f"expected an ACK per record, got {[r.type for r in acks]}")
-        end = next((i for i, r in enumerate(down) if r.type != frames.RELAY_DOWN), len(down))
-        if end == len(down) or down[end].type != frames.END_DOWN:
+        end = next((i for i, r in enumerate(replies) if r.type != frames.RELAY_DOWN), len(replies))
+        if end == len(replies) or replies[end].type != frames.END_DOWN:
             raise ProtocolError("response did not terminate with END_DOWN")
-        for reply in down[:end]:
+        for reply in replies[:end]:
             self.chain.add("down", reply.payload)
             self._sent[-1].down_wires.append(reply.payload)
-        return down[end + 1:]
+        return replies[end + 1:]
 
     def finish(self) -> list[tuple[bytes, WebProof]]:
         """FIN, after the exchange held back: the notary signs the chain, and
@@ -565,10 +571,6 @@ def run_session(
     session.send(request_bytes, secret_spans or [], claims)
     ((response_bytes, proof),) = session.finish()
     return response_bytes, proof
-
-
-def _overlaps_secret(offset: int, length: int, spans: list[tuple[int, int]]) -> bool:
-    return any(offset < s + n and s < offset + length for s, n in spans)
 
 
 def _bind(session: OpenChain, notary_public_key: str, server_domain: str) -> None:

@@ -255,11 +255,11 @@ def test_criterion_2_soundness_no_forgery_accepted():
             continue
         attempt_trace(f"trace-mutation-{i}", claim, forged)
 
-    # (e) sub-proof substitution: drop, duplicate, cross-wire, or
-    # relocate component proofs.
+    # (e) sub-proof substitution: drop, duplicate, cross-wire, relocate,
+    # or move component proofs.
     for i in range(1500):
         proofs = list(bundle.proofs)
-        op = rng.randrange(4)
+        op = rng.randrange(5)
         if op == 0:
             proofs.pop(rng.randrange(len(proofs)))
         elif op == 1:
@@ -269,11 +269,15 @@ def test_criterion_2_soundness_no_forgery_accepted():
             pa, pb = proofs[a], proofs[b]
             proofs[a] = ComponentProof(pb.kind, pa.step_index, pa.position, pb.payload)
             proofs[b] = ComponentProof(pa.kind, pb.step_index, pb.position, pa.payload)
-        else:
+        elif op == 3:
             j = rng.randrange(len(proofs))
             p = proofs[j]
             position = "core" if p.position != "core" else "tool:0"
             proofs[j] = ComponentProof(p.kind, rng.randrange(4), position, p.payload)
+        else:
+            # One proof moved intact, its locator with it, to another place.
+            j, k = rng.sample(range(len(proofs)), 2)
+            proofs.insert(k, proofs.pop(j))
         forged = VerifiableExecutionTrace(
             aid_id=bundle.aid_id,
             trace=bundle.trace,

@@ -660,7 +660,13 @@ def _mangled_templates(proved, tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("headers", ["x"]), ("chunk_size", ["1"]), ("path", 5)]
+    "field, value",
+    [
+        ("headers", ["x"]),
+        ("chunk_size", ["1"]),
+        ("path", 5),
+        ("headers", [{"name": "X-Ключ", "value": "v"}]),  # not an HTTP token
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "inspect"])
 def test_malformed_template_file_is_a_usage_error(proved, tmp_path, field, value, command):

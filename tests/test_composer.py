@@ -232,6 +232,10 @@ def test_missing_and_extra_proofs(scripted):
     with pytest.raises(Rejected) as err:
         verify_trace(m, _rebuild(bundle, proofs=bundle.proofs[1:]), world.aid, world.registry)
     assert err.value.reason == "subproof-invalid"
+    with pytest.raises(Rejected) as err:
+        verify_trace(m, _rebuild(bundle, proofs=bundle.proofs[:-1]), world.aid, world.registry)
+    assert err.value.reason == "subproof-invalid"
+    assert err.value.detail == f"missing proof at {bundle.proofs[-1].locator}"
 
     extra = ComponentProof(
         kind=bundle.proofs[0].kind,
@@ -249,6 +253,45 @@ def test_missing_and_extra_proofs(scripted):
     with pytest.raises(Rejected) as err:
         verify_trace(m, _rebuild(bundle, proofs=duplicated), world.aid, world.registry)
     assert err.value.reason == "subproof-invalid"
+    assert err.value.detail == f"proof at {bundle.proofs[0].locator} matches no invocation"
+
+    # A duplicate before the end is simply out of place.
+    duplicated = bundle.proofs[:1] * 2 + bundle.proofs[1:]
+    with pytest.raises(Rejected) as err:
+        verify_trace(m, _rebuild(bundle, proofs=duplicated), world.aid, world.registry)
+    assert err.value.reason == "subproof-invalid"
+    assert err.value.detail == (
+        f"proof at {bundle.proofs[0].locator} is out of invocation order: "
+        f"{bundle.proofs[1].locator} comes first"
+    )
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[0, 2, 1, 3], [3, 2, 1, 0]],
+    ids=["two-swapped", "reversed"],
+)
+def test_proofs_out_of_invocation_order_are_rejected(demo_result, order):
+    # Each proof is moved intact, its locator with it: a bundle has one
+    # order of proofs, and the first proof out of place is named.
+    bundle = demo_result.bundle
+    locators = [p.locator for p in bundle.proofs]
+    assert locators == ["step:0/core", "step:0/tool:0", "step:0/tool:1", "step:1/core"]
+    m = bundle.trace.steps[-1].core_output
+    first = next(i for i, k in enumerate(order) if k != i)
+    report = VerificationReport()
+    with pytest.raises(Rejected) as err:
+        verify_trace(
+            m, _rebuild(bundle, proofs=[bundle.proofs[k] for k in order]),
+            demo_result.aid, demo_result.registry, report,
+        )
+    assert err.value.reason == "subproof-invalid"
+    assert err.value.detail == (
+        f"proof at {locators[order[first]]} is out of invocation order: "
+        f"{locators[first]} comes first"
+    )
+    # The proofs in place before it were checked; the one out of place was not.
+    assert [c.to_obj()["locator"] for c in report.components] == locators[:first]
 
 
 def _swap_cores(bundle):

@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -728,7 +729,9 @@ def test_every_one_byte_flip_of_an_attested_request_is_rejected():
 # Request rendering: the compiled template against a rendering from its
 # fields on every call.
 
-_names = st.text(alphabet="AbX-é", min_size=1, max_size=5)
+# Header names are HTTP tokens; test_a_header_name_that_is_not_a_token_is_refused
+# draws the others.
+_names = st.text(alphabet="AbX-", min_size=1, max_size=5)
 # Quotes, backslashes, control, non-ASCII and astral characters, which the
 # body's canonical JSON escapes or keeps as they are. No half surrogate
 # pair: a claimed input is decoded by canonical_loads, which refuses one.
@@ -838,6 +841,21 @@ def test_render_matches_oracle(case):
     template, x, secrets = case
     result = outcome(render, template, x, secrets)
     assert result == outcome(old_render_request, template, x, secrets)
+
+
+@SETTINGS
+@given(
+    st.text(alphabet="AbX-é :\x7f", max_size=5).filter(
+        lambda name: not name or any(c in "é :\x7f" for c in name)
+    ),
+    st.booleans(),
+)
+def test_a_header_name_that_is_not_a_token_is_refused(name, secret):
+    header = {"name": name, **({"secret": "s", "length": "16"} if secret else {"value": "v"})}
+    obj = {"type": "inject", "kind": "tool", "method": "GET", "path": "/{input}",
+           "headers": [header]}
+    with pytest.raises(ValidationError, match="is not an HTTP token"):
+        InjectTemplate.from_obj(obj)
 
 
 # ---------------------------------------------------------------------------

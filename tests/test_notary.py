@@ -108,8 +108,8 @@ def _sealed_up(up, index, plaintext):
 def test_capacity_enforced(rig):
     channel = provision_channel(rig.service, "echo.test", cap_up=64, session_id="s1")
     up, _ = _real_handshake(channel)
-    (ack,) = channel.exchange(_sealed_up(up, 0, b"x" * 64))
-    assert ack.type == frames.ACK
+    # A relayed record gets no reply.
+    assert channel.exchange(_sealed_up(up, 0, b"x" * 64)) == []
     (reply,) = channel.exchange(_sealed_up(up, 1, b"y"))
     assert reply.type == frames.ABORT
     assert b"capacity" in reply.payload
@@ -121,8 +121,7 @@ def test_capacity_enforced(rig):
 def test_capacity_counts_plaintext_not_tag(rig):
     channel = provision_channel(rig.service, "echo.test", cap_up=64, session_id="s1")
     up, _ = _real_handshake(channel)
-    (ack,) = channel.exchange(_sealed_up(up, 0, b"x" * 32), _sealed_up(up, 1, b"x" * 32))[1:]
-    assert ack.type == frames.ACK
+    assert channel.exchange(_sealed_up(up, 0, b"x" * 32), _sealed_up(up, 1, b"x" * 32)) == []
     assert channel._session.chain.used == {"up": 64, "down": 0}
 
 
@@ -375,7 +374,7 @@ def test_malformed_key_request_aborts(rig, make_request):
 def test_unreadable_request_aborts(rig):
     channel = provision_channel(rig.service, "echo.test", session_id="bad-request")
     up, _ = _real_handshake(channel)
-    assert channel.exchange(_sealed_up(up, 0, b"not http")) == [Frame(frames.ACK, b"")]
+    assert channel.exchange(_sealed_up(up, 0, b"not http")) == []
     (reply,) = channel.exchange(Frame(frames.END_UP, b""))
     assert reply.type == frames.ABORT
     assert reply.payload.startswith(b"protocol error: server: malformed request")
@@ -422,7 +421,7 @@ def test_tcp_truncated_history_gets_response_frames():
         channel = TCPChannel(host, port, "echo.test", 1 << 16, 1 << 16, "tcp-short-history")
         up, _ = _real_handshake(channel)
         request = _post("/v1/agent", canonical_bytes({"history": "00"}))
-        assert channel.exchange(_sealed_up(up, 0, request)) == [Frame(frames.ACK, b"")]
+        assert channel.exchange(_sealed_up(up, 0, request)) == []
         replies = channel.exchange(Frame(frames.END_UP, b""))
         channel.close()
         types = [r.type for r in replies]
@@ -436,7 +435,7 @@ def test_tcp_truncated_history_gets_response_frames():
 def test_array_body_gets_response_frames(rig):
     channel = provision_channel(rig.service, "echo.test", session_id="array-body")
     up, _ = _real_handshake(channel)
-    assert channel.exchange(_sealed_up(up, 0, _post("/v1/echo", b"[]"))) == [Frame(frames.ACK, b"")]
+    assert channel.exchange(_sealed_up(up, 0, _post("/v1/echo", b"[]"))) == []
     replies = channel.exchange(Frame(frames.END_UP, b""))
     assert [r.type for r in replies] == [frames.RELAY_DOWN] * (len(replies) - 1) + [frames.END_DOWN]
 
@@ -545,7 +544,7 @@ def test_session_state_is_constant_in_its_records(rig):
             batch.append(_sealed_up(up, index, request[pos:pos + n]))
             pos += n
         replies = channel.exchange(*batch)
-        assert [r.type for r in replies] == [frames.ACK] * len(cut)
+        assert replies == []
         session = channel._session
         for state in (session, session._server):
             containers = [
@@ -659,11 +658,10 @@ def test_tcp_session_takes_two_round_trips(rig, monkeypatch):
         assert writes[0] == [frames.OPEN, frames.HS_UP]
         assert writes[1] == [frames.OPEN_OK, frames.HS_DOWN]
         assert writes[2] == [frames.RELAY_UP] * 3 + [frames.END_UP, frames.FIN]
-        down = len(writes[3]) - 6
+        down = len(writes[3]) - 3
         assert down >= 1
         assert writes[3] == (
-            [frames.ACK] * 3 + [frames.RELAY_DOWN] * down
-            + [frames.END_DOWN, frames.STATEMENT, frames.POST_DOWN]
+            [frames.RELAY_DOWN] * down + [frames.END_DOWN, frames.STATEMENT, frames.POST_DOWN]
         )
     finally:
         server.shutdown()
@@ -844,7 +842,8 @@ def test_tcp_handler_returns_when_its_session_ends(rig, end):
             replies = channel.exchange(Frame(frames.FIN, b""))
             assert [r.type for r in replies] == [frames.STATEMENT, frames.POST_DOWN]
         else:
-            (reply,) = channel.exchange(_sealed_up(up, 0, b"x" * 65))
+            # A record gets no reply but an ABORT, read with END_UP's replies.
+            (reply,) = channel.exchange(_sealed_up(up, 0, b"x" * 65), Frame(frames.END_UP, b""))
             assert reply.type == frames.ABORT
         channel._sock.settimeout(5)
         assert channel._sock.recv(1) == b""

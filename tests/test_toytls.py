@@ -144,20 +144,27 @@ def test_normalize_ranges():
 
 
 def test_split_records_plain():
-    assert split_records(10, []) == [(0, 10)]
-    assert split_records(RECORD_MAX + 1, []) == [(0, RECORD_MAX), (RECORD_MAX, 1)]
+    assert split_records(10, []) == [(0, 10, False)]
+    assert split_records(RECORD_MAX + 1, []) == [(0, RECORD_MAX, False), (RECORD_MAX, 1, False)]
     assert split_records(0, []) == []
 
 
 def test_split_records_isolates_secrets():
-    spans = split_records(100, [(32, 16)])
-    assert (32, 16) in spans
+    records = split_records(100, [(32, 16)])
+    # The secret span is one record, the only one flagged secret.
+    assert [r for r in records if r[2]] == [(32, 16, True)]
     # records tile the whole request without gaps or overlaps
     pos = 0
-    for offset, length in spans:
+    for offset, length, _ in records:
         assert offset == pos
         pos += length
     assert pos == 100
+    # A secret span longer than RECORD_MAX is cut, and every piece is secret.
+    records = split_records(RECORD_MAX + 20, [(5, RECORD_MAX + 1)])
+    assert records == [
+        (0, 5, False), (5, RECORD_MAX, True), (RECORD_MAX + 5, 1, True),
+        (RECORD_MAX + 6, 14, False),
+    ]
 
 
 def _drive_handshake(connection, rng, session_id):

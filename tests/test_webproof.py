@@ -1,3 +1,4 @@
+import copy
 import random
 import string
 from dataclasses import replace
@@ -256,6 +257,24 @@ def test_a_non_ascii_secret_is_refused_before_any_session_opens(rig, opened_sess
     assert opened_sessions == {}
 
 
+def test_a_secret_header_whose_name_is_not_a_token_is_refused(rig):
+    # Named "X-Ключ", whose "name: " prefix is 4 bytes longer than it is
+    # characters long, the secret's span was once placed 4 bytes early:
+    # its last 4 bytes fell into the next up record, whose key the proof
+    # released to the notary, which holds that record's tag.
+    obj = copy.deepcopy(rig.registry._objs[rig.inject_uid])
+    assert obj["headers"][1]["secret"] == "token"
+    obj["headers"][1]["name"] = "X-Ключ"
+    with pytest.raises(ValidationError, match="header name 'X-Ключ' is not an HTTP token"):
+        rig.registry.register(obj)
+    # Under a token name the secret fills its span, which is its own record.
+    request, spans = render(rig.registry.get_inject(rig.inject_uid), "tail", {"token": SECRET})
+    (offset, length) = spans["token"]
+    assert request[offset:offset + length] == SECRET.encode()
+    records = toytls.split_records(len(request), [spans["token"]])
+    assert [r for r in records if r[2]] == [(offset, length, True)]
+
+
 def test_a_core_entry_naming_a_tool_parse_template_is_a_template_mismatch(rig):
     _, proof = _prove(rig, "core?")
     with pytest.raises(Rejected) as err:
@@ -272,7 +291,7 @@ def test_minimal_disclosure_excludes_secret_chunks(rig):
     # The secret is an up record of its own, the one whose key is withheld
     # and whose tag is shipped; nothing of the request is disclosed.
     up = toytls.split_records(len(request), [spans["token"]])
-    secret_record = up.index((offset, length))
+    secret_record = up.index((offset, length, True))
     assert proof.request_length == len(request)
     released = {i for d, i in proof.record_keys if d == "up"}
     assert released == set(range(len(up))) - {secret_record}
@@ -286,7 +305,7 @@ def test_unkeyed_record_disclosure_rejected(rig):
     template = rig.registry.get_inject(rig.inject_uid)
     _, proof = _prove(rig, "leakattempt")
     request, spans = render(template, "leakattempt", {"token": SECRET})
-    up = [n for _, n in toytls.split_records(len(request), [spans["token"]])]
+    up = [n for _, n, _ in toytls.split_records(len(request), [spans["token"]])]
     request_commitment, opening = commit(request, up, random.Random(79))
     obj = proof.to_obj()
     obj["request_commitment"] = request_commitment.to_obj()
@@ -847,6 +866,29 @@ def test_withheld_tags_and_down_lengths_admit_one_shape(rig, field, value):
     obj = proof.to_obj()
     obj[field] = value
     with pytest.raises(ValidationError):
+        WebProof.from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "reorder",
+    [
+        lambda keys: keys[::-1],
+        lambda keys: [keys[1], keys[0], *keys[2:]],
+        lambda keys: [k for k in keys if k["direction"] == "up"]
+        + [k for k in keys if k["direction"] == "down"],
+    ],
+    ids=["reversed", "first-two-swapped", "up-before-down"],
+)
+def test_record_keys_admit_one_order(rig, reorder):
+    # Keys go by direction, then index, as the prover writes them; any
+    # other order of the same keys does not decode.
+    _, proof = _prove(rig, "x" * 20000)
+    obj = proof.to_obj()
+    keys = obj["record_keys"]
+    assert len({k["direction"] for k in keys}) == 2 and len(keys) >= 3
+    obj["record_keys"] = reorder(keys)
+    assert obj["record_keys"] != keys
+    with pytest.raises(ValidationError, match="in order by direction, then index"):
         WebProof.from_obj(obj)
 
 
