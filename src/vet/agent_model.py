@@ -79,12 +79,12 @@ class ExecutionTrace:
         return bool(self.steps[-1].tool_calls)
 
     def to_obj(self) -> dict:
-        """Canonical-JSON-ready representation (all scalars as strings)."""
+        """Canonical-JSON-ready representation (all scalars as strings); a
+        step's index is its position, so it does not ship."""
         return {
             "initial_input": self.initial_input,
             "steps": [
                 {
-                    "step_index": str(s.step_index),
                     "core_output": s.core_output,
                     "tool_calls": [
                         {"tool": c.tool_id, "input": c.input, "result": c.result}
@@ -99,14 +99,14 @@ class ExecutionTrace:
     def from_obj(cls, obj: dict) -> "ExecutionTrace":
         steps = tuple(
             StepRecord(
-                step_index=json_field(s, "step_index", int),
+                step_index=j,
                 core_output=json_field(s, "core_output"),
                 tool_calls=tuple(
                     ToolCall(*(json_field(c, key) for key in ("tool", "input", "result")))
                     for c in json_field(s, "tool_calls", list)
                 ),
             )
-            for s in json_field(obj, "steps", list)
+            for j, s in enumerate(json_field(obj, "steps", list))
         )
         return cls(initial_input=json_field(obj, "initial_input"), steps=steps)
 

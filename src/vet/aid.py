@@ -29,6 +29,14 @@ _SCHEME_PARAMS = {
 }
 
 
+def _refuse_unread(obj: dict, read: tuple[str, ...], where: str) -> None:
+    """ValidationError for a member the document does not define: the ID
+    would not commit to it, since ``to_obj`` drops it."""
+    unread = sorted(set(obj) - set(read))
+    if unread:
+        raise ValidationError(f"{where} has a member {unread[0]!r:.40} that an AID does not define")
+
+
 @dataclass(frozen=True)
 class VerificationMetadata:
     scheme: str
@@ -66,6 +74,12 @@ class ComponentEntry:
     @classmethod
     def from_obj(cls, obj: dict, default_name: str = "") -> "ComponentEntry":
         verification = json_field(obj, "verification", dict, {})
+        _refuse_unread(
+            obj,
+            ("name", "endpoint", "injection_algorithm_uid", "parsing_algorithm_uid",
+             "verification", "model"),
+            "a component entry",
+        )
         if len(verification) != 1:
             raise ValidationError("verification must name exactly one scheme")
         (scheme,) = verification
@@ -99,12 +113,14 @@ class AgentIdentityDocument:
     @classmethod
     def from_obj(cls, obj: dict) -> "AgentIdentityDocument":
         canonical_bytes(obj)  # a document with no canonical form has no ID
-        return cls(
+        document = cls(
             agent_name=json_field(obj, "agent_name", str, ""),
             core=ComponentEntry.from_obj(json_field(obj, "core", dict, {}), default_name="core"),
             tools=tuple(ComponentEntry.from_obj(t) for t in json_field(obj, "tools", list, [])),
             agent_hash=json_field(obj, "agent_hash", str, None),
         )
+        _refuse_unread(obj, ("agent_name", "core", "tools", "agent_hash"), "the AID")
+        return document
 
     def tool(self, name: str) -> ComponentEntry:
         for entry in self.tools:

@@ -65,7 +65,11 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # since no proof byte has depended on the ciphertext since format 7, and
 # again with no bump from one AES key per record to one per direction and
 # session, the record index as its nonce.
-FORMAT = "10"
+# 11: a bundle states each fact once. Its sessions table holds the bare
+# signed objects, in the order its proofs first name them, where format 10
+# wrapped each as {"kind", "signed"} in any order; its web proofs carry no
+# "format" and its trace steps no "step_index", which is their position.
+FORMAT = "11"
 
 
 # The shortest string that ``json_string`` checks and quotes whole: below

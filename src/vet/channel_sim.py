@@ -25,8 +25,7 @@ from itertools import accumulate
 
 from .canonical import canonical_bytes, canonical_loads
 from .errors import ValidationError
-
-SESSION_CAP = 1 << 16  # per-direction ceiling per notarized session
+from .frames import SESSION_CAP  # per-direction ceiling per notarized session
 DEFAULT_M = 16384
 
 # Fixed per-request envelope: headers, auth material and JSON scaffolding
@@ -146,7 +145,6 @@ def plan(
     strategy: str,
     workload: SessionWorkload,
     base_capacity: int = DEFAULT_M,
-    session_cap: int = SESSION_CAP,
 ) -> ChannelPlan:
     """Size channels for the workload; marks infeasibility instead of raising.
 
@@ -167,7 +165,7 @@ def plan(
         else:
             cap_up = math.ceil(workload.up_bytes(k) / base_capacity) * base_capacity
             cap_down = math.ceil(workload.down_bytes(k) / base_capacity) * base_capacity
-        if cap_up > session_cap or cap_down > session_cap:
+        if cap_up > SESSION_CAP or cap_down > SESSION_CAP:
             return ChannelPlan(strategy, workload, (), False, failing_round=k)
         channels.append(Channel(cap_up, cap_down))
     return ChannelPlan(strategy, workload, tuple(channels[-1:] if naive else channels), True)
@@ -257,8 +255,6 @@ def calibrate(
     api_latency: float,
     workload: SessionWorkload | None = None,
     base_capacity: int = DEFAULT_M,
-    session_cap: int = SESSION_CAP,
-    proxy_overhead: float = 0.16,
 ) -> CostModel:
     """Fit (setup_base, setup_per_byte, transfer_per_byte) to observations.
 
@@ -283,7 +279,7 @@ def calibrate(
         strategy, _, quantity = point.kind.partition("-")
         if quantity not in ("setup", "per-message"):
             raise ValidationError(f"unknown calibration point kind {point.kind!r}")
-        channels = plan(strategy, w, base_capacity, session_cap).require_feasible().channels
+        channels = plan(strategy, w, base_capacity).require_feasible().channels
         if quantity == "setup":  # the first channel's setup, shown whole
             rows.append([1.0, channels[0].cap_up + channels[0].cap_down, 0.0])
         else:  # the mean of all setups and transfers, as in simulate
@@ -307,14 +303,10 @@ def calibrate(
         transfer_per_byte=float(transfer_per_byte),
         rtt=0.0,
         api_latency=api_latency,
-        proxy_overhead=proxy_overhead,
     )
 
 
-def paper_calibration(
-    base_capacity: int = 4096,
-    session_cap: int = SESSION_CAP,
-) -> tuple[CostModel, SessionWorkload]:
+def paper_calibration(base_capacity: int = 4096) -> tuple[CostModel, SessionWorkload]:
     """The reference fit against the published scaling numbers.
 
     Observations: 6-round naive setup 9.8 s, optimized visible setup
@@ -330,11 +322,5 @@ def paper_calibration(
         CalibrationPoint("optimized-per-message", 6, 2.5),
         CalibrationPoint("first-round", 1, 2.46),
     ]
-    model = calibrate(
-        points,
-        api_latency=1.80,
-        workload=workload,
-        base_capacity=base_capacity,
-        session_cap=session_cap,
-    )
+    model = calibrate(points, api_latency=1.80, workload=workload, base_capacity=base_capacity)
     return model, workload

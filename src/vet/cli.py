@@ -153,8 +153,8 @@ def notary():
 @notary.command("serve")
 @click.option("--listen", default="127.0.0.1:9440", show_default=True)
 @click.option("--key", "key_file", required=True, help="Hex Ed25519 private key file.")
-@click.option("--max-up", default=1 << 16, show_default=True, type=int)
-@click.option("--max-down", default=1 << 16, show_default=True, type=int)
+@click.option("--max-up", default=frames.SESSION_CAP, show_default=True, type=int)
+@click.option("--max-down", default=frames.SESSION_CAP, show_default=True, type=int)
 @click.option("--upstream-kind", type=click.Choice(sorted(_MOCK_KINDS)), default="llm",
               show_default=True, help="Mock server kind the notary relays to.")
 @click.option("--upstream-domain", default="llm.test", show_default=True)

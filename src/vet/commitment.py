@@ -155,22 +155,19 @@ class Disclosure:
 def commit(
     transcript: bytes,
     chunk_lengths,
-    randomness: random.Random | None = None,
+    randomness: random.Random,
 ) -> tuple[TranscriptCommitment, Opening]:
     """Commit to a byte transcript cut into chunks of ``chunk_lengths``
     bytes; returns the commitment and the witness.
 
-    ``randomness`` supplies the per-chunk salts; pass a seeded
-    random.Random for reproducible commitments, or None for fresh
-    system entropy.
+    ``randomness`` supplies the per-chunk salts; a seeded random.Random
+    gives reproducible commitments.
     """
     lengths = tuple(chunk_lengths)
     if any(n < 1 for n in lengths) or sum(lengths) != len(transcript):
         raise ValidationError(
             f"chunk lengths must be at least 1 and sum to the {len(transcript)} transcript bytes"
         )
-    if randomness is None:
-        randomness = random.SystemRandom()
     salts = tuple(randomness.randbytes(SALT_LEN) for _ in lengths)
     commitment = TranscriptCommitment(
         root=_root(lengths, b"".join(salts), transcript),

@@ -10,10 +10,14 @@ message is accepted when it appears among the authenticated outputs
 
 Calls go through signed sessions: a notarized toy-TLS session or a TEE
 proxy log carries many exchanges under one signature. A bundle holds
-each session's signed statement or log head once, in its ``sessions``
-table, and each component proof names its session by index. The
-exchange a proof covers is its place among the session's proofs in
-invocation order, which the verifier recomputes, so no position ships.
+each session's signed statement or log head once, bare, in its
+``sessions`` table, and each component proof names its session by
+index. The table has one order, that in which the proofs first name its
+sessions; a proof that names a session past the next unopened one is
+subproof-invalid. A session's scheme is that of the proof that opens
+it, and a proof of another scheme may not name it. The exchange a proof
+covers is its place among the session's proofs in invocation order,
+which the verifier recomputes, so no position ships.
 
 ``SCHEMES`` is the one place that knows the proof systems: it maps each
 AID verification scheme to the ``kind`` its proofs carry on the wire,
@@ -139,34 +143,19 @@ class ComponentProof:
         )
 
 
-class Session(NamedTuple):
-    """A signed session of a bundle: a notary statement or a proxy log
-    head, which the scheme of ``kind`` decodes."""
-
-    kind: str
-    signed: dict
-
-    def to_obj(self) -> dict:
-        return {"kind": self.kind, "signed": self.signed}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "Session":
-        return cls(kind=json_field(obj, "kind"), signed=json_field(obj, "signed", dict))
-
-
 @dataclass(frozen=True)
 class VerifiableExecutionTrace:
     aid_id: str
     trace: ExecutionTrace
     proofs: tuple[ComponentProof, ...]
-    sessions: tuple[Session, ...] = ()
+    sessions: tuple[dict, ...] = ()  # each signed object, in the order proofs first name them
 
     def to_obj(self) -> dict:
         return {
             "format": FORMAT,
             "aid_id": self.aid_id,
             "trace": self.trace.to_obj(),
-            "sessions": [s.to_obj() for s in self.sessions],
+            "sessions": list(self.sessions),
             "proofs": [p.to_obj() for p in self.proofs],
         }
 
@@ -179,7 +168,7 @@ class VerifiableExecutionTrace:
             aid_id=json_field(obj, "aid_id"),
             trace=ExecutionTrace.from_obj(json_field(obj, "trace", dict)),
             proofs=tuple(ComponentProof.from_obj(p) for p in json_field(obj, "proofs", list)),
-            sessions=tuple(Session.from_obj(s) for s in json_field(obj, "sessions", list)),
+            sessions=tuple(json_field(obj, "sessions", list)),  # each scheme decodes its own
         )
 
 
@@ -286,7 +275,7 @@ def prove_trace(
     no prover can make, is a ValidationError naming the invocation.
     """
     runs: dict[tuple, tuple[object, object, list]] = {}
-    slots: list[ComponentProof | None] = []  # one per invocation, in invocation order
+    slots: list[tuple | None] = []  # one per invocation, in invocation order
     for invocation in invocations(trace):
         try:
             entry = invocation.entry(aid)
@@ -305,13 +294,11 @@ def prove_trace(
         calls.append((len(slots), invocation, entry))
         slots.append(None)
 
-    sessions = []
+    finished: list[dict] = []  # every signed object, in the order the runs give them
     for (scheme, _), (prover, run, calls) in runs.items():
-        spec = SCHEMES[scheme]
         pending = iter(calls)
         for signed, proven in run.finish():
-            index = str(len(sessions))
-            sessions.append(Session(spec.kind, signed))
+            finished.append(signed)
             for (response_bytes, payload), (slot, invocation, entry) in zip(proven, pending):
                 try:
                     exchange = prover.registry.read_call(
@@ -323,17 +310,23 @@ def prove_trace(
                     raise ValidationError(
                         f"{invocation.locator} no longer reproduces the recorded exchange"
                     )
-                slots[slot] = ComponentProof(
-                    kind=spec.kind,
-                    step_index=invocation.step.step_index,
-                    position=invocation.position,
-                    payload={**payload, spec.session_field: index},
-                )
+                slots[slot] = (invocation, SCHEMES[scheme], len(finished) - 1, payload)
+
+    numbers: dict[int, str] = {}  # place in ``finished`` -> index in the bundle, by first use
+    proofs = tuple(
+        ComponentProof(
+            spec.kind,
+            invocation.step.step_index,
+            invocation.position,
+            {**payload, spec.session_field: numbers.setdefault(n, str(len(numbers)))},
+        )
+        for invocation, spec, n, payload in slots
+    )
     return VerifiableExecutionTrace(
         aid_id=compute_id(aid),
         trace=trace,
-        proofs=tuple(slots),
-        sessions=tuple(sessions),
+        proofs=proofs,
+        sessions=tuple(finished[n] for n in numbers),
     )
 
 
@@ -528,29 +521,28 @@ def _verify_trace(
 
 
 class _OpenSessions:
-    """A bundle's sessions, each opened by the first proof that names it."""
+    """A bundle's sessions, opened in order, each by the first proof that
+    names it, under that proof's scheme."""
 
-    def __init__(self, sessions: tuple[Session, ...], report: VerificationReport):
+    def __init__(self, sessions: tuple[dict, ...], report: VerificationReport):
         self.sessions = sessions
         self.report = report
-        self.opened: dict[int, tuple[OpenChain, SessionCheck]] = {}
+        self.opened: list[tuple[Scheme, OpenChain, SessionCheck]] = []
 
     def state(self, index: int, scheme: Scheme, entry: ComponentEntry, locator: str) -> OpenChain:
         """The state of session ``index`` for the next proof of ``scheme``,
         opening the session first if no proof has named it yet."""
         if not 0 <= index < len(self.sessions):
             raise Rejected("subproof-invalid", f"session {index} is not in the bundle")
-        session = self.sessions[index]
-        if session.kind != scheme.kind:
+        if index > len(self.opened):
             raise Rejected(
-                "subproof-invalid",
-                f"session {index} holds a {session.kind!r:.40}, not a {scheme.kind}",
+                "subproof-invalid", f"session {index} is named before session {len(self.opened)}"
             )
-        if index not in self.opened:
-            check = SessionCheck(index, session.kind)
+        if index == len(self.opened):
+            check = SessionCheck(index, scheme.kind)
             self.report.sessions.append(check)
             try:
-                state = scheme.open(session.signed, entry)
+                state = scheme.open(self.sessions[index], entry)
             except Rejected as exc:
                 check.signature = exc.reason
                 raise
@@ -558,18 +550,21 @@ class _OpenSessions:
                 check.signature = "subproof-invalid"
                 raise
             check.signature = "ok"
-            self.opened[index] = (state, check)
-        state, check = self.opened[index]
+            self.opened.append((scheme, state, check))
+        opener, state, check = self.opened[index]
+        if opener is not scheme:
+            raise Rejected(
+                "subproof-invalid", f"session {index} holds a {opener.kind}, not a {scheme.kind}"
+            )
         check.exchanges += 1
         check.components.append(locator)
         return state
 
     def close_all(self) -> None:
         """Every session must be named by some proof and every exchange consumed."""
-        for index in range(len(self.sessions)):
-            if index not in self.opened:
-                raise Rejected("subproof-invalid", f"session {index} is named by no proof")
-        for index, (state, check) in sorted(self.opened.items()):
+        if len(self.opened) < len(self.sessions):
+            raise Rejected("subproof-invalid", f"session {len(self.opened)} is named by no proof")
+        for index, (_, state, check) in enumerate(self.opened):
             try:
                 state.close()
             except Rejected as exc:

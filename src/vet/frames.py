@@ -43,6 +43,9 @@ HEALTH = 0x10
 HEALTH_OK = 0x11
 
 MAX_FRAME = 1 << 24
+# A notarized session's byte capacity per direction, by default: what a
+# prover asks for and a notary allows.
+SESSION_CAP = 1 << 16
 # A notary's bound on any frame but a RELAY_UP: every other one is small.
 CONTROL_MAX = 1 << 12
 # Seconds a socket of the frame server or of its clients waits on a read

@@ -69,7 +69,13 @@ class NotarySession:
     """
 
     def __init__(
-        self, service: "NotaryService", session_id: str, domain: str, cap_up: int, cap_down: int
+        self,
+        service: "NotaryService",
+        session_id: str,
+        domain: str,
+        cap_up: int,
+        cap_down: int,
+        server: TargetServer,
     ):
         self.service = service
         self.session_id = session_id
@@ -80,7 +86,7 @@ class NotarySession:
         self.state = STATE_OPEN
         self.abort_reason = ""
         self.opened_at = service.now_ms()
-        self._server = service.resolver(domain).open_connection(session_id)
+        self._server = server.open_connection(session_id)
 
     def handle(self, frame: Frame) -> list[Frame]:
         if self.state != STATE_OPEN:
@@ -176,8 +182,10 @@ class NotarySession:
 class NotaryService:
     """The notary's long-lived state: key, server resolver, live session ids.
 
-    ``resolver`` maps a domain name to a TargetServer; the notary opens
-    one server connection per session and relays between the two sides.
+    ``resolver`` maps a domain name to a TargetServer, and raises
+    KeyError for a domain it does not serve, which refuses the OPEN as a
+    ProtocolError; the notary opens one server connection per session
+    and relays between the two sides.
     It keeps no log of the payloads it relays, and nothing of a session
     once it ends: only the ids of live sessions, at most ``max_sessions``.
     """
@@ -186,8 +194,8 @@ class NotaryService:
         self,
         signing_key: SigningKey,
         resolver: Callable[[str], TargetServer],
-        max_cap_up: int = 1 << 16,
-        max_cap_down: int = 1 << 16,
+        max_cap_up: int = frames.SESSION_CAP,
+        max_cap_down: int = frames.SESSION_CAP,
         max_sessions: int = 64,
     ):
         self.signing_key = signing_key
@@ -220,7 +228,11 @@ class NotaryService:
                 f"{self.max_cap_up}/{self.max_cap_down}"
             )
         # Resolve the server first: an unknown domain must not take a place.
-        session = NotarySession(self, session_id, domain, cap_up, cap_down)
+        try:
+            server = self.resolver(domain)
+        except KeyError:
+            raise ProtocolError(f"no server for domain {domain!r:.80}") from None
+        session = NotarySession(self, session_id, domain, cap_up, cap_down, server)
         with self._lock:
             if len(self._live) >= self.max_sessions:
                 raise ProtocolError("session limit reached")
@@ -244,7 +256,7 @@ class NotaryTCPServer(frames.FrameServer):
         """A refused OPEN gets one ABORT frame and no session."""
         try:
             session, ok = self.service.open_session(frame)
-        except (ProtocolError, KeyError) as exc:
+        except ProtocolError as exc:
             return None, [Frame(frames.ABORT, str(exc).encode("utf-8"))]
         return session, [ok]
 

@@ -205,25 +205,6 @@ def open_seed(hk: bytes, statement: bytes, wire: bytes) -> bytes:
 
 
 
-def normalize_ranges(ranges: list[tuple[int, int]], total_length: int) -> list[tuple[int, int]]:
-    """Sort, bounds-check, drop empties and merge overlapping ranges."""
-    checked = []
-    for offset, length in ranges:
-        if offset < 0 or length < 0 or offset + length > total_length:
-            raise ValidationError(f"range ({offset},{length}) out of bounds")
-        if length:
-            checked.append((offset, length))
-    checked.sort()
-    merged: list[tuple[int, int]] = []
-    for offset, length in checked:
-        if merged and offset <= merged[-1][0] + merged[-1][1]:
-            prev_off, prev_len = merged[-1]
-            merged[-1] = (prev_off, max(prev_off + prev_len, offset + length) - prev_off)
-        else:
-            merged.append((offset, length))
-    return merged
-
-
 def split_records(
     total_length: int, secret_spans: list[tuple[int, int]]
 ) -> list[tuple[int, int, bool]]:
@@ -232,17 +213,23 @@ def split_records(
 
     Secret spans end up in records of their own, flagged secret for the
     prover and the verifier alike, so every other record can later have
-    its key released without touching a secret.
+    its key released without touching a secret. Spans may overlap and
+    come in any order; an empty one cuts nothing, and one outside the
+    request is a ValidationError.
     """
     cuts = {0, total_length}
+    spans = []
     for offset, length in secret_spans:
-        cuts.add(offset)
-        cuts.add(offset + length)
-    edges = sorted(c for c in cuts if 0 <= c <= total_length)
+        if offset < 0 or length < 0 or offset + length > total_length:
+            raise ValidationError(f"range ({offset},{length}) out of bounds")
+        if length:
+            spans.append((offset, length))
+            cuts.update((offset, offset + length))
+    edges = sorted(cuts)
     records = []
     for start, end in zip(edges, edges[1:]):
         # Every span edge is a cut, so a span holds all of [start, end) or none.
-        secret = any(offset <= start < offset + length for offset, length in secret_spans)
+        secret = any(offset <= start < offset + length for offset, length in spans)
         for pos in range(start, end, RECORD_MAX):
             records.append((pos, min(RECORD_MAX, end - pos), secret))
     return records

@@ -54,14 +54,15 @@ changes the chain. A standalone proof is a session of one:
 ``authenticate`` without a session opens the statement, chains the
 proof and closes it before it parses the response.
 
-A serialized proof carries ``"format": "10"``, and ``WebProof.from_obj``
+A standalone proof carries ``"format": "11"``, and ``WebProof.from_obj``
 reads no other. Its request fields are fixed stubs that the benchmark
 still reads, ``{"total_length": "<n>"}`` and ``{"chunks": []}``; its
 ``withheld_tags`` are the tags of its secret up records, in order, and
 its ``down_lengths`` the length of each response record; its ``claims``
 are exactly ``{"input": <string>}``, so each proof has one encoding. A
-standalone proof's ``signed_statement`` is the statement itself; in a
-bundle it is the statement's index in the bundle's sessions table.
+standalone proof's ``signed_statement`` is the statement itself. In a
+bundle it is the statement's index in the bundle's sessions table, and
+the proof carries no ``format``: the bundle's own covers it.
 """
 
 from __future__ import annotations
@@ -114,14 +115,15 @@ class WebProof:
 
     def to_obj(self) -> dict:
         return {
+            "format": FORMAT,
             **self.exchange_obj(),
             "signed_statement": self.statement.to_obj(),
         }
 
     def exchange_obj(self) -> dict:
-        """The proof without its statement, which a bundle holds once per session."""
+        """The proof as a bundle holds it: without its statement, which the
+        bundle holds once per session, or a format, which the bundle's covers."""
         return {
-            "format": FORMAT,
             "record_keys": [
                 {"direction": d, "index": str(i), "key": k.hex()}
                 for (d, i), k in sorted(self.record_keys.items())
@@ -139,16 +141,19 @@ class WebProof:
 
     @classmethod
     def from_obj(cls, obj: dict, statement: SignedStatement | None = None) -> "WebProof":
-        """Decode a web proof of the current format; a proof of another
-        format or of the wrong shape is a ValidationError. ``statement``
-        is the session's, for a proof read from a bundle."""
-        check_format(obj, "web proof")
+        """Decode a web proof; one of the wrong shape is a ValidationError.
+        ``statement`` is the session's, for a proof read from a bundle;
+        without it the proof stands alone, and must be of the current
+        format."""
 
         def part(key, decode):
             return decode(json_field(obj, key, dict))
 
+        if statement is None:
+            check_format(obj, "web proof")
+            statement = part("signed_statement", SignedStatement.from_obj)
         return cls(
-            statement=statement or part("signed_statement", SignedStatement.from_obj),
+            statement=statement,
             record_keys=_read_record_keys(json_field(obj, "record_keys", list)),
             request_length=_read_request_length(obj),
             withheld_tags=_read_tags(json_field(obj, "withheld_tags", list)),
@@ -328,8 +333,8 @@ class TCPChannel:
 def provision_channel(
     service: NotaryService,
     domain: str,
-    cap_up: int = 1 << 16,
-    cap_down: int = 1 << 16,
+    cap_up: int = frames.SESSION_CAP,
+    cap_down: int = frames.SESSION_CAP,
     session_id: str | None = None,
     rng: random.Random | None = None,
 ) -> ProvisionedChannel:
@@ -440,7 +445,6 @@ class NotarizedSession:
         claims = _read_claims(claims)
         if not request_bytes:
             raise ValidationError("a request must carry at least one byte")
-        secret_spans = toytls.normalize_ranges(secret_spans, len(request_bytes))
         records = toytls.split_records(len(request_bytes), secret_spans)
         if self._held:
             try:
@@ -779,8 +783,8 @@ class WebProofProver:
         service: NotaryService,
         registry: TemplateRegistry,
         secrets: dict[str, str] | None = None,
-        cap_up: int = 1 << 16,
-        cap_down: int = 1 << 16,
+        cap_up: int = frames.SESSION_CAP,
+        cap_down: int = frames.SESSION_CAP,
         rng: random.Random | None = None,
     ):
         self.service = service

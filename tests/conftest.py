@@ -60,6 +60,17 @@ class HandSealer:
         return toytls.open_record(self.cipher, wire, index, self.cipher.key(index))
 
 
+def session_kind(signed: dict) -> str:
+    """The proof kind of a bundle's session, from its shape: a notary's
+    statement is nested under "statement", a proxy log head is not."""
+    return "webproof" if "statement" in signed else "tee_attestation"
+
+
+def session_field(kind: str) -> str:
+    """The payload member in which a proof of ``kind`` names its session."""
+    return "signed_statement" if kind == "webproof" else "attestation"
+
+
 def count_calls(monkeypatch, original):
     """Count calls of ``original`` from every ``vet`` module that holds it."""
     calls = []

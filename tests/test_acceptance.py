@@ -405,7 +405,7 @@ def test_criterion_2_soundness_no_forgery_accepted():
         else:
             sessions = list(deep_bundle.sessions)
             index = rng.randrange(len(sessions))
-            signed = copy.deepcopy(sessions[index].signed)
+            signed = copy.deepcopy(sessions[index])
             # A notary nests its signed fields under "statement", a proxy
             # log head does not; both sign "records" and "head".
             fields = signed.get("statement", signed)
@@ -414,7 +414,7 @@ def test_criterion_2_soundness_no_forgery_accepted():
             else:
                 head = bytes.fromhex(fields["head"])
                 fields["head"] = toytls.chain_link(head, "up", 1, bytes(32)).hex()
-            sessions[index] = type(sessions[index])(sessions[index].kind, signed)
+            sessions[index] = signed
             forged = with_proofs(proofs, sessions=tuple(sessions))
         attempt_session(f"session-drop-or-extra-{i}", "j", forged)
 

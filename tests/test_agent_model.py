@@ -77,7 +77,17 @@ def test_trace_obj_round_trip():
     trace = _trace()
     assert ExecutionTrace.from_obj(trace.to_obj()) == trace
     obj = trace.to_obj()
-    assert obj["steps"][0]["step_index"] == "0"  # scalars as strings
+    # Scalars as strings, and a step's index is its position: it does not ship.
+    assert obj["steps"][0] == {
+        "core_output": trace.steps[0].core_output,
+        "tool_calls": [
+            {"tool": c.tool_id, "input": c.input, "result": c.result}
+            for c in trace.steps[0].tool_calls
+        ],
+    }
+    assert [s.step_index for s in ExecutionTrace.from_obj(obj).steps] == list(
+        range(len(trace.steps))
+    )
 
 
 def test_run_agent_loop():

@@ -271,3 +271,18 @@ def test_document_of_the_wrong_shape_does_not_decode(mangle):
     mangle(bad)
     with pytest.raises(ValidationError):
         AgentIdentityDocument.from_obj(bad)
+
+
+@pytest.mark.parametrize("where", ["document", "core", "tool"])
+def test_member_an_aid_does_not_define_does_not_decode(where):
+    # The ID would not commit to it: to_obj drops what from_obj does not read.
+    doc = _doc_obj()
+    {"document": doc, "core": doc["core"], "tool": doc["tools"][0]}[where]["extra"] = "x"
+    with pytest.raises(ValidationError, match="member 'extra' that an AID does not define"):
+        AgentIdentityDocument.from_obj(doc)
+
+
+def test_scheme_params_stay_free():
+    doc = _doc_obj()
+    doc["core"]["verification"][SCHEME_TLS_NOTARY]["extra"] = "x"
+    assert AgentIdentityDocument.from_obj(doc).core.verification.params["extra"] == "x"

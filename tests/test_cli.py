@@ -4,6 +4,7 @@ import socket
 import pytest
 from click.testing import CliRunner
 
+from conftest import session_field, session_kind
 from vet import cli, demo
 from vet.canonical import FORMAT, canonical_bytes
 from vet.cli import main
@@ -254,7 +255,7 @@ def test_malformed_bundle_is_rejected_not_a_traceback(proved, tmp_path, mangle):
     [
         lambda bundle: bundle["proofs"][1].update(payload="x"),
         lambda bundle: bundle["proofs"][0]["payload"].update(record_keys="x"),
-        lambda bundle: bundle["sessions"][0]["signed"].update(notary_signature=5),
+        lambda bundle: bundle["sessions"][0].update(notary_signature=5),
     ],
 )
 def test_component_payload_of_wrong_shape_is_subproof_invalid(proved, tmp_path, mangle):
@@ -303,10 +304,9 @@ def test_inspect_names_the_document_that_does_not_decode(proved, tmp_path, docum
         (lambda bundle: bundle.update(format="5"), "bundle format 5"),
         (lambda bundle: bundle.update(format="6"), "bundle format 6"),
         (lambda bundle: bundle.update(format="7"), "bundle format 7"),
-        (lambda bundle: bundle["proofs"][0]["payload"].pop("format"), "web proof format 1"),
         (lambda bundle: bundle.update(format="8"), "bundle format 8"),
         (lambda bundle: bundle.update(format="9"), "bundle format 9"),
-        (lambda bundle: bundle["proofs"][0]["payload"].update(format="9"), "web proof format 9"),
+        (lambda bundle: bundle.update(format="10"), "bundle format 10"),
     ],
 )
 def test_other_format_is_rejected_naming_its_version(proved, tmp_path, mangle, named):
@@ -322,10 +322,10 @@ def test_other_format_is_rejected_naming_its_version(proved, tmp_path, mangle, n
     verify = CliRunner().invoke(main, ["verify", *args, "--claim", _claim(proved), "--json"])
     assert verify.exit_code == 1, verify.output
     report = json.loads(verify.output)
-    # The bundle's own version is a decode error; a component's is that
-    # component's reject.
-    assert report["reason"] == ("malformed" if named.startswith("bundle") else "subproof-invalid")
-    assert named in report["detail"] and f"reads format {FORMAT} only" in report["detail"]
+    # The bundle's own version is a decode error; its proofs carry none.
+    # The trailing space keeps "format 1" from matching "format 10".
+    assert report["reason"] == "malformed"
+    assert f"{named} " in report["detail"] and f"reads format {FORMAT} only" in report["detail"]
 
 
 def test_bundle_with_a_duplicate_member_name_is_a_usage_error(proved, tmp_path):
@@ -373,8 +373,9 @@ def test_verify_json_and_inspect_list_sessions(proved):
     bundle = json.loads((proved / "bundle.json").read_text())
     sessions = report["sessions"]
     assert sorted(s["index"] for s in sessions) == list(range(len(bundle["sessions"])))
+    assert [s["index"] for s in sessions] == list(range(len(sessions)))  # in first-use order
     for session in sessions:
-        assert session["kind"] == bundle["sessions"][session["index"]]["kind"]
+        assert session["kind"] == session_kind(bundle["sessions"][session["index"]])
         assert (session["signature"], session["verdict"]) == ("ok", "ok")
         assert session["exchanges"] == len(session["components"]) >= 2
     named = {c["locator"]: c["session"] for c in report["components"]}
@@ -429,7 +430,7 @@ def _stamp_tee_head(bundle):
     returns that proof's index."""
     tee = next(i for i, p in enumerate(bundle["proofs"]) if p["kind"] == "tee_attestation")
     session = int(bundle["proofs"][tee]["payload"]["attestation"])
-    bundle["sessions"][session]["signed"]["timestamp"] = "1"
+    bundle["sessions"][session]["timestamp"] = "1"
     return tee
 
 
@@ -645,6 +646,17 @@ def test_aid_file_that_does_not_decode_is_a_usage_error(tmp_path, doc, command):
     assert result.output.startswith("error: ")
 
 
+@pytest.mark.parametrize("where", ["document", "core"])
+def test_aid_hash_refuses_a_member_an_aid_does_not_define(proved, tmp_path, where):
+    doc = json.loads((proved / "aid.json").read_text())
+    (doc if where == "document" else doc["core"])["extra"] = "x"
+    bad = tmp_path / "aid.json"
+    bad.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["aid", "hash", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "member 'extra' that an AID does not define" in result.output
+
+
 def _mangled_templates(proved, tmp_path, field, value):
     """A copy of the demo templates with ``field`` of one inject template set to ``value``."""
     directory = tmp_path / "templates"
@@ -693,7 +705,7 @@ def _core_proof(bundle):
 # it gets: the bundle's own fields are malformed, a proof's are that
 # proof's reject.
 NUMBER_FIELDS = {
-    "step_index": (lambda b: b["trace"]["steps"][1], "step_index", "malformed"),
+    "step_index": (lambda b: b["proofs"][1], "step_index", "malformed"),
     "record-key-index": (lambda b: _core_proof(b)["record_keys"][-1], "index", "subproof-invalid"),
     "run-index": (
         lambda b: _core_proof(b)["response_disclosure"]["chunks"][0], "index", "subproof-invalid"
@@ -779,13 +791,41 @@ def test_record_key_out_of_place_is_subproof_invalid(proved, tmp_path, direction
     assert "is not a distinct up or down record" in report["detail"]
 
 
+def _swap_sessions(bundle):
+    """Swap the demo bundle's two sessions and remap every proof's index."""
+    bundle["sessions"].reverse()
+    for proof in bundle["proofs"]:
+        field = session_field(proof["kind"])
+        proof["payload"][field] = str(1 - int(proof["payload"][field]))
+    return "step:0/core: session 1 is named before session 0"
+
+
+def _tee_names_the_notary_session(bundle):
+    """Point the first TEE proof at the notary's session, which the core
+    proof before it opened."""
+    proof = next(p for p in bundle["proofs"] if p["kind"] == "tee_attestation")
+    assert bundle["proofs"][0]["payload"]["signed_statement"] == "0"
+    proof["payload"]["attestation"] = "0"
+    locator = f"step:{proof['step_index']}/{proof['position']}"
+    return f"{locator}: session 0 holds a webproof, not a tee_attestation"
+
+
+@pytest.mark.parametrize("mangle", [_swap_sessions, _tee_names_the_notary_session])
+def test_sessions_have_one_order_and_one_scheme(proved, tmp_path, mangle):
+    bundle = json.loads((proved / "bundle.json").read_text())
+    assert len(bundle["sessions"]) == 2
+    detail = mangle(bundle)
+    report = _verify_mangled(proved, tmp_path, bundle)
+    assert (report["reason"], report["detail"]) == ("subproof-invalid", detail)
+
+
 def test_honest_bundle_decodes_to_the_same_document(proved):
     bundle = json.loads((proved / "bundle.json").read_text())
     assert VerifiableExecutionTrace.from_obj(bundle).to_obj() == bundle
     for proof in bundle["proofs"]:
         if proof["kind"] == "webproof":
             payload = proof["payload"]
-            signed = bundle["sessions"][int(payload["signed_statement"])]["signed"]
+            signed = bundle["sessions"][int(payload["signed_statement"])]
             decoded = WebProof.from_obj(payload, SignedStatement.from_obj(signed))
             assert decoded.statement.to_obj() == signed
             assert decoded.exchange_obj() == {

@@ -372,4 +372,4 @@ def test_chunk_lengths_below_one_do_not_decode(lengths):
     with pytest.raises(ValidationError):
         TranscriptCommitment.from_obj(obj)
     with pytest.raises(ValidationError):
-        commit(b"abcd", [int(n) for n in lengths])
+        commit(b"abcd", [int(n) for n in lengths], random.Random(0))

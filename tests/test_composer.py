@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, session_field, session_kind
 from vet import demo, keys, mockserver, templates
 from vet.agent_model import ExecutionTrace, StepRecord, ToolCall, rebuild_transcript, run_agent
 from vet.aid import (
@@ -17,7 +17,6 @@ from vet.composer import (
     KIND_TEE,
     ComponentProof,
     ComposedVerifier,
-    Session,
     StepData,
     TeeComponentProver,
     VerifiableExecutionTrace,
@@ -295,16 +294,25 @@ def test_proofs_out_of_invocation_order_are_rejected(demo_result, order):
 
 
 def _swap_cores(bundle):
-    """The bundle's proofs with the first two core proofs swapped between steps."""
+    """The bundle with the first two core proofs swapped between steps. If
+    they name two sessions, those swap places too, so that the sessions
+    stay in the order the proofs first name them."""
     proofs = list(bundle.proofs)
     cores = [i for i, p in enumerate(proofs) if p.position == "core"]
     assert len(cores) >= 2
     i, j = cores[0], cores[1]
+    a, b = (proofs[k].payload["signed_statement"] for k in (i, j))
     proofs[i], proofs[j] = (
-        ComponentProof(proofs[j].kind, proofs[i].step_index, "core", proofs[j].payload),
-        ComponentProof(proofs[i].kind, proofs[j].step_index, "core", proofs[i].payload),
+        ComponentProof(
+            proofs[j].kind, proofs[i].step_index, "core", dict(proofs[j].payload, signed_statement=a)
+        ),
+        ComponentProof(
+            proofs[i].kind, proofs[j].step_index, "core", dict(proofs[i].payload, signed_statement=b)
+        ),
     )
-    return _rebuild(bundle, proofs=proofs)
+    sessions = list(bundle.sessions)
+    sessions[int(a)], sessions[int(b)] = sessions[int(b)], sessions[int(a)]
+    return VerifiableExecutionTrace(bundle.aid_id, bundle.trace, tuple(proofs), tuple(sessions))
 
 
 def _core_request_lengths(bundle):
@@ -332,7 +340,7 @@ def test_subproof_substitution(scripted):
     # isolation but authenticates the wrong transcript prefix.
     alone = ScriptedWorld("composer", n_steps=2, cap_up=max(_core_request_lengths(bundle)))
     trace, bundle = alone.run()
-    assert [s.kind for s in bundle.sessions].count("webproof") == 2
+    assert [session_kind(s) for s in bundle.sessions].count("webproof") == 2
     with pytest.raises(Rejected) as err:
         verify_trace(m, _swap_cores(bundle), alone.aid, alone.registry)
     assert err.value.reason == "transcript-inconsistent"
@@ -559,11 +567,11 @@ def test_tee_proof_of_a_secret_slot_is_rejected_in_a_bundle():
             log.add(request, spans, invocation.x)
     [(signed, proven)] = log.finish()
     assert all(b"TOPSECRET" in bytes.fromhex(payload["request"]) for _, payload in proven)
-    index = next(i for i, s in enumerate(bundle.sessions) if s.kind == KIND_TEE)
+    index = next(i for i, s in enumerate(bundle.sessions) if session_kind(s) == KIND_TEE)
     payloads = iter({**payload, "attestation": str(index)} for _, payload in proven)
     proofs = [replace(p, payload=next(payloads)) if p.kind == KIND_TEE else p for p in bundle.proofs]
     sessions = list(bundle.sessions)
-    sessions[index] = Session(KIND_TEE, signed)
+    sessions[index] = signed
     forged = VerifiableExecutionTrace(
         aid_id=compute_id(aid), trace=trace, proofs=tuple(proofs), sessions=tuple(sessions)
     )
@@ -601,11 +609,11 @@ def test_tee_request_the_template_cannot_render_is_rejected_in_a_bundle():
         if invocation.call is not None:
             log.add(request, [], invocation.x)
     [(signed, proven)] = log.finish()
-    index = next(i for i, s in enumerate(bundle.sessions) if s.kind == KIND_TEE)
+    index = next(i for i, s in enumerate(bundle.sessions) if session_kind(s) == KIND_TEE)
     payloads = iter({**payload, "attestation": str(index)} for _, payload in proven)
     proofs = [replace(p, payload=next(payloads)) if p.kind == KIND_TEE else p for p in bundle.proofs]
     sessions = list(bundle.sessions)
-    sessions[index] = Session(KIND_TEE, signed)
+    sessions[index] = signed
     forged = VerifiableExecutionTrace(
         aid_id=compute_id(aid), trace=trace, proofs=tuple(proofs), sessions=tuple(sessions)
     )
@@ -629,7 +637,7 @@ def test_prove_trace_renders_and_parses_each_call_once(monkeypatch, scripted):
         (
             "webproof",
             frozenset({
-                "format", "record_keys", "request_commitment", "request_disclosure",
+                "record_keys", "request_commitment", "request_disclosure",
                 "withheld_tags", "down_lengths", "response_commitment",
                 "response_disclosure", "claims", "signed_statement",
             }),
@@ -731,7 +739,7 @@ def test_report_lists_checked_components(scripted):
 
 def test_calls_share_one_session_per_component_scheme(scripted):
     world, trace, bundle = scripted
-    assert [s.kind for s in bundle.sessions] == ["webproof", "tee_attestation"]
+    assert [session_kind(s) for s in bundle.sessions] == ["webproof", "tee_attestation"]
     report = VerificationReport()
     verify_trace(trace.steps[-1].core_output, bundle, world.aid, world.registry, report)
     by_kind = {s.kind: s for s in report.sessions}
@@ -764,7 +772,7 @@ def test_run_outgrowing_a_session_rolls_to_a_fresh_one(scripted):
     # rolls to a fresh notarized session.
     small = ScriptedWorld("composer", n_steps=2, cap_up=max(_core_request_lengths(bundle)))
     trace, rolled = small.run()
-    kinds = [s.kind for s in rolled.sessions]
+    kinds = [session_kind(s) for s in rolled.sessions]
     assert kinds.count("webproof") == len(trace.steps) and kinds.count("tee_attestation") == 1
     m = trace.steps[-1].core_output
     assert verify_trace(m, rolled, small.aid, small.registry) == m
@@ -788,20 +796,102 @@ def test_session_that_no_proof_names_is_rejected(scripted):
     assert err.value.detail == "session 2 is named by no proof"
 
 
-def test_proof_naming_a_session_of_the_other_kind_is_rejected(scripted):
-    world, trace, bundle = scripted
+def _renaming(bundle, k, index):
+    """``bundle`` with its k-th proof naming session ``index``."""
     proofs = list(bundle.proofs)
-    tee = next(s for s, session in enumerate(bundle.sessions) if session.kind == "tee_attestation")
-    proofs[0] = ComponentProof(
-        proofs[0].kind, proofs[0].step_index, proofs[0].position,
-        dict(proofs[0].payload, signed_statement=str(tee)),
+    field = session_field(proofs[k].kind)
+    proofs[k] = ComponentProof(
+        proofs[k].kind, proofs[k].step_index, proofs[k].position,
+        dict(proofs[k].payload, **{field: str(index)}),
+    )
+    return _rebuild(bundle, proofs=proofs)
+
+
+def test_proof_naming_a_session_of_the_other_kind_is_rejected(scripted):
+    # The second core proof names the proxy log, which the first tool
+    # proof opened: a session's scheme is that of the proof opening it.
+    world, trace, bundle = scripted
+    tee = bundle.proofs[1]
+    assert (tee.kind, tee.payload["attestation"]) == (KIND_TEE, "1")
+    k = next(k for k, p in enumerate(bundle.proofs) if p.kind == "webproof" and k > 1)
+    report = VerificationReport()
+    with pytest.raises(Rejected) as err:
+        verify_trace(
+            trace.steps[-1].core_output, _renaming(bundle, k, 1), world.aid, world.registry, report
+        )
+    assert err.value.detail == (
+        f"{bundle.proofs[k].locator}: session 1 holds a tee_attestation, not a webproof"
+    )
+    # Refused before the session's state is used: it counts no exchange.
+    assert [s.exchanges for s in report.sessions] == [1, 1]
+
+
+def test_tee_proof_naming_the_notary_session_is_rejected(scripted):
+    world, trace, bundle = scripted
+    assert bundle.proofs[1].kind == KIND_TEE
+    with pytest.raises(Rejected) as err:
+        verify_trace(
+            trace.steps[-1].core_output, _renaming(bundle, 1, 0), world.aid, world.registry
+        )
+    assert (err.value.reason, err.value.detail) == (
+        "subproof-invalid", "step:0/tool:0: session 0 holds a webproof, not a tee_attestation"
+    )
+
+
+def test_sessions_have_one_order(scripted):
+    # The sessions table swapped, with every proof's index remapped, is
+    # the same set of facts in a second order: the first proof then names
+    # session 1 before session 0 is open.
+    world, trace, bundle = scripted
+    assert len(bundle.sessions) == 2
+    proofs = [
+        ComponentProof(
+            p.kind, p.step_index, p.position,
+            dict(p.payload, **{
+                session_field(p.kind): str(1 - int(p.payload[session_field(p.kind)]))
+            }),
+        )
+        for p in bundle.proofs
+    ]
+    swapped = VerifiableExecutionTrace(
+        bundle.aid_id, bundle.trace, tuple(proofs), bundle.sessions[::-1]
     )
     with pytest.raises(Rejected) as err:
-        forged = _rebuild(bundle, proofs=proofs)
-        verify_trace(trace.steps[-1].core_output, forged, world.aid, world.registry)
-    assert err.value.detail == (
-        f"step:0/core: session {tee} holds a 'tee_attestation', not a webproof"
+        verify_trace(trace.steps[-1].core_output, swapped, world.aid, world.registry)
+    assert (err.value.reason, err.value.detail) == (
+        "subproof-invalid", "step:0/core: session 1 is named before session 0"
     )
+
+
+def test_proof_naming_a_session_past_the_next_unopened_one_is_rejected(scripted):
+    # The rolled bundle's third web proof opens session 2; naming session
+    # 3 instead, two past the last one opened, skips a session.
+    world, trace, bundle = scripted
+    small = ScriptedWorld("composer", n_steps=2, cap_up=max(_core_request_lengths(bundle)))
+    trace, rolled = small.run()
+    spare = VerifiableExecutionTrace(
+        rolled.aid_id, rolled.trace, rolled.proofs, rolled.sessions + rolled.sessions[:1]
+    )
+    named = [int(p.payload[session_field(p.kind)]) for p in rolled.proofs]
+    k = named.index(max(named))
+    opened = max(named[:k])
+    with pytest.raises(Rejected) as err:
+        verify_trace(
+            trace.steps[-1].core_output, _renaming(spare, k, opened + 2), small.aid, small.registry
+        )
+    assert (err.value.reason, err.value.detail) == (
+        "subproof-invalid",
+        f"{rolled.proofs[k].locator}: session {opened + 2} is named before session {opened + 1}",
+    )
+
+
+def test_prover_numbers_sessions_by_first_use(scripted):
+    world, trace, bundle = scripted
+    small = ScriptedWorld("composer", n_steps=2, cap_up=max(_core_request_lengths(bundle)))
+    for proved in (bundle, small.run()[1]):
+        named = [int(p.payload[session_field(p.kind)]) for p in proved.proofs]
+        first_use = list(dict.fromkeys(named))
+        assert first_use == list(range(len(proved.sessions))), named
 
 
 def test_components_sharing_a_log_must_each_declare_its_enclave_key():
@@ -833,7 +923,7 @@ def test_components_sharing_a_log_must_each_declare_its_enclave_key():
         ),
     }
     bundle = prove_trace(trace, aid, provers)
-    assert [s.kind for s in bundle.sessions].count("tee_attestation") == 1
+    assert [session_kind(s) for s in bundle.sessions].count("tee_attestation") == 1
     report = VerificationReport()
     with pytest.raises(Rejected) as err:
         verify_trace(trace.steps[-1].core_output, bundle, aid, world.registry, report)

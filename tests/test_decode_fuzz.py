@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import WebProofRig
+from conftest import WebProofRig, session_field, session_kind
 from vet import demo as demo_mod, tee_proxy, webproof
 from vet.aid import AgentIdentityDocument, compute_id, validate
 from vet.canonical import FORMAT, canonical_bytes
@@ -144,6 +144,14 @@ def bundle_doc():
     return _bundle_case()[2]
 
 
+def _session_index(doc, kind):
+    """The index of the first session of a bundle document that proofs of
+    ``kind`` name."""
+    return next(
+        int(p["payload"][session_field(kind)]) for p in doc["proofs"] if p["kind"] == kind
+    )
+
+
 def test_seeds_are_valid_documents_of_the_current_format():
     rig, doc = _webproof_case()
     assert doc["format"] == FORMAT
@@ -157,7 +165,7 @@ def test_seeds_are_valid_documents_of_the_current_format():
     bundle = VerifiableExecutionTrace.from_obj(doc)
     assert verify_trace(claim, bundle, result.aid, result.registry) == claim
     # One notarized session of several exchanges, one proxy log of several links.
-    signed = {session["kind"]: session["signed"] for session in doc["sessions"]}
+    signed = {session_kind(session): session for session in doc["sessions"]}
     assert len(signed) == len(doc["sessions"]) == 2
     statement = webproof.SignedStatement.from_obj(signed["webproof"])
     core_proofs = [p for p in doc["proofs"] if p["kind"] == "webproof"]
@@ -211,6 +219,28 @@ def test_sessions_table_decoder_only_rejects(mutated):
     _verify_bundle_doc(mutated)
 
 
+# The members format 11 reshaped: the bare sessions, the trace steps with
+# no index, and a bundled web proof with no format of its own.
+FORMAT_11_MEMBERS = [("sessions",), ("trace",), ("proofs", 0, "payload")]
+format_11_mutations = st.sampled_from(FORMAT_11_MEMBERS).flatmap(
+    lambda under: one_field_mutation(bundle_doc, under=under)
+)
+
+
+@SETTINGS
+@given(format_11_mutations)
+def test_format_11_members_only_reject(mutated):
+    # The honest claim, so only the bundle left as it was may pass.
+    result, claim, doc = _bundle_case()
+    assert doc["proofs"][0]["kind"] == "webproof" and "format" not in doc["proofs"][0]["payload"]
+    try:
+        bundle = VerifiableExecutionTrace.from_obj(mutated)
+        verify_trace(claim, bundle, result.aid, result.registry)
+    except (Rejected, ValidationError):
+        return
+    assert mutated == doc
+
+
 def _format_9_head(doc, exchanges, seed):
     """The format-9 proxy log head over ``exchanges``, (request, response)
     hex pairs, with the fields of the format-10 ``doc``: "exchanges" and
@@ -234,14 +264,13 @@ def test_format_9_log_head_is_refused():
     # The same inside a bundle of the current format, as its proxy session.
     result, claim, bundle = _bundle_case()
     mutated = copy.deepcopy(bundle)
-    index = next(i for i, s in enumerate(bundle["sessions"]) if s["kind"] == "tee_attestation")
+    index = _session_index(bundle, "tee_attestation")
     exchanges = [
         (p["payload"]["request"], p["payload"]["response"])
         for p in bundle["proofs"] if p["payload"].get("attestation") == str(index)
     ]
     assert len(exchanges) >= 2
-    session = mutated["sessions"][index]
-    session["signed"] = _format_9_head(session["signed"], exchanges, "0")
+    mutated["sessions"][index] = _format_9_head(mutated["sessions"][index], exchanges, "0")
     with pytest.raises((Rejected, ValidationError)):
         verify_trace(
             claim, VerifiableExecutionTrace.from_obj(mutated), result.aid, result.registry
@@ -263,8 +292,8 @@ def test_signed_chain_of_any_shape_is_a_reason(picks):
     shift, which, noise = picks
     result, claim, doc = _bundle_case()
     mutated = copy.deepcopy(doc)
-    index = next(i for i, s in enumerate(doc["sessions"]) if s["kind"] == "webproof")
-    statement = mutated["sessions"][index]["signed"]["statement"]
+    index = _session_index(doc, "webproof")
+    statement = mutated["sessions"][index]["statement"]
     honest = dict(statement)
     statement["records"] = str(max(int(honest["records"]) + shift, 0))
     statement["head"] = {
@@ -274,7 +303,7 @@ def test_signed_chain_of_any_shape_is_a_reason(picks):
     }[which]
     # Signed by the demo's notary key, so only the chain is wrong.
     notary = SigningKey.from_seed(b"notary:0")
-    mutated["sessions"][index]["signed"]["notary_signature"] = notary.sign(
+    mutated["sessions"][index]["notary_signature"] = notary.sign(
         canonical_bytes(statement)
     )
     try:
@@ -296,8 +325,8 @@ def test_signed_log_head_of_any_shape_is_a_reason(picks):
     shift, which, noise = picks
     result, claim, doc = _bundle_case()
     mutated = copy.deepcopy(doc)
-    index = next(i for i, s in enumerate(doc["sessions"]) if s["kind"] == "tee_attestation")
-    head = mutated["sessions"][index]["signed"]
+    index = _session_index(doc, "tee_attestation")
+    head = mutated["sessions"][index]
     honest = dict(head)
     head["records"] = str(max(int(honest["records"]) + shift, 0))
     head["head"] = {
@@ -347,9 +376,7 @@ def cli_dir(tmp_path_factory):
     return out
 
 
-@settings(SETTINGS, max_examples=60)
-@given(mutated=one_field_mutation(bundle_doc))
-def test_cli_verify_json_exits_with_a_report(cli_dir, mutated):
+def _cli_verify_exits_with_a_report(cli_dir, mutated):
     (cli_dir / "bundle.json").write_text(json.dumps(mutated))
     _, claim, _ = _bundle_case()
     result = CliRunner().invoke(
@@ -367,6 +394,18 @@ def test_cli_verify_json_exits_with_a_report(cli_dir, mutated):
     if result.exit_code != 2:
         report = json.loads(result.output)
         assert report["result"] == ("accept" if result.exit_code == 0 else "reject")
+
+
+@settings(SETTINGS, max_examples=60)
+@given(mutated=one_field_mutation(bundle_doc))
+def test_cli_verify_json_exits_with_a_report(cli_dir, mutated):
+    _cli_verify_exits_with_a_report(cli_dir, mutated)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(mutated=format_11_mutations)
+def test_cli_verify_json_exits_with_a_report_on_format_11_members(cli_dir, mutated):
+    _cli_verify_exits_with_a_report(cli_dir, mutated)
 
 
 @settings(SETTINGS, max_examples=60)

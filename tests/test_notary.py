@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import HandSealer, WebProofRig
 
-from vet import frames, notary as notary_mod, toytls
+from vet import demo, frames, notary as notary_mod, toytls
 from vet.canonical import canonical_bytes, canonical_loads
 from vet.channel_sim import CostModel
 from vet.errors import CapacityExceeded, ProtocolError, ValidationError
@@ -203,6 +203,24 @@ def test_tcp_end_to_end(rig, opened_sessions):
         response, proof = run_session(channel, request, claims={"input": "t"})
         assert b'"echo":"t"' in response
         assert opened_sessions["tcp-1"].state == STATE_FINALIZED
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_unknown_domain_is_a_protocol_error_in_process_and_over_tcp(rig):
+    with pytest.raises(ProtocolError, match="no server for domain 'nosuch.test'"):
+        provision_channel(demo.build_world("0").notary, "nosuch.test")
+    server = notary_mod.serve(rig.service)
+    try:
+        host, port = server.server_address
+        channel = TCPChannel(host, port, "nosuch.test", 1 << 16, 1 << 16, "nosuch")
+        with pytest.raises(
+            ProtocolError,
+            match="notary rejected session: no server for domain 'nosuch.test'",
+        ):
+            NotarizedSession(channel, random.Random(0))
+        assert rig.service._live == set()
     finally:
         server.shutdown()
         server.server_close()

@@ -23,7 +23,6 @@ from vet.toytls import (
     TargetServer,
     derive_record_key,
     handshake_signature_message,
-    normalize_ranges,
     open_record,
     seal_record,
     split_records,
@@ -134,13 +133,23 @@ def test_record_keys_distinct():
     assert len(keys) == 20
 
 
-def test_normalize_ranges():
-    assert normalize_ranges([(5, 5), (0, 6), (20, 0)], 30) == [(0, 10)]
-    assert normalize_ranges([(0, 3), (3, 3)], 10) == [(0, 6)]
-    with pytest.raises(ValidationError):
-        normalize_ranges([(0, 11)], 10)
-    with pytest.raises(ValidationError):
-        normalize_ranges([(-1, 2)], 10)
+def test_split_records_takes_spans_in_any_order_and_overlap():
+    # Unsorted, overlapping and empty spans: every byte inside a span lies
+    # in a secret record and every other byte in a public one, and the
+    # empty span cuts nothing.
+    spans = [(5, 5), (0, 6), (20, 0), (8, 4)]
+    records = split_records(30, spans)
+    assert records == [
+        (0, 5, True), (5, 1, True), (6, 2, True), (8, 2, True), (10, 2, True), (12, 18, False),
+    ]
+    flags = [secret for _, length, secret in records for _ in range(length)]
+    assert flags == [any(o <= i < o + n for o, n in spans) for i in range(30)]
+
+
+@pytest.mark.parametrize("span", [(0, 11), (-1, 2), (2, -1), (10, 1)])
+def test_split_records_refuses_a_span_outside_the_request(span):
+    with pytest.raises(ValidationError, match="out of bounds"):
+        split_records(10, [span])
 
 
 def test_split_records_plain():
