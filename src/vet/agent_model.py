@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .canonical import json_field
+from .canonical import json_field, refuse_unread
 from .errors import ValidationError, VetError
 from .frames import encode as frame
 
@@ -97,18 +97,24 @@ class ExecutionTrace:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ExecutionTrace":
-        steps = tuple(
-            StepRecord(
-                step_index=j,
-                core_output=json_field(s, "core_output"),
-                tool_calls=tuple(
-                    ToolCall(*(json_field(c, key) for key in ("tool", "input", "result")))
-                    for c in json_field(s, "tool_calls", list)
-                ),
-            )
-            for j, s in enumerate(json_field(obj, "steps", list))
-        )
-        return cls(initial_input=json_field(obj, "initial_input"), steps=steps)
+        steps = tuple(_read_step(j, s) for j, s in enumerate(json_field(obj, "steps", list)))
+        trace = cls(initial_input=json_field(obj, "initial_input"), steps=steps)
+        refuse_unread(obj, ("initial_input", "steps"), "a trace")
+        return trace
+
+
+def _read_step(j: int, obj: dict) -> StepRecord:
+    calls = tuple(map(_read_call, json_field(obj, "tool_calls", list)))
+    step = StepRecord(step_index=j, core_output=json_field(obj, "core_output"), tool_calls=calls)
+    refuse_unread(obj, ("core_output", "tool_calls"), "a step")
+    return step
+
+
+def _read_call(obj: dict) -> ToolCall:
+    members = ("tool", "input", "result")
+    call = ToolCall(*(json_field(obj, key) for key in members))
+    refuse_unread(obj, members, "a tool call")
+    return call
 
 
 def _step_frames(step: StepRecord) -> Iterable[bytes]:

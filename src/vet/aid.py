@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from urllib.parse import urlparse
 
-from .canonical import canonical_bytes, is_hash_string, json_field
+from .canonical import canonical_bytes, is_hash_string, json_field, refuse_unread
 from .errors import ValidationError
 from .keys import parse_public_key
 from .templates import ROLE_CORE, ROLE_TOOL, TemplateRegistry
@@ -27,14 +27,6 @@ _SCHEME_PARAMS = {
     SCHEME_TLS_NOTARY: ("notary_public_key", "protocol_version"),
     SCHEME_PROXY_TEE: ("enclave_public_key", "tee_type"),
 }
-
-
-def _refuse_unread(obj: dict, read: tuple[str, ...], where: str) -> None:
-    """ValidationError for a member the document does not define: the ID
-    would not commit to it, since ``to_obj`` drops it."""
-    unread = sorted(set(obj) - set(read))
-    if unread:
-        raise ValidationError(f"{where} has a member {unread[0]!r:.40} that an AID does not define")
 
 
 @dataclass(frozen=True)
@@ -74,11 +66,12 @@ class ComponentEntry:
     @classmethod
     def from_obj(cls, obj: dict, default_name: str = "") -> "ComponentEntry":
         verification = json_field(obj, "verification", dict, {})
-        _refuse_unread(
+        refuse_unread(
             obj,
             ("name", "endpoint", "injection_algorithm_uid", "parsing_algorithm_uid",
              "verification", "model"),
             "a component entry",
+            "an AID",
         )
         if len(verification) != 1:
             raise ValidationError("verification must name exactly one scheme")
@@ -119,7 +112,7 @@ class AgentIdentityDocument:
             tools=tuple(ComponentEntry.from_obj(t) for t in json_field(obj, "tools", list, [])),
             agent_hash=json_field(obj, "agent_hash", str, None),
         )
-        _refuse_unread(obj, ("agent_name", "core", "tools", "agent_hash"), "the AID")
+        refuse_unread(obj, ("agent_name", "core", "tools", "agent_hash"), "the AID", "an AID")
         return document
 
     def tool(self, name: str) -> ComponentEntry:

@@ -19,11 +19,14 @@ Decoders of outside documents read each field with ``json_field``, each
 integer with ``parse_int`` (the one spelling ``str(int(s))``) and bytes
 with ``parse_hex`` (lowercase hex), so that a field of the wrong shape or
 spelling is a ``ValidationError`` naming it. ``canonical_loads`` refuses
-an object that names one member twice, so a document has one reading.
+an object that names one member twice, so a document has one reading,
+and ``refuse_unread`` an object with a member its decoder does not read,
+so it has one encoding.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import re
@@ -69,7 +72,14 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # signed objects, in the order its proofs first name them, where format 10
 # wrapped each as {"kind", "signed"} in any order; its web proofs carry no
 # "format" and its trace steps no "step_index", which is their position.
-FORMAT = "11"
+# 12: a web proof ships no record metadata that the verifier recomputes.
+# Its record keys are bare {"key"} objects in record order, the public up
+# records' and then the down records', where format 11 named each record
+# by "direction" and "index"; its response commitment drops
+# "chunk_lengths", which are the non-zero "down_lengths", and its
+# disclosure the "ranges" and each chunk's "index", which were always
+# the whole response and 0.
+FORMAT = "12"
 
 
 # The shortest string that ``json_string`` checks and quotes whole: below
@@ -218,6 +228,18 @@ def json_field(obj: Any, key: str, kind: type = str, default: Any = _REQUIRED) -
     return value
 
 
+def refuse_unread(obj: dict, read: tuple[str, ...], where: str, schema: str = "") -> None:
+    """ValidationError naming a member of ``obj`` outside ``read``, the
+    members its decoder reads, so that a document has one encoding;
+    ``schema`` names what defines the members, by default this format."""
+    if len(obj) != sum(key in obj for key in read):
+        unread = min(set(obj) - set(read))
+        raise ValidationError(
+            f"{where} has a member {unread!r:.40} that {schema or 'format ' + FORMAT} "
+            "does not define"
+        )
+
+
 def parse_int(text: Any, name: str) -> int:
     """The integer ``text`` spells in decimal, refusing "01", "+1", " 1", "1_0" and "-0"."""
     try:
@@ -230,13 +252,19 @@ def parse_int(text: Any, name: str) -> int:
 
 
 def parse_hex(text: Any, name: str) -> bytes:
-    """The bytes ``text`` spells in lowercase hex, refusing uppercase and spaces."""
-    try:
-        value = bytes.fromhex(text)
-        if value.hex() == text:
-            return value
-    except (TypeError, ValueError):  # not a string, or not hex
-        pass
+    """The bytes ``text`` spells in lowercase hex, refusing uppercase and spaces.
+
+    ``a2b_hex`` refuses whitespace, odd lengths and non-ASCII text, and
+    reads both cases, so one scan for each uppercase digit is left."""
+    if isinstance(text, str):
+        try:
+            value = binascii.a2b_hex(text)
+        except ValueError:  # binascii.Error is one
+            pass
+        else:
+            if not ("A" in text or "B" in text or "C" in text or "D" in text
+                    or "E" in text or "F" in text):
+                return value
     raise ValidationError(f"{name} must be a lowercase hex string, not {text!r:.40}")
 
 

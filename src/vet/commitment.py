@@ -8,26 +8,26 @@ boundaries, so one record is one chunk. Each chunk gets an independent
 count, every chunk length and every leaf, counts and lengths as 8-byte
 big-endian integers:
 ``H("VET/root:" || n || len_0 .. len_{n-1} || leaf_0 .. leaf_{n-1})``.
-The commitment lists the chunk lengths next to the root and the total
-length.
+The commitment is the root and the total length. The chunk lengths do
+not ship with it: the verifier brings its own, which for a web proof
+are the non-zero lengths of its down records, and they must sum to the
+total.
 
-A disclosure reveals the whole transcript. Its one range is
-``[0, total_length]``, and its one run starts at chunk 0 and carries
-every salt and every byte, with no hidden leaf; an empty transcript has
-no chunk and so no run. The serialized shape still has ranges, and
-runs with an index and a path of hidden leaves. Any other shape is
-refused: other ranges, another number of runs or a run that does not
-start at chunk 0 are a ``chunk-range-inconsistency``, salts or bytes of
-the wrong length a ``length-mismatch``, and a hidden leaf or a root that
-does not match a ``bad-path``.
+A disclosure reveals the whole transcript: one run that carries every
+salt and every byte, with no hidden leaf, and no run for an empty
+transcript. The serialized run still has a path of hidden leaves, and
+it must be empty. Any other shape is refused: another number of runs is
+a ``chunk-range-inconsistency``, chunk lengths of another sum or salts
+or bytes of the wrong length a ``length-mismatch``, and a hidden leaf or
+a root that does not match a ``bad-path``.
 
 ``verify_disclosure`` recomputes every leaf and the root from the
-committed lengths, so short of a SHA-256 collision the bytes it returns
-are the committed ones. The commitment is not what binds a response to
-its session: nothing signs its root, and the prover commits after the
-session has closed. What binds the response is the tag of each down
-record under its released key, which the notary's chain head signs
-(``vet.webproof`` gives that argument).
+chunk lengths, so short of a SHA-256 collision the bytes it returns
+are the committed ones, cut as they were committed. The commitment is
+not what binds a response to its session: nothing signs its root, and
+the prover commits after the session has closed. What binds the
+response is the tag of each down record under its released key, which
+the notary's chain head signs (``vet.webproof`` gives that argument).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .canonical import json_field, parse_hex, parse_int
+from .canonical import json_field, parse_hex, refuse_unread
 from .errors import Rejected, ValidationError
 
 SALT_LEN = 16
@@ -63,33 +63,20 @@ def _root(chunk_lengths, salts: bytes, data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class TranscriptCommitment:
+    """The root and total length; the chunk lengths are the verifier's own."""
+
     root: bytes
-    chunk_lengths: tuple[int, ...]
     total_length: int
 
     def to_obj(self) -> dict:
-        return {
-            "root": self.root.hex(),
-            "chunk_lengths": [str(n) for n in self.chunk_lengths],
-            "total_length": str(self.total_length),
-        }
+        return {"root": self.root.hex(), "total_length": str(self.total_length)}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TranscriptCommitment":
         commitment = cls(
-            root=json_field(obj, "root", bytes),
-            chunk_lengths=tuple(
-                parse_int(n, "chunk_lengths") for n in json_field(obj, "chunk_lengths", list)
-            ),
-            total_length=json_field(obj, "total_length", int),
+            root=json_field(obj, "root", bytes), total_length=json_field(obj, "total_length", int)
         )
-        lengths, total = commitment.chunk_lengths, commitment.total_length
-        # The root encodes each chunk length in 8 bytes.
-        if any(n < 1 for n in lengths) or sum(lengths) != total or total >= 1 << 64:
-            raise ValidationError(
-                f"commitment of {total} bytes in {len(lengths)} chunks: chunk lengths must "
-                "be at least 1 and sum to the total length"
-            )
+        refuse_unread(obj, ("root", "total_length"), "a commitment")
         return commitment
 
 
@@ -103,18 +90,16 @@ class Opening:
 
 @dataclass(frozen=True)
 class RevealedRun:
-    """Revealed chunks from ``index`` on, with their salts and bytes
+    """Revealed chunks from chunk 0 on, with their salts and bytes
     concatenated; ``path`` would hold the leaves of hidden chunks, and a
     whole disclosure has none."""
 
-    index: int
     salt: bytes
     data: bytes
     path: tuple[bytes, ...]
 
     def to_obj(self) -> dict:
         return {
-            "index": str(self.index),
             "salt": self.salt.hex(),
             "data": self.data.hex(),
             "path": [p.hex() for p in self.path],
@@ -122,34 +107,27 @@ class RevealedRun:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "RevealedRun":
-        return cls(
-            index=json_field(obj, "index", int),
+        run = cls(
             salt=json_field(obj, "salt", bytes),
             data=json_field(obj, "data", bytes),
             path=tuple(parse_hex(node, "path") for node in json_field(obj, "path", list)),
         )
+        refuse_unread(obj, ("salt", "data", "path"), "a disclosed chunk")
+        return run
 
 
 @dataclass(frozen=True)
 class Disclosure:
-    ranges: tuple[tuple[int, int], ...]
     chunks: tuple[RevealedRun, ...]  # one entry per run, in chunk order
 
     def to_obj(self) -> dict:
-        return {
-            "ranges": [[str(o), str(n)] for o, n in self.ranges],
-            "chunks": [c.to_obj() for c in self.chunks],
-        }
+        return {"chunks": [c.to_obj() for c in self.chunks]}
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Disclosure":
-        ranges = json_field(obj, "ranges", list)
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in ranges):
-            raise ValidationError("ranges must be [offset, length] pairs")
-        return cls(
-            ranges=tuple((parse_int(o, "ranges"), parse_int(n, "ranges")) for o, n in ranges),
-            chunks=tuple(RevealedRun.from_obj(c) for c in json_field(obj, "chunks", list)),
-        )
+        chunks = tuple(RevealedRun.from_obj(c) for c in json_field(obj, "chunks", list))
+        refuse_unread(obj, ("chunks",), "a disclosure")
+        return cls(chunks)
 
 
 def commit(
@@ -170,32 +148,34 @@ def commit(
         )
     salts = tuple(randomness.randbytes(SALT_LEN) for _ in lengths)
     commitment = TranscriptCommitment(
-        root=_root(lengths, b"".join(salts), transcript),
-        chunk_lengths=lengths,
-        total_length=len(transcript),
+        root=_root(lengths, b"".join(salts), transcript), total_length=len(transcript)
     )
     return commitment, Opening(plaintext=transcript, salts=salts)
 
 
 def disclose(opening: Opening) -> Disclosure:
     """Reveal the whole transcript: one run of every chunk, if it has any."""
-    runs = [RevealedRun(0, b"".join(opening.salts), opening.plaintext, ())] if opening.salts else []
-    return Disclosure(ranges=((0, len(opening.plaintext)),), chunks=tuple(runs))
+    return Disclosure(
+        (RevealedRun(b"".join(opening.salts), opening.plaintext, ()),) if opening.salts else ()
+    )
 
 
-def verify_disclosure(commitment: TranscriptCommitment, disclosure: Disclosure) -> bytes:
-    """The committed transcript, from a disclosure of all of it.
+def verify_disclosure(
+    commitment: TranscriptCommitment, disclosure: Disclosure, chunk_lengths: tuple[int, ...]
+) -> bytes:
+    """The committed transcript, from a disclosure of all of it in chunks
+    of ``chunk_lengths`` bytes.
 
-    Accepts iff the disclosure has the whole shape (the range
-    ``(0, total_length)``, and one run from chunk 0 with no hidden leaf
-    unless the transcript is empty), its salts and bytes have the
-    committed lengths, and they hash to the root. Raises Rejected
-    otherwise.
+    Accepts iff the chunk lengths sum to the committed total, the
+    disclosure is one run with no hidden leaf (none for an empty
+    transcript), its salts and bytes have the committed lengths, and
+    they hash to the root. Raises Rejected otherwise.
     """
-    total, n = commitment.total_length, len(commitment.chunk_lengths)
-    if disclosure.ranges != ((0, total),):
+    total, n = commitment.total_length, len(chunk_lengths)
+    if sum(chunk_lengths) != total:
         raise Rejected(
-            "chunk-range-inconsistency", f"the disclosure must be the range (0, {total})"
+            "length-mismatch",
+            f"{n} chunks of {sum(chunk_lengths)} bytes for a commitment of {total} bytes",
         )
     if len(disclosure.chunks) != min(n, 1):
         raise Rejected(
@@ -204,8 +184,6 @@ def verify_disclosure(commitment: TranscriptCommitment, disclosure: Disclosure) 
         )
     salt = data = b""
     for run in disclosure.chunks:
-        if run.index != 0:
-            raise Rejected("chunk-range-inconsistency", f"the run starts at chunk {run.index}")
         if len(run.salt) != n * SALT_LEN or len(run.data) != total:
             raise Rejected(
                 "length-mismatch",
@@ -218,6 +196,6 @@ def verify_disclosure(commitment: TranscriptCommitment, disclosure: Disclosure) 
                 f"the run carries hidden leaves ({len(run.path)}); a whole disclosure hides no chunk",
             )
         salt, data = run.salt, run.data
-    if _root(commitment.chunk_lengths, salt, data) != commitment.root:
+    if _root(chunk_lengths, salt, data) != commitment.root:
         raise Rejected("bad-path", "the disclosed chunks do not authenticate to the root")
     return data

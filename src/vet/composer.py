@@ -63,7 +63,7 @@ from .aid import (
     ComponentEntry,
     compute_id,
 )
-from .canonical import FORMAT, check_format, json_field
+from .canonical import FORMAT, check_format, json_field, refuse_unread
 from .chain import OpenChain
 from .errors import Rejected, ValidationError
 from .templates import (
@@ -135,12 +135,14 @@ class ComponentProof:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ComponentProof":
-        return cls(
+        proof = cls(
             kind=json_field(obj, "kind"),
             step_index=json_field(obj, "step_index", int),
             position=json_field(obj, "position"),
             payload=json_field(obj, "payload", object),  # the scheme verifier decodes it
         )
+        refuse_unread(obj, ("kind", "step_index", "position", "payload"), "a proof")
+        return proof
 
 
 @dataclass(frozen=True)
@@ -164,12 +166,14 @@ class VerifiableExecutionTrace:
         """Decode a bundle of the current format; a bundle of another
         format or of the wrong shape is a ValidationError."""
         check_format(obj, "bundle")
-        return cls(
+        bundle = cls(
             aid_id=json_field(obj, "aid_id"),
             trace=ExecutionTrace.from_obj(json_field(obj, "trace", dict)),
             proofs=tuple(ComponentProof.from_obj(p) for p in json_field(obj, "proofs", list)),
             sessions=tuple(json_field(obj, "sessions", list)),  # each scheme decodes its own
         )
+        refuse_unread(obj, ("format", "aid_id", "trace", "sessions", "proofs"), "the bundle")
+        return bundle
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ import time
 from typing import Callable, NamedTuple
 
 from . import frames
-from .canonical import canonical_bytes, canonical_loads, json_field
+from .canonical import canonical_bytes, canonical_loads, json_field, refuse_unread
 from .chain import OpenChain
 from .errors import Rejected, ValidationError
 from .keys import SigningKey, verify_signature
@@ -99,12 +99,15 @@ class LogHead(NamedTuple):
     def from_obj(cls, obj: dict) -> "LogHead":
         records, head = read_chain(obj)
         strings = ("enclave_public_key", "tee_type", "measurement", "signature")
-        return cls(
+        log_head = cls(
             **{k: json_field(obj, k) for k in strings},
             records=records,
             head=head,
             timestamp=json_field(obj, "timestamp", int),
         )
+        # The signature covers the fields read, so an unread member would be free.
+        refuse_unread(obj, cls._fields, "a log head")
+        return log_head
 
 
 class TeeProxy:
@@ -238,6 +241,7 @@ def verify_exchange(
     """The ProxyTEE verifier of a bundle's proof: the next exchange of ``log``."""
     _bind(log.signed, entry)
     request, response = (json_field(payload, key, bytes) for key in ("request", "response"))
+    refuse_unread(payload, ("request", "response", "attestation"), "a TEE payload")
     _take(log, request, response)
     x = _match_tee_request(registry.get_inject(entry.injection_algorithm_uid), request)
     return registry.read_call(entry, x, response, role)

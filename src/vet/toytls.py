@@ -86,7 +86,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import frames
-from .canonical import canonical_bytes, canonical_loads, json_field
+from .canonical import canonical_bytes, canonical_loads, json_field, refuse_unread
 from .errors import ProtocolError, ValidationError
 from .frames import Frame
 from .keys import SigningKey, verify_signature
@@ -299,7 +299,7 @@ class SignedStatement:
         statement = json_field(obj, "statement", dict)
         capacity = json_field(statement, "channel_capacity", dict)
         records, head = read_chain(statement)
-        return cls(
+        signed = cls(
             statement=statement,
             signature=json_field(obj, "notary_signature"),
             session_id=json_field(statement, "session_id"),
@@ -308,6 +308,8 @@ class SignedStatement:
             records=records,
             head=head,
         )
+        refuse_unread(obj, ("statement", "notary_signature"), "a signed statement")
+        return signed
 
 
 class ServerConnection:

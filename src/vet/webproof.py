@@ -29,20 +29,22 @@ rebuilt chain reaches the signed head only if it is the session's
 records, and each keyed tag then binds the bytes the server read or
 sent. The verifier cuts the up records from the rendering itself, so
 every public byte the server received is the rendered byte at its
-position. A public record must have its key released and a secret one
-must not, so only a record inside a secret span, whose bytes the
-template leaves to the prover, takes its tag from the proof. Every
+position. The released keys go to the public records in record order,
+one each, and the withheld tags to the secret ones, so only a record
+inside a secret span, whose bytes the template leaves to the prover,
+takes its tag from the proof. Every
 proof covers at least one up and one down record, so a session's
 exchanges are its maximal runs of up records, each followed by its
 maximal run of down records: the directions in the chain fix where one
 proof's records end and the next one's begin, and the cut is unique.
 
-The response ships under a salted commitment, one chunk per down
-record, disclosed whole: ``vet.commitment.verify_disclosure`` refuses
-any shape but the range ``[[0, total_length]]`` with one run of every
-chunk, and returns the bytes. The commitment adds nothing to soundness, since nothing
-signs its root; the down records' tags under their released keys bind
-the response, as above. It stays only as the wire shape.
+The response ships under a salted commitment, one chunk per non-empty
+down record, disclosed whole: ``vet.commitment.verify_disclosure``
+takes the chunk lengths from ``down_lengths``, refuses any shape but one
+run of every chunk, and returns the bytes. The commitment adds nothing
+to soundness, since nothing signs its root; the down records' tags under
+their released keys bind the response, as above. It stays only as the
+wire shape.
 
 A notarized session carries any number of exchanges, as a kept-alive
 TLS connection does, under one signed head. Each web proof covers one
@@ -54,15 +56,26 @@ changes the chain. A standalone proof is a session of one:
 ``authenticate`` without a session opens the statement, chains the
 proof and closes it before it parses the response.
 
-A standalone proof carries ``"format": "11"``, and ``WebProof.from_obj``
-reads no other. Its request fields are fixed stubs that the benchmark
-still reads, ``{"total_length": "<n>"}`` and ``{"chunks": []}``; its
-``withheld_tags`` are the tags of its secret up records, in order, and
-its ``down_lengths`` the length of each response record; its ``claims``
-are exactly ``{"input": <string>}``, so each proof has one encoding. A
-standalone proof's ``signed_statement`` is the statement itself. In a
-bundle it is the statement's index in the bundle's sessions table, and
-the proof carries no ``format``: the bundle's own covers it.
+A standalone proof carries ``"format": "12"``, and ``WebProof.from_obj``
+reads no other. No member names what the verifier works out for itself:
+its ``record_keys`` are ``{"key": <hex>}`` objects, of the public up
+records in order and then of every down record, and the verifier's cut
+of the rendering, with ``down_lengths``, fixes whose each is. A key
+missing from the up records is a template-mismatch, and one missing from
+the down records or left over a cipher-mismatch. Its
+``response_commitment`` is ``{root, total_length}`` and its
+``response_disclosure`` ``{"chunks": [{salt, data, path: []}]}``. Its
+request fields are fixed stubs, ``{"total_length": "<n>"}`` and
+``{"chunks": []}``; its ``withheld_tags`` are the tags of its secret up
+records, in order, and its ``down_lengths`` the length of each response
+record; its ``claims`` are exactly ``{"input": <string>}``. The benchmark
+still reads the request stubs, ``claims``, ``total_length``, each key's
+``"key"`` and each chunk's ``salt``, ``data`` and ``path``, so they keep
+their shape. A member that the decoder does not read is refused, so each
+proof has one encoding. A standalone proof's ``signed_statement`` is the
+statement itself. In a bundle it is the statement's index in the
+bundle's sessions table, and the proof carries no ``format``: the
+bundle's own covers it.
 """
 
 from __future__ import annotations
@@ -82,6 +95,7 @@ from .canonical import (
     json_field,
     parse_hex,
     parse_int,
+    refuse_unread,
 )
 from .chain import OpenChain
 from .commitment import Disclosure, TranscriptCommitment, commit, disclose, verify_disclosure
@@ -105,7 +119,7 @@ from .toytls import SignedStatement  # re-exported for callers of this module
 @dataclass(frozen=True)
 class WebProof:
     statement: SignedStatement
-    record_keys: dict[tuple[str, int], bytes]
+    record_keys: tuple[bytes, ...]  # of the public up records, then the down records, in order
     request_length: int
     withheld_tags: tuple[bytes, ...]  # of the secret up records, in order
     down_lengths: tuple[int, ...]
@@ -124,10 +138,8 @@ class WebProof:
         """The proof as a bundle holds it: without its statement, which the
         bundle holds once per session, or a format, which the bundle's covers."""
         return {
-            "record_keys": [
-                {"direction": d, "index": str(i), "key": k.hex()}
-                for (d, i), k in sorted(self.record_keys.items())
-            ],
+            # Objects, not bare strings, because the benchmark reads "key".
+            "record_keys": [{"key": k.hex()} for k in self.record_keys],
             # Fixed stubs: the verifier renders the request, but the
             # benchmark still reads these two fields.
             "request_commitment": {"total_length": str(self.request_length)},
@@ -149,10 +161,12 @@ class WebProof:
         def part(key, decode):
             return decode(json_field(obj, key, dict))
 
+        members = _MEMBERS
         if statement is None:
             check_format(obj, "web proof")
             statement = part("signed_statement", SignedStatement.from_obj)
-        return cls(
+            members += ("format",)
+        proof = cls(
             statement=statement,
             record_keys=_read_record_keys(json_field(obj, "record_keys", list)),
             request_length=_read_request_length(obj),
@@ -162,6 +176,16 @@ class WebProof:
             response_disclosure=part("response_disclosure", Disclosure.from_obj),
             claims=part("claims", _read_claims),
         )
+        refuse_unread(obj, members, "a web proof")
+        return proof
+
+
+# The members of a web proof, but a standalone proof's "format"; in a
+# bundle, "signed_statement" is the session's index, which the bundle reads.
+_MEMBERS = (
+    "record_keys", "request_commitment", "request_disclosure", "withheld_tags", "down_lengths",
+    "response_commitment", "response_disclosure", "claims", "signed_statement",
+)
 
 
 def _read_request_length(obj: dict) -> int:
@@ -196,22 +220,12 @@ def _read_claims(claims: dict) -> dict:
     return dict(claims)
 
 
-def _read_record_keys(entries: list) -> dict[tuple[str, int], bytes]:
-    """Keys by (direction, index), each naming a distinct up or down record,
-    in the one order ``WebProof.exchange_obj`` writes: by direction, then
-    index."""
-    keys = {}
-    for e in entries:
-        direction, index = json_field(e, "direction"), json_field(e, "index", int)
-        if direction not in ("up", "down") or index < 0 or keys and (
-            (direction, index) <= next(reversed(keys))
-        ):
-            raise ValidationError(
-                f"record key ({direction!r:.20}, {index}) is not a distinct up or down "
-                "record in order by direction, then index"
-            )
-        keys[direction, index] = json_field(e, "key", bytes)
-    return keys
+def _read_record_keys(entries: list) -> tuple[bytes, ...]:
+    keys = []
+    for entry in entries:
+        keys.append(json_field(entry, "key", bytes))
+        refuse_unread(entry, ("key",), "a record key")
+    return tuple(keys)
 
 
 def _open_frame(session_id: str, domain: str, cap_up: int, cap_down: int) -> Frame:
@@ -541,14 +555,10 @@ class NotarizedSession:
         commitment, opening = commit(
             response_bytes, [len(record) for record in records if record], self.rng
         )
-        record_keys = {
-            ("up", i): key for i, key in enumerate(sent.up_keys) if not sent.secret[i]
-        }
-        record_keys.update((("down", i), key) for i, key in enumerate(down_keys))
-
+        public = [key for key, hidden in zip(sent.up_keys, sent.secret) if not hidden]
         proof = WebProof(
             statement=signed,
-            record_keys=record_keys,
+            record_keys=(*public, *down_keys),
             request_length=sent.request_length,
             withheld_tags=tuple(
                 wire[-toytls.TAG_LEN:] for wire, hidden in zip(sent.up_wires, sent.secret) if hidden
@@ -603,7 +613,7 @@ def open_statement(
 
 def _check_records(
     lengths: tuple[int, ...] | list[int],
-    record_keys: dict[tuple[str, int], bytes],
+    keys: tuple[bytes, ...],
     direction: str,
     data: bytes,
     reason: str,
@@ -613,11 +623,12 @@ def _check_records(
     """The tag of each of one direction's records of an exchange, in order.
 
     The records, of ``lengths`` bytes, must carry exactly ``data``. A
-    record whose index is in ``secret`` must have no released key, and
-    its tag is the next of ``withheld``, which holds one per secret
-    record. Every other record must have a key, and its tag is the hash
-    under it of its bytes of ``data``. A violation is ``reason``; a key
-    for a record past the exchange is a cipher-mismatch.
+    record whose index is in ``secret`` takes its tag from ``withheld``,
+    which holds one per secret record, in order. Every other record
+    takes the next of ``keys``, which holds one per such record, in
+    order, and its tag is the hash under that key of its bytes of
+    ``data``. A key missing is ``reason``; a key left over is a
+    cipher-mismatch.
     """
     if sum(lengths) != len(data):
         raise Rejected(
@@ -627,25 +638,21 @@ def _check_records(
         raise Rejected(
             reason, f"the proof withholds {len(withheld)} tags for {len(secret)} secret records"
         )
-    withheld_tags = iter(withheld)
+    public = len(lengths) - len(secret)
+    if len(keys) != public:
+        raise Rejected(
+            reason if len(keys) < public else "cipher-mismatch",
+            f"the proof has {len(keys)} {direction} record keys for {public} records",
+        )
+    withheld_tags, released = iter(withheld), iter(keys)
     tags = []
     end = 0
     for index, length in enumerate(lengths):
         offset, end = end, end + length
-        key = record_keys.get((direction, index))
         if index in secret:
-            if key is not None:
-                raise Rejected(reason, f"{direction} record {index} is secret but has a key")
             tags.append(next(withheld_tags))
-        elif key is None:
-            raise Rejected(reason, f"{direction} record {index} has no key")
         else:
-            tags.append(toytls.record_tag(key, data[offset:end]))
-    for (d, index) in record_keys:
-        if d == direction and index >= len(lengths):
-            raise Rejected(
-                "cipher-mismatch", f"key for nonexistent {direction} record {index}"
-            )
+            tags.append(toytls.record_tag(next(released), data[offset:end]))
     return tags
 
 
@@ -657,19 +664,25 @@ def _take_exchange(
     disclosed response. The bytes chained each way may not exceed the
     signed capacity. Returns the input, the response and the (public,
     secret) bytes of the rendering."""
-    response_bytes = verify_disclosure(proof.response_commitment, proof.response_disclosure)
     x = proof.claims.get("input")
     if not isinstance(x, str):
         raise Rejected("template-mismatch", "proof does not claim an input value")
     rendered, up_lengths, secret = match_request(inject_template, x, proof.request_length)
     if not up_lengths or not proof.down_lengths:
         raise Rejected("cipher-mismatch", "a proof must cover an up and a down record")
+    response_bytes = verify_disclosure(
+        proof.response_commitment,
+        proof.response_disclosure,
+        tuple(n for n in proof.down_lengths if n),  # one chunk per non-empty record
+    )
+    # The keys of the public up records come first, then the down records'.
+    public = len(up_lengths) - len(secret)
     up_tags = _check_records(
-        up_lengths, proof.record_keys, "up", rendered, "template-mismatch", secret,
+        up_lengths, proof.record_keys[:public], "up", rendered, "template-mismatch", secret,
         proof.withheld_tags,
     )
     down_tags = _check_records(
-        proof.down_lengths, proof.record_keys, "down", response_bytes, "cipher-mismatch"
+        proof.down_lengths, proof.record_keys[public:], "down", response_bytes, "cipher-mismatch"
     )
     for direction, lengths, tags, capacity in zip(
         ("up", "down"), (up_lengths, proof.down_lengths), (up_tags, down_tags),

@@ -143,8 +143,8 @@ def test_criterion_2_soundness_no_forgery_accepted():
         accepted.append(label)
 
     # (a) ciphertext mutation post-signature: flip one character anywhere
-    # in a serialized proof (record keys, disclosed chunks and ranges,
-    # commitments, the request stub, signed statement fields, claims).
+    # in a serialized proof (record keys, disclosed chunks, commitments,
+    # the request stub, signed statement fields, claims).
     # Mutations that decode back to the identical proof (hex case flips)
     # are skipped, as a benign re-encoding of the same proof.
     for i in range(2500):
@@ -182,28 +182,32 @@ def test_criterion_2_soundness_no_forgery_accepted():
         session.send(request, cut, {"input": x})
         up_keys = session._sent[0].up_keys
         ((_, proof),) = session.finish()
-        return x, proof, up_keys
+        (hidden,) = [k for k, key in enumerate(up_keys) if key not in proof.record_keys]
+        return x, proof, up_keys, hidden
 
     split = [session_proof(f"widen-{i}", None) for i in range(4)]
     merged = [session_proof(f"merge-{i}", side) for i in range(4) for side in ("before", "after")]
     for i in range(500):
         family = rng.randrange(4)
-        x, proof, up_keys = rng.choice(merged if family == 2 else split)
-        keys = dict(proof.record_keys)
-        # The one withheld key: the secret's record, or the merged one.
-        (hidden,) = [k for k in range(len(up_keys)) if ("up", k) not in keys]
+        # ``hidden`` is the one up record whose key is withheld: the
+        # secret's, or the merged one. Keys go to records by place, the
+        # public up records' first.
+        x, proof, up_keys, hidden = rng.choice(merged if family == 2 else split)
+        keys = list(proof.record_keys)
         tags = proof.withheld_tags
         if family == 1:
-            del keys[rng.choice([slot for slot in keys if slot[0] == "up"])]
+            del keys[rng.randrange(len(up_keys) - 1)]
         elif family == 3:
             tags = (toytls.record_tag(up_keys[hidden], rng.randbytes(len(secret))),)
         elif family == 0 or rng.random() < 0.5:
-            keys["up", hidden] = up_keys[hidden]
-        forged = replace(proof, record_keys=keys, withheld_tags=tags)
+            keys.insert(hidden, up_keys[hidden])
+        forged = replace(proof, record_keys=tuple(keys), withheld_tags=tags)
         attempt_webproof(f"disclosure-widening-{i}", x, forged)
 
     # (b) plaintext/commitment recomputation: keep the signed statement
-    # and released keys but commit to a fabricated response.
+    # and released keys but commit to a fabricated response, in 16-byte
+    # records whose lengths the proof then lists, so that the disclosure
+    # verifies and the down tags must catch it.
     for i in range(1500):
         x, proof = pool[rng.randrange(len(pool))]
         fake_value = "forged-" + "".join(rng.choices(string.ascii_lowercase, k=8))
@@ -212,9 +216,11 @@ def test_criterion_2_soundness_no_forgery_accepted():
             b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
             + b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
         )
-        fake_commitment, fake_opening = commit(fake_response, grid(len(fake_response), 16), rng)
+        lengths = grid(len(fake_response), 16)
+        fake_commitment, fake_opening = commit(fake_response, lengths, rng)
         forged = replace(
             proof,
+            down_lengths=tuple(lengths),
             response_commitment=fake_commitment,
             response_disclosure=disclose(fake_opening),
         )
@@ -565,30 +571,29 @@ def test_criterion_7_commitment_binding_hiding_minimality():
             # A response byte changed, under a fresh commitment at the same
             # chunk lengths: the commitment binds nothing, the down tags must.
             response = flip_bit(proof.response_disclosure.chunks[0].data)
-            commitment, opening = commit(response, proof.response_commitment.chunk_lengths, rng)
+            commitment, opening = commit(response, proof.down_lengths, rng)
             forged = replace(
                 proof, response_commitment=commitment, response_disclosure=disclose(opening)
             )
         elif family == "b":
-            slot = rng.choice(sorted(proof.record_keys))
-            forged = replace(
-                proof,
-                record_keys={**proof.record_keys, slot: flip_bit(proof.record_keys[slot])},
-            )
+            keys = list(proof.record_keys)
+            slot = rng.randrange(len(keys))
+            keys[slot] = flip_bit(keys[slot])
+            forged = replace(proof, record_keys=tuple(keys))
         elif family == "c":
-            # One key moved to another record (or one past the last); a key
-            # already there trades places with it.
-            keys = dict(proof.record_keys)
-            direction, index = rng.choice(sorted(keys))
-            count = len(proof.down_lengths) if direction == "down" else (
-                sum(d == "up" for d, _ in keys) + len(proof.withheld_tags)
-            )
-            other = rng.choice([j for j in range(count + 1) if j != index])
-            key = keys.pop((direction, index))
-            if (direction, other) in keys:
-                keys[direction, index] = keys[direction, other]
-            keys[direction, other] = key
-            forged = replace(proof, record_keys=keys)
+            # One key moved to another place, which is another record (or
+            # one past the last), shifting the keys between; or two keys
+            # trading places.
+            keys = list(proof.record_keys)
+            index, other = rng.sample(range(len(keys) + 1), 2)
+            if rng.random() < 0.5 and max(index, other) < len(keys):
+                keys[index], keys[other] = keys[other], keys[index]
+            else:
+                index = min(index, len(keys) - 1)
+                keys.insert(other, keys.pop(index))
+            if keys == list(proof.record_keys):  # moved back onto its own place
+                keys.append(keys.pop(0))
+            forged = replace(proof, record_keys=tuple(keys))
         elif rng.random() < 0.5:
             (tag,) = proof.withheld_tags
             forged = replace(proof, withheld_tags=(flip_bit(tag),))
@@ -633,6 +638,7 @@ def test_criterion_7_commitment_binding_hiding_minimality():
         session = NotarizedSession(provision_channel(blank.service, "echo.test", rng=rng), rng)
         session.send(rng.randbytes(length), spans, {"input": "m"})
         up_lengths = [len(wire) - toytls.TAG_LEN for wire in session._sent[0].up_wires]
+        up_keys = session._sent[0].up_keys
         ((_, proof),) = session.finish()
         secret_bytes = {p for offset, n in spans for p in range(offset, offset + n)}
         outside, start = set(), 0
@@ -643,7 +649,9 @@ def test_criterion_7_commitment_binding_hiding_minimality():
                 outside.add(index)
             start += n
         assert start == length
-        assert {i for d, i in proof.record_keys if d == "up"} == outside
+        released = tuple(up_keys[i] for i in sorted(outside))
+        assert proof.record_keys == released + proof.record_keys[len(released):]
+        assert len(proof.record_keys) == len(released) + len(proof.down_lengths)
         assert len(proof.withheld_tags) == len(up_lengths) - len(outside)
 
 

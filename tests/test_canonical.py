@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vet.canonical import (
     JsonPointer,
@@ -12,6 +14,7 @@ from vet.canonical import (
     json_field,
     parse_hex,
     parse_int,
+    refuse_unread,
 )
 from vet.errors import ValidationError
 
@@ -112,6 +115,47 @@ def test_parse_hex_reads_lowercase_hex():
 def test_parse_hex_refuses_other_spellings(text):
     with pytest.raises(ValidationError, match="h must be a lowercase hex string"):
         parse_hex(text, "h")
+
+
+def old_parse_hex(text, name):
+    """The two-pass reading ``parse_hex`` replaced: decode, then re-encode
+    and compare, so that only the lowercase spelling round-trips."""
+    try:
+        value = bytes.fromhex(text)
+        if value.hex() == text:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must be a lowercase hex string, not {text!r:.40}")
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ValidationError as exc:
+        return ("refused", str(exc))
+
+
+# Hex digits of both cases, whitespace of several kinds and characters
+# past ASCII, in strings of any length, odd ones included; and values that
+# are not strings.
+hex_like = st.text(alphabet="0123456789abcdefABCDEF \t\n\xa0ég\u0660\U0001f600", max_size=40)
+not_strings = st.none() | st.integers() | st.binary(max_size=8) | st.lists(st.just("00"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(hex_like | st.binary(max_size=20).map(bytes.hex) | not_strings)
+def test_parse_hex_matches_the_two_pass_oracle(text):
+    assert _outcome(parse_hex, text, "h") == _outcome(old_parse_hex, text, "h")
+
+
+def test_refuse_unread_names_the_first_member_outside_those_read():
+    refuse_unread({"a": "1"}, ("a", "b"), "x")  # an optional member absent
+    with pytest.raises(ValidationError, match="x has a member 'c' that format .* does not define"):
+        refuse_unread({"a": "1", "d": "2", "c": "3"}, ("a", "b"), "x")
+    # As many members as are read, but one of them not among them.
+    with pytest.raises(ValidationError, match="member 'c' that an AID does not define"):
+        refuse_unread({"a": "1", "c": "3"}, ("a", "b"), "x", "an AID")
 
 
 def test_json_field():

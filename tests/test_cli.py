@@ -307,6 +307,7 @@ def test_inspect_names_the_document_that_does_not_decode(proved, tmp_path, docum
         (lambda bundle: bundle.update(format="8"), "bundle format 8"),
         (lambda bundle: bundle.update(format="9"), "bundle format 9"),
         (lambda bundle: bundle.update(format="10"), "bundle format 10"),
+        (lambda bundle: bundle.update(format="11"), "bundle format 11"),
     ],
 )
 def test_other_format_is_rejected_naming_its_version(proved, tmp_path, mangle, named):
@@ -701,14 +702,20 @@ def _core_proof(bundle):
     return next(p for p in bundle["proofs"] if p["kind"] == "webproof")["payload"]
 
 
-# Where a field sits in the demo bundle, and the reason a bad spelling of
-# it gets: the bundle's own fields are malformed, a proof's are that
-# proof's reject.
+# Where a field sits in the demo bundle, the name its error gives, and the
+# reason a bad spelling of it gets: the bundle's own fields are
+# malformed, a proof's are that proof's reject. Format 12 ships no record
+# key index and no run index: the verifier places the last key by the
+# last of the down lengths, and the run by the commitment's total length,
+# so those numbers stand in for the indices.
 NUMBER_FIELDS = {
-    "step_index": (lambda b: b["proofs"][1], "step_index", "malformed"),
-    "record-key-index": (lambda b: _core_proof(b)["record_keys"][-1], "index", "subproof-invalid"),
+    "step_index": (lambda b: b["proofs"][1], "step_index", "step_index", "malformed"),
+    "record-key-index": (
+        lambda b: _core_proof(b)["down_lengths"], -1, "down_lengths", "subproof-invalid"
+    ),
     "run-index": (
-        lambda b: _core_proof(b)["response_disclosure"]["chunks"][0], "index", "subproof-invalid"
+        lambda b: _core_proof(b)["response_commitment"], "total_length", "total_length",
+        "subproof-invalid",
     ),
 }
 
@@ -743,12 +750,12 @@ def _verify_mangled(proved, tmp_path, bundle):
 @pytest.mark.parametrize("where", sorted(NUMBER_FIELDS))
 def test_only_the_plain_decimal_spelling_is_read(proved, tmp_path, where, spelling):
     bundle = json.loads((proved / "bundle.json").read_text())
-    locate, key, reason = NUMBER_FIELDS[where]
+    locate, key, name, reason = NUMBER_FIELDS[where]
     node = locate(bundle)
     node[key] = SPELLINGS[spelling](node[key])
     report = _verify_mangled(proved, tmp_path, bundle)
     assert report["reason"] == reason
-    assert f"{key} must be a decimal integer string" in report["detail"]
+    assert f"{name} must be a decimal integer string" in report["detail"]
 
 
 @pytest.mark.parametrize(
@@ -769,26 +776,98 @@ def test_only_the_lowercase_hex_spelling_is_read(proved, tmp_path, spell):
 
 
 def test_negative_run_index_still_decodes(proved, tmp_path):
-    # "-1" is the plain spelling of -1, so the disclosure check sees it.
+    # "-1" is the plain spelling of -1, so the disclosure check sees it. A
+    # run has no index since format 12; the run's extent is the total.
     bundle = json.loads((proved / "bundle.json").read_text())
-    _core_proof(bundle)["response_disclosure"]["chunks"][0]["index"] = "-1"
+    _core_proof(bundle)["response_commitment"]["total_length"] = "-1"
     report = _verify_mangled(proved, tmp_path, bundle)
     assert report["reason"] == "subproof-invalid"
-    assert "chunk-range-inconsistency" in report["detail"]
+    assert "length-mismatch" in report["detail"] and "of -1 bytes" in report["detail"]
+
+
+def _key_before_the_first(keys):
+    keys.insert(0, dict(keys[-1]))
+    return "cipher-mismatch: the proof has"
+
+
+def _key_naming_a_direction(keys):
+    keys[-1]["direction"] = "sideways"
+    return f"a record key has a member 'direction' that format {FORMAT} does not define"
+
+
+def _key_repeated(keys):
+    keys.append(dict(keys[-1]))
+    return "cipher-mismatch: the proof has"
 
 
 @pytest.mark.parametrize(
-    "direction, index",
-    [("up", "-1"), ("sideways", "0"), ("down", "0")],
+    "misplace",
+    [_key_before_the_first, _key_naming_a_direction, _key_repeated],
     ids=["negative-index", "unknown-direction", "repeated"],
 )
-def test_record_key_out_of_place_is_subproof_invalid(proved, tmp_path, direction, index):
+def test_record_key_out_of_place_is_subproof_invalid(proved, tmp_path, misplace):
+    # A key's place is its record, so a key before the first or after the
+    # last is one left over, and a key cannot name a record.
     bundle = json.loads((proved / "bundle.json").read_text())
-    keys = _core_proof(bundle)["record_keys"]
-    keys.append({"direction": direction, "index": index, "key": keys[-1]["key"]})
+    detail = misplace(_core_proof(bundle)["record_keys"])
     report = _verify_mangled(proved, tmp_path, bundle)
     assert report["reason"] == "subproof-invalid"
-    assert "is not a distinct up or down record" in report["detail"]
+    assert detail in report["detail"]
+
+
+def _tee_proof(bundle):
+    return next(p for p in bundle["proofs"] if p["kind"] == "tee_attestation")["payload"]
+
+
+def _session(bundle, kind):
+    return next(s for s in bundle["sessions"] if session_kind(s) == kind)
+
+
+# Each object of a bundle that no signature covers, and the reason a
+# member added to it gets: the bundle's own objects are malformed, a
+# proof's are that proof's reject. A log head's signature covers only the
+# members its decoder reads, so it is here too.
+UNSIGNED_OBJECTS = {
+    "top-level": (lambda b: b, "malformed"),
+    "trace": (lambda b: b["trace"], "malformed"),
+    "step": (lambda b: b["trace"]["steps"][0], "malformed"),
+    "tool-call": (
+        lambda b: next(s for s in b["trace"]["steps"] if s["tool_calls"])["tool_calls"][0],
+        "malformed",
+    ),
+    "proof-wrapper": (lambda b: b["proofs"][0], "malformed"),
+    "webproof-payload": (_core_proof, "subproof-invalid"),
+    "response-commitment": (lambda b: _core_proof(b)["response_commitment"], "subproof-invalid"),
+    "response-disclosure": (lambda b: _core_proof(b)["response_disclosure"], "subproof-invalid"),
+    "disclosure-chunk": (
+        lambda b: _core_proof(b)["response_disclosure"]["chunks"][0], "subproof-invalid"
+    ),
+    "record-key": (lambda b: _core_proof(b)["record_keys"][0], "subproof-invalid"),
+    "tee-payload": (_tee_proof, "subproof-invalid"),
+    "session-wrapper": (lambda b: _session(b, "webproof"), "subproof-invalid"),
+    "log-head": (lambda b: _session(b, "tee_attestation"), "subproof-invalid"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(UNSIGNED_OBJECTS))
+def test_a_member_no_decoder_reads_is_refused(proved, tmp_path, where):
+    # A bundle has one encoding: a member added where nothing signs it
+    # would otherwise ride along unread.
+    bundle = json.loads((proved / "bundle.json").read_text())
+    locate, reason = UNSIGNED_OBJECTS[where]
+    locate(bundle)["extra"] = "x"
+    report = _verify_mangled(proved, tmp_path, bundle)
+    assert report["reason"] == reason
+    assert f"has a member 'extra' that format {FORMAT} does not define" in report["detail"]
+
+
+def test_a_bundled_web_proof_carries_no_format(proved, tmp_path):
+    # The bundle's format covers its proofs; one of its own is refused.
+    bundle = json.loads((proved / "bundle.json").read_text())
+    _core_proof(bundle)["format"] = FORMAT
+    report = _verify_mangled(proved, tmp_path, bundle)
+    assert report["reason"] == "subproof-invalid"
+    assert "a web proof has a member 'format'" in report["detail"]
 
 
 def _swap_sessions(bundle):

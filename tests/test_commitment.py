@@ -24,28 +24,28 @@ from vet.errors import Rejected, ValidationError
 def test_commit_disclose_round_trip(size, chunk_size):
     rng = random.Random(size * 1000 + chunk_size)
     data = rng.randbytes(size)
-    commitment, opening = commit(data, grid(size, chunk_size), rng)
+    lengths = grid(size, chunk_size)
+    commitment, opening = commit(data, lengths, rng)
     assert commitment.total_length == size
     disclosure = disclose(opening)
-    assert disclosure.ranges == ((0, size),)
-    assert verify_disclosure(commitment, disclosure) == data
+    assert verify_disclosure(commitment, disclosure, lengths) == data
     assert b"".join(run.data for run in disclosure.chunks) == data
 
 
 def test_empty_transcript_root():
-    # No chunk, so no run: the whole shape of an empty transcript is its
-    # one empty range.
+    # No chunk, so no run.
     commitment, opening = commit(b"", [], random.Random(0))
     assert commitment.root == hashlib.sha256(b"VET/root:" + bytes(8)).digest()
     disclosure = disclose(opening)
-    assert disclosure.to_obj() == {"ranges": [["0", "0"]], "chunks": []}
-    assert verify_disclosure(commitment, disclosure) == b""
+    assert disclosure.to_obj() == {"chunks": []}
+    assert verify_disclosure(commitment, disclosure, ()) == b""
 
 
 def test_binding_mutations_rejected():
     rng = random.Random(42)
     data = rng.randbytes(128)
-    commitment, opening = commit(data, grid(len(data), 16), rng)
+    lengths = grid(len(data), 16)
+    commitment, opening = commit(data, lengths, rng)
     disclosure = disclose(opening)
     (run,) = disclosure.chunks
     rejected = 0
@@ -58,17 +58,18 @@ def test_binding_mutations_rejected():
                 b ^ (1 << rng.randrange(8)) if k == pos else b
                 for k, b in enumerate(run.data)
             )
-            forged = RevealedRun(run.index, run.salt, data2, run.path)
+            forged = RevealedRun(run.salt, data2, run.path)
         elif mode == 1:  # flip a salt byte
             pos = rng.randrange(len(run.salt))
             salt2 = bytes(b ^ 1 if k == pos else b for k, b in enumerate(run.salt))
-            forged = RevealedRun(run.index, salt2, run.data, run.path)
-        elif mode == 2:  # relocate the run
-            forged = RevealedRun(rng.choice([-1, 1, 7, 8]), run.salt, run.data, run.path)
+            forged = RevealedRun(salt2, run.data, run.path)
+        elif mode == 2:  # relocate the run: its bytes read some places off
+            shift = rng.choice([-16, -1, 1, 7, 8])
+            forged = RevealedRun(run.salt, run.data[shift:] + run.data[:shift], run.path)
         else:  # carry a hidden leaf
-            forged = RevealedRun(run.index, run.salt, run.data, (rng.randbytes(32),))
+            forged = RevealedRun(run.salt, run.data, (rng.randbytes(32),))
         try:
-            verify_disclosure(commitment, Disclosure(disclosure.ranges, (forged,)))
+            verify_disclosure(commitment, Disclosure((forged,)), lengths)
         except Rejected:
             rejected += 1
     assert rejected == trials
@@ -89,56 +90,57 @@ def test_hiding_chunks_are_salted_independently():
 def test_disclosure_serialization_round_trip():
     rng = random.Random(5)
     data = rng.randbytes(50)
-    commitment, opening = commit(data, grid(len(data), 16), rng)
+    lengths = grid(len(data), 16)
+    commitment, opening = commit(data, lengths, rng)
     disclosure = disclose(opening)
     clone = Disclosure.from_obj(disclosure.to_obj())
     assert clone == disclosure
-    assert verify_disclosure(commitment, clone) == data
+    assert verify_disclosure(commitment, clone, lengths) == data
 
 
 def test_range_outside_cover_rejected():
-    # The one run covers the whole transcript; any range list but the
-    # whole one is refused, inside the run or past it.
+    # The verifier's chunk lengths must cover the committed transcript
+    # exactly: lengths of another sum are refused, short of it or past it.
     rng = random.Random(3)
     data = rng.randbytes(64)
     commitment, opening = commit(data, grid(len(data), 16), rng)
-    runs = disclose(opening).chunks
-    for ranges in [((0, 80),), ((0, 16),), (), ((0, 64), (0, 64)), ((0, 32), (32, 32))]:
+    disclosure = disclose(opening)
+    for lengths in [(80,), (16,), (), (64, 64), (32, 16), (16, 16, 16, 17)]:
         with pytest.raises(Rejected) as err:
-            verify_disclosure(commitment, Disclosure(ranges, runs))
-        assert err.value.reason == "chunk-range-inconsistency"
+            verify_disclosure(commitment, disclosure, lengths)
+        assert err.value.reason == "length-mismatch"
 
 
 def test_wrong_length_chunk_rejected():
     rng = random.Random(4)
     data = rng.randbytes(40)  # last chunk is 8 bytes
-    commitment, opening = commit(data, grid(len(data), 16), rng)
-    disclosure = disclose(opening)
-    (c,) = disclosure.chunks
-    padded = Disclosure(
-        ranges=disclosure.ranges,
-        chunks=(RevealedRun(c.index, c.salt, c.data + b"\x00" * 8, c.path),),
-    )
+    lengths = grid(len(data), 16)
+    commitment, opening = commit(data, lengths, rng)
+    (c,) = disclose(opening).chunks
+    padded = Disclosure((RevealedRun(c.salt, c.data + b"\x00" * 8, c.path),))
     with pytest.raises(Rejected) as err:
-        verify_disclosure(commitment, padded)
+        verify_disclosure(commitment, padded, lengths)
     assert err.value.reason == "length-mismatch"
+
+
+WHOLE_LENGTHS = (16,) * 8
 
 
 def _whole_case():
     """Eight chunks of 16 bytes, disclosed whole: one run from chunk 0."""
     rng = random.Random(8)
     data = rng.randbytes(128)
-    commitment, opening = commit(data, grid(len(data), 16), rng)
+    commitment, opening = commit(data, WHOLE_LENGTHS, rng)
     disclosure = disclose(opening)
-    assert [(r.index, len(r.salt), r.path) for r in disclosure.chunks] == [(0, 8 * SALT_LEN, ())]
+    assert [(len(r.salt), r.path) for r in disclosure.chunks] == [(8 * SALT_LEN, ())]
     return commitment, disclosure
 
 
 def _with_run(disclosure, **changes):
     (run,) = disclosure.chunks
-    fields = dict(index=run.index, salt=run.salt, data=run.data, path=run.path)
+    fields = dict(salt=run.salt, data=run.data, path=run.path)
     fields.update(changes)
-    return Disclosure(disclosure.ranges, (RevealedRun(**fields),))
+    return Disclosure((RevealedRun(**fields),))
 
 
 def _split(disclosure, first, second, gap=False):
@@ -150,12 +152,10 @@ def _split(disclosure, first, second, gap=False):
         for i in range(first, second)
     )
     return Disclosure(
-        disclosure.ranges,
         (
-            RevealedRun(0, run.salt[:first * SALT_LEN], run.data[:16 * first], ()),
+            RevealedRun(run.salt[:first * SALT_LEN], run.data[:16 * first], ()),
             RevealedRun(
-                second, run.salt[second * SALT_LEN:], run.data[16 * second:],
-                leaves if gap else (),
+                run.salt[second * SALT_LEN:], run.data[16 * second:], leaves if gap else ()
             ),
         ),
     )
@@ -182,7 +182,7 @@ def test_run_format_bad_path(mutate):
     # chunk's bytes where the committed lengths put it.
     commitment, disclosure = _whole_case()
     with pytest.raises(Rejected) as err:
-        verify_disclosure(commitment, mutate(disclosure))
+        verify_disclosure(commitment, mutate(disclosure), WHOLE_LENGTHS)
     assert err.value.reason == "bad-path"
 
 
@@ -190,20 +190,22 @@ def test_run_format_bad_path(mutate):
     "mutate",
     [
         lambda d: _split(d, 5, 4),
-        lambda d: Disclosure(d.ranges, (d.chunks[0], d.chunks[0])),
-        lambda d: Disclosure(d.ranges, tuple(reversed(_split(d, 3, 3).chunks))),
-        lambda d: Disclosure(d.ranges + ((64, 16),), d.chunks),
+        lambda d: Disclosure((d.chunks[0], d.chunks[0])),
+        lambda d: Disclosure(tuple(reversed(_split(d, 3, 3).chunks))),
+        lambda d: Disclosure(()),
         lambda d: _split(d, 3, 4, gap=True),
-        lambda d: _with_run(d, index=1),
-        lambda d: _with_run(d, index=-1),
+        lambda d: Disclosure((d.chunks[0], RevealedRun(b"", b"", ()))),
+        lambda d: Disclosure((RevealedRun(b"", b"", ()), d.chunks[0])),
     ],
     ids=["overlapping-runs", "duplicated-run", "runs-out-of-order", "range-not-covered",
          "range-spanning-a-gap", "run-past-the-end", "negative-index"],
 )
 def test_run_format_chunk_range_inconsistency(mutate):
+    # Runs carry no index: one past the end or before the start is an
+    # empty run after or before the whole one, and no run covers nothing.
     commitment, disclosure = _whole_case()
     with pytest.raises(Rejected) as err:
-        verify_disclosure(commitment, mutate(disclosure))
+        verify_disclosure(commitment, mutate(disclosure), WHOLE_LENGTHS)
     assert err.value.reason == "chunk-range-inconsistency"
 
 
@@ -221,17 +223,18 @@ def test_run_format_chunk_range_inconsistency(mutate):
 def test_run_format_length_mismatch(mutate):
     commitment, disclosure = _whole_case()
     with pytest.raises(Rejected) as err:
-        verify_disclosure(commitment, mutate(disclosure))
+        verify_disclosure(commitment, mutate(disclosure), WHOLE_LENGTHS)
     assert err.value.reason == "length-mismatch"
 
 
 def test_full_disclosure_ships_no_subtree_hashes():
     rng = random.Random(9)
     data = rng.randbytes(1000)
-    commitment, opening = commit(data, grid(len(data), 16), rng)
+    lengths = grid(len(data), 16)
+    commitment, opening = commit(data, lengths, rng)
     disclosure = disclose(opening)
-    assert [(r.index, len(r.salt) // SALT_LEN, r.path) for r in disclosure.chunks] == [(0, 63, ())]
-    assert verify_disclosure(commitment, disclosure) == data
+    assert [(len(r.salt) // SALT_LEN, r.path) for r in disclosure.chunks] == [(63, ())]
+    assert verify_disclosure(commitment, disclosure, lengths) == data
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +254,16 @@ def variable_disclosures(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     data = rng.randbytes(sum(lengths))
     commitment, opening = commit(data, lengths, rng)
-    return data, commitment, disclose(opening)
+    return data, tuple(lengths), commitment, disclose(opening)
 
 
 @SETTINGS
 @given(variable_disclosures())
 def test_variable_chunks_verify_to_the_committed_bytes(case):
-    data, commitment, disclosure = case
+    data, lengths, commitment, disclosure = case
     assert TranscriptCommitment.from_obj(commitment.to_obj()) == commitment
     assert Disclosure.from_obj(disclosure.to_obj()) == disclosure
-    assert verify_disclosure(commitment, disclosure) == data
+    assert verify_disclosure(commitment, disclosure, lengths) == data
 
 
 @st.composite
@@ -279,8 +282,7 @@ def hidden_length_shifts(draw):
     shifted = list(lengths)
     shifted[source] -= d
     shifted[target] += d
-    forged = TranscriptCommitment(commitment.root, tuple(shifted), commitment.total_length)
-    return forged, disclose(opening)
+    return commitment, tuple(shifted), disclose(opening)
 
 
 def _swapped_around_a_chunk():
@@ -288,20 +290,18 @@ def _swapped_around_a_chunk():
     chunk between would read back from byte 10, not 12."""
     rng = random.Random(12)
     commitment, opening = commit(rng.randbytes(22), [4, 8, 4, 6], rng)
-    forged = TranscriptCommitment(commitment.root, (4, 6, 4, 8), commitment.total_length)
-    return forged, disclose(opening)
+    return commitment, (4, 6, 4, 8), disclose(opening)
 
 
 @SETTINGS
 @example(_swapped_around_a_chunk())
 @given(hidden_length_shifts())
 def test_hidden_lengths_changed_with_the_sum_kept_are_a_bad_path(case):
-    # The root binds the chunk lengths, so a commitment that lists other
-    # lengths with the same sum does not authenticate the same disclosure.
-    forged, disclosure = case
-    assert TranscriptCommitment.from_obj(forged.to_obj()) == forged  # it decodes
+    # The root binds the chunk lengths, so other lengths with the same sum
+    # do not authenticate the same disclosure.
+    commitment, shifted, disclosure = case
     with pytest.raises(Rejected) as err:
-        verify_disclosure(forged, disclosure)
+        verify_disclosure(commitment, disclosure, shifted)
     assert err.value.reason == "bad-path"
 
 
@@ -314,9 +314,9 @@ def test_hidden_leaves_of_other_than_32_bytes_are_a_bad_path():
     l0, l1 = (leaf_hash(opening.salts[i], data[16 * i:16 * i + 16]) for i in (0, 1))
     (run,) = disclose(opening).chunks
     for path in [(l0 + l1, b""), (l0[:31],), (l0,)]:
-        forged = Disclosure(((0, 48),), (RevealedRun(0, run.salt, run.data, path),))
+        forged = Disclosure((RevealedRun(run.salt, run.data, path),))
         with pytest.raises(Rejected) as err:
-            verify_disclosure(commitment, forged)
+            verify_disclosure(commitment, forged, (16, 16, 16))
         assert err.value.reason == "bad-path"
         assert "hidden leaves" in err.value.detail
 
@@ -339,35 +339,43 @@ def test_root_hashes_the_count_the_lengths_and_the_leaves():
 @SETTINGS
 @given(variable_disclosures(), st.data())
 def test_variable_chunks_reject_a_flipped_bit_and_a_moved_run(case, choose):
-    _, commitment, disclosure = case
+    _, lengths, commitment, disclosure = case
     (run,) = disclosure.chunks
     bit = choose.draw(st.integers(0, 8 * len(run.data) - 1))
     flipped = bytearray(run.data)
     flipped[bit // 8] ^= 1 << (bit % 8)
     with pytest.raises(Rejected) as err:
-        verify_disclosure(commitment, _with_run(disclosure, data=bytes(flipped)))
+        verify_disclosure(commitment, _with_run(disclosure, data=bytes(flipped)), lengths)
     assert err.value.reason == "bad-path"
-    n = len(commitment.chunk_lengths)
-    moved = choose.draw(st.integers(-1, n).filter(bool))
-    with pytest.raises(Rejected):
-        verify_disclosure(commitment, _with_run(disclosure, index=moved))
+    # The run moved: its bytes read some places off, unless they read the same.
+    moved = choose.draw(st.integers(1, len(run.data)))
+    data = run.data[moved:] + run.data[:moved]
+    if data != run.data:
+        with pytest.raises(Rejected):
+            verify_disclosure(commitment, _with_run(disclosure, data=data), lengths)
 
 
 @SETTINGS
 @given(chunk_lengths, st.integers(-3, 3).filter(bool))
 def test_chunk_lengths_must_sum_to_the_total(lengths, off):
+    # The commitment decodes with any total; the verifier's chunk lengths
+    # must sum to it.
     rng = random.Random(len(lengths))
-    commitment, _ = commit(rng.randbytes(sum(lengths)), lengths, rng)
+    commitment, opening = commit(rng.randbytes(sum(lengths)), lengths, rng)
     obj = commitment.to_obj()
     obj["total_length"] = str(max(0, commitment.total_length + off))
-    with pytest.raises(ValidationError):
-        TranscriptCommitment.from_obj(obj)
+    forged = TranscriptCommitment.from_obj(obj)
+    with pytest.raises(Rejected) as err:
+        verify_disclosure(forged, disclose(opening), tuple(lengths))
+    assert err.value.reason == "length-mismatch"
     with pytest.raises(ValidationError):
         commit(rng.randbytes(max(0, sum(lengths) + off)), lengths, rng)
 
 
 @pytest.mark.parametrize("lengths", [["0", "4"], ["4", "0"], ["-1", "5"]])
 def test_chunk_lengths_below_one_do_not_decode(lengths):
+    # A commitment lists no chunk lengths, so one that does, of any value,
+    # does not decode; and no chunk is committed shorter than one byte.
     obj = {"root": "00" * 32, "chunk_lengths": lengths, "total_length": "4"}
     with pytest.raises(ValidationError):
         TranscriptCommitment.from_obj(obj)

@@ -681,11 +681,13 @@ def test_report_lists_checked_components(scripted):
             assert check.request_disclosed is None
 
     # A rejected component is the last one listed, with the scheme's
-    # reason: here a proof that withholds a public request record's key.
+    # reason: here a proof whose keys run out before its last public
+    # request record's, which come first.
     proofs = list(bundle.proofs)
     k = [i for i, p in enumerate(proofs) if p.kind == "webproof"][1]
-    keys = [entry for entry in proofs[k].payload["record_keys"] if entry["direction"] != "up"]
-    payload = dict(proofs[k].payload, record_keys=keys)
+    keys = proofs[k].payload["record_keys"]
+    public = len(keys) - len(proofs[k].payload["down_lengths"])
+    payload = dict(proofs[k].payload, record_keys=keys[:public - 1])
     proofs[k] = ComponentProof(proofs[k].kind, proofs[k].step_index, proofs[k].position, payload)
     report = VerificationReport()
     with pytest.raises(Rejected) as err:
@@ -699,10 +701,10 @@ def test_report_lists_checked_components(scripted):
     # when the notarized session closes: the records no longer chain to
     # the signed head. Every component is listed, and the session carries
     # the scheme's reason.
+    # The down records' keys come last.
     proofs = list(bundle.proofs)
     keys = [dict(entry) for entry in proofs[k].payload["record_keys"]]
-    assert keys[0]["direction"] == "down"
-    keys[0]["key"] = ("0" if keys[0]["key"][0] != "0" else "1") + keys[0]["key"][1:]
+    keys[-1]["key"] = ("0" if keys[-1]["key"][0] != "0" else "1") + keys[-1]["key"][1:]
     payload = dict(proofs[k].payload, record_keys=keys)
     proofs[k] = ComponentProof(proofs[k].kind, proofs[k].step_index, proofs[k].position, payload)
     report = VerificationReport()

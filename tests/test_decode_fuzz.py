@@ -1,7 +1,9 @@
 """Structure-aware fuzzing of the decoders of outside documents.
 
 Each example starts from a valid web proof, proxy log head, bundle, AID
-or template, then replaces or drops one field at any depth with any JSON value.
+or template, then replaces or drops one field at any depth with any JSON
+value, or adds a member to any object of a web proof or bundle, which
+must not be accepted.
 Verification must end in a ``Rejected`` reason or a ``ValidationError``;
 decoding an AID or registering a template in a ``ValidationError``; and
 ``vet verify --json`` and ``vet aid validate`` in an exit code, never in
@@ -241,6 +243,98 @@ def test_format_11_members_only_reject(mutated):
     assert mutated == doc
 
 
+# The members format 12 reshaped: positional record keys, a commitment
+# of a root and a total, and a disclosure of bare chunks; in a bundled
+# web proof and in a standalone one.
+FORMAT_12_MEMBERS = [
+    ("proofs", 0, "payload", member)
+    for member in ("record_keys", "response_commitment", "response_disclosure")
+]
+format_12_mutations = st.sampled_from(FORMAT_12_MEMBERS).flatmap(
+    lambda under: one_field_mutation(bundle_doc, under=under)
+)
+format_12_webproof_mutations = st.sampled_from(
+    [under[-1:] for under in FORMAT_12_MEMBERS]
+).flatmap(lambda under: one_field_mutation(webproof_doc, under=under))
+
+
+@SETTINGS
+@given(format_12_mutations)
+def test_format_12_members_only_reject(mutated):
+    # The honest claim, so only the bundle left as it was may pass.
+    result, claim, doc = _bundle_case()
+    payload = doc["proofs"][0]["payload"]
+    assert all(set(key) == {"key"} for key in payload["record_keys"])
+    assert set(payload["response_commitment"]) == {"root", "total_length"}
+    assert set(payload["response_disclosure"]) == {"chunks"}
+    try:
+        bundle = VerifiableExecutionTrace.from_obj(mutated)
+        verify_trace(claim, bundle, result.aid, result.registry)
+    except (Rejected, ValidationError):
+        return
+    assert mutated == doc
+
+
+@SETTINGS
+@given(format_12_webproof_mutations)
+def test_format_12_webproof_members_only_reject(mutated):
+    rig, _ = _webproof_case()
+    try:
+        proof = webproof.WebProof.from_obj(mutated)
+        webproof.verify_webproof("fuzz me", proof, rig.entry, ROLE_TOOL, rig.registry)
+    except (Rejected, ValidationError):
+        return
+    assert mutated == webproof_doc()
+
+
+def _objects(node, path=()):
+    """The path of every object at or below ``node``."""
+    if isinstance(node, dict):
+        yield path
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _objects(child, path + (key,))
+
+
+@st.composite
+def added_member(draw, seed_doc):
+    """``seed_doc()`` with a member of any name and value added to any
+    object, the document itself included."""
+    mutated = copy.deepcopy(seed_doc())
+    path = draw(st.sampled_from(sorted(_objects(mutated), key=repr)))
+    node = mutated
+    for key in path:
+        node = node[key]
+    name = draw(st.text(max_size=8).filter(lambda name: name not in node))
+    node[name] = draw(json_values)
+    return mutated
+
+
+@SETTINGS
+@given(added_member(bundle_doc))
+def test_a_member_added_anywhere_in_a_bundle_is_refused(mutated):
+    # Where no signature covers it, no decoder reads it; where one does,
+    # the signature fails. Either way the honest claim is not accepted.
+    result, claim, _ = _bundle_case()
+    with pytest.raises((Rejected, ValidationError)):
+        verify_trace(
+            claim, VerifiableExecutionTrace.from_obj(mutated), result.aid, result.registry
+        )
+
+
+@SETTINGS
+@given(added_member(webproof_doc))
+def test_a_member_added_anywhere_in_a_web_proof_is_refused(mutated):
+    rig, _ = _webproof_case()
+    with pytest.raises((Rejected, ValidationError)):
+        proof = webproof.WebProof.from_obj(mutated)
+        webproof.verify_webproof("fuzz me", proof, rig.entry, ROLE_TOOL, rig.registry)
+
+
 def _format_9_head(doc, exchanges, seed):
     """The format-9 proxy log head over ``exchanges``, (request, response)
     hex pairs, with the fields of the format-10 ``doc``: "exchanges" and
@@ -405,6 +499,18 @@ def test_cli_verify_json_exits_with_a_report(cli_dir, mutated):
 @settings(SETTINGS, max_examples=60)
 @given(mutated=format_11_mutations)
 def test_cli_verify_json_exits_with_a_report_on_format_11_members(cli_dir, mutated):
+    _cli_verify_exits_with_a_report(cli_dir, mutated)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(mutated=format_12_mutations)
+def test_cli_verify_json_exits_with_a_report_on_format_12_members(cli_dir, mutated):
+    _cli_verify_exits_with_a_report(cli_dir, mutated)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(mutated=added_member(bundle_doc))
+def test_cli_verify_json_exits_with_a_report_on_an_added_member(cli_dir, mutated):
     _cli_verify_exits_with_a_report(cli_dir, mutated)
 
 

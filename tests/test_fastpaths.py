@@ -127,16 +127,16 @@ def old_disclose_whole(opening, chunk_lengths):
     return ChunkDisclosure(((0, len(opening.plaintext)),), chunks, {})
 
 
-def old_verify_disclosure(commitment, disclosure):
-    n = len(commitment.chunk_lengths)
-    offsets = offsets_of(commitment.chunk_lengths)
+def old_verify_disclosure(commitment, disclosure, chunk_lengths):
+    n = len(chunk_lengths)
+    offsets = offsets_of(chunk_lengths)
     by_index = {}
     for chunk in disclosure.chunks:
         if not 0 <= chunk.index < n:
             raise Rejected("chunk-range-inconsistency", f"chunk index {chunk.index} out of range")
         if chunk.index in by_index or chunk.index in disclosure.hidden:
             raise Rejected("chunk-range-inconsistency", f"duplicate chunk {chunk.index}")
-        if len(chunk.salt) != SALT_LEN or len(chunk.data) != commitment.chunk_lengths[chunk.index]:
+        if len(chunk.salt) != SALT_LEN or len(chunk.data) != chunk_lengths[chunk.index]:
             raise Rejected("length-mismatch", f"chunk {chunk.index} has wrong length")
         by_index[chunk.index] = chunk
     if sorted([*by_index, *disclosure.hidden]) != list(range(n)):
@@ -144,7 +144,7 @@ def old_verify_disclosure(commitment, disclosure):
     if any(len(leaf) != 32 for leaf in disclosure.hidden.values()):
         raise Rejected("bad-path", "a hidden leaf is not 32 bytes")
     root = hashlib.sha256(b"VET/root:" + n.to_bytes(8, "big"))
-    for length in commitment.chunk_lengths:
+    for length in chunk_lengths:
         root.update(length.to_bytes(8, "big"))
     for i in range(n):
         chunk = by_index.get(i)
@@ -166,6 +166,8 @@ def old_verify_disclosure(commitment, disclosure):
 
 
 def old_check_records(lengths, record_keys, direction, data, reason, secret, withheld):
+    # Format 12 keys go to the public records by position; the oracle keeps
+    # the per-byte read and the per-record loop.
     total = sum(lengths)
     if total != len(data):
         raise Rejected(reason, f"{direction} records carry {total} bytes, the proof {len(data)}")
@@ -173,24 +175,22 @@ def old_check_records(lengths, record_keys, direction, data, reason, secret, wit
         raise Rejected(
             reason, f"the proof withholds {len(withheld)} tags for {len(secret)} secret records"
         )
+    public = [index for index in range(len(lengths)) if index not in secret]
+    if len(record_keys) != len(public):
+        raise Rejected(
+            reason if len(record_keys) < len(public) else "cipher-mismatch",
+            f"the proof has {len(record_keys)} {direction} record keys for {len(public)} records",
+        )
     tags = []
     offset = 0
     for index, length in enumerate(lengths):
         plaintext = bytes(data[offset + k] for k in range(length))
         offset += length
-        key = record_keys.get((direction, index))
         if index in secret:
-            if key is not None:
-                raise Rejected(reason, f"{direction} record {index} is secret but has a key")
             tags.append(withheld[sorted(secret).index(index)])
             continue
-        if key is None:
-            raise Rejected(reason, f"{direction} record {index} has no key")
         # The oracle hashes the tag over the plaintext, as sealing does.
-        tags.append(old_tag(key, plaintext))
-    for (d, index) in record_keys:
-        if d == direction and index >= len(lengths):
-            raise Rejected("cipher-mismatch", f"key for nonexistent {direction} record {index}")
+        tags.append(old_tag(record_keys[public.index(index)], plaintext))
     return tags
 
 
@@ -388,9 +388,12 @@ def test_count_type_matches_decode_all(parts, ftype, cut):
 # ---------------------------------------------------------------------------
 # Commitments: the whole disclosure against the per-chunk oracle.
 
+# Format 12 ships no run index and no ranges: a moved run is its bytes
+# read some places off, and what the ranges stated, the verifier's chunk
+# lengths now state (a chunk more, an empty one, or another total).
 MUTATIONS = (
-    "none", "data", "salt", "index", "path-extra", "duplicate", "drop", "split",
-    "split-gap", "extra-range", "empty-range", "short-range",
+    "none", "data", "salt", "moved", "path-extra", "duplicate", "drop", "split",
+    "split-gap", "extra-chunk", "empty-chunk", "short-total",
 )
 
 
@@ -399,47 +402,49 @@ def disclosures(draw):
     size = draw(st.integers(0, 300))
     chunk_size = draw(st.integers(1, 20))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    commitment, opening = commit(rng.randbytes(size), grid(size, chunk_size), rng)
-    return commitment, opening, draw(st.sampled_from(MUTATIONS)), rng
+    lengths = tuple(grid(size, chunk_size))
+    commitment, opening = commit(rng.randbytes(size), lengths, rng)
+    return commitment, lengths, opening, draw(st.sampled_from(MUTATIONS)), rng
 
 
 def per_chunk(disclosure, chunk_lengths):
-    """(index, salt, data) of every chunk a run or per-chunk disclosure reveals."""
+    """(index, salt, data) of every chunk a run or per-chunk disclosure
+    reveals; a run starts at chunk 0."""
     offsets = offsets_of(chunk_lengths)
     return [
         (
-            entry.index + k,
+            first + k,
             entry.salt[k * SALT_LEN:(k + 1) * SALT_LEN],
-            entry.data[
-                offsets[entry.index + k] - offsets[entry.index]:
-                offsets[entry.index + k + 1] - offsets[entry.index]
-            ],
+            entry.data[offsets[first + k] - offsets[first]:offsets[first + k + 1] - offsets[first]],
         )
         for entry in disclosure.chunks
+        for first in [getattr(entry, "index", 0)]
         for k in range(len(entry.salt) // SALT_LEN)
     ]
 
 
-def mutate(disclosure, commitment, mutation, rng):
-    """One mutation of a whole disclosure."""
+def mutate(disclosure, lengths, mutation, rng):
+    """One mutation of a whole disclosure, or of the chunk lengths the
+    verifier reads it at; returns both."""
     runs = list(disclosure.chunks)
-    ranges = list(disclosure.ranges)
-    n = len(commitment.chunk_lengths)
-    offsets = offsets_of(commitment.chunk_lengths)
+    lengths = list(lengths)
+    n = len(lengths)
+    offsets = offsets_of(lengths)
     if runs:
         c = runs[0]
         if mutation == "data":
             k = rng.randrange(len(c.data))
             flipped = c.data[:k] + bytes([c.data[k] ^ 1]) + c.data[k + 1:]
-            runs[0] = RevealedRun(c.index, c.salt, flipped, c.path)
+            runs[0] = RevealedRun(c.salt, flipped, c.path)
         elif mutation == "salt":
             k = rng.randrange(len(c.salt))
             flipped = c.salt[:k] + bytes([c.salt[k] ^ 1]) + c.salt[k + 1:]
-            runs[0] = RevealedRun(c.index, flipped, c.data, c.path)
-        elif mutation == "index":
-            runs[0] = RevealedRun(rng.choice([-1, 1, rng.randrange(2, n + 2)]), c.salt, c.data, c.path)
+            runs[0] = RevealedRun(flipped, c.data, c.path)
+        elif mutation == "moved":
+            k = rng.randrange(1, len(c.data) + 1)
+            runs[0] = RevealedRun(c.salt, c.data[k:] + c.data[:k], c.path)
         elif mutation == "path-extra":
-            runs[0] = RevealedRun(c.index, c.salt, c.data, (rng.choice([bytes(32), c.salt]),))
+            runs[0] = RevealedRun(c.salt, c.data, (rng.choice([bytes(32), c.salt]),))
         elif mutation == "duplicate":
             runs.append(c)
         elif mutation == "drop":
@@ -452,43 +457,40 @@ def mutate(disclosure, commitment, mutation, rng):
             salt = lambda i, j: c.salt[i * SALT_LEN:j * SALT_LEN]
             leaf = old_leaf(salt(k, k + 1), c.data[offsets[k]:offsets[k + 1]])
             runs = [
-                RevealedRun(0, salt(0, k), c.data[:offsets[k]], ()),
-                RevealedRun(k + gap, salt(k + gap, n), c.data[offsets[k + gap]:], (leaf,) * gap),
+                RevealedRun(salt(0, k), c.data[:offsets[k]], ()),
+                RevealedRun(salt(k + gap, n), c.data[offsets[k + gap]:], (leaf,) * gap),
             ]
     elif mutation in ("duplicate", "path-extra"):
-        runs.append(RevealedRun(0, b"", b"", (bytes(32),) * (mutation == "path-extra")))
-    total = commitment.total_length
-    if mutation == "extra-range":
-        offset = rng.randrange(total + 2)
-        ranges.append((offset, rng.randrange(total + 2)))
-    elif mutation == "empty-range":
-        ranges.append((rng.randrange(total + 1), 0))
-    elif mutation == "short-range":
-        ranges = [(0, rng.choice([total - 1, total + 1]))]
-    return Disclosure(ranges=tuple(ranges), chunks=tuple(runs))
+        runs.append(RevealedRun(b"", b"", (bytes(32),) * (mutation == "path-extra")))
+    if mutation == "extra-chunk":
+        lengths.insert(rng.randrange(n + 1), rng.randrange(1, 20))
+    elif mutation == "empty-chunk":
+        lengths.insert(rng.randrange(n + 1), 0)
+    elif mutation == "short-total" and lengths:
+        lengths[-1] += rng.choice([-1, 1])
+    return Disclosure(tuple(runs)), tuple(lengths)
 
 
 @SETTINGS
 @given(disclosures())
 def test_disclose_and_verify_disclosure_match_oracle(case):
-    commitment, opening, mutation, rng = case
+    commitment, lengths, opening, mutation, rng = case
     disclosure = disclose(opening)
-    oracle = old_disclose_whole(opening, commitment.chunk_lengths)
+    oracle = old_disclose_whole(opening, lengths)
     # The run reveals exactly the chunks the per-chunk disclosure reveals,
     # and reads back to the same bytes.
-    lengths = commitment.chunk_lengths
     assert per_chunk(disclosure, lengths) == per_chunk(oracle, lengths)
     total = commitment.total_length
-    assert outcome(old_verify_disclosure, commitment, oracle) == (
+    assert outcome(old_verify_disclosure, commitment, oracle, lengths) == (
         "ok", {(0, total): opening.plaintext}
     )
-    assert outcome(verify_disclosure, commitment, disclosure) == ("ok", opening.plaintext)
+    assert outcome(verify_disclosure, commitment, disclosure, lengths) == ("ok", opening.plaintext)
     # The whole shape has one encoding: a mutation is rejected, or it
     # changed nothing.
-    mutated = mutate(disclosure, commitment, mutation, rng)
-    result = outcome(verify_disclosure, commitment, mutated)
+    mutated, read_at = mutate(disclosure, lengths, mutation, rng)
+    result = outcome(verify_disclosure, commitment, mutated, read_at)
     if result[0] == "ok":
-        assert mutated == disclosure and result[1] == opening.plaintext
+        assert (mutated, read_at) == (disclosure, lengths) and result[1] == opening.plaintext
     else:
         assert result[:1] == ("rejected",)
         assert result[1] in ("bad-path", "chunk-range-inconsistency", "length-mismatch")
@@ -497,17 +499,18 @@ def test_disclose_and_verify_disclosure_match_oracle(case):
 def test_bad_hidden_leaf_after_the_last_run_is_rejected():
     rng = random.Random(5)
     data = rng.randbytes(16 * 8)
-    commitment, opening = commit(data, grid(len(data), 16), rng)
+    lengths = grid(len(data), 16)
+    commitment, opening = commit(data, lengths, rng)
     (run,) = disclose(opening).chunks
     assert run.path == ()
-    mutated = Disclosure(((0, len(data)),), (RevealedRun(0, run.salt, run.data, (bytes(32),)),))
-    assert outcome(verify_disclosure, commitment, mutated) == (
+    mutated = Disclosure((RevealedRun(run.salt, run.data, (bytes(32),)),))
+    assert outcome(verify_disclosure, commitment, mutated, lengths) == (
         "rejected", "bad-path", "the run carries hidden leaves (1); a whole disclosure hides no chunk"
     )
     # The per-chunk oracle refuses a leaf for a chunk past the last one.
-    oracle = old_disclose_whole(opening, commitment.chunk_lengths)
+    oracle = old_disclose_whole(opening, lengths)
     bad = replace(oracle, hidden={8: bytes(32)})
-    assert outcome(old_verify_disclosure, commitment, bad)[:2] == ("rejected", "bad-path")
+    assert outcome(old_verify_disclosure, commitment, bad, lengths)[:2] == ("rejected", "bad-path")
 
 
 def test_hidden_leaves_joined_across_a_run_are_rejected():
@@ -515,31 +518,36 @@ def test_hidden_leaves_joined_across_a_run_are_rejected():
     # the committed root input; a whole run carries no hidden leaf at all.
     rng = random.Random(7)
     data = rng.randbytes(48)
-    commitment, opening = commit(data, grid(len(data), 16), rng)
+    lengths = grid(len(data), 16)
+    commitment, opening = commit(data, lengths, rng)
     l0, l1 = (old_leaf(opening.salts[i], data[16 * i:16 * i + 16]) for i in (0, 1))
     (run,) = disclose(opening).chunks
-    forged = Disclosure(((0, 48),), (RevealedRun(0, run.salt, data, (l0 + l1, b"")),))
-    assert outcome(verify_disclosure, commitment, forged)[:2] == ("rejected", "bad-path")
+    forged = Disclosure((RevealedRun(run.salt, data, (l0 + l1, b"")),))
+    assert outcome(verify_disclosure, commitment, forged, lengths)[:2] == ("rejected", "bad-path")
     oracle = ChunkDisclosure(
         ((16, 16),), (RevealedChunk(1, opening.salts[2], data[32:]),), {0: l0 + l1, 2: b""}
     )
-    assert outcome(old_verify_disclosure, commitment, oracle)[:2] == ("rejected", "bad-path")
+    assert outcome(old_verify_disclosure, commitment, oracle, lengths)[:2] == (
+        "rejected", "bad-path"
+    )
 
 
 def test_empty_range_off_the_disclosed_chunks():
     # The per-chunk oracle reads an extra empty range as no bytes; the
-    # whole shape has exactly one range, so it is refused.
+    # whole shape has no ranges and exactly one run, so an extra empty run
+    # is refused.
     rng = random.Random(6)
     data = rng.randbytes(100)
-    commitment, opening = commit(data, grid(len(data), 16), rng)
+    lengths = grid(len(data), 16)
+    commitment, opening = commit(data, lengths, rng)
     disclosure = disclose(opening)
-    padded = Disclosure(disclosure.ranges + ((50, 0),), disclosure.chunks)
-    assert outcome(verify_disclosure, commitment, padded)[:2] == (
+    padded = Disclosure(disclosure.chunks + (RevealedRun(b"", b"", ()),))
+    assert outcome(verify_disclosure, commitment, padded, lengths)[:2] == (
         "rejected", "chunk-range-inconsistency"
     )
-    oracle = old_disclose_whole(opening, commitment.chunk_lengths)
+    oracle = old_disclose_whole(opening, lengths)
     oracle = replace(oracle, ranges=oracle.ranges + ((50, 0),))
-    assert outcome(old_verify_disclosure, commitment, oracle) == (
+    assert outcome(old_verify_disclosure, commitment, oracle, lengths) == (
         "ok", {(0, 100): data, (50, 0): b""}
     )
 
@@ -559,7 +567,7 @@ def record_cases(draw):
     cuts = sorted({0, size, *(rng.choice(on_grid) for _ in range(draw(st.integers(0, 4))))})
     spans = list(zip(cuts, cuts[1:])) or [(0, 0)]
     direction = draw(st.sampled_from(["up", "down"]))
-    keys, lengths, tags, secret = {}, [], [], set()
+    keys, lengths, tags, secret = [], [], [], set()
     for i, (start, end) in enumerate(spans):
         key = rng.randbytes(32)
         lengths.append(end - start)
@@ -569,12 +577,12 @@ def record_cases(draw):
         if direction == "up" and draw(st.booleans()):
             secret.add(i)
         else:
-            keys[(direction, i)] = key
+            keys.append(key)
     mutation = draw(
         st.sampled_from(
             [
                 "none", "flip", "drop-key", "extra-key", "wrong-key", "secret-key", "length",
-                "drop-tag",
+                "drop-tag", "swap-keys",
             ]
         )
     )
@@ -591,19 +599,24 @@ def test_check_records_matches_oracle(case):
         o = rng.randrange(len(data))
         data = data[:o] + bytes([data[o] ^ 1]) + data[o + 1:]
     elif mutation == "drop-key" and keys:
-        del keys[rng.choice(sorted(keys))]
+        del keys[rng.randrange(len(keys))]
     elif mutation == "extra-key":
-        keys[(direction, rng.randrange(len(lengths) + 2))] = rng.randbytes(32)
+        keys.insert(rng.randrange(len(keys) + 1), rng.randbytes(32))
     elif mutation == "wrong-key" and keys:
-        keys[rng.choice(sorted(keys))] = rng.randbytes(32)
+        keys[rng.randrange(len(keys))] = rng.randbytes(32)
     elif mutation == "secret-key" and secret:
-        keys[(direction, rng.choice(sorted(secret)))] = rng.randbytes(32)
+        # A key at the secret record's place, ahead of the later public ones.
+        index = rng.choice(sorted(secret))
+        keys.insert(sum(1 for i in range(index) if i not in secret), rng.randbytes(32))
+    elif mutation == "swap-keys" and len(keys) > 1:
+        i, j = rng.sample(range(len(keys)), 2)
+        keys[i], keys[j] = keys[j], keys[i]
     elif mutation == "length":
         data = data + b"!" if rng.random() < 0.5 or not data else data[:-1]
     elif mutation == "drop-tag" and withheld:
         del withheld[rng.randrange(len(withheld))]
     reason = "template-mismatch" if direction == "up" else "cipher-mismatch"
-    args = (tuple(lengths), keys, direction, data, reason, frozenset(secret), tuple(withheld))
+    args = (tuple(lengths), tuple(keys), direction, data, reason, frozenset(secret), tuple(withheld))
     result = outcome(_check_records, *args)
     assert result == outcome(old_check_records, *args)
     if mutation == "none":
