@@ -35,7 +35,11 @@ class VerificationMetadata:
     params: dict
 
     def key_string(self) -> str:
-        return self.params[_SCHEME_PARAMS[self.scheme][0]]
+        """The scheme's verification key; a ValidationError for an unknown
+        scheme or a missing key, which ``validate`` reports as violations."""
+        if self.scheme not in _SCHEME_PARAMS:
+            raise ValidationError(f"unknown scheme {self.scheme!r:.40}")
+        return json_field(self.params, _SCHEME_PARAMS[self.scheme][0])
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,10 @@ class ComponentEntry:
 
     @property
     def host(self) -> str:
-        return urlparse(self.endpoint).netloc
+        try:
+            return urlparse(self.endpoint).netloc
+        except ValueError:  # a malformed IPv6 host, such as "https://["
+            raise ValidationError(f"endpoint {self.endpoint!r:.40} of {self.name!r} is not a URL")
 
     def to_obj(self) -> dict:
         obj = {
@@ -149,39 +156,31 @@ def _validate_entry(
         parsed = urlparse("")
     if not parsed.scheme or not parsed.netloc:
         out.append(Violation(f"{path}/endpoint", f"not a URL with scheme and host: {entry.endpoint!r}"))
-    for uid_field in ("injection_algorithm_uid", "parsing_algorithm_uid"):
+    uid_fields = (("injection_algorithm_uid", "inject"), ("parsing_algorithm_uid", "parse"))
+    for uid_field, kind_of in uid_fields:
         uid = getattr(entry, uid_field)
         if not is_hash_string(uid):
             out.append(Violation(f"{path}/{uid_field}", f"not a sha256:-prefixed hash: {uid!r}"))
         elif registry is not None and uid not in registry:
             out.append(Violation(f"{path}/{uid_field}", f"uid {uid} not in template registry"))
-        elif registry is not None and uid_field == "parsing_algorithm_uid":
+        elif registry is not None:
             try:
-                kind = registry.get_parse(uid).kind
+                get = registry.get_inject if kind_of == "inject" else registry.get_parse
+                kind = get(uid).kind
                 if kind != role:
-                    raise ValidationError(f"a {kind} parse template for a {role}")
-            except ValidationError as exc:  # also the uid of an inject template
+                    raise ValidationError(f"a {kind} {kind_of} template for a {role}")
+            except ValidationError as exc:  # also the uid of a template of the other type
                 out.append(Violation(f"{path}/{uid_field}", str(exc)))
-    scheme = entry.verification.scheme
-    if scheme not in _SCHEME_PARAMS:
-        out.append(Violation(f"{path}/verification", f"unknown scheme {scheme!r}"))
-    else:
-        key_field, required = _SCHEME_PARAMS[scheme]
-        if required not in entry.verification.params:
-            out.append(Violation(f"{path}/verification", f"{scheme} requires {required}"))
-        out.extend(_check_key(entry, path, key_field))
-    return out
-
-
-def _check_key(entry: ComponentEntry, path: str, field_name: str) -> list[Violation]:
-    key = entry.verification.params.get(field_name)
-    if key is None:
-        return [Violation(f"{path}/verification", f"missing {field_name}")]
+    scheme, params = entry.verification.scheme, entry.verification.params
+    key_field, required = _SCHEME_PARAMS.get(scheme, (None, None))
+    if required is not None and required not in params:
+        out.append(Violation(f"{path}/verification", f"{scheme} requires {required}"))
     try:
-        parse_public_key(key)
-    except ValidationError as exc:
-        return [Violation(f"{path}/verification/{field_name}", str(exc))]
-    return []
+        parse_public_key(entry.verification.key_string())
+    except ValidationError as exc:  # an unknown scheme, or a key missing or malformed
+        key_path = f"/{key_field}" if key_field in params else ""
+        out.append(Violation(f"{path}/verification{key_path}", str(exc)))
+    return out
 
 
 def validate(

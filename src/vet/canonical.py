@@ -79,7 +79,11 @@ _ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
 # "chunk_lengths", which are the non-zero "down_lengths", and its
 # disclosure the "ranges" and each chunk's "index", which were always
 # the whole response and 0.
-FORMAT = "12"
+# 13: a request template has no "chunk_size", and a secret value starts
+# right after its header's name, where format 12 padded it with "~" onto
+# a grid of "chunk_size" (16) bytes; a secret-bearing request renders
+# shorter, so no format-12 web proof with a secret slot matches it.
+FORMAT = "13"
 
 
 # The shortest string that ``json_string`` checks and quotes whole: below

@@ -9,20 +9,20 @@ hash of its canonical JSON; identity documents reference templates by
 uid, so a verifier can re-render the expected request byte-for-byte and
 re-run the exact parse the agent declared.
 
-A secret header slot is rendered at a fixed span: alignment padding
-("~") is inserted before the value, so that it starts on a multiple of
-the template's ``chunk_size``, and the value is padded to a declared
-length that must be a multiple of ``chunk_size``. The value must be
-ASCII, so that the span's length in bytes is its length in characters,
-and a header name an HTTP token (RFC 9110 §5.6.2), which is ASCII too.
-Since format 8 no proof commits to a request in chunks, and the grid
-serves no redaction: a web proof's secret records are cut at the span's
-edges, wherever they fall. The alignment stays only because dropping it
-would change every secret-bearing rendering, so that no web proof with a
-secret slot made before would verify; it waits for the next format
-change. A ProxyTEE request is public, so its template has no secret
+A secret header slot is rendered at a fixed span: the value starts right
+after its header's ``Name: `` and is padded with "~" to the header's
+declared length, which need only be positive, since a web proof's secret
+records are cut at the span's edges, wherever they fall. The value must
+be ASCII, so that the span's length in bytes is its length in
+characters, and a header name an HTTP token (RFC 9110 §5.6.2), which is
+ASCII too. A ProxyTEE request is public, so its template has no secret
 slot, and the verifier compares the attested request with the rendering
 byte for byte.
+
+A template, each of its header entries included, holds only the members
+its decoder reads: one naming any other member, such as ``chunk_size``,
+does not register, since its uid would commit to bytes that no
+rendering reads.
 
 Both sides render every call, the prover to send it and the verifier to
 check it, so each inject template is compiled once, when it is built,
@@ -61,6 +61,7 @@ from .canonical import (
     content_hash,
     json_field,
     json_string,
+    refuse_unread,
 )
 from .errors import Rejected, ValidationError
 from .httpmsg import parse_request, parse_response
@@ -68,6 +69,10 @@ from .toytls import split_records
 
 PAD_CHAR = "~"
 INPUT_SLOT = "{input}"
+# The members each kind of template defines.
+_INJECT_MEMBERS = ("type", "kind", "method", "path", "headers", "body", "input_pointer")
+_PARSE_MEMBERS = ("type", "kind", "output_pointer", "calls_pointer", "call_tool_pointer",
+                  "call_input_pointer")
 
 # The role a component plays in the agent loop, which decides how its
 # response is parsed.
@@ -84,7 +89,6 @@ class InjectTemplate:
     headers: tuple[dict, ...]  # each a name and a value, or a secret and its length
     body: dict | None
     input_pointer: str | None
-    chunk_size: int
     _compiled: _Compiled = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,9 +101,7 @@ class InjectTemplate:
         kind = json_field(obj, "kind", str, None)
         if kind not in ("tool", "core"):
             raise ValidationError(f"template kind must be tool or core, got {kind!r}")
-        chunk_size = json_field(obj, "chunk_size", int, 16)
-        if chunk_size < 1:
-            raise ValidationError("chunk_size must be >= 1")
+        refuse_unread(obj, _INJECT_MEMBERS, "an inject template", "a template")
         path = json_field(obj, "path")
         input_pointer = json_field(obj, "input_pointer", str, None)
         in_path = INPUT_SLOT in path
@@ -115,6 +117,8 @@ class InjectTemplate:
             name = json_field(header, "name")
             if not _TOKEN.fullmatch(name):
                 raise ValidationError(f"header name {name!r:.40} is not an HTTP token")
+            members = ("name", "secret", "length") if "secret" in header else ("name", "value")
+            refuse_unread(header, members, "a header entry", "a template")
             if "secret" not in header:
                 json_field(header, "value")
                 continue
@@ -122,11 +126,8 @@ class InjectTemplate:
             if secret in secrets:
                 raise ValidationError(f"secret {secret!r} fills more than one header")
             secrets.add(secret)
-            if length <= 0 or length % chunk_size:
-                raise ValidationError(
-                    f"secret {secret!r} length must be a positive "
-                    f"multiple of chunk_size {chunk_size}"
-                )
+            if length <= 0:
+                raise ValidationError(f"secret {secret!r} length must be positive")
         return cls(
             uid=content_hash(obj),
             kind=kind,
@@ -135,7 +136,6 @@ class InjectTemplate:
             headers=tuple(map(dict, headers)),
             body=json_field(obj, "body", dict, None),
             input_pointer=input_pointer,
-            chunk_size=chunk_size,
         )
 
     def secret_names(self) -> list[str]:
@@ -173,6 +173,7 @@ class ParseTemplate:
         calls_pointer = json_field(obj, "calls_pointer", str, None)
         if kind == "core" and not calls_pointer:
             raise ValidationError("core parse template requires calls_pointer")
+        refuse_unread(obj, _PARSE_MEMBERS, "a parse template", "a template")
         return cls(
             uid=content_hash(obj),
             kind=kind,
@@ -283,7 +284,6 @@ def render(
     if compiled.body is not None:
         body = json_string(x).encode().join(compiled.body)
 
-    # Secret values start on the chunk grid, counted from the request's start.
     offset = sum(map(len, parts))
     spans: dict[str, tuple[int, int]] = {}
     for slot in compiled.secrets:
@@ -298,11 +298,9 @@ def render(
         if not value.isascii():
             raise ValidationError(f"secret {slot.name!r} is not ASCII")
         offset += len(slot.lead)
-        align = (-offset) % template.chunk_size
-        padded = (PAD_CHAR * align + value + PAD_CHAR * (slot.declared - len(value))).encode()
-        spans[slot.name] = (offset + align, slot.declared)
-        parts += (slot.lead, padded)
-        offset += len(padded)
+        spans[slot.name] = (offset, slot.declared)
+        parts += (slot.lead, value.ljust(slot.declared, PAD_CHAR).encode())
+        offset += slot.declared
     parts.append(compiled.tail)
     if compiled.body is None:
         parts.append(b"\r\n")

@@ -56,7 +56,7 @@ changes the chain. A standalone proof is a session of one:
 ``authenticate`` without a session opens the statement, chains the
 proof and closes it before it parses the response.
 
-A standalone proof carries ``"format": "12"``, and ``WebProof.from_obj``
+A standalone proof carries ``"format": "13"``, and ``WebProof.from_obj``
 reads no other. No member names what the verifier works out for itself:
 its ``record_keys`` are ``{"key": <hex>}`` objects, of the public up
 records in order and then of every down record, and the verifier's cut

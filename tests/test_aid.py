@@ -243,6 +243,26 @@ def test_a_parse_template_of_the_other_role_is_a_violation(demo_world):
     assert "unknown parse template uid" in violation.message
 
 
+def test_an_inject_template_of_the_other_role_is_a_violation(demo_world):
+    core, tool = demo_world.aid.core, demo_world.aid.tools[0]
+    swapped = replace(
+        demo_world.aid,
+        core=replace(core, injection_algorithm_uid=tool.injection_algorithm_uid),
+        agent_hash=None,
+    )
+    compute_id(swapped)
+    assert [str(v) for v in validate(swapped, demo_world.registry)] == [
+        "/core/injection_algorithm_uid: a tool inject template for a core",
+    ]
+    with pytest.raises(ValidationError, match="a tool inject template for a core"):
+        instantiate_verifier(swapped, TrustStore(registry=demo_world.registry))
+    # A parse template's uid in the inject field is a violation, not a crash.
+    parse = replace(tool, injection_algorithm_uid=tool.parsing_algorithm_uid)
+    (violation,) = validate(replace(demo_world.aid, tools=(parse,)), demo_world.registry)
+    assert violation.path == "/tools/0/injection_algorithm_uid"
+    assert "unknown inject template uid" in violation.message
+
+
 def test_tool_lookup(demo_world):
     assert demo_world.aid.tool("price_feed").name == "price_feed"
     with pytest.raises(KeyError):

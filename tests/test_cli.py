@@ -308,6 +308,7 @@ def test_inspect_names_the_document_that_does_not_decode(proved, tmp_path, docum
         (lambda bundle: bundle.update(format="9"), "bundle format 9"),
         (lambda bundle: bundle.update(format="10"), "bundle format 10"),
         (lambda bundle: bundle.update(format="11"), "bundle format 11"),
+        (lambda bundle: bundle.update(format="12"), "bundle format 12"),
     ],
 )
 def test_other_format_is_rejected_naming_its_version(proved, tmp_path, mangle, named):
@@ -499,6 +500,15 @@ def _aid_with_scheme(scheme):
     return write
 
 
+def _aid_with_a_tool_inject_template_for_the_core(proved, tmp_path):
+    """The demo AID with its core naming the first tool's inject template."""
+    doc = json.loads((proved / "aid.json").read_text())
+    doc["core"]["injection_algorithm_uid"] = doc["tools"][0]["injection_algorithm_uid"]
+    aid_file = tmp_path / "aid.json"
+    aid_file.write_text(json.dumps(doc))
+    return aid_file
+
+
 # Each reject the CLI reaches by changing the demo bundle or its AID.
 PARITY_CASES = {
     "accept": (None, None, None),
@@ -507,6 +517,9 @@ PARITY_CASES = {
     "flipped-record-key": (_flip_record_key, None, "subproof-invalid"),
     "consensus-aid": (None, _aid_with_scheme("Consensus"), "malformed"),
     "scheme-outside-trust-store": (None, _aid_with_scheme("Quorum"), "malformed"),
+    "tool-inject-template-for-core": (
+        None, _aid_with_a_tool_inject_template_for_the_core, "malformed"
+    ),
 }
 
 
@@ -553,6 +566,15 @@ def test_aid_validate_refuses_the_consensus_scheme(proved, tmp_path):
     )
     assert result.exit_code == 1, result.output
     assert "/tools/0/verification: unknown scheme 'Consensus'" in result.output
+
+
+def test_aid_validate_refuses_a_tool_inject_template_for_the_core(proved, tmp_path):
+    aid_file = _aid_with_a_tool_inject_template_for_the_core(proved, tmp_path)
+    result = CliRunner().invoke(
+        main, ["aid", "validate", str(aid_file), "--templates", str(proved / "templates")]
+    )
+    assert result.exit_code == 1, result.output
+    assert result.output == "/core/injection_algorithm_uid: a tool inject template for a core\n"
 
 
 def _write(tmp_path, name, data):
@@ -679,6 +701,7 @@ def _mangled_templates(proved, tmp_path, field, value):
         ("chunk_size", ["1"]),
         ("path", 5),
         ("headers", [{"name": "X-Ключ", "value": "v"}]),  # not an HTTP token
+        ("chunk_size", "16"),  # the grid of format 12 and before, now no member
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "inspect"])

@@ -2,8 +2,8 @@
 
 Each example starts from a valid web proof, proxy log head, bundle, AID
 or template, then replaces or drops one field at any depth with any JSON
-value, or adds a member to any object of a web proof or bundle, which
-must not be accepted.
+value, or adds a member to any object of a web proof, bundle or template
+(outside a template's free JSON body), which must not be accepted.
 Verification must end in a ``Rejected`` reason or a ``ValidationError``;
 decoding an AID or registering a template in a ``ValidationError``; and
 ``vet verify --json`` and ``vet aid validate`` in an exit code, never in
@@ -136,8 +136,8 @@ def _template_objs():
     return tuple(registry._objs[uid] for uid in registry.uids())
 
 
-# One of the demo's four templates, with one field replaced or dropped.
-template_mutations = st.sampled_from(range(4)).flatmap(
+# One of the demo's six templates, with one field replaced or dropped.
+template_mutations = st.sampled_from(range(len(_template_objs()))).flatmap(
     lambda i: one_field_mutation(lambda: _template_objs()[i])
 )
 
@@ -301,15 +301,17 @@ def _objects(node, path=()):
 
 
 @st.composite
-def added_member(draw, seed_doc):
+def added_member(draw, seed_doc, free=None):
     """``seed_doc()`` with a member of any name and value added to any
-    object, the document itself included."""
+    object, the document itself included; with ``free``, the name of a
+    top-level member that holds any JSON, not below it nor as it."""
     mutated = copy.deepcopy(seed_doc())
-    path = draw(st.sampled_from(sorted(_objects(mutated), key=repr)))
+    objects = [path for path in _objects(mutated) if path[:1] != (free,)]
+    path = draw(st.sampled_from(sorted(objects, key=repr)))
     node = mutated
     for key in path:
         node = node[key]
-    name = draw(st.text(max_size=8).filter(lambda name: name not in node))
+    name = draw(st.text(max_size=8).filter(lambda name: name not in node and name != free))
     node[name] = draw(json_values)
     return mutated
 
@@ -460,6 +462,18 @@ def test_template_decoder_only_rejects(mutated):
             render(registry.get_inject(uid), "fuzz", {})
     except ValidationError:
         pass
+
+
+@SETTINGS
+@given(
+    st.sampled_from(range(len(_template_objs()))).flatmap(
+        lambda i: added_member(lambda: _template_objs()[i], free="body")
+    )
+)
+def test_a_member_added_anywhere_in_a_template_is_refused(mutated):
+    # The uid would commit to a member no rendering or parse reads.
+    with pytest.raises(ValidationError, match="that a template does not define$"):
+        TemplateRegistry().register(mutated)
 
 
 @pytest.fixture(scope="module")

@@ -240,10 +240,8 @@ def old_render_request(template, x, secrets):
             if not value.isascii():
                 raise ValidationError(f"secret {secret_name!r} is not ASCII")
             prefix = f"{name}: "
-            value_start = offset + len(prefix)
-            align = (-value_start) % template.chunk_size
-            spans[secret_name] = (value_start + align, declared)
-            line = prefix + "~" * align + value + "~" * (declared - len(value))
+            spans[secret_name] = (offset + len(prefix), declared)
+            line = prefix + value + "~" * (declared - len(value))
         else:
             line = f"{name}: {header['value']}"
         lines.append(line)
@@ -649,7 +647,6 @@ TEMPLATES = [
             "method": "GET",
             "path": "/price?ids={input}&cur=usd",
             "headers": [{"name": "Host", "value": "h.test"}],
-            "chunk_size": "8",
         }
     ),
     InjectTemplate.from_obj(
@@ -782,10 +779,9 @@ def _pointers(node, prefix=""):
 
 @st.composite
 def render_cases(draw):
-    chunk_size = draw(st.integers(1, 24))
     headers = []
     for i in range(draw(st.integers(0, 3))):
-        length = str(chunk_size * draw(st.integers(1, 3)))
+        length = str(draw(st.integers(1, 72)))
         headers.append({"name": draw(_names), "secret": f"s{i}", "length": length})
     for _ in range(draw(st.integers(0, 3))):
         static = {"name": draw(_names), "value": draw(st.text(alphabet=_chars, max_size=6))}
@@ -795,7 +791,6 @@ def render_cases(draw):
         "kind": draw(st.sampled_from(["tool", "core"])),
         "method": draw(st.sampled_from(["GET", "POST"])),
         "headers": headers,
-        "chunk_size": str(chunk_size),
     }
     path = draw(st.text(alphabet="/?=&aé", max_size=6))
     if draw(st.booleans()):

@@ -1,11 +1,14 @@
 import hashlib
+import re
 import struct
+from dataclasses import replace
 
 import pytest
 
 from vet import tee_proxy
 from vet.chain import OpenChain
-from vet.errors import Rejected
+from vet.aid import VerificationMetadata
+from vet.errors import Rejected, ValidationError
 from vet.keys import SigningKey
 from vet.mockserver import make_echo_handler, make_price_handler
 from vet.tee_proxy import LogHead, TeeProxy, measurement_of, verify_attestation
@@ -109,6 +112,31 @@ def test_verify_rejections(setup):
     with pytest.raises(Rejected) as err:
         verify_attestation(value, request, response, impostor, entry, registry)
     assert err.value.reason == "bad-signature"
+
+
+@pytest.mark.parametrize(
+    "malformed, detail",
+    [
+        (
+            {"verification": VerificationMetadata("ProxyTEE", {"tee_type": "TDX"})},
+            "missing field enclave_public_key",
+        ),
+        ({"verification": VerificationMetadata("Bogus", {})}, "unknown scheme 'Bogus'"),
+        ({"endpoint": "https://["}, None),
+    ],
+)
+def test_a_malformed_entry_is_a_validation_error(setup, malformed, detail):
+    # The standalone verifier takes an entry no AID validation has seen.
+    registry, proxy, entry, template = setup
+    request = render(template, "bitcoin", {})[0]
+    response, head = proxy.fetch(request)
+    value = parse_tool(registry.get_parse(entry.parsing_algorithm_uid), response)
+    entry = replace(entry, **malformed)
+    if detail is None:  # a ProxyTEE log binds an enclave, not the endpoint's host
+        assert verify_attestation(value, request, response, head, entry, registry) == value
+        return
+    with pytest.raises(ValidationError, match=re.escape(detail)):
+        verify_attestation(value, request, response, head, entry, registry)
 
 
 def test_verify_attestation_returns_the_core_value():

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from vet.canonical import content_hash
@@ -70,7 +72,7 @@ def test_render_body_slot_and_secret_span():
     assert request.body == b'{"query":"hello"}'
     (offset, length) = spans["token"]
     assert length == 32
-    assert offset % template.chunk_size == 0  # chunk aligned
+    assert data[:offset].endswith(b"\r\nAuthorization: ")  # no padding before the value
     span_bytes = data[offset:offset + length]
     assert span_bytes.decode() == secret + "~~"  # padded to declared length
     assert extract_input(template, data) == "hello"
@@ -134,14 +136,51 @@ def test_template_validation_errors():
         InjectTemplate.from_obj({**PATH_TEMPLATE, "path": "/static"})  # no slot
     with pytest.raises(ValidationError):
         InjectTemplate.from_obj({**PATH_TEMPLATE, "path": "/{input}/{input}"})
-    bad_secret = {
-        **BODY_TEMPLATE,
-        "headers": [{"name": "A", "secret": "t", "length": "30"}],  # not chunk multiple
-    }
-    with pytest.raises(ValidationError):
+    bad_secret = {**BODY_TEMPLATE, "headers": [{"name": "A", "secret": "t", "length": "0"}]}
+    with pytest.raises(ValidationError, match="^secret 't' length must be positive$"):
         InjectTemplate.from_obj(bad_secret)
     with pytest.raises(ValidationError):
         ParseTemplate.from_obj({"type": "parse", "kind": "core", "output_pointer": "/y"})
+
+
+def test_a_secret_of_any_positive_length_renders_right_after_its_name():
+    headers = [
+        {"name": "Host", "value": "h.test"},
+        {"name": "X-A", "secret": "a", "length": "7"},
+        {"name": "X-B", "secret": "b", "length": "1"},
+    ]
+    template = InjectTemplate.from_obj({**PATH_TEMPLATE, "headers": headers})
+    data, spans = render(template, "btc", {"a": "abc"})
+    assert data == (
+        b"GET /price?ids=btc&cur=usd HTTP/1.1\r\nHost: h.test\r\n"
+        b"X-A: abc~~~~\r\nX-B: ~\r\n\r\n"
+    )
+    assert [data[o:o + n] for o, n in spans.values()] == [b"abc~~~~", b"~"]
+
+
+PARSE_TEMPLATE = {"type": "parse", "kind": "tool", "output_pointer": "/v"}
+
+# Each kind of template object, as (the template, the object in it, the
+# name its error gives). A member its decoder does not read would be
+# committed to by the uid, yet read by no rendering or parse.
+TEMPLATE_OBJECTS = {
+    "inject template": (BODY_TEMPLATE, lambda t: t, "an inject template"),
+    "header entry": (BODY_TEMPLATE, lambda t: t["headers"][0], "a header entry"),
+    "secret header entry": (BODY_TEMPLATE, lambda t: t["headers"][1], "a header entry"),
+    "parse template": (PARSE_TEMPLATE, lambda t: t, "a parse template"),
+}
+
+
+@pytest.mark.parametrize("name", ["chunk_size", "extra"])
+@pytest.mark.parametrize("where", list(TEMPLATE_OBJECTS))
+def test_a_member_a_template_does_not_define_does_not_register(where, name):
+    template, member_of, named = TEMPLATE_OBJECTS[where]
+    obj = copy.deepcopy(template)
+    member_of(obj)[name] = "16"
+    with pytest.raises(
+        ValidationError, match=f"^{named} has a member '{name}' that a template does not define$"
+    ):
+        TemplateRegistry().register(obj)
 
 
 def test_match_request_accepts_honest_disclosure():

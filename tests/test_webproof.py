@@ -1,12 +1,14 @@
 import copy
 import random
+import re
 import string
 from dataclasses import replace
 
 import pytest
 
 from conftest import count_calls, grid
-from vet import commitment, frames, keys, toytls
+from vet import commitment, frames, keys, templates, toytls
+from vet.aid import VerificationMetadata
 from vet.canonical import canonical_bytes, canonical_loads
 from vet.commitment import SALT_LEN, Disclosure, RevealedRun, commit, disclose, leaf_hash
 from vet.errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
@@ -626,6 +628,61 @@ def test_proof_of_format_11_is_rejected_naming_its_version(rig):
     obj["format"] = "11"
     with pytest.raises(ValidationError, match="web proof format 11 is not supported"):
         WebProof.from_obj(obj)
+
+
+def test_proof_of_format_12_is_rejected_naming_its_version(rig):
+    # Format 12 aligned each secret value on a 16-byte grid of "~".
+    _, proof = _prove(rig, "old")
+    obj = proof.to_obj()
+    obj["format"] = "12"
+    with pytest.raises(ValidationError, match="web proof format 12 is not supported"):
+        WebProof.from_obj(obj)
+
+
+def _grid_render(template, x, secrets):
+    """``render`` as format 12 did it: "~" before each secret value, so
+    that the value starts on a multiple of 16 bytes."""
+    data, spans = render(template, x, secrets)
+    out, aligned, end = b"", {}, 0
+    for name, (offset, length) in spans.items():
+        out += data[end:offset]
+        out += b"~" * (-len(out) % 16)
+        aligned[name] = (len(out), length)
+        out, end = out + data[offset:offset + length], offset + length
+    return out + data[end:], aligned
+
+
+def test_a_proof_of_a_request_rendered_on_the_old_grid_is_rejected(rig, monkeypatch):
+    # The secret header follows "X-Api-Key: " off the grid, so format 12
+    # padded it, and the notarized request is longer than the rendering.
+    monkeypatch.setattr(templates, "render", _grid_render)
+    exchange, proof = _prove(rig, "grid")
+    monkeypatch.undo()
+    assert exchange.value == "grid"
+    rendered, _ = render(rig.registry.get_inject(rig.inject_uid), "grid", {})
+    assert proof.request_length > len(rendered)
+    assert _reason(rig, "grid", proof) == (
+        "template-mismatch",
+        f"rendered length {len(rendered)} != declared length {proof.request_length}",
+    )
+
+
+@pytest.mark.parametrize(
+    "malformed, detail",
+    [
+        (
+            {"verification": VerificationMetadata("TLSNotary", {"protocol_version": "x"})},
+            "missing field notary_public_key",
+        ),
+        ({"verification": VerificationMetadata("Bogus", {})}, "unknown scheme 'Bogus'"),
+        ({"endpoint": "https://["}, "endpoint 'https://[' of 'echo' is not a URL"),
+    ],
+)
+def test_a_malformed_entry_is_a_validation_error(rig, malformed, detail):
+    # The standalone verifier takes an entry no AID validation has seen.
+    _, proof = _prove(rig, "hi")
+    with pytest.raises(ValidationError, match=re.escape(detail)):
+        verify_webproof("hi", proof, replace(rig.entry, **malformed), "tool", rig.registry)
 
 
 def test_proof_size_carries_no_copy_of_the_request(rig):
