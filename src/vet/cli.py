@@ -159,7 +159,8 @@ def notary():
               show_default=True, help="Mock server kind the notary relays to.")
 @click.option("--upstream-domain", default="llm.test", show_default=True)
 @click.option("--server-key", "server_key_file", required=True,
-              help="Hex Ed25519 private key file for the relayed target server.")
+              help="Hex Ed25519 private key file for the relayed target server: "
+                   "its long-term key, which no handshake reads.")
 @click.option("--seed", default="0", show_default=True)
 def notary_serve(listen, key_file, max_up, max_down, upstream_kind, upstream_domain,
                  server_key_file, seed):

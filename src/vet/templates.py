@@ -71,8 +71,12 @@ PAD_CHAR = "~"
 INPUT_SLOT = "{input}"
 # The members each kind of template defines.
 _INJECT_MEMBERS = ("type", "kind", "method", "path", "headers", "body", "input_pointer")
-_PARSE_MEMBERS = ("type", "kind", "output_pointer", "calls_pointer", "call_tool_pointer",
-                  "call_input_pointer")
+# A tool response carries no calls, so a tool parse template has no call pointers.
+_PARSE_MEMBERS = {
+    "tool": ("type", "kind", "output_pointer"),
+    "core": ("type", "kind", "output_pointer", "calls_pointer", "call_tool_pointer",
+             "call_input_pointer"),
+}
 
 # The role a component plays in the agent loop, which decides how its
 # response is parsed.
@@ -173,7 +177,7 @@ class ParseTemplate:
         calls_pointer = json_field(obj, "calls_pointer", str, None)
         if kind == "core" and not calls_pointer:
             raise ValidationError("core parse template requires calls_pointer")
-        refuse_unread(obj, _PARSE_MEMBERS, "a parse template", "a template")
+        refuse_unread(obj, _PARSE_MEMBERS[kind], "a parse template", "a template")
         return cls(
             uid=content_hash(obj),
             kind=kind,

@@ -30,7 +30,11 @@ A direction's cipher key and record keys come from its own secret.
 Up-direction keys come from the X25519 handshake secret, known to prover
 and server and never to the relay: the server draws a fresh ephemeral
 key for each connection, so nothing the relay sees, the public keys
-included, determines it.
+included, determines it. The server's HS_DOWN carries its ephemeral key
+and a key-confirmation tag, as TLS 1.3's Finished (RFC 8446 §4.4.4):
+``confirm_tag = H("VET/confirm:" || hk || client_eph || server_eph ||
+session_id)`` under the handshake key ``hk``. The prover checks it before
+it seals any record; nothing signs the handshake.
 Down-direction keys come from a seed the server also draws fresh for
 each connection and releases to the prover only after the relay has
 signed the head of the record chain, so the prover's pre-signature view
@@ -83,7 +87,6 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PublicKey,
 )
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import frames
 from .canonical import canonical_bytes, canonical_loads, json_field, refuse_unread
@@ -191,6 +194,15 @@ def handshake_key(shared: bytes, nonce: bytes) -> bytes:
     return hashlib.sha256(b"VET/hs:" + shared + nonce).digest()
 
 
+def confirm_tag(hk: bytes, client_eph: bytes, server_eph: bytes, session_id: str) -> bytes:
+    """The server's key confirmation, as TLS 1.3's Finished (RFC 8446
+    §4.4.4): the handshake key over both 32-byte ephemeral keys and the
+    session id, which comes last, so the input has one parse."""
+    return hashlib.sha256(
+        b"VET/confirm:" + hk + client_eph + server_eph + session_id.encode()
+    ).digest()
+
+
 def release_key(hk: bytes, statement: bytes) -> bytes:
     """The key that seals the down seed the server releases, bound to the
     STATEMENT payload it checked."""
@@ -241,23 +253,6 @@ def shared_secret(private: X25519PrivateKey, public: bytes) -> bytes:
         return private.exchange(X25519PublicKey.from_public_bytes(public))
     except ValueError as exc:  # a key of the wrong length, or of low order
         raise ValidationError(f"X25519 key: {exc}") from None
-
-
-def pub_hex(private: X25519PrivateKey) -> str:
-    return private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw).hex()
-
-
-def handshake_signature_message(
-    client_eph: str, server_eph: str, nonce: str, session_id: str
-) -> bytes:
-    return canonical_bytes(
-        {
-            "client_eph": client_eph,
-            "server_eph": server_eph,
-            "nonce": nonce,
-            "session_id": session_id,
-        }
-    )
 
 
 @dataclass(frozen=True)
@@ -317,7 +312,8 @@ class ServerConnection:
 
     ``handle(frame)`` returns the frames to relay back toward the
     prover. The relay never sees anything here in plaintext except the
-    handshake metadata (ephemeral public keys and a signature). A
+    handshake metadata (the ephemeral public keys, the nonce and the
+    key-confirmation tag). A
     session carries any number of exchanges, as a kept-alive connection
     does: each END_UP answers the up records sent since the one before.
     The ephemeral key and the down seed are drawn fresh for each
@@ -366,19 +362,9 @@ class ServerConnection:
             "up": RecordCipher("up", up_secret(shared)),
             "down": RecordCipher("down", self._seed),
         }
-        server_eph_hex = pub_hex(eph)
-        signature = self.server.signing_key.sign(
-            handshake_signature_message(
-                client_eph.hex(), server_eph_hex, nonce.hex(), self.session_id
-            )
-        )
-        reply = canonical_bytes(
-            {
-                "server_eph": server_eph_hex,
-                "server_pub": self.server.signing_key.public_string,
-                "signature": signature,
-            }
-        )
+        server_eph = eph.public_key().public_bytes_raw()
+        confirm = confirm_tag(self._hk, client_eph, server_eph, self.session_id)
+        reply = canonical_bytes({"server_eph": server_eph.hex(), "confirm": confirm.hex()})
         return [Frame(frames.HS_DOWN, reply)]
 
     def _record_up(self, wire: bytes) -> None:
@@ -436,6 +422,9 @@ class TargetServer:
 
     The server is trusted to follow its interface; it withholds the
     down-direction seed until shown the relay-signed head of the record chain.
+    ``signing_key`` is the server's long-term key. Nothing in the
+    handshake reads it; a static key that the prover pins is to take its
+    place.
     """
 
     def __init__(

@@ -80,6 +80,7 @@ bundle's own covers it.
 
 from __future__ import annotations
 
+import hmac
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -101,7 +102,6 @@ from .chain import OpenChain
 from .commitment import Disclosure, TranscriptCommitment, commit, disclose, verify_disclosure
 from .errors import CapacityExceeded, ProtocolError, Rejected, ValidationError
 from .frames import Frame
-from .keys import verify_signature
 from .notary import NotaryService
 from .templates import (  # the roles are re-exported for callers of this module
     ROLE_CORE,
@@ -412,10 +412,25 @@ class NotarizedSession:
     seed comes sealed under the handshake key and the statement, and the
     server's fresh ephemeral key keeps the handshake key from a notary
     that relays the handshake as it is.
-    Not from one that answers it itself: ``server_pub`` comes in the same
-    unauthenticated hello as the signature checked under it, so nothing
-    pins the server's key. The channel is closed when the
-    session finishes, or when an exchange over it fails or aborts.
+
+    The server's hello is ``{server_eph, confirm}``, and the prover
+    checks ``confirm`` against ``toytls.confirm_tag`` under the handshake
+    key it derives, before it seals any record. A relay without the
+    handshake key cannot make the tag, so one that passes frames through
+    gets these hellos refused: one altered in flight (the prover derives
+    another key), one replayed from another session (made for another
+    client key, hence under another handshake key) and one made for
+    another session id (the tag binds the id). The Ed25519 handshake
+    signature that the tag replaces refused the same hellos. It was
+    checked under the ``server_pub`` of the same unauthenticated hello,
+    so a signer of the relay's own passed as well as the server. Both
+    checks accept a relay that answers HS_UP itself with an ephemeral key
+    of its own: it derives the handshake key, and so the tag, as it could
+    sign under a key of its own. Such a relay derives the up secret and
+    reads every up record, the secret header included; only a server key
+    that the prover pins can refuse it, and none is pinned yet. The
+    channel is closed when the handshake is refused, when the session
+    finishes, or when an exchange over it fails or aborts.
     """
 
     def __init__(self, channel, rng: random.Random):
@@ -424,30 +439,30 @@ class NotarizedSession:
         self._sent: list[_Sent] = []
         self._held: list[Frame] = []  # the last exchange's frames, not yet sent
         self.chain = toytls.RecordChain()  # of every record sent and received
-        # Handshake: ephemeral X25519, server signs the transcript binding.
+        # Handshake: ephemeral X25519; the server confirms the handshake key.
         eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
-        client_eph = toytls.pub_hex(eph)
-        nonce = rng.randbytes(16).hex()
-        hello = canonical_bytes({"client_eph": client_eph, "nonce": nonce})
+        client_eph = eph.public_key().public_bytes_raw()
+        nonce = rng.randbytes(16)
+        hello = canonical_bytes({"client_eph": client_eph.hex(), "nonce": nonce.hex()})
         try:
             (reply,) = _expect(channel.exchange(Frame(frames.HS_UP, hello)), frames.HS_DOWN)
-            server_hello = canonical_loads(reply.payload)
-            server_pub = json_field(server_hello, "server_pub")
-            server_eph = json_field(server_hello, "server_eph", bytes)
-            if not verify_signature(
-                server_pub,
-                toytls.handshake_signature_message(
-                    client_eph, server_eph.hex(), nonce, channel.session_id
-                ),
-                json_field(server_hello, "signature"),
-            ):
-                raise ProtocolError("server handshake signature invalid")
-            shared = toytls.shared_secret(eph, server_eph)
+            try:
+                server_hello = canonical_loads(reply.payload)
+                server_eph = json_field(server_hello, "server_eph", bytes)
+                members = ("server_eph", "confirm")
+                refuse_unread(server_hello, members, "a server hello", "the session protocol")
+                confirm = json_field(server_hello, "confirm", bytes)
+                shared = toytls.shared_secret(eph, server_eph)
+            except ValidationError as exc:
+                raise ProtocolError(f"malformed server hello: {exc}") from None
+            self._hk = toytls.handshake_key(shared, nonce)
+            tag = toytls.confirm_tag(self._hk, client_eph, server_eph, channel.session_id)
+            if not hmac.compare_digest(confirm, tag):
+                raise ProtocolError("server hello does not confirm the handshake key")
         except BaseException:
             channel.close()
             raise
         self._up = toytls.RecordCipher("up", toytls.up_secret(shared))
-        self._hk = toytls.handshake_key(shared, bytes.fromhex(nonce))
 
     def send(
         self, request_bytes: bytes, secret_spans: list[tuple[int, int]], claims: dict

@@ -341,7 +341,8 @@ def _real_handshake(channel):
     rng = random.Random(0)
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     nonce = rng.randbytes(16)
-    hello = canonical_bytes({"client_eph": toytls.pub_hex(eph), "nonce": nonce.hex()})
+    client_eph = eph.public_key().public_bytes_raw().hex()
+    hello = canonical_bytes({"client_eph": client_eph, "nonce": nonce.hex()})
     (reply,) = channel.exchange(Frame(frames.HS_UP, hello))
     assert reply.type == frames.HS_DOWN
     server_eph = bytes.fromhex(canonical_loads(reply.payload)["server_eph"])
@@ -599,7 +600,8 @@ def test_tcp_frame_over_its_bound_is_refused_unread(rig, opened_sessions, when):
                 assert frames.read_frame(sock).type == frames.OPEN_OK
             if when == "in-a-burst":
                 eph = X25519PrivateKey.from_private_bytes(bytes(range(32)))
-                hello = canonical_bytes({"client_eph": toytls.pub_hex(eph), "nonce": "00" * 16})
+                client_eph = eph.public_key().public_bytes_raw().hex()
+                hello = canonical_bytes({"client_eph": client_eph, "nonce": "00" * 16})
                 burst = _open_frame(session_id).encode() + frames.encode(frames.HS_UP, hello)
                 sock.sendall(burst + header + b"x" * 100)
                 types = [frames.read_frame(sock).type for _ in range(2)]
@@ -727,7 +729,7 @@ def test_relay_view_recovers_no_server_secret(rig, monkeypatch):
         hashlib.sha256(b"VET/server-eph:" + server_secret + session_id.encode()).digest()
     )
     seed = hashlib.sha256(b"VET/session-seed:" + server_secret + session_id.encode()).digest()
-    assert toytls.pub_hex(guess) != canonical_loads(hs_down)["server_eph"]
+    assert guess.public_key().public_bytes_raw().hex() != canonical_loads(hs_down)["server_eph"]
     client_eph = bytes.fromhex(canonical_loads(opened)["client_eph"])
     up = toytls.up_secret(guess.exchange(X25519PublicKey.from_public_bytes(client_eph)))
     ups = [f.payload for f in seen if f.type == frames.RELAY_UP]

@@ -183,6 +183,18 @@ def test_a_member_a_template_does_not_define_does_not_register(where, name):
         TemplateRegistry().register(obj)
 
 
+@pytest.mark.parametrize("name", ["calls_pointer", "call_tool_pointer", "call_input_pointer"])
+def test_a_tool_parse_template_defines_no_call_pointers(name):
+    # parse_tool reads no call pointer, so each would give one tool parse
+    # another uid; a core parse template defines all three.
+    with pytest.raises(
+        ValidationError, match=f"^a parse template has a member '{name}' that a template does not"
+    ):
+        TemplateRegistry().register({**PARSE_TEMPLATE, name: "/c"})
+    core = {**PARSE_TEMPLATE, "kind": "core", "calls_pointer": "/c"}
+    TemplateRegistry().register({**core, name: "/c"})
+
+
 def test_match_request_accepts_honest_disclosure():
     template = InjectTemplate.from_obj(BODY_TEMPLATE)
     data, spans = render(template, "hello", {})

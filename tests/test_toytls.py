@@ -12,7 +12,7 @@ from vet import frames, toytls
 from vet.canonical import canonical_bytes, canonical_loads
 from vet.errors import ProtocolError, ValidationError
 from vet.frames import Frame
-from vet.keys import SigningKey, verify_signature
+from vet.keys import SigningKey
 from vet.mockserver import make_echo_handler
 from vet.toytls import (
     CHAIN_START,
@@ -22,7 +22,6 @@ from vet.toytls import (
     ServerConnection,
     TargetServer,
     derive_record_key,
-    handshake_signature_message,
     open_record,
     seal_record,
     split_records,
@@ -178,21 +177,21 @@ def test_split_records_isolates_secrets():
 
 def _drive_handshake(connection, rng, session_id):
     eph = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
-    client_eph = eph.public_key().public_bytes_raw().hex()
+    client_eph = eph.public_key().public_bytes_raw()
     nonce = rng.randbytes(16).hex()
-    hello = canonical_bytes({"client_eph": client_eph, "nonce": nonce})
+    hello = canonical_bytes({"client_eph": client_eph.hex(), "nonce": nonce})
     (reply,) = connection.handle(Frame(frames.HS_UP, hello))
     server_hello = canonical_loads(reply.payload)
-    assert verify_signature(
-        server_hello["server_pub"],
-        handshake_signature_message(
-            client_eph, server_hello["server_eph"], nonce, session_id
-        ),
-        server_hello["signature"],
-    )
-    shared = eph.exchange(
-        X25519PublicKey.from_public_bytes(bytes.fromhex(server_hello["server_eph"]))
-    )
+    assert set(server_hello) == {"server_eph", "confirm"}
+    server_eph = bytes.fromhex(server_hello["server_eph"])
+    shared = eph.exchange(X25519PublicKey.from_public_bytes(server_eph))
+    # The key-confirmation tag, spelled out: the handshake key over both
+    # ephemeral keys and the session id.
+    hk = toytls.handshake_key(shared, bytes.fromhex(nonce))
+    confirm = hashlib.sha256(
+        b"VET/confirm:" + hk + client_eph + server_eph + session_id.encode()
+    ).hexdigest()
+    assert server_hello["confirm"] == confirm
     return shared, nonce
 
 
@@ -326,7 +325,8 @@ def _one_session(server, notary, session_id):
     connection = server.open_connection(session_id)
     eph = X25519PrivateKey.from_private_bytes(bytes(31) + b"\x01")
     nonce = bytes(16)
-    hello = canonical_bytes({"client_eph": toytls.pub_hex(eph), "nonce": nonce.hex()})
+    client_eph = eph.public_key().public_bytes_raw().hex()
+    hello = canonical_bytes({"client_eph": client_eph, "nonce": nonce.hex()})
     (reply,) = connection.handle(Frame(frames.HS_UP, hello))
     server_eph = canonical_loads(reply.payload)["server_eph"]
     shared = eph.exchange(X25519PublicKey.from_public_bytes(bytes.fromhex(server_eph)))

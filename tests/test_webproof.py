@@ -756,19 +756,23 @@ def test_statement_chain_must_match_observation(rig):
         )
 
 
-class StatementSwap:
-    """A channel that hands the prover ``rewrite(payload)`` in place of the
-    STATEMENT the server was shown, and counts its closes."""
+class FrameSwap:
+    """A channel that hands the prover ``rewrite(batch, payload)`` in place
+    of each reply of type ``ftype`` to a ``batch`` it sent, and records the
+    types of the frames sent and its closes."""
 
-    def __init__(self, inner, rewrite):
+    def __init__(self, inner, ftype, rewrite):
         self.inner = inner
         self.session_id = inner.session_id
+        self.ftype = ftype
         self.rewrite = rewrite
+        self.sent = []
         self.closes = 0
 
     def exchange(self, *batch):
+        self.sent += [frame.type for frame in batch]
         return [
-            Frame(frames.STATEMENT, self.rewrite(r.payload)) if r.type == frames.STATEMENT else r
+            Frame(r.type, self.rewrite(batch, r.payload)) if r.type == self.ftype else r
             for r in self.inner.exchange(*batch)
         ]
 
@@ -808,9 +812,10 @@ def test_prover_refuses_a_statement_other_than_the_servers(rig, rewrite, refusal
     # statement; the prover is handed another one. A changed signature, a
     # rogue signer, or a notary's second signature over a wrong chain
     # each leaves no proof, and the channel is closed.
-    channel = StatementSwap(
+    channel = FrameSwap(
         provision_channel(rig.service, "echo.test", rng=random.Random(6)),
-        lambda payload: canonical_bytes(rewrite(canonical_loads(payload), rig)),
+        frames.STATEMENT,
+        lambda _, payload: canonical_bytes(rewrite(canonical_loads(payload), rig)),
     )
     template = rig.registry.get_inject(rig.inject_uid)
     request, spans = render(template, "swap", {"token": SECRET})
@@ -829,19 +834,84 @@ def test_notary_signing_a_wrong_chain_leaves_no_proof(rig, monkeypatch):
         return statement(session)
 
     monkeypatch.setattr(NotarySession, "_statement", wrong_head)
-    channel = StatementSwap(
-        provision_channel(rig.service, "echo.test", rng=random.Random(7)), lambda p: p
+    channel = FrameSwap(
+        provision_channel(rig.service, "echo.test", rng=random.Random(7)),
+        frames.STATEMENT,
+        lambda _, payload: payload,
     )
     with pytest.raises(ProtocolError, match="aborted: .*signed chain does not match"):
         run_session(channel, b"GET / HTTP/1.1\r\n\r\n", claims={"input": "x"})
     assert channel.closes == 1
 
 
-def test_run_session_checks_two_signatures(rig, monkeypatch):
-    # The prover checks the server's handshake signature and the server
-    # checks the notary's statement before it releases the seed; the
-    # prover does not check the statement's signature a second time.
-    calls = count_calls(monkeypatch, keys.verify_signature)
+def _flip_server_eph(rig, batch, hs_down):
+    obj = canonical_loads(hs_down)
+    eph = bytearray.fromhex(obj["server_eph"])
+    eph[7] ^= 1
+    return canonical_bytes(dict(obj, server_eph=eph.hex()))
+
+
+def _replayed(rig, batch, hs_down):
+    """The HS_DOWN of another session of the same server."""
+    seen = []
+    other = FrameSwap(
+        provision_channel(rig.service, "echo.test", rng=random.Random(99)),
+        frames.HS_DOWN,
+        lambda _, payload: seen.append(payload) or payload,
+    )
+    NotarizedSession(other, random.Random(98)).channel.close()
+    return seen[0]
+
+
+def _for_another_session(rig, batch, hs_down):
+    """The server's answer to this very hello, made for another session id."""
+    (hello,) = batch
+    return rig.server.open_connection("another-session").handle(hello)[0].payload
+
+
+def _of_the_old_protocol(rig, batch, hs_down):
+    """A hello of the signed handshake: a server key and a signature, no tag."""
+    return canonical_bytes({
+        "server_eph": canonical_loads(hs_down)["server_eph"],
+        "server_pub": rig.server_key.public_string,
+        "signature": rig.server_key.sign(b"handshake"),
+    })
+
+
+@pytest.mark.parametrize(
+    "rewrite, refusal",
+    [
+        pytest.param(_flip_server_eph, None, id="flipped-server-eph"),
+        pytest.param(_replayed, None, id="replayed"),
+        pytest.param(_for_another_session, None, id="another-session-id"),
+        pytest.param(
+            _of_the_old_protocol,
+            "malformed server hello: .* member 'server_pub'",
+            id="old-protocol",
+        ),
+    ],
+)
+def test_a_bad_hs_down_is_refused_before_any_record_leaves(rig, rewrite, refusal):
+    channel = FrameSwap(
+        provision_channel(rig.service, "echo.test", rng=random.Random(9)),
+        frames.HS_DOWN,
+        lambda batch, payload: rewrite(rig, batch, payload),
+    )
+    with pytest.raises(ProtocolError, match=refusal):
+        run_session(channel, b"GET / HTTP/1.1\r\n\r\n", claims={"input": "x"})
+    assert channel.sent == [frames.HS_UP]
+    assert channel.closes == 1
+
+
+def test_run_session_signs_once_and_checks_one_signature(rig, monkeypatch):
+    # The notary signs the statement and the server checks that signature
+    # before it releases the seed. The handshake is confirmed by a tag
+    # under the handshake key, not signed, and the prover does not check
+    # the statement's signature a second time.
+    checks = count_calls(monkeypatch, keys.verify_signature)
+    signs = []
+    sign = keys.SigningKey.sign
+    monkeypatch.setattr(keys.SigningKey, "sign", lambda key, m: signs.append(m) or sign(key, m))
     channel = provision_channel(rig.service, "echo.test", rng=random.Random(8))
     template = rig.registry.get_inject(rig.inject_uid)
     request, spans = render(template, "count", {"token": SECRET})
@@ -849,7 +919,7 @@ def test_run_session_checks_two_signatures(rig, monkeypatch):
         channel, request, secret_spans=sorted(spans.values()), claims={"input": "count"}
     )
     assert b'"echo":"count"' in response
-    assert len(calls) == 2
+    assert len(checks) == 1 and len(signs) == 1
 
 
 def _run(rig, messages, **caps):
